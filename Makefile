@@ -74,8 +74,9 @@ bench-check:
 
 # Fuzz smoke: brief randomized exploration of the zero-copy decode
 # surfaces (the in-place payment scan and the arena page decoder), the
-# nodestore record framing, and the state-tree operation sequences —
-# beyond their seeded corpora. CI runs the same targets with a short
+# nodestore record framing, the state-tree operation sequences, and the
+# stream's hand-written frame codec held against encoding/json — beyond
+# their seeded corpora. CI runs the same targets with a short
 # -fuzztime; run them longer locally when touching the codec.
 FUZZTIME ?= 10s
 fuzz:
@@ -83,6 +84,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePageInto$$' -fuzztime $(FUZZTIME) ./internal/ledger
 	$(GO) test -run '^$$' -fuzz 'FuzzNodeDecode$$' -fuzztime $(FUZZTIME) ./internal/nodestore
 	$(GO) test -run '^$$' -fuzz 'FuzzShamapOps$$' -fuzztime $(FUZZTIME) ./internal/shamap
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/netstream
+	$(GO) test -run '^$$' -fuzz 'FuzzEncodeFrame$$' -fuzztime $(FUZZTIME) ./internal/netstream
 
 # Short chaos pass: fault injection, resilience, and the degraded-stream
 # integration test.

@@ -117,8 +117,11 @@ type Event struct {
 	// LedgerHash is the page hash signed (validations) or committed
 	// (closes).
 	LedgerHash ledger.Hash `json:"ledger_hash"`
-	// Node identifies the signing validator (validations only).
-	Node addr.NodeID `json:"node,omitempty"`
+	// Node identifies the signing validator; it is the zero key on
+	// closes and aggregate proposals. It is on the wire either way, as
+	// the base58 of those 33 zero bytes: encoding/json never omits an
+	// array, and this field used to carry an omitempty that did nothing.
+	Node addr.NodeID `json:"node"`
 	// Signature is the validator's signature over the page hash.
 	Signature []byte `json:"signature,omitempty"`
 	// Time is the simulated time of the event.

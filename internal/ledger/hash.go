@@ -30,40 +30,38 @@ func (h Hash) IsZero() bool { return h == Hash{} }
 
 // String renders the hash in uppercase hex, as rippled displays ledger
 // hashes.
-func (h Hash) String() string {
-	dst := make([]byte, hex.EncodedLen(len(h)))
-	hex.Encode(dst, h[:])
-	for i, c := range dst {
-		if c >= 'a' && c <= 'f' {
-			dst[i] = c - 'a' + 'A'
-		}
+func (h Hash) String() string { return string(h.AppendHex(make([]byte, 0, 2*len(h)))) }
+
+// AppendHex appends the String form to dst.
+func (h Hash) AppendHex(dst []byte) []byte {
+	const digits = "0123456789ABCDEF"
+	for _, b := range h {
+		dst = append(dst, digits[b>>4], digits[b&15])
 	}
-	return string(dst)
+	return dst
 }
 
 // Short returns the first 8 hex characters, for logs and reports.
 func (h Hash) Short() string { return h.String()[:8] }
 
 // ParseHash parses a 64-character hex string.
-func ParseHash(s string) (Hash, error) {
-	if len(s) != 64 {
-		return Hash{}, fmt.Errorf("ledger: hash %q: want 64 hex characters", s)
-	}
-	var h Hash
-	if _, err := hex.Decode(h[:], []byte(s)); err != nil {
-		return Hash{}, fmt.Errorf("ledger: hash %q: %w", s, err)
-	}
-	return h, nil
+func ParseHash(s string) (h Hash, err error) {
+	err = h.UnmarshalText([]byte(s))
+	return h, err
 }
 
 // MarshalText implements encoding.TextMarshaler.
 func (h Hash) MarshalText() ([]byte, error) { return []byte(h.String()), nil }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
+// It allocates nothing on success: the stream decoder calls it per event.
 func (h *Hash) UnmarshalText(text []byte) error {
-	parsed, err := ParseHash(string(text))
-	if err != nil {
-		return err
+	if len(text) != 64 {
+		return fmt.Errorf("ledger: hash %q: want 64 hex characters", text)
+	}
+	var parsed Hash
+	if _, err := hex.Decode(parsed[:], text); err != nil {
+		return fmt.Errorf("ledger: hash %q: %w", text, err)
 	}
 	*h = parsed
 	return nil

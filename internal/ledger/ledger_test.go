@@ -44,6 +44,31 @@ func TestHashBasics(t *testing.T) {
 	}
 }
 
+// TestHashUnmarshalText: the decoder behind ParseHash and every JSON
+// hash takes 64 hex digits of either case and nothing else, leaves its
+// receiver alone on refusal, and allocates nothing on success (the
+// stream decoder calls it per event).
+func TestHashUnmarshalText(t *testing.T) {
+	h := SHA512Half([]byte("hello"))
+	before := SHA512Half([]byte("before"))
+	for text, ok := range map[string]bool{
+		h.String(): true, strings.ToLower(h.String()): true,
+		"": false, "zz": false, h.String()[:63]: false, h.String() + "0": false,
+		strings.Repeat("g", 64): false, h.String()[:63] + "\n": false, h.String()[:62] + "é": false,
+	} {
+		got := before
+		err := got.UnmarshalText([]byte(text))
+		if want := map[bool]Hash{true: h, false: before}[ok]; (err == nil) != ok || got != want {
+			t.Errorf("%q: err=%v, receiver %v; want accepted=%v, receiver %v", text, err, got, ok, want)
+		}
+	}
+	text := []byte(h.String())
+	var got Hash
+	if n := testing.AllocsPerRun(100, func() { _ = got.UnmarshalText(text) }); n != 0 {
+		t.Errorf("UnmarshalText allocates %v times", n)
+	}
+}
+
 func TestCloseTime(t *testing.T) {
 	ref := time.Date(2015, 8, 24, 15, 41, 3, 0, time.UTC)
 	ct := CloseTimeFromTime(ref)

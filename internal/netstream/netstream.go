@@ -18,7 +18,15 @@
 //     {"resume_after": N}).
 //   - Each wire frame is "crc32hex SP json LF"; a corrupted or
 //     truncated frame fails its checksum and is skipped (and counted),
-//     never parsed into a bogus event.
+//     never parsed into a bogus event. The JSON is what json.Marshal
+//     makes of a consensus.Event, but on the hot path neither side calls
+//     encoding/json: wire.go writes that text directly (appendFrame) and
+//     reads it back with a strict parser for exactly that text, behind
+//     the same checksum. Whatever the parser declines (other key order,
+//     whitespace, escapes, a foreign producer) json.Unmarshal decodes as
+//     before, so the set of accepted frames is the one it defines.
+//   - What a peer can make either side buffer is bounded: a hello line
+//     by maxHelloBytes, a frame by MaxFrameBytes.
 //   - Each subscriber owns a bounded queue drained by its own writer
 //     goroutine, so one slow or stalled peer cannot delay Publish or
 //     other subscribers. Overflow drops the oldest queued frame and is
@@ -28,14 +36,13 @@ package netstream
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,6 +58,10 @@ const (
 	DefaultHelloTimeout = 10 * time.Second
 )
 
+// maxHelloBytes caps the hello line, so a peer that never sends a
+// newline cannot make the server buffer for the whole hello timeout.
+const maxHelloBytes = 1024
+
 // hello is the first line a subscriber sends after connecting.
 type hello struct {
 	// ResumeAfter asks the server to replay buffered events with a
@@ -63,42 +74,6 @@ type hello struct {
 type frame struct {
 	seq  uint64
 	line []byte
-}
-
-// encodeFrame renders an event as "crc32hex SP json LF".
-func encodeFrame(ev consensus.Event) ([]byte, error) {
-	payload, err := json.Marshal(ev)
-	if err != nil {
-		return nil, err
-	}
-	line := make([]byte, 0, len(payload)+10)
-	line = fmt.Appendf(line, "%08x ", crc32.ChecksumIEEE(payload))
-	line = append(line, payload...)
-	line = append(line, '\n')
-	return line, nil
-}
-
-// decodeFrame parses a wire line. ok is false for any malformed,
-// corrupted, or truncated frame.
-func decodeFrame(line []byte) (ev consensus.Event, ok bool) {
-	for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
-		line = line[:len(line)-1]
-	}
-	if len(line) < 10 || line[8] != ' ' {
-		return ev, false
-	}
-	crc, err := strconv.ParseUint(string(line[:8]), 16, 32)
-	if err != nil {
-		return ev, false
-	}
-	payload := line[9:]
-	if crc32.ChecksumIEEE(payload) != uint32(crc) {
-		return ev, false
-	}
-	if json.Unmarshal(payload, &ev) != nil {
-		return ev, false
-	}
-	return ev, true
 }
 
 // subscriber is one connected consumer with its own bounded queue and
@@ -212,6 +187,7 @@ type Server struct {
 	ringStart int
 	ringLen   int
 	stats     ServerStats
+	enc       []byte // Publish's encode scratch; frames are exact-size copies
 
 	wg sync.WaitGroup
 }
@@ -267,13 +243,14 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handshake reads the subscriber's hello line, snapshots the replay it
-// is owed, registers it, and starts its writer.
+// handshake reads the subscriber's hello line (at most maxHelloBytes; a
+// longer one is hung up on), snapshots the replay it is owed, registers
+// it, and starts its writer.
 func (s *Server) handshake(conn net.Conn) {
 	defer s.wg.Done()
 	_ = conn.SetReadDeadline(time.Now().Add(s.helloTimeout))
 	var h hello
-	line, err := bufio.NewReaderSize(conn, 1024).ReadBytes('\n')
+	line, err := bufio.NewReaderSize(conn, maxHelloBytes).ReadSlice('\n')
 	if err != nil || json.Unmarshal(line, &h) != nil {
 		s.mu.Lock()
 		delete(s.pending, conn)
@@ -307,10 +284,12 @@ func (s *Server) handshake(conn net.Conn) {
 // ringAfterLocked snapshots buffered frames with seq > after, oldest
 // first. Caller holds s.mu.
 func (s *Server) ringAfterLocked(after uint64) []frame {
-	var out []frame
+	// Sized once, for the whole ring: this runs under s.mu, where a
+	// long resume used to regrow its result a dozen times. Publish takes
+	// caller-assigned sequences in any order, so it stays a scan.
+	out := make([]frame, 0, s.ringLen)
 	for i := 0; i < s.ringLen; i++ {
-		f := s.ring[(s.ringStart+i)%s.ringCap]
-		if f.seq > after {
+		if f := s.ring[(s.ringStart+i)%s.ringCap]; f.seq > after {
 			out = append(out, f)
 		}
 	}
@@ -329,18 +308,28 @@ func (s *Server) ringAppendLocked(f frame) {
 	s.ringStart = (s.ringStart + 1) % s.ringCap
 }
 
+// deadlineWriter arms the write deadline when bytes actually leave for
+// the socket, which under a bufio.Writer is once per buffer, not once
+// per frame.
+type deadlineWriter struct {
+	conn    net.Conn
+	timeout time.Duration
+}
+
+func (w deadlineWriter) Write(p []byte) (int, error) {
+	_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	return w.conn.Write(p)
+}
+
 // writeLoop drains one subscriber's replay and queue, flushing whenever
 // the queue runs empty. A failed or timed-out write evicts the
 // subscriber without affecting anyone else.
 func (s *Server) writeLoop(sub *subscriber) {
 	defer s.wg.Done()
-	bw := bufio.NewWriterSize(sub.conn, 1<<15)
+	bw := bufio.NewWriterSize(deadlineWriter{sub.conn, s.writeTimeout}, 1<<15)
 	write := func(f frame) bool {
-		_ = sub.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		if _, err := bw.Write(f.line); err != nil {
-			return false
-		}
-		return true
+		_, err := bw.Write(f.line)
+		return err == nil
 	}
 	fail := func() {
 		sub.conn.Close()
@@ -359,7 +348,6 @@ func (s *Server) writeLoop(sub *subscriber) {
 		}
 	}
 	sub.replay = nil
-	_ = sub.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 	if err := bw.Flush(); err != nil {
 		sub.replayed.Store(true)
 		fail()
@@ -371,7 +359,6 @@ func (s *Server) writeLoop(sub *subscriber) {
 		if !ok {
 			// Server shutdown: the channel was closed after draining
 			// publishes; flush what remains and hang up.
-			_ = sub.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 			_ = bw.Flush()
 			sub.conn.Close()
 			return
@@ -381,7 +368,6 @@ func (s *Server) writeLoop(sub *subscriber) {
 			return
 		}
 		if len(sub.ch) == 0 {
-			_ = sub.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 			if err := bw.Flush(); err != nil {
 				fail()
 				return
@@ -407,12 +393,12 @@ func (s *Server) Publish(ev consensus.Event) {
 	} else if ev.StreamSeq > s.seq {
 		s.seq = ev.StreamSeq
 	}
-	line, err := encodeFrame(ev)
-	if err != nil {
-		// Events are plain data; marshalling cannot fail in practice.
+	var err error
+	if s.enc, err = appendFrame(s.enc[:0], &ev); err != nil {
+		// Only a time RFC 3339 cannot express; nothing here makes one.
 		return
 	}
-	f := frame{seq: ev.StreamSeq, line: line}
+	f := frame{seq: ev.StreamSeq, line: bytes.Clone(s.enc)}
 	s.ringAppendLocked(f)
 	s.stats.Published++
 	s.stats.LastSeq = s.seq
@@ -522,10 +508,12 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Client consumes a validation stream.
+// Client consumes a validation stream. One goroutine at a time may run
+// Events or EventsContext.
 type Client struct {
 	conn net.Conn
 	r    *bufio.Reader
+	dec  decoder
 
 	// readTimeout bounds each read; on expiry the read is retried
 	// (after a context check) rather than failed, so it acts as the
@@ -534,8 +522,28 @@ type Client struct {
 	// stallAfter, when nonzero, fails the stream with ErrStalled if no
 	// complete frame arrives for that long.
 	stallAfter time.Duration
+	// lastFrame is when the socket was first read after the latest
+	// complete frame: the start of the current wait, which is what the
+	// stall window measures. gotFrame marks it due for a refresh.
+	lastFrame time.Time
+	gotFrame  bool
 
 	badFrames atomic.Uint64
+}
+
+// socketReader sits under the Client's bufio.Reader, so the deadline is
+// armed and the clock read once per socket read, not once per frame.
+type socketReader struct{ c *Client }
+
+func (r socketReader) Read(p []byte) (int, error) {
+	now := time.Now()
+	if r.c.gotFrame {
+		r.c.lastFrame, r.c.gotFrame = now, false
+	}
+	if r.c.readTimeout > 0 {
+		_ = r.c.conn.SetReadDeadline(now.Add(r.c.readTimeout))
+	}
+	return r.c.conn.Read(p)
 }
 
 // Dial connects to a stream server and subscribes from the present
@@ -562,8 +570,15 @@ func DialResume(address string, resumeAfter uint64, timeout time.Duration) (*Cli
 		return nil, fmt.Errorf("netstream: hello: %w", err)
 	}
 	_ = conn.SetWriteDeadline(time.Time{})
-	return &Client{conn: conn, r: bufio.NewReaderSize(conn, 1<<15)}, nil
+	c := &Client{conn: conn}
+	c.r = bufio.NewReaderSize(socketReader{c}, 1<<15)
+	return c, nil
 }
+
+// MaxFrameBytes caps one wire line, far above the largest close a ledger
+// page can make. A Client counts a longer line as one bad frame, holds
+// none of it, and is back in step at its newline.
+const MaxFrameBytes = 16 << 20
 
 // ErrStop can be returned from an Events callback to stop consumption
 // without error.
@@ -593,38 +608,51 @@ func (c *Client) Events(fn func(consensus.Event) error) error {
 // and a nonzero stall window fails the stream with ErrStalled when no
 // frame completes in time.
 func (c *Client) EventsContext(ctx context.Context, fn func(consensus.Event) error) error {
-	var pending []byte
-	lastFrame := time.Now()
+	var pending []byte // a line's earlier pieces
+	skipping := false  // inside a line already counted as over MaxFrameBytes
+	c.gotFrame = true  // the stall window opens at the first read
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if c.readTimeout > 0 {
-			_ = c.conn.SetReadDeadline(time.Now().Add(c.readTimeout))
-		}
-		chunk, err := c.r.ReadBytes('\n')
-		pending = append(pending, chunk...)
-		if len(pending) > 0 && pending[len(pending)-1] == '\n' {
-			ev, ok := decodeFrame(pending)
-			pending = pending[:0]
-			if !ok {
-				c.badFrames.Add(1)
-			} else {
-				lastFrame = time.Now()
-				if ferr := fn(ev); ferr != nil {
-					if errors.Is(ferr, ErrStop) {
-						return nil
-					}
-					return ferr
-				}
-			}
+		line, err := c.r.ReadSlice('\n')
+		switch {
+		case skipping:
+			line, skipping = nil, err != nil
+		case len(pending)+len(line) > MaxFrameBytes:
+			c.badFrames.Add(1)
+			line, pending, skipping = nil, nil, err != nil
+		case len(pending) > 0 || err != nil:
+			// A piece: the line outgrew the buffer, or a read timed out
+			// or failed inside it.
+			pending = append(pending, line...)
+			line = pending
 		}
 		if err == nil {
+			pending = pending[:0]
+			if line == nil {
+				continue
+			}
+			ev, ok := c.dec.decode(line)
+			if !ok {
+				c.badFrames.Add(1)
+				continue
+			}
+			c.gotFrame = true
+			if ferr := fn(ev); ferr != nil {
+				if errors.Is(ferr, ErrStop) {
+					return nil
+				}
+				return ferr
+			}
+			continue
+		}
+		if errors.Is(err, bufio.ErrBufferFull) {
 			continue
 		}
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
-			if c.stallAfter > 0 && time.Since(lastFrame) > c.stallAfter {
+			if c.stallAfter > 0 && time.Since(c.lastFrame) > c.stallAfter {
 				return ErrStalled
 			}
 			continue
