@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-mp chaos attack bench bench-check fuzz check
+.PHONY: all build vet test bench-module race race-mp chaos attack bench bench-check fuzz check
 
 all: check
 
@@ -13,28 +13,47 @@ vet:
 test:
 	$(GO) test ./...
 
+# The end-to-end benchmark driver is a module of its own (bench/go.mod,
+# replace => ../), so `./...` at the root never compiles it: an exported
+# symbol it uses can be deleted here and nothing above notices. Vet it
+# and run its harness tests against the working tree.
+bench-module:
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
+
 # Data-race check over the concurrent paths: stream/collection, the
-# sharded de-anonymization pipeline (PagesParallel + ParallelStudy), the
+# sharded de-anonymization pipeline (ScanPayments + ParallelStudy), the
 # live serving layer (concurrent queries against ingestion), and the
 # transaction front door (quote readers racing the batch applier).
 race:
 	$(GO) test -race ./internal/netstream/... ./internal/monitor/... ./internal/faultnet/... ./internal/deanon/... ./internal/ledgerstore/... ./internal/serve/... ./internal/replay/... ./internal/txq/... ./internal/integration/...
 
-# Multi-core pipeline pass: the view-pipeline differential suite with
-# GOMAXPROCS pinned above 1, so the sharded apply workers, seal
-# barrier, and cross-shard merges are genuinely concurrent even on a
-# single-core default runner. Everything here must be bit-identical to
-# the single-writer fold.
+# Multi-core pipeline pass: the view-pipeline and count-shard
+# differential suites with GOMAXPROCS pinned above 1, so the sharded
+# apply workers, seal barrier, and cross-shard merges are genuinely
+# concurrent even on a single-core default runner. Everything here must
+# equal the independent batch oracles at every fan-out (1 included).
+# Each pattern must still select a test: a rename that drops one out of
+# the pass fails the target instead of shrinking it silently.
+RACE_MP_TESTS = PipelineWorkersMatchSequentialJSON ShardPartitionMergeParityJSON ShardedMatchesSingleWriterService ParallelBackfillMatchesSequential ShardedInc MergeClonedRepeatable ViewWorker Shed ConcurrentQueries
+RACE_MP_PKGS = ./internal/serve/ ./internal/deanon/ ./internal/analysis/
+empty :=
+space := $(empty) $(empty)
 race-mp:
-	GOMAXPROCS=4 $(GO) test -race -run 'PipelineWorkersMatchSequentialJSON|ShardPartitionMergeParityJSON|ShardedInc|MergeClonedRepeatable|ViewWorker|Shed|ConcurrentQueries|ParallelBackfillMatchesSequential' ./internal/serve/ ./internal/deanon/ ./internal/analysis/
+	@tests=$$($(GO) test -list . $(RACE_MP_PKGS)) || exit 1; \
+	for t in $(RACE_MP_TESTS); do \
+		echo "$$tests" | grep -q "^Test.*$$t" || { echo "race-mp: pattern $$t matches no test"; exit 1; }; \
+	done
+	GOMAXPROCS=4 $(GO) test -race -run '$(subst $(space),|,$(RACE_MP_TESTS))' $(RACE_MP_PKGS)
 
 # Perf trajectory: run the Figure 3 pipeline and store benchmarks with
 # allocation stats and archive them as JSON so future PRs can diff
 # payments/s, ns/op, and B/op against this one. Serving-layer
 # benchmarks (ingest fan-out, O(1) lookups, snapshot publish, HTTP)
 # are archived in BENCH_serve.json; the zero-copy segment-scan path
-# (ScanPayments projection, arena vs heap page decoding) in
-# BENCH_store.json.
+# (ScanPayments projection, arena page decoding) in BENCH_store.json.
+# One archive takes one pass per package: benchjson drops a package's
+# archived entries that its fresh pass no longer reports.
 bench:
 	$(GO) test -run '^$$' -bench 'Figure3|Fig3Deanon|Store' -benchmem . | tee bench.out
 	$(GO) run ./cmd/benchjson -out BENCH_deanon.json < bench.out
@@ -98,4 +117,4 @@ chaos:
 attack:
 	$(GO) test -run 'Attack|Scenario|Equivoc|Censor|Delay|Fork|Stall|Detect|Backoff|Benign' ./internal/consensus/ ./internal/monitor/ ./internal/netstream/ ./internal/integration/ ./cmd/consensus-monitor/
 
-check: vet build test race race-mp chaos attack
+check: vet build test bench-module race race-mp chaos attack

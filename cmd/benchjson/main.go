@@ -10,9 +10,13 @@
 //
 // With -out, the document is written to a file instead of stdout, and
 // an existing file is merged rather than clobbered: entries for
-// re-measured benchmark names are replaced in place, entries for
-// benchmarks not in this run are kept, and new names append — so one
-// archive can accumulate results from several `go test -bench` passes.
+// re-measured benchmark names are replaced in place, entries of
+// packages not in this run are kept, and new names append — so one
+// archive can accumulate results from several `go test -bench` passes,
+// one pass per package. Every entry records the package it was measured
+// in (the "pkg:" header above it), and an archived entry of a package
+// this run re-measured whose name the run no longer reports is dropped:
+// the benchmark behind it is gone.
 // Merging keys on the name with the trailing -GOMAXPROCS suffix
 // stripped (a re-measure on a different core count replaces, not
 // duplicates) while go test's #NN same-name dedup suffix is preserved;
@@ -52,14 +56,17 @@ import (
 
 // Entry is one benchmark result line.
 type Entry struct {
-	Name       string             `json:"name"`
+	Name string `json:"name"`
+	// Pkg is the import path of the package the benchmark ran in.
+	Pkg        string             `json:"pkg,omitempty"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
 // Output is the archived document.
 type Output struct {
-	// Context lines: the goos/goarch/pkg/cpu header go test prints.
+	// Context lines: the goos/goarch/cpu header go test prints. (The
+	// pkg line is per entry: one archive holds several packages.)
 	Context    map[string]string `json:"context,omitempty"`
 	Benchmarks []Entry           `json:"benchmarks"`
 }
@@ -247,6 +254,16 @@ func readExisting(path string) (*Output, error) {
 	if err := json.Unmarshal(data, &prev); err != nil {
 		return nil, fmt.Errorf("existing %s: %w", path, err)
 	}
+	// Archives written before entries carried their package recorded one
+	// pkg for the whole document.
+	if pkg, ok := prev.Context["pkg"]; ok {
+		for i := range prev.Benchmarks {
+			if prev.Benchmarks[i].Pkg == "" {
+				prev.Benchmarks[i].Pkg = pkg
+			}
+		}
+		delete(prev.Context, "pkg")
+	}
 	return &prev, nil
 }
 
@@ -258,7 +275,9 @@ func readExisting(path string) (*Output, error) {
 // dedup suffix stays significant. A previous entry whose dedup root was
 // re-measured under a different dedup suffix set (e.g. a stale
 // "workers=1#01" after the sweep stopped duplicating "workers=1") is
-// dropped rather than kept forever.
+// dropped rather than kept forever, and so is a previous entry of a
+// package the fresh run measured that the fresh run does not name: its
+// benchmark no longer exists.
 func merge(prev, fresh *Output) *Output {
 	merged := &Output{Context: map[string]string{}}
 	for k, v := range prev.Context {
@@ -269,16 +288,20 @@ func merge(prev, fresh *Output) *Output {
 	}
 	freshKeys := make(map[string]bool, len(fresh.Benchmarks))
 	freshRoots := make(map[string]bool, len(fresh.Benchmarks))
+	freshPkgs := make(map[string]bool)
 	for _, e := range fresh.Benchmarks {
 		key := baseName(e.Name)
 		freshKeys[key] = true
 		freshRoots[dedupRoot(key)] = true
+		if e.Pkg != "" {
+			freshPkgs[e.Pkg] = true
+		}
 	}
 	index := make(map[string]int)
 	for _, e := range prev.Benchmarks {
 		key := baseName(e.Name)
-		if !freshKeys[key] && freshRoots[dedupRoot(key)] {
-			continue // stale duplicate of a re-measured benchmark
+		if !freshKeys[key] && (freshRoots[dedupRoot(key)] || freshPkgs[e.Pkg]) {
+			continue // stale duplicate, or a benchmark that no longer exists
 		}
 		index[key] = len(merged.Benchmarks)
 		merged.Benchmarks = append(merged.Benchmarks, e)
@@ -298,17 +321,20 @@ func merge(prev, fresh *Output) *Output {
 func parse(sc *bufio.Scanner) (*Output, error) {
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	out := &Output{Context: map[string]string{}}
+	pkg := "" // the package whose benchmark lines follow
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
 		case strings.HasPrefix(line, "Benchmark"):
 			e, ok := parseBenchLine(line)
 			if ok {
+				e.Pkg = pkg
 				out.Benchmarks = append(out.Benchmarks, e)
 			}
+		case strings.HasPrefix(line, "pkg:"):
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "goos:"),
 			strings.HasPrefix(line, "goarch:"),
-			strings.HasPrefix(line, "pkg:"),
 			strings.HasPrefix(line, "cpu:"):
 			if k, v, ok := strings.Cut(line, ":"); ok {
 				out.Context[k] = strings.TrimSpace(v)

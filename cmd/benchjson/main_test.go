@@ -45,8 +45,11 @@ func TestParseBenchOutput(t *testing.T) {
 	if !reflect.DeepEqual(e.Metrics, want) {
 		t.Fatalf("metrics = %v, want %v", e.Metrics, want)
 	}
-	if out.Context["pkg"] != "ripplestudy" || out.Context["cpu"] != "Test CPU" {
+	if out.Context["cpu"] != "Test CPU" {
 		t.Fatalf("context = %v", out.Context)
+	}
+	if _, ok := out.Context["pkg"]; ok || e.Pkg != "ripplestudy" || out.Benchmarks[1].Pkg != "ripplestudy" {
+		t.Fatalf("pkg must be recorded per entry, not in the context: %v / %+v", out.Context, out.Benchmarks)
 	}
 }
 
@@ -122,8 +125,74 @@ BenchmarkServeLookup-8  1000  42 ns/op
 	if merged.Benchmarks[0].Iterations != 92 {
 		t.Fatalf("absent entry not kept: %+v", merged.Benchmarks[0])
 	}
-	if merged.Context["cpu"] != "Other CPU" || merged.Context["pkg"] != "ripplestudy" {
+	if merged.Context["cpu"] != "Other CPU" {
 		t.Fatalf("context merge wrong: %v", merged.Context)
+	}
+}
+
+// TestMergeRecordsPkgPerEntry: an archive fed from two packages keeps
+// each entry's own package; the second pass must not relabel the first
+// (it used to overwrite one document-wide context.pkg).
+func TestMergeRecordsPkgPerEntry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	first := "pkg: ripplestudy\nBenchmarkTable2Replay/sequential-8  5  300 ns/op\n"
+	second := "pkg: ripplestudy/internal/shamap\nBenchmarkShamapSeal-8  9  70 ns/op\n"
+	for _, in := range []string{first, second} {
+		if err := run(strings.NewReader(in), nil, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged, err := readExisting(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, e := range merged.Benchmarks {
+		got[e.Name] = e.Pkg
+	}
+	want := map[string]string{
+		"BenchmarkTable2Replay/sequential-8": "ripplestudy",
+		"BenchmarkShamapSeal-8":              "ripplestudy/internal/shamap",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("entry packages = %v, want %v", got, want)
+	}
+	if pkg, ok := merged.Context["pkg"]; ok {
+		t.Fatalf("context still claims one package for the document: %q", pkg)
+	}
+}
+
+// TestMergeDropsVanishedBenchmarks: re-measuring a package drops its
+// archived entries that the fresh run no longer reports (the benchmark
+// was deleted), keeps other packages' entries, and reads an archive
+// from before entries carried their package through its context.pkg.
+func TestMergeDropsVanishedBenchmarks(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	legacy := `{"context": {"pkg": "ripplestudy/internal/ledgerstore"}, "benchmarks": [
+		{"name": "BenchmarkPagesParallel/workers=1", "iterations": 1, "metrics": {"ns/op": 1}},
+		{"name": "BenchmarkScanPayments/mmap", "iterations": 1, "metrics": {"ns/op": 2}},
+		{"name": "BenchmarkShamapSeal", "pkg": "ripplestudy/internal/shamap", "iterations": 1, "metrics": {"ns/op": 3}}]}`
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := "pkg: ripplestudy/internal/ledgerstore\nBenchmarkScanPayments/mmap  7  20 ns/op\n"
+	if err := run(strings.NewReader(fresh), nil, path); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := readExisting(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range merged.Benchmarks {
+		names = append(names, e.Name)
+	}
+	want := []string{"BenchmarkScanPayments/mmap", "BenchmarkShamapSeal"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("merged names = %v, want %v", names, want)
+	}
+	if merged.Benchmarks[0].Metrics["ns/op"] != 20 {
+		t.Fatalf("re-measured entry not replaced: %+v", merged.Benchmarks[0])
 	}
 }
 

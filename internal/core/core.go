@@ -8,7 +8,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sort"
 
@@ -228,16 +227,6 @@ func (ds *Dataset) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// shardBitsFor sizes the fingerprint shard count to the worker count:
-// the next power of two ≥ workers, so every producer can make progress
-// against a worker-private map.
-func shardBitsFor(workers int) int {
-	if workers <= 1 {
-		return 0
-	}
-	return bits.Len(uint(workers - 1))
-}
-
 // feedStudy streams every payment's features into the sharded study.
 // Store-backed datasets take the zero-copy payment projection
 // (ledgerstore.ScanPayments) with one Feeder per scan worker — no page,
@@ -289,7 +278,7 @@ func (ds *Dataset) Figure3Parallel(ctx context.Context, workers int) ([]deanon.R
 	if workers < 1 {
 		workers = ds.workers()
 	}
-	study := deanon.NewParallelStudy(deanon.Figure3Rows, shardBitsFor(workers))
+	study := deanon.NewParallelStudy(deanon.Figure3Rows, deanon.ShardBitsFor(workers))
 	defer study.Close()
 	if err := ds.feedStudy(ctx, workers, study); err != nil {
 		return nil, err
@@ -304,7 +293,7 @@ func (ds *Dataset) FeatureImportance(ctx context.Context, workers int) ([]deanon
 	if workers < 1 {
 		workers = ds.workers()
 	}
-	imp := deanon.NewImportanceStudyParallel(shardBitsFor(workers))
+	imp := deanon.NewImportanceStudy(deanon.ShardBitsFor(workers))
 	defer imp.Close()
 	study := imp.Parallel()
 	if err := ds.feedStudy(ctx, workers, study); err != nil {

@@ -11,7 +11,7 @@ package deanon
 //     per slot (vs ~17 bytes per entry in a map[Fingerprint]uint32
 //     bucket array, before overflow buckets).
 //
-// Shard routing uses the fingerprint's HIGH bits (ParallelStudy), the
+// Shard routing uses the fingerprint's HIGH bits (shardCore), the
 // probe sequence its LOW bits, so the two never interfere.
 //
 // The all-zero fingerprint doubles as the empty-slot marker; its count
@@ -24,8 +24,8 @@ type countTable struct {
 	used      int
 	zeroCount uint8
 	// uniques is the number of fingerprints currently at count exactly 1,
-	// maintained incrementally by incrCount so reading it is O(1) instead
-	// of an O(capacity) table scan per Results call.
+	// maintained incrementally by incr so reading it is O(1) instead of
+	// an O(capacity) table scan per Results call.
 	uniques int
 }
 
@@ -101,40 +101,32 @@ func (t *countTable) reset() {
 	t.uniques = 0
 }
 
-// incr bumps fp's saturating counter.
-func (t *countTable) incr(fp Fingerprint) { t.incrCount(fp) }
-
-// incrCount bumps fp's saturating counter and returns the count the
-// fingerprint had BEFORE the increment (0 = first sight, 1 = was unique,
-// countSaturated = already saturated). The pre-count lets an incremental
-// consumer maintain a running unique-count in O(1): 0 means "became
-// unique", 1 means "stopped being unique".
-func (t *countTable) incrCount(fp Fingerprint) uint8 {
+// incr bumps fp's saturating counter, keeping uniques current from the
+// transition it causes: 0→1 gains a unique fingerprint, 1→2 loses one.
+func (t *countTable) incr(fp Fingerprint) {
 	if fp == 0 {
-		prev := t.zeroCount
-		if t.zeroCount < countSaturated {
-			t.zeroCount++
-		}
-		switch prev {
+		switch t.zeroCount {
 		case 0:
 			t.uniques++
 		case 1:
 			t.uniques--
 		}
-		return prev
+		if t.zeroCount < countSaturated {
+			t.zeroCount++
+		}
+		return
 	}
 	i := uint64(fp) & t.mask
 	for {
 		switch t.keys[i] {
 		case fp:
-			prev := t.counts[i]
+			if t.counts[i] == 1 {
+				t.uniques--
+			}
 			if t.counts[i] < countSaturated {
 				t.counts[i]++
 			}
-			if prev == 1 {
-				t.uniques--
-			}
-			return prev
+			return
 		case 0:
 			t.keys[i] = fp
 			t.counts[i] = 1
@@ -143,7 +135,7 @@ func (t *countTable) incrCount(fp Fingerprint) uint8 {
 			if t.used*countTableLoadDen > len(t.keys)*countTableLoadNum {
 				t.grow()
 			}
-			return 0
+			return
 		}
 		i = (i + 1) & t.mask
 	}
@@ -208,7 +200,7 @@ func (t *countTable) grow() {
 }
 
 // unique returns the number of fingerprints seen exactly once —
-// maintained incrementally by incrCount, so reading it is O(1).
+// maintained incrementally by incr, so reading it is O(1).
 func (t *countTable) unique() int { return t.uniques }
 
 // uniqueScan recomputes unique() from the slots; the O(capacity)

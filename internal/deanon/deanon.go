@@ -353,51 +353,28 @@ func importanceRows() []Resolution {
 	}
 }
 
-// FingerprintStudy is the contract shared by the sequential Study and
-// the sharded ParallelStudy: fold payments in with Observe, then read
-// the per-resolution information gain with Results.
-type FingerprintStudy interface {
-	Observe(Features)
-	Payments() int
-	Results() []RowResult
-}
-
 // ImportanceStudy computes per-feature importance over one stream of
-// payments. Use Observe to feed it and Results to read it.
+// payments on a sharded ParallelStudy. Feed it through Observe (single
+// producer) or by attaching Feeders to Parallel(); read it with Results.
 type ImportanceStudy struct {
-	study FingerprintStudy
+	study *ParallelStudy
 }
 
-// NewImportanceStudy prepares the 9-resolution study.
-func NewImportanceStudy() *ImportanceStudy {
-	return &ImportanceStudy{study: NewStudy(importanceRows())}
-}
-
-// NewImportanceStudyParallel is NewImportanceStudy backed by a sharded
-// ParallelStudy with 1<<shardBits counting shards. Feed it through
-// Observe (single producer) or by attaching Feeders to Parallel().
-func NewImportanceStudyParallel(shardBits int) *ImportanceStudy {
+// NewImportanceStudy prepares the 9-resolution study with 1<<shardBits
+// counting shards. Close must be called after the last Results read.
+func NewImportanceStudy(shardBits int) *ImportanceStudy {
 	return &ImportanceStudy{study: NewParallelStudy(importanceRows(), shardBits)}
 }
 
-// Parallel returns the underlying ParallelStudy when the importance
-// study was built with NewImportanceStudyParallel, else nil.
-func (s *ImportanceStudy) Parallel() *ParallelStudy {
-	ps, _ := s.study.(*ParallelStudy)
-	return ps
-}
+// Parallel returns the underlying ParallelStudy.
+func (s *ImportanceStudy) Parallel() *ParallelStudy { return s.study }
 
 // Observe folds one payment in.
 func (s *ImportanceStudy) Observe(f Features) { s.study.Observe(f) }
 
-// Close releases a parallel-backed importance study's count tables to
-// the package pool (see ParallelStudy.Close); it is a no-op for the
-// map-backed sequential form. Call after the last Results read.
-func (s *ImportanceStudy) Close() {
-	if ps := s.Parallel(); ps != nil {
-		ps.Close()
-	}
-}
+// Close releases the study's count tables to the package pool (see
+// ParallelStudy.Close). Call after the last Results read.
+func (s *ImportanceStudy) Close() { s.study.Close() }
 
 // FullIG returns the full-fingerprint information gain.
 func (s *ImportanceStudy) FullIG() float64 { return s.study.Results()[0].IG }
@@ -405,7 +382,12 @@ func (s *ImportanceStudy) FullIG() float64 { return s.study.Results()[0].IG }
 // Results returns the per-feature breakdown, strongest first by marginal
 // value (full-IG − dropped-IG).
 func (s *ImportanceStudy) Results() []FeatureImportance {
-	rows := s.study.Results()
+	return importanceOf(s.study.Results())
+}
+
+// importanceOf reads the per-feature breakdown off the importanceRows
+// results.
+func importanceOf(rows []RowResult) []FeatureImportance {
 	names := []string{"amount", "timestamp", "currency", "destination"}
 	out := make([]FeatureImportance, 0, 4)
 	for i, name := range names {

@@ -41,7 +41,8 @@ func TestFeatureImportanceTimestampDominates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a history")
 	}
-	s := NewImportanceStudy()
+	s := NewImportanceStudy(0)
+	defer s.Close()
 	err := generateInto(t, func(p *ledger.Page) error {
 		for i := range p.Txs {
 			if f, ok := FromTransaction(p, p.Txs[i], p.Metas[i]); ok {

@@ -1,25 +1,11 @@
 package deanon
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // ParallelStudy is the sharded-concurrent counterpart of Study, built
-// for the Figure 3 pipeline at the paper's 23M-payment scale. The
-// fingerprint space is partitioned into 1<<shardBits shards by the high
-// bits of the fingerprint; each shard is owned by exactly one worker
-// goroutine with a private count table, so counting needs no locks at
-// all. Producers batch (resolution, fingerprint) pairs per shard and
-// hand full batches to the owning worker over a channel.
-//
-// Because the information gain only needs to distinguish "seen once"
-// from "seen more than once", shards store saturating counters that
-// stop at 2 — a uint8 per fingerprint instead of Study's uint32 — in
-// open-addressed countTables indexed directly by the fingerprint's low
-// bits (see counttable.go). That cuts both the per-entry footprint and
-// the per-observation cost versus Study's Go maps, which re-hash the
-// key on every access.
+// for the Figure 3 pipeline at the paper's 23M-payment scale: the batch
+// face of the sharded count-table core (shardcore.go). Saturating uint8
+// counters in open-addressed tables cut both the per-entry footprint
+// and the per-observation cost versus Study's Go maps, which re-hash
+// the key on every access.
 //
 // Contract: identical to Study — Observe folds payments in, Results
 // reads the per-resolution information gain. Observe is single-producer
@@ -27,237 +13,71 @@ import (
 // segment-parallel scan) attach one Feeder per producer goroutine.
 // Results may be called repeatedly, but no Observe may follow it.
 type ParallelStudy struct {
-	resolutions []Resolution
-	plan        *FingerprintPlan
-	shardShift  uint
-	shards      []*studyShard
-	payments    atomic.Int64
-
-	batchPool sync.Pool // *[]obsEntry, recycled after consumption
-	wg        sync.WaitGroup
-
-	mu       sync.Mutex
-	feeders  []*Feeder
-	def      *Feeder
-	finished bool
-	finish   sync.Once
+	shardCore
+	def *intake
 }
-
-// obsEntry routes one fingerprint observation to a shard worker.
-type obsEntry struct {
-	res uint16
-	fp  Fingerprint
-}
-
-// studyShard is one worker-owned slice of the fingerprint space.
-type studyShard struct {
-	ch chan []obsEntry
-	// counts[i] holds the shard's saturating counters for resolution i.
-	counts []*countTable
-}
-
-const (
-	// countSaturated is the ceiling of the saturating counters: IG only
-	// distinguishes count 0 / 1 / ≥2.
-	countSaturated = 2
-	// batchEntries is the per-shard producer batch size; one batch is
-	// 16 B × 256 = 4 KiB, small enough to stay cache-resident.
-	batchEntries = 256
-	// maxShardBits bounds the shard count (1024) well past any sensible
-	// core count.
-	maxShardBits = 10
-)
 
 // NewParallelStudy prepares a sharded study over the given resolutions
 // with 1<<shardBits counting shards. shardBits is clamped to [0, 10];
-// a good default is ⌈log2(GOMAXPROCS)⌉.
+// a good default is ShardBitsFor(producers). Close must be called to
+// stop the shard workers.
 func NewParallelStudy(resolutions []Resolution, shardBits int) *ParallelStudy {
-	if shardBits < 0 {
-		shardBits = 0
-	}
-	if shardBits > maxShardBits {
-		shardBits = maxShardBits
-	}
-	s := &ParallelStudy{
-		resolutions: resolutions,
-		plan:        NewFingerprintPlan(resolutions),
-		shardShift:  uint(64 - shardBits),
-	}
-	for i := 0; i < 1<<shardBits; i++ {
-		sh := &studyShard{ch: make(chan []obsEntry, 4)}
-		for range resolutions {
-			sh.counts = append(sh.counts, getCountTable())
-		}
-		s.shards = append(s.shards, sh)
-		s.wg.Add(1)
-		go s.runShard(sh)
-	}
-	s.def = s.Feeder()
+	s := new(ParallelStudy)
+	s.start(resolutions, shardBits)
+	s.def = s.newIntake()
 	return s
 }
-
-// runShard drains one shard's batches into its private count maps.
-func (s *ParallelStudy) runShard(sh *studyShard) {
-	defer s.wg.Done()
-	for batch := range sh.ch {
-		for _, e := range batch {
-			sh.counts[e.res].incr(e.fp)
-		}
-		b := batch
-		s.batchPool.Put(&b)
-	}
-}
-
-func (s *ParallelStudy) getBatch() []obsEntry {
-	if v := s.batchPool.Get(); v != nil {
-		return (*v.(*[]obsEntry))[:0]
-	}
-	return make([]obsEntry, 0, batchEntries)
-}
-
-// Shards returns the number of counting shards.
-func (s *ParallelStudy) Shards() int { return len(s.shards) }
 
 // Feeder is a single-goroutine producer handle. Each concurrent
 // producer must own its own Feeder; Observe on distinct Feeders may run
 // concurrently.
-type Feeder struct {
-	s    *ParallelStudy
-	bufs [][]obsEntry  // pending batch per shard
-	fps  []Fingerprint // per-payment fingerprint scratch
-}
+type Feeder intake
 
 // Feeder registers a new producer handle. It panics after Results has
 // been called.
-func (s *ParallelStudy) Feeder() *Feeder {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.finished {
-		panic("deanon: ParallelStudy.Feeder after Results")
-	}
-	fd := &Feeder{
-		s:    s,
-		bufs: make([][]obsEntry, len(s.shards)),
-		fps:  make([]Fingerprint, 0, len(s.resolutions)),
-	}
-	for i := range fd.bufs {
-		fd.bufs[i] = s.getBatch()
-	}
-	s.feeders = append(s.feeders, fd)
-	return fd
-}
+func (s *ParallelStudy) Feeder() *Feeder { return (*Feeder)(s.newIntake()) }
 
 // Observe folds one payment into every resolution's shard counts. The
-// features are encoded once; each resolution reuses the encoding.
-func (fd *Feeder) Observe(f Features) {
-	s := fd.s
-	s.payments.Add(1)
-	enc := EncodeFeatures(f)
-	fd.fps = enc.AppendFingerprints(s.plan, fd.fps[:0])
-	for i, fp := range fd.fps {
-		sh := int(uint64(fp) >> s.shardShift)
-		fd.bufs[sh] = append(fd.bufs[sh], obsEntry{res: uint16(i), fp: fp})
-		if len(fd.bufs[sh]) == cap(fd.bufs[sh]) {
-			s.shards[sh].ch <- fd.bufs[sh]
-			fd.bufs[sh] = s.getBatch()
-		}
-	}
-}
+// features are encoded once; each resolution reuses the encoding. It
+// panics after Results has been called.
+func (fd *Feeder) Observe(f Features) { (*intake)(fd).observe(f) }
 
 // Observe folds one payment in via the study's default producer handle.
 // Like Study.Observe it must not be called concurrently with itself;
 // use Feeders for concurrent producers.
-func (s *ParallelStudy) Observe(f Features) { s.def.Observe(f) }
+func (s *ParallelStudy) Observe(f Features) { s.def.observe(f) }
 
-// Payments returns the number of observations folded in.
-func (s *ParallelStudy) Payments() int { return int(s.payments.Load()) }
-
-// drain flushes every feeder's pending batches, stops the shard
-// workers, and waits for them. All producers must be quiescent.
-func (s *ParallelStudy) drain() {
-	s.finish.Do(func() {
-		s.mu.Lock()
-		s.finished = true
-		feeders := s.feeders
-		s.mu.Unlock()
-		for _, fd := range feeders {
-			for sh, buf := range fd.bufs {
-				if len(buf) > 0 {
-					s.shards[sh].ch <- buf
-				}
-				fd.bufs[sh] = nil
-			}
-		}
-		for _, sh := range s.shards {
-			close(sh.ch)
-		}
-		s.wg.Wait()
-	})
-}
-
-// Close drains the study and returns its count tables to the package
-// pool, so callers that rebuild studies repeatedly (the serve refresh
-// cadence, benchmark loops) reuse the fully-grown tables instead of
-// reallocating and re-growing them every cycle. Call it after the last
-// Results/DistinctFingerprints/CountBytes read; the study is unusable
-// afterwards. Close is idempotent. Snapshots taken via clone are
-// independent copies and stay valid.
-func (s *ParallelStudy) Close() {
-	s.drain()
-	for _, sh := range s.shards {
-		for i, t := range sh.counts {
-			if t != nil {
-				t.release()
-				sh.counts[i] = nil
-			}
-		}
-	}
+// finish flushes every feeder, waits for the shard workers to apply
+// everything, and freezes the study against further observations. All
+// producers must be quiescent. The readers below go to the live tables
+// — no copy, so the 23M-payment footprint is the tables alone.
+func (s *ParallelStudy) finish() [][]*countTable {
+	s.frozen.Store(true)
+	s.quiesce()
+	return s.tables()
 }
 
 // Results computes the IG for every resolution. The first call drains
-// the pipeline; no Observe may happen after it. Shards partition the
-// fingerprint space, so the merge is a lock-free sum of per-shard
-// unique counts — no map union is ever needed.
+// the pipeline; no Observe may happen after it.
 func (s *ParallelStudy) Results() []RowResult {
-	s.drain()
-	total := s.Payments()
-	out := make([]RowResult, 0, len(s.resolutions))
-	for i, res := range s.resolutions {
-		unique := 0
-		for _, sh := range s.shards {
-			unique += sh.counts[i].unique()
-		}
-		ig := 0.0
-		if total > 0 {
-			ig = float64(unique) / float64(total)
-		}
-		out = append(out, RowResult{Resolution: res, IG: ig, Unique: unique, Total: total})
-	}
-	return out
+	unique := sumPerResolution(s.finish(), (*countTable).unique)
+	return rowResults(s.resolutions, unique, s.Payments())
 }
 
 // DistinctFingerprints reports, per resolution, how many distinct
 // fingerprints the shards hold — the footprint driver the saturating
 // counters were sized for.
 func (s *ParallelStudy) DistinctFingerprints() []int {
-	s.drain()
-	out := make([]int, len(s.resolutions))
-	for i := range s.resolutions {
-		for _, sh := range s.shards {
-			out[i] += sh.counts[i].distinct()
-		}
-	}
-	return out
+	return sumPerResolution(s.finish(), (*countTable).distinct)
 }
 
 // CountBytes reports the resident footprint of every shard's counting
 // tables, summed across resolutions — the number the saturating uint8
 // counters were introduced to keep small at 23M-payment scale.
 func (s *ParallelStudy) CountBytes() int {
-	s.drain()
 	n := 0
-	for _, sh := range s.shards {
-		for _, t := range sh.counts {
+	for _, shard := range s.finish() {
+		for _, t := range shard {
 			n += t.bytes()
 		}
 	}

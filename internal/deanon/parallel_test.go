@@ -113,32 +113,6 @@ func TestEncodeFeaturesMatchesFingerprintOf(t *testing.T) {
 	}
 }
 
-func TestParallelStudyDifferential(t *testing.T) {
-	feats := randomFeatures(5000, 9)
-	seq := NewStudy(Figure3Rows)
-	for _, f := range feats {
-		seq.Observe(f)
-	}
-	want := seq.Results()
-	for _, shardBits := range []int{0, 1, 3, 6} {
-		par := NewParallelStudy(Figure3Rows, shardBits)
-		for _, f := range feats {
-			par.Observe(f)
-		}
-		got := par.Results()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shardBits=%d: parallel results diverge\ngot  %+v\nwant %+v", shardBits, got, want)
-		}
-		if par.Payments() != seq.Payments() {
-			t.Fatalf("shardBits=%d: payments %d != %d", shardBits, par.Payments(), seq.Payments())
-		}
-		// Results must be re-readable (the importance study reads twice).
-		if again := par.Results(); !reflect.DeepEqual(again, want) {
-			t.Fatalf("shardBits=%d: second Results call diverged", shardBits)
-		}
-	}
-}
-
 func TestParallelStudyConcurrentFeeders(t *testing.T) {
 	feats := randomFeatures(8000, 10)
 	seq := NewStudy(Figure3Rows)
@@ -231,38 +205,57 @@ func TestShardMergeAcrossShards(t *testing.T) {
 	}
 }
 
+// TestImportanceStudyParallelMatchesSequential pins the sharded
+// importance study to the map-based Study over the same nine rows.
 func TestImportanceStudyParallelMatchesSequential(t *testing.T) {
 	feats := randomFeatures(3000, 12)
-	seqImp := NewImportanceStudy()
-	parImp := NewImportanceStudyParallel(3)
-	if parImp.Parallel() == nil {
-		t.Fatal("Parallel() accessor returned nil for parallel importance study")
-	}
-	if NewImportanceStudy().Parallel() != nil {
-		t.Fatal("Parallel() accessor non-nil for sequential importance study")
+	seq := NewStudy(importanceRows())
+	parImp := NewImportanceStudy(3)
+	defer parImp.Close()
+	if parImp.Parallel().Shards() != 8 {
+		t.Fatalf("Parallel() study runs %d shards, want 8", parImp.Parallel().Shards())
 	}
 	for _, f := range feats {
-		seqImp.Observe(f)
+		seq.Observe(f)
 		parImp.Observe(f)
 	}
-	if seqImp.FullIG() != parImp.FullIG() {
-		t.Fatalf("FullIG diverges: %v != %v", seqImp.FullIG(), parImp.FullIG())
+	rows := seq.Results()
+	if rows[0].IG != parImp.FullIG() {
+		t.Fatalf("FullIG diverges: %v != %v", rows[0].IG, parImp.FullIG())
 	}
-	if got, want := parImp.Results(), seqImp.Results(); !reflect.DeepEqual(got, want) {
+	if got, want := parImp.Results(), importanceOf(rows); !reflect.DeepEqual(got, want) {
 		t.Fatalf("importance rows diverge\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
+// TestFeederAfterResultsPanics pins the batch face's contract — no
+// observation may follow Results — on every way in: a new Feeder, an
+// existing Feeder's Observe, and the study's own Observe.
 func TestFeederAfterResultsPanics(t *testing.T) {
 	par := NewParallelStudy(Figure3Rows, 1)
-	par.Observe(feat(1, 2, amount.USD, "10", 100))
-	par.Results()
-	defer func() {
-		if recover() == nil {
-			t.Error("Feeder after Results should panic")
-		}
-	}()
-	par.Feeder()
+	defer par.Close()
+	fd := par.Feeder()
+	f := feat(1, 2, amount.USD, "10", 100)
+	par.Observe(f)
+	fd.Observe(f)
+	want := par.Results()
+	for name, misuse := range map[string]func(){
+		"Feeder":                func() { par.Feeder() },
+		"Feeder.Observe":        func() { fd.Observe(f) },
+		"ParallelStudy.Observe": func() { par.Observe(f) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != errAfterResults {
+					t.Errorf("%s after Results: recovered %v, want the worded panic", name, r)
+				}
+			}()
+			misuse()
+		}()
+	}
+	if got := par.Results(); !reflect.DeepEqual(got, want) {
+		t.Fatal("a refused observation changed later Results")
+	}
 }
 
 // TestIndexHotFingerprint drives one fingerprint past the linear-scan

@@ -1,50 +1,25 @@
 package deanon
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
 // ShardedIncStudy is the incrementally-maintained counterpart of Study,
 // built for the live serving layer (internal/serve): payments arrive in
 // batches over the lifetime of a long-running process, and both the
 // per-resolution information gain and individual sender-uniqueness
 // lookups must be answerable in O(1) at any point — not only after a
-// closing Results pass.
-//
-// Counting is sharded exactly like ParallelStudy: the fingerprint space
-// is partitioned into 1<<shardBits shards by the fingerprint's HIGH
-// bits, each shard owned by one worker goroutine with private
-// countTables, so increments need no locks and scale with cores. The
-// producer (one goroutine — the serving layer's fingerprint view
-// worker) routes observations into per-shard batches and hands full
-// batches to the owning worker over a channel.
+// closing Results pass. It is the incremental face of the sharded
+// count-table core (shardcore.go), the same engine ParallelStudy counts
+// with.
 //
 // Seal is the scatter-gather snapshot step: it flushes every pending
 // batch, barriers on the shards that received work since the last seal,
 // deep-copies ONLY those shards' tables (copy-on-publish for changed
 // shards; unchanged shards share their previous immutable clone), and
 // returns an IncSnapshot whose Results and Lookup answers are
-// bit-identical to a single-writer IncStudy — shards partition the
-// fingerprint space, so per-resolution unique counts are plain sums and
-// a lookup probes exactly one shard's table.
+// bit-identical to a batch Study — shards partition the fingerprint
+// space, so per-resolution unique counts are plain sums and a lookup
+// probes exactly one shard's table.
 type ShardedIncStudy struct {
-	resolutions []Resolution
-	plan        *FingerprintPlan
-	shift       uint
-	shards      []*incShard
-	// payments is atomic so concurrent IncFeeder producers can count
-	// observations without a lock and seal-gate heuristics can read the
-	// running total from a coordinator goroutine.
-	payments atomic.Int64
-
-	// pending is the single-producer batch per shard; dirty marks shards
-	// that received observations since the last Seal. dirty is atomic so
-	// multiple IncFeeder producers can mark shards concurrently; it is
-	// read and cleared only at Seal, with every producer quiescent.
-	pending [][]obsEntry
-	dirty   []atomic.Bool
+	shardCore
+	def *intake
 
 	// sealed[sh] is shard sh's tables as of its last dirty Seal —
 	// immutable clones shared with every snapshot taken since.
@@ -52,129 +27,30 @@ type ShardedIncStudy struct {
 	// empty is the shared all-zero table clean shards point at before
 	// their first observation.
 	empty *countTable
-
-	batchPool sync.Pool // *[]obsEntry
-	wg        sync.WaitGroup
-	fps       []Fingerprint // Observe scratch
-	closed    bool
-
-	// inline short-circuits the 1-shard configuration: with a single
-	// shard the producer IS the only writer, so observations increment
-	// the tables directly — no batches, no channel hops, no shard
-	// goroutine, no barrier. Results are identical by construction.
-	inline bool
-}
-
-// incShard is one worker-owned slice of the fingerprint space.
-type incShard struct {
-	ch     chan incMsg
-	ack    chan struct{}
-	counts []*countTable
-}
-
-// incMsg is one unit of shard work: a batch of observations, or (when
-// entries is nil) a barrier token the worker acknowledges once every
-// prior batch has been applied.
-type incMsg struct {
-	entries []obsEntry
-	sync    bool
-}
-
-// DefaultShardBits derives a shard count from the machine: the next
-// power of two covering GOMAXPROCS, clamped to [0, maxShardBits].
-func DefaultShardBits() int {
-	n := runtime.GOMAXPROCS(0)
-	bits := 0
-	for 1<<bits < n {
-		bits++
-	}
-	if bits > maxShardBits {
-		bits = maxShardBits
-	}
-	return bits
 }
 
 // NewShardedIncStudy prepares an incremental sharded study over the
 // given resolutions with 1<<shardBits counting shards. shardBits is
-// clamped to [0, 10]; shardBits = 0 is the single-writer baseline the
-// differential tests compare against. Close must be called to stop the
-// shard workers.
+// clamped to [0, 10]. Close must be called to stop the shard workers.
 func NewShardedIncStudy(resolutions []Resolution, shardBits int) *ShardedIncStudy {
-	if shardBits < 0 {
-		shardBits = 0
-	}
-	if shardBits > maxShardBits {
-		shardBits = maxShardBits
-	}
-	s := &ShardedIncStudy{
-		resolutions: append([]Resolution(nil), resolutions...),
-		shift:       uint(64 - shardBits),
-		empty:       newCountTable(),
-		inline:      shardBits == 0,
-	}
-	s.plan = NewFingerprintPlan(s.resolutions)
-	s.fps = make([]Fingerprint, 0, len(s.resolutions))
-	n := 1 << shardBits
-	s.pending = make([][]obsEntry, n)
-	s.dirty = make([]atomic.Bool, n)
-	s.sealed = make([][]*countTable, n)
-	for i := 0; i < n; i++ {
-		sh := &incShard{ch: make(chan incMsg, 4), ack: make(chan struct{}, 1)}
-		for range s.resolutions {
-			sh.counts = append(sh.counts, getCountTable())
-		}
-		s.shards = append(s.shards, sh)
-		s.pending[i] = s.getBatch()
+	s := &ShardedIncStudy{empty: newCountTable()}
+	s.start(resolutions, shardBits)
+	s.def = s.newIntake()
+	s.sealed = make([][]*countTable, len(s.shards))
+	for sh := range s.sealed {
 		// Until the shard's first dirty seal, snapshots share the one
 		// immutable empty table.
 		tables := make([]*countTable, len(s.resolutions))
 		for r := range tables {
 			tables[r] = s.empty
 		}
-		s.sealed[i] = tables
-		if !s.inline {
-			s.wg.Add(1)
-			go s.runShard(sh)
-		}
+		s.sealed[sh] = tables
 	}
 	return s
 }
 
-// runShard drains one shard's batches into its private count tables and
-// acknowledges barrier tokens.
-func (s *ShardedIncStudy) runShard(sh *incShard) {
-	defer s.wg.Done()
-	for msg := range sh.ch {
-		if msg.entries != nil {
-			for _, e := range msg.entries {
-				sh.counts[e.res].incr(e.fp)
-			}
-			b := msg.entries
-			s.batchPool.Put(&b)
-		}
-		if msg.sync {
-			sh.ack <- struct{}{}
-		}
-	}
-}
-
-func (s *ShardedIncStudy) getBatch() []obsEntry {
-	if v := s.batchPool.Get(); v != nil {
-		return (*v.(*[]obsEntry))[:0]
-	}
-	return make([]obsEntry, 0, batchEntries)
-}
-
-// Shards returns the number of counting shards.
-func (s *ShardedIncStudy) Shards() int { return len(s.shards) }
-
 // Resolutions returns the study's resolution rows, in order.
 func (s *ShardedIncStudy) Resolutions() []Resolution { return s.resolutions }
-
-// Payments returns the number of observations folded in. It is safe to
-// call concurrently with feeder intake; the count is monotone and may
-// trail in-flight observations by at most a batch.
-func (s *ShardedIncStudy) Payments() int { return int(s.payments.Load()) }
 
 // Plan returns the study's compiled fingerprint plan, for producers
 // that precompute fingerprints upstream (the serving layer's projection
@@ -183,68 +59,28 @@ func (s *ShardedIncStudy) Plan() *FingerprintPlan { return s.plan }
 
 // ObserveFingerprints folds one payment's precomputed fingerprints —
 // one per resolution row, produced by the study's Plan — into the shard
-// counts. Like every mutating method it must only be called from the
-// single producer goroutine.
-func (s *ShardedIncStudy) ObserveFingerprints(fps []Fingerprint) {
-	s.payments.Add(1)
-	if s.inline {
-		// Single shard: the producer is the sole writer — count in place.
-		counts := s.shards[0].counts
-		for i, fp := range fps {
-			counts[i].incr(fp)
-		}
-		s.dirty[0].Store(true)
-		return
-	}
-	for i, fp := range fps {
-		sh := int(uint64(fp) >> s.shift)
-		s.pending[sh] = append(s.pending[sh], obsEntry{res: uint16(i), fp: fp})
-		s.dirty[sh].Store(true)
-		if len(s.pending[sh]) == cap(s.pending[sh]) {
-			s.shards[sh].ch <- incMsg{entries: s.pending[sh]}
-			s.pending[sh] = s.getBatch()
-		}
-	}
-}
+// counts via the study's default producer handle. It must not be called
+// concurrently with itself, Observe or Seal; use Feeders for concurrent
+// producers.
+func (s *ShardedIncStudy) ObserveFingerprints(fps []Fingerprint) { s.def.add(fps) }
+
+// Observe folds one payment in, encoding its features and
+// fingerprinting every resolution through the shared plan.
+func (s *ShardedIncStudy) Observe(f Features) { s.def.observe(f) }
 
 // IncFeeder is a per-producer intake for a ShardedIncStudy: each
-// concurrent producer goroutine owns one feeder and routes observations
-// into private per-shard batches, so a counting shard receives one
-// coalesced batch per flush instead of per-record handoffs and the
-// producers never contend on shared batch state. Shard channels are the
-// only cross-producer rendezvous, and Go channels are multi-producer
-// safe; counts are order-insensitive sums, so interleaving batches from
-// different feeders cannot change any sealed result.
-//
-// A feeder is single-goroutine: ObserveFingerprints and Flush must not
-// be called concurrently on the SAME feeder. Flush must be called on
-// every feeder — with all producers quiescent — before the coordinator
-// calls Seal, or buffered observations miss the snapshot.
-type IncFeeder struct {
-	study   *ShardedIncStudy
-	pending [][]obsEntry
-}
+// concurrent producer goroutine owns one feeder, so a counting shard
+// receives one coalesced batch per flush instead of per-record handoffs
+// and the producers never contend on shared batch state. A feeder is
+// single-goroutine, and every producer must be quiescent while the
+// coordinator calls Seal (which flushes every feeder).
+type IncFeeder intake
 
-// Feeders prepares n concurrent intakes. It must be called before any
-// observation: it permanently switches the study out of the inline
-// single-writer fast path (starting the shard goroutines a 1-shard
-// study otherwise skips), because with multiple producers even one
-// shard needs a channel-owned writer.
+// Feeders prepares n concurrent intakes.
 func (s *ShardedIncStudy) Feeders(n int) []*IncFeeder {
-	if s.inline {
-		s.inline = false
-		for _, sh := range s.shards {
-			s.wg.Add(1)
-			go s.runShard(sh)
-		}
-	}
 	out := make([]*IncFeeder, n)
 	for i := range out {
-		f := &IncFeeder{study: s, pending: make([][]obsEntry, len(s.shards))}
-		for sh := range f.pending {
-			f.pending[sh] = s.getBatch()
-		}
-		out[i] = f
+		out[i] = (*IncFeeder)(s.newIntake())
 	}
 	return out
 }
@@ -252,123 +88,30 @@ func (s *ShardedIncStudy) Feeders(n int) []*IncFeeder {
 // ObserveFingerprints folds one payment's precomputed fingerprints into
 // the feeder's per-shard batches, handing full batches to the owning
 // shard goroutine.
-func (f *IncFeeder) ObserveFingerprints(fps []Fingerprint) {
-	s := f.study
-	s.payments.Add(1)
-	for i, fp := range fps {
-		sh := int(uint64(fp) >> s.shift)
-		f.pending[sh] = append(f.pending[sh], obsEntry{res: uint16(i), fp: fp})
-		if len(f.pending[sh]) == cap(f.pending[sh]) {
-			s.dirty[sh].Store(true)
-			s.shards[sh].ch <- incMsg{entries: f.pending[sh]}
-			f.pending[sh] = s.getBatch()
-		}
-	}
-}
-
-// Flush hands every buffered batch to its shard. The shard is marked
-// dirty before the send so a following Seal barriers on it.
-func (f *IncFeeder) Flush() {
-	s := f.study
-	for sh, buf := range f.pending {
-		if len(buf) == 0 {
-			continue
-		}
-		s.dirty[sh].Store(true)
-		s.shards[sh].ch <- incMsg{entries: buf}
-		f.pending[sh] = s.getBatch()
-	}
-}
-
-// Observe folds one payment in, encoding its features and
-// fingerprinting every resolution through the shared plan.
-func (s *ShardedIncStudy) Observe(f Features) {
-	enc := EncodeFeatures(f)
-	s.fps = enc.AppendFingerprints(s.plan, s.fps[:0])
-	s.ObserveFingerprints(s.fps)
-}
-
-// barrier flushes pending batches and waits until every dirty shard has
-// applied them. On return the dirty shards' tables are quiescent and
-// safe for the producer to read until the next Observe.
-func (s *ShardedIncStudy) barrier() {
-	if s.inline {
-		return // no worker goroutine; the tables are already quiescent
-	}
-	for sh, buf := range s.pending {
-		if !s.dirty[sh].Load() {
-			continue
-		}
-		msg := incMsg{sync: true}
-		if len(buf) > 0 {
-			msg.entries = buf
-			s.pending[sh] = s.getBatch()
-		}
-		s.shards[sh].ch <- msg
-	}
-	for sh := range s.shards {
-		if s.dirty[sh].Load() {
-			<-s.shards[sh].ack
-		}
-	}
-}
+func (f *IncFeeder) ObserveFingerprints(fps []Fingerprint) { (*intake)(f).add(fps) }
 
 // Seal publishes the current counts as an immutable IncSnapshot. Only
 // shards that changed since the previous Seal are deep-copied; clean
 // shards share the clone the previous snapshot already holds, so the
 // amortized publish cost tracks the ingest rate, not the table size.
+// Every producer must be quiescent.
 func (s *ShardedIncStudy) Seal() *IncSnapshot {
-	s.barrier()
-	for sh := range s.shards {
-		if !s.dirty[sh].Load() {
-			continue
-		}
+	for _, sh := range s.quiesce() {
 		tables := make([]*countTable, len(s.resolutions))
 		for r, t := range s.shards[sh].counts {
 			tables[r] = t.clone()
 		}
 		s.sealed[sh] = tables
-		s.dirty[sh].Store(false)
 	}
 	snap := &IncSnapshot{
 		resolutions: s.resolutions,
 		shift:       s.shift,
-		tables:      make([][]*countTable, len(s.sealed)),
-		unique:      make([]int, len(s.resolutions)),
-		payments:    int(s.payments.Load()),
+		tables:      append([][]*countTable(nil), s.sealed...),
+		payments:    s.Payments(),
 		empty:       s.empty,
 	}
-	copy(snap.tables, s.sealed)
-	for r := range s.resolutions {
-		for sh := range snap.tables {
-			snap.unique[r] += snap.tables[sh][r].unique()
-		}
-	}
+	snap.unique = sumPerResolution(snap.tables, (*countTable).unique)
 	return snap
-}
-
-// Close stops the shard workers and returns the live tables to the
-// package pool. Snapshots stay valid — their tables are independent
-// clones. Close is idempotent; no Observe or Seal may follow it.
-func (s *ShardedIncStudy) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if !s.inline {
-		for _, sh := range s.shards {
-			close(sh.ch)
-		}
-		s.wg.Wait()
-	}
-	for _, sh := range s.shards {
-		for i, t := range sh.counts {
-			if t != nil {
-				t.release()
-				sh.counts[i] = nil
-			}
-		}
-	}
 }
 
 // IncSnapshot is one sealed, immutable epoch of a ShardedIncStudy: the
@@ -390,18 +133,10 @@ func (s *IncSnapshot) Payments() int { return s.payments }
 func (s *IncSnapshot) Resolutions() []Resolution { return s.resolutions }
 
 // Results returns the information gain for every resolution, O(shards)
-// per row. The rows are bit-identical to a batch Study (and to a
-// single-writer incremental pass) fed the same payments in any order.
+// per row. The rows are bit-identical to a batch Study fed the same
+// payments in any order.
 func (s *IncSnapshot) Results() []RowResult {
-	out := make([]RowResult, 0, len(s.resolutions))
-	for i, res := range s.resolutions {
-		ig := 0.0
-		if s.payments > 0 {
-			ig = float64(s.unique[i]) / float64(s.payments)
-		}
-		out = append(out, RowResult{Resolution: res, IG: ig, Unique: s.unique[i], Total: s.payments})
-	}
-	return out
+	return rowResults(s.resolutions, s.unique, s.payments)
 }
 
 // Lookup returns how many sealed payments share the observation's
@@ -420,13 +155,7 @@ func (s *IncSnapshot) LookupFingerprint(i int, fp Fingerprint) uint8 {
 // DistinctFingerprints reports the number of distinct fingerprints per
 // resolution.
 func (s *IncSnapshot) DistinctFingerprints() []int {
-	out := make([]int, len(s.resolutions))
-	for i := range s.resolutions {
-		for sh := range s.tables {
-			out[i] += s.tables[sh][i].distinct()
-		}
-	}
-	return out
+	return sumPerResolution(s.tables, (*countTable).distinct)
 }
 
 // CountBytes reports the resident footprint of the sealed tables. The

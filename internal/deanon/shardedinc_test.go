@@ -1,107 +1,129 @@
 package deanon
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 )
 
-// TestShardedIncMatchesBatchStudy pins the serving-layer study to the
-// batch reference: for every shard fan-out (including the inline
-// single-writer configuration) the sealed Results, Payments, and every
-// observed payment's Lookup must be bit-identical to a batch Study over
-// the same stream.
+// TestShardedIncMatchesBatchStudy is the one differential over both
+// faces of the sharded count-table core: for every shard fan-out and
+// producer count, ParallelStudy.Results ≡ ShardedIncStudy.Seal().Results
+// ≡ the map-based Study over the same stream; every mid-stream seal ≡
+// Study over exactly the observed prefix; a sealed lookup ≡ the Study's
+// count saturated at 2; and sealed epochs stay frozen through later
+// observes, seals and Close. One producer feeds through the studies' own
+// default intakes, several through concurrent feeders split over
+// contiguous chunks — run under -race.
 func TestShardedIncMatchesBatchStudy(t *testing.T) {
 	feats := randomFeatures(4000, 31)
+	cuts := []int{len(feats) / 5, len(feats) / 2, len(feats)}
 	batch := NewStudy(Figure3Rows)
-	// Independent saturating-count reference: a plain map per row.
-	refCounts := make([]map[Fingerprint]uint8, len(Figure3Rows))
-	for row := range refCounts {
-		refCounts[row] = make(map[Fingerprint]uint8)
-	}
-	for _, f := range feats {
-		batch.Observe(f)
-		for row, res := range Figure3Rows {
-			fp := FingerprintOf(f, res)
-			if refCounts[row][fp] < countSaturated {
-				refCounts[row][fp]++
-			}
+	var wants [][]RowResult
+	prev := 0
+	for _, cut := range cuts {
+		for _, f := range feats[prev:cut] {
+			batch.Observe(f)
 		}
+		prev = cut
+		wants = append(wants, batch.Results())
 	}
-	want := batch.Results()
+	final := wants[len(wants)-1]
 
 	for _, shardBits := range []int{0, 1, 3} {
-		inc := NewShardedIncStudy(Figure3Rows, shardBits)
-		if (shardBits == 0) != (inc.Shards() == 1) {
-			t.Fatalf("shardBits=%d: got %d shards", shardBits, inc.Shards())
-		}
-		for _, f := range feats {
-			inc.Observe(f)
-		}
-		snap := inc.Seal()
-		if snap.Payments() != batch.Payments() {
-			t.Fatalf("shardBits=%d: payments %d != %d", shardBits, snap.Payments(), batch.Payments())
-		}
-		if got := snap.Results(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("shardBits=%d: results diverge\ngot  %+v\nwant %+v", shardBits, got, want)
-		}
-		// Every observed payment must be found; counts must equal the
-		// reference saturating count at every resolution row.
-		for fi, f := range feats {
-			for row, res := range Figure3Rows {
-				got := snap.Lookup(row, f)
-				if wantC := refCounts[row][FingerprintOf(f, res)]; got != wantC {
-					t.Fatalf("shardBits=%d feat=%d row=%d: lookup %d, reference %d", shardBits, fi, row, got, wantC)
+		for _, producers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("shardBits=%d/producers=%d", shardBits, producers), func(t *testing.T) {
+				par := NewParallelStudy(Figure3Rows, shardBits)
+				defer par.Close()
+				inc := NewShardedIncStudy(Figure3Rows, shardBits)
+				defer inc.Close()
+				if inc.Shards() != 1<<shardBits || par.Shards() != 1<<shardBits {
+					t.Fatalf("got %d and %d shards, want %d", inc.Shards(), par.Shards(), 1<<shardBits)
 				}
-			}
-			if fi >= 400 {
-				break
-			}
-		}
-		inc.Close()
-		// Snapshots must outlive Close (independent clones).
-		if got := snap.Results(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("shardBits=%d: results changed after Close", shardBits)
-		}
-	}
-}
+				// feed folds one chunk into both studies from one goroutine.
+				feed := func(observe func(Features), observeFps func([]Fingerprint), chunk []Features) {
+					var fps []Fingerprint
+					for _, f := range chunk {
+						observe(f)
+						enc := EncodeFeatures(f)
+						fps = enc.AppendFingerprints(inc.Plan(), fps[:0])
+						observeFps(fps)
+					}
+				}
+				var parFeeders []*Feeder
+				var incFeeders []*IncFeeder
+				if producers > 1 {
+					for p := 0; p < producers; p++ {
+						parFeeders = append(parFeeders, par.Feeder())
+					}
+					incFeeders = inc.Feeders(producers)
+				}
 
-// TestShardedIncMidStreamSeals cuts the stream at several points and
-// checks each sealed epoch against a batch study over exactly the
-// observed prefix — and that earlier snapshots stay frozen while the
-// live study keeps moving.
-func TestShardedIncMidStreamSeals(t *testing.T) {
-	feats := randomFeatures(3000, 37)
-	for _, shardBits := range []int{0, 2} {
-		inc := NewShardedIncStudy(Figure3Rows, shardBits)
-		cuts := []int{len(feats) / 5, len(feats) / 2, len(feats)}
-		var snaps []*IncSnapshot
-		var wants [][]RowResult
-		prev := 0
-		for _, cut := range cuts {
-			for _, f := range feats[prev:cut] {
-				inc.Observe(f)
-			}
-			prev = cut
-			snap := inc.Seal()
-			prefix := NewStudy(Figure3Rows)
-			for _, f := range feats[:cut] {
-				prefix.Observe(f)
-			}
-			want := prefix.Results()
-			if got := snap.Results(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("shardBits=%d cut=%d: epoch diverges from batch prefix\ngot  %+v\nwant %+v", shardBits, cut, got, want)
-			}
-			snaps = append(snaps, snap)
-			wants = append(wants, want)
-		}
-		inc.Close()
-		// Immutability: every earlier epoch still answers as it did when
-		// sealed, despite later observes, seals, and Close.
-		for i, snap := range snaps {
-			if got := snap.Results(); !reflect.DeepEqual(got, wants[i]) {
-				t.Fatalf("shardBits=%d: snapshot %d mutated after later seals", shardBits, i)
-			}
+				var snaps []*IncSnapshot
+				prev := 0
+				for ci, cut := range cuts {
+					part := feats[prev:cut]
+					prev = cut
+					if producers == 1 {
+						feed(par.Observe, inc.ObserveFingerprints, part)
+					} else {
+						var wg sync.WaitGroup
+						per := (len(part) + producers - 1) / producers
+						for p := 0; p < producers; p++ {
+							wg.Add(1)
+							go func(p int) {
+								defer wg.Done()
+								chunk := part[min(p*per, len(part)):min((p+1)*per, len(part))]
+								feed(parFeeders[p].Observe, incFeeders[p].ObserveFingerprints, chunk)
+							}(p)
+						}
+						wg.Wait()
+					}
+					snap := inc.Seal()
+					if snap.Payments() != cut {
+						t.Fatalf("cut=%d: sealed %d payments", cut, snap.Payments())
+					}
+					if got := snap.Results(); !reflect.DeepEqual(got, wants[ci]) {
+						t.Fatalf("cut=%d: epoch diverges from batch prefix\ngot  %+v\nwant %+v", cut, got, wants[ci])
+					}
+					snaps = append(snaps, snap)
+				}
+
+				if got := par.Results(); !reflect.DeepEqual(got, final) {
+					t.Fatalf("ParallelStudy results diverge\ngot  %+v\nwant %+v", got, final)
+				}
+				if par.Payments() != batch.Payments() {
+					t.Fatalf("ParallelStudy payments %d != %d", par.Payments(), batch.Payments())
+				}
+				// Results must be re-readable (the importance study reads twice).
+				if again := par.Results(); !reflect.DeepEqual(again, final) {
+					t.Fatal("second ParallelStudy.Results call diverged")
+				}
+
+				last := snaps[len(snaps)-1]
+				for fi, f := range feats[:400] {
+					for row, res := range Figure3Rows {
+						fp := FingerprintOf(f, res)
+						want := uint8(min(batch.counts[row][fp], countSaturated))
+						if got := last.LookupFingerprint(row, fp); got != want {
+							t.Fatalf("feat=%d row=%d: lookup %d, batch count saturates to %d", fi, row, got, want)
+						}
+						if got := last.Lookup(row, f); got != want {
+							t.Fatalf("feat=%d row=%d: Lookup %d != LookupFingerprint %d", fi, row, got, want)
+						}
+					}
+				}
+
+				// Immutability: every epoch still answers as it did when
+				// sealed, despite later observes, seals, and Close.
+				inc.Close()
+				for i, snap := range snaps {
+					if got := snap.Results(); !reflect.DeepEqual(got, wants[i]) {
+						t.Fatalf("snapshot %d mutated after later seals and Close", i)
+					}
+				}
+			})
 		}
 	}
 }
@@ -154,70 +176,6 @@ func TestShardedIncUnseenLookups(t *testing.T) {
 		}
 		if got := snap.Lookup(row, unseen); got != 0 {
 			t.Fatalf("row %d: unseen feature reported count %d", row, got)
-		}
-	}
-}
-
-// TestShardedIncFeedersMatchSingleProducer drives the multi-producer
-// feeder intake from concurrent goroutines — including the 1-shard
-// configuration whose inline fast path Feeders must disable — and pins
-// every sealed answer to the single-producer reference over the same
-// stream. Mid-stream seals interleave with live producers after a
-// quiescent Flush, the serving layer's merge pattern; run under -race.
-func TestShardedIncFeedersMatchSingleProducer(t *testing.T) {
-	feats := randomFeatures(4000, 53)
-	ref := NewShardedIncStudy(Figure3Rows, 2)
-	defer ref.Close()
-	for _, f := range feats {
-		ref.Observe(f)
-	}
-	want := ref.Seal()
-
-	for _, shardBits := range []int{0, 2} {
-		for _, producers := range []int{1, 3} {
-			inc := NewShardedIncStudy(Figure3Rows, shardBits)
-			feeders := inc.Feeders(producers)
-
-			// Split the stream across producers in contiguous chunks; the
-			// counts are order-insensitive sums so any partition must seal
-			// to the same answers.
-			var wg sync.WaitGroup
-			per := (len(feats) + producers - 1) / producers
-			for p := 0; p < producers; p++ {
-				lo, hi := p*per, (p+1)*per
-				if hi > len(feats) {
-					hi = len(feats)
-				}
-				wg.Add(1)
-				go func(fd *IncFeeder, chunk []Features) {
-					defer wg.Done()
-					var fps []Fingerprint
-					for _, f := range chunk {
-						enc := EncodeFeatures(f)
-						fps = enc.AppendFingerprints(inc.Plan(), fps[:0])
-						fd.ObserveFingerprints(fps)
-					}
-				}(feeders[p], feats[lo:hi])
-			}
-			wg.Wait()
-			for _, fd := range feeders {
-				fd.Flush()
-			}
-			snap := inc.Seal()
-			if snap.Payments() != want.Payments() {
-				t.Fatalf("bits=%d producers=%d: payments %d != %d", shardBits, producers, snap.Payments(), want.Payments())
-			}
-			if !reflect.DeepEqual(snap.Results(), want.Results()) {
-				t.Fatalf("bits=%d producers=%d: results diverge\ngot  %+v\nwant %+v", shardBits, producers, snap.Results(), want.Results())
-			}
-			for _, f := range feats[:300] {
-				for row := range Figure3Rows {
-					if a, b := snap.Lookup(row, f), want.Lookup(row, f); a != b {
-						t.Fatalf("bits=%d producers=%d row=%d: lookup %d != %d", shardBits, producers, row, a, b)
-					}
-				}
-			}
-			inc.Close()
 		}
 	}
 }

@@ -83,51 +83,41 @@ feed:
 	return firstErr
 }
 
-// PagesParallel streams every stored page to fn, decoding segments
-// concurrently on up to `workers` goroutines.
+// PagesParallelArena streams every stored page to fn, decoding segments
+// concurrently on up to `workers` goroutines. Each worker owns one
+// ledger.PageArena reused for every page it decodes, so a steady-state
+// scan allocates almost nothing.
 //
 // Ordering: pages within one segment arrive in append order, but
 // segments are interleaved arbitrarily across workers — callers needing
 // global order must use Pages or reorder by header sequence. fn is
 // called concurrently from up to `workers` goroutines; the worker index
 // (0 ≤ w < workers) identifies the calling goroutine so callers can
-// keep per-worker state (e.g. one deanon.Feeder each) without locking.
+// keep per-worker state (e.g. one analysis.Collector each) without
+// locking.
 //
 // The first error — fn's, a decode failure, or ctx cancellation — stops
 // all workers and is returned. A workers value < 1 defaults to
 // GOMAXPROCS. Like Pages, a truncated final record is tolerated and a
-// checksum mismatch returns ErrCorrupted. Pages are heap-decoded and
-// safe to retain; scans that release pages before returning should use
-// PagesParallelArena instead and skip the decode garbage.
-func (s *Store) PagesParallel(ctx context.Context, workers int, fn func(worker int, p *ledger.Page) error) error {
-	return s.forEachSegmentParallel(ctx, workers, func(ctx context.Context, w int, seg string) error {
-		return streamSegment(seg, func(p *ledger.Page) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return fn(w, p)
-		})
-	})
-}
-
-// PagesParallelArena is PagesParallel with per-worker arena decoding:
-// each worker owns one ledger.PageArena reused for every page it
-// decodes, so a steady-state scan allocates almost nothing.
+// checksum mismatch returns ErrCorrupted.
 //
 // Recycling contract: the page passed to fn (and every transaction,
 // metadata record, and byte slice reachable from it) is valid only
 // until fn returns — the worker's next decode resets the arena. fn must
-// copy anything it keeps. Consumers that retain pages (the serve
-// backfill queues, for example) must use PagesParallel instead.
+// copy anything it keeps; consumers that retain pages use Pages.
 func (s *Store) PagesParallelArena(ctx context.Context, workers int, fn func(worker int, p *ledger.Page) error) error {
 	return s.forEachSegmentParallel(ctx, workers, func(ctx context.Context, w int, seg string) error {
 		a := arenaPool.Get().(*ledger.PageArena)
 		defer arenaPool.Put(a)
-		return streamSegmentArena(seg, a, func(p *ledger.Page) error {
+		return forEachRecord(seg, func(payload []byte) error {
+			page, err := decodeRecord(seg, payload, a)
+			if err != nil {
+				return err
+			}
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			return fn(w, p)
+			return fn(w, page)
 		})
 	})
 }
@@ -145,7 +135,7 @@ var arenaPool = sync.Pool{New: func() any { return new(ledger.PageArena) }}
 //
 // The payload aliases the segment's (possibly memory-mapped) bytes and
 // is valid only inside fn; retain copies, not the slice. Ordering and
-// error semantics match PagesParallel: per-segment append order,
+// error semantics match PagesParallelArena: per-segment append order,
 // arbitrary interleaving across segments, first error (fn's, a
 // corrupted record, or ctx cancellation) stops all workers.
 func (s *Store) PayloadsParallel(ctx context.Context, workers int, fn func(worker int, payload []byte) error) error {
@@ -173,7 +163,7 @@ func (s *Store) PayloadsParallel(ctx context.Context, workers int, fn func(worke
 // The *ledger.PaymentView passed to fn is reused by that worker and
 // valid only inside the call; all its fields are plain values, so
 // copying what's needed is cheap. Ordering and error semantics match
-// PagesParallel (per-segment order, arbitrary interleaving across
+// PagesParallelArena (per-segment order, arbitrary interleaving across
 // segments, first error wins).
 func (s *Store) ScanPayments(ctx context.Context, workers int, fn func(worker int, pv *ledger.PaymentView) error) error {
 	return s.forEachSegmentParallel(ctx, workers, func(ctx context.Context, w int, seg string) error {

@@ -3,8 +3,6 @@ package ledgerstore
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math/rand"
 	"os"
 	"sort"
 	"sync"
@@ -14,13 +12,13 @@ import (
 	"ripplestudy/internal/ledger"
 )
 
-// parallelSeqs runs PagesParallel and collects the observed page
-// sequences per worker.
+// parallelSeqs runs PagesParallelArena and collects the observed page
+// sequences.
 func parallelSeqs(t *testing.T, s *Store, workers int) []uint64 {
 	t.Helper()
 	var mu sync.Mutex
 	var seqs []uint64
-	err := s.PagesParallel(context.Background(), workers, func(w int, p *ledger.Page) error {
+	err := s.PagesParallelArena(context.Background(), workers, func(w int, p *ledger.Page) error {
 		mu.Lock()
 		seqs = append(seqs, p.Header.Sequence)
 		mu.Unlock()
@@ -79,7 +77,7 @@ func TestPagesParallelPreservesSegmentOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []uint64
-	err = s.PagesParallel(context.Background(), 1, func(w int, p *ledger.Page) error {
+	err = s.PagesParallelArena(context.Background(), 1, func(w int, p *ledger.Page) error {
 		got = append(got, p.Header.Sequence)
 		return nil
 	})
@@ -99,7 +97,7 @@ func TestPagesParallelPreservesSegmentOrder(t *testing.T) {
 	// worker never revisits a sequence.
 	perWorker := make([][]uint64, 4)
 	var mu sync.Mutex
-	err = s.PagesParallel(context.Background(), 4, func(w int, p *ledger.Page) error {
+	err = s.PagesParallelArena(context.Background(), 4, func(w int, p *ledger.Page) error {
 		mu.Lock()
 		perWorker[w] = append(perWorker[w], p.Header.Sequence)
 		mu.Unlock()
@@ -128,7 +126,7 @@ func TestPagesParallelPropagatesError(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	var calls atomic.Int64
-	err = s.PagesParallel(context.Background(), 3, func(w int, p *ledger.Page) error {
+	err = s.PagesParallelArena(context.Background(), 3, func(w int, p *ledger.Page) error {
 		if calls.Add(1) == 4 {
 			return boom
 		}
@@ -148,7 +146,7 @@ func TestPagesParallelHonorsContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
-	err = s.PagesParallel(ctx, 2, func(w int, p *ledger.Page) error {
+	err = s.PagesParallelArena(ctx, 2, func(w int, p *ledger.Page) error {
 		if calls.Add(1) == 2 {
 			cancel()
 		}
@@ -178,50 +176,9 @@ func TestPagesParallelDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = s.PagesParallel(context.Background(), 4, func(int, *ledger.Page) error { return nil })
+	err = s.PagesParallelArena(context.Background(), 4, func(int, *ledger.Page) error { return nil })
 	if !errors.Is(err, ErrCorrupted) {
 		t.Fatalf("err = %v, want ErrCorrupted", err)
-	}
-}
-
-// BenchmarkPagesParallel measures the segment-parallel scan (decode
-// included) across worker counts — the 500GB-history read path.
-func BenchmarkPagesParallel(b *testing.B) {
-	dir := b.TempDir()
-	s, err := Create(dir, WithSegmentBytes(1<<15))
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(1))
-	parent := ledger.Hash{}
-	const pages = 240
-	for i := 1; i <= pages; i++ {
-		p := buildPage(uint64(i), parent, 6, r)
-		parent = p.Header.Hash()
-		if err := s.Append(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var count atomic.Int64
-				err := s.PagesParallel(context.Background(), workers, func(int, *ledger.Page) error {
-					count.Add(1)
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if count.Load() != pages {
-					b.Fatalf("scanned %d pages, want %d", count.Load(), pages)
-				}
-			}
-			b.ReportMetric(float64(pages)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
-		})
 	}
 }
 
@@ -234,7 +191,7 @@ func TestPagesParallelWorkerIndexBounds(t *testing.T) {
 	}
 	const workers = 3
 	var bad atomic.Int64
-	err = s.PagesParallel(context.Background(), workers, func(w int, p *ledger.Page) error {
+	err = s.PagesParallelArena(context.Background(), workers, func(w int, p *ledger.Page) error {
 		if w < 0 || w >= workers {
 			bad.Add(1)
 		}

@@ -68,24 +68,31 @@ func TestOpenSegmentEmptyFile(t *testing.T) {
 	}
 }
 
-// TestPagesArenaMatchesPages: the arena-decoded sequential scan must
-// see bit-identical pages.
+// pageDigest fingerprints a page by its canonical encoding, so scans
+// with incompatible retention contracts can still be compared.
+func pageDigest(p *ledger.Page) ledger.Hash {
+	return ledger.SHA512Half(p.Encode(nil))
+}
+
+// TestPagesArenaMatchesPages: the arena-decoded scan must see
+// bit-identical pages — in Pages order on one worker, and as the same
+// multiset of page-encoding digests (the arena contract forbids
+// retaining the pages themselves) on four.
 func TestPagesArenaMatchesPages(t *testing.T) {
 	dir := t.TempDir()
-	writeStore(t, dir, 15, 4, WithSegmentBytes(4096))
+	writeStore(t, dir, 24, 3, WithSegmentBytes(4096))
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := collectPages(t, s)
 	i := 0
-	var a ledger.PageArena
-	err = s.PagesArena(&a, func(p *ledger.Page) error {
+	err = s.PagesParallelArena(context.Background(), 1, func(_ int, p *ledger.Page) error {
 		if i >= len(want) {
 			t.Fatal("arena scan yielded extra pages")
 		}
 		if !reflect.DeepEqual(want[i], p) {
-			t.Fatalf("page %d differs between Pages and PagesArena", i)
+			t.Fatalf("page %d differs between Pages and PagesParallelArena", i)
 		}
 		i++
 		return nil
@@ -96,42 +103,26 @@ func TestPagesArenaMatchesPages(t *testing.T) {
 	if i != len(want) {
 		t.Fatalf("arena scan saw %d pages, want %d", i, len(want))
 	}
-}
 
-// pageDigest fingerprints a page by its canonical encoding, so scans
-// with incompatible retention contracts can still be compared.
-func pageDigest(p *ledger.Page) ledger.Hash {
-	return ledger.SHA512Half(p.Encode(nil))
-}
-
-// TestPagesParallelArenaMatchesPagesParallel compares page-encoding
-// digests (the arena contract forbids retaining the pages themselves)
-// as multisets across the two parallel scans.
-func TestPagesParallelArenaMatchesPagesParallel(t *testing.T) {
-	dir := t.TempDir()
-	writeStore(t, dir, 24, 3, WithSegmentBytes(1))
-	s, err := Open(dir)
+	var wantDigests, gotDigests []string
+	for _, p := range want {
+		wantDigests = append(wantDigests, pageDigest(p).String())
+	}
+	var mu sync.Mutex
+	err = s.PagesParallelArena(context.Background(), 4, func(_ int, p *ledger.Page) error {
+		d := pageDigest(p).String()
+		mu.Lock()
+		gotDigests = append(gotDigests, d)
+		mu.Unlock()
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	digests := func(scan func(context.Context, int, func(int, *ledger.Page) error) error) []string {
-		var mu sync.Mutex
-		var out []string
-		err := scan(context.Background(), 4, func(w int, p *ledger.Page) error {
-			d := pageDigest(p)
-			mu.Lock()
-			out = append(out, d.String())
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sort.Strings(out)
-		return out
-	}
-	if !reflect.DeepEqual(digests(s.PagesParallel), digests(s.PagesParallelArena)) {
-		t.Fatal("parallel arena scan digests differ from PagesParallel")
+	sort.Strings(wantDigests)
+	sort.Strings(gotDigests)
+	if !reflect.DeepEqual(gotDigests, wantDigests) {
+		t.Fatal("parallel arena scan digests differ from Pages")
 	}
 }
 
@@ -297,7 +288,7 @@ func TestScanPathsAgreeUnderFaultInjection(t *testing.T) {
 		}
 		viaArena := func() outcome {
 			var o outcome
-			o.errClass = classify(s.PagesArena(nil, func(p *ledger.Page) error {
+			o.errClass = classify(s.PagesParallelArena(context.Background(), 1, func(_ int, p *ledger.Page) error {
 				for i, tx := range p.Txs {
 					if tx.Type == ledger.TxPayment && p.Metas[i].Result.Succeeded() {
 						o.payments = append(o.payments, ledger.PaymentView{
@@ -398,40 +389,6 @@ func TestSeqIndexCorruptSidecarSurfaced(t *testing.T) {
 	}
 	if rep := s.IndexReport(); rep.Corrupt || rep.Rebuilt != 0 || !rep.Present {
 		t.Fatalf("sidecar not healthy after rewrite: %+v", rep)
-	}
-}
-
-// TestPagesRangeArenaMatchesPagesRange: the pooled range reader must
-// deliver bit-identical pages for every sub-range.
-func TestPagesRangeArenaMatchesPagesRange(t *testing.T) {
-	dir := t.TempDir()
-	writeStore(t, dir, 30, 2, WithSegmentBytes(1500))
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rng := range [][2]uint64{{1, 30}, {7, 19}, {15, 15}, {25, 99}, {31, 40}} {
-		var want []*ledger.Page
-		if err := s.PagesRange(rng[0], rng[1], func(p *ledger.Page) error {
-			want = append(want, p)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		i := 0
-		err := s.PagesRangeArena(rng[0], rng[1], nil, func(p *ledger.Page) error {
-			if i >= len(want) || !reflect.DeepEqual(want[i], p) {
-				t.Fatalf("range %v: page %d differs", rng, i)
-			}
-			i++
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i != len(want) {
-			t.Fatalf("range %v: arena saw %d pages, want %d", rng, i, len(want))
-		}
 	}
 }
 
@@ -586,9 +543,9 @@ func buildBenchStore(b *testing.B) *Store {
 
 const benchStorePages = 240
 
-// BenchmarkPagesParallelArena is BenchmarkPagesParallel's workload on
-// the arena decode path: the delta against workers=N of the baseline is
-// pure decode-garbage savings.
+// BenchmarkPagesParallelArena measures the segment-parallel page scan
+// (arena decode included) — the 500GB-history read path. The workers
+// sweep has only ever run at GOMAXPROCS=1, where it is flat.
 func BenchmarkPagesParallelArena(b *testing.B) {
 	s := buildBenchStore(b)
 	for _, workers := range []int{1, 4} {

@@ -14,10 +14,10 @@ import (
 // maps the whole segment (mmap where the platform supports it, one
 // ReadFile otherwise) and walks the framed records in place. Record
 // payloads handed to the walkers alias the mapped region, which is why
-// every consumer in this file either decodes onto the heap before
-// returning (streamSegmentPages) or passes the explicit
+// every consumer either decodes onto the heap before returning
+// (decodeRecord with no arena) or passes the explicit
 // valid-only-inside-the-callback contract up to its caller
-// (scanSegmentPayments, streamSegmentArena).
+// (scanSegmentPayments, PayloadsParallel).
 
 // errMmapUnavailable is returned by mapSegment when the platform (or
 // the ledgerstore_nommap build tag) rules out memory mapping; callers
@@ -99,10 +99,21 @@ func forEachRecord(path string, fn func(payload []byte) error) error {
 	}
 }
 
-// decodeRecordPage decodes a record payload as a full page, enforcing
-// that the record contains exactly one page encoding.
-func decodeRecordPage(path string, payload []byte) (*ledger.Page, error) {
-	page, used, err := ledger.DecodePage(payload)
+// decodeRecord decodes a record payload as a full page — onto the heap
+// when a is nil (the page is safe to retain), else through the arena
+// (the page is valid until the arena's next decode) — enforcing that the
+// record contains exactly one page encoding.
+func decodeRecord(path string, payload []byte, a *ledger.PageArena) (*ledger.Page, error) {
+	var (
+		page *ledger.Page
+		used int
+		err  error
+	)
+	if a == nil {
+		page, used, err = ledger.DecodePage(payload)
+	} else {
+		page, used, err = ledger.DecodePageInto(payload, a)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("ledgerstore: decoding page in %s: %w", path, err)
 	}
@@ -110,34 +121,6 @@ func decodeRecordPage(path string, payload []byte) (*ledger.Page, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes in record", ErrCorrupted, len(payload)-used)
 	}
 	return page, nil
-}
-
-// streamSegment streams a segment's pages, heap-decoded: pages are safe
-// to retain.
-func streamSegment(path string, fn func(*ledger.Page) error) error {
-	return forEachRecord(path, func(payload []byte) error {
-		page, err := decodeRecordPage(path, payload)
-		if err != nil {
-			return err
-		}
-		return fn(page)
-	})
-}
-
-// streamSegmentArena streams a segment's pages decoded through the
-// arena. Each page (and everything reachable from it) is valid only
-// until fn returns — the next decode resets the arena.
-func streamSegmentArena(path string, a *ledger.PageArena, fn func(*ledger.Page) error) error {
-	return forEachRecord(path, func(payload []byte) error {
-		page, used, err := ledger.DecodePageInto(payload, a)
-		if err != nil {
-			return fmt.Errorf("ledgerstore: decoding page in %s: %w", path, err)
-		}
-		if used != len(payload) {
-			return fmt.Errorf("%w: %d trailing bytes in record", ErrCorrupted, len(payload)-used)
-		}
-		return fn(page)
-	})
 }
 
 // scanSegmentPayments walks a segment's successful payments through the

@@ -208,79 +208,17 @@ func (s *Store) rangeSegments(lo, hi uint64) ([]SegmentRange, error) {
 	return out, nil
 }
 
-// PagesRange streams, in append order, every page whose header sequence
-// lies in [lo, hi] (inclusive). Segments entirely outside the range are
-// never opened — the point of the sequence index: replaying from a 70%
+// walkRange is the one range walker under PagesRange and
+// PagesRangeRecycled: it streams, in append order, the CRC-verified
+// payload of every record whose header sequence lies in [lo, hi]
+// (inclusive) to visit. Segments entirely outside the range are never
+// opened — the point of the sequence index: replaying from a 70%
 // snapshot touches ~30% of the store. Within a boundary segment, pages
 // below the range are skipped after a header-only peek, without
-// decoding their transactions. fn's errors propagate as in Pages;
-// ErrStop stops cleanly.
-func (s *Store) PagesRange(lo, hi uint64, fn func(*ledger.Page) error) error {
-	return s.pagesRange(lo, hi, nil, fn)
-}
-
-// PagesRangeArena is PagesRange decoding through the caller's arena:
-// each page is valid only until fn returns. A nil arena allocates one.
-func (s *Store) PagesRangeArena(lo, hi uint64, a *ledger.PageArena, fn func(*ledger.Page) error) error {
-	if a == nil {
-		a = new(ledger.PageArena)
-	}
-	return s.pagesRange(lo, hi, a, fn)
-}
-
-// PagesRangeRecycled streams the pages in [lo, hi] with per-page arena
-// decoding and explicit recycling: each page is decoded into an arena
-// drawn from the package pool and handed to fn together with a release
-// closure. The page stays valid — independently of any later decode or
-// of the segment mapping — until release is called, at which point its
-// arena returns to the pool and the page is dead. This is the
-// ownership-transfer variant of PagesRangeArena for pipelined consumers
-// (the replay decode-ahead stream) that buffer pages across goroutines:
-// call release exactly once per page, when done with it. Not calling it
-// is safe but forfeits recycling; calling it twice corrupts the pool.
-func (s *Store) PagesRangeRecycled(lo, hi uint64, fn func(p *ledger.Page, release func()) error) error {
+// decoding their transactions. The payload is valid only inside visit.
+func (s *Store) walkRange(lo, hi uint64, visit func(path string, payload []byte) error) error {
 	segs, err := s.rangeSegments(lo, hi)
-	if err != nil || len(segs) == 0 {
-		return err
-	}
-	for _, sr := range segs {
-		path := filepath.Join(s.dir, sr.File)
-		err := forEachRecord(path, func(payload []byte) error {
-			h, _, err := ledger.DecodeHeader(payload)
-			if err != nil {
-				return fmt.Errorf("ledgerstore: decoding page header in %s: %w", path, err)
-			}
-			if h.Sequence < lo {
-				return nil
-			}
-			if h.Sequence > hi {
-				return errStopSegment
-			}
-			a := arenaPool.Get().(*ledger.PageArena)
-			page, used, err := ledger.DecodePageInto(payload, a)
-			if err != nil {
-				arenaPool.Put(a)
-				return fmt.Errorf("ledgerstore: decoding page in %s: %w", path, err)
-			}
-			if used != len(payload) {
-				arenaPool.Put(a)
-				return fmt.Errorf("%w: %d trailing bytes in record", ErrCorrupted, len(payload)-used)
-			}
-			return fn(page, func() { arenaPool.Put(a) })
-		})
-		if errors.Is(err, errStopSegment) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *Store) pagesRange(lo, hi uint64, a *ledger.PageArena, fn func(*ledger.Page) error) error {
-	segs, err := s.rangeSegments(lo, hi)
-	if err != nil || len(segs) == 0 {
+	if err != nil {
 		return err
 	}
 	for _, sr := range segs {
@@ -298,20 +236,7 @@ func (s *Store) pagesRange(lo, hi uint64, a *ledger.PageArena, fn func(*ledger.P
 				// segment can be in range.
 				return errStopSegment
 			}
-			var page *ledger.Page
-			if a != nil {
-				var used int
-				page, used, err = ledger.DecodePageInto(payload, a)
-				if err != nil {
-					return fmt.Errorf("ledgerstore: decoding page in %s: %w", path, err)
-				}
-				if used != len(payload) {
-					return fmt.Errorf("%w: %d trailing bytes in record", ErrCorrupted, len(payload)-used)
-				}
-			} else if page, err = decodeRecordPage(path, payload); err != nil {
-				return err
-			}
-			return fn(page)
+			return visit(path, payload)
 		})
 		if errors.Is(err, errStopSegment) {
 			return nil
@@ -321,4 +246,41 @@ func (s *Store) pagesRange(lo, hi uint64, a *ledger.PageArena, fn func(*ledger.P
 		}
 	}
 	return nil
+}
+
+// PagesRange streams, in append order, every page whose header sequence
+// lies in [lo, hi] (inclusive), opening only the segments the sequence
+// index says overlap the range. Pages are decoded onto the heap, so fn
+// may retain them. fn's errors, ErrStop included, propagate as in
+// Pages.
+func (s *Store) PagesRange(lo, hi uint64, fn func(*ledger.Page) error) error {
+	return s.walkRange(lo, hi, func(path string, payload []byte) error {
+		page, err := decodeRecord(path, payload, nil)
+		if err != nil {
+			return err
+		}
+		return fn(page)
+	})
+}
+
+// PagesRangeRecycled streams the pages in [lo, hi] with per-page arena
+// decoding and explicit recycling: each page is decoded into an arena
+// drawn from the package pool and handed to fn together with a release
+// closure. The page stays valid — independently of any later decode or
+// of the segment mapping — until release is called, at which point its
+// arena returns to the pool and the page is dead. This is the
+// ownership-transfer variant of PagesRange for pipelined consumers (the
+// replay decode-ahead stream) that buffer pages across goroutines: call
+// release exactly once per page, when done with it. Not calling it is
+// safe but forfeits recycling; calling it twice corrupts the pool.
+func (s *Store) PagesRangeRecycled(lo, hi uint64, fn func(p *ledger.Page, release func()) error) error {
+	return s.walkRange(lo, hi, func(path string, payload []byte) error {
+		a := arenaPool.Get().(*ledger.PageArena)
+		page, err := decodeRecord(path, payload, a)
+		if err != nil {
+			arenaPool.Put(a)
+			return err
+		}
+		return fn(page, func() { arenaPool.Put(a) })
+	})
 }

@@ -191,7 +191,7 @@ func (s *Store) Dir() string { return s.dir }
 // truncated final record terminates iteration silently (crash-tolerant
 // tail); a checksum mismatch returns ErrCorrupted. Pages are decoded
 // onto the heap, so fn may retain them; scans that don't need that use
-// PagesArena or ScanPayments and skip the per-page allocations.
+// PagesParallelArena or ScanPayments and skip the per-page allocations.
 func (s *Store) Pages(fn func(*ledger.Page) error) error {
 	if err := s.closeCurrent(); err != nil {
 		return err
@@ -201,29 +201,14 @@ func (s *Store) Pages(fn func(*ledger.Page) error) error {
 		return err
 	}
 	for _, seg := range segs {
-		if err := streamSegment(seg, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PagesArena streams every stored page, in append order, decoding
-// through the caller's arena: each page is valid only until fn returns
-// (the next decode resets the arena). A nil arena allocates one.
-func (s *Store) PagesArena(a *ledger.PageArena, fn func(*ledger.Page) error) error {
-	if err := s.closeCurrent(); err != nil {
-		return err
-	}
-	segs, err := segmentFiles(s.dir)
-	if err != nil {
-		return err
-	}
-	if a == nil {
-		a = new(ledger.PageArena)
-	}
-	for _, seg := range segs {
-		if err := streamSegmentArena(seg, a, fn); err != nil {
+		err := forEachRecord(seg, func(payload []byte) error {
+			page, err := decodeRecord(seg, payload, nil)
+			if err != nil {
+				return err
+			}
+			return fn(page)
+		})
+		if err != nil {
 			return err
 		}
 	}

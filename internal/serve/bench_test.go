@@ -156,19 +156,19 @@ func BenchmarkServeIngestThroughput(b *testing.B) {
 // copying) — the inbox-dry republish fast path.
 func BenchmarkServeSnapshotPublish(b *testing.B) {
 	pages := genPages(b, 3000, 37)
-	st := newFingerprintState(1)
+	st := newFingerprintState(1, 1)
 	defer st.close()
 	proj := newProjector(st.plan())
 	recs := make([]*pageRecord, len(pages))
 	for i, p := range pages {
 		recs[i] = new(pageRecord)
 		proj.fromPage(p, recs[i])
-		st.apply(recs[i])
+		st.apply(0, recs[i])
 	}
 	b.Run("dirty", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			st.apply(recs[i%len(recs)])
+			st.apply(0, recs[i%len(recs)])
 			if snap := st.snapshot(uint64(i), 1); snap == nil {
 				b.Fatal("nil snapshot")
 			}

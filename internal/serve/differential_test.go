@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -178,8 +179,10 @@ func TestMidStreamSnapshotsMatchBatchPrefix(t *testing.T) {
 }
 
 // TestParallelBackfillMatchesSequential persists the history to a
-// ledgerstore and backfills it with several decode workers; segment
-// interleaving must not change any view (all statistics commute).
+// ledgerstore and backfills it with several decode workers into 1-, 2-,
+// 3-, and 8-worker pipelines; neither segment interleaving nor the
+// fan-out may change any view (all statistics commute): every one must
+// equal the sequential batch pass over the same pages.
 func TestParallelBackfillMatchesSequential(t *testing.T) {
 	pages := genPages(t, 2000, 7)
 	dir := filepath.Join(t.TempDir(), "store")
@@ -201,15 +204,19 @@ func TestParallelBackfillMatchesSequential(t *testing.T) {
 	}
 
 	study, col := batchViews(t, pages)
-	s := NewService(Options{})
-	defer s.Close()
-	if err := s.BackfillStore(context.Background(), st, 4); err != nil {
-		t.Fatal(err)
-	}
-	drain(t, s)
-	checkAgainstBatch(t, s, study, col, pages)
-	if got := s.Ecosystem().Pages; got != uint64(len(pages)) {
-		t.Fatalf("backfill folded %d pages, want %d", got, len(pages))
+	for _, workers := range []int{1, 2, 3, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s := NewService(Options{PipelineWorkers: workers})
+			defer s.Close()
+			if err := s.BackfillStore(context.Background(), st, 4); err != nil {
+				t.Fatal(err)
+			}
+			drain(t, s)
+			checkAgainstBatch(t, s, study, col, pages)
+			if got := s.Ecosystem().Pages; got != uint64(len(pages)) {
+				t.Fatalf("backfill folded %d pages, want %d", got, len(pages))
+			}
+		})
 	}
 }
 

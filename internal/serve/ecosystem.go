@@ -110,21 +110,16 @@ func (e *ecoShards) apply(shard int, rec *pageRecord) {
 // since the previous seal bounds total merge traffic at ≤2× the final
 // state, the same discipline the fingerprint view applies to its shard
 // clones. Ring-dry and shutdown seals bypass the gate, so idle epochs
-// stay fresh and Drain always completes. Only wired at workers>1; the
-// single-worker view publishes on the classic batch cadence.
+// stay fresh and Drain always completes.
 func (e *ecoShards) sealDue() bool {
 	return e.pages.Load() >= 2*e.lastSealPages
 }
 
-// snapshot merges the shards and seals the derived histograms. At
-// workers>1 it runs under the seal barrier (or after shutdown), so the
-// shard collectors are quiescent. With a single shard it degenerates to
-// that shard's own snapshot — no merge, no clone.
+// snapshot merges the shards and seals the derived histograms. It runs
+// under the seal barrier (or after shutdown), so the shard collectors
+// are quiescent.
 func (e *ecoShards) snapshot(epoch, appliedSeq uint64) *EcosystemSnapshot {
 	e.lastSealPages = e.pages.Load()
-	if len(e.shards) == 1 {
-		return e.shards[0].snapshot(epoch, appliedSeq)
-	}
 	if e.merged == nil {
 		e.merged = newEcosystemState()
 	} else {

@@ -11,7 +11,7 @@ import (
 // single-shot merge into a brand-new collector over the same records.
 func TestEcoShardsRecycledSealParity(t *testing.T) {
 	pages := genPages(t, 1500, 47)
-	fpSt := newFingerprintState(1)
+	fpSt := newFingerprintState(1, 1)
 	defer fpSt.close()
 	proj := newProjector(fpSt.plan())
 	recs := make([]*pageRecord, len(pages))
@@ -50,7 +50,7 @@ func TestEcoShardsRecycledSealParity(t *testing.T) {
 // collector keeps its map buckets.
 func TestEcoShardsSealReusesMergeTarget(t *testing.T) {
 	pages := genPages(t, 2000, 48)
-	fpSt := newFingerprintState(1)
+	fpSt := newFingerprintState(1, 1)
 	defer fpSt.close()
 	proj := newProjector(fpSt.plan())
 

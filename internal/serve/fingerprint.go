@@ -6,45 +6,47 @@ import (
 
 // fingerprintState is the mutable Figure 3 / Table I view: the
 // fingerprint count tables for the paper's ten resolution tuples,
-// maintained incrementally by a deanon.ShardedIncStudy — K single-writer
-// count shards routed by fingerprint high bits — so both the
-// information-gain rows and individual sender-uniqueness lookups stay
-// O(1) at any point of the stream while increments scale with cores.
+// maintained incrementally by a deanon.ShardedIncStudy — K count shards
+// routed by fingerprint high bits, each owned by one goroutine — so both
+// the information-gain rows and individual sender-uniqueness lookups
+// stay O(1) at any point of the stream while increments scale with
+// cores.
 //
 // The fingerprints themselves are computed upstream, once per payment,
 // by the projection front door (project.go) through the study's shared
 // plan; apply only routes them. Sealing is epoch-consistent
 // scatter-gather: the study flushes and barriers every shard that
 // changed, then clones only those shards' tables, so Lookup and the
-// Figure 3 rows are bit-identical to a single-writer (1-shard) pass
-// over the same pages.
+// Figure 3 rows are bit-identical to a batch deanon.Study over the same
+// pages at any shard count.
 type fingerprintState struct {
 	study *deanon.ShardedIncStudy
-	// feeders are the per-pipeline-worker intakes at workers>1: each
-	// apply worker batches observations through its own feeder, so a
-	// count shard receives one coalesced batch per flush instead of
-	// contended per-record handoffs. nil at workers==1 (the study's
-	// single-producer path, including its inline 1-shard fast path).
+	// feeders are the per-pipeline-worker intakes: each apply worker
+	// batches observations through its own feeder, so a count shard
+	// receives one coalesced batch per flush instead of contended
+	// per-record handoffs.
 	feeders []*deanon.IncFeeder
 	rows    int
 	// lastSealPayments is the study size the previous seal covered;
 	// sealDue compares against it. Written only by the sealing
-	// goroutine (the view worker at workers==1, the sealer otherwise).
+	// goroutine.
 	lastSealPayments int
 }
 
 // newFingerprintState builds the view with the requested shard count
-// (rounded up to a power of two; <= 0 picks the machine default).
-func newFingerprintState(shards int) *fingerprintState {
+// (rounded up to a power of two; <= 0 picks the machine default) and
+// one feeder per pipeline worker.
+func newFingerprintState(shards, workers int) *fingerprintState {
 	bits := deanon.DefaultShardBits()
 	if shards > 0 {
-		bits = 0
-		for 1<<bits < shards {
-			bits++
-		}
+		bits = deanon.ShardBitsFor(shards)
 	}
 	study := deanon.NewShardedIncStudy(deanon.Figure3Rows, bits)
-	return &fingerprintState{study: study, rows: len(deanon.Figure3Rows)}
+	return &fingerprintState{
+		study:   study,
+		feeders: study.Feeders(workers),
+		rows:    len(deanon.Figure3Rows),
+	}
 }
 
 // plan exposes the study's compiled fingerprint plan for the projection
@@ -54,30 +56,11 @@ func (f *fingerprintState) plan() *deanon.FingerprintPlan { return f.study.Plan(
 // shards reports the count-shard fan-out, for metrics.
 func (f *fingerprintState) shards() int { return f.study.Shards() }
 
-// attachFeeders switches the view to multi-producer intake, one feeder
-// per pipeline worker. Must run before any apply; it disables the
-// study's inline fast path.
-func (f *fingerprintState) attachFeeders(n int) {
-	f.feeders = f.study.Feeders(n)
-}
-
-// apply folds one projected page in: the record's fingerprint slab
-// holds rows fingerprints per payment, already in the study's row
-// order.
-func (f *fingerprintState) apply(rec *pageRecord) {
-	for off := 0; off < len(rec.fps); off += f.rows {
-		f.study.ObserveFingerprints(rec.fps[off : off+f.rows])
-	}
-}
-
-// applyShard is apply for the multi-worker pipeline: observations route
-// through the calling worker's own feeder, which only that worker (and
-// the sealer, under barrier) touches.
-func (f *fingerprintState) applyShard(shard int, rec *pageRecord) {
-	if f.feeders == nil {
-		f.apply(rec)
-		return
-	}
+// apply folds one projected page in through the calling worker's own
+// feeder, which only that worker touches outside a seal: the record's
+// fingerprint slab holds rows fingerprints per payment, already in the
+// study's row order.
+func (f *fingerprintState) apply(shard int, rec *pageRecord) {
 	fd := f.feeders[shard]
 	for off := 0; off < len(rec.fps); off += f.rows {
 		fd.ObserveFingerprints(rec.fps[off : off+f.rows])
@@ -101,12 +84,9 @@ func (f *fingerprintState) sealDue() bool {
 // Copy-on-publish touches only the shards that changed since the last
 // seal; unchanged shards share their previous clones.
 func (f *fingerprintState) snapshot(epoch, appliedSeq uint64) *FingerprintSnapshot {
-	// At workers>1 this runs with every apply worker paused (seal
-	// barrier) or stopped (shutdown), so flushing their feeders here is
-	// single-threaded by construction.
-	for _, fd := range f.feeders {
-		fd.Flush()
-	}
+	// This runs with every apply worker paused (seal barrier) or stopped
+	// (shutdown), so the study flushing their feeders is single-threaded
+	// by construction.
 	snap := f.study.Seal()
 	f.lastSealPayments = snap.Payments()
 	return &FingerprintSnapshot{

@@ -95,7 +95,7 @@ func (s *Service) limited(name string, h http.HandlerFunc) http.Handler {
 		s.inflight.Add(1)
 		start := time.Now()
 		defer func() {
-			s.metrics.endpoint(name).latency.record(time.Since(start))
+			s.metrics.endpoint(name).latency.Record(time.Since(start))
 			s.inflight.Add(-1)
 			<-s.admit
 		}()

@@ -68,17 +68,18 @@ func checkEcosystemViewsEqual(t *testing.T, a, b *Service) {
 }
 
 // TestShardedMatchesSingleWriterService pins the sharded fingerprint
-// view to the sequential single-writer baseline at the service level:
-// the same pages through FingerprintShards=8 and FingerprintShards=1
-// must produce bit-identical snapshots at mid-stream epochs and at the
-// end — the tentpole's core differential.
+// view at the service level: the same pages through eight count shards
+// under the default pipeline and through one count shard under a
+// one-worker pipeline must both equal the batch oracles over exactly
+// the ingested prefix at every mid-stream epoch and at the end, and
+// each other bit for bit.
 func TestShardedMatchesSingleWriterService(t *testing.T) {
 	pages := genPages(t, 2000, 61)
 	feats := sampleFeatures(pages, 150)
 
 	sharded := NewService(Options{FingerprintShards: 8, PublishBatch: 16})
 	defer sharded.Close()
-	single := NewService(Options{FingerprintShards: 1, PublishBatch: 16})
+	single := NewService(Options{FingerprintShards: 1, PipelineWorkers: 1, PublishBatch: 16})
 	defer single.Close()
 	if got := sharded.fpState.shards(); got != 8 {
 		t.Fatalf("sharded service runs %d shards, want 8", got)
@@ -100,13 +101,12 @@ func TestShardedMatchesSingleWriterService(t *testing.T) {
 		}
 		drain(t, sharded)
 		drain(t, single)
+		study, col := batchViews(t, pages[:cut])
+		checkAgainstBatch(t, sharded, study, col, pages[:cut])
+		checkAgainstBatch(t, single, study, col, pages[:cut])
 		checkFingerprintViewsEqual(t, sharded, single, feats)
 		checkEcosystemViewsEqual(t, sharded, single)
 	}
-
-	// Both must also equal the batch ground truth over the full history.
-	study, col := batchViews(t, pages)
-	checkAgainstBatch(t, sharded, study, col, pages)
 }
 
 // TestBatchedIngestMatchesSinglePage pins the batched fan-out

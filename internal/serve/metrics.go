@@ -6,60 +6,13 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"ripplestudy/internal/txq"
 )
-
-// latencyRecorder keeps a sliding window of per-endpoint request
-// durations and answers quantile queries on scrape. A fixed ring keeps
-// the recording path O(1) and allocation-free after warm-up.
-type latencyRecorder struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	next    int
-	filled  bool
-	count   uint64
-}
-
-func newLatencyRecorder(window int) *latencyRecorder {
-	if window < 16 {
-		window = 16
-	}
-	return &latencyRecorder{samples: make([]time.Duration, window)}
-}
-
-func (r *latencyRecorder) record(d time.Duration) {
-	r.mu.Lock()
-	r.samples[r.next] = d
-	r.next++
-	if r.next == len(r.samples) {
-		r.next = 0
-		r.filled = true
-	}
-	r.count++
-	r.mu.Unlock()
-}
-
-// quantiles returns the windowed p50/p99 and the lifetime request
-// count. Zero durations are returned when nothing was recorded.
-func (r *latencyRecorder) quantiles() (p50, p99 time.Duration, count uint64) {
-	r.mu.Lock()
-	n := r.next
-	if r.filled {
-		n = len(r.samples)
-	}
-	window := make([]time.Duration, n)
-	copy(window, r.samples[:n])
-	count = r.count
-	r.mu.Unlock()
-	if n == 0 {
-		return 0, 0, count
-	}
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	return window[(n-1)*50/100], window[(n-1)*99/100], count
-}
 
 // endpointMetrics aggregates one endpoint's query counters.
 type endpointMetrics struct {
-	latency *latencyRecorder
+	latency *txq.LatencyRing
 	mu      sync.Mutex
 	hits    uint64
 }
@@ -82,7 +35,7 @@ func (m *metricsSet) endpoint(name string) *endpointMetrics {
 	defer m.mu.Unlock()
 	e := m.endpoints[name]
 	if e == nil {
-		e = &endpointMetrics{latency: newLatencyRecorder(m.window)}
+		e = &endpointMetrics{latency: txq.NewLatencyRing(m.window)}
 		m.endpoints[name] = e
 	}
 	return e
@@ -162,7 +115,7 @@ func (s *Service) writeMetrics(w io.Writer) {
 	for _, vw := range s.views {
 		fmt.Fprintf(w, "serve_view_seals_total{view=%q} %d\n", vw.name, vw.seals.Load())
 	}
-	fmt.Fprintf(w, "# HELP serve_view_last_seal_seconds Duration of each view's most recent snapshot publish (at PipelineWorkers>1, the full barrier: pause, merge, release).\n")
+	fmt.Fprintf(w, "# HELP serve_view_last_seal_seconds Duration of each view's most recent snapshot publish (the full barrier: pause, merge, release).\n")
 	for _, vw := range s.views {
 		fmt.Fprintf(w, "serve_view_last_seal_seconds{view=%q} %.6f\n", vw.name, time.Duration(vw.sealNanos.Load()).Seconds())
 	}
@@ -187,7 +140,7 @@ func (s *Service) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP serve_query_latency_seconds Windowed query latency quantiles per endpoint.\n")
 	for _, name := range s.metrics.names() {
 		e := s.metrics.endpoint(name)
-		p50, p99, count := e.latency.quantiles()
+		p50, p99, count := e.latency.Quantiles()
 		fmt.Fprintf(w, "serve_query_total{endpoint=%q} %d\n", name, count)
 		fmt.Fprintf(w, "serve_query_cache_hits_total{endpoint=%q} %d\n", name, e.cacheHitCount())
 		fmt.Fprintf(w, "serve_query_latency_seconds{endpoint=%q,quantile=\"0.5\"} %.6f\n", name, p50.Seconds())

@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ripplestudy/internal/addr"
 	"ripplestudy/internal/consensus"
 	"ripplestudy/internal/ledger"
+	"ripplestudy/internal/monitor"
 )
 
 // tallyJSON marshals a tally snapshot with the epoch normalized to
@@ -90,18 +92,31 @@ func pipelineEventStream(pages []*ledger.Page) (events []consensus.Event, goodPa
 	return events, goodPages, corrupted, malformed
 }
 
-// TestPipelineWorkersMatchSequentialJSON is the tentpole differential:
-// the same fault-injected event stream through 2-, 3-, and 8-worker
-// pipelines must seal snapshots byte-identical (as JSON, epochs
-// normalized) to the single-writer pipeline — tally, ecosystem, and
-// fingerprint views, including the malformed-event and corrupt-payload
-// quarantine counts. Run under -race with GOMAXPROCS>1 in CI so the
-// barrier/merge machinery is genuinely concurrent.
+// TestPipelineWorkersMatchSequentialJSON is the pipeline differential:
+// the same fault-injected event stream (one page payload in five
+// corrupt, malformed events sprinkled in) through 1-, 2-, 3-, and
+// 8-worker pipelines must, at every fan-out, seal views equal to the
+// independent batch oracles — deanon.Study and analysis.Collector over
+// the surviving pages, monitor.Collector over the events — with the
+// malformed-event and corrupt-payload quarantine counts exact. On top,
+// every fan-out's snapshots must be byte-identical (as JSON, epochs
+// normalized) to the one-worker pipeline's: the partition-independence
+// check. Run under -race with GOMAXPROCS>1 in CI so the barrier/merge
+// machinery is genuinely concurrent.
 func TestPipelineWorkersMatchSequentialJSON(t *testing.T) {
 	for _, seed := range []int64{13, 29} {
 		pages := genPages(t, 1200, seed)
 		events, good, corrupted, malformed := pipelineEventStream(pages)
 		feats := sampleFeatures(good, 100)
+		study, col := batchViews(t, good)
+		tally := monitor.NewCollector()
+		for _, ev := range events {
+			tally.Record(ev)
+		}
+		if tally.Malformed() != malformed {
+			t.Fatalf("seed %d: oracle quarantined %d events, stream holds %d", seed, tally.Malformed(), malformed)
+		}
+		wantTally := tally.Report("")
 
 		run := func(workers int) *Service {
 			s := NewService(Options{PipelineWorkers: workers, PublishBatch: 16})
@@ -115,35 +130,35 @@ func TestPipelineWorkersMatchSequentialJSON(t *testing.T) {
 		}
 		seq := run(1)
 		defer seq.Close()
-		wantTally := tallyJSON(t, seq.Tally())
-		wantEco := ecoJSON(t, seq.Ecosystem())
-		if got := seq.Tally().Malformed; got != malformed {
-			t.Fatalf("seed %d: sequential tally quarantined %d events, want %d", seed, got, malformed)
-		}
-		if got := seq.Health().DroppedEvents; got != uint64(corrupted) {
-			t.Fatalf("seed %d: sequential pipeline dropped %d, want %d corrupt payloads", seed, got, corrupted)
-		}
+		seqTally := tallyJSON(t, seq.Tally())
+		seqEco := ecoJSON(t, seq.Ecosystem())
 
-		for _, workers := range []int{2, 3, 8} {
+		for _, workers := range []int{1, 2, 3, 8} {
 			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
 				s := run(workers)
 				defer s.Close()
 				if got := s.Health().Views[0].Shards; got != workers {
 					t.Fatalf("pipeline runs %d shards, want %d", got, workers)
 				}
-				if got := tallyJSON(t, s.Tally()); string(got) != string(wantTally) {
-					t.Errorf("tally JSON diverges from sequential\ngot  %s\nwant %s", got, wantTally)
+				checkAgainstBatch(t, s, study, col, good)
+				snap := s.Tally()
+				if got := snap.Report(""); !reflect.DeepEqual(got, wantTally) {
+					t.Errorf("Figure 2 tallies diverge from monitor.Collector\ngot  %+v\nwant %+v", got, wantTally)
 				}
-				if got := ecoJSON(t, s.Ecosystem()); string(got) != string(wantEco) {
-					t.Errorf("ecosystem JSON diverges from sequential\ngot  %s\nwant %s", got, wantEco)
+				if snap.Events != tally.Events() || snap.Malformed != malformed {
+					t.Errorf("tally counted %d events / %d malformed, oracle %d / %d",
+						snap.Events, snap.Malformed, tally.Events(), malformed)
 				}
-				checkFingerprintViewsEqual(t, s, seq, feats)
 				if got := s.Health().DroppedEvents; got != uint64(corrupted) {
 					t.Errorf("quarantined %d payloads, want %d", got, corrupted)
 				}
-				if got := s.Tally().Malformed; got != malformed {
-					t.Errorf("tally quarantined %d events, want %d", got, malformed)
+				if got := tallyJSON(t, snap); string(got) != string(seqTally) {
+					t.Errorf("tally JSON diverges from the one-worker pipeline\ngot  %s\nwant %s", got, seqTally)
 				}
+				if got := ecoJSON(t, s.Ecosystem()); string(got) != string(seqEco) {
+					t.Errorf("ecosystem JSON diverges from the one-worker pipeline\ngot  %s\nwant %s", got, seqEco)
+				}
+				checkFingerprintViewsEqual(t, s, seq, feats)
 			})
 		}
 	}
@@ -153,7 +168,7 @@ func TestPipelineWorkersMatchSequentialJSON(t *testing.T) {
 // property: ANY partition of a record stream across N ecosystem shards
 // — and any hash-respecting partition of an event stream across N tally
 // shards — must merge to snapshots byte-identical (as JSON) to the
-// sequential single-shard fold. Partitions are drawn at random per
+// single-shard fold. Partitions are drawn at random per
 // seed; the service never produces most of them, which is the point:
 // parity must come from the merge algebra, not from routing luck.
 func TestShardPartitionMergeParityJSON(t *testing.T) {
@@ -161,7 +176,7 @@ func TestShardPartitionMergeParityJSON(t *testing.T) {
 	events, _, _, _ := pipelineEventStream(pages)
 
 	// Project once; the records are shared read-only across the folds.
-	fpSt := newFingerprintState(1)
+	fpSt := newFingerprintState(1, 1)
 	defer fpSt.close()
 	proj := newProjector(fpSt.plan())
 	recs := make([]*pageRecord, len(pages))
@@ -170,7 +185,7 @@ func TestShardPartitionMergeParityJSON(t *testing.T) {
 		proj.fromPage(p, recs[i])
 	}
 
-	// Sequential folds.
+	// Single-shard folds.
 	seqEco := newEcoShards(1)
 	for _, rec := range recs {
 		seqEco.apply(0, rec)

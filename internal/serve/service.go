@@ -39,16 +39,15 @@ type Options struct {
 	// paths (Backfill, BackfillStore, IngestPages) accumulate before
 	// flushing one batch to the view inboxes (default 64).
 	IngestBatchPages int
-	// FingerprintShards is the number of single-writer count shards
-	// behind the fingerprint view, rounded up to a power of two;
-	// 1 pins the sequential single-writer baseline. Default: the
-	// smallest power of two covering GOMAXPROCS.
+	// FingerprintShards is the number of count shards behind the
+	// fingerprint view, each owned by one goroutine, rounded up to a
+	// power of two. Default: the smallest power of two covering
+	// GOMAXPROCS.
 	FingerprintShards int
 	// PipelineWorkers is the apply fan-out of every view pipeline: each
 	// view keeps that many state shards, each owned by one goroutine fed
 	// over its own bounded ring, merged into one snapshot at seal.
-	// 1 pins the classic single-writer view (apply and publish on one
-	// goroutine, no barriers). Default: GOMAXPROCS, capped at 64.
+	// Default: GOMAXPROCS, capped at 64.
 	PipelineWorkers int
 	// NonBlocking switches ingest fan-out from backpressure (lossless;
 	// the differential-test configuration) to drop-on-full
@@ -168,10 +167,7 @@ func NewService(opts Options) *Service {
 		notify:  s.notifyProgress,
 	})
 
-	fp := newFingerprintState(opts.FingerprintShards)
-	if workers > 1 {
-		fp.attachFeeders(workers)
-	}
+	fp := newFingerprintState(opts.FingerprintShards, workers)
 	s.fpState = fp
 	s.proj = newProjector(fp.plan())
 	s.fpW = newViewWorker(viewConfig{
@@ -182,7 +178,7 @@ func NewService(opts Options) *Service {
 		block:   !opts.NonBlocking,
 		apply: func(shard int, u update) {
 			if u.rec != nil {
-				fp.applyShard(shard, u.rec)
+				fp.apply(shard, u.rec)
 				u.rec.unref()
 			}
 		},
@@ -192,13 +188,6 @@ func NewService(opts Options) *Service {
 	})
 
 	eco := newEcoShards(workers)
-	var ecoGate func() bool
-	if workers > 1 {
-		// The merged publish clones every shard's state; gate it
-		// geometrically like the fingerprint view. The single-worker
-		// snapshot is clone-free, so it keeps the classic cadence.
-		ecoGate = eco.sealDue
-	}
 	s.ecoW = newViewWorker(viewConfig{
 		name:    "fig4to6_ecosystem",
 		workers: workers,
@@ -213,7 +202,7 @@ func NewService(opts Options) *Service {
 		},
 		publish: func(epoch uint64) { s.ecoSnap.Store(eco.snapshot(epoch, seqOf(s.ecoW))) },
 		notify:  s.notifyProgress,
-		sealDue: ecoGate,
+		sealDue: eco.sealDue,
 	})
 
 	s.views = []*viewWorker{s.tallyW, s.fpW, s.ecoW}
@@ -287,31 +276,16 @@ func (s *Service) IngestPage(p *ledger.Page) error {
 
 // IngestPages folds a batch of sealed pages into the page views with
 // one queue operation per view per IngestBatchPages pages. When the
-// pipeline has multiple workers and the batch is large enough to
-// amortize the goroutine fan-out, projection itself runs in parallel:
-// contiguous chunks of pages are projected by PipelineWorkers
-// goroutines, each feeding the view rings through its own batcher.
-// Every view statistic is order-insensitive, so the interleaving cannot
-// change any sealed snapshot.
+// batch is large enough to amortize the goroutine fan-out, projection
+// itself runs in parallel: contiguous chunks of pages are projected by
+// PipelineWorkers goroutines, each feeding the view rings through its
+// own batcher. Every view statistic is order-insensitive, so the
+// interleaving cannot change any sealed snapshot.
 func (s *Service) IngestPages(pages []*ledger.Page) error {
 	workers := s.opts.PipelineWorkers
-	if workers > 1 && len(pages) >= 2*s.opts.IngestBatchPages {
-		return s.ingestPagesParallel(pages, workers)
+	if len(pages) < 2*s.opts.IngestBatchPages {
+		return s.ingestChunk(pages)
 	}
-	b := s.newBatcher()
-	for _, p := range pages {
-		rec := newPageRecord(pageViews)
-		s.proj.fromPage(p, rec)
-		if err := b.add(rec); err != nil {
-			return err
-		}
-	}
-	return b.flush()
-}
-
-// ingestPagesParallel is the multi-worker IngestPages body: chunked
-// parallel projection with per-goroutine batchers.
-func (s *Service) ingestPagesParallel(pages []*ledger.Page, workers int) error {
 	chunk := (len(pages) + workers - 1) / workers
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -323,19 +297,7 @@ func (s *Service) ingestPagesParallel(pages []*ledger.Page, workers int) error {
 		wg.Add(1)
 		go func(g int, chunk []*ledger.Page) {
 			defer wg.Done()
-			b := s.newBatcher()
-			for _, p := range chunk {
-				rec := newPageRecord(pageViews)
-				s.proj.fromPage(p, rec)
-				if err := b.add(rec); err != nil {
-					// add only fails once the service is closed, and the
-					// failing flush already released the flushed records;
-					// nothing is left buffered.
-					errs[g] = err
-					return
-				}
-			}
-			errs[g] = b.flush()
+			errs[g] = s.ingestChunk(chunk)
 		}(g, pages[lo:hi])
 	}
 	wg.Wait()
@@ -345,6 +307,22 @@ func (s *Service) ingestPagesParallel(pages []*ledger.Page, workers int) error {
 		}
 	}
 	return nil
+}
+
+// ingestChunk projects pages in order through one batcher.
+func (s *Service) ingestChunk(pages []*ledger.Page) error {
+	b := s.newBatcher()
+	for _, p := range pages {
+		rec := newPageRecord(pageViews)
+		s.proj.fromPage(p, rec)
+		if err := b.add(rec); err != nil {
+			// add only fails once the service is closed, and the failing
+			// flush already released the flushed records; nothing is left
+			// buffered.
+			return err
+		}
+	}
+	return b.flush()
 }
 
 // ingestPageBatch is the shared back half of every page ingest path:

@@ -80,29 +80,6 @@ func (t *tallyState) apply(ev consensus.Event) {
 	}
 }
 
-// snapshot seals the current tallies as an immutable TallySnapshot.
-func (t *tallyState) snapshot(epoch, appliedSeq uint64) *TallySnapshot {
-	stats := make([]monitor.ValidatorStats, 0, len(t.totals))
-	for node, total := range t.totals {
-		stats = append(stats, monitor.ValidatorStats{
-			Node:          node,
-			Label:         t.displayName(node),
-			Total:         total,
-			Valid:         t.valids[node],
-			BadSignatures: t.badSigs[node],
-		})
-	}
-	monitor.SortStats(stats)
-	return &TallySnapshot{
-		Epoch:      epoch,
-		AppliedSeq: appliedSeq,
-		Rounds:     len(t.validPages),
-		Events:     t.events,
-		Malformed:  t.malformed,
-		Validators: stats,
-	}
-}
-
 func (t *tallyState) displayName(node addr.NodeID) string {
 	if l, ok := t.labels[node]; ok && l != "" {
 		return l
@@ -151,11 +128,7 @@ func (t *tallyShards) apply(shard int, ev consensus.Event) { t.shards[shard].app
 // deterministic cross-shard reconciliation at seal. Per-validator
 // counters and event counts are plain sums; Rounds sums the disjoint
 // per-shard validPages sets (each hash lives on exactly one shard).
-// With a single shard it degenerates to that shard's own snapshot.
 func (t *tallyShards) snapshot(epoch, appliedSeq uint64) *TallySnapshot {
-	if len(t.shards) == 1 {
-		return t.shards[0].snapshot(epoch, appliedSeq)
-	}
 	totals := make(map[addr.NodeID]int)
 	valids := make(map[addr.NodeID]int)
 	badSigs := make(map[addr.NodeID]int)

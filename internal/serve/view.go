@@ -10,14 +10,13 @@
 // Concurrency model: every view is a pipeline of PipelineWorkers apply
 // goroutines, each owning a private shard of the view's mutable state
 // and fed over its own bounded ring (single-writer principle per shard
-// — no locks on the hot path). With one worker the pipeline degenerates
-// to the classic single-writer view: one goroutine, one inbox, applies
-// and publishes in the same loop. With more, ingest routes update
-// batches across the rings (by content where shard affinity matters —
-// the tally view keys on ledger hash so a page's validations and its
-// close land on the same shard — round-robin otherwise), and a sealer
-// goroutine periodically pauses the workers at a barrier, merges the
-// shards into one immutable snapshot, publishes it, and releases them.
+// — no locks on the hot path). Ingest routes update batches across the
+// rings (by content where shard affinity matters — the tally view keys
+// on ledger hash so a page's validations and its close land on the same
+// shard — round-robin otherwise), and a sealer goroutine periodically
+// pauses the workers at a barrier, merges the shards into one immutable
+// snapshot, publishes it, and releases them. One worker is an ordinary
+// fan-out: one ring, one apply goroutine, the same sealer.
 // Merges are deterministic (every view statistic is an
 // order-insensitive sum or union), so any routing yields snapshots
 // bit-identical to the sequential fold — the property the differential
@@ -88,7 +87,7 @@ const sealGrace = 500 * time.Microsecond
 type viewConfig struct {
 	name string
 	// workers is the apply fan-out: the number of state shards, rings,
-	// and goroutines. 1 is the single-writer baseline.
+	// and goroutines.
 	workers int
 	// queue is the view's total ring budget in batches, split evenly
 	// across the workers' rings.
@@ -107,9 +106,9 @@ type viewConfig struct {
 	// arbitrarily. In routed mode offerBatch owns all cleanup (see
 	// offerBatch).
 	route func(u *update) uint64
-	// publish merges the shards (workers>1: called with every worker
-	// paused at the seal barrier, so it may read all shard state) and
-	// stores the immutable epoch snapshot.
+	// publish merges the shards (called with every worker paused at the
+	// seal barrier or stopped, so it may read all shard state) and stores
+	// the immutable epoch snapshot.
 	publish func(epoch uint64)
 	// notify (optional) fires after every seal and drop; Drain waiters
 	// key off it.
@@ -121,9 +120,8 @@ type viewConfig struct {
 }
 
 // viewWorker is the pipeline machinery shared by all views: bounded
-// per-shard rings drained by apply goroutines, plus (at workers>1) a
-// sealer goroutine that barriers the workers and publishes merged
-// immutable snapshots.
+// per-shard rings drained by apply goroutines, plus a sealer goroutine
+// that barriers the workers and publishes merged immutable snapshots.
 type viewWorker struct {
 	name    string
 	ins     []chan []update // one ring per shard/worker
@@ -143,20 +141,17 @@ type viewWorker struct {
 	appliedSeq atomic.Uint64 // highest ledger sequence applied
 	streamSeq  atomic.Uint64 // highest stream sequence applied
 	seals      atomic.Uint64 // publishes since start (excluding bootstrap)
-	sealNanos  atomic.Int64  // duration of the latest seal (barrier + merge at workers>1)
+	sealNanos  atomic.Int64  // duration of the latest seal (barrier + merge)
 	mergeNanos atomic.Int64  // duration of the latest merge+publish alone
 
 	rr atomic.Uint64 // round-robin ring cursor for unrouted batches
 
-	// Single-worker machinery.
-	done chan struct{}
-
-	// Multi-worker machinery: the sealer pauses worker i by sending a
-	// release channel over barriers[i]; the worker acks on acks and
-	// blocks until the release channel closes. progress (capacity 1,
-	// non-blocking send) wakes the sealer after applied batches; one
-	// buffered token is enough — the sealer re-reads the counters on
-	// every wake, so a coalesced signal never loses a state change.
+	// The sealer pauses worker i by sending a release channel over
+	// barriers[i]; the worker acks on acks and blocks until the release
+	// channel closes. progress (capacity 1, non-blocking send) wakes the
+	// sealer after applied batches; one buffered token is enough — the
+	// sealer re-reads the counters on every wake, so a coalesced signal
+	// never loses a state change.
 	barriers   []chan chan struct{}
 	acks       chan struct{}
 	progress   chan struct{}
@@ -194,11 +189,6 @@ func newViewWorker(cfg viewConfig) *viewWorker {
 		w.ins[i] = make(chan []update, perRing)
 	}
 	w.publish(0)
-	if cfg.workers == 1 {
-		w.done = make(chan struct{})
-		go w.run()
-		return w
-	}
 	w.barriers = make([]chan chan struct{}, cfg.workers)
 	for i := range w.barriers {
 		w.barriers[i] = make(chan chan struct{}, 1)
@@ -229,92 +219,9 @@ func (w *viewWorker) shardDepths() []int {
 	return out
 }
 
-// run is the single-worker loop: apply and publish on one goroutine,
-// no barriers — the baseline the multi-worker pipeline is pinned
-// against.
-func (w *viewWorker) run() {
-	defer close(w.done)
-	in := w.ins[0]
-	sinceLast := 0
-	seal := func() {
-		if sinceLast == 0 {
-			return
-		}
-		start := time.Now()
-		w.publish(w.epoch.Add(1))
-		d := int64(time.Since(start))
-		w.sealNanos.Store(d)
-		w.mergeNanos.Store(d)
-		w.seals.Add(1)
-		// Published; everything applied so far is now visible to readers.
-		w.sealed.Store(w.applied.Load())
-		sinceLast = 0
-		if w.notify != nil {
-			w.notify()
-		}
-	}
-	grace := time.NewTimer(sealGrace)
-	if !grace.Stop() {
-		<-grace.C
-	}
-	for {
-		var b []update
-		var ok bool
-		select {
-		case b, ok = <-in:
-		default:
-			if sinceLast == 0 {
-				// Nothing unpublished: just wait for work.
-				b, ok = <-in
-				break
-			}
-			// Inbox dry with updates pending: give the producer a grace
-			// window to refill before paying for a publish. A seal is a
-			// copy-on-publish snapshot (for the fingerprint view, a
-			// scatter-gather clone of every dirty shard), so sealing on
-			// every scheduling gap would melt a backfill into clone
-			// traffic.
-			grace.Reset(sealGrace)
-			select {
-			case b, ok = <-in:
-				if !grace.Stop() {
-					<-grace.C
-				}
-			case <-grace.C:
-				seal()
-				b, ok = <-in
-			}
-		}
-		if !ok {
-			// Shutdown: everything offered has been applied; seal the
-			// final epoch so the last snapshot reflects the full ingest.
-			seal()
-			return
-		}
-		for i := range b {
-			u := &b[i]
-			w.apply(0, *u)
-			if u.seq > 0 {
-				w.bumpSeq(&w.appliedSeq, u.seq)
-			}
-			if u.streamSeq > 0 {
-				w.bumpSeq(&w.streamSeq, u.streamSeq)
-			}
-		}
-		w.applied.Add(uint64(len(b)))
-		sinceLast += len(b)
-		putUpdateBatch(b)
-		// Seal only between batches — a snapshot never splits one — and
-		// only once the view's publish-cost gate (if any) agrees.
-		if sinceLast >= w.batch && (w.sealDue == nil || w.sealDue()) {
-			seal()
-		}
-	}
-}
-
-// runShardWorker is one multi-worker apply loop: drain the shard's ring
-// into its private state, nudge the sealer, and park at the barrier
-// when a seal is in progress.
+// runShardWorker is one apply loop: drain the shard's ring into its
+// private state, nudge the sealer, and park at the barrier when a seal
+// is in progress.
 func (w *viewWorker) runShardWorker(i int) {
 	defer w.applyWG.Done()
 	in := w.ins[i]
@@ -349,8 +256,8 @@ func (w *viewWorker) runShardWorker(i int) {
 	}
 }
 
-// runSealer decides when a multi-worker view publishes: at least every
-// batch applied updates once the publish-cost gate agrees, or — gate
+// runSealer decides when a view publishes: at least every batch
+// applied updates once the publish-cost gate agrees, or — gate
 // bypassed — whenever the rings run dry for a sealGrace window, so idle
 // epochs stay fresh and Drain always completes. Each seal is a
 // stop-the-world barrier over the apply workers; the counters the
@@ -479,14 +386,11 @@ func (w *viewWorker) offerBatch(b []update) bool {
 		return true
 	}
 	w.offered.Add(n)
-	if w.route == nil || len(w.ins) == 1 {
-		in := w.ins[0]
-		if len(w.ins) > 1 {
-			// Any partition of the stream merges to the same snapshot, so
-			// unrouted batches just round-robin across the rings, keeping
-			// each batch intact (one ring drain applies it whole).
-			in = w.ins[int(w.rr.Add(1)-1)%len(w.ins)]
-		}
+	if w.route == nil {
+		// Any partition of the stream merges to the same snapshot, so
+		// unrouted batches just round-robin across the rings, keeping
+		// each batch intact (one ring drain applies it whole).
+		in := w.ins[int(w.rr.Add(1)-1)%len(w.ins)]
 		if w.block {
 			in <- b
 			return true
@@ -569,16 +473,10 @@ func (w *viewWorker) lag() uint64 {
 
 // close drains the rings, publishes the final epoch, and stops the
 // pipeline goroutines. The caller must guarantee no concurrent offer.
-// Order matters at workers>1: the sealer stops first so no barrier can
-// target an exited worker, then the rings close and drain, then the
-// final merge runs on the caller's goroutine — every shard is quiescent
-// by then.
+// Order matters: the sealer stops first so no barrier can target an
+// exited worker, then the rings close and drain, then the final merge
+// runs on the caller's goroutine — every shard is quiescent by then.
 func (w *viewWorker) close() {
-	if len(w.ins) == 1 && w.done != nil {
-		close(w.ins[0])
-		<-w.done
-		return
-	}
 	close(w.stopSeal)
 	<-w.sealerDone
 	for _, in := range w.ins {

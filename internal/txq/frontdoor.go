@@ -541,7 +541,7 @@ func (fd *FrontDoor) resolve(qt *queuedTx, applied *ledger.Tx, meta *ledger.TxMe
 	if succeeded {
 		fd.met.succeeded.Add(1)
 	}
-	fd.met.submitLat.record(wait)
+	fd.met.submitLat.Record(wait)
 }
 
 // PathFind answers a ripple_path_find-style quote: the best liquidity
@@ -550,7 +550,7 @@ func (fd *FrontDoor) resolve(qt *queuedTx, applied *ledger.Tx, meta *ledger.TxMe
 // fresh recording search against the live engine under the read lock.
 func (fd *FrontDoor) PathFind(src, dst addr.AccountID, srcCur amount.Currency, deliver amount.Amount) (Quote, error) {
 	start := time.Now()
-	defer func() { fd.met.quoteLat.record(time.Since(start)) }()
+	defer func() { fd.met.quoteLat.Record(time.Since(start)) }()
 	if fd.closed.Load() {
 		return Quote{}, ErrClosed
 	}

@@ -24,19 +24,20 @@ type metrics struct {
 	plannedAhead atomic.Uint64
 	conflicts    atomic.Uint64
 
-	quoteLat  *latencyRing
-	submitLat *latencyRing
+	quoteLat  *LatencyRing
+	submitLat *LatencyRing
 }
 
 func (m *metrics) init(window int) {
-	m.quoteLat = newLatencyRing(window)
-	m.submitLat = newLatencyRing(window)
+	m.quoteLat = NewLatencyRing(window)
+	m.submitLat = NewLatencyRing(window)
 }
 
-// latencyRing keeps a sliding window of durations and answers p50/p99
+// LatencyRing keeps a sliding window of durations and answers p50/p99
 // on scrape; the recording path is O(1) and allocation-free after
-// warm-up (the same design as serve's per-endpoint recorder).
-type latencyRing struct {
+// warm-up. The serve package's per-endpoint request latencies use it
+// too.
+type LatencyRing struct {
 	mu      sync.Mutex
 	samples []time.Duration
 	next    int
@@ -44,14 +45,16 @@ type latencyRing struct {
 	count   uint64
 }
 
-func newLatencyRing(window int) *latencyRing {
+// NewLatencyRing sizes the window (at least 16 samples).
+func NewLatencyRing(window int) *LatencyRing {
 	if window < 16 {
 		window = 16
 	}
-	return &latencyRing{samples: make([]time.Duration, window)}
+	return &LatencyRing{samples: make([]time.Duration, window)}
 }
 
-func (r *latencyRing) record(d time.Duration) {
+// Record adds one sample, evicting the oldest once the window is full.
+func (r *LatencyRing) Record(d time.Duration) {
 	r.mu.Lock()
 	r.samples[r.next] = d
 	r.next++
@@ -63,8 +66,9 @@ func (r *latencyRing) record(d time.Duration) {
 	r.mu.Unlock()
 }
 
-// quantiles returns the windowed p50/p99 and the lifetime count.
-func (r *latencyRing) quantiles() (p50, p99 time.Duration, count uint64) {
+// Quantiles returns the windowed p50/p99 and the lifetime count. Zero
+// durations are returned when nothing was recorded.
+func (r *LatencyRing) Quantiles() (p50, p99 time.Duration, count uint64) {
 	r.mu.Lock()
 	n := r.next
 	if r.filled {
@@ -83,13 +87,13 @@ func (r *latencyRing) quantiles() (p50, p99 time.Duration, count uint64) {
 
 // QuoteLatency returns the windowed quote p50/p99 and lifetime count.
 func (fd *FrontDoor) QuoteLatency() (p50, p99 time.Duration, count uint64) {
-	return fd.met.quoteLat.quantiles()
+	return fd.met.quoteLat.Quantiles()
 }
 
 // SubmitLatency returns the windowed submit-to-applied p50/p99 and
 // lifetime count.
 func (fd *FrontDoor) SubmitLatency() (p50, p99 time.Duration, count uint64) {
-	return fd.met.submitLat.quantiles()
+	return fd.met.submitLat.Quantiles()
 }
 
 // WriteMetrics renders the front door's state in Prometheus text
@@ -130,13 +134,13 @@ func (fd *FrontDoor) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP txq_plan_cache_evicted_total Cache entries evicted by capacity.\n")
 	fmt.Fprintf(w, "txq_plan_cache_evicted_total %d\n", st.CacheEvicted)
 
-	qp50, qp99, qn := fd.met.quoteLat.quantiles()
+	qp50, qp99, qn := fd.met.quoteLat.Quantiles()
 	fmt.Fprintf(w, "# HELP txq_quote_total path_find quotes served.\n")
 	fmt.Fprintf(w, "txq_quote_total %d\n", qn)
 	fmt.Fprintf(w, "# HELP txq_quote_latency_seconds Windowed quote latency quantiles.\n")
 	fmt.Fprintf(w, "txq_quote_latency_seconds{quantile=\"0.5\"} %.6f\n", qp50.Seconds())
 	fmt.Fprintf(w, "txq_quote_latency_seconds{quantile=\"0.99\"} %.6f\n", qp99.Seconds())
-	sp50, sp99, sn := fd.met.submitLat.quantiles()
+	sp50, sp99, sn := fd.met.submitLat.Quantiles()
 	fmt.Fprintf(w, "# HELP txq_submit_total Submissions resolved end to end.\n")
 	fmt.Fprintf(w, "txq_submit_total %d\n", sn)
 	fmt.Fprintf(w, "# HELP txq_submit_latency_seconds Windowed submit-to-applied latency quantiles.\n")
