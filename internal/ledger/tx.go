@@ -110,6 +110,21 @@ type Tx struct {
 // canonical serialization including the signature, as in rippled.
 func (tx *Tx) Hash() Hash { return SHA512Half(tx.Encode(nil)) }
 
+// SourceCurrency is the currency a Payment's sender spends: SendMax's
+// when set, the delivered currency otherwise.
+func (tx *Tx) SourceCurrency() amount.Currency {
+	if !tx.SendMax.IsZero() {
+		return tx.SendMax.Currency
+	}
+	return tx.Amount.Currency
+}
+
+// IsDirectXRP reports whether a Payment is a plain XRP transfer: a
+// balance move that needs no path and never consults the pathfinder.
+func (tx *Tx) IsDirectXRP() bool {
+	return tx.Amount.Currency.IsXRP() && tx.SourceCurrency().IsXRP()
+}
+
 // Sign signs the transaction with kp and records the signature and
 // signing key.
 func (tx *Tx) Sign(kp *addr.KeyPair) {

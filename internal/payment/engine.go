@@ -39,7 +39,7 @@ type Engine struct {
 	verifySignatures bool
 
 	// lastPlan is the path plan executed by the most recent successful
-	// payment (nil otherwise). Optimistic replay reads it to mark the
+	// payment (nil otherwise). The optimistic executor reads it to mark the
 	// state a re-planned payment touched.
 	lastPlan *pathfind.Plan
 
@@ -56,13 +56,6 @@ type Engine struct {
 
 // Option configures an Engine.
 type Option func(*Engine)
-
-// WithPathfinding overrides the path finder's bounds.
-func WithPathfinding(opts ...pathfind.Option) Option {
-	return func(e *Engine) {
-		e.finder = pathfind.New(e.graph, e.books, opts...)
-	}
-}
 
 // WithSignatureVerification makes Apply reject transactions whose
 // signature is missing or invalid (ResultMalformed), except for
@@ -172,26 +165,12 @@ func (e *Engine) Apply(tx *ledger.Tx) (*ledger.TxMeta, error) {
 	return e.apply(tx, nil, false)
 }
 
-// ApplyPlanned applies a payment using a path plan computed ahead of
-// time (by an optimistic planner against a snapshot whose read set is
-// known to be untouched), skipping the pathfinding step. A nil plan
-// means planning found no path (ResultPathDry) — the live pre-checks
-// (signature, sequence, fee, destination, funding) still run first, so
-// the outcome is exactly what Apply would have produced. For
-// non-payment transactions the plan is ignored and ApplyPlanned behaves
-// as Apply.
-//
-// The plan's quotes must reference offers standing in THIS engine's
-// books (remap snapshot fills via Books().Lookup before calling).
-func (e *Engine) ApplyPlanned(tx *ledger.Tx, plan *pathfind.Plan) (*ledger.TxMeta, error) {
-	return e.apply(tx, plan, true)
-}
-
-// ExecutedPlan returns the path plan executed by the most recent
-// successful payment, or nil if the last transaction was not a
-// delivered payment. Valid until the next Apply.
-func (e *Engine) ExecutedPlan() *pathfind.Plan { return e.lastPlan }
-
+// apply is Apply with the pathfinding step optionally done ahead of time
+// (optimistic.go): with havePlan, a payment executes plan instead of
+// searching, nil meaning the search found no path (ResultPathDry). The
+// live pre-checks (signature, sequence, fee, destination, funding) still
+// run first, so given the plan the search would have produced now, the
+// outcome is exactly Apply's. Other transaction types ignore the plan.
 func (e *Engine) apply(tx *ledger.Tx, plan *pathfind.Plan, havePlan bool) (*ledger.TxMeta, error) {
 	meta := &ledger.TxMeta{}
 	e.lastPlan = nil
@@ -273,13 +252,10 @@ func (e *Engine) applyPayment(tx *ledger.Tx, meta *ledger.TxMeta, plan *pathfind
 		meta.Result = ledger.ResultMalformed
 		return
 	}
-	srcCur := tx.Amount.Currency
-	if !tx.SendMax.IsZero() {
-		srcCur = tx.SendMax.Currency
-	}
+	srcCur := tx.SourceCurrency()
 
 	// Direct XRP → XRP: a balance transfer, no paths, no cooperation.
-	if srcCur.IsXRP() && tx.Amount.Currency.IsXRP() {
+	if tx.IsDirectXRP() {
 		drops, err := amount.DropsFromValue(tx.Amount.Value)
 		if err != nil || drops <= 0 {
 			meta.Result = ledger.ResultMalformed

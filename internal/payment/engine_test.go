@@ -6,7 +6,6 @@ import (
 	"ripplestudy/internal/addr"
 	"ripplestudy/internal/amount"
 	"ripplestudy/internal/ledger"
-	"ripplestudy/internal/pathfind"
 )
 
 func kp(seed uint64) *addr.KeyPair { return addr.KeyPairFromSeed(seed) }
@@ -458,33 +457,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if e.NextSequence(alice.AccountID()) != 1 {
 		t.Error("clone consumed original's sequence")
-	}
-}
-
-func TestWithPathfindingOption(t *testing.T) {
-	// A 2-intermediary chain is unreachable with MaxHops(1).
-	a, m1, m2, b := kp(1), kp(2), kp(3), kp(4)
-	e := NewEngine(WithPathfinding(pathfind.WithMaxHops(1)))
-	for _, k := range []*addr.KeyPair{a, m1, m2, b} {
-		e.Fund(k.AccountID(), 1_000_000_000)
-	}
-	chain := []struct{ truster, trustee *addr.KeyPair }{
-		{b, m2}, {m2, m1}, {m1, a},
-	}
-	for _, c := range chain {
-		submit(t, e, c.truster, func(tx *ledger.Tx) {
-			tx.Type = ledger.TxTrustSet
-			tx.LimitPeer = c.trustee.AccountID()
-			tx.Limit = amount.New(amount.USD, val("100"))
-		})
-	}
-	meta := submit(t, e, a, func(tx *ledger.Tx) {
-		tx.Type = ledger.TxPayment
-		tx.Destination = b.AccountID()
-		tx.Amount = amount.New(amount.USD, val("10"))
-	})
-	if meta.Result != ledger.ResultPathDry {
-		t.Errorf("result = %s, want tecPATH_DRY with MaxHops(1)", meta.Result)
 	}
 }
 

@@ -9,10 +9,9 @@
 // Two replay paths produce bit-identical results:
 //
 //   - Run applies everything sequentially — the reference semantics.
-//   - RunParallel plans payments optimistically on worker goroutines
-//     while a single applier commits them in ledger order, falling back
-//     to sequential re-planning when a plan's read set was touched by an
-//     earlier write (see the package's batch protocol below).
+//   - RunParallel feeds the same transactions, in batches, to
+//     payment.Optimistic, which plans a batch's payments on worker
+//     goroutines before committing them in ledger order.
 //
 // Both consume history through a decode-ahead page stream, and both use
 // the source's sequence index (RangeSource) when available, so a replay
@@ -24,14 +23,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"ripplestudy/internal/addr"
 	"ripplestudy/internal/amount"
 	"ripplestudy/internal/ledger"
 	"ripplestudy/internal/ledgerstore"
-	"ripplestudy/internal/orderbook"
-	"ripplestudy/internal/pathfind"
 	"ripplestudy/internal/payment"
 	"ripplestudy/internal/shamap"
 )
@@ -495,11 +491,6 @@ type item struct {
 	// skip marks payments that are counted as submitted but not
 	// replayed (an endpoint vanished with the market makers).
 	skip bool
-
-	// Optimistic planning outputs (RunParallel only).
-	planned bool
-	plan    *pathfind.Plan
-	reads   pathfind.ReadSet
 }
 
 // classify applies the Table II filters to one historical transaction,
@@ -518,7 +509,7 @@ func classify(tx *ledger.Tx, meta *ledger.TxMeta, removed map[addr.AccountID]boo
 		if !meta.Result.Succeeded() {
 			return item{}, false // the paper replays successfully delivered payments
 		}
-		if isDirectXRP(tx) {
+		if tx.IsDirectXRP() {
 			return item{}, false
 		}
 		row := &res.Single
@@ -534,28 +525,18 @@ func classify(tx *ledger.Tx, meta *ledger.TxMeta, removed map[addr.AccountID]boo
 	return item{}, false
 }
 
-// planBatchSize is how many replayable transactions are planned per
-// optimistic batch. Within a batch the engine state is immutable (all
-// planners run before the first apply), so plans validate against the
-// writes of earlier items in the same batch only — dirt never
-// accumulates across batches.
+// planBatchSize is how many classified transactions make one batch of
+// the optimistic executor; skipped payments count toward it.
 const planBatchSize = 256
 
-// RunParallel is Run with optimistic parallel planning: `workers`
-// goroutines run the pathfinder over the current engine state while it
-// is frozen, then a single applier commits the batch in ledger order.
-// Each payment's plan carries the read set the search depended on
-// (accounts whose trust edges were inspected, order-book pairs quoted);
-// the applier re-plans a payment sequentially when an earlier commit in
-// the batch dirtied anything in its read set. Since the planner is
-// deterministic, an untouched read set guarantees the optimistic plan
-// is byte-for-byte the plan sequential replay would have computed — the
-// differential tests pin Result (including StateDigest) bit-identical
-// to Run's.
+// RunParallel is Run through payment.Optimistic: each batch's payments
+// are planned on `workers` goroutines against the engine as the previous
+// batch left it, then committed in ledger order, a payment being planned
+// again when an earlier commit of its batch touched what its plan read.
+// The differential tests pin Result (including StateDigest and
+// StateRoot) bit-identical to Run's; only Stats tells the two apart.
 //
-// workers < 1 uses GOMAXPROCS. The engine must be driven by replay only
-// (payments and trust-line updates); offer placement would bypass the
-// dirty tracking.
+// workers < 1 uses GOMAXPROCS.
 func RunParallel(src Source, snapshotSeq uint64, workers int) (*Result, error) {
 	return RunParallelOpts(src, snapshotSeq, workers, BuildOptions{})
 }
@@ -571,44 +552,38 @@ func RunParallelOpts(src Source, snapshotSeq uint64, workers int, opts BuildOpti
 		return nil, err
 	}
 	res.Stats.Workers = workers
-
-	// Per-worker planners share the frozen state but own their scratch.
-	// They must use the engine's pathfinding defaults so a valid
-	// optimistic plan is exactly what Apply would have computed.
-	finders := make([]*pathfind.Finder, workers)
-	for i := range finders {
-		finders[i] = pathfind.New(state.Graph(), state.Books(), pathfind.WithRecording())
-	}
-
-	ap := applier{
-		state:     state,
-		res:       res,
-		dirtyAcct: make(map[addr.AccountID]struct{}),
-		dirtyPair: make(map[orderbook.Pair]struct{}),
-	}
+	ex := payment.NewOptimistic(state, workers)
 
 	stop := make(chan struct{})
 	defer close(stop)
-	batch := make([]item, 0, planBatchSize)
-	// Batch items hold tx pointers into their source pages, so a page's
+	// One batch: the transactions to replay, the Table II row each counts
+	// toward (nil for trust-line updates), and how many classified
+	// transactions it holds, skipped ones included.
+	txs := make([]*ledger.Tx, 0, planBatchSize)
+	rows := make([]*Row, 0, planBatchSize)
+	held := 0
+	// The batch holds tx pointers into their source pages, so a page's
 	// decode arena may only recycle after every batch referencing it has
 	// been applied. Fully-consumed pages wait here until the next flush
 	// drains the batch.
 	var pending []func()
-	flush := func() error {
-		if len(batch) > 0 {
-			planBatch(batch, finders)
-			if err := ap.applyBatch(batch); err != nil {
-				return err
+	flush := func() {
+		if held > 0 {
+			ex.Plan(txs)
+			for _, row := range rows {
+				// Historical sequences are rewritten as in replayTx.
+				_, meta, err := ex.Commit(true)
+				if err == nil && meta.Result.Succeeded() && row != nil {
+					row.Delivered++
+				}
 			}
 			res.Stats.Batches++
-			batch = batch[:0]
+			txs, rows, held = txs[:0], rows[:0], 0
 		}
 		for _, release := range pending {
 			release()
 		}
 		pending = pending[:0]
-		return nil
 	}
 	for pe := range streamPages(src, snapshotSeq+1, maxSeq, stop) {
 		if pe.err != nil {
@@ -619,155 +594,25 @@ func RunParallelOpts(src Source, snapshotSeq uint64, workers int, opts BuildOpti
 			if !ok {
 				continue
 			}
-			batch = append(batch, it)
-			if len(batch) >= planBatchSize {
+			if !it.skip {
+				txs = append(txs, it.tx)
+				rows = append(rows, it.row)
+			}
+			held++
+			if held >= planBatchSize {
 				// Mid-page flush: this page is still being iterated, so its
 				// release (queued below, after the loop) is not in pending yet
 				// and its remaining txs stay valid.
-				if err := flush(); err != nil {
-					return nil, err
-				}
+				flush()
 			}
 		}
 		if pe.release != nil {
 			pending = append(pending, pe.release)
 		}
 	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
+	flush()
+	res.Stats.PlannedAhead, res.Stats.Conflicts = ex.PlannedAhead, ex.Conflicts
 	return finishResult(state, res)
-}
-
-// planBatch runs the pathfinder for every replayable payment in the
-// batch across the worker finders. The engine state is read-only for
-// the duration: planning mutates nothing but each finder's own scratch.
-func planBatch(batch []item, finders []*pathfind.Finder) {
-	idx := make(chan int, len(batch))
-	for i := range batch {
-		it := &batch[i]
-		if it.tx == nil || it.tx.Type != ledger.TxPayment || it.skip {
-			continue
-		}
-		idx <- i
-	}
-	close(idx)
-	var wg sync.WaitGroup
-	for _, f := range finders {
-		wg.Add(1)
-		go func(f *pathfind.Finder) {
-			defer wg.Done()
-			for i := range idx {
-				it := &batch[i]
-				tx := it.tx
-				srcCur := tx.Amount.Currency
-				if !tx.SendMax.IsZero() {
-					srcCur = tx.SendMax.Currency
-				}
-				// Plan even when it comes back nil (no path): the failed
-				// search's read set still certifies the PathDry outcome.
-				plan, err := f.FindPayment(tx.Account, tx.Destination, srcCur, tx.Amount)
-				if err != nil {
-					plan = nil
-				}
-				it.plan = plan
-				it.reads.Reset()
-				f.AppendReadSet(&it.reads)
-				it.planned = true
-			}
-		}(f)
-	}
-	wg.Wait()
-}
-
-// applier commits batches in ledger order, tracking which state each
-// commit dirtied so later optimistic plans in the batch can be
-// validated.
-type applier struct {
-	state     *payment.Engine
-	res       *Result
-	dirtyAcct map[addr.AccountID]struct{}
-	dirtyPair map[orderbook.Pair]struct{}
-}
-
-func (ap *applier) applyBatch(batch []item) error {
-	clear(ap.dirtyAcct)
-	clear(ap.dirtyPair)
-	for i := range batch {
-		it := &batch[i]
-		if it.skip {
-			continue
-		}
-		tx := it.tx
-		if tx.Type == ledger.TxTrustSet {
-			replayTx(ap.state, tx)
-			ap.dirtyAcct[tx.Account] = struct{}{}
-			ap.dirtyAcct[tx.LimitPeer] = struct{}{}
-			continue
-		}
-		var meta *ledger.TxMeta
-		if it.planned && ap.clean(&it.reads) {
-			meta = replayTxPlanned(ap.state, tx, it.plan)
-			ap.res.Stats.PlannedAhead++
-		} else {
-			// The plan (or its PathDry verdict) may be stale: re-plan
-			// against live state, exactly as sequential replay would.
-			if it.planned {
-				ap.res.Stats.Conflicts++
-			}
-			meta = replayTx(ap.state, tx)
-		}
-		if meta != nil && meta.Result.Succeeded() {
-			if it.row != nil {
-				it.row.Delivered++
-			}
-			ap.markExecuted()
-		}
-	}
-	return nil
-}
-
-// clean reports whether nothing in the read set has been dirtied by an
-// earlier commit in this batch.
-func (ap *applier) clean(rs *pathfind.ReadSet) bool {
-	if len(ap.dirtyAcct) > 0 {
-		for _, a := range rs.Accounts {
-			if _, dirty := ap.dirtyAcct[a]; dirty {
-				return false
-			}
-		}
-	}
-	if len(ap.dirtyPair) > 0 {
-		for _, p := range rs.Pairs {
-			if _, dirty := ap.dirtyPair[p]; dirty {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// markExecuted records the state the just-committed payment mutated:
-// every trust-flow endpoint and every quoted book pair. XRP balances,
-// fees, and sequence numbers are not tracked because the planner never
-// reads them (the applier re-checks them live on every commit).
-func (ap *applier) markExecuted() {
-	plan := ap.state.ExecutedPlan()
-	if plan == nil {
-		return
-	}
-	for _, fl := range plan.TrustFlows {
-		ap.dirtyAcct[fl.From] = struct{}{}
-		ap.dirtyAcct[fl.To] = struct{}{}
-	}
-	for _, q := range plan.Quotes {
-		ap.dirtyPair[q.Pair] = struct{}{}
-	}
-}
-
-// isDirectXRP reports whether the payment is a plain XRP transfer.
-func isDirectXRP(tx *ledger.Tx) bool {
-	return tx.Amount.Currency.IsXRP() && (tx.SendMax.IsZero() || tx.SendMax.Currency.IsXRP())
 }
 
 // replayTx re-submits a historical transaction against the (diverged)
@@ -778,17 +623,6 @@ func replayTx(eng *payment.Engine, tx *ledger.Tx) *ledger.TxMeta {
 	clone := *tx
 	clone.Sequence = eng.NextSequence(tx.Account)
 	meta, err := eng.Apply(&clone)
-	if err != nil {
-		return nil
-	}
-	return meta
-}
-
-// replayTxPlanned is replayTx committing a pre-computed path plan.
-func replayTxPlanned(eng *payment.Engine, tx *ledger.Tx, plan *pathfind.Plan) *ledger.TxMeta {
-	clone := *tx
-	clone.Sequence = eng.NextSequence(tx.Account)
-	meta, err := eng.ApplyPlanned(&clone, plan)
 	if err != nil {
 		return nil
 	}

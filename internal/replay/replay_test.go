@@ -125,7 +125,7 @@ func TestReplayWithoutAblationDelivers(t *testing.T) {
 			if tx.Type != ledger.TxPayment || !p.Metas[i].Result.Succeeded() {
 				continue
 			}
-			if isDirectXRP(tx) {
+			if tx.IsDirectXRP() {
 				continue
 			}
 			submitted++

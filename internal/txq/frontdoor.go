@@ -12,7 +12,6 @@ import (
 	"ripplestudy/internal/addr"
 	"ripplestudy/internal/amount"
 	"ripplestudy/internal/ledger"
-	"ripplestudy/internal/orderbook"
 	"ripplestudy/internal/pathfind"
 	"ripplestudy/internal/payment"
 )
@@ -33,14 +32,6 @@ var (
 	ErrMalformed = errors.New("txq: malformed submission")
 )
 
-// plannedRoute is the optimistic planning output attached to a queued
-// payment: the plan (nil for a certified PathDry) and the read set that
-// certifies it.
-type plannedRoute struct {
-	plan  *pathfind.Plan
-	reads pathfind.ReadSet
-}
-
 // Options configures a FrontDoor. The zero value picks serving
 // defaults; see withDefaults.
 type Options struct {
@@ -48,7 +39,8 @@ type Options struct {
 	// sheds (or waits, with Backpressure) beyond it. Default 1024.
 	QueueDepth int
 	// BatchSize is how many queued transactions the applier drains per
-	// optimistic planning batch. Default 256 (replay's planBatchSize).
+	// batch of the optimistic executor. Default 256 (replay's
+	// planBatchSize).
 	BatchSize int
 	// PlanWorkers is the number of concurrent planner goroutines per
 	// batch. Default GOMAXPROCS.
@@ -168,10 +160,9 @@ type Stats struct {
 
 // FrontDoor is the online submission and quote surface over a payment
 // engine. It owns the engine exclusively: quote readers share it under
-// a read lock while the single applier goroutine batches queued
-// transactions through the optimistic planner (plan under RLock, apply
-// under Lock), exactly the replay.RunParallel protocol applied to live
-// traffic instead of history.
+// a read lock while the single applier goroutine drives queued
+// transactions, batch by batch, through payment.Optimistic — its Plan
+// under RLock beside the quote readers, its Commits under Lock.
 type FrontDoor struct {
 	opts Options
 
@@ -186,18 +177,14 @@ type FrontDoor struct {
 	slots chan struct{} // admission semaphore: one token per queued tx
 	cache *planCache
 
-	planners []*pathfind.Finder // applier-owned, run under RLock
-	quoters  sync.Pool          // *pathfind.Finder for PathFind readers
+	exec    *payment.Optimistic // applier-owned
+	quoters sync.Pool           // *pathfind.Finder for PathFind readers
 
 	stMu     sync.Mutex
 	statuses map[uint64]*txRecord
 	byHash   map[ledger.Hash]uint64 // final hash → id (last wins)
 	resolved []uint64               // FIFO of applied ids, for eviction
 	nextID   uint64
-
-	// Applier batch scratch (single goroutine, no lock needed).
-	dirtyAcct map[addr.AccountID]struct{}
-	dirtyPair map[orderbook.Pair]struct{}
 
 	met    metrics
 	wg     sync.WaitGroup
@@ -210,21 +197,16 @@ type FrontDoor struct {
 func New(eng *payment.Engine, opts Options) *FrontDoor {
 	opts = opts.withDefaults()
 	fd := &FrontDoor{
-		opts:      opts,
-		eng:       eng,
-		q:         newQueue(),
-		slots:     make(chan struct{}, opts.QueueDepth),
-		cache:     newPlanCache(opts.CacheSize),
-		statuses:  make(map[uint64]*txRecord),
-		byHash:    make(map[ledger.Hash]uint64),
-		dirtyAcct: make(map[addr.AccountID]struct{}),
-		dirtyPair: make(map[orderbook.Pair]struct{}),
+		opts:     opts,
+		eng:      eng,
+		q:        newQueue(),
+		slots:    make(chan struct{}, opts.QueueDepth),
+		cache:    newPlanCache(opts.CacheSize),
+		exec:     payment.NewOptimistic(eng, opts.PlanWorkers),
+		statuses: make(map[uint64]*txRecord),
+		byHash:   make(map[ledger.Hash]uint64),
 	}
 	fd.met.init(opts.LatencyWindow)
-	fd.planners = make([]*pathfind.Finder, opts.PlanWorkers)
-	for i := range fd.planners {
-		fd.planners[i] = pathfind.New(eng.Graph(), eng.Books(), pathfind.WithRecording())
-	}
 	fd.quoters.New = func() any {
 		return pathfind.New(eng.Graph(), eng.Books(), pathfind.WithRecording())
 	}
@@ -323,199 +305,73 @@ func effectiveFee(tx *ledger.Tx) amount.Drops {
 }
 
 // applyLoop is the single applier goroutine: drain a batch, plan it
-// against the frozen engine under the read lock, apply in queue order
-// under the write lock, resolve tickets. Exits when the queue is closed
-// and drained.
+// beside the quote readers, commit it in queue order under the write
+// lock, advance the quote-cache epoch, and only then let the outcomes be
+// seen. PathFind consults the cache without the engine lock, so a client
+// told "applied" before the epoch advance could still be served the
+// quote cached before its own transaction. Exits when the queue is
+// closed and drained.
 func (fd *FrontDoor) applyLoop() {
 	defer fd.wg.Done()
+	var txs []*ledger.Tx
 	for {
 		batch := fd.q.popBatch(fd.opts.BatchSize)
 		if batch == nil {
 			return
 		}
+		txs = txs[:0]
+		for _, qt := range batch {
+			txs = append(txs, qt.tx)
+		}
 		fd.mu.RLock()
-		fd.planBatch(batch)
+		fd.exec.Plan(txs)
 		fd.mu.RUnlock()
+
 		fd.mu.Lock()
-		fd.applyBatch(batch)
+		for _, qt := range batch {
+			applied, meta, err := fd.exec.Commit(qt.autoSeq)
+			qt.hash, qt.sequence, qt.meta, qt.err = applied.Hash(), applied.Sequence, meta, err
+		}
+		// Inside the write-locked section: no reader can compute a quote
+		// against the superseded state after this epoch advance.
+		fd.cache.invalidate(fd.exec.Dirty())
 		fd.mu.Unlock()
+
 		fd.met.batches.Add(1)
-	}
-}
-
-// planBatch mirrors replay.planBatch: fan the batch's indirect payments
-// across the worker finders while the engine state is frozen. A nil
-// plan with planned=true is a certified PathDry verdict; its read set
-// still validates it.
-func (fd *FrontDoor) planBatch(batch []*queuedTx) {
-	idx := make(chan int, len(batch))
-	n := 0
-	for i, qt := range batch {
-		if qt.tx.Type != ledger.TxPayment || isDirectXRP(qt.tx) {
-			continue
+		fd.met.plannedAhead.Store(uint64(fd.exec.PlannedAhead))
+		fd.met.conflicts.Store(uint64(fd.exec.Conflicts))
+		for _, qt := range batch {
+			fd.resolve(qt)
 		}
-		idx <- i
-		n++
-	}
-	close(idx)
-	if n == 0 {
-		return
-	}
-	workers := min(len(fd.planners), n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(f *pathfind.Finder) {
-			defer wg.Done()
-			for i := range idx {
-				qt := batch[i]
-				tx := qt.tx
-				srcCur := tx.Amount.Currency
-				if !tx.SendMax.IsZero() {
-					srcCur = tx.SendMax.Currency
-				}
-				plan, err := f.FindPayment(tx.Account, tx.Destination, srcCur, tx.Amount)
-				if err != nil {
-					plan = nil
-				}
-				route := &plannedRoute{plan: plan}
-				f.AppendReadSet(&route.reads)
-				qt.plan = route
-				qt.planned = true
-			}
-		}(fd.planners[w])
-	}
-	wg.Wait()
-}
-
-// isDirectXRP reports whether the payment is a plain XRP transfer (the
-// engine never consults the pathfinder for those).
-func isDirectXRP(tx *ledger.Tx) bool {
-	return tx.Amount.Currency.IsXRP() && (tx.SendMax.IsZero() || tx.SendMax.Currency.IsXRP())
-}
-
-// applyBatch commits the batch in queue order under the engine write
-// lock, re-planning inline whenever an earlier commit in the batch
-// dirtied a plan's read set, then advances the quote-cache epoch with
-// everything the batch mutated. Called with fd.mu held for writing.
-func (fd *FrontDoor) applyBatch(batch []*queuedTx) {
-	clear(fd.dirtyAcct)
-	clear(fd.dirtyPair)
-	for _, qt := range batch {
-		tx := qt.tx
-		if qt.autoSeq {
-			clone := *tx
-			clone.Sequence = fd.eng.NextSequence(tx.Account)
-			tx = &clone
-		}
-		// OfferCancel mutates a pair we can only name before the offer
-		// is gone.
-		var cancelPair *orderbook.Pair
-		if tx.Type == ledger.TxOfferCancel {
-			if o := fd.eng.Books().Lookup(tx.Account, tx.OfferSequence); o != nil {
-				p := orderbook.Pair{Pays: o.Pays.Currency, Gets: o.Gets.Currency}
-				cancelPair = &p
-			}
-		}
-		var meta *ledger.TxMeta
-		var err error
-		if tx.Type == ledger.TxPayment && qt.planned && fd.clean(&qt.plan.reads) {
-			meta, err = fd.eng.ApplyPlanned(tx, qt.plan.plan)
-			fd.met.plannedAhead.Add(1)
-		} else {
-			if qt.planned {
-				fd.met.conflicts.Add(1)
-			}
-			meta, err = fd.eng.Apply(tx)
-		}
-		if meta != nil && meta.Result.Succeeded() {
-			switch tx.Type {
-			case ledger.TxPayment:
-				fd.markExecuted()
-			case ledger.TxTrustSet:
-				fd.dirtyAcct[tx.Account] = struct{}{}
-				fd.dirtyAcct[tx.LimitPeer] = struct{}{}
-			case ledger.TxOfferCreate:
-				fd.dirtyPair[orderbook.Pair{
-					Pays: tx.TakerPays.Currency,
-					Gets: tx.TakerGets.Currency,
-				}] = struct{}{}
-			case ledger.TxOfferCancel:
-				if cancelPair != nil {
-					fd.dirtyPair[*cancelPair] = struct{}{}
-				}
-			}
-		}
-		fd.resolve(qt, tx, meta, err)
-	}
-	// Inside the write-locked section: no reader can compute a quote
-	// against the superseded state after this epoch advance.
-	fd.cache.invalidate(fd.dirtyAcct, fd.dirtyPair)
-}
-
-// clean reports whether nothing in the read set has been dirtied by an
-// earlier commit in this batch (replay.applier.clean).
-func (fd *FrontDoor) clean(rs *pathfind.ReadSet) bool {
-	if len(fd.dirtyAcct) > 0 {
-		for _, a := range rs.Accounts {
-			if _, dirty := fd.dirtyAcct[a]; dirty {
-				return false
-			}
-		}
-	}
-	if len(fd.dirtyPair) > 0 {
-		for _, p := range rs.Pairs {
-			if _, dirty := fd.dirtyPair[p]; dirty {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// markExecuted records the state the just-committed payment mutated
-// (replay.applier.markExecuted).
-func (fd *FrontDoor) markExecuted() {
-	plan := fd.eng.ExecutedPlan()
-	if plan == nil {
-		return
-	}
-	for _, fl := range plan.TrustFlows {
-		fd.dirtyAcct[fl.From] = struct{}{}
-		fd.dirtyAcct[fl.To] = struct{}{}
-	}
-	for _, q := range plan.Quotes {
-		fd.dirtyPair[q.Pair] = struct{}{}
 	}
 }
 
 // resolve finalizes one transaction's status, signals its waiter, and
 // releases its admission slot.
-func (fd *FrontDoor) resolve(qt *queuedTx, applied *ledger.Tx, meta *ledger.TxMeta, err error) {
+func (fd *FrontDoor) resolve(qt *queuedTx) {
 	wait := time.Since(qt.enqueued)
 	result := "internal error"
 	succeeded := false
-	if err == nil && meta != nil {
-		result = meta.Result.String()
-		succeeded = meta.Result.Succeeded()
-	} else if err != nil {
-		result = fmt.Sprintf("internal error: %v", err)
+	if qt.err == nil && qt.meta != nil {
+		result = qt.meta.Result.String()
+		succeeded = qt.meta.Result.Succeeded()
+	} else if qt.err != nil {
+		result = fmt.Sprintf("internal error: %v", qt.err)
 	}
-	finalHash := applied.Hash()
 
 	fd.stMu.Lock()
 	rec := fd.statuses[qt.id]
 	if rec != nil {
 		rec.st.State = "applied"
-		rec.st.Hash = finalHash
-		rec.st.Sequence = applied.Sequence
+		rec.st.Hash = qt.hash
+		rec.st.Sequence = qt.sequence
 		rec.st.Result = result
 		rec.st.Succeeded = succeeded
 		rec.st.WaitNS = wait.Nanoseconds()
 		// Both the as-submitted and as-applied hashes resolve; clients
 		// hold the former until they read the status back.
-		if finalHash != rec.subHash {
-			fd.byHash[finalHash] = qt.id
+		if qt.hash != rec.subHash {
+			fd.byHash[qt.hash] = qt.id
 		}
 		fd.resolved = append(fd.resolved, qt.id)
 		for len(fd.resolved) > fd.opts.StatusCapacity {

@@ -85,7 +85,7 @@ func TestFrontDoorDifferentialDigest(t *testing.T) {
 					continue
 				}
 			case ledger.TxPayment:
-				if !meta.Result.Succeeded() || isDirectXRP(tx) {
+				if !meta.Result.Succeeded() || tx.IsDirectXRP() {
 					continue
 				}
 				if removed[tx.Account] || removed[tx.Destination] {
@@ -295,16 +295,29 @@ func TestFrontDoorMalformedRejected(t *testing.T) {
 	if _, err := fd.Submit(&ledger.Tx{Type: ledger.TxPayment}); !errors.Is(err, ErrMalformed) {
 		t.Errorf("zero account: err = %v, want ErrMalformed", err)
 	}
-	from := acct(1)
-	tx := &ledger.Tx{Type: ledger.TxPayment, Account: from, Sequence: 3, Fee: 10,
-		Destination: acct(2), Amount: amount.XRPAmount(1)}
-	if _, err := fd.Submit(tx); err != nil {
-		t.Fatalf("explicit sequence submit: %v", err)
-	}
-	dup := *tx
-	if _, err := fd.Submit(&dup); !errors.Is(err, ErrDuplicateSequence) {
-		t.Errorf("duplicate explicit sequence: err = %v, want ErrDuplicateSequence", err)
-	}
+	// Duplicate detection covers queued transactions only, so the first of
+	// the pair must still be queued when its duplicate arrives. Park the
+	// applier: while this goroutine holds the engine read lock, a
+	// sacrificial batch gets popped and its commit blocks on the write
+	// lock, so nothing submitted before the lock is released is popped.
+	fd.WithEngine(func(*payment.Engine) {
+		if _, err := fd.Submit(&ledger.Tx{Type: ledger.TxPayment, Account: acct(3), Fee: 10,
+			Destination: acct(2), Amount: amount.XRPAmount(1)}); err != nil {
+			t.Fatalf("sacrificial submit: %v", err)
+		}
+		for fd.q.size() > 0 {
+			time.Sleep(50 * time.Microsecond)
+		}
+		tx := &ledger.Tx{Type: ledger.TxPayment, Account: acct(1), Sequence: 3, Fee: 10,
+			Destination: acct(2), Amount: amount.XRPAmount(1)}
+		if _, err := fd.Submit(tx); err != nil {
+			t.Fatalf("explicit sequence submit: %v", err)
+		}
+		dup := *tx
+		if _, err := fd.Submit(&dup); !errors.Is(err, ErrDuplicateSequence) {
+			t.Errorf("duplicate explicit sequence: err = %v, want ErrDuplicateSequence", err)
+		}
+	})
 	st := fd.StatsNow()
 	if st.Rejected != 3 {
 		t.Errorf("rejected = %d, want 3", st.Rejected)

@@ -17,9 +17,8 @@ import (
 // epoch it was computed at; the applier bumps the epoch once per batch
 // that mutated anything and records WHAT it mutated, so an entry stays
 // valid — across arbitrarily many epochs — until something in its own
-// read set is touched. That is the same read-set validation rule the
-// optimistic replay applier uses, applied across time instead of
-// across a batch.
+// read set is touched. That is the read-set validation rule of
+// payment.Optimistic, applied across time instead of across a batch.
 
 // quoteKey identifies one cacheable path_find request. amount.Value and
 // amount.Currency are comparable value types, so the whole key is a
@@ -65,8 +64,8 @@ type planCache struct {
 	mu        sync.Mutex
 	max       int
 	epoch     uint64
-	dirtyAcct map[addr.AccountID]uint64 // epoch at which last mutated
-	dirtyPair map[orderbook.Pair]uint64
+	acctEpoch map[addr.AccountID]uint64 // epoch at which last mutated
+	pairEpoch map[orderbook.Pair]uint64
 	entries   map[quoteKey]*cacheEntry
 	order     []quoteKey // insertion order, for FIFO eviction
 
@@ -79,8 +78,8 @@ func newPlanCache(max int) *planCache {
 	}
 	return &planCache{
 		max:       max,
-		dirtyAcct: make(map[addr.AccountID]uint64),
-		dirtyPair: make(map[orderbook.Pair]uint64),
+		acctEpoch: make(map[addr.AccountID]uint64),
+		pairEpoch: make(map[orderbook.Pair]uint64),
 		entries:   make(map[quoteKey]*cacheEntry),
 	}
 }
@@ -111,12 +110,12 @@ func (c *planCache) get(k quoteKey) (Quote, bool) {
 // mutated after the entry's epoch.
 func (c *planCache) validLocked(e *cacheEntry) bool {
 	for _, a := range e.reads.Accounts {
-		if c.dirtyAcct[a] > e.epoch {
+		if c.acctEpoch[a] > e.epoch {
 			return false
 		}
 	}
 	for _, p := range e.reads.Pairs {
-		if c.dirtyPair[p] > e.epoch {
+		if c.pairEpoch[p] > e.epoch {
 			return false
 		}
 	}
@@ -158,10 +157,10 @@ func (c *planCache) invalidate(accts map[addr.AccountID]struct{}, pairs map[orde
 	c.mu.Lock()
 	c.epoch++
 	for a := range accts {
-		c.dirtyAcct[a] = c.epoch
+		c.acctEpoch[a] = c.epoch
 	}
 	for p := range pairs {
-		c.dirtyPair[p] = c.epoch
+		c.pairEpoch[p] = c.epoch
 	}
 	c.mu.Unlock()
 }

@@ -1,9 +1,9 @@
 // Package txq is the online payment front door: an admission-controlled
-// transaction queue feeding the optimistic parallel planner, plus the
-// ripple_path_find-style quote surface with a read-set-invalidated plan
-// cache. It turns the offline replay engine (pathfind + payment) into a
-// serving subsystem that accepts live submissions and quote queries
-// under load.
+// transaction queue feeding payment's optimistic executor
+// (payment.Optimistic), plus the ripple_path_find-style quote surface
+// with a read-set-invalidated plan cache. It turns the offline replay
+// engine (pathfind + payment) into a serving subsystem that accepts live
+// submissions and quote queries under load.
 //
 // The queue orders work the way rippled's TxQ does: strict per-account
 // sequence ordering (a later sequence never applies before an earlier
@@ -36,9 +36,12 @@ type queuedTx struct {
 	autoSeq  bool
 	enqueued time.Time
 
-	// Optimistic planning outputs (set by the batch planner).
-	planned bool
-	plan    *plannedRoute
+	// What the commit produced (hash and sequence as applied), held back
+	// until its batch's plan-cache epoch advance.
+	hash     ledger.Hash
+	sequence uint32
+	meta     *ledger.TxMeta
+	err      error
 }
 
 // acctQueue is one account's pending transactions in apply order:
