@@ -24,31 +24,28 @@ func (e *encoder) u16(v uint16) { e.buf = binary.BigEndian.AppendUint16(e.buf, v
 func (e *encoder) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
 func (e *encoder) u64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
 
-func (e *encoder) bytes(b []byte) {
+func (e *encoder) account(id addr.AccountID) { e.buf = append(e.buf, id[:]...) }
+func (e *encoder) hash(h Hash)               { e.buf = append(e.buf, h[:]...) }
+func (e *encoder) amount(a amount.Amount)    { e.buf = appendAmount(e.buf, a) }
+
+// appendAmount appends currency ∥ sign ∥ mantissa ∥ exponent.
+func appendAmount(buf []byte, a amount.Amount) []byte {
+	neg := uint8(0)
+	if a.Value.IsNegative() {
+		neg = 1
+	}
+	buf = append(buf, a.Currency[0], a.Currency[1], a.Currency[2], neg)
+	buf = binary.BigEndian.AppendUint64(buf, a.Value.Mantissa())
+	return binary.BigEndian.AppendUint16(buf, uint16(int16(a.Value.Exponent())))
+}
+
+// appendBytes appends a length-prefixed byte string.
+func appendBytes(buf, b []byte) []byte {
 	if len(b) > math.MaxUint16 {
 		panic("ledger: byte string too long") // internal invariant; no user data reaches here
 	}
-	e.u16(uint16(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-func (e *encoder) account(id addr.AccountID) { e.buf = append(e.buf, id[:]...) }
-func (e *encoder) hash(h Hash)               { e.buf = append(e.buf, h[:]...) }
-
-func (e *encoder) value(v amount.Value) {
-	neg := uint8(0)
-	if v.IsNegative() {
-		neg = 1
-	}
-	e.u8(neg)
-	e.u64(v.Mantissa())
-	e.u16(uint16(int16(v.Exponent())))
-}
-
-func (e *encoder) amount(a amount.Amount) {
-	c := a.Currency
-	e.buf = append(e.buf, c[0], c[1], c[2])
-	e.value(a.Value)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(b)))
+	return append(buf, b...)
 }
 
 type decoder struct {
@@ -172,29 +169,28 @@ func (d *decoder) amount() amount.Amount {
 const txCodecVersion = 1
 
 // Encode appends the canonical serialization of tx to buf and returns the
-// extended slice.
+// extended slice. It is written as plain appends on the argument, not
+// through an encoder, so a caller's stack buffer stays on the stack: a
+// store through the encoder's pointer receiver would send it to the heap.
 func (tx *Tx) Encode(buf []byte) []byte {
-	e := encoder{buf: buf}
-	e.u8(txCodecVersion)
-	e.u8(uint8(tx.Type))
-	e.account(tx.Account)
-	e.u32(tx.Sequence)
-	e.u64(uint64(tx.Fee))
-	e.account(tx.Destination)
-	e.amount(tx.Amount)
-	e.account(tx.DestIssuer)
-	e.amount(tx.SendMax)
-	e.account(tx.SendIssuer)
-	e.amount(tx.TakerPays)
-	e.account(tx.TakerPaysIssuer)
-	e.amount(tx.TakerGets)
-	e.account(tx.TakerGetsIssuer)
-	e.u32(tx.OfferSequence)
-	e.account(tx.LimitPeer)
-	e.amount(tx.Limit)
-	e.bytes(tx.SigningKey)
-	e.bytes(tx.Signature)
-	return e.buf
+	buf = append(buf, txCodecVersion, uint8(tx.Type))
+	buf = append(buf, tx.Account[:]...)
+	buf = binary.BigEndian.AppendUint32(buf, tx.Sequence)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(tx.Fee))
+	buf = append(buf, tx.Destination[:]...)
+	buf = appendAmount(buf, tx.Amount)
+	buf = append(buf, tx.DestIssuer[:]...)
+	buf = appendAmount(buf, tx.SendMax)
+	buf = append(buf, tx.SendIssuer[:]...)
+	buf = appendAmount(buf, tx.TakerPays)
+	buf = append(buf, tx.TakerPaysIssuer[:]...)
+	buf = appendAmount(buf, tx.TakerGets)
+	buf = append(buf, tx.TakerGetsIssuer[:]...)
+	buf = binary.BigEndian.AppendUint32(buf, tx.OfferSequence)
+	buf = append(buf, tx.LimitPeer[:]...)
+	buf = appendAmount(buf, tx.Limit)
+	buf = appendBytes(buf, tx.SigningKey)
+	return appendBytes(buf, tx.Signature)
 }
 
 // Fixed layout of the transaction encoding: every field up to the two

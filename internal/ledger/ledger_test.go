@@ -345,3 +345,25 @@ func TestIssueString(t *testing.T) {
 		t.Error("IsXRP misbehaves")
 	}
 }
+
+// TestTxHashAllocs pins that hashing a signed transaction builds its
+// serialization on the stack: every submitted and every applied
+// transaction is hashed, and the encoder used to grow a heap buffer for
+// each (6 allocations, 752 B).
+func TestTxHashAllocs(t *testing.T) {
+	tx := randomTx(rand.New(rand.NewSource(18)))
+	want := SHA512Half(tx.Encode(nil))
+	allocs := testing.AllocsPerRun(200, func() {
+		if tx.Hash() != want {
+			t.Fatal("Hash differs from SHA512Half(Encode)")
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("Tx.Hash allocates %.1f per call, want 0", allocs)
+	}
+	// A signature too long for the stack buffer spills, and hashes alike.
+	tx.Signature = make([]byte, 700)
+	if tx.Hash() != SHA512Half(tx.Encode(nil)) {
+		t.Error("Hash of an oversized transaction differs from SHA512Half(Encode)")
+	}
+}

@@ -69,9 +69,9 @@ func skipTx(data []byte) (int, error) {
 // Fixed layout of the meta encoding before its variable tails.
 const (
 	metaOffResult    = 0
-	metaOffDelivered = 1                 // 14-byte amount
-	metaOffNPaths    = 1 + amountBytes   // u8 parallel-path count
-	metaFixedTail    = 4 + 1 + 2         // offersConsumed ∥ cross ∥ nIntermediaries
+	metaOffDelivered = 1               // 14-byte amount
+	metaOffNPaths    = 1 + amountBytes // u8 parallel-path count
+	metaFixedTail    = 4 + 1 + 2       // offersConsumed ∥ cross ∥ nIntermediaries
 	metaMinBytes     = 1 + amountBytes + 1 + metaFixedTail
 )
 

@@ -107,8 +107,14 @@ type Tx struct {
 }
 
 // Hash returns the transaction's identifying hash: SHA-512-half of the
-// canonical serialization including the signature, as in rippled.
-func (tx *Tx) Hash() Hash { return SHA512Half(tx.Encode(nil)) }
+// canonical serialization including the signature, as in rippled. The
+// serialization is txFixedBytes plus a key and a signature of a few dozen
+// bytes each, so it is built on the stack; an oversized signature spills
+// to the heap and hashes the same.
+func (tx *Tx) Hash() Hash {
+	var buf [txFixedBytes + 2*(2+96)]byte
+	return SHA512Half(tx.Encode(buf[:0]))
+}
 
 // SourceCurrency is the currency a Payment's sender spends: SendMax's
 // when set, the delivered currency otherwise.

@@ -1,4 +1,4 @@
-//go:build !linux && !darwin || ledgerstore_nommap
+//go:build (!linux && !darwin) || ledgerstore_nommap
 
 package ledgerstore
 

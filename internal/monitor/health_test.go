@@ -30,10 +30,10 @@ func TestCollectorSkipsMalformedEvents(t *testing.T) {
 	c := NewCollector()
 	c.Record(validEvent(1))
 
-	c.Record(consensus.Event{})                                    // unknown kind
-	c.Record(consensus.Event{Kind: consensus.EventKind(99)})       // bogus kind
-	c.Record(consensus.Event{Kind: consensus.EventValidation})     // zero hash, zero node
-	c.Record(consensus.Event{Kind: consensus.EventLedgerClosed})   // zero hash
+	c.Record(consensus.Event{})                                  // unknown kind
+	c.Record(consensus.Event{Kind: consensus.EventKind(99)})     // bogus kind
+	c.Record(consensus.Event{Kind: consensus.EventValidation})   // zero hash, zero node
+	c.Record(consensus.Event{Kind: consensus.EventLedgerClosed}) // zero hash
 	ev := validEvent(2)
 	ev.Node = addr.NodeID{}
 	c.Record(ev) // validation without a signer

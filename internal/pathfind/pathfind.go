@@ -11,8 +11,14 @@
 // A Finder owns a reusable scratch workspace (visited/parent/frontier
 // arrays over the graph's dense account indices, a flow overlay, and
 // quote buffers), so the BFS and trust routing allocate nothing on the
-// steady state. A Finder is therefore NOT safe for concurrent use; spawn
-// one Finder per goroutine over a shared read-only graph.
+// steady state. The search walks each expanded account's edge block
+// (trustgraph.Edges): a peer already seen is skipped before its edge is
+// weighed, the overlay is consulted only for an edge between two accounts
+// that both carry planned flow, the block is abandoned at the destination,
+// and the edge each account was reached through is remembered, so the
+// bottleneck pass does not look the path's edges up again. A Finder is
+// therefore NOT safe for concurrent use; spawn one Finder per goroutine
+// over a shared read-only graph.
 package pathfind
 
 import (
@@ -108,6 +114,7 @@ type Finder struct {
 	seen      []uint32
 	readSeen  []uint32
 	parent    []int32
+	via       []*trustgraph.Edge // the edge parent[i] → i of the current search
 	depth     []int32
 	frontier  []int32
 	next      []int32
@@ -143,7 +150,6 @@ func New(graph *trustgraph.Graph, books *orderbook.Books, opts ...Option) *Finde
 	for _, opt := range opts {
 		opt(f)
 	}
-	f.ov.net = make(map[ovKey]amount.Value)
 	return f
 }
 
@@ -163,7 +169,9 @@ func (f *Finder) ensureScratch() {
 	f.seen = append(f.seen, make([]uint32, n-len(f.seen))...)
 	f.readSeen = append(f.readSeen, make([]uint32, n-len(f.readSeen))...)
 	f.parent = append(f.parent, make([]int32, n-len(f.parent))...)
+	f.via = append(f.via, make([]*trustgraph.Edge, n-len(f.via))...)
 	f.depth = append(f.depth, make([]int32, n-len(f.depth))...)
+	f.ov.heads = append(f.ov.heads, make([]ovHead, n-len(f.ov.heads))...)
 }
 
 // noteRead records that the search inspected account u's edges.
@@ -189,23 +197,70 @@ func (f *Finder) notePair(p orderbook.Pair) {
 }
 
 // overlay tracks planned flows so capacity queries reflect in-plan usage
-// without mutating the graph. Keys use dense account indices.
-type ovKey struct {
-	from, to int32
-	cur      amount.Currency
-}
-
+// without mutating the graph. The flows sit in one slice, each chained to
+// the previous flow out of the same account, so a query walks only the
+// flows out of its two endpoints — and walks at all only for an edge
+// between two accounts that both carry planned flow; most edges a search
+// weighs touch an account that carries none.
 type overlay struct {
-	net map[ovKey]amount.Value // net planned flow from→to
+	flows []ovFlow
+	// heads[a], valid while its stamp is the current epoch, marks dense
+	// index a as an endpoint of some planned flow of the current payment
+	// and indexes the latest flow out of it (-1 when it only receives).
+	epoch uint32
+	heads []ovHead
 }
 
-// residual adjusts a base capacity from→to by the planned net flows.
-func (o *overlay) residual(base amount.Value, from, to int32, cur amount.Currency) amount.Value {
-	if len(o.net) == 0 {
-		return base // fast path: nothing planned yet
+type ovHead struct {
+	stamp uint32
+	last  int32
+}
+
+// ovFlow is the net planned flow in one currency out of the account whose
+// chain it is on, to `to`; prev is the chain's next index, -1 at its end.
+type ovFlow struct {
+	to   int32
+	prev int32
+	cur  amount.Currency
+	v    amount.Value
+}
+
+// reset forgets every planned flow.
+func (o *overlay) reset() {
+	o.flows = o.flows[:0]
+	o.epoch++
+	if o.epoch == 0 { // epoch counter wrapped: invalidate all stamps
+		clear(o.heads)
+		o.epoch = 1
 	}
-	fwd := o.net[ovKey{from, to, cur}]
-	rev := o.net[ovKey{to, from, cur}]
+}
+
+// between reports whether both accounts carry planned flow — the only
+// edges residual can change.
+func (o *overlay) between(a, b int32) bool {
+	return o.heads[a].stamp == o.epoch && o.heads[b].stamp == o.epoch
+}
+
+// flow returns the planned flow from→to, or nil. from must carry flow.
+func (o *overlay) flow(from, to int32, cur amount.Currency) *ovFlow {
+	for i := o.heads[from].last; i >= 0; i = o.flows[i].prev {
+		if fl := &o.flows[i]; fl.to == to && fl.cur == cur {
+			return fl
+		}
+	}
+	return nil
+}
+
+// residual adjusts a base capacity from→to by the planned net flows
+// between the two, which must both carry flow.
+func (o *overlay) residual(base amount.Value, from, to int32, cur amount.Currency) amount.Value {
+	var fwd, rev amount.Value
+	if fl := o.flow(from, to, cur); fl != nil {
+		fwd = fl.v
+	}
+	if fl := o.flow(to, from, cur); fl != nil {
+		rev = fl.v
+	}
 	c, err := base.Sub(fwd)
 	if err != nil {
 		return amount.Zero
@@ -221,25 +276,38 @@ func (o *overlay) residual(base amount.Value, from, to int32, cur amount.Currenc
 }
 
 func (o *overlay) addFlow(from, to int32, cur amount.Currency, v amount.Value) error {
-	k := ovKey{from, to, cur}
-	sum, err := o.net[k].Add(v)
-	if err != nil {
+	for _, a := range [2]int32{from, to} {
+		if o.heads[a].stamp != o.epoch {
+			o.heads[a] = ovHead{stamp: o.epoch, last: -1}
+		}
+	}
+	if fl := o.flow(from, to, cur); fl != nil {
+		sum, err := fl.v.Add(v)
+		if err == nil {
+			fl.v = sum
+		}
 		return err
 	}
-	o.net[k] = sum
+	o.flows = append(o.flows, ovFlow{to: to, prev: o.heads[from].last, cur: cur, v: v})
+	o.heads[from].last = int32(len(o.flows) - 1)
 	return nil
 }
 
-// capacity returns the residual capacity from→to under the overlay.
-func (f *Finder) capacity(from, to int32, cur amount.Currency) amount.Value {
-	return f.ov.residual(f.graph.CapacityIdx(from, to, cur), from, to, cur)
+// residual returns what can still flow across from's edge e once the
+// flows planned so far are counted.
+func (f *Finder) residual(from int32, e *trustgraph.Edge, cur amount.Currency) amount.Value {
+	c := e.Capacity()
+	if to := e.Peer(); f.ov.between(from, to) {
+		c = f.ov.residual(c, from, to, cur)
+	}
+	return c
 }
 
 // beginSearch resets the per-payment scratch: the overlay, the read set,
 // and the read-dedup epoch.
 func (f *Finder) beginSearch(src, dst addr.AccountID) {
 	f.ensureScratch()
-	clear(f.ov.net)
+	f.ov.reset()
 	if !f.record {
 		return
 	}
@@ -337,8 +405,7 @@ func (f *Finder) routeTrust(plan *Plan, src, dst addr.AccountID, cur amount.Curr
 		// Bottleneck along the path, capped at the remaining need.
 		bottleneck := remaining
 		for i := 0; i+1 < len(path); i++ {
-			c := f.capacity(path[i], path[i+1], cur)
-			bottleneck = bottleneck.Min(c)
+			bottleneck = bottleneck.Min(f.residual(path[i], f.via[path[i+1]], cur))
 		}
 		if !bottleneck.IsPositive() {
 			break
@@ -404,22 +471,25 @@ func (f *Finder) shortestPath(src, dst int32, cur amount.Currency) []int32 {
 			}
 			f.noteRead(u)
 			found := false
-			f.graph.NeighborsIdx(u, cur, func(peer int32, base amount.Value) {
-				if found || f.seen[peer] == e {
-					return
+			edges := f.graph.Edges(u, cur)
+			for i := range edges {
+				peer := edges[i].Peer()
+				if f.seen[peer] == e {
+					continue
 				}
-				if !f.ov.residual(base, u, peer, cur).IsPositive() {
-					return
+				if !f.residual(u, &edges[i], cur).IsPositive() {
+					continue
 				}
 				f.seen[peer] = e
 				f.parent[peer] = u
+				f.via[peer] = &edges[i]
 				f.depth[peer] = du + 1
 				if peer == dst {
 					found = true
-					return
+					break
 				}
 				next = append(next, peer)
-			})
+			}
 			if found {
 				// Reconstruct into the path scratch buffer.
 				rev := f.pathIdx[:0]

@@ -42,6 +42,10 @@ type Engine struct {
 	// payment (nil otherwise). The optimistic executor reads it to mark the
 	// state a re-planned payment touched.
 	lastPlan *pathfind.Plan
+	// Scratch for planIntermediaries: the accounts collected so far and
+	// the path each was collected on.
+	interAccts []addr.AccountID
+	interPaths []int
 
 	// stateDigest chains applied transaction hashes into a deterministic
 	// state fingerprint. Hashing the full state on every ledger close
@@ -162,7 +166,8 @@ func (e *Engine) RemoveMarketMakers() []addr.AccountID {
 // invalid ones return ResultMalformed or ResultBadSequence without
 // touching state. Apply itself errors only on internal inconsistencies.
 func (e *Engine) Apply(tx *ledger.Tx) (*ledger.TxMeta, error) {
-	return e.apply(tx, nil, false)
+	meta, _, err := e.apply(tx, nil, false)
+	return meta, err
 }
 
 // apply is Apply with the pathfinding step optionally done ahead of time
@@ -171,16 +176,19 @@ func (e *Engine) Apply(tx *ledger.Tx) (*ledger.TxMeta, error) {
 // live pre-checks (signature, sequence, fee, destination, funding) still
 // run first, so given the plan the search would have produced now, the
 // outcome is exactly Apply's. Other transaction types ignore the plan.
-func (e *Engine) apply(tx *ledger.Tx, plan *pathfind.Plan, havePlan bool) (*ledger.TxMeta, error) {
+// The transaction is hashed once, here; the hash is returned beside the
+// metadata so the executor's callers need not derive it again.
+func (e *Engine) apply(tx *ledger.Tx, plan *pathfind.Plan, havePlan bool) (*ledger.TxMeta, ledger.Hash, error) {
 	meta := &ledger.TxMeta{}
 	e.lastPlan = nil
+	hash := tx.Hash()
 
 	// Signature discipline (when enabled). ACCOUNT_ZERO's key is
 	// public; the network accepts its transactions unsigned, which is
 	// exactly what made its spam traffic possible.
 	if e.verifySignatures && tx.Account != addr.AccountZero && !tx.VerifySignature() {
 		meta.Result = ledger.ResultMalformed
-		return meta, nil
+		return meta, hash, nil
 	}
 
 	// Sequence discipline. Unknown senders can never have funds, so they
@@ -189,11 +197,11 @@ func (e *Engine) apply(tx *ledger.Tx, plan *pathfind.Plan, havePlan bool) (*ledg
 	next, known := e.seq[tx.Account]
 	if !known {
 		meta.Result = ledger.ResultUnfunded
-		return meta, nil
+		return meta, hash, nil
 	}
 	if tx.Sequence != next {
 		meta.Result = ledger.ResultBadSequence
-		return meta, nil
+		return meta, hash, nil
 	}
 
 	// Fee: the sender burns max(BaseFee, tx.Fee) drops.
@@ -203,7 +211,7 @@ func (e *Engine) apply(tx *ledger.Tx, plan *pathfind.Plan, havePlan bool) (*ledg
 	}
 	if e.xrp[tx.Account] < fee {
 		meta.Result = ledger.ResultUnfunded
-		return meta, nil
+		return meta, hash, nil
 	}
 	e.xrp[tx.Account] -= fee
 	e.feesDestroyed += fee
@@ -235,13 +243,12 @@ func (e *Engine) apply(tx *ledger.Tx, plan *pathfind.Plan, havePlan bool) (*ledg
 	}
 
 	// Fold the applied transaction into the state digest.
-	h := tx.Hash()
-	var buf []byte
-	buf = append(buf, e.stateDigest[:]...)
-	buf = append(buf, h[:]...)
-	buf = append(buf, byte(meta.Result))
-	e.stateDigest = ledger.SHA512Half(buf)
-	return meta, nil
+	var fold [2*len(ledger.Hash{}) + 1]byte
+	copy(fold[:], e.stateDigest[:])
+	copy(fold[len(e.stateDigest):], hash[:])
+	fold[len(fold)-1] = byte(meta.Result)
+	e.stateDigest = ledger.SHA512Half(fold[:])
+	return meta, hash, nil
 }
 
 // applyPayment executes a Payment transaction. When havePlan is true the
@@ -319,20 +326,16 @@ func (e *Engine) applyPayment(tx *ledger.Tx, meta *ledger.TxMeta, plan *pathfind
 	meta.Result = ledger.ResultSuccess
 	meta.Delivered = amount.New(tx.Amount.Currency, plan.Delivered)
 	meta.CrossCurrency = plan.UsedBridge && plan.SrcCurrency != plan.Currency
-	for _, p := range plan.Paths {
-		h := p.Hops
-		if h < 0 {
-			h = 0
-		}
-		if h > 255 {
-			h = 255
-		}
-		meta.PathHops = append(meta.PathHops, uint8(h))
+	if len(plan.Paths) > 0 {
+		meta.PathHops = make([]uint8, len(plan.Paths))
+	}
+	for i, p := range plan.Paths {
+		meta.PathHops[i] = uint8(min(max(p.Hops, 0), 255))
 	}
 	for _, q := range plan.Quotes {
 		meta.OffersConsumed += uint32(len(q.Fills))
 	}
-	meta.Intermediaries = planIntermediaries(plan)
+	meta.Intermediaries = e.planIntermediaries(plan)
 }
 
 // planIntermediaries collects the accounts a plan crosses between sender
@@ -340,25 +343,26 @@ func (e *Engine) applyPayment(tx *ledger.Tx, meta *ledger.TxMeta, plan *pathfind
 // counted once per parallel path they appear on (Figure 7(a) ranks
 // accounts by "the number of times each of them serve as intermediate
 // hop", so an account carrying three parallel paths counts three times).
-func planIntermediaries(plan *pathfind.Plan) []addr.AccountID {
-	type pathAccount struct {
-		path int
-		a    addr.AccountID
-	}
-	seen := make(map[pathAccount]bool)
-	var out []addr.AccountID
+// A plan crosses a handful of accounts, so "already counted on this path"
+// is a scan of what has been collected, in engine-owned scratch; the
+// result is an exact-size copy.
+func (e *Engine) planIntermediaries(plan *pathfind.Plan) []addr.AccountID {
+	accts, paths := e.interAccts[:0], e.interPaths[:0]
 	add := func(path int, a addr.AccountID) {
 		if a == plan.Src || a == plan.Dst {
 			return
 		}
-		k := pathAccount{path: path, a: a}
-		if seen[k] {
-			return
+		// Backwards: a flow's sender is nearly always the receiver of
+		// the flow before it.
+		for i := len(accts) - 1; i >= 0; i-- {
+			if paths[i] == path && accts[i] == a {
+				return
+			}
 		}
-		seen[k] = true
-		out = append(out, a)
+		accts, paths = append(accts, a), append(paths, path)
 	}
-	for _, fl := range plan.TrustFlows {
+	for i := range plan.TrustFlows {
+		fl := &plan.TrustFlows[i]
 		add(fl.Path, fl.From)
 		add(fl.Path, fl.To)
 	}
@@ -371,7 +375,17 @@ func planIntermediaries(plan *pathfind.Plan) []addr.AccountID {
 			fillPath++
 		}
 	}
-	return out
+	e.interAccts, e.interPaths = accts, paths
+	if len(accts) == 0 {
+		return nil
+	}
+	return append([]addr.AccountID(nil), accts...)
+}
+
+// xrpMove is one applied XRP leg of a plan, kept so it can be reversed.
+type xrpMove struct {
+	from, to addr.AccountID
+	drops    amount.Drops
 }
 
 // executePlan commits a plan: trust flows, order-book fills, and the XRP
@@ -380,29 +394,44 @@ func planIntermediaries(plan *pathfind.Plan) []addr.AccountID {
 // every already-applied step is compensated in reverse order and the
 // state is exactly as before the call.
 func (e *Engine) executePlan(plan *pathfind.Plan) (err error) {
-	var undo []func()
+	flows := 0          // plan.TrustFlows[:flows] have been applied
+	var moves []xrpMove // XRP legs applied, in order
+	filled := false     // an order-book fill has been applied
 	defer func() {
 		if err == nil {
 			return
 		}
-		for i := len(undo) - 1; i >= 0; i-- {
-			undo[i]()
+		// Book fills are not compensated: Apply validates the quote
+		// against the standing offers up front, so it is the last
+		// fallible step of its group; a later group's failure reverses
+		// only flows and XRP moves, and re-placing partially consumed
+		// offers would change their identity. The engine is
+		// single-threaded between planning and execution, so a failure
+		// past a fill indicates a planner bug — surface loudly.
+		if filled {
+			panic("payment: rollback across an applied order-book fill: plan raced state")
+		}
+		for i := len(moves) - 1; i >= 0; i-- {
+			e.xrp[moves[i].to] -= moves[i].drops
+			e.xrp[moves[i].from] += moves[i].drops
+		}
+		for i := flows - 1; i >= 0; i-- {
+			// A flow is exactly reversed by the opposite flow: the
+			// capacity it consumed is the capacity the reverse restores.
+			fl := &plan.TrustFlows[i]
+			if rerr := e.graph.ApplyFlow(fl.To, fl.From, fl.Currency, fl.Value); rerr != nil {
+				panic(fmt.Sprintf("payment: rollback failed: %v", rerr))
+			}
 		}
 	}()
 
-	for _, fl := range plan.TrustFlows {
-		fl := fl
+	for i := range plan.TrustFlows {
+		fl := &plan.TrustFlows[i]
 		if err = e.graph.ApplyFlow(fl.From, fl.To, fl.Currency, fl.Value); err != nil {
 			return fmt.Errorf("payment: trust flow: %w", err)
 		}
 		e.markPair(fl.From, fl.To, fl.Currency)
-		undo = append(undo, func() {
-			// A flow is exactly reversed by the opposite flow: the
-			// capacity it consumed is the capacity the reverse restores.
-			if rerr := e.graph.ApplyFlow(fl.To, fl.From, fl.Currency, fl.Value); rerr != nil {
-				panic(fmt.Sprintf("payment: rollback failed: %v", rerr))
-			}
-		})
+		flows++
 	}
 	moveDrops := func(from, to addr.AccountID, v amount.Value, what string) error {
 		drops, derr := amount.DropsFromValue(v)
@@ -415,10 +444,7 @@ func (e *Engine) executePlan(plan *pathfind.Plan) (err error) {
 		e.xrp[from] -= drops
 		e.markAccount(from)
 		e.creditXRP(to, drops)
-		undo = append(undo, func() {
-			e.xrp[to] -= drops
-			e.xrp[from] += drops
-		})
+		moves = append(moves, xrpMove{from, to, drops})
 		return nil
 	}
 	for _, q := range plan.Quotes {
@@ -444,16 +470,7 @@ func (e *Engine) executePlan(plan *pathfind.Plan) (err error) {
 		if err = e.books.Apply(q); err != nil {
 			return fmt.Errorf("payment: book fill: %w", err)
 		}
-		// Book fills are not compensated: Apply validates the quote
-		// against the standing offers up front, so it is the last
-		// fallible step of its group; a later group's failure reverses
-		// only flows and XRP moves, and re-placing partially consumed
-		// offers would change their identity. The engine is
-		// single-threaded between planning and execution, so a failure
-		// past this point indicates a planner bug — surface loudly.
-		undo = append(undo, func() {
-			panic("payment: rollback across an applied order-book fill: plan raced state")
-		})
+		filled = true
 	}
 	// Bridged delivery in XRP lands on the sender above; forward it.
 	if plan.Currency.IsXRP() && plan.UsedBridge {

@@ -6,6 +6,8 @@ import (
 	"ripplestudy/internal/addr"
 	"ripplestudy/internal/amount"
 	"ripplestudy/internal/ledger"
+	"ripplestudy/internal/orderbook"
+	"ripplestudy/internal/pathfind"
 )
 
 func kp(seed uint64) *addr.KeyPair { return addr.KeyPairFromSeed(seed) }
@@ -610,5 +612,73 @@ func TestGraphInvariantsAfterWorkload(t *testing.T) {
 	}
 	if errs := e.Graph().CheckInvariants(); len(errs) != 0 {
 		t.Fatalf("invariants violated: %v", errs)
+	}
+}
+
+// TestApplyDirectXRPAllocs pins what a direct XRP transfer between funded
+// accounts allocates: the TxMeta it returns and nothing else — the
+// transaction is hashed once, on the stack, and folded into the state
+// digest from a stack array (the grown buffers used to make it 10).
+func TestApplyDirectXRPAllocs(t *testing.T) {
+	alice, bob := kp(1), kp(2)
+	e := fundedEngine(t, alice, bob)
+	tx := &ledger.Tx{Type: ledger.TxPayment, Account: alice.AccountID(), Fee: BaseFee,
+		Destination: bob.AccountID(), Amount: amount.XRPAmount(25)}
+	tx.Sign(alice)
+	allocs := testing.AllocsPerRun(200, func() {
+		tx.Sequence = e.NextSequence(tx.Account)
+		if meta, err := e.Apply(tx); err != nil || !meta.Result.Succeeded() {
+			t.Fatalf("Apply: %v, %v", meta, err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("direct XRP Apply allocates %.1f per call, want 1 (the TxMeta)", allocs)
+	}
+}
+
+// TestExecutePlanRollsBack hands executePlan plans that fail part-way —
+// at a trust flow, and at an XRP leg after every flow and one XRP leg have
+// applied — and requires the state be exactly as before.
+func TestExecutePlanRollsBack(t *testing.T) {
+	a, b, c, mm := kp(1), kp(2), kp(3), kp(4)
+	e := fundedEngine(t, a, b, c, mm)
+	for _, line := range [][2]*addr.KeyPair{{a, b}, {b, c}} {
+		if meta := submit(t, e, line[0], func(tx *ledger.Tx) {
+			tx.Type = ledger.TxTrustSet
+			tx.LimitPeer = line[1].AccountID()
+			tx.Limit = amount.MustAmount("10/USD")
+		}); !meta.Result.Succeeded() {
+			t.Fatalf("TrustSet: %s", meta.Result)
+		}
+	}
+	flow := func(from, to *addr.KeyPair, v string) pathfind.Flow {
+		return pathfind.Flow{From: from.AccountID(), To: to.AccountID(), Currency: amount.USD, Value: val(v)}
+	}
+	fill := func(drops amount.Drops) orderbook.Fill {
+		return orderbook.Fill{Offer: &orderbook.Offer{Owner: mm.AccountID(), Seq: 1}, Pays: drops.XRPValue(), Gets: val("1")}
+	}
+	for name, plan := range map[string]*pathfind.Plan{
+		"second flow exceeds its line": {Src: c.AccountID(), Dst: a.AccountID(), Currency: amount.USD,
+			TrustFlows: []pathfind.Flow{flow(c, b, "5"), flow(b, a, "50")}},
+		"second XRP leg exceeds the balance": {Src: c.AccountID(), Dst: a.AccountID(), Currency: amount.USD,
+			TrustFlows: []pathfind.Flow{flow(c, b, "5"), flow(b, a, "5")},
+			Quotes: []orderbook.Quote{{Pair: orderbook.Pair{Pays: amount.XRP, Gets: amount.USD},
+				Fills: []orderbook.Fill{fill(1000), fill(5_000_000_000)}}}},
+	} {
+		capCB, capBA := e.Graph().Capacity(c.AccountID(), b.AccountID(), amount.USD), e.Graph().Capacity(b.AccountID(), a.AccountID(), amount.USD)
+		xrpC, xrpMM := e.XRPBalance(c.AccountID()), e.XRPBalance(mm.AccountID())
+		if err := e.executePlan(plan); err == nil {
+			t.Fatalf("%s: plan executed", name)
+		}
+		if got := e.Graph().Capacity(c.AccountID(), b.AccountID(), amount.USD); got != capCB {
+			t.Errorf("%s: capacity C→B %s after rollback, was %s", name, got, capCB)
+		}
+		if got := e.Graph().Capacity(b.AccountID(), a.AccountID(), amount.USD); got != capBA {
+			t.Errorf("%s: capacity B→A %s after rollback, was %s", name, got, capBA)
+		}
+		if e.XRPBalance(c.AccountID()) != xrpC || e.XRPBalance(mm.AccountID()) != xrpMM {
+			t.Errorf("%s: XRP balances %d/%d after rollback, were %d/%d", name,
+				e.XRPBalance(c.AccountID()), e.XRPBalance(mm.AccountID()), xrpC, xrpMM)
+		}
 	}
 }

@@ -23,7 +23,9 @@ import (
 // deterministic and runs at the bounds Apply's own finder uses, so an
 // untouched read set means the plan is the one Apply would have computed
 // and every TxMeta and the state reached are exactly those of calling
-// Engine.Apply in the same order.
+// Engine.Apply in the same order. Commit also returns the hash of the
+// transaction as applied — the engine computes it once, to fold into the
+// state digest — so callers that index outcomes by hash do not hash again.
 //
 // XRP balances, fees and sequence numbers are not tracked: the planner
 // never reads them and every commit checks them live.
@@ -130,11 +132,11 @@ func (x *Optimistic) Plan(txs []*ledger.Tx) {
 	wg.Wait()
 }
 
-// Commit applies the batch's next transaction and returns it as applied
-// with Engine.Apply's results. With fillSequence the transaction is
-// applied as a copy carrying the account's next sequence number; that
-// copy is reused by the next Commit.
-func (x *Optimistic) Commit(fillSequence bool) (*ledger.Tx, *ledger.TxMeta, error) {
+// Commit applies the batch's next transaction and returns it as applied,
+// with the hash the engine computed for it, and Engine.Apply's results.
+// With fillSequence the transaction is applied as a copy carrying the
+// account's next sequence number; that copy is reused by the next Commit.
+func (x *Optimistic) Commit(fillSequence bool) (*ledger.Tx, ledger.Hash, *ledger.TxMeta, error) {
 	tx, r := x.txs[x.next], &x.routes[x.next]
 	x.next++
 	if fillSequence {
@@ -157,17 +159,15 @@ func (x *Optimistic) Commit(fillSequence bool) (*ledger.Tx, *ledger.TxMeta, erro
 			x.dirtyPair[orderbook.Pair{Pays: o.Pays.Currency, Gets: o.Gets.Currency}] = struct{}{}
 		}
 	}
-	var meta *ledger.TxMeta
-	var err error
-	if r.planned && x.clean(&r.reads) {
+	// A plan whose read set an earlier commit touched is not used: apply
+	// searches again against live state.
+	havePlan := r.planned && x.clean(&r.reads)
+	if havePlan {
 		x.PlannedAhead++
-		meta, err = x.eng.apply(tx, r.plan, true)
-	} else {
-		if r.planned {
-			x.Conflicts++
-		}
-		meta, err = x.eng.Apply(tx)
+	} else if r.planned {
+		x.Conflicts++
 	}
+	meta, hash, err := x.eng.apply(tx, r.plan, havePlan)
 	// A delivered payment mutated every trust line its flows crossed and
 	// every book it filled.
 	if plan := x.eng.lastPlan; plan != nil {
@@ -179,7 +179,7 @@ func (x *Optimistic) Commit(fillSequence bool) (*ledger.Tx, *ledger.TxMeta, erro
 			x.dirtyPair[q.Pair] = struct{}{}
 		}
 	}
-	return tx, meta, err
+	return tx, hash, meta, err
 }
 
 // clean reports whether no commit of this batch has touched the read set.

@@ -187,12 +187,16 @@ func TestOptimisticMatchesSequential(t *testing.T) {
 						chunk := in[lo:min(lo+batch, len(in))]
 						x.Plan(chunk)
 						for j := range chunk {
-							applied, meta, err := x.Commit(fill)
+							applied, hash, meta, err := x.Commit(fill)
 							if err != nil {
 								t.Fatalf("%s: tx %d: %v", name, lo+j, err)
 							}
 							if applied.Hash() != txs[lo+j].Hash() {
 								t.Fatalf("%s: tx %d applied as %+v, want %+v", name, lo+j, applied, txs[lo+j])
+							}
+							if hash != applied.Hash() {
+								t.Fatalf("%s: tx %d (%s): Commit reports hash %s, the applied transaction hashes to %s",
+									name, lo+j, meta.Result, hash.Short(), applied.Hash().Short())
 							}
 							if !reflect.DeepEqual(meta, want[lo+j]) {
 								t.Fatalf("%s: tx %d (%s) meta %+v, want %+v", name, lo+j, applied.Type, meta, want[lo+j])

@@ -51,12 +51,18 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	if want.Total().Submitted == 0 {
 		t.Fatal("no replayable payments; differential test is vacuous")
 	}
+	if want.Cross.Category != CategoryCross || want.Single.Category != CategorySingle {
+		t.Errorf("sequential rows are labelled %s / %s", want.Cross.Category, want.Single.Category)
+	}
 	for _, w := range []int{1, 2, 4, 8} {
 		got, err := RunParallel(FromPages(pages), snap, w)
 		if err != nil {
 			t.Fatalf("RunParallel(%d workers): %v", w, err)
 		}
 		sameResult(t, want, got, "parallel")
+		if got.Cross.Category != CategoryCross || got.Single.Category != CategorySingle {
+			t.Errorf("parallel rows are labelled %s / %s", got.Cross.Category, got.Single.Category)
+		}
 		if got.Stats.Workers != w {
 			t.Errorf("stats workers = %d, want %d", got.Stats.Workers, w)
 		}

@@ -478,7 +478,12 @@ func setupReplay(src Source, snapshotSeq uint64, opts BuildOptions) (*payment.En
 	for _, a := range removedList {
 		removed[a] = true
 	}
-	res := &Result{RemovedMarketMakers: len(removedList), SnapshotSeq: snapshotSeq}
+	res := &Result{
+		Cross:               Row{Category: CategoryCross},
+		Single:              Row{Category: CategorySingle},
+		RemovedMarketMakers: len(removedList),
+		SnapshotSeq:         snapshotSeq,
+	}
 	return state, removed, res, nil
 }
 
@@ -572,7 +577,7 @@ func RunParallelOpts(src Source, snapshotSeq uint64, workers int, opts BuildOpti
 			ex.Plan(txs)
 			for _, row := range rows {
 				// Historical sequences are rewritten as in replayTx.
-				_, meta, err := ex.Commit(true)
+				_, _, meta, err := ex.Commit(true)
 				if err == nil && meta.Result.Succeeded() && row != nil {
 					row.Delivered++
 				}

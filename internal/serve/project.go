@@ -26,12 +26,12 @@ import (
 
 // paymentRecord is one successful payment, projected.
 type paymentRecord struct {
-	sender      addr.AccountID
-	dest        addr.AccountID
-	currency    amount.Currency
-	value       amount.Value
-	hopsOff     int32 // into pageRecord.hops
-	hopsLen     int32 // parallel-path count
+	sender   addr.AccountID
+	dest     addr.AccountID
+	currency amount.Currency
+	value    amount.Value
+	hopsOff  int32 // into pageRecord.hops
+	hopsLen  int32 // parallel-path count
 }
 
 // pageRecord is one projected page: the page-level stats plus the
@@ -43,10 +43,10 @@ type pageRecord struct {
 	time ledger.CloseTime
 
 	payments    []paymentRecord
-	hops        []uint8               // per-path hop counts, all payments
-	fps         []deanon.Fingerprint  // fpRows per payment, payment order
-	offerOwners []addr.AccountID      // successful OfferCreate senders
-	failed      int                   // failed payment transactions
+	hops        []uint8              // per-path hop counts, all payments
+	fps         []deanon.Fingerprint // fpRows per payment, payment order
+	offerOwners []addr.AccountID     // successful OfferCreate senders
+	failed      int                  // failed payment transactions
 
 	refs atomic.Int32
 }

@@ -149,8 +149,8 @@ func TestFrontDoorEndpointErrors(t *testing.T) {
 	h := s.Handler()
 
 	for _, path := range []string{
-		"/v1/path_find",                                             // missing params
-		"/v1/path_find?src=bogus&dst=bogus&amount=10/USD",           // bad accounts
+		"/v1/path_find", // missing params
+		"/v1/path_find?src=bogus&dst=bogus&amount=10/USD",                                       // bad accounts
 		"/v1/path_find?src=" + ids[0].String() + "&dst=" + ids[1].String() + "&amount=nonsense", // bad amount
 	} {
 		rec := httptest.NewRecorder()

@@ -15,13 +15,15 @@
 // breadth-first searches over this graph, and dense indices let the path
 // finder keep visited/parent state in flat arrays instead of per-search
 // maps. The dense index of an account is stable for the lifetime of the
-// graph (removal tombstones the slot; it is never reused).
+// graph (removal tombstones the slot; it is never reused). An account's
+// edges in one currency are a contiguous block of its adjacency, handed
+// out as a slice (Edges): each Edge knows its peer's index and which
+// side of the pair its owner is, so the searcher decides per edge whether
+// a capacity is worth computing and stops when it has arrived.
 package trustgraph
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
 
 	"ripplestudy/internal/addr"
 	"ripplestudy/internal/amount"
@@ -42,13 +44,25 @@ type Pair struct {
 	Balance   amount.Value
 }
 
-// edgeRec is one directed view of a trust pair in an account's adjacency
-// list: the peer's dense index and the shared Pair record.
-type edgeRec struct {
-	cur  amount.Currency
-	peer int32
-	pair *Pair
+// Edge is one directed view of a trust pair in its owner's adjacency
+// list: the peer's dense index, the shared Pair record, and whether the
+// owner is the pair's Lo endpoint — so nothing on the edge path compares
+// account IDs to orient the pair. The flag sits in the padding after the
+// 3-byte currency: an Edge is 16 bytes.
+type Edge struct {
+	cur     amount.Currency
+	ownerLo bool
+	peer    int32
+	pair    *Pair
 }
+
+// Peer returns the dense index of the account at the far end.
+func (e *Edge) Peer() int32 { return e.peer }
+
+// Capacity returns the most value that can flow owner → peer across the
+// edge: existing debt the peer owes the owner being paid down, plus fresh
+// credit the peer extends to the owner.
+func (e *Edge) Capacity() amount.Value { return pairCapacity(e.pair, e.ownerLo) }
 
 // Graph is the in-memory credit network. It is not safe for concurrent
 // mutation; analyses clone it before replaying. Concurrent readers are
@@ -59,7 +73,7 @@ type Graph struct {
 	// adj[i] holds account i's edges sorted by (currency, peer account
 	// ID), so iteration — and therefore path finding and everything
 	// built on it — is deterministic and independent of interning order.
-	adj [][]edgeRec
+	adj [][]Edge
 	// pairs counts distinct trust pairs for stats.
 	pairs int
 	// active counts accounts with at least one edge.
@@ -98,26 +112,31 @@ func (g *Graph) intern(a addr.AccountID) int32 {
 	return i
 }
 
-// edgeLess orders (cur, peer-account) probes against edge records:
-// by currency bytes, then peer account ID bytes.
-func (g *Graph) edgeLess(e edgeRec, cur amount.Currency, peer addr.AccountID) bool {
-	if c := bytes.Compare(e.cur[:], cur[:]); c != 0 {
-		return c < 0
-	}
-	return bytes.Compare(g.accounts[e.peer][:], peer[:]) < 0
+// curKey packs a currency code into an integer that orders as its bytes
+// do, so the adjacency searches compare one word instead of a slice.
+func curKey(c amount.Currency) uint32 {
+	return uint32(c[0])<<16 | uint32(c[1])<<8 | uint32(c[2])
 }
 
-// findEdge binary-searches account ai's adjacency for (peer, cur),
-// returning the slot and whether it holds that exact edge.
+// findEdge binary-searches account ai's adjacency — ordered by currency
+// bytes, then peer account ID bytes — for (cur, peer), returning the slot
+// and whether it holds that exact edge.
 func (g *Graph) findEdge(ai int32, cur amount.Currency, peer addr.AccountID) (int, bool) {
 	edges := g.adj[ai]
-	i := sort.Search(len(edges), func(i int) bool {
-		return !g.edgeLess(edges[i], cur, peer)
-	})
-	if i < len(edges) && edges[i].cur == cur && g.accounts[edges[i].peer] == peer {
-		return i, true
+	k := curKey(cur)
+	lo, hi := 0, len(edges)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ek := curKey(edges[m].cur); ek < k || ek == k && g.accounts[edges[m].peer].Less(peer) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return i, false
+	if lo < len(edges) && edges[lo].cur == cur && g.accounts[edges[lo].peer] == peer {
+		return lo, true
+	}
+	return lo, false
 }
 
 // link inserts the edge (ai → pi, cur) → p into ai's adjacency.
@@ -130,9 +149,9 @@ func (g *Graph) link(ai, pi int32, cur amount.Currency, p *Pair) {
 	if len(g.adj[ai]) == 0 {
 		g.active++
 	}
-	g.adj[ai] = append(g.adj[ai], edgeRec{})
+	g.adj[ai] = append(g.adj[ai], Edge{})
 	copy(g.adj[ai][i+1:], g.adj[ai][i:])
-	g.adj[ai][i] = edgeRec{cur: cur, peer: pi, pair: p}
+	g.adj[ai][i] = Edge{cur: cur, ownerLo: p.Lo == g.accounts[ai], peer: pi, pair: p}
 }
 
 // unlink removes the edge (ai, cur, peer) from ai's adjacency.
@@ -155,12 +174,20 @@ func canonical(a, b addr.AccountID) (lo, hi addr.AccountID, swapped bool) {
 	return a, b, false
 }
 
-// pair returns the Pair for (a, b, cur), creating it when create is set.
-func (g *Graph) pair(a, b addr.AccountID, cur amount.Currency, create bool) *Pair {
+// edge returns a's edge to b in cur, or nil when they share no pair.
+func (g *Graph) edge(a, b addr.AccountID, cur amount.Currency) *Edge {
 	if ai, ok := g.ids[a]; ok {
 		if i, ok := g.findEdge(ai, cur, b); ok {
-			return g.adj[ai][i].pair
+			return &g.adj[ai][i]
 		}
+	}
+	return nil
+}
+
+// pair returns the Pair for (a, b, cur), creating it when create is set.
+func (g *Graph) pair(a, b addr.AccountID, cur amount.Currency, create bool) *Pair {
+	if e := g.edge(a, b, cur); e != nil {
+		return e.pair
 	}
 	if !create {
 		return nil
@@ -230,30 +257,22 @@ func (g *Graph) Owed(creditor, debtor addr.AccountID, cur amount.Currency) amoun
 // direct edge in the given currency: existing debt owed to `from` by `to`
 // being paid down, plus fresh credit `to` extends to `from`.
 func (g *Graph) Capacity(from, to addr.AccountID, cur amount.Currency) amount.Value {
-	p := g.pair(from, to, cur, false)
-	if p == nil {
+	e := g.edge(from, to, cur)
+	if e == nil {
 		return amount.Zero
 	}
-	return pairCapacity(p, from)
+	return e.Capacity()
 }
 
-// CapacityIdx is Capacity over dense indices, for path-finder hot loops.
-func (g *Graph) CapacityIdx(from, to int32, cur amount.Currency) amount.Value {
-	i, ok := g.findEdge(from, cur, g.accounts[to])
-	if !ok {
-		return amount.Zero
-	}
-	return pairCapacity(g.adj[from][i].pair, g.accounts[from])
-}
-
-// pairCapacity computes capacity for value flowing out of `from` across p.
-func pairCapacity(p *Pair, from addr.AccountID) amount.Value {
+// pairCapacity computes capacity for value flowing across p out of its Lo
+// endpoint (fromLo) or its Hi endpoint.
+func pairCapacity(p *Pair, fromLo bool) amount.Value {
 	// Value flowing Lo→Hi decreases Balance; floor is -LimitHiLo.
 	// capacity(Lo→Hi) = Balance + LimitHiLo
 	// capacity(Hi→Lo) = LimitLoHi - Balance
 	var c amount.Value
 	var err error
-	if p.Lo == from {
+	if fromLo {
 		c, err = p.Balance.Add(p.LimitHiLo)
 	} else {
 		c, err = p.LimitLoHi.Sub(p.Balance)
@@ -271,17 +290,18 @@ func (g *Graph) ApplyFlow(from, to addr.AccountID, cur amount.Currency, v amount
 	if v.IsNegative() || v.IsZero() {
 		return fmt.Errorf("trustgraph: flow must be positive, got %s", v)
 	}
-	p := g.pair(from, to, cur, false)
-	if p == nil {
+	e := g.edge(from, to, cur)
+	if e == nil {
 		return fmt.Errorf("trustgraph: no trust between %s and %s in %s", from.Short(), to.Short(), cur)
 	}
-	if pairCapacity(p, from).Cmp(v) < 0 {
+	if c := e.Capacity(); c.Cmp(v) < 0 {
 		return fmt.Errorf("trustgraph: flow %s exceeds capacity %s on %s→%s/%s",
-			v, pairCapacity(p, from), from.Short(), to.Short(), cur)
+			v, c, from.Short(), to.Short(), cur)
 	}
+	p := e.pair
 	var nb amount.Value
 	var err error
-	if p.Lo == from {
+	if e.ownerLo {
 		nb, err = p.Balance.Sub(v)
 	} else {
 		nb, err = p.Balance.Add(v)
@@ -293,44 +313,33 @@ func (g *Graph) ApplyFlow(from, to addr.AccountID, cur amount.Currency, v amount
 	return nil
 }
 
-// curBlock returns the half-open range of account ai's edges in cur.
-// Edges are sorted by (currency, peer), so the block is contiguous.
-func (g *Graph) curBlock(ai int32, cur amount.Currency) (int, int) {
-	edges := g.adj[ai]
-	start := sort.Search(len(edges), func(i int) bool {
-		return bytes.Compare(edges[i].cur[:], cur[:]) >= 0
-	})
-	end := start
-	for end < len(edges) && edges[end].cur == cur {
-		end++
+// curBound returns the index of the first edge whose packed currency is
+// at least k. An adjacency is sorted by (currency, peer), so the edges of
+// one currency are the contiguous block between two bounds.
+func curBound(edges []Edge, k uint32) int {
+	lo, hi := 0, len(edges)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if curKey(edges[m].cur) < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return start, end
+	return lo
 }
 
-// Neighbors calls fn for every peer that shares a trust pair with account
-// in the given currency, together with the current capacity for value
-// flowing account→peer. Iteration order is deterministic (sorted by
-// peer): payment routing must not depend on map iteration order.
-func (g *Graph) Neighbors(account addr.AccountID, cur amount.Currency, fn func(peer addr.AccountID, capacity amount.Value)) {
-	ai, ok := g.ids[account]
-	if !ok {
-		return
-	}
-	start, end := g.curBlock(ai, cur)
-	for _, e := range g.adj[ai][start:end] {
-		fn(g.accounts[e.peer], pairCapacity(e.pair, account))
-	}
-}
-
-// NeighborsIdx is Neighbors over dense indices: fn receives the peer's
-// dense index and the account→peer capacity. It is the path finder's hot
-// loop; iteration order matches Neighbors exactly.
-func (g *Graph) NeighborsIdx(account int32, cur amount.Currency, fn func(peer int32, capacity amount.Value)) {
-	start, end := g.curBlock(account, cur)
-	from := g.accounts[account]
-	for _, e := range g.adj[account][start:end] {
-		fn(e.peer, pairCapacity(e.pair, from))
-	}
+// Edges returns account's edges in the given currency: one per peer it
+// shares a trust pair with, ordered by peer account ID — deterministic,
+// because payment routing must not depend on map iteration or interning
+// order. The slice aliases the graph's adjacency: read-only, and valid
+// until the graph is next mutated.
+func (g *Graph) Edges(account int32, cur amount.Currency) []Edge {
+	k := curKey(cur)
+	edges := g.adj[account]
+	edges = edges[curBound(edges, k):]
+	n := curBound(edges, k+1)
+	return edges[:n:n]
 }
 
 // Currencies calls fn for each currency in which account has any pair,
@@ -443,7 +452,7 @@ func (g *Graph) Clone() *Graph {
 	out := &Graph{
 		ids:      make(map[addr.AccountID]int32, len(g.ids)),
 		accounts: append([]addr.AccountID(nil), g.accounts...),
-		adj:      make([][]edgeRec, len(g.adj)),
+		adj:      make([][]Edge, len(g.adj)),
 		pairs:    g.pairs,
 		active:   g.active,
 	}
@@ -455,7 +464,7 @@ func (g *Graph) Clone() *Graph {
 		if len(edges) == 0 {
 			continue
 		}
-		ne := make([]edgeRec, len(edges))
+		ne := make([]Edge, len(edges))
 		copy(ne, edges)
 		for j := range ne {
 			cp, ok := copies[ne[j].pair]

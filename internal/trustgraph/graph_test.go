@@ -166,10 +166,12 @@ func TestNeighbors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	hi, _ := g.Index(hub)
 	got := make(map[addr.AccountID]string)
-	g.Neighbors(hub, amount.USD, func(peer addr.AccountID, c amount.Value) {
-		got[peer] = c.String()
-	})
+	edges := g.Edges(hi, amount.USD)
+	for i := range edges {
+		got[g.AccountAt(edges[i].Peer())] = edges[i].Capacity().String()
+	}
 	want := map[addr.AccountID]string{s1: "10", s2: "20", s3: "30"}
 	if len(got) != len(want) {
 		t.Fatalf("neighbors = %v, want 3 spokes", got)
@@ -180,9 +182,7 @@ func TestNeighbors(t *testing.T) {
 		}
 	}
 	// Wrong currency: no neighbors.
-	n := 0
-	g.Neighbors(hub, amount.EUR, func(addr.AccountID, amount.Value) { n++ })
-	if n != 0 {
+	if n := len(g.Edges(hi, amount.EUR)); n != 0 {
 		t.Errorf("EUR neighbors = %d, want 0", n)
 	}
 }

@@ -329,8 +329,8 @@ func (fd *FrontDoor) applyLoop() {
 
 		fd.mu.Lock()
 		for _, qt := range batch {
-			applied, meta, err := fd.exec.Commit(qt.autoSeq)
-			qt.hash, qt.sequence, qt.meta, qt.err = applied.Hash(), applied.Sequence, meta, err
+			applied, hash, meta, err := fd.exec.Commit(qt.autoSeq)
+			qt.hash, qt.sequence, qt.meta, qt.err = hash, applied.Sequence, meta, err
 		}
 		// Inside the write-locked section: no reader can compute a quote
 		// against the superseded state after this epoch advance.

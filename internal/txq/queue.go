@@ -96,11 +96,18 @@ func (aq *acctQueue) insert(q *queuedTx) bool {
 // transactions.
 type acctHeap []*acctQueue
 
-func (h acctHeap) Len() int            { return len(h) }
-func (h acctHeap) Less(i, j int) bool  { return h[i].before(h[j]) }
-func (h acctHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i; h[j].heapIdx = j }
-func (h *acctHeap) Push(x any)         { aq := x.(*acctQueue); aq.heapIdx = len(*h); *h = append(*h, aq) }
-func (h *acctHeap) Pop() any           { old := *h; n := len(old); aq := old[n-1]; old[n-1] = nil; *h = old[:n-1]; return aq }
+func (h acctHeap) Len() int           { return len(h) }
+func (h acctHeap) Less(i, j int) bool { return h[i].before(h[j]) }
+func (h acctHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i; h[j].heapIdx = j }
+func (h *acctHeap) Push(x any)        { aq := x.(*acctQueue); aq.heapIdx = len(*h); *h = append(*h, aq) }
+func (h *acctHeap) Pop() any {
+	old := *h
+	n := len(old)
+	aq := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return aq
+}
 
 // queue is the ordered core behind the front door's admission control.
 // Depth bounding lives outside (the FrontDoor's slot semaphore gives
