@@ -11,16 +11,19 @@
 //	                  and integrity counts for the nodes file
 //
 // Batches are incremental: reconstructing the tree at checkpoint N
-// requires the union of every cp-*.nodes with sequence ≤ N (missing or
-// damaged batches fail the load, and the replayer falls back to a cold
-// rebuild). The manifest is written atomically (tmp + rename) AFTER its
-// nodes file is synced, so a manifest's existence implies a complete
-// batch.
+// requires the union of every cp-*.nodes with sequence ≤ N, read back
+// under one index. A missing or damaged batch makes the checkpoints from
+// it onward unloadable, and the replayer resumes from the newest one
+// before it (or rebuilds cold when there is none). The manifest is
+// written atomically (tmp + rename) AFTER its nodes file is synced, so a
+// manifest's existence implies a complete batch.
 package ledgerstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -129,8 +132,16 @@ func ListCheckpoints(dir string) ([]CheckpointMeta, error) {
 		if err != nil {
 			continue
 		}
+		// A manifest carries no checksum, so what no writer produces is
+		// damage: a key unknown here (one flipped byte in "state_digest"
+		// must not restore a zero digest), bytes after the closing brace.
 		var meta CheckpointMeta
-		if err := json.Unmarshal(blob, &meta); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(blob))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&meta); err != nil {
+			continue
+		}
+		if _, err := dec.Token(); err != io.EOF {
 			continue
 		}
 		fi, err := os.Stat(checkpointNodesPath(dir, meta.Seq))
@@ -143,18 +154,24 @@ func ListCheckpoints(dir string) ([]CheckpointMeta, error) {
 	return metas, nil
 }
 
-// OpenCheckpointNodes opens the node batches of the given checkpoints
-// as one layered content-addressed getter. Every batch is CRC-verified
-// on open; any damage fails the whole open (callers fall back to a cold
-// replay).
-func OpenCheckpointNodes(dir string, metas []CheckpointMeta) (nodestore.Getter, error) {
-	layers := make(nodestore.Layered, 0, len(metas))
+// OpenCheckpointNodes opens the node batches of the given checkpoints,
+// oldest first, as one content-addressed store. Every batch is
+// CRC-verified whole as it is added. At the first damaged batch it stops
+// and returns the error together with the store over the batches before
+// it, which still holds the full tree of every checkpoint older than the
+// damage: records are content-addressed and tree loads verify every
+// hash, so a short store can fail a load but never falsify one.
+func OpenCheckpointNodes(dir string, metas []CheckpointMeta) (*nodestore.FileStore, error) {
+	records := 0
 	for _, m := range metas {
-		fs, err := nodestore.OpenFile(checkpointNodesPath(dir, m.Seq))
-		if err != nil {
-			return nil, err
-		}
-		layers = append(layers, fs)
+		// NodesBytes was checked against the file; NewNodes is only a claim.
+		records += min(m.NewNodes, int(m.NodesBytes/nodestore.RecordOverhead))
 	}
-	return layers, nil
+	store := nodestore.NewFileStore(records)
+	for _, m := range metas {
+		if err := store.Add(checkpointNodesPath(dir, m.Seq)); err != nil {
+			return store, err
+		}
+	}
+	return store, nil
 }

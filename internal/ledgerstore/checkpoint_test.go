@@ -3,6 +3,7 @@ package ledgerstore
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ripplestudy/internal/ledger"
@@ -56,7 +57,7 @@ func TestCheckpointWriteListOpen(t *testing.T) {
 		t.Fatalf("first meta %+v, wrote %+v", metas[0], m1)
 	}
 
-	// The layered getter unions both batches.
+	// One store unions both batches.
 	getter, err := OpenCheckpointNodes(dir, metas)
 	if err != nil {
 		t.Fatal(err)
@@ -69,6 +70,31 @@ func TestCheckpointWriteListOpen(t *testing.T) {
 		}
 		if string(got) != string(p) {
 			t.Fatalf("record %d: got %x", i, got)
+		}
+	}
+
+	// A damaged batch stops the open there: the error, and with it the
+	// store over the batches before — every older checkpoint's nodes.
+	p300 := checkpointNodesPath(dir, 300)
+	blob, err := os.ReadFile(p300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len(blob)/2] ^= 0x04 // same size, so the manifest still lists it
+	if err := os.WriteFile(p300, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	short, err := OpenCheckpointNodes(dir, metas)
+	if err == nil {
+		t.Fatal("open accepted a damaged batch")
+	}
+	if short.Len() != m1.NewNodes {
+		t.Fatalf("store after a damaged second batch holds %d records, first batch has %d", short.Len(), m1.NewNodes)
+	}
+	for _, i := range []int{1, 2, 3} {
+		h, _ := cpRec(i)
+		if _, err := short.Get(h); err != nil {
+			t.Fatalf("record %d of the undamaged batch: %v", i, err)
 		}
 	}
 	_ = m2
@@ -92,6 +118,22 @@ func TestListCheckpointsSkipsDamage(t *testing.T) {
 	// 200: manifest is garbage.
 	if err := os.WriteFile(checkpointMetaPath(dir, 200), []byte("{nope"), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	// 250 and 260: well-formed JSON no writer produces — a key name with
+	// a flipped byte (its field would silently stay zero), and bytes after
+	// the closing brace.
+	for seq, edit := range map[uint64]func(string) string{
+		250: func(m string) string { return strings.Replace(m, `"state_digest"`, `"state_eigest"`, 1) },
+		260: func(m string) string { return m + "{}" },
+	} {
+		writeTestCheckpoint(t, dir, seq, int(seq))
+		manifest, err := os.ReadFile(checkpointMetaPath(dir, seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(checkpointMetaPath(dir, seq), []byte(edit(string(manifest))), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// A nodes file with no manifest at all (interrupted write) is ignored.
 	if fw, err := nodestore.CreateFile(checkpointNodesPath(dir, 400)); err != nil {

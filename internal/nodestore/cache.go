@@ -10,7 +10,7 @@ import (
 // against a file-backed store (state proofs, interactive queries) hit
 // memory for the working set instead of re-searching the batch files.
 // Only successful reads are cached; ErrNotFound is not negative-cached,
-// so a miss stays cheap to retry after more batches are layered in.
+// so a miss stays cheap to retry after more batches are added.
 //
 // Cache is not safe for concurrent use; wrap it per reader or guard it
 // like the store it fronts.

@@ -2,6 +2,8 @@ package nodestore
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 
@@ -70,47 +72,123 @@ func (fw *FileWriter) Close() error {
 	return closeErr
 }
 
-// FileStore is the read side of a batch file: OpenFile loads the file,
-// CRC-checks every record, and indexes payload spans by hash. Batch
-// files are bounded (one seal's changed nodes), so whole-file loading
-// is both the simplest and the fastest shape for a checkpoint restore,
-// which reads every node exactly once anyway.
+// FileStore is the read side of batch files: Add loads one whole,
+// CRC-checks every record, and enters each new hash into one
+// open-addressed table shared by every file added — content addressing
+// makes the union of batches a store, so a lookup is one probe however
+// many batches a checkpoint restore spans. A slot names a record by file
+// and payload offset; hash and length are read back from the frame in
+// front of the payload. Batch files are bounded (one seal's changed
+// nodes), so loading them whole is the simplest and fastest shape for a
+// restore. The zero value is an empty store.
 type FileStore struct {
-	data []byte
-	idx  map[ledger.Hash][2]int // payload span: offset, length
+	files [][]byte
+	slots []uint64 // 0 is empty, else file<<offsetBits | payload offset
+	n     int      // distinct hashes
 }
 
-// OpenFile loads and indexes a batch file written by FileWriter. Any
-// framing or CRC damage fails the open — a checkpoint loader falls back
-// to an older checkpoint (or a cold replay) rather than trusting a
-// torn batch.
+// offsetBits is the width of a slot's payload offset (a file is read
+// whole, so it is far smaller); the file number takes the rest.
+const offsetBits = 40
+
+// NewFileStore returns an empty store whose table is sized for the given
+// number of records, so adding that many never rebuilds it.
+func NewFileStore(records int) *FileStore {
+	s := &FileStore{}
+	s.resize(records)
+	return s
+}
+
+// OpenFile loads and indexes one batch file written by FileWriter.
 func OpenFile(path string) (*FileStore, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
+	s := &FileStore{}
+	if err := s.Add(path); err != nil {
 		return nil, err
-	}
-	s := &FileStore{data: data, idx: make(map[ledger.Hash][2]int)}
-	rest := data
-	for len(rest) > 0 {
-		h, payload, next, err := DecodeRecord(rest)
-		if err != nil {
-			return nil, fmt.Errorf("nodestore: %s: %w", path, err)
-		}
-		off := len(data) - len(rest) + recordHeader
-		s.idx[h] = [2]int{off, len(payload)}
-		rest = next
 	}
 	return s, nil
 }
 
-// Get implements Getter. The returned slice aliases the loaded file.
-func (s *FileStore) Get(h ledger.Hash) ([]byte, error) {
-	span, ok := s.idx[h]
-	if !ok {
-		return nil, ErrNotFound
+// Add loads and indexes one more batch file; a hash already present
+// keeps its first record (the bytes are identical by construction). Any
+// framing or CRC damage fails the add and leaves the store as it was — a
+// checkpoint loader falls back to an older checkpoint (or a cold replay)
+// rather than trusting a torn batch.
+func (s *FileStore) Add(path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
 	}
-	return s.data[span[0] : span[0]+span[1]], nil
+	records := 0
+	for rest := data; len(rest) > 0; records++ {
+		if _, _, rest, err = DecodeRecord(rest); err != nil {
+			return fmt.Errorf("nodestore: %s: %w", path, err)
+		}
+	}
+	if 2*(s.n+records) > len(s.slots) {
+		s.resize(s.n + records)
+	}
+	file := uint64(len(s.files)) << offsetBits
+	s.files = append(s.files, data)
+	for off := recordHeader; off < len(data); {
+		if i := s.probe(data[off-32 : off]); s.slots[i] == 0 {
+			s.slots[i] = file | uint64(off)
+			s.n++
+		}
+		off += int(binary.BigEndian.Uint32(data[off-recordHeader:])) + recordTrailer + recordHeader
+	}
+	return nil
 }
 
-// Len returns the number of records in the file.
-func (s *FileStore) Len() int { return len(s.idx) }
+// resize rebuilds the table to hold n records at most half full.
+func (s *FileStore) resize(n int) {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	old := s.slots
+	s.slots = make([]uint64, size)
+	for _, slot := range old {
+		if slot != 0 {
+			data, off := s.at(slot)
+			s.slots[s.probe(data[off-32:off])] = slot
+		}
+	}
+}
+
+// at splits a slot into the file it names and the payload offset there.
+func (s *FileStore) at(slot uint64) (data []byte, off int) {
+	return s.files[slot>>offsetBits], int(slot & (1<<offsetBits - 1))
+}
+
+// probe returns the table position of hash h: the slot holding it, or
+// the empty slot where it belongs. Hashes are uniform, so their first
+// eight bytes pick the starting position; only a full 32-byte match
+// against the hash framed in the file ends the walk early.
+func (s *FileStore) probe(h []byte) int {
+	mask := len(s.slots) - 1
+	i := int(binary.LittleEndian.Uint64(h)) & mask
+	for s.slots[i] != 0 {
+		if data, off := s.at(s.slots[i]); bytes.Equal(data[off-32:off], h) {
+			break
+		}
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// Get implements Getter. The returned slice aliases the loaded file.
+func (s *FileStore) Get(h ledger.Hash) ([]byte, error) {
+	if len(s.slots) == 0 {
+		return nil, ErrNotFound
+	}
+	slot := s.slots[s.probe(h[:])]
+	if slot == 0 {
+		return nil, ErrNotFound
+	}
+	data, off := s.at(slot)
+	end := off + int(binary.BigEndian.Uint32(data[off-recordHeader:]))
+	return data[off:end:end], nil
+}
+
+// Len returns the number of distinct records across the files added.
+func (s *FileStore) Len() int { return s.n }

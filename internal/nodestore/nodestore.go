@@ -7,7 +7,8 @@
 //
 // Three backends cover the study's needs: MemStore for tests and
 // in-process snapshots, FileWriter/FileStore for the append-only batch
-// files a replay checkpoint persists (file.go), and Cache, an LRU layer
+// files a replay checkpoint persists — any number of them read back
+// under one index (file.go) — and Cache, an LRU layer
 // over any Getter for hot-node reads (cache.go). The flat record framing
 // (AppendRecord/DecodeRecord) is shared by every backend:
 //
@@ -27,8 +28,7 @@ import (
 	"ripplestudy/internal/ledger"
 )
 
-// ErrNotFound reports a hash absent from a store. Layered lookups use
-// it to fall through; anything else aborts the lookup.
+// ErrNotFound reports a hash absent from a store.
 var ErrNotFound = errors.New("nodestore: not found")
 
 // Getter is the read side of a store.
@@ -81,30 +81,13 @@ func (s *MemStore) Put(h ledger.Hash, payload []byte) error {
 // Len implements Store.
 func (s *MemStore) Len() int { return len(s.m) }
 
-// Layered chains Getters: Get answers from the first layer that holds
-// the hash. Because records are content-addressed, the same hash found
-// in two layers is byte-identical — layering checkpoint batch files in
-// any order reassembles the store that wrote them.
-type Layered []Getter
-
-// Get implements Getter.
-func (l Layered) Get(h ledger.Hash) ([]byte, error) {
-	for _, g := range l {
-		d, err := g.Get(h)
-		if err == nil {
-			return d, nil
-		}
-		if !errors.Is(err, ErrNotFound) {
-			return nil, err
-		}
-	}
-	return nil, ErrNotFound
-}
-
 // Record framing constants.
 const (
 	recordHeader  = 4 + 32 // length + hash
 	recordTrailer = 4      // CRC-32
+	// RecordOverhead is the framing around every payload, so a file of n
+	// bytes holds at most n/RecordOverhead records.
+	RecordOverhead = recordHeader + recordTrailer
 	// MaxPayload bounds a single record: far above any real tree node
 	// (a full inner node is 515 bytes) but small enough that a corrupt
 	// length field cannot drive an allocation of gigabytes.

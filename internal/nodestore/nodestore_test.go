@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -195,26 +196,46 @@ func TestOpenFileRejectsCorruption(t *testing.T) {
 	}
 }
 
+// writeBatch writes the records to a fresh batch file, framing them
+// directly: the frame takes any 32-byte name, which is how the model test
+// forges hashes that collide on their probe bytes.
+func writeBatch(t *testing.T, hashes []ledger.Hash, payloads [][]byte) string {
+	t.Helper()
+	var buf []byte
+	for i, h := range hashes {
+		buf = AppendRecord(buf, h, payloads[i])
+	}
+	path := filepath.Join(t.TempDir(), "batch.nodes")
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestLayeredUnion pins the union a checkpoint restore relies on: the
+// batches of several seals, opened into one store, answer for every hash
+// any of them holds, and a hash two of them hold is one record.
 func TestLayeredUnion(t *testing.T) {
-	a, b := NewMem(), NewMem()
 	ha, pa := rec(1)
 	hb, pb := rec(2)
 	hBoth, pBoth := rec(3)
-	for _, put := range []struct {
-		s *MemStore
-		h ledger.Hash
-		p []byte
-	}{{a, ha, pa}, {b, hb, pb}, {a, hBoth, pBoth}, {b, hBoth, pBoth}} {
-		if err := put.s.Put(put.h, put.p); err != nil {
+	var s FileStore
+	for _, path := range []string{
+		writeBatch(t, []ledger.Hash{ha, hBoth}, [][]byte{pa, pBoth}),
+		writeBatch(t, []ledger.Hash{hb, hBoth}, [][]byte{pb, pBoth}),
+	} {
+		if err := s.Add(path); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l := Layered{a, b}
+	if s.Len() != 3 {
+		t.Fatalf("Len = %d, want 3 distinct records", s.Len())
+	}
 	for _, want := range []struct {
 		h ledger.Hash
 		p []byte
 	}{{ha, pa}, {hb, pb}, {hBoth, pBoth}} {
-		got, err := l.Get(want.h)
+		got, err := s.Get(want.h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,25 +243,121 @@ func TestLayeredUnion(t *testing.T) {
 			t.Fatalf("Get(%s) = %x", want.h.Short(), got)
 		}
 	}
-	if _, err := l.Get(ledger.Hash{9}); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Get(ledger.Hash{9}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing hash: err = %v, want ErrNotFound", err)
 	}
 }
 
-type errGetter struct{ err error }
+// TestFileStoreMatchesMapModel holds the one index over many files
+// against a map[Hash][]byte: random batches whose hashes repeat across
+// files, families of forged hashes that share their first eight bytes
+// (so they start their probe in the same slot and only the full compare
+// tells them apart), an empty file, and a table that starts at nothing
+// and must grow — beside a table sized up front, which must not. Every
+// present hash returns its payload; every absent one, including absent
+// members of a forged family queued behind an occupied run, is
+// ErrNotFound.
+func TestFileStoreMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	model := map[ledger.Hash][]byte{}
+	var absent []ledger.Hash
+	forge := func(family, member int) ledger.Hash {
+		var h ledger.Hash
+		binary.BigEndian.PutUint64(h[:], uint64(family)*0x9e3779b97f4a7c15)
+		binary.BigEndian.PutUint64(h[24:], uint64(member)+1)
+		return h
+	}
+	var paths []string
+	var pool []ledger.Hash // hashes already written, to repeat across files
+	total := 0
+	for file := 0; file < 9; file++ {
+		var hashes []ledger.Hash
+		var payloads [][]byte
+		add := func(h ledger.Hash, p []byte) {
+			if _, ok := model[h]; !ok {
+				model[h] = p
+				pool = append(pool, h)
+			}
+			hashes, payloads = append(hashes, h), append(payloads, model[h])
+		}
+		n := 0
+		if file != 4 { // file 4 is empty
+			n = 50 + rng.Intn(400)
+		}
+		for i := 0; i < n; i++ {
+			switch r := rng.Intn(10); {
+			case r < 2 && len(pool) > 0:
+				h := pool[rng.Intn(len(pool))]
+				add(h, nil)
+			case r < 4:
+				// Even members of a family are stored, odd ones never are.
+				family, member := rng.Intn(6), 2*rng.Intn(40)
+				add(forge(family, member), []byte(fmt.Sprintf("forged %d/%d", family, member)))
+				absent = append(absent, forge(family, member+1))
+			default:
+				h, p := rec(rng.Int())
+				add(h, p)
+			}
+		}
+		total += len(hashes)
+		paths = append(paths, writeBatch(t, hashes, payloads))
+	}
+	for i := 0; i < 200; i++ {
+		absent = append(absent, ledger.SHA512Half(binary.BigEndian.AppendUint64([]byte("absent"), uint64(i))))
+	}
 
-func (g errGetter) Get(ledger.Hash) ([]byte, error) { return nil, g.err }
+	grown, sized := &FileStore{}, NewFileStore(total)
+	sizedSlots := len(sized.slots)
+	for _, s := range []*FileStore{grown, sized} {
+		if _, err := s.Get(absent[0]); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("store of zero files: err = %v, want ErrNotFound", err)
+		}
+		for _, path := range paths {
+			if err := s.Add(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.Len() != len(model) {
+			t.Fatalf("Len = %d, model holds %d", s.Len(), len(model))
+		}
+		for h, want := range model {
+			got, err := s.Get(h)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("Get(%s) = %x, %v; model %x", h.Short(), got, err, want)
+			}
+		}
+		for _, h := range absent {
+			if got, err := s.Get(h); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("absent %s: got %x, %v", h.Short(), got, err)
+			}
+		}
+		if 2*s.Len() > len(s.slots) {
+			t.Fatalf("%d records in %d slots: table over half full", s.Len(), len(s.slots))
+		}
+	}
+	if len(sized.slots) != sizedSlots {
+		t.Fatalf("table sized for %d records was rebuilt (%d → %d slots)", total, sizedSlots, len(sized.slots))
+	}
+	if len(grown.slots) <= 16 {
+		t.Fatalf("unsized table never grew (%d slots)", len(grown.slots))
+	}
 
-func TestLayeredAbortsOnRealError(t *testing.T) {
-	boom := fmt.Errorf("disk on fire")
-	tail := NewMem()
-	h, p := rec(4)
-	if err := tail.Put(h, p); err != nil {
+	// A damaged file is refused whole and changes nothing.
+	blob, err := os.ReadFile(paths[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	l := Layered{errGetter{boom}, tail}
-	if _, err := l.Get(h); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the layer's error", err)
+	blob[len(blob)-1] ^= 0x01 // the last record's CRC, after valid ones
+	bad := filepath.Join(t.TempDir(), "bad.nodes")
+	if err := os.WriteFile(bad, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	files, n := len(sized.files), sized.Len()
+	if err := sized.Add(bad); err == nil {
+		t.Fatal("Add accepted a damaged file")
+	}
+	if len(sized.files) != files || sized.Len() != n {
+		t.Fatal("a refused file changed the store")
 	}
 }
 

@@ -14,11 +14,12 @@
 package payment
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ripplestudy/internal/addr"
 	"ripplestudy/internal/amount"
@@ -180,23 +181,37 @@ type RestoreScalars struct {
 }
 
 // RestoreEngine rebuilds a working engine from a loaded, sealed state
-// tree. Offers are re-placed in placement-stamp order via
-// PlaceRestored, and trust pairs enter the graph sorted by the
-// adjacency's canonical order, so the restored engine's observable
-// behavior — quotes, paths, digests, future seals — is identical to the
-// engine that sealed the tree. The engine adopts the tree.
+// tree. Book order and adjacency order are pure functions of the state
+// (offers keep their placement stamps; edges sort by currency and peer),
+// so the order leaves arrive in does not matter and each structure is
+// built the cheap way: offers are re-placed via PlaceRestored already in
+// book order, every placement an append, and trust pairs go to the graph
+// in one RestorePairs. The restored engine's observable behavior —
+// quotes, paths, digests, future seals — is identical to the engine that
+// sealed the tree. The engine adopts the tree.
 func RestoreEngine(tree *shamap.Tree, sc RestoreScalars, opts ...Option) (*Engine, error) {
+	// A first walk counts the leaves of each kind, so the maps and slices
+	// below are made once at their final size.
+	var count [256]int
+	tree.Walk(func(_ ledger.Hash, value []byte) error {
+		if len(value) > 0 {
+			count[value[0]]++
+		}
+		return nil
+	})
 	e := &Engine{
 		graph: trustgraph.New(),
 		books: orderbook.New(),
-		xrp:   make(map[addr.AccountID]amount.Drops),
-		seq:   make(map[addr.AccountID]uint32),
+		xrp:   make(map[addr.AccountID]amount.Drops, count[leafAccount]),
+		seq:   make(map[addr.AccountID]uint32, count[leafAccount]),
 	}
 	type stampedOffer struct {
-		o     *orderbook.Offer
-		stamp uint64
+		o       *orderbook.Offer
+		stamp   uint64
+		quality amount.Value
 	}
-	var offers []stampedOffer
+	offers := make([]stampedOffer, 0, count[leafOffer])
+	pairs := make([]trustgraph.Pair, 0, count[leafTrust])
 	var stampCounter uint64
 	sawMeta := false
 	err := tree.Walk(func(key ledger.Hash, value []byte) error {
@@ -224,9 +239,10 @@ func RestoreEngine(tree *shamap.Tree, sc RestoreScalars, opts ...Option) (*Engin
 			if trustKey(pk) != key {
 				return fmt.Errorf("payment: trust leaf keyed %s under %s", trustKey(pk).Short(), key.Short())
 			}
-			if err := e.graph.RestorePair(pk.lo, pk.hi, pk.cur, limLoHi, limHiLo, balance); err != nil {
-				return err
-			}
+			pairs = append(pairs, trustgraph.Pair{
+				Lo: pk.lo, Hi: pk.hi, Currency: pk.cur,
+				LimitLoHi: limLoHi, LimitHiLo: limHiLo, Balance: balance,
+			})
 		case leafOffer:
 			o, stamp, err := decodeOfferLeaf(value)
 			if err != nil {
@@ -235,7 +251,7 @@ func RestoreEngine(tree *shamap.Tree, sc RestoreScalars, opts ...Option) (*Engin
 			if offerKey(o.Owner, o.Seq) != key {
 				return fmt.Errorf("payment: offer leaf keyed %s under %s", offerKey(o.Owner, o.Seq).Short(), key.Short())
 			}
-			offers = append(offers, stampedOffer{o: o, stamp: stamp})
+			offers = append(offers, stampedOffer{o: o, stamp: stamp, quality: o.Quality()})
 		case leafMeta:
 			totalDrops, feesDestroyed, stamps, err := decodeMetaLeaf(value)
 			if err != nil {
@@ -258,7 +274,15 @@ func RestoreEngine(tree *shamap.Tree, sc RestoreScalars, opts ...Option) (*Engin
 	if !sawMeta {
 		return nil, fmt.Errorf("payment: state tree has no meta leaf")
 	}
-	sort.Slice(offers, func(i, j int) bool { return offers[i].stamp < offers[j].stamp })
+	if err := e.graph.RestorePairs(pairs); err != nil {
+		return nil, err
+	}
+	slices.SortFunc(offers, func(a, b stampedOffer) int {
+		if c := a.quality.Cmp(b.quality); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.stamp, b.stamp)
+	})
 	for _, so := range offers {
 		if err := e.books.PlaceRestored(so.o, so.stamp); err != nil {
 			return nil, err

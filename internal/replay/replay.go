@@ -202,43 +202,45 @@ func (o BuildOptions) dir(src Source) string {
 }
 
 // resumeFromCheckpoint restores the engine from the newest usable
-// checkpoint at or before snapshotSeq. Any failure — no sidecar, no
-// eligible checkpoint, damaged batches, a tree that does not decode —
-// reports ok=false and the caller replays cold; a checkpoint can speed
-// a replay up but never make it fail.
+// checkpoint at or before snapshotSeq. Damage costs only the checkpoints
+// it touches: a batch that fails its CRCs ends the opened store just
+// before it, a tree with a node missing or altered does not load, a
+// manifest that disagrees with its tree does not restore — and each time
+// the next older checkpoint is tried, whose tree the same store still
+// holds in full. Only when none is left — no sidecar, no eligible
+// checkpoint, the first batch damaged — does it report ok=false and the
+// caller replays cold; a checkpoint can speed a replay up but never make
+// it fail.
 func resumeFromCheckpoint(dir string, snapshotSeq uint64) (eng *payment.Engine, seq uint64, ok bool) {
 	metas, err := ledgerstore.ListCheckpoints(dir)
-	if err != nil || len(metas) == 0 {
+	if err != nil {
 		return nil, 0, false
 	}
-	last := -1
-	for i := range metas {
-		if metas[i].Seq <= snapshotSeq {
-			last = i
+	eligible := 0 // metas is sorted by sequence
+	for eligible < len(metas) && metas[eligible].Seq <= snapshotSeq {
+		eligible++
+	}
+	// The tree at checkpoint N lives in the union of every batch ≤ N. The
+	// open's error is not news: the loads below find out what the store
+	// still holds, hash by hash.
+	store, _ := ledgerstore.OpenCheckpointNodes(dir, metas[:eligible])
+	for i := eligible - 1; i >= 0; i-- {
+		cp := metas[i]
+		tree, err := shamap.Load(cp.Root, store.Get)
+		if err != nil {
+			continue
 		}
+		restored, err := payment.RestoreEngine(tree, payment.RestoreScalars{
+			TotalDrops:    cp.TotalDrops,
+			FeesDestroyed: amount.Drops(cp.FeesDestroyed),
+			StateDigest:   cp.StateDigest,
+		})
+		if err != nil {
+			continue
+		}
+		return restored, cp.Seq, true
 	}
-	if last < 0 {
-		return nil, 0, false
-	}
-	// The tree at checkpoint N lives in the union of every batch ≤ N.
-	getter, err := ledgerstore.OpenCheckpointNodes(dir, metas[:last+1])
-	if err != nil {
-		return nil, 0, false
-	}
-	cp := metas[last]
-	tree, err := shamap.Load(cp.Root, getter.Get)
-	if err != nil {
-		return nil, 0, false
-	}
-	restored, err := payment.RestoreEngine(tree, payment.RestoreScalars{
-		TotalDrops:    cp.TotalDrops,
-		FeesDestroyed: amount.Drops(cp.FeesDestroyed),
-		StateDigest:   cp.StateDigest,
-	})
-	if err != nil {
-		return nil, 0, false
-	}
-	return restored, cp.Seq, true
+	return nil, 0, false
 }
 
 // checkpointWriter seals and persists the engine's state tree every

@@ -48,55 +48,35 @@ func appendNode(dst []byte, n *node) []byte {
 	return dst
 }
 
-// Node is the decoded form of a stored tree node.
-type Node struct {
-	Leaf bool
-	// Leaf fields. Value aliases the input buffer.
-	Key   ledger.Hash
-	Value []byte
-	// Inner field: one child hash per nibble, zero when absent.
-	Children [16]ledger.Hash
-}
-
-// DecodeNode parses a canonical node encoding. Node.Value aliases data;
-// callers that outlive the buffer must copy it.
-func DecodeNode(data []byte) (Node, error) {
+// splitNode validates a canonical node encoding and splits it: a leaf's
+// body is key ‖ value; an inner node's is its bitmap's child hashes,
+// packed in nibble order and none of them zero. body aliases data.
+func splitNode(data []byte) (leaf bool, bitmap uint16, body []byte, err error) {
 	if len(data) == 0 {
-		return Node{}, fmt.Errorf("shamap: empty node record")
+		return false, 0, nil, fmt.Errorf("shamap: empty node record")
 	}
 	switch data[0] {
 	case kindLeaf:
 		if len(data) < 1+32 {
-			return Node{}, fmt.Errorf("shamap: leaf record truncated at %d bytes", len(data))
+			return false, 0, nil, fmt.Errorf("shamap: leaf record truncated at %d bytes", len(data))
 		}
-		var n Node
-		n.Leaf = true
-		copy(n.Key[:], data[1:33])
-		n.Value = data[33:]
-		return n, nil
+		return true, 0, data[1:], nil
 	case kindInner:
 		if len(data) < 3 {
-			return Node{}, fmt.Errorf("shamap: inner record truncated at %d bytes", len(data))
+			return false, 0, nil, fmt.Errorf("shamap: inner record truncated at %d bytes", len(data))
 		}
-		bitmap := binary.BigEndian.Uint16(data[1:3])
-		want := 3 + 32*bits.OnesCount16(bitmap)
-		if len(data) != want {
-			return Node{}, fmt.Errorf("shamap: inner record is %d bytes, bitmap %04x wants %d", len(data), bitmap, want)
+		bitmap = binary.BigEndian.Uint16(data[1:3])
+		if want := 3 + 32*bits.OnesCount16(bitmap); len(data) != want {
+			return false, 0, nil, fmt.Errorf("shamap: inner record is %d bytes, bitmap %04x wants %d", len(data), bitmap, want)
 		}
-		var n Node
-		off := 3
-		for i := 0; i < 16; i++ {
-			if bitmap&(1<<uint(i)) == 0 {
-				continue
+		body = data[3:]
+		for off := 0; off < len(body); off += 32 {
+			if ledger.Hash(body[off : off+32]).IsZero() {
+				return false, 0, nil, fmt.Errorf("shamap: inner record carries a zero child hash (child %d)", off/32)
 			}
-			copy(n.Children[i][:], data[off:off+32])
-			if n.Children[i].IsZero() {
-				return Node{}, fmt.Errorf("shamap: inner record carries a zero child hash at nibble %d", i)
-			}
-			off += 32
 		}
-		return n, nil
+		return false, bitmap, body, nil
 	default:
-		return Node{}, fmt.Errorf("shamap: unknown node kind 0x%02x", data[0])
+		return false, 0, nil, fmt.Errorf("shamap: unknown node kind 0x%02x", data[0])
 	}
 }

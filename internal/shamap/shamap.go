@@ -338,31 +338,33 @@ func loadNode(h ledger.Hash, get func(ledger.Hash) ([]byte, error), depth int) (
 	if ledger.SHA512Half(data) != h {
 		return nil, 0, fmt.Errorf("shamap: load %s: content does not hash to its key", h.Short())
 	}
-	dec, err := DecodeNode(data)
+	leaf, bitmap, body, err := splitNode(data)
 	if err != nil {
 		return nil, 0, fmt.Errorf("shamap: load %s: %w", h.Short(), err)
 	}
-	if dec.Leaf {
+	if leaf {
 		n := &node{
 			leaf:   true,
-			key:    dec.Key,
-			value:  append([]byte(nil), dec.Value...),
+			key:    ledger.Hash(body[:32]),
+			value:  append([]byte(nil), body[32:]...),
 			hash:   h,
 			hashed: true,
 			saved:  true,
 		}
 		return n, 1, nil
 	}
+	// Walk the packed child hashes where they lie: one per set bit.
 	n := &node{hash: h, hashed: true, saved: true}
 	size := 0
-	for i, ch := range dec.Children {
-		if ch.IsZero() {
+	for i := 0; bitmap != 0; i, bitmap = i+1, bitmap>>1 {
+		if bitmap&1 == 0 {
 			continue
 		}
-		c, sz, err := loadNode(ch, get, depth+1)
+		c, sz, err := loadNode(ledger.Hash(body[:32]), get, depth+1)
 		if err != nil {
 			return nil, 0, err
 		}
+		body = body[32:]
 		n.children[i] = c
 		size += sz
 	}

@@ -320,6 +320,28 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestLoadAllocs pins what a loaded node costs the allocator: the node
+// itself, and for a leaf the copy of its value. Nothing is decoded into
+// an intermediate form on the way, so nothing else is allocated per node
+// — the handful over is the tree and the error-free walk's fixed cost.
+func TestLoadAllocs(t *testing.T) {
+	store := storeMap{}
+	tr := build(2000, nil)
+	root := tr.Seal()
+	nodes, err := tr.WriteNew(store.put)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Load(root, store.get); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(nodes + tr.Len()); allocs < want || allocs > want+4 {
+		t.Fatalf("Load of %d nodes (%d leaves) made %.0f allocations, want %.0f", nodes, tr.Len(), allocs, want)
+	}
+}
+
 func TestDecodeNodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
@@ -334,8 +356,8 @@ func TestDecodeNodeRejectsGarbage(t *testing.T) {
 		append([]byte{'I', 0x80, 0x00}, make([]byte, 32)...), // zero child hash
 	}
 	for i, c := range cases {
-		if _, err := DecodeNode(c); err == nil {
-			t.Errorf("case %d: DecodeNode accepted %x", i, c)
+		if _, _, _, err := splitNode(c); err == nil {
+			t.Errorf("case %d: splitNode accepted %x", i, c)
 		}
 	}
 }

@@ -204,3 +204,174 @@ func TestEdgesMatchModel(t *testing.T) {
 		t.Fatalf("mix too thin: %d flows, %d removed pairs, %d restores, %d clones", flows, removals, restores, clones)
 	}
 }
+
+// TestRestorePairsMatchesRestorePair is the bulk restore's differential:
+// for models of growing size, handed over in shuffled order (a tree walk
+// is in hash order, not adjacency order), RestorePairs must build the
+// graph RestorePair builds one pair at a time — the same interning order,
+// the same edge block for every (account, currency), the model's
+// capacities — and must keep behaving like it under the mutations that
+// follow a restore (flows, trust changes, an ablated account), which is
+// what would show one adjacency growing into its neighbour's slab. The
+// pairs RestorePair refuses are refused with the same words.
+func TestRestorePairsMatchesRestorePair(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	curs := []amount.Currency{amount.USD, amount.EUR, amount.MustCurrency("USE")}
+	randomPair := func(accounts []addr.AccountID, m pairModel) *Pair {
+		for {
+			a, b := accounts[r.Intn(len(accounts))], accounts[r.Intn(len(accounts))]
+			// Account 0 is a hub: half the pairs touch it.
+			if r.Intn(2) == 0 {
+				a = accounts[0]
+			}
+			k := m.key(a, b, curs[r.Intn(len(curs))])
+			if a == b || m[k] != nil {
+				continue
+			}
+			return &Pair{Lo: k.lo, Hi: k.hi, Currency: k.cur,
+				LimitLoHi: amount.FromInt64(int64(r.Intn(80))),
+				LimitHiLo: amount.FromInt64(int64(r.Intn(80))),
+				Balance:   amount.FromInt64(int64(r.Intn(41) - 20)),
+			}
+		}
+	}
+	same := func(label string, one, bulk *Graph) {
+		t.Helper()
+		if one.NumInterned() != bulk.NumInterned() || one.NumPairs() != bulk.NumPairs() || one.NumAccounts() != bulk.NumAccounts() {
+			t.Fatalf("%s: one-at-a-time has %d interned, %d pairs, %d active; bulk %d, %d, %d", label,
+				one.NumInterned(), one.NumPairs(), one.NumAccounts(), bulk.NumInterned(), bulk.NumPairs(), bulk.NumAccounts())
+		}
+		for ai := int32(0); ai < int32(one.NumInterned()); ai++ {
+			if one.AccountAt(ai) != bulk.AccountAt(ai) {
+				t.Fatalf("%s: index %d is %s one at a time, %s in bulk", label, ai, one.AccountAt(ai).Short(), bulk.AccountAt(ai).Short())
+			}
+			for _, cur := range curs {
+				a, b := one.Edges(ai, cur), bulk.Edges(ai, cur)
+				if len(a) != len(b) {
+					t.Fatalf("%s: %s/%s has %d edges one at a time, %d in bulk", label, one.AccountAt(ai).Short(), cur, len(a), len(b))
+				}
+				for i := range a {
+					if a[i].peer != b[i].peer || a[i].cur != b[i].cur || a[i].ownerLo != b[i].ownerLo || *a[i].pair != *b[i].pair {
+						t.Fatalf("%s: %s/%s edge %d: %+v over %+v one at a time, %+v over %+v in bulk", label,
+							one.AccountAt(ai).Short(), cur, i, a[i], *a[i].pair, b[i], *b[i].pair)
+					}
+				}
+			}
+		}
+	}
+	for _, size := range []struct{ accounts, pairs int }{{2, 0}, {2, 1}, {5, 12}, {14, 120}, {60, 900}} {
+		accounts := make([]addr.AccountID, size.accounts)
+		for i := range accounts {
+			accounts[i] = acct(uint64(i + 700))
+		}
+		m := pairModel{}
+		var pairs []Pair
+		for len(m) < size.pairs {
+			p := randomPair(accounts, m)
+			m[pairKey{p.Lo, p.Hi, p.Currency}] = p
+			pairs = append(pairs, *p)
+		}
+		r.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+
+		one, bulk := New(), New()
+		for _, p := range pairs {
+			if err := one.RestorePair(p.Lo, p.Hi, p.Currency, p.LimitLoHi, p.LimitHiLo, p.Balance); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bulk.RestorePairs(pairs); err != nil {
+			t.Fatal(err)
+		}
+		same("restored", one, bulk)
+		checkEdges(t, size.pairs, bulk, m, curs)
+		if size.pairs == 0 {
+			continue
+		}
+
+		// Life after the restore, on both graphs and the model.
+		for step := 0; step < 600; step++ {
+			a, b := accounts[r.Intn(len(accounts))], accounts[r.Intn(len(accounts))]
+			cur := curs[r.Intn(len(curs))]
+			if a == b {
+				continue
+			}
+			k := m.key(a, b, cur)
+			switch op := r.Intn(100); {
+			case op < 40:
+				limit := amount.FromInt64(int64(r.Intn(120)))
+				for _, g := range []*Graph{one, bulk} {
+					if err := g.SetTrust(a, b, cur, limit); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if m[k] == nil {
+					m[k] = &Pair{Lo: k.lo, Hi: k.hi, Currency: cur}
+				}
+				if k.lo == a {
+					m[k].LimitLoHi = limit
+				} else {
+					m[k].LimitHiLo = limit
+				}
+			case op < 97:
+				v := amount.FromInt64(int64(r.Intn(30) + 1))
+				errOne, errBulk := one.ApplyFlow(a, b, cur, v), bulk.ApplyFlow(a, b, cur, v)
+				if (errOne == nil) != (errBulk == nil) {
+					t.Fatalf("flow %s→%s/%s %s: %v one at a time, %v in bulk", a.Short(), b.Short(), cur, v, errOne, errBulk)
+				}
+				if errOne == nil {
+					if k.lo == a {
+						m[k].Balance, _ = m[k].Balance.Sub(v)
+					} else {
+						m[k].Balance, _ = m[k].Balance.Add(v)
+					}
+				}
+			default:
+				one.RemoveAccount(a)
+				bulk.RemoveAccount(a)
+				for k := range m {
+					if k.lo == a || k.hi == a {
+						delete(m, k)
+					}
+				}
+			}
+		}
+		same("after mutations", one, bulk)
+		checkEdges(t, size.pairs, bulk, m, curs)
+	}
+
+	// Refusals: the batch up to and including the bad pair against the
+	// same pairs one at a time.
+	lo, hi, third := acct(900), acct(901), acct(902)
+	if hi.Less(lo) {
+		lo, hi = hi, lo
+	}
+	good := Pair{Lo: lo, Hi: hi, Currency: amount.USD, LimitLoHi: amount.FromInt64(5)}
+	k := pairModel{}.key(lo, third, amount.EUR)
+	other := Pair{Lo: k.lo, Hi: k.hi, Currency: k.cur}
+	for name, bad := range map[string]Pair{
+		"duplicate":     good,
+		"self-pair":     {Lo: lo, Hi: lo, Currency: amount.USD},
+		"non-canonical": {Lo: hi, Hi: lo, Currency: amount.EUR},
+		"xrp":           {Lo: lo, Hi: hi, Currency: amount.XRP},
+	} {
+		batch := []Pair{good, other, bad}
+		one := New()
+		var want error
+		for _, p := range batch {
+			if want = one.RestorePair(p.Lo, p.Hi, p.Currency, p.LimitLoHi, p.LimitHiLo, p.Balance); want != nil {
+				break
+			}
+		}
+		got := New().RestorePairs(batch)
+		if want == nil || got == nil || want.Error() != got.Error() {
+			t.Errorf("%s: one at a time %v, bulk %v", name, want, got)
+		}
+	}
+	holding := New()
+	if err := holding.SetTrust(lo, third, amount.USD, amount.FromInt64(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := holding.RestorePairs([]Pair{good}); err == nil {
+		t.Error("RestorePairs accepted a graph that already holds pairs")
+	}
+}

@@ -23,7 +23,10 @@
 package trustgraph
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ripplestudy/internal/addr"
 	"ripplestudy/internal/amount"
@@ -398,14 +401,8 @@ func (g *Graph) PairsOf(a addr.AccountID, fn func(*Pair)) {
 // the restore path from a persisted state tree. lo and hi must already
 // be in canonical order and the pair must not exist yet.
 func (g *Graph) RestorePair(lo, hi addr.AccountID, cur amount.Currency, limLoHi, limHiLo, balance amount.Value) error {
-	if cur.IsXRP() {
-		return fmt.Errorf("trustgraph: XRP needs no trust-lines")
-	}
-	if lo == hi {
-		return fmt.Errorf("trustgraph: account cannot trust itself")
-	}
-	if hi.Less(lo) {
-		return fmt.Errorf("trustgraph: restored pair %s/%s not in canonical order", lo.Short(), hi.Short())
+	if err := checkRestorable(lo, hi, cur); err != nil {
+		return err
 	}
 	if g.pair(lo, hi, cur, false) != nil {
 		return fmt.Errorf("trustgraph: restored pair %s/%s/%s already present", lo.Short(), hi.Short(), cur)
@@ -414,6 +411,75 @@ func (g *Graph) RestorePair(lo, hi addr.AccountID, cur amount.Currency, limLoHi,
 	p.LimitLoHi = limLoHi
 	p.LimitHiLo = limHiLo
 	p.Balance = balance
+	return nil
+}
+
+// checkRestorable refuses the pairs no graph can hold: XRP, a self-pair,
+// endpoints out of canonical order.
+func checkRestorable(lo, hi addr.AccountID, cur amount.Currency) error {
+	switch {
+	case cur.IsXRP():
+		return fmt.Errorf("trustgraph: XRP needs no trust-lines")
+	case lo == hi:
+		return fmt.Errorf("trustgraph: account cannot trust itself")
+	case hi.Less(lo):
+		return fmt.Errorf("trustgraph: restored pair %s/%s not in canonical order", lo.Short(), hi.Short())
+	}
+	return nil
+}
+
+// RestorePairs reinstates a whole persisted trust network into a graph
+// that holds no pairs, and is RestorePair over the slice in order done at
+// once: accounts are interned as the walk meets them (Lo, then Hi), every
+// adjacency is allocated at its final size, filled by appending, and
+// sorted a single time — restoring a hub costs a sort, not an insertion
+// per edge. The same pairs are refused: XRP, a self-pair, endpoints out
+// of canonical order, a pair given twice. The graph adopts the slice
+// (its edges point into it); after an error the graph is not usable.
+func (g *Graph) RestorePairs(pairs []Pair) error {
+	if g.pairs != 0 {
+		return fmt.Errorf("trustgraph: bulk restore into a graph of %d pairs", g.pairs)
+	}
+	ends := make([]int32, 0, 2*len(pairs)) // dense indices: pair i's Lo, Hi at 2i, 2i+1
+	for _, p := range pairs {
+		if err := checkRestorable(p.Lo, p.Hi, p.Currency); err != nil {
+			return err
+		}
+		ends = append(ends, g.intern(p.Lo), g.intern(p.Hi))
+	}
+	degree := make([]int, len(g.accounts))
+	for _, ai := range ends {
+		degree[ai]++
+	}
+	// One backing array, cut so that no adjacency can grow into the next.
+	slab := make([]Edge, len(ends))
+	for ai, d := range degree {
+		if d > 0 {
+			g.adj[ai], slab = slab[:0:d], slab[d:]
+			g.active++
+		}
+	}
+	for i := range pairs {
+		p, lo, hi := &pairs[i], ends[2*i], ends[2*i+1]
+		g.adj[lo] = append(g.adj[lo], Edge{cur: p.Currency, ownerLo: true, peer: hi, pair: p})
+		g.adj[hi] = append(g.adj[hi], Edge{cur: p.Currency, peer: lo, pair: p})
+	}
+	// The order findEdge searches: currency, then the peer's account ID.
+	byCurrencyThenPeer := func(a, b Edge) int {
+		if c := cmp.Compare(curKey(a.cur), curKey(b.cur)); c != 0 {
+			return c
+		}
+		return bytes.Compare(g.accounts[a.peer][:], g.accounts[b.peer][:])
+	}
+	for _, edges := range g.adj {
+		slices.SortFunc(edges, byCurrencyThenPeer)
+		for i := 1; i < len(edges); i++ {
+			if p := edges[i].pair; edges[i-1].cur == edges[i].cur && edges[i-1].peer == edges[i].peer {
+				return fmt.Errorf("trustgraph: restored pair %s/%s/%s already present", p.Lo.Short(), p.Hi.Short(), p.Currency)
+			}
+		}
+	}
+	g.pairs = len(pairs)
 	return nil
 }
 
