@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test bench-module race race-mp chaos attack bench bench-check fuzz check
+.PHONY: all build vet test bench-module bench-smoke race race-mp chaos attack bench bench-check fuzz check
 
 all: check
 
@@ -24,6 +24,21 @@ test:
 bench-module:
 	$(GO) -C bench vet .
 	$(GO) -C bench test .
+
+# Harness smoke: every BENCHMARK.json workload end to end for a 3 s timed
+# section, oracles on. Exit 1 (an oracle failed) or 2 (the harness could
+# not run) fails the target; exit 3 (the open-loop generator ran late,
+# i.e. a loaded runner) is a warning, since such a run reports nothing.
+BENCH_SMOKE_WORKLOADS = backfill_scan live_follow replay_checkpoint submit_mixed
+bench-smoke:
+	@for w in $(BENCH_SMOKE_WORKLOADS); do \
+		bash bench/run.sh --workload $$w --seconds 3; rc=$$?; \
+		case $$rc in \
+		0) ;; \
+		3) echo "bench-smoke: WARNING: $$w ran late (exit 3, loaded runner?)";; \
+		*) echo "bench-smoke: $$w failed (exit $$rc)"; exit 1;; \
+		esac; \
+	done
 
 # Data-race check over the concurrent paths: stream/collection, the
 # sharded de-anonymization pipeline (ScanPayments + ParallelStudy), the

@@ -1,5 +1,7 @@
 package deanon
 
+import "slices"
+
 // countTable is the shard-local fingerprint counter: an open-addressed,
 // linear-probed table with 8-byte keys and 1-byte saturating counts.
 // Two properties of the workload make it much cheaper than a Go map:
@@ -163,16 +165,13 @@ func (t *countTable) get(fp Fingerprint) uint8 {
 // serving layer's epoch snapshots. The copy is two slice memmoves, so a
 // snapshot costs O(capacity) with no rehashing.
 func (t *countTable) clone() *countTable {
-	// make-then-copy (not make inside the literal) compiles to
-	// makeslicecopy, which skips zeroing memory the copy overwrites —
-	// clone is the dominant cost of every snapshot publish.
-	keys := make([]Fingerprint, len(t.keys))
-	copy(keys, t.keys)
-	counts := make([]uint8, len(t.counts))
-	copy(counts, t.counts)
+	// slices.Clone, not make + copy: make zeroes the whole allocation
+	// (makeslice, then memmove over it), while Clone's growslice leaves
+	// the prefix it copies into unzeroed — clone is the dominant cost of
+	// every snapshot publish.
 	return &countTable{
-		keys:      keys,
-		counts:    counts,
+		keys:      slices.Clone(t.keys),
+		counts:    slices.Clone(t.counts),
 		mask:      t.mask,
 		used:      t.used,
 		zeroCount: t.zeroCount,

@@ -65,7 +65,10 @@ type route struct {
 }
 
 // NewOptimistic returns an executor over eng that plans on up to
-// `workers` goroutines.
+// `workers` goroutines. With zero workers Plan reads no engine state and
+// plans nothing: every payment is searched once, by the engine at
+// commit, and the executor only records what each commit dirtied — how
+// the txq front door runs it.
 func NewOptimistic(eng *Engine, workers int) *Optimistic {
 	x := &Optimistic{
 		eng:       eng,

@@ -172,7 +172,9 @@ func TestOptimisticMatchesSequential(t *testing.T) {
 			c.Sequence = 0
 			blank[i] = &c
 		}
-		for _, workers := range []int{1, 2, 4} {
+		// Zero workers is the front door's configuration: Plan only opens
+		// the batch and every payment is searched once, at commit.
+		for _, workers := range []int{0, 1, 2, 4} {
 			for _, batch := range []int{1, 7, 256} {
 				for _, fill := range []bool{false, true} {
 					name := fmt.Sprintf("seed %d workers %d batch %d fill %v", seed, workers, batch, fill)
@@ -211,6 +213,9 @@ func TestOptimisticMatchesSequential(t *testing.T) {
 					}
 					if batch == 1 && x.Conflicts != 0 {
 						t.Fatalf("%s: %d conflicts in batches of one", name, x.Conflicts)
+					}
+					if workers == 0 && (x.PlannedAhead != 0 || x.Conflicts != 0) {
+						t.Fatalf("%s: planned ahead %d, conflicts %d with no planners", name, x.PlannedAhead, x.Conflicts)
 					}
 					plannedAhead += x.PlannedAhead
 					conflicts += x.Conflicts

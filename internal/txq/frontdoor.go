@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,11 +38,14 @@ type Options struct {
 	// sheds (or waits, with Backpressure) beyond it. Default 1024.
 	QueueDepth int
 	// BatchSize is how many queued transactions the applier drains per
-	// batch of the optimistic executor. Default 256 (replay's
-	// planBatchSize).
+	// batch: one write-locked section and one plan-cache epoch advance
+	// each. Default 256 (replay's planBatchSize).
 	BatchSize int
-	// PlanWorkers is the number of concurrent planner goroutines per
-	// batch. Default GOMAXPROCS.
+	// PlanWorkers has no effect: the front door plans no payment ahead
+	// of its commit.
+	//
+	// Deprecated: it stays only for callers that still set it, and goes
+	// with the benchmark change that retires txq.replan_share.
 	PlanWorkers int
 	// Backpressure makes Submit wait up to SubmitWait for queue space
 	// instead of failing fast with ErrQueueFull.
@@ -66,9 +68,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BatchSize < 1 {
 		o.BatchSize = 256
-	}
-	if o.PlanWorkers < 1 {
-		o.PlanWorkers = runtime.GOMAXPROCS(0)
 	}
 	if o.SubmitWait <= 0 {
 		o.SubmitWait = 2 * time.Second
@@ -103,14 +102,9 @@ type TxStatus struct {
 	WaitNS int64 `json:"wait_ns,omitempty"`
 }
 
-// txRecord pairs a status with its completion signal. subHash keeps the
-// as-submitted hash resolvable after an auto-sequenced transaction's
-// final hash diverges from it.
-type txRecord struct {
-	st      TxStatus
-	subHash ledger.Hash
-	done    chan struct{}
-}
+// errEvicted is Ticket.Wait's answer once the ticket's status has left
+// the StatusCapacity window.
+var errEvicted = errors.New("txq: status evicted")
 
 // Ticket is Submit's receipt: wait on Done (or Wait) for the applied
 // outcome, then read it back via Status.
@@ -122,7 +116,7 @@ type Ticket struct {
 	Hash ledger.Hash
 
 	fd  *FrontDoor
-	rec *txRecord
+	rec *queuedTx
 }
 
 // Done is closed when the transaction has been applied.
@@ -133,21 +127,29 @@ func (t *Ticket) Done() <-chan struct{} { return t.rec.done }
 func (t *Ticket) Wait(ctx context.Context) (TxStatus, error) {
 	select {
 	case <-t.rec.done:
-		return t.fd.statusByID(t.ID)
 	case <-ctx.Done():
 		return TxStatus{}, ctx.Err()
 	}
+	t.fd.stMu.Lock()
+	defer t.fd.stMu.Unlock()
+	if t.rec.evicted {
+		return TxStatus{}, errEvicted
+	}
+	return t.rec.st, nil
 }
 
 // Stats is a point-in-time snapshot of the front door's counters.
 type Stats struct {
-	Depth        int    `json:"depth"`
-	Offered      uint64 `json:"offered"`
-	Shed         uint64 `json:"shed"`
-	Rejected     uint64 `json:"rejected"`
-	Applied      uint64 `json:"applied"`
-	Succeeded    uint64 `json:"succeeded"`
-	Batches      uint64 `json:"batches"`
+	Depth     int    `json:"depth"`
+	Offered   uint64 `json:"offered"`
+	Shed      uint64 `json:"shed"`
+	Rejected  uint64 `json:"rejected"`
+	Applied   uint64 `json:"applied"`
+	Succeeded uint64 `json:"succeeded"`
+	Batches   uint64 `json:"batches"`
+	// PlannedAhead and Conflicts always read 0: the front door plans no
+	// payment ahead of its commit, so none is committed from a plan and
+	// none is re-planned.
 	PlannedAhead uint64 `json:"planned_ahead"`
 	Conflicts    uint64 `json:"conflicts"`
 	CacheHits    uint64 `json:"cache_hits"`
@@ -160,9 +162,15 @@ type Stats struct {
 
 // FrontDoor is the online submission and quote surface over a payment
 // engine. It owns the engine exclusively: quote readers share it under
-// a read lock while the single applier goroutine drives queued
-// transactions, batch by batch, through payment.Optimistic — its Plan
-// under RLock beside the quote readers, its Commits under Lock.
+// a read lock while the single applier goroutine commits queued
+// transactions, batch by batch, under the write lock through a
+// payment.Optimistic with no planners. Each payment's path is searched
+// once, by the engine at commit; the executor keeps the accounts and
+// pairs the batch dirtied, which is what the plan cache needs.
+//
+// Each submission is one queuedTx, from admission until its status is
+// evicted: the Ticket and the hash index point at it, and a ring of the
+// last StatusCapacity resolutions decides which status goes next.
 type FrontDoor struct {
 	opts Options
 
@@ -181,9 +189,9 @@ type FrontDoor struct {
 	quoters sync.Pool           // *pathfind.Finder for PathFind readers
 
 	stMu     sync.Mutex
-	statuses map[uint64]*txRecord
-	byHash   map[ledger.Hash]uint64 // final hash → id (last wins)
-	resolved []uint64               // FIFO of applied ids, for eviction
+	byHash   map[ledger.Hash]*queuedTx // either hash → record (last wins)
+	resolved []*queuedTx               // ring of the last StatusCapacity resolutions
+	ringNext int                       // the ring slot the next resolution takes
 	nextID   uint64
 
 	met    metrics
@@ -202,9 +210,9 @@ func New(eng *payment.Engine, opts Options) *FrontDoor {
 		q:        newQueue(),
 		slots:    make(chan struct{}, opts.QueueDepth),
 		cache:    newPlanCache(opts.CacheSize),
-		exec:     payment.NewOptimistic(eng, opts.PlanWorkers),
-		statuses: make(map[uint64]*txRecord),
-		byHash:   make(map[ledger.Hash]uint64),
+		exec:     payment.NewOptimistic(eng, 0),
+		byHash:   make(map[ledger.Hash]*queuedTx),
+		resolved: make([]*queuedTx, opts.StatusCapacity),
 	}
 	fd.met.init(opts.LatencyWindow)
 	fd.quoters.New = func() any {
@@ -254,35 +262,34 @@ func (fd *FrontDoor) Submit(tx *ledger.Tx) (*Ticket, error) {
 		fee:      effectiveFee(tx),
 		autoSeq:  tx.Sequence == 0,
 		enqueued: time.Now(),
+		subHash:  tx.Hash(),
+		done:     make(chan struct{}),
 	}
-	rec := &txRecord{subHash: tx.Hash(), done: make(chan struct{})}
 	fd.stMu.Lock()
 	fd.nextID++
-	qt.id = fd.nextID
-	rec.st = TxStatus{
-		ID:       qt.id,
-		Hash:     rec.subHash,
+	id := fd.nextID
+	qt.st = TxStatus{
+		ID:       id,
+		Hash:     qt.subHash,
 		Account:  tx.Account,
 		Sequence: tx.Sequence,
 		State:    "queued",
 	}
-	fd.statuses[qt.id] = rec
-	fd.byHash[rec.subHash] = qt.id
+	fd.byHash[qt.subHash] = qt
 	fd.stMu.Unlock()
 
 	if err := fd.q.push(qt); err != nil {
 		<-fd.slots
 		fd.met.rejected.Add(1)
 		fd.stMu.Lock()
-		if fd.byHash[rec.st.Hash] == qt.id {
-			delete(fd.byHash, rec.st.Hash)
+		if fd.byHash[qt.subHash] == qt {
+			delete(fd.byHash, qt.subHash)
 		}
-		delete(fd.statuses, qt.id)
 		fd.stMu.Unlock()
 		return nil, err
 	}
 	fd.met.submitted.Add(1)
-	return &Ticket{ID: qt.id, Hash: rec.subHash, fd: fd, rec: rec}, nil
+	return &Ticket{ID: id, Hash: qt.subHash, fd: fd, rec: qt}, nil
 }
 
 // knownType reports whether the engine can apply the transaction type.
@@ -304,13 +311,14 @@ func effectiveFee(tx *ledger.Tx) amount.Drops {
 	return tx.Fee
 }
 
-// applyLoop is the single applier goroutine: drain a batch, plan it
-// beside the quote readers, commit it in queue order under the write
-// lock, advance the quote-cache epoch, and only then let the outcomes be
-// seen. PathFind consults the cache without the engine lock, so a client
-// told "applied" before the epoch advance could still be served the
-// quote cached before its own transaction. Exits when the queue is
-// closed and drained.
+// applyLoop is the single applier goroutine: drain a batch, commit it in
+// queue order under the write lock — each payment searched by the
+// engine against live state, once — advance the quote-cache epoch by
+// what the batch dirtied, and only then let the outcomes be seen.
+// PathFind consults the cache without the engine lock, so a client told
+// "applied" before the epoch advance could still be served the quote
+// cached before its own transaction. Exits when the queue is closed and
+// drained.
 func (fd *FrontDoor) applyLoop() {
 	defer fd.wg.Done()
 	var txs []*ledger.Tx
@@ -323,9 +331,9 @@ func (fd *FrontDoor) applyLoop() {
 		for _, qt := range batch {
 			txs = append(txs, qt.tx)
 		}
-		fd.mu.RLock()
+		// With no planners Plan reads no engine state: it only opens the
+		// batch and its dirty sets.
 		fd.exec.Plan(txs)
-		fd.mu.RUnlock()
 
 		fd.mu.Lock()
 		for _, qt := range batch {
@@ -338,16 +346,15 @@ func (fd *FrontDoor) applyLoop() {
 		fd.mu.Unlock()
 
 		fd.met.batches.Add(1)
-		fd.met.plannedAhead.Store(uint64(fd.exec.PlannedAhead))
-		fd.met.conflicts.Store(uint64(fd.exec.Conflicts))
 		for _, qt := range batch {
 			fd.resolve(qt)
 		}
 	}
 }
 
-// resolve finalizes one transaction's status, signals its waiter, and
-// releases its admission slot.
+// resolve finalizes one transaction's status, evicts the status that
+// leaves the retained window, signals the waiter, and releases the
+// admission slot.
 func (fd *FrontDoor) resolve(qt *queuedTx) {
 	wait := time.Since(qt.enqueued)
 	result := "internal error"
@@ -359,39 +366,32 @@ func (fd *FrontDoor) resolve(qt *queuedTx) {
 		result = fmt.Sprintf("internal error: %v", qt.err)
 	}
 
+	qt.tx, qt.meta = nil, nil // the retained status does not need them
+
 	fd.stMu.Lock()
-	rec := fd.statuses[qt.id]
-	if rec != nil {
-		rec.st.State = "applied"
-		rec.st.Hash = qt.hash
-		rec.st.Sequence = qt.sequence
-		rec.st.Result = result
-		rec.st.Succeeded = succeeded
-		rec.st.WaitNS = wait.Nanoseconds()
-		// Both the as-submitted and as-applied hashes resolve; clients
-		// hold the former until they read the status back.
-		if qt.hash != rec.subHash {
-			fd.byHash[qt.hash] = qt.id
-		}
-		fd.resolved = append(fd.resolved, qt.id)
-		for len(fd.resolved) > fd.opts.StatusCapacity {
-			old := fd.resolved[0]
-			fd.resolved = fd.resolved[1:]
-			if gone, ok := fd.statuses[old]; ok {
-				if fd.byHash[gone.st.Hash] == old {
-					delete(fd.byHash, gone.st.Hash)
-				}
-				if fd.byHash[gone.subHash] == old {
-					delete(fd.byHash, gone.subHash)
-				}
-				delete(fd.statuses, old)
+	qt.st.State = "applied"
+	qt.st.Hash = qt.hash
+	qt.st.Sequence = qt.sequence
+	qt.st.Result = result
+	qt.st.Succeeded = succeeded
+	qt.st.WaitNS = wait.Nanoseconds()
+	// Both the as-submitted and as-applied hashes resolve; clients hold
+	// the former until they read the status back.
+	if qt.hash != qt.subHash {
+		fd.byHash[qt.hash] = qt
+	}
+	if old := fd.resolved[fd.ringNext]; old != nil {
+		old.evicted = true
+		for _, h := range [2]ledger.Hash{old.st.Hash, old.subHash} {
+			if fd.byHash[h] == old {
+				delete(fd.byHash, h)
 			}
 		}
 	}
+	fd.resolved[fd.ringNext] = qt
+	fd.ringNext = (fd.ringNext + 1) % len(fd.resolved)
 	fd.stMu.Unlock()
-	if rec != nil {
-		close(rec.done)
-	}
+	close(qt.done)
 	<-fd.slots
 	fd.met.applied.Add(1)
 	if succeeded {
@@ -459,25 +459,11 @@ func (fd *FrontDoor) PathFind(src, dst addr.AccountID, srcCur amount.Currency, d
 func (fd *FrontDoor) Status(h ledger.Hash) (TxStatus, bool) {
 	fd.stMu.Lock()
 	defer fd.stMu.Unlock()
-	id, ok := fd.byHash[h]
+	qt, ok := fd.byHash[h]
 	if !ok {
 		return TxStatus{}, false
 	}
-	rec := fd.statuses[id]
-	if rec == nil {
-		return TxStatus{}, false
-	}
-	return rec.st, true
-}
-
-func (fd *FrontDoor) statusByID(id uint64) (TxStatus, error) {
-	fd.stMu.Lock()
-	defer fd.stMu.Unlock()
-	rec := fd.statuses[id]
-	if rec == nil {
-		return TxStatus{}, errors.New("txq: status evicted")
-	}
-	return rec.st, nil
+	return qt.st, true
 }
 
 // Depth returns the current queued-but-unresolved count (admission
@@ -544,8 +530,6 @@ func (fd *FrontDoor) StatsNow() Stats {
 		Applied:      fd.met.applied.Load(),
 		Succeeded:    fd.met.succeeded.Load(),
 		Batches:      fd.met.batches.Load(),
-		PlannedAhead: fd.met.plannedAhead.Load(),
-		Conflicts:    fd.met.conflicts.Load(),
 		CacheHits:    hits,
 		CacheMisses:  misses,
 		CacheStale:   stale,

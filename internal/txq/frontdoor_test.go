@@ -45,8 +45,8 @@ func drainAndClose(t testing.TB, fd *FrontDoor) {
 
 // TestFrontDoorDifferentialDigest is the acceptance differential: the
 // same post-snapshot history, once through sequential replay.Run and
-// once as live submissions through the admission queue and optimistic
-// batch applier, must land on a bit-identical state digest. Equal fees
+// once as live submissions through the admission queue and the batch
+// applier, must land on a bit-identical state digest. Equal fees
 // make the escalation heap globally FIFO, and auto-sequencing mirrors
 // replayTx's sequence rewrite, so apply order and applied bytes match.
 func TestFrontDoorDifferentialDigest(t *testing.T) {
@@ -118,8 +118,11 @@ func TestFrontDoorDifferentialDigest(t *testing.T) {
 	if submitted > 0 && st.Batches == 0 {
 		t.Error("no batches recorded")
 	}
-	t.Logf("differential: %d txs, %d batches, planned ahead %d, conflicts %d",
-		submitted, st.Batches, st.PlannedAhead, st.Conflicts)
+	if st.PlannedAhead != 0 || st.Conflicts != 0 {
+		t.Errorf("planned ahead %d, conflicts %d: the front door plans nothing ahead of its commits",
+			st.PlannedAhead, st.Conflicts)
+	}
+	t.Logf("differential: %d txs, %d batches", submitted, st.Batches)
 }
 
 // TestFrontDoorConcurrentPerAccountOrdering hammers the queue from many
@@ -373,4 +376,83 @@ func TestFrontDoorStatusLookup(t *testing.T) {
 		t.Error("submit-to-applied latency not recorded")
 	}
 	drainAndClose(t, fd)
+}
+
+// TestFrontDoorStatusEviction pins the retained-status window: after
+// StatusCapacity more resolutions a status is unreachable by either hash
+// and its ticket's Wait reports the eviction, while a hash shared with a
+// later submission keeps resolving to the later one.
+func TestFrontDoorStatusEviction(t *testing.T) {
+	const capacity = 4
+	eng := payment.NewEngine()
+	from := acct(1)
+	eng.Fund(from, 100_000_000)
+	fd := New(eng, Options{QueueDepth: 4, Backpressure: true, StatusCapacity: capacity})
+	defer drainAndClose(t, fd)
+	ctx := context.Background()
+	// submit resolves one auto-sequenced payment of drops to acct(2) and
+	// returns its ticket and final status.
+	submit := func(drops amount.Drops) (*Ticket, TxStatus) {
+		t.Helper()
+		tk, err := fd.Submit(&ledger.Tx{Type: ledger.TxPayment, Account: from, Fee: 10,
+			Destination: acct(2), Amount: amount.XRPAmount(drops)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := tk.Wait(ctx)
+		if err != nil || !st.Succeeded {
+			t.Fatalf("payment of %d drops: %+v, %v", drops, st, err)
+		}
+		if st.Hash == tk.Hash {
+			t.Fatalf("payment of %d drops: auto-sequenced, yet applied as submitted", drops)
+		}
+		return tk, st
+	}
+	reachable := func(h ledger.Hash, id uint64) bool {
+		st, ok := fd.Status(h)
+		return ok && st.ID == id
+	}
+
+	const n = 10
+	tickets := make([]*Ticket, n)
+	applied := make([]ledger.Hash, n)
+	for i := range tickets {
+		var st TxStatus
+		tickets[i], st = submit(amount.Drops(100 + i))
+		applied[i] = st.Hash
+	}
+	for i, tk := range tickets {
+		kept := i >= n-capacity
+		for _, h := range []ledger.Hash{tk.Hash, applied[i]} {
+			if _, ok := fd.Status(h); ok != kept {
+				t.Errorf("submission %d: Status(%s) found = %v, want %v", i, h.Short(), ok, kept)
+			}
+		}
+		if _, err := tk.Wait(ctx); kept && err != nil {
+			t.Errorf("submission %d: Wait = %v on a retained status", i, err)
+		} else if !kept && !errors.Is(err, errEvicted) {
+			t.Errorf("submission %d: Wait = %v, want %v", i, err, errEvicted)
+		}
+	}
+
+	// The same auto-sequenced payment twice shares its as-submitted hash;
+	// the later submission owns it, and evicting the earlier must not
+	// take it away.
+	first, firstSt := submit(7)
+	second, secondSt := submit(7)
+	if first.Hash != second.Hash {
+		t.Fatal("identical auto-sequenced submissions hash differently")
+	}
+	if !reachable(first.Hash, second.ID) {
+		t.Error("shared as-submitted hash does not resolve to the later submission")
+	}
+	for i := 0; i < capacity-1; i++ {
+		submit(amount.Drops(200 + i))
+	}
+	if _, ok := fd.Status(firstSt.Hash); ok {
+		t.Error("evicted submission still resolves by its as-applied hash")
+	}
+	if !reachable(first.Hash, second.ID) || !reachable(secondSt.Hash, second.ID) {
+		t.Error("evicting the earlier submission took the later one's hashes with it")
+	}
 }

@@ -20,9 +20,7 @@ type metrics struct {
 	applied   atomic.Uint64 // resolved by the applier
 	succeeded atomic.Uint64 // resolved with ResultSuccess
 
-	batches      atomic.Uint64
-	plannedAhead atomic.Uint64
-	conflicts    atomic.Uint64
+	batches atomic.Uint64
 
 	quoteLat  *LatencyRing
 	submitLat *LatencyRing
@@ -115,12 +113,8 @@ func (fd *FrontDoor) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "txq_applied_total %d\n", st.Applied)
 	fmt.Fprintf(w, "# HELP txq_succeeded_total Applied transactions that succeeded.\n")
 	fmt.Fprintf(w, "txq_succeeded_total %d\n", st.Succeeded)
-	fmt.Fprintf(w, "# HELP txq_batches_total Optimistic planning batches committed.\n")
+	fmt.Fprintf(w, "# HELP txq_batches_total Batches committed by the applier.\n")
 	fmt.Fprintf(w, "txq_batches_total %d\n", st.Batches)
-	fmt.Fprintf(w, "# HELP txq_planned_ahead_total Payments whose optimistic plan validated and applied without re-planning.\n")
-	fmt.Fprintf(w, "txq_planned_ahead_total %d\n", st.PlannedAhead)
-	fmt.Fprintf(w, "# HELP txq_plan_conflicts_total Payments re-planned inline after a batch-local read-set conflict.\n")
-	fmt.Fprintf(w, "txq_plan_conflicts_total %d\n", st.Conflicts)
 	fmt.Fprintf(w, "# HELP txq_epoch Trust-graph epoch (advances once per batch that mutated state).\n")
 	fmt.Fprintf(w, "txq_epoch %d\n", st.Epoch)
 	fmt.Fprintf(w, "# HELP txq_plan_cache_entries Live quote-cache entries.\n")

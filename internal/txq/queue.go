@@ -1,9 +1,11 @@
 // Package txq is the online payment front door: an admission-controlled
-// transaction queue feeding payment's optimistic executor
-// (payment.Optimistic), plus the ripple_path_find-style quote surface
-// with a read-set-invalidated plan cache. It turns the offline replay
-// engine (pathfind + payment) into a serving subsystem that accepts live
-// submissions and quote queries under load.
+// transaction queue applied batch by batch through payment.Optimistic
+// with no planners — every payment's path is searched once, at commit,
+// against live state, and the executor only records what each commit
+// dirtied — plus the ripple_path_find-style quote surface with a
+// read-set-invalidated plan cache that those dirty sets invalidate. It
+// turns the offline replay engine (pathfind + payment) into a serving
+// subsystem that accepts live submissions and quote queries under load.
 //
 // The queue orders work the way rippled's TxQ does: strict per-account
 // sequence ordering (a later sequence never applies before an earlier
@@ -24,10 +26,12 @@ import (
 	"ripplestudy/internal/ledger"
 )
 
-// queuedTx is one admitted transaction waiting to be applied.
+// queuedTx is one submission from admission until its status is evicted:
+// the queue orders it, the applier fills in what its commit produced,
+// and the front door's hash index and its Ticket reach its status
+// through it.
 type queuedTx struct {
-	tx     *ledger.Tx
-	id     uint64 // ticket id
+	tx     *ledger.Tx // dropped once resolved
 	fee    amount.Drops
 	arrive uint64 // admission order, for stable FIFO among equal fees
 	// autoSeq marks a submission with Sequence 0: the applier assigns
@@ -42,6 +46,15 @@ type queuedTx struct {
 	sequence uint32
 	meta     *ledger.TxMeta
 	err      error
+
+	// The status, guarded by FrontDoor.stMu. subHash keeps the
+	// as-submitted hash resolvable after an auto-sequenced transaction's
+	// final hash diverges from it; evicted marks a status that has left
+	// the retained window. done is closed once the status is final.
+	st      TxStatus
+	subHash ledger.Hash
+	evicted bool
+	done    chan struct{}
 }
 
 // acctQueue is one account's pending transactions in apply order:
