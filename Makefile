@@ -54,7 +54,7 @@ race:
 # equal the independent batch oracles at every fan-out (1 included).
 # Each pattern must still select a test: a rename that drops one out of
 # the pass fails the target instead of shrinking it silently.
-RACE_MP_TESTS = PipelineWorkersMatchSequentialJSON ShardPartitionMergeParityJSON ShardedMatchesSingleWriterService ParallelBackfillMatchesSequential ShardedInc MergeClonedRepeatable ViewWorker Shed ConcurrentQueries
+RACE_MP_TESTS = PipelineWorkersMatchSequentialJSON ShardPartitionMergeParityJSON ShardedMatchesSingleWriterService ParallelBackfillMatchesSequential ShardedInc SealedTableMatchesModel MergeClonedRepeatable ViewWorker Shed ConcurrentQueries
 RACE_MP_PKGS = ./internal/serve/ ./internal/deanon/ ./internal/analysis/
 empty :=
 space := $(empty) $(empty)

@@ -18,6 +18,13 @@ import "slices"
 //
 // The all-zero fingerprint doubles as the empty-slot marker; its count
 // lives out-of-band in zeroCount.
+//
+// The live table stays flat; what a seal publishes is paged. Every real
+// mutation (an insert, or a count's 1 → 2 step) marks its page dirty,
+// and seal copies only the dirty pages, sharing the rest with the
+// previous seal, so a publish costs O(pages written since the last
+// seal), not O(capacity) — until half the pages are dirty, when one
+// whole copy is the cheaper publish.
 type countTable struct {
 	keys   []Fingerprint
 	counts []uint8
@@ -29,6 +36,14 @@ type countTable struct {
 	// maintained incrementally by incr so reading it is O(1) instead of
 	// an O(capacity) table scan per Results call.
 	uniques int
+	// dirty[p] marks page p (slots p<<sealPageShift onwards) as written
+	// since the last seal.
+	dirty []bool
+	// last is the table's most recent seal, whose clean pages the next
+	// seal shares. nil when the table is new, grown or recycled since:
+	// its pages no longer describe these arrays, so the next seal copies
+	// in full.
+	last *sealedTable
 }
 
 const (
@@ -37,6 +52,14 @@ const (
 	// countTable grows when used exceeds cap×13/16 (≈81% load).
 	countTableLoadNum = 13
 	countTableLoadDen = 16
+	// sealPageShift sizes the copy-on-write unit of a seal: pages of
+	// 1<<sealPageShift slots, 576 bytes of keys and counts. Smaller pages
+	// copy less per scattered increment, but every page costs two
+	// pointers that each incremental seal copies; 64 slots read best on
+	// the live_follow benchmark (EXPERIMENTS.md). countTableMinCap must be
+	// a multiple of the page.
+	sealPageShift = 6
+	sealPageSlots = 1 << sealPageShift
 )
 
 func newCountTable() *countTable {
@@ -44,6 +67,7 @@ func newCountTable() *countTable {
 		keys:   make([]Fingerprint, countTableMinCap),
 		counts: make([]uint8, countTableMinCap),
 		mask:   countTableMinCap - 1,
+		dirty:  make([]bool, countTableMinCap>>sealPageShift),
 	}
 }
 
@@ -89,18 +113,17 @@ func (t *countTable) release() {
 	<-countTablePool.mu
 }
 
-// reset zeroes the table in place, keeping its capacity. The two
-// range-clears compile to memclr.
+// reset zeroes the table in place, keeping its capacity. It forgets the
+// last seal too: a recycled table whose dirty bits are cleared but whose
+// last pointer survived would publish the previous study's pages.
 func (t *countTable) reset() {
-	for i := range t.keys {
-		t.keys[i] = 0
-	}
-	for i := range t.counts {
-		t.counts[i] = 0
-	}
+	clear(t.keys)
+	clear(t.counts)
+	clear(t.dirty)
 	t.used = 0
 	t.zeroCount = 0
 	t.uniques = 0
+	t.last = nil
 }
 
 // incr bumps fp's saturating counter, keeping uniques current from the
@@ -122,16 +145,18 @@ func (t *countTable) incr(fp Fingerprint) {
 	for {
 		switch t.keys[i] {
 		case fp:
+			// A present key counts 1 or countSaturated; only 1 → 2 is a
+			// mutation, and it loses a unique fingerprint.
 			if t.counts[i] == 1 {
+				t.counts[i] = countSaturated
 				t.uniques--
-			}
-			if t.counts[i] < countSaturated {
-				t.counts[i]++
+				t.dirty[i>>sealPageShift] = true
 			}
 			return
 		case 0:
 			t.keys[i] = fp
 			t.counts[i] = 1
+			t.dirty[i>>sealPageShift] = true
 			t.used++
 			t.uniques++
 			if t.used*countTableLoadDen > len(t.keys)*countTableLoadNum {
@@ -161,30 +186,15 @@ func (t *countTable) get(fp Fingerprint) uint8 {
 	}
 }
 
-// clone deep-copies the table — the copy-on-publish step behind the
-// serving layer's epoch snapshots. The copy is two slice memmoves, so a
-// snapshot costs O(capacity) with no rehashing.
-func (t *countTable) clone() *countTable {
-	// slices.Clone, not make + copy: make zeroes the whole allocation
-	// (makeslice, then memmove over it), while Clone's growslice leaves
-	// the prefix it copies into unzeroed — clone is the dominant cost of
-	// every snapshot publish.
-	return &countTable{
-		keys:      slices.Clone(t.keys),
-		counts:    slices.Clone(t.counts),
-		mask:      t.mask,
-		used:      t.used,
-		zeroCount: t.zeroCount,
-		uniques:   t.uniques,
-	}
-}
-
-// grow doubles the table and reinserts every occupied slot.
+// grow doubles the table and reinserts every occupied slot. Every slot
+// moves, so the next seal copies in full.
 func (t *countTable) grow() {
 	oldKeys, oldCounts := t.keys, t.counts
 	t.keys = make([]Fingerprint, 2*len(oldKeys))
 	t.counts = make([]uint8, 2*len(oldCounts))
 	t.mask = uint64(len(t.keys) - 1)
+	t.dirty = make([]bool, len(t.keys)>>sealPageShift)
+	t.last = nil
 	for j, k := range oldKeys {
 		if k == 0 {
 			continue
@@ -229,4 +239,119 @@ func (t *countTable) distinct() int {
 // bytes reports the table's resident footprint (keys + counts arrays).
 func (t *countTable) bytes() int {
 	return len(t.keys)*8 + len(t.counts)
+}
+
+// sealedTable is one immutable published epoch of a countTable: the same
+// open-addressed layout cut into pages, one array of page pointers each
+// for keys and counts. Pages are never written after a seal, so a later
+// seal shares every page it did not have to copy, and any number of
+// snapshots can hold any mix of old and new pages.
+type sealedTable struct {
+	keys      []*[sealPageSlots]Fingerprint
+	counts    []*[sealPageSlots]uint8
+	mask      uint64
+	used      int
+	zeroCount uint8
+	uniques   int
+}
+
+// emptySealed is the one immutable empty table: what a shard's row
+// publishes before it has counted anything.
+var emptySealed = newCountTable().sealWhole()
+
+// seal publishes the table's current counts. Pages no increment has
+// written since the previous seal are shared with it by pointer, and a
+// table with nothing written is shared whole. A table with no previous
+// seal — new, grown or recycled since — is copied whole, and so is one
+// with at least half its pages dirty, as under a firehose: one memmove
+// beats a page-by-page copy there, and it drops the earlier copies'
+// pages, so the current seal never pins more than twice the table.
+func (t *countTable) seal() *sealedTable {
+	if t.last == nil && t.used == 0 && t.zeroCount == 0 {
+		return emptySealed
+	}
+	dirty := 0
+	for _, d := range t.dirty {
+		if d {
+			dirty++
+		}
+	}
+	switch {
+	case t.last == nil || 2*dirty >= len(t.dirty):
+		t.last = t.sealWhole()
+	case dirty > 0 || t.last.zeroCount != t.zeroCount:
+		t.last = t.sealDirty(t.last)
+	}
+	return t.last
+}
+
+// sealWhole copies both arrays — slices.Clone, not make + copy, because
+// growslice leaves the prefix it copies into unzeroed — and points the
+// pages into the copies.
+func (t *countTable) sealWhole() *sealedTable {
+	keys, counts := slices.Clone(t.keys), slices.Clone(t.counts)
+	n := len(keys) >> sealPageShift
+	s := t.sealHeader(make([]*[sealPageSlots]Fingerprint, n), make([]*[sealPageSlots]uint8, n))
+	for p := range n {
+		lo := p << sealPageShift
+		s.keys[p] = (*[sealPageSlots]Fingerprint)(keys[lo:])
+		s.counts[p] = (*[sealPageSlots]uint8)(counts[lo:])
+	}
+	clear(t.dirty)
+	return s
+}
+
+// sealDirty derives a seal from prev, copying only the dirty pages.
+func (t *countTable) sealDirty(prev *sealedTable) *sealedTable {
+	s := t.sealHeader(slices.Clone(prev.keys), slices.Clone(prev.counts))
+	for p, d := range t.dirty {
+		if !d {
+			continue
+		}
+		lo, hi := p<<sealPageShift, (p+1)<<sealPageShift
+		s.keys[p] = (*[sealPageSlots]Fingerprint)(slices.Clone(t.keys[lo:hi]))
+		s.counts[p] = (*[sealPageSlots]uint8)(slices.Clone(t.counts[lo:hi]))
+		t.dirty[p] = false
+	}
+	return s
+}
+
+// sealHeader wraps page arrays in a sealedTable carrying the table's
+// current scalars.
+func (t *countTable) sealHeader(keys []*[sealPageSlots]Fingerprint, counts []*[sealPageSlots]uint8) *sealedTable {
+	return &sealedTable{keys: keys, counts: counts, mask: t.mask, used: t.used, zeroCount: t.zeroCount, uniques: t.uniques}
+}
+
+// get is countTable.get over the pages.
+func (s *sealedTable) get(fp Fingerprint) uint8 {
+	if fp == 0 {
+		return s.zeroCount
+	}
+	i := uint64(fp) & s.mask
+	for {
+		p, off := i>>sealPageShift, i&(sealPageSlots-1)
+		switch s.keys[p][off] {
+		case fp:
+			return s.counts[p][off]
+		case 0:
+			return 0
+		}
+		i = (i + 1) & s.mask
+	}
+}
+
+func (s *sealedTable) unique() int { return s.uniques }
+
+func (s *sealedTable) distinct() int {
+	n := s.used
+	if s.zeroCount > 0 {
+		n++
+	}
+	return n
+}
+
+// bytes reports the table's logical footprint (keys + counts), the same
+// measure as countTable.bytes however many pages it shares.
+func (s *sealedTable) bytes() int {
+	return len(s.keys) * sealPageSlots * 9
 }

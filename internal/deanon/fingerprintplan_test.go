@@ -76,9 +76,12 @@ func TestCountTableUniquesIncremental(t *testing.T) {
 	if got, want := tab.unique(), tab.uniqueScan(); got != want {
 		t.Fatalf("final: unique() = %d, scan = %d", got, want)
 	}
-	c := tab.clone()
-	if got, want := c.unique(), c.uniqueScan(); got != want {
-		t.Fatalf("clone: unique() = %d, scan = %d", got, want)
+	s := tab.seal()
+	if got, want := s.unique(), tab.uniqueScan(); got != want {
+		t.Fatalf("seal: unique() = %d, scan = %d", got, want)
+	}
+	if got, want := s.distinct(), tab.distinct(); got != want {
+		t.Fatalf("seal: distinct() = %d, table %d", got, want)
 	}
 	tab.reset()
 	if tab.unique() != 0 || tab.uniqueScan() != 0 || tab.distinct() != 0 {

@@ -283,7 +283,7 @@ func (c *shardCore) Close() {
 // sumPerResolution totals f over every shard's table, per resolution.
 // Shards partition the fingerprint space, so per-resolution statistics
 // are plain sums — no map union is ever needed.
-func sumPerResolution(tables [][]*countTable, f func(*countTable) int) []int {
+func sumPerResolution[T any](tables [][]T, f func(T) int) []int {
 	out := make([]int, len(tables[0]))
 	for _, shard := range tables {
 		for r, t := range shard {

@@ -11,8 +11,8 @@ package deanon
 //
 // Seal is the scatter-gather snapshot step: it flushes every pending
 // batch, barriers on the shards that received work since the last seal,
-// deep-copies ONLY those shards' tables (copy-on-publish for changed
-// shards; unchanged shards share their previous immutable clone), and
+// seals ONLY those shards' tables — each copying just the pages written
+// since its previous seal and sharing the rest (counttable.go) — and
 // returns an IncSnapshot whose Results and Lookup answers are
 // bit-identical to a batch Study — shards partition the fingerprint
 // space, so per-resolution unique counts are plain sums and a lookup
@@ -22,27 +22,24 @@ type ShardedIncStudy struct {
 	def *intake
 
 	// sealed[sh] is shard sh's tables as of its last dirty Seal —
-	// immutable clones shared with every snapshot taken since.
-	sealed [][]*countTable
-	// empty is the shared all-zero table clean shards point at before
-	// their first observation.
-	empty *countTable
+	// immutable, and shared with every snapshot taken since.
+	sealed [][]*sealedTable
 }
 
 // NewShardedIncStudy prepares an incremental sharded study over the
 // given resolutions with 1<<shardBits counting shards. shardBits is
 // clamped to [0, 10]. Close must be called to stop the shard workers.
 func NewShardedIncStudy(resolutions []Resolution, shardBits int) *ShardedIncStudy {
-	s := &ShardedIncStudy{empty: newCountTable()}
+	s := new(ShardedIncStudy)
 	s.start(resolutions, shardBits)
 	s.def = s.newIntake()
-	s.sealed = make([][]*countTable, len(s.shards))
+	s.sealed = make([][]*sealedTable, len(s.shards))
 	for sh := range s.sealed {
 		// Until the shard's first dirty seal, snapshots share the one
 		// immutable empty table.
-		tables := make([]*countTable, len(s.resolutions))
+		tables := make([]*sealedTable, len(s.resolutions))
 		for r := range tables {
-			tables[r] = s.empty
+			tables[r] = emptySealed
 		}
 		s.sealed[sh] = tables
 	}
@@ -91,26 +88,29 @@ func (s *ShardedIncStudy) Feeders(n int) []*IncFeeder {
 func (f *IncFeeder) ObserveFingerprints(fps []Fingerprint) { (*intake)(f).add(fps) }
 
 // Seal publishes the current counts as an immutable IncSnapshot. Only
-// shards that changed since the previous Seal are deep-copied; clean
-// shards share the clone the previous snapshot already holds, so the
-// amortized publish cost tracks the ingest rate, not the table size.
-// Every producer must be quiescent.
+// shards that changed since the previous Seal are resealed, and a
+// resealed table copies only its pages written since — clean shards,
+// tables and pages are all shared with the previous snapshot — so the
+// publish cost tracks the increments since the last seal, not the table
+// size. A table is copied whole when it grew since its last seal (growth
+// doubles it, so the copy is amortized over the inserts that filled it)
+// or when half its pages are dirty (the copy then costs at most twice
+// the page copies it replaces). Every producer must be quiescent.
 func (s *ShardedIncStudy) Seal() *IncSnapshot {
 	for _, sh := range s.quiesce() {
-		tables := make([]*countTable, len(s.resolutions))
+		tables := make([]*sealedTable, len(s.resolutions))
 		for r, t := range s.shards[sh].counts {
-			tables[r] = t.clone()
+			tables[r] = t.seal()
 		}
 		s.sealed[sh] = tables
 	}
 	snap := &IncSnapshot{
 		resolutions: s.resolutions,
 		shift:       s.shift,
-		tables:      append([][]*countTable(nil), s.sealed...),
+		tables:      append([][]*sealedTable(nil), s.sealed...),
 		payments:    s.Payments(),
-		empty:       s.empty,
 	}
-	snap.unique = sumPerResolution(snap.tables, (*countTable).unique)
+	snap.unique = sumPerResolution(snap.tables, (*sealedTable).unique)
 	return snap
 }
 
@@ -120,10 +120,9 @@ func (s *ShardedIncStudy) Seal() *IncSnapshot {
 type IncSnapshot struct {
 	resolutions []Resolution
 	shift       uint
-	tables      [][]*countTable // [shard][resolution]
+	tables      [][]*sealedTable // [shard][resolution]
 	unique      []int
 	payments    int
-	empty       *countTable
 }
 
 // Payments returns the number of observations sealed into the snapshot.
@@ -155,17 +154,18 @@ func (s *IncSnapshot) LookupFingerprint(i int, fp Fingerprint) uint8 {
 // DistinctFingerprints reports the number of distinct fingerprints per
 // resolution.
 func (s *IncSnapshot) DistinctFingerprints() []int {
-	return sumPerResolution(s.tables, (*countTable).distinct)
+	return sumPerResolution(s.tables, (*sealedTable).distinct)
 }
 
-// CountBytes reports the resident footprint of the sealed tables. The
-// shared empty placeholder is counted once, not per shard.
+// CountBytes reports the footprint of the sealed tables, each counted at
+// its full size whatever pages it shares with other epochs. The shared
+// empty placeholder is counted once, not per shard.
 func (s *IncSnapshot) CountBytes() int {
 	n := 0
 	sawEmpty := false
 	for _, tables := range s.tables {
 		for _, t := range tables {
-			if t == s.empty {
+			if t == emptySealed {
 				if !sawEmpty {
 					n += t.bytes()
 					sawEmpty = true

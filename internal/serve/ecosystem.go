@@ -65,12 +65,14 @@ func (e *ecosystemState) snapshot(epoch, appliedSeq uint64) *EcosystemSnapshot {
 
 // ecoShards is the Figures 4–6 view sharded for the multi-worker
 // pipeline: each apply worker folds records into its own
-// analysis.Collector, and the seal merges them — MergeCloned into a
-// fresh collector, leaving the per-worker shards accumulating — before
-// building the snapshot. Every collector statistic is an
-// order-insensitive sum or union, so any partition of the record stream
-// merges to the state a sequential fold reaches (the property
-// analysis.Merge already pins for the segment-parallel batch scan).
+// analysis.Collector, and the seal folds them into one cumulative
+// collector before building the snapshot. The worker shards are
+// per-epoch deltas: a seal MergeClones each into merged and Resets it,
+// so a merge costs O(records since the last seal), not O(view state).
+// Every collector statistic is an order-insensitive sum or union, so
+// any partition of the record stream, cut into any epochs, merges to
+// the state a sequential fold reaches (the property analysis.Merge
+// already pins for the segment-parallel batch scan).
 type ecoShards struct {
 	shards []*ecosystemState
 	// pages counts records folded across all shards; atomic because the
@@ -80,11 +82,9 @@ type ecoShards struct {
 	// lastSealPages is the folded page count the previous seal covered.
 	// Sealer-goroutine only.
 	lastSealPages uint64
-	// merged is the recycled merge target for multi-shard seals: every
-	// seal re-merges the cumulative shards from scratch, so instead of
-	// allocating a fresh collector (and regrowing its maps) per epoch,
-	// the previous epoch's is Reset — buckets and histograms kept — and
-	// refilled. Sealer-goroutine only, like lastSealPages.
+	// merged is the cumulative state through the last seal, the only
+	// collector a snapshot reads. Sealer-goroutine only, like
+	// lastSealPages.
 	merged *ecosystemState
 }
 
@@ -92,7 +92,7 @@ func newEcoShards(n int) *ecoShards {
 	if n < 1 {
 		n = 1
 	}
-	e := &ecoShards{shards: make([]*ecosystemState, n)}
+	e := &ecoShards{shards: make([]*ecosystemState, n), merged: newEcosystemState()}
 	for i := range e.shards {
 		e.shards[i] = newEcosystemState()
 	}
@@ -104,31 +104,27 @@ func (e *ecoShards) apply(shard int, rec *pageRecord) {
 	e.pages.Add(1)
 }
 
-// sealDue spaces merged publishes geometrically under sustained load:
-// a merge clones every shard's histograms and account sets — O(view
-// state), not O(batch) — so requiring the folded page count to double
-// since the previous seal bounds total merge traffic at ≤2× the final
-// state, the same discipline the fingerprint view applies to its shard
-// clones. Ring-dry and shutdown seals bypass the gate, so idle epochs
-// stay fresh and Drain always completes.
+// sealDue spaces publishes geometrically under sustained load: the merge
+// is O(delta), but building the snapshot still copies the cumulative
+// histograms and sorts the offer owners — O(view state) — so requiring
+// the folded page count to double since the previous seal keeps that
+// cost linear in ingest, the same discipline the fingerprint view
+// applies to its table seals. Ring-dry and shutdown seals bypass the
+// gate, so idle epochs stay fresh and Drain always completes.
 func (e *ecoShards) sealDue() bool {
 	return e.pages.Load() >= 2*e.lastSealPages
 }
 
-// snapshot merges the shards and seals the derived histograms. It runs
-// under the seal barrier (or after shutdown), so the shard collectors
-// are quiescent.
+// snapshot folds the shards' deltas into merged and seals the derived
+// histograms. It runs under the seal barrier (or after shutdown), so the
+// shard collectors are quiescent.
 func (e *ecoShards) snapshot(epoch, appliedSeq uint64) *EcosystemSnapshot {
 	e.lastSealPages = e.pages.Load()
-	if e.merged == nil {
-		e.merged = newEcosystemState()
-	} else {
-		e.merged.col.Reset()
-		e.merged.pages = 0
-	}
 	for _, sh := range e.shards {
 		e.merged.col.MergeCloned(sh.col)
 		e.merged.pages += sh.pages
+		sh.col.Reset()
+		sh.pages = 0
 	}
 	return e.merged.snapshot(epoch, appliedSeq)
 }

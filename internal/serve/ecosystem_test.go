@@ -4,11 +4,11 @@ import (
 	"testing"
 )
 
-// TestEcoShardsRecycledSealParity pins the seal-path recycling: the
-// multi-shard ecosystem view reuses one merge-target collector across
-// seals (Reset + re-merge) instead of allocating a fresh one per epoch,
-// and every seal along the way must be byte-identical (as JSON) to a
-// single-shot merge into a brand-new collector over the same records.
+// TestEcoShardsRecycledSealParity pins the seal path across epochs: the
+// multi-shard ecosystem view folds each epoch's shard deltas into one
+// cumulative collector and Resets the shards, and every seal along the
+// way must be byte-identical (as JSON) to a single-shot merge into a
+// brand-new collector over the same records.
 func TestEcoShardsRecycledSealParity(t *testing.T) {
 	pages := genPages(t, 1500, 47)
 	fpSt := newFingerprintState(1, 1)
@@ -44,36 +44,43 @@ func TestEcoShardsRecycledSealParity(t *testing.T) {
 	}
 }
 
-// TestEcoShardsSealReusesMergeTarget asserts the optimization is
-// actually on: steady-state seals allocate measurably less than seals
-// forced to rebuild the merge target from scratch, because the Reset
-// collector keeps its map buckets.
-func TestEcoShardsSealReusesMergeTarget(t *testing.T) {
-	pages := genPages(t, 2000, 48)
+// TestEcoShardsSealCostFollowsDelta pins the delta design: the shards
+// hold only the records since the last seal, so a seal after one new
+// record allocates the same after 500 records of history as after 2,000.
+// Both histories are followed by the same new records, because what a
+// record allocates depends on its payments (a Reset shard allocates a
+// histogram per currency it sees).
+func TestEcoShardsSealCostFollowsDelta(t *testing.T) {
+	const shards, runs = 4, 50
+	pages := genPages(t, 4000, 48)
+	if len(pages) < 2000+runs+1 {
+		t.Fatalf("fixture has %d pages, need %d", len(pages), 2000+runs+1)
+	}
 	fpSt := newFingerprintState(1, 1)
 	defer fpSt.close()
 	proj := newProjector(fpSt.plan())
-
-	const shards = 4
-	e := newEcoShards(shards)
-	rec := new(pageRecord)
+	recs := make([]*pageRecord, len(pages))
 	for i, p := range pages {
-		proj.fromPage(p, rec)
-		e.apply(i%shards, rec)
-		rec = new(pageRecord)
+		recs[i] = new(pageRecord)
+		proj.fromPage(p, recs[i])
 	}
-	e.snapshot(0, 1) // warm the merge target
 
-	recycledAllocs := testing.AllocsPerRun(5, func() {
-		e.snapshot(1, 1)
-	})
-	coldAllocs := testing.AllocsPerRun(5, func() {
-		e.merged = nil // force a fresh merge target, the pre-pooling path
-		e.snapshot(1, 1)
-	})
-	t.Logf("seal allocs: recycled=%.0f cold=%.0f", recycledAllocs, coldAllocs)
-	if recycledAllocs >= coldAllocs {
-		t.Errorf("recycled seal allocates %.0f, cold %.0f — pooling is not saving allocations",
-			recycledAllocs, coldAllocs)
+	sealAllocs := func(history int) float64 {
+		e := newEcoShards(shards)
+		for i, rec := range recs[:history] {
+			e.apply(i%shards, rec)
+		}
+		e.snapshot(0, 1)
+		next := 2000
+		return testing.AllocsPerRun(runs, func() {
+			e.apply(next%shards, recs[next])
+			next++
+			e.snapshot(1, 1)
+		})
+	}
+	short, long := sealAllocs(500), sealAllocs(2000)
+	t.Logf("allocs per one-record seal: %.0f after 500 records, %.0f after 2000", short, long)
+	if short != long {
+		t.Errorf("a one-record seal allocates %.0f after 2000 records but %.0f after 500: the seal is not O(delta)", long, short)
 	}
 }

@@ -16,9 +16,10 @@ import (
 // by the projection front door (project.go) through the study's shared
 // plan; apply only routes them. Sealing is epoch-consistent
 // scatter-gather: the study flushes and barriers every shard that
-// changed, then clones only those shards' tables, so Lookup and the
-// Figure 3 rows are bit-identical to a batch deanon.Study over the same
-// pages at any shard count.
+// changed, then copies only the table pages written since the previous
+// seal, sharing the rest, so Lookup and the Figure 3 rows are
+// bit-identical to a batch deanon.Study over the same pages at any shard
+// count.
 type fingerprintState struct {
 	study *deanon.ShardedIncStudy
 	// feeders are the per-pipeline-worker intakes: each apply worker
@@ -67,12 +68,14 @@ func (f *fingerprintState) apply(shard int, rec *pageRecord) {
 	}
 }
 
-// sealDue is the view's batch-boundary publish-cost gate: a seal clones
-// every dirty count shard, which under uniform fingerprint traffic is
-// the entire table — O(distinct fingerprints), not O(batch). Requiring
-// the study to double since the previous seal spaces publishes
-// geometrically, so total copy-on-publish traffic stays linear in
-// ingest (≤2× the final table) while a firehose backfill still surfaces
+// sealDue is the view's batch-boundary publish-cost gate. A seal copies
+// only the table pages written since the previous one, which is cheap
+// for the few increments between two paced closes; but under a firehose
+// uniform fingerprints dirty every page between two seals (and growth
+// forces whole copies), so a seal there is O(distinct fingerprints), not
+// O(batch). Requiring the study to double since the previous seal spaces
+// those publishes geometrically, so total copy traffic stays linear in
+// ingest (≤2× the final table) while a backfill still surfaces
 // mid-stream epochs. Inbox-dry seals bypass this gate, so any pause in
 // the stream — including every Drain — still publishes immediately and
 // idle epochs stay fresh.
@@ -80,9 +83,9 @@ func (f *fingerprintState) sealDue() bool {
 	return f.study.Payments() >= 2*f.lastSealPayments
 }
 
-// snapshot seals the study as an immutable FingerprintSnapshot.
-// Copy-on-publish touches only the shards that changed since the last
-// seal; unchanged shards share their previous clones.
+// snapshot seals the study as an immutable FingerprintSnapshot. The seal
+// copies only the pages written since the last one; unchanged shards,
+// tables and pages are shared with the previous snapshot.
 func (f *fingerprintState) snapshot(epoch, appliedSeq uint64) *FingerprintSnapshot {
 	// This runs with every apply worker paused (seal barrier) or stopped
 	// (shutdown), so the study flushing their feeders is single-threaded

@@ -194,4 +194,33 @@ func TestMetricsExposition(t *testing.T) {
 			}
 		}
 	}
+	// The summed merge time is zero for a view that never sealed (the
+	// tally view: pages carry no validation events), and otherwise
+	// positive and at least the latest merge, printed to the microsecond.
+	for _, vw := range s.views {
+		label := fmt.Sprintf("{view=%q}", vw.name)
+		seals := metricValue(t, body, "serve_view_seals_total"+label)
+		total := metricValue(t, body, "serve_view_merge_seconds_total"+label)
+		last := metricValue(t, body, "serve_view_last_merge_seconds"+label)
+		pageView := vw.name != "fig2_tally"
+		if (pageView && seals < 1) || (seals > 0) != (total > 0) || total < last-1e-6 {
+			t.Errorf("view %s: %v seals, merge total %vs, last merge %vs", vw.name, seals, total, last)
+		}
+	}
+}
+
+// metricValue reads the value of the exposition line for series.
+func metricValue(t *testing.T, body, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("metrics missing %s", series)
+	return 0
 }

@@ -115,6 +115,10 @@ func (s *Service) writeMetrics(w io.Writer) {
 	for _, vw := range s.views {
 		fmt.Fprintf(w, "serve_view_seals_total{view=%q} %d\n", vw.name, vw.seals.Load())
 	}
+	fmt.Fprintf(w, "# HELP serve_view_merge_seconds_total Time each view has spent in shard merge and snapshot build, summed over its publishes; divide its rate by serve_view_seals_total's for the mean merge.\n")
+	for _, vw := range s.views {
+		fmt.Fprintf(w, "serve_view_merge_seconds_total{view=%q} %.9f\n", vw.name, time.Duration(vw.mergeTotal.Load()).Seconds())
+	}
 	fmt.Fprintf(w, "# HELP serve_view_last_seal_seconds Duration of each view's most recent snapshot publish (the full barrier: pause, merge, release).\n")
 	for _, vw := range s.views {
 		fmt.Fprintf(w, "serve_view_last_seal_seconds{view=%q} %.6f\n", vw.name, time.Duration(vw.sealNanos.Load()).Seconds())

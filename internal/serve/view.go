@@ -26,13 +26,13 @@
 // owned record and fans the record out in batches, so queue operations,
 // channel wakeups, and bookkeeping amortize over IngestBatchPages
 // updates instead of one. Readers never touch mutable state: each
-// publish seals an immutable copy-on-publish snapshot behind an atomic
-// pointer and bumps the view's epoch, so queries never block ingestion
-// and ingestion never blocks queries. Publishes happen whenever a
-// view's rings run dry (fresh epochs under light load) and at least
-// every PublishBatch updates (amortized snapshot cost under heavy load)
-// — but never in the middle of an ingest batch, so a snapshot always
-// covers whole batches.
+// publish seals an immutable snapshot — sharing whatever did not change
+// with the previous one — behind an atomic pointer and bumps the view's
+// epoch, so queries never block ingestion and ingestion never blocks
+// queries. Publishes happen whenever a view's rings run dry (fresh
+// epochs under light load) and at least every PublishBatch updates
+// (amortized snapshot cost under heavy load) — but never in the middle
+// of an ingest batch, so a snapshot always covers whole batches.
 package serve
 
 import (
@@ -143,6 +143,7 @@ type viewWorker struct {
 	seals      atomic.Uint64 // publishes since start (excluding bootstrap)
 	sealNanos  atomic.Int64  // duration of the latest seal (barrier + merge)
 	mergeNanos atomic.Int64  // duration of the latest merge+publish alone
+	mergeTotal atomic.Int64  // summed merge+publish durations of every seal
 
 	rr atomic.Uint64 // round-robin ring cursor for unrouted batches
 
@@ -331,7 +332,7 @@ func (w *viewWorker) sealBarrier() {
 	applied := w.applied.Load()
 	mergeStart := time.Now()
 	w.publish(w.epoch.Add(1))
-	w.mergeNanos.Store(int64(time.Since(mergeStart)))
+	w.recordMerge(int64(time.Since(mergeStart)))
 	w.seals.Add(1)
 	w.sealed.Store(applied)
 	close(release)
@@ -339,6 +340,12 @@ func (w *viewWorker) sealBarrier() {
 	if w.notify != nil {
 		w.notify()
 	}
+}
+
+// recordMerge notes one seal's merge+publish duration.
+func (w *viewWorker) recordMerge(d int64) {
+	w.mergeNanos.Store(d)
+	w.mergeTotal.Add(d)
 }
 
 // bumpSeq raises a monotonic gauge to at least v. Apply workers race on
@@ -487,7 +494,7 @@ func (w *viewWorker) close() {
 		start := time.Now()
 		w.publish(w.epoch.Add(1))
 		d := int64(time.Since(start))
-		w.mergeNanos.Store(d)
+		w.recordMerge(d)
 		w.sealNanos.Store(d)
 		w.seals.Add(1)
 		w.sealed.Store(applied)

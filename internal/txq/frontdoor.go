@@ -190,8 +190,8 @@ type FrontDoor struct {
 
 	stMu     sync.Mutex
 	byHash   map[ledger.Hash]*queuedTx // either hash → record (last wins)
-	resolved []*queuedTx               // ring of the last StatusCapacity resolutions
-	ringNext int                       // the ring slot the next resolution takes
+	resolved []*queuedTx               // ring of the last StatusCapacity resolutions, grown on demand
+	ringNext int                       // the ring slot the next resolution takes once it is full
 	nextID   uint64
 
 	met    metrics
@@ -205,14 +205,13 @@ type FrontDoor struct {
 func New(eng *payment.Engine, opts Options) *FrontDoor {
 	opts = opts.withDefaults()
 	fd := &FrontDoor{
-		opts:     opts,
-		eng:      eng,
-		q:        newQueue(),
-		slots:    make(chan struct{}, opts.QueueDepth),
-		cache:    newPlanCache(opts.CacheSize),
-		exec:     payment.NewOptimistic(eng, 0),
-		byHash:   make(map[ledger.Hash]*queuedTx),
-		resolved: make([]*queuedTx, opts.StatusCapacity),
+		opts:   opts,
+		eng:    eng,
+		q:      newQueue(),
+		slots:  make(chan struct{}, opts.QueueDepth),
+		cache:  newPlanCache(opts.CacheSize),
+		exec:   payment.NewOptimistic(eng, 0),
+		byHash: make(map[ledger.Hash]*queuedTx),
 	}
 	fd.met.init(opts.LatencyWindow)
 	fd.quoters.New = func() any {
@@ -380,16 +379,21 @@ func (fd *FrontDoor) resolve(qt *queuedTx) {
 	if qt.hash != qt.subHash {
 		fd.byHash[qt.hash] = qt
 	}
-	if old := fd.resolved[fd.ringNext]; old != nil {
+	// The ring grows by append until it holds StatusCapacity statuses;
+	// from then on ringNext is the oldest, and each resolution evicts it.
+	if len(fd.resolved) < fd.opts.StatusCapacity {
+		fd.resolved = append(fd.resolved, qt)
+	} else {
+		old := fd.resolved[fd.ringNext]
 		old.evicted = true
 		for _, h := range [2]ledger.Hash{old.st.Hash, old.subHash} {
 			if fd.byHash[h] == old {
 				delete(fd.byHash, h)
 			}
 		}
+		fd.resolved[fd.ringNext] = qt
+		fd.ringNext = (fd.ringNext + 1) % len(fd.resolved)
 	}
-	fd.resolved[fd.ringNext] = qt
-	fd.ringNext = (fd.ringNext + 1) % len(fd.resolved)
 	fd.stMu.Unlock()
 	close(qt.done)
 	<-fd.slots

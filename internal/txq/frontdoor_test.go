@@ -378,6 +378,39 @@ func TestFrontDoorStatusLookup(t *testing.T) {
 	drainAndClose(t, fd)
 }
 
+// TestFrontDoorStatusRingGrowsOnDemand pins that New with default
+// options does not allocate the full StatusCapacity ring: it holds
+// exactly the statuses resolved so far.
+func TestFrontDoorStatusRingGrowsOnDemand(t *testing.T) {
+	eng := payment.NewEngine()
+	from := acct(1)
+	eng.Fund(from, 100_000_000)
+	fd := New(eng, Options{})
+	defer drainAndClose(t, fd)
+	ring := func() (n, c int) {
+		fd.stMu.Lock()
+		defer fd.stMu.Unlock()
+		return len(fd.resolved), cap(fd.resolved)
+	}
+	if n, c := ring(); n != 0 || c != 0 {
+		t.Fatalf("New allocated a status ring of %d/%d slots", n, c)
+	}
+	const resolutions = 5
+	for i := 0; i < resolutions; i++ {
+		tk, err := fd.Submit(&ledger.Tx{Type: ledger.TxPayment, Account: from, Fee: 10,
+			Destination: acct(2), Amount: amount.XRPAmount(amount.Drops(100 + i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, c := ring(); n != resolutions || c >= fd.opts.StatusCapacity {
+		t.Fatalf("after %d resolutions the ring holds %d of %d slots (capacity %d)", resolutions, n, c, fd.opts.StatusCapacity)
+	}
+}
+
 // TestFrontDoorStatusEviction pins the retained-status window: after
 // StatusCapacity more resolutions a status is unreachable by either hash
 // and its ticket's Wait reports the eviction, while a hash shared with a
