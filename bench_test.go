@@ -295,11 +295,6 @@ func BenchmarkFig7Intermediaries(b *testing.B) {
 // BenchmarkTable2Replay regenerates Table II: state rebuild, ablation,
 // and post-snapshot replay.
 //
-//	sequential      replay.Run — the reference semantics
-//	parallel        replay.RunParallel, GOMAXPROCS planner workers
-//	parallel-store  RunParallel over a disk store (segment sequence
-//	                index + decode-ahead instead of an in-memory slice)
-//
 // The payments/s metric counts the post-snapshot payments the replay
 // submitted per wall-clock second, end to end (including the state
 // rebuild — the paper's experiment always pays it).
@@ -320,54 +315,6 @@ func BenchmarkTable2Replay(b *testing.B) {
 		submitted := 0
 		for i := 0; i < b.N; i++ {
 			res, err := replay.Run(replay.FromPages(pages), snap)
-			if err != nil {
-				b.Fatal(err)
-			}
-			check(b, res)
-			submitted = res.Total().Submitted
-		}
-		b.ReportMetric(float64(submitted)*float64(b.N)/b.Elapsed().Seconds(), "payments/s")
-	})
-
-	b.Run("parallel", func(b *testing.B) {
-		submitted, conflicts, planned := 0, 0, 0
-		for i := 0; i < b.N; i++ {
-			res, err := replay.RunParallel(replay.FromPages(pages), snap, runtime.GOMAXPROCS(0))
-			if err != nil {
-				b.Fatal(err)
-			}
-			check(b, res)
-			submitted = res.Total().Submitted
-			conflicts = res.Stats.Conflicts
-			planned = res.Stats.PlannedAhead + res.Stats.Conflicts
-		}
-		b.ReportMetric(float64(submitted)*float64(b.N)/b.Elapsed().Seconds(), "payments/s")
-		if planned > 0 {
-			b.ReportMetric(100*float64(conflicts)/float64(planned), "replan-%")
-		}
-	})
-
-	b.Run("parallel-store", func(b *testing.B) {
-		dir := b.TempDir()
-		store, err := ledgerstore.Create(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pages {
-			if err := store.Append(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := store.Close(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := store.SegmentRanges(); err != nil {
-			b.Fatal(err) // warm the sequence index sidecar
-		}
-		b.ResetTimer()
-		submitted := 0
-		for i := 0; i < b.N; i++ {
-			res, err := replay.RunParallel(store, snap, runtime.GOMAXPROCS(0))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -33,7 +33,7 @@ func main() {
 	rounds := flag.Int("rounds", 2000, "consensus rounds per Figure 2 period")
 	storeDir := flag.String("store", "", "persist/reuse the history in this ledgerstore directory")
 	only := flag.String("only", "", "run a single experiment: fig2|table1|fig3|fig4|fig5|fig6|table2|fig7|mitigation|incentives|spamcost|overlap|dos|window|attacks")
-	workers := flag.Int("workers", 0, "parallel scan/study workers for the de-anonymization pipeline (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "parallel scan/study workers for the de-anonymization pipeline (0 = GOMAXPROCS); the Table II replay is sequential whatever the value")
 	ckptEvery := flag.Uint64("checkpoint-every", 0, "write state-tree checkpoints every N pages during store replays (0 = resume only, never write)")
 	flag.Parse()
 
@@ -296,15 +296,6 @@ func tableII(ds *core.Dataset) error {
 	fmt.Printf("%-16s %10d %10d %13.1f%%\n", "Single-currency", res.Single.Submitted, res.Single.Delivered, 100*res.Single.Rate())
 	total := res.Total()
 	fmt.Printf("%-16s %10d %10d %13.1f%%\n", "Total", total.Submitted, total.Delivered, 100*total.Rate())
-	if st := res.Stats; st.Workers > 0 {
-		planned := st.PlannedAhead + st.Conflicts
-		rate := 0.0
-		if planned > 0 {
-			rate = float64(st.Conflicts) / float64(planned)
-		}
-		fmt.Printf("(optimistic replay: %d workers, %d batches, %d planned ahead, %d conflicts = %.1f%% re-planned)\n",
-			st.Workers, st.Batches, st.PlannedAhead, st.Conflicts, 100*rate)
-	}
 	return nil
 }
 

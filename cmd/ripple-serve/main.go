@@ -14,7 +14,7 @@
 // /v1/deanon, /v1/deanon/lookup, /v1/ecosystem. With -txq the online
 // front door adds /v1/path_find (ripple_path_find-style quotes over a
 // read-set-invalidated plan cache), /v1/submit (admission-controlled
-// transaction queue feeding the optimistic parallel planner), and
+// transaction queue applied batch by batch through the engine), and
 // /v1/tx_status.
 //
 // SIGINT/SIGTERM shut down gracefully: the stream subscription stops,
@@ -73,7 +73,7 @@ func main() {
 	var tq txqFlags
 	flag.BoolVar(&tq.enable, "txq", false, "serve the online front door: /v1/path_find quotes, /v1/submit, /v1/tx_status (engine state replayed from -store when given, empty otherwise)")
 	flag.IntVar(&tq.depth, "txq-depth", 1024, "transaction queue admission bound")
-	flag.IntVar(&tq.batch, "txq-batch", 256, "transactions per optimistic planning batch")
+	flag.IntVar(&tq.batch, "txq-batch", 256, "transactions applied per batch (one plan-cache epoch advance each)")
 	flag.BoolVar(&tq.backpressure, "txq-backpressure", false, "make /v1/submit wait for queue space instead of shedding with 503")
 	flag.IntVar(&tq.cache, "txq-cache", 4096, "path-plan quote cache entries")
 	flag.Uint64Var(&tq.ckptEvery, "checkpoint-every", 0, "write state-tree checkpoints every N pages during the txq engine rebuild (0 = resume only, never write)")

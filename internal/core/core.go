@@ -459,9 +459,7 @@ func (ds *Dataset) TableII(snapshotFraction float64) (*replay.Result, error) {
 	if snap < 1 {
 		snap = 1
 	}
-	// Optimistic-parallel replay is pinned bit-identical to replay.Run by
-	// the differential tests, so the experiment can always take it.
-	return replay.RunParallelOpts(ds.source, snap, ds.workers(), ds.buildOpts())
+	return replay.RunOpts(ds.source, snap, ds.buildOpts())
 }
 
 // Mitigation runs the §V wallet-splitting countermeasure study over the

@@ -82,10 +82,10 @@ type Plan struct {
 
 // ReadSet lists the state a plan (or a failed search) depended on: the
 // accounts whose trust edges the search inspected and the order-book
-// pairs it quoted. Optimistic replay validates a stale plan by checking
-// that nothing in its read set has been mutated since planning — if the
-// read set is untouched, re-planning against current state would read
-// the exact same values and produce the exact same plan.
+// pairs it quoted. The txq quote cache validates a cached plan by
+// checking that nothing in its read set has been mutated since planning
+// — if the read set is untouched, re-planning against current state
+// would read the exact same values and produce the exact same plan.
 type ReadSet struct {
 	Accounts []addr.AccountID
 	Pairs    []orderbook.Pair

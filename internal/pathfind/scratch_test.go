@@ -50,8 +50,8 @@ func TestFindPaymentSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestReadSetRecordsTrustSearch pins read-set capture for the
-// optimistic replay validator: the endpoints and every account whose
+// TestReadSetRecordsTrustSearch pins read-set capture for the quote
+// cache's validity check: the endpoints and every account whose
 // edges the BFS expanded must be present.
 func TestReadSetRecordsTrustSearch(t *testing.T) {
 	g, accts := line(t, 5)

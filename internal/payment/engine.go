@@ -38,10 +38,6 @@ type Engine struct {
 
 	verifySignatures bool
 
-	// lastPlan is the path plan executed by the most recent successful
-	// payment (nil otherwise). The optimistic executor reads it to mark the
-	// state a re-planned payment touched.
-	lastPlan *pathfind.Plan
 	// Scratch for planIntermediaries: the accounts collected so far and
 	// the path each was collected on.
 	interAccts []addr.AccountID
@@ -56,6 +52,10 @@ type Engine struct {
 	// state is the optional authenticated state tree and its mutation
 	// journal (state.go); nil unless WithStateTree/EnableStateTree.
 	state *stateJournal
+	// changes is the optional record of what a path search can read
+	// that applied transactions mutated (state.go); nil unless
+	// TrackChanges.
+	changes *Changes
 }
 
 // Option configures an Engine.
@@ -151,7 +151,7 @@ func (e *Engine) RemoveMarketMakers() []addr.AccountID {
 		// Journal everything the removal touches while it still exists.
 		e.markAccount(mm)
 		e.graph.PairsOf(mm, func(p *trustgraph.Pair) { e.markPair(p.Lo, p.Hi, p.Currency) })
-		e.books.EachOf(mm, func(o *orderbook.Offer) { e.markOffer(o.Owner, o.Seq) })
+		e.books.EachOf(mm, e.markOffer)
 		e.books.RemoveOwner(mm)
 		e.graph.RemoveAccount(mm)
 		delete(e.xrp, mm)
@@ -166,21 +166,15 @@ func (e *Engine) RemoveMarketMakers() []addr.AccountID {
 // invalid ones return ResultMalformed or ResultBadSequence without
 // touching state. Apply itself errors only on internal inconsistencies.
 func (e *Engine) Apply(tx *ledger.Tx) (*ledger.TxMeta, error) {
-	meta, _, err := e.apply(tx, nil, false)
+	meta, _, err := e.ApplyTx(tx)
 	return meta, err
 }
 
-// apply is Apply with the pathfinding step optionally done ahead of time
-// (optimistic.go): with havePlan, a payment executes plan instead of
-// searching, nil meaning the search found no path (ResultPathDry). The
-// live pre-checks (signature, sequence, fee, destination, funding) still
-// run first, so given the plan the search would have produced now, the
-// outcome is exactly Apply's. Other transaction types ignore the plan.
-// The transaction is hashed once, here; the hash is returned beside the
-// metadata so the executor's callers need not derive it again.
-func (e *Engine) apply(tx *ledger.Tx, plan *pathfind.Plan, havePlan bool) (*ledger.TxMeta, ledger.Hash, error) {
+// ApplyTx is Apply that also returns the transaction's hash: the engine
+// hashes each transaction once, to fold it into the state digest, so
+// callers that index outcomes by hash need not hash it again.
+func (e *Engine) ApplyTx(tx *ledger.Tx) (*ledger.TxMeta, ledger.Hash, error) {
 	meta := &ledger.TxMeta{}
-	e.lastPlan = nil
 	hash := tx.Hash()
 
 	// Signature discipline (when enabled). ACCOUNT_ZERO's key is
@@ -221,12 +215,13 @@ func (e *Engine) apply(tx *ledger.Tx, plan *pathfind.Plan, havePlan bool) (*ledg
 
 	switch tx.Type {
 	case ledger.TxPayment:
-		e.applyPayment(tx, meta, plan, havePlan)
+		e.applyPayment(tx, meta)
 	case ledger.TxOfferCreate:
 		e.applyOfferCreate(tx, meta)
 	case ledger.TxOfferCancel:
-		if e.books.Cancel(tx.Account, tx.OfferSequence) {
-			e.markOffer(tx.Account, tx.OfferSequence)
+		if o := e.books.Lookup(tx.Account, tx.OfferSequence); o != nil {
+			e.markOffer(o)
+			e.books.Cancel(tx.Account, tx.OfferSequence)
 		}
 		meta.Result = ledger.ResultSuccess
 	case ledger.TxTrustSet:
@@ -251,10 +246,9 @@ func (e *Engine) apply(tx *ledger.Tx, plan *pathfind.Plan, havePlan bool) (*ledg
 	return meta, hash, nil
 }
 
-// applyPayment executes a Payment transaction. When havePlan is true the
-// provided plan (possibly nil = path dry) replaces the pathfinding step;
-// every stateful check still runs against live state.
-func (e *Engine) applyPayment(tx *ledger.Tx, meta *ledger.TxMeta, plan *pathfind.Plan, havePlan bool) {
+// applyPayment executes a Payment transaction, searching its paths
+// against live state.
+func (e *Engine) applyPayment(tx *ledger.Tx, meta *ledger.TxMeta) {
 	if !tx.Amount.Value.IsPositive() || tx.Destination == tx.Account {
 		meta.Result = ledger.ResultMalformed
 		return
@@ -285,18 +279,10 @@ func (e *Engine) applyPayment(tx *ledger.Tx, meta *ledger.TxMeta, plan *pathfind
 		return
 	}
 
-	if havePlan {
-		if plan == nil {
-			meta.Result = ledger.ResultPathDry
-			return
-		}
-	} else {
-		var err error
-		plan, err = e.finder.FindPayment(tx.Account, tx.Destination, srcCur, tx.Amount)
-		if err != nil {
-			meta.Result = ledger.ResultPathDry
-			return
-		}
+	plan, err := e.finder.FindPayment(tx.Account, tx.Destination, srcCur, tx.Amount)
+	if err != nil {
+		meta.Result = ledger.ResultPathDry
+		return
 	}
 	if plan.Delivered.Cmp(tx.Amount.Value) < 0 {
 		meta.Result = ledger.ResultPathDry
@@ -322,7 +308,6 @@ func (e *Engine) applyPayment(tx *ledger.Tx, meta *ledger.TxMeta, plan *pathfind
 		meta.Result = ledger.ResultPathDry
 		return
 	}
-	e.lastPlan = plan
 	meta.Result = ledger.ResultSuccess
 	meta.Delivered = amount.New(tx.Amount.Currency, plan.Delivered)
 	meta.CrossCurrency = plan.UsedBridge && plan.SrcCurrency != plan.Currency
@@ -465,7 +450,7 @@ func (e *Engine) executePlan(plan *pathfind.Plan) (err error) {
 			}
 		}
 		for _, f := range q.Fills {
-			e.markOffer(f.Offer.Owner, f.Offer.Seq)
+			e.markOffer(f.Offer)
 		}
 		if err = e.books.Apply(q); err != nil {
 			return fmt.Errorf("payment: book fill: %w", err)
@@ -503,7 +488,7 @@ func (e *Engine) applyOfferCreate(tx *ledger.Tx, meta *ledger.TxMeta) {
 		meta.Result = ledger.ResultMalformed
 		return
 	}
-	e.markOffer(o.Owner, o.Seq)
+	e.markOffer(o)
 	meta.Result = ledger.ResultSuccess
 }
 

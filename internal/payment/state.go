@@ -81,7 +81,7 @@ func (e *Engine) EnableStateTree() {
 		e.markAccount(a)
 	}
 	e.graph.Pairs(func(p *trustgraph.Pair) { e.markPair(p.Lo, p.Hi, p.Currency) })
-	e.books.Each(func(o *orderbook.Offer) { e.markOffer(o.Owner, o.Seq) })
+	e.books.Each(e.markOffer)
 }
 
 // HasStateTree reports whether the engine maintains a state tree.
@@ -96,6 +96,35 @@ func (e *Engine) StateRoot() ledger.Hash {
 	return e.state.tree.Root()
 }
 
+// Changes records what applied transactions mutated that a path search
+// can read: both endpoints of every trust line a payment moved or a
+// TrustSet set, and the book pair of every offer placed, filled or
+// cancelled. XRP balances are not recorded — no search reads them — and
+// a transaction that failed without mutating anything records nothing.
+type Changes struct {
+	Accounts map[addr.AccountID]struct{}
+	Pairs    map[orderbook.Pair]struct{}
+}
+
+// Reset empties the record.
+func (c *Changes) Reset() {
+	clear(c.Accounts)
+	clear(c.Pairs)
+}
+
+// TrackChanges makes the engine record into the returned Changes what
+// every later transaction mutates, from the same mark sites that feed
+// the state-tree journal; the two are independent, so a caller may
+// Reset its record without disturbing SealState. An engine that never
+// calls it pays only a nil check per mutation.
+func (e *Engine) TrackChanges() *Changes {
+	e.changes = &Changes{
+		Accounts: make(map[addr.AccountID]struct{}),
+		Pairs:    make(map[orderbook.Pair]struct{}),
+	}
+	return e.changes
+}
+
 func (e *Engine) markAccount(a addr.AccountID) {
 	if e.state != nil {
 		e.state.accts[a] = struct{}{}
@@ -103,6 +132,10 @@ func (e *Engine) markAccount(a addr.AccountID) {
 }
 
 func (e *Engine) markPair(a, b addr.AccountID, cur amount.Currency) {
+	if c := e.changes; c != nil {
+		c.Accounts[a] = struct{}{}
+		c.Accounts[b] = struct{}{}
+	}
 	if e.state != nil {
 		if b.Less(a) {
 			a, b = b, a
@@ -111,9 +144,12 @@ func (e *Engine) markPair(a, b addr.AccountID, cur amount.Currency) {
 	}
 }
 
-func (e *Engine) markOffer(owner addr.AccountID, seq uint32) {
+func (e *Engine) markOffer(o *orderbook.Offer) {
+	if c := e.changes; c != nil {
+		c.Pairs[orderbook.Pair{Pays: o.Pays.Currency, Gets: o.Gets.Currency}] = struct{}{}
+	}
 	if e.state != nil {
-		e.state.offers[offerRef{owner: owner, seq: seq}] = struct{}{}
+		e.state.offers[offerRef{owner: o.Owner, seq: o.Seq}] = struct{}{}
 	}
 }
 

@@ -85,12 +85,7 @@ func TestCheckpointResumeMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResult(t, cold, resumed, "resumed sequential")
-			parResumed, err := RunParallelOpts(store, tc.snap, 4, BuildOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, cold, parResumed, "resumed parallel")
+			sameResult(t, cold, resumed, "resumed")
 		})
 	}
 
@@ -162,7 +157,7 @@ func TestCheckpointCorruptionFallsBackCold(t *testing.T) {
 // the snapshot's side of the sidecar inward and checks that each costs
 // one checkpoint, not all of them: a batch past the snapshot is not even
 // opened, the newest eligible one sends the resume to the one before it,
-// and so on down — with Table II, sequential and parallel, unchanged.
+// and so on down — with Table II unchanged.
 func TestCheckpointCorruptionFallsBackOneCheckpoint(t *testing.T) {
 	pages, _ := generate(t, 2000, 10)
 	store, last := storeWithHistory(t, pages)
@@ -210,11 +205,6 @@ func TestCheckpointCorruptionFallsBackOneCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameResult(t, cold, resumed, "resumed behind a damaged batch")
-		parResumed, err := RunParallelOpts(store, snap, 4, BuildOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, cold, parResumed, "resumed behind a damaged batch, parallel")
 	}
 }
 

@@ -6,15 +6,10 @@
 // network," updating balances after each successful payment and applying
 // the trust-line updates that happened on the real system.
 //
-// Two replay paths produce bit-identical results:
-//
-//   - Run applies everything sequentially — the reference semantics.
-//   - RunParallel feeds the same transactions, in batches, to
-//     payment.Optimistic, which plans a batch's payments on worker
-//     goroutines before committing them in ledger order.
-//
-// Both consume history through a decode-ahead page stream, and both use
-// the source's sequence index (RangeSource) when available, so a replay
+// Run applies the post-snapshot transactions one at a time, in ledger
+// order, each payment searched against the state the previous one left.
+// History arrives through a decode-ahead page stream that uses the
+// source's sequence index (RangeSource) when available, so a replay
 // from a 70% snapshot reads each byte of the store once instead of
 // scanning it twice.
 package replay
@@ -22,7 +17,6 @@ package replay
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"ripplestudy/internal/addr"
 	"ripplestudy/internal/amount"
@@ -123,16 +117,22 @@ type recycledRangeSource interface {
 	PagesRangeRecycled(lo, hi uint64, fn func(p *ledger.Page, release func()) error) error
 }
 
+// decodeAhead is how many decoded pages streamPages buffers.
+const decodeAhead = 16
+
 // streamPages decodes pages [lo, hi] on a producer goroutine, sending
 // them through a buffered channel so decoding overlaps whatever the
-// consumer does with each page (engine apply, planning). Sources with
+// consumer does with each page (engine apply). Sources with
 // recycled-arena decoding stream through pooled arenas — the consumer
 // releases each page once it has finished with it, so a steady-state
 // replay reuses a bounded ring of arenas instead of heap-decoding the
-// whole history. Closing stop makes the producer quit promptly; the
-// channel is always closed when the producer finishes.
+// whole history. The ring is decodeAhead pages deep: an arena keeps
+// slabs sized to the largest page it has decoded, so a deeper ring holds
+// more memory without more overlap — decoding runs far ahead of apply.
+// Closing stop makes the producer quit promptly; the channel is always
+// closed when the producer finishes.
 func streamPages(src Source, lo, hi uint64, stop <-chan struct{}) <-chan pageOrErr {
-	ch := make(chan pageOrErr, 64)
+	ch := make(chan pageOrErr, decodeAhead)
 	send := func(pe pageOrErr) error {
 		select {
 		case ch <- pe:
@@ -373,21 +373,14 @@ func (r Row) Rate() float64 {
 	return float64(r.Delivered) / float64(r.Submitted)
 }
 
-// Stats reports how the optimistic-parallel pipeline behaved. It is
-// informational: two runs with different Stats can (and must) still
-// agree on every other Result field.
+// Stats is kept for callers that still read it.
+//
+// Deprecated: PlannedAhead and Conflicts always read 0 — no payment is
+// planned ahead of its apply — and go with the benchmark change that
+// retires replay.replan_share.
 type Stats struct {
-	// Workers is the planner goroutine count (0 for sequential Run).
-	Workers int
-	// Batches is the number of planning batches.
-	Batches int
-	// PlannedAhead counts payments committed straight from an optimistic
-	// plan whose read set was untouched.
 	PlannedAhead int
-	// Conflicts counts payments whose optimistic plan was invalidated by
-	// an earlier write in the same batch and had to be re-planned
-	// sequentially.
-	Conflicts int
+	Conflicts    int
 }
 
 // Result is the full Table II.
@@ -404,10 +397,10 @@ type Result struct {
 	// StateRoot is the sealed Merkle root of the engine's final state —
 	// the authenticated complement to StateDigest: the digest pins the
 	// history taken, the root commits to the state reached, and the pair
-	// is pinned differentially across sequential, parallel, and
-	// checkpoint-resumed replays.
+	// is pinned differentially across cold and checkpoint-resumed
+	// replays.
 	StateRoot ledger.Hash
-	// Stats describes the pipeline; excluded from result equality.
+	// Stats is always zero.
 	Stats Stats
 }
 
@@ -431,49 +424,9 @@ func Run(src Source, snapshotSeq uint64) (*Result, error) {
 // RunOpts is Run with explicit checkpoint options for the state
 // rebuild phase.
 func RunOpts(src Source, snapshotSeq uint64, opts BuildOptions) (*Result, error) {
-	state, removed, res, err := setupReplay(src, snapshotSeq, opts)
-	if err != nil {
-		return nil, err
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	for pe := range streamPages(src, snapshotSeq+1, maxSeq, stop) {
-		if pe.err != nil {
-			return nil, pe.err
-		}
-		for i, tx := range pe.page.Txs {
-			it, ok := classify(tx, pe.page.Metas[i], removed, res)
-			if !ok || it.skip {
-				continue
-			}
-			if m := replayTx(state, tx); m != nil && m.Result.Succeeded() && it.row != nil {
-				it.row.Delivered++
-			}
-		}
-		if pe.release != nil {
-			pe.release()
-		}
-	}
-	return finishResult(state, res)
-}
-
-// finishResult stamps the final digest and sealed state root.
-func finishResult(state *payment.Engine, res *Result) (*Result, error) {
-	res.StateDigest = state.StateDigest()
-	root, err := state.SealState()
-	if err != nil {
-		return nil, err
-	}
-	res.StateRoot = root
-	return res, nil
-}
-
-// setupReplay rebuilds the snapshot state and performs the market-maker
-// ablation shared by Run and RunParallel.
-func setupReplay(src Source, snapshotSeq uint64, opts BuildOptions) (*payment.Engine, map[addr.AccountID]bool, *Result, error) {
 	state, err := BuildStateOpts(src, snapshotSeq, opts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	removedList := state.RemoveMarketMakers()
 	removed := make(map[addr.AccountID]bool, len(removedList))
@@ -486,140 +439,67 @@ func setupReplay(src Source, snapshotSeq uint64, opts BuildOptions) (*payment.En
 		RemovedMarketMakers: len(removedList),
 		SnapshotSeq:         snapshotSeq,
 	}
-	return state, removed, res, nil
-}
-
-// item is one replayable post-snapshot transaction, in ledger order.
-type item struct {
-	tx *ledger.Tx
-	// row is the Table II row the payment counts toward (nil for
-	// trust-line updates).
-	row *Row
-	// skip marks payments that are counted as submitted but not
-	// replayed (an endpoint vanished with the market makers).
-	skip bool
-}
-
-// classify applies the Table II filters to one historical transaction,
-// bumping the submitted counters as a side effect. ok is false for
-// transactions the replay ignores entirely.
-func classify(tx *ledger.Tx, meta *ledger.TxMeta, removed map[addr.AccountID]bool, res *Result) (item, bool) {
-	switch tx.Type {
-	case ledger.TxTrustSet:
-		// "We also reflected in the modified trust network the updates
-		// happening on the real system to trust-lines."
-		if removed[tx.Account] || removed[tx.LimitPeer] {
-			return item{}, false
-		}
-		return item{tx: tx}, true
-	case ledger.TxPayment:
-		if !meta.Result.Succeeded() {
-			return item{}, false // the paper replays successfully delivered payments
-		}
-		if tx.IsDirectXRP() {
-			return item{}, false
-		}
-		row := &res.Single
-		if meta.CrossCurrency {
-			row = &res.Cross
-		}
-		row.Submitted++
-		if removed[tx.Account] || removed[tx.Destination] {
-			return item{skip: true}, true // its endpoint vanished with the makers
-		}
-		return item{tx: tx, row: row}, true
-	}
-	return item{}, false
-}
-
-// planBatchSize is how many classified transactions make one batch of
-// the optimistic executor; skipped payments count toward it.
-const planBatchSize = 256
-
-// RunParallel is Run through payment.Optimistic: each batch's payments
-// are planned on `workers` goroutines against the engine as the previous
-// batch left it, then committed in ledger order, a payment being planned
-// again when an earlier commit of its batch touched what its plan read.
-// The differential tests pin Result (including StateDigest and
-// StateRoot) bit-identical to Run's; only Stats tells the two apart.
-//
-// workers < 1 uses GOMAXPROCS.
-func RunParallel(src Source, snapshotSeq uint64, workers int) (*Result, error) {
-	return RunParallelOpts(src, snapshotSeq, workers, BuildOptions{})
-}
-
-// RunParallelOpts is RunParallel with explicit checkpoint options for
-// the state rebuild phase.
-func RunParallelOpts(src Source, snapshotSeq uint64, workers int, opts BuildOptions) (*Result, error) {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	state, removed, res, err := setupReplay(src, snapshotSeq, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.Workers = workers
-	ex := payment.NewOptimistic(state, workers)
-
 	stop := make(chan struct{})
 	defer close(stop)
-	// One batch: the transactions to replay, the Table II row each counts
-	// toward (nil for trust-line updates), and how many classified
-	// transactions it holds, skipped ones included.
-	txs := make([]*ledger.Tx, 0, planBatchSize)
-	rows := make([]*Row, 0, planBatchSize)
-	held := 0
-	// The batch holds tx pointers into their source pages, so a page's
-	// decode arena may only recycle after every batch referencing it has
-	// been applied. Fully-consumed pages wait here until the next flush
-	// drains the batch.
-	var pending []func()
-	flush := func() {
-		if held > 0 {
-			ex.Plan(txs)
-			for _, row := range rows {
-				// Historical sequences are rewritten as in replayTx.
-				_, _, meta, err := ex.Commit(true)
-				if err == nil && meta.Result.Succeeded() && row != nil {
-					row.Delivered++
-				}
-			}
-			res.Stats.Batches++
-			txs, rows, held = txs[:0], rows[:0], 0
-		}
-		for _, release := range pending {
-			release()
-		}
-		pending = pending[:0]
-	}
 	for pe := range streamPages(src, snapshotSeq+1, maxSeq, stop) {
 		if pe.err != nil {
 			return nil, pe.err
 		}
 		for i, tx := range pe.page.Txs {
-			it, ok := classify(tx, pe.page.Metas[i], removed, res)
+			row, ok := classify(tx, pe.page.Metas[i], removed, res)
 			if !ok {
 				continue
 			}
-			if !it.skip {
-				txs = append(txs, it.tx)
-				rows = append(rows, it.row)
-			}
-			held++
-			if held >= planBatchSize {
-				// Mid-page flush: this page is still being iterated, so its
-				// release (queued below, after the loop) is not in pending yet
-				// and its remaining txs stay valid.
-				flush()
+			if m := replayTx(state, tx); m != nil && m.Result.Succeeded() && row != nil {
+				row.Delivered++
 			}
 		}
 		if pe.release != nil {
-			pending = append(pending, pe.release)
+			pe.release()
 		}
 	}
-	flush()
-	res.Stats.PlannedAhead, res.Stats.Conflicts = ex.PlannedAhead, ex.Conflicts
-	return finishResult(state, res)
+	res.StateDigest = state.StateDigest()
+	if res.StateRoot, err = state.SealState(); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// classify applies the Table II filters to one historical transaction,
+// bumping the submitted counters as a side effect. ok reports whether
+// the transaction is replayed; row is the Table II row a replayed
+// payment counts toward (nil for trust-line updates).
+func classify(tx *ledger.Tx, meta *ledger.TxMeta, removed map[addr.AccountID]bool, res *Result) (row *Row, ok bool) {
+	switch tx.Type {
+	case ledger.TxTrustSet:
+		// "We also reflected in the modified trust network the updates
+		// happening on the real system to trust-lines."
+		return nil, !removed[tx.Account] && !removed[tx.LimitPeer]
+	case ledger.TxPayment:
+		if !meta.Result.Succeeded() {
+			return nil, false // the paper replays successfully delivered payments
+		}
+		if tx.IsDirectXRP() {
+			return nil, false
+		}
+		row = &res.Single
+		if meta.CrossCurrency {
+			row = &res.Cross
+		}
+		row.Submitted++
+		// A payment whose endpoint vanished with the makers is counted as
+		// submitted but not replayed.
+		return row, !removed[tx.Account] && !removed[tx.Destination]
+	}
+	return nil, false
+}
+
+// RunParallelOpts is RunOpts; workers is ignored.
+//
+// Deprecated: use RunOpts. It stays for the benchmark harness and goes
+// with the benchmark change that retires replay.run_parallel_s.
+func RunParallelOpts(src Source, snapshotSeq uint64, _ int, opts BuildOptions) (*Result, error) {
+	return RunOpts(src, snapshotSeq, opts)
 }
 
 // replayTx re-submits a historical transaction against the (diverged)

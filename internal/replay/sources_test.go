@@ -10,8 +10,7 @@ import (
 	"ripplestudy/internal/payment"
 )
 
-// sameResult asserts two replay results are bit-identical in everything
-// but the informational pipeline Stats.
+// sameResult asserts two replay results are bit-identical.
 func sameResult(t *testing.T, want, got *Result, label string) {
 	t.Helper()
 	if got.Cross != want.Cross {
@@ -27,56 +26,19 @@ func sameResult(t *testing.T, want, got *Result, label string) {
 		t.Errorf("%s: snapshot seq = %d, want %d", label, got.SnapshotSeq, want.SnapshotSeq)
 	}
 	if got.StateDigest != want.StateDigest {
-		t.Errorf("%s: state digest differs from sequential replay", label)
+		t.Errorf("%s: state digest differs", label)
 	}
 	if got.StateRoot != want.StateRoot {
-		t.Errorf("%s: sealed state root differs from sequential replay", label)
+		t.Errorf("%s: sealed state root differs", label)
 	}
 	if got.StateRoot.IsZero() {
 		t.Errorf("%s: sealed state root is zero", label)
 	}
 }
 
-// TestRunParallelMatchesSequential is the differential test pinning the
-// optimistic-parallel replay bit-identical to the sequential reference,
-// across worker counts. `make race` runs it under the race detector,
-// which also exercises the concurrent planner.
-func TestRunParallelMatchesSequential(t *testing.T) {
-	pages, _ := generate(t, 4000, 7)
-	snap := pages[len(pages)*7/10].Header.Sequence
-	want, err := Run(FromPages(pages), snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Total().Submitted == 0 {
-		t.Fatal("no replayable payments; differential test is vacuous")
-	}
-	if want.Cross.Category != CategoryCross || want.Single.Category != CategorySingle {
-		t.Errorf("sequential rows are labelled %s / %s", want.Cross.Category, want.Single.Category)
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		got, err := RunParallel(FromPages(pages), snap, w)
-		if err != nil {
-			t.Fatalf("RunParallel(%d workers): %v", w, err)
-		}
-		sameResult(t, want, got, "parallel")
-		if got.Cross.Category != CategoryCross || got.Single.Category != CategorySingle {
-			t.Errorf("parallel rows are labelled %s / %s", got.Cross.Category, got.Single.Category)
-		}
-		if got.Stats.Workers != w {
-			t.Errorf("stats workers = %d, want %d", got.Stats.Workers, w)
-		}
-		if got.Stats.PlannedAhead+got.Stats.Conflicts == 0 {
-			t.Error("no payments went through the optimistic planner")
-		}
-		t.Logf("workers=%d: %d batches, %d planned ahead, %d conflicts",
-			w, got.Stats.Batches, got.Stats.PlannedAhead, got.Stats.Conflicts)
-	}
-}
-
 // TestRunStoreMatchesSlice replays the same history from a disk store
 // (exercising the segment sequence index / PagesRange path) and from
-// memory, sequentially and in parallel — all four must agree.
+// memory; the two must agree.
 func TestRunStoreMatchesSlice(t *testing.T) {
 	pages, _ := generate(t, 2000, 8)
 	snap := pages[len(pages)*7/10].Header.Sequence
@@ -103,12 +65,7 @@ func TestRunStoreMatchesSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, want, fromStore, "store sequential")
-	parStore, err := RunParallel(store, snap, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, want, parStore, "store parallel")
+	sameResult(t, want, fromStore, "store")
 }
 
 // hist drives a real engine to produce a consistent crafted history:
@@ -194,8 +151,7 @@ func acct(b byte) addr.AccountID { return addr.AccountID{b} }
 // TestReplaySourceCreatedAfterSnapshot covers a payment whose sender
 // account only comes into existence after the snapshot: the funding is
 // a direct XRP transfer (excluded from replay), so the replayed payment
-// must fail cleanly as unfunded — counted submitted, not delivered —
-// and sequential and parallel replay must agree exactly.
+// must fail cleanly as unfunded — counted submitted, not delivered.
 func TestReplaySourceCreatedAfterSnapshot(t *testing.T) {
 	eur := amount.MustCurrency("EUR")
 	alice, bob, dave := acct(1), acct(2), acct(3)
@@ -227,54 +183,5 @@ func TestReplaySourceCreatedAfterSnapshot(t *testing.T) {
 	}
 	if want.Single.Delivered != 1 {
 		t.Fatalf("delivered = %d, want 1 (dave unborn, alice fine)", want.Single.Delivered)
-	}
-	got, err := RunParallel(FromPages(h.pages), snap, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, want, got, "parallel")
-}
-
-// TestOptimisticTrustLineRaceReplans pins the conflict path: a
-// trust-line update lands in the same batch as a payment whose plan
-// depends on it, so the optimistic plan (computed against the frozen
-// pre-batch state, where the line is too small) must be detected as
-// stale and re-planned — delivering the payment exactly as sequential
-// replay does.
-func TestOptimisticTrustLineRaceReplans(t *testing.T) {
-	eur := amount.MustCurrency("EUR")
-	alice, bob := acct(4), acct(5)
-
-	h := newHist(t)
-	h.fund(alice, 1_000_000_000)
-	h.fund(bob, 1_000_000_000)
-	h.trust(bob, alice, eur, "100")
-	snap := h.close()
-
-	// Post-snapshot, in one batch: the line grows, then a payment needs
-	// the grown limit.
-	h.trust(bob, alice, eur, "200")
-	if m := h.pay(alice, bob, eur, "150"); !m.Result.Succeeded() {
-		t.Fatalf("payment failed in history: %s", m.Result)
-	}
-	h.close()
-
-	want, err := Run(FromPages(h.pages), snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Single.Delivered != 1 {
-		t.Fatalf("sequential delivered = %d, want 1", want.Single.Delivered)
-	}
-	got, err := RunParallel(FromPages(h.pages), snap, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, want, got, "parallel")
-	if got.Stats.Conflicts != 1 {
-		t.Errorf("conflicts = %d, want exactly 1 (the raced payment)", got.Stats.Conflicts)
-	}
-	if got.Single.Delivered != 1 {
-		t.Errorf("parallel delivered = %d, want 1 after re-plan", got.Single.Delivered)
 	}
 }

@@ -63,7 +63,7 @@ func benchState(b *testing.B, payments int) (*payment.Engine, []quoteTuple) {
 
 // BenchmarkTxqFrontDoor measures the online front door: quote latency
 // (cold search vs plan-cache hit) and sustained submission throughput
-// through the admission queue and optimistic batch applier. The
+// through the admission queue and batch applier. The
 // reported p50-ns/p99-ns metrics are the windowed latency quantiles the
 // serving SLOs track; submissions/s is end-to-end (submit → applied).
 func BenchmarkTxqFrontDoor(b *testing.B) {
@@ -180,8 +180,7 @@ func BenchmarkTxqFrontDoor(b *testing.B) {
 		b.ReportMetric(float64(p50.Nanoseconds()), "p50-ns")
 		b.ReportMetric(float64(p99.Nanoseconds()), "p99-ns")
 		st := fd.StatsNow()
-		b.Logf("iou: applied=%d planned ahead=%d conflicts=%d batches=%d",
-			st.Applied, st.PlannedAhead, st.Conflicts, st.Batches)
+		b.Logf("iou: applied=%d batches=%d", st.Applied, st.Batches)
 		fd.Close()
 	})
 }

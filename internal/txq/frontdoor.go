@@ -39,13 +39,14 @@ type Options struct {
 	QueueDepth int
 	// BatchSize is how many queued transactions the applier drains per
 	// batch: one write-locked section and one plan-cache epoch advance
-	// each. Default 256 (replay's planBatchSize).
+	// each. Default 256.
 	BatchSize int
 	// PlanWorkers has no effect: the front door plans no payment ahead
-	// of its commit.
+	// of its apply.
 	//
-	// Deprecated: it stays only for callers that still set it, and goes
-	// with the benchmark change that retires txq.replan_share.
+	// Deprecated: it stays only for the benchmark harness, and goes with
+	// the [benchmark] change that retires the txq.replan_share and
+	// replay.replan_share probes.
 	PlanWorkers int
 	// Backpressure makes Submit wait up to SubmitWait for queue space
 	// instead of failing fast with ErrQueueFull.
@@ -148,7 +149,7 @@ type Stats struct {
 	Succeeded uint64 `json:"succeeded"`
 	Batches   uint64 `json:"batches"`
 	// PlannedAhead and Conflicts always read 0: the front door plans no
-	// payment ahead of its commit, so none is committed from a plan and
+	// payment ahead of its apply, so none is applied from a plan and
 	// none is re-planned.
 	PlannedAhead uint64 `json:"planned_ahead"`
 	Conflicts    uint64 `json:"conflicts"`
@@ -162,11 +163,11 @@ type Stats struct {
 
 // FrontDoor is the online submission and quote surface over a payment
 // engine. It owns the engine exclusively: quote readers share it under
-// a read lock while the single applier goroutine commits queued
-// transactions, batch by batch, under the write lock through a
-// payment.Optimistic with no planners. Each payment's path is searched
-// once, by the engine at commit; the executor keeps the accounts and
-// pairs the batch dirtied, which is what the plan cache needs.
+// a read lock while the single applier goroutine applies queued
+// transactions, batch by batch, under the write lock. Each payment's
+// path is searched once, by the engine as it applies it; the engine's
+// change record (payment.Changes) names the trust-line endpoints and
+// book pairs the batch mutated, which is what the plan cache needs.
 //
 // Each submission is one queuedTx, from admission until its status is
 // evicted: the Ticket and the hash index point at it, and a ring of the
@@ -185,8 +186,8 @@ type FrontDoor struct {
 	slots chan struct{} // admission semaphore: one token per queued tx
 	cache *planCache
 
-	exec    *payment.Optimistic // applier-owned
-	quoters sync.Pool           // *pathfind.Finder for PathFind readers
+	changes *payment.Changes // applier-owned
+	quoters sync.Pool        // *pathfind.Finder for PathFind readers
 
 	stMu     sync.Mutex
 	byHash   map[ledger.Hash]*queuedTx // either hash → record (last wins)
@@ -205,13 +206,13 @@ type FrontDoor struct {
 func New(eng *payment.Engine, opts Options) *FrontDoor {
 	opts = opts.withDefaults()
 	fd := &FrontDoor{
-		opts:   opts,
-		eng:    eng,
-		q:      newQueue(),
-		slots:  make(chan struct{}, opts.QueueDepth),
-		cache:  newPlanCache(opts.CacheSize),
-		exec:   payment.NewOptimistic(eng, 0),
-		byHash: make(map[ledger.Hash]*queuedTx),
+		opts:    opts,
+		eng:     eng,
+		q:       newQueue(),
+		slots:   make(chan struct{}, opts.QueueDepth),
+		cache:   newPlanCache(opts.CacheSize),
+		changes: eng.TrackChanges(),
+		byHash:  make(map[ledger.Hash]*queuedTx),
 	}
 	fd.met.init(opts.LatencyWindow)
 	fd.quoters.New = func() any {
@@ -310,38 +311,37 @@ func effectiveFee(tx *ledger.Tx) amount.Drops {
 	return tx.Fee
 }
 
-// applyLoop is the single applier goroutine: drain a batch, commit it in
+// applyLoop is the single applier goroutine: drain a batch, apply it in
 // queue order under the write lock — each payment searched by the
 // engine against live state, once — advance the quote-cache epoch by
-// what the batch dirtied, and only then let the outcomes be seen.
+// what the batch changed, and only then let the outcomes be seen.
 // PathFind consults the cache without the engine lock, so a client told
 // "applied" before the epoch advance could still be served the quote
 // cached before its own transaction. Exits when the queue is closed and
 // drained.
 func (fd *FrontDoor) applyLoop() {
 	defer fd.wg.Done()
-	var txs []*ledger.Tx
+	var filled ledger.Tx
 	for {
 		batch := fd.q.popBatch(fd.opts.BatchSize)
 		if batch == nil {
 			return
 		}
-		txs = txs[:0]
-		for _, qt := range batch {
-			txs = append(txs, qt.tx)
-		}
-		// With no planners Plan reads no engine state: it only opens the
-		// batch and its dirty sets.
-		fd.exec.Plan(txs)
-
 		fd.mu.Lock()
 		for _, qt := range batch {
-			applied, hash, meta, err := fd.exec.Commit(qt.autoSeq)
-			qt.hash, qt.sequence, qt.meta, qt.err = hash, applied.Sequence, meta, err
+			tx := qt.tx
+			if qt.autoSeq {
+				filled = *tx
+				filled.Sequence = fd.eng.NextSequence(tx.Account)
+				tx = &filled
+			}
+			qt.meta, qt.hash, qt.err = fd.eng.ApplyTx(tx)
+			qt.sequence = tx.Sequence
 		}
 		// Inside the write-locked section: no reader can compute a quote
 		// against the superseded state after this epoch advance.
-		fd.cache.invalidate(fd.exec.Dirty())
+		fd.cache.invalidate(fd.changes)
+		fd.changes.Reset()
 		fd.mu.Unlock()
 
 		fd.met.batches.Add(1)

@@ -7,6 +7,7 @@ import (
 	"ripplestudy/internal/amount"
 	"ripplestudy/internal/orderbook"
 	"ripplestudy/internal/pathfind"
+	"ripplestudy/internal/payment"
 )
 
 // The quote cache. A path_find answer is a pure function of the state
@@ -15,10 +16,10 @@ import (
 // empty books and the endpoints themselves). The cache therefore keys
 // entries on the quote parameters and stamps each with the trust-graph
 // epoch it was computed at; the applier bumps the epoch once per batch
-// that mutated anything and records WHAT it mutated, so an entry stays
-// valid — across arbitrarily many epochs — until something in its own
-// read set is touched. That is the read-set validation rule of
-// payment.Optimistic, applied across time instead of across a batch.
+// that mutated anything a search can read and records WHAT it mutated
+// (the engine's payment.Changes), so an entry stays valid — across
+// arbitrarily many epochs — until something in its own read set is
+// touched.
 
 // quoteKey identifies one cacheable path_find request. amount.Value and
 // amount.Currency are comparable value types, so the whole key is a
@@ -150,16 +151,16 @@ func (c *planCache) put(k quoteKey, q Quote, reads pathfind.ReadSet) {
 // batch mutated. Called with the engine write lock held, so no quote
 // can be computed (or cached) concurrently against the superseded
 // state.
-func (c *planCache) invalidate(accts map[addr.AccountID]struct{}, pairs map[orderbook.Pair]struct{}) {
-	if len(accts) == 0 && len(pairs) == 0 {
+func (c *planCache) invalidate(ch *payment.Changes) {
+	if len(ch.Accounts) == 0 && len(ch.Pairs) == 0 {
 		return
 	}
 	c.mu.Lock()
 	c.epoch++
-	for a := range accts {
+	for a := range ch.Accounts {
 		c.acctEpoch[a] = c.epoch
 	}
-	for p := range pairs {
+	for p := range ch.Pairs {
 		c.pairEpoch[p] = c.epoch
 	}
 	c.mu.Unlock()

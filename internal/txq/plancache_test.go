@@ -2,6 +2,7 @@ package txq
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -219,6 +220,103 @@ func TestPlanCacheNegativeQuoteInvalidation(t *testing.T) {
 	}
 	if !q2.Found || q2.Delivered.Cmp(val("5")) != 0 {
 		t.Fatalf("quote after trust creation = %+v, want 5 USD deliverable", q2)
+	}
+}
+
+// TestPlanCacheInvalidatesOnlyWhatChanged pins the invalidation rule to
+// what a transaction actually mutated: a cached quote goes when a
+// transaction changes a trust line or a book its search read, and stays
+// when a transaction touching the same accounts changed nothing a
+// search reads — it failed, cancelled nothing, or moved only XRP
+// balances. After every case the quote must equal a fresh search over a
+// reference engine driven by the same transactions.
+func TestPlanCacheInvalidatesOnlyWhatChanged(t *testing.T) {
+	live, ref, a, b, c := figure1Engines(t)
+	mm := acct(7)
+	live.Fund(mm, 100_000_000) // before New: the front door owns the engine afterwards
+	ref.Fund(mm, 100_000_000)
+	fd := New(live, Options{QueueDepth: 16, Backpressure: true})
+	defer fd.Close()
+
+	// apply submits tx auto-sequenced and mirrors it on the reference.
+	apply := func(tx ledger.Tx) TxStatus {
+		t.Helper()
+		tx.Fee = 10
+		tk, err := fd.Submit(&tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := tk.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx.Sequence = ref.NextSequence(tx.Account)
+		meta, err := ref.Apply(&tx)
+		if err != nil || meta.Result.Succeeded() != st.Succeeded {
+			t.Fatalf("reference apply: %v %v, front door %+v", err, meta, st)
+		}
+		return st
+	}
+
+	// c pays a 10 USD, funded in USD over the Figure 1 trust path or in
+	// XRP through the XRP→USD book.
+	deliver := usd("10")
+	var offerSeq uint32
+	for _, tc := range []struct {
+		name     string
+		srcCur   amount.Currency
+		tx       ledger.Tx
+		succeeds bool
+		wantDrop bool
+	}{
+		{"trustset-succeeds", amount.USD,
+			ledger.Tx{Type: ledger.TxTrustSet, Account: a, LimitPeer: b, Limit: usd("200")}, true, true},
+		{"trustset-fails", amount.USD,
+			ledger.Tx{Type: ledger.TxTrustSet, Account: a, LimitPeer: b, Limit: usd("-5")}, false, false},
+		{"xrp-payment-from-read-set", amount.USD,
+			ledger.Tx{Type: ledger.TxPayment, Account: c, Destination: a, Amount: amount.XRPAmount(1_000_000)}, true, false},
+		{"offercreate-on-probed-pair", amount.XRP,
+			ledger.Tx{Type: ledger.TxOfferCreate, Account: mm, TakerPays: amount.XRPAmount(5_000_000), TakerGets: usd("50")}, true, true},
+		{"offercancel-missing", amount.XRP,
+			ledger.Tx{Type: ledger.TxOfferCancel, Account: mm, OfferSequence: 9999}, true, false},
+		{"offercancel-standing", amount.XRP,
+			ledger.Tx{Type: ledger.TxOfferCancel, Account: mm}, true, true},
+	} {
+		if q, err := fd.PathFind(c, a, tc.srcCur, deliver); err != nil {
+			t.Fatal(err)
+		} else if q, err = fd.PathFind(c, a, tc.srcCur, deliver); err != nil || !q.Cached {
+			t.Fatalf("%s: quote not cached before the transaction: %+v %v", tc.name, q, err)
+		}
+
+		if tc.tx.Type == ledger.TxOfferCancel && tc.tx.OfferSequence == 0 {
+			tc.tx.OfferSequence = offerSeq
+		}
+		st := apply(tc.tx)
+		if st.Succeeded != tc.succeeds {
+			t.Fatalf("%s: succeeded = %v, want %v (%s)", tc.name, st.Succeeded, tc.succeeds, st.Result)
+		}
+		if tc.tx.Type == ledger.TxOfferCreate {
+			offerSeq = st.Sequence
+		}
+
+		q, err := fd.PathFind(c, a, tc.srcCur, deliver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Cached == tc.wantDrop {
+			t.Errorf("%s: cached = %v after the transaction, want %v", tc.name, q.Cached, !tc.wantDrop)
+		}
+		f := pathfind.New(ref.Graph(), ref.Books())
+		plan, err := f.FindPayment(c, a, tc.srcCur, deliver)
+		if err != nil && !errors.Is(err, pathfind.ErrNoPath) {
+			t.Fatal(err)
+		}
+		if q.Found != (err == nil) {
+			t.Fatalf("%s: quote found = %v, fresh search err = %v", tc.name, q.Found, err)
+		}
+		if q.Found && (q.Delivered.Cmp(plan.Delivered) != 0 || q.SourceCost.Cmp(plan.SourceCost) != 0) {
+			t.Fatalf("%s: quote %+v != fresh finder (delivered %s cost %s)", tc.name, q, plan.Delivered, plan.SourceCost)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package txq is the online payment front door: an admission-controlled
-// transaction queue applied batch by batch through payment.Optimistic
-// with no planners — every payment's path is searched once, at commit,
-// against live state, and the executor only records what each commit
-// dirtied — plus the ripple_path_find-style quote surface with a
-// read-set-invalidated plan cache that those dirty sets invalidate. It
+// transaction queue applied batch by batch through the payment engine
+// — every payment's path is searched once, as it is applied, against
+// live state, and the engine records what each batch changed — plus the
+// ripple_path_find-style quote surface with a read-set-invalidated plan
+// cache that those changes invalidate. It
 // turns the offline replay engine (pathfind + payment) into a serving
 // subsystem that accepts live submissions and quote queries under load.
 //
@@ -27,7 +27,7 @@ import (
 )
 
 // queuedTx is one submission from admission until its status is evicted:
-// the queue orders it, the applier fills in what its commit produced,
+// the queue orders it, the applier fills in what its apply produced,
 // and the front door's hash index and its Ticket reach its status
 // through it.
 type queuedTx struct {
@@ -40,7 +40,7 @@ type queuedTx struct {
 	autoSeq  bool
 	enqueued time.Time
 
-	// What the commit produced (hash and sequence as applied), held back
+	// What the apply produced (hash and sequence as applied), held back
 	// until its batch's plan-cache epoch advance.
 	hash     ledger.Hash
 	sequence uint32
