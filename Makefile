@@ -42,20 +42,22 @@ bench-smoke:
 
 # Data-race check over the concurrent paths: stream/collection, the
 # sharded de-anonymization pipeline (ScanPayments + ParallelStudy), the
-# live serving layer (concurrent queries against ingestion), and the
-# transaction front door (quote readers racing the batch applier).
+# live serving layer (concurrent queries against ingestion), the
+# transaction front door (quote readers racing the batch applier), and
+# the lock-free histograms both of them record into.
 race:
-	$(GO) test -race ./internal/netstream/... ./internal/monitor/... ./internal/faultnet/... ./internal/deanon/... ./internal/ledgerstore/... ./internal/serve/... ./internal/replay/... ./internal/txq/... ./internal/integration/...
+	$(GO) test -race ./internal/netstream/... ./internal/monitor/... ./internal/faultnet/... ./internal/deanon/... ./internal/ledgerstore/... ./internal/serve/... ./internal/replay/... ./internal/txq/... ./internal/telemetry/... ./internal/integration/...
 
 # Multi-core pipeline pass: the view-pipeline and count-shard
 # differential suites with GOMAXPROCS pinned above 1, so the sharded
-# apply workers, seal barrier, and cross-shard merges are genuinely
-# concurrent even on a single-core default runner. Everything here must
-# equal the independent batch oracles at every fan-out (1 included).
+# apply workers, seal barrier, cross-shard merges and histogram
+# observers are genuinely concurrent even on a single-core default
+# runner. Everything here must equal the independent batch oracles at
+# every fan-out (1 included).
 # Each pattern must still select a test: a rename that drops one out of
 # the pass fails the target instead of shrinking it silently.
-RACE_MP_TESTS = PipelineWorkersMatchSequentialJSON ShardPartitionMergeParityJSON ShardedMatchesSingleWriterService ParallelBackfillMatchesSequential ShardedInc SealedTableMatchesModel MergeClonedRepeatable ViewWorker Shed ConcurrentQueries
-RACE_MP_PKGS = ./internal/serve/ ./internal/deanon/ ./internal/analysis/
+RACE_MP_TESTS = PipelineWorkersMatchSequentialJSON ShardPartitionMergeParityJSON ShardedMatchesSingleWriterService ParallelBackfillMatchesSequential ShardedInc SealedTableMatchesModel MergeClonedRepeatable ViewWorker Shed ConcurrentQueries HistogramMatchesModel
+RACE_MP_PKGS = ./internal/serve/ ./internal/deanon/ ./internal/analysis/ ./internal/telemetry/
 empty :=
 space := $(empty) $(empty)
 race-mp:

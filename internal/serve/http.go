@@ -45,34 +45,35 @@ func (s *Service) Handler() http.Handler {
 	})
 
 	var tallyCache, fpCache, ecoCache atomic.Pointer[cachedResponse]
-	mux.Handle("GET /v1/validators", s.limited("validators", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("GET /v1/validators", s.limited(epValidators, func(w http.ResponseWriter, r *http.Request) {
 		snap := s.Tally()
-		s.serveCached(w, "validators", &tallyCache, snap.Epoch, snap)
+		s.serveCached(w, epValidators, &tallyCache, snap.Epoch, snap)
 	}))
-	mux.Handle("GET /v1/deanon", s.limited("deanon", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("GET /v1/deanon", s.limited(epDeanon, func(w http.ResponseWriter, r *http.Request) {
 		snap := s.Fingerprints()
-		s.serveCached(w, "deanon", &fpCache, snap.Epoch, snap)
+		s.serveCached(w, epDeanon, &fpCache, snap.Epoch, snap)
 	}))
-	mux.Handle("GET /v1/ecosystem", s.limited("ecosystem", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("GET /v1/ecosystem", s.limited(epEcosystem, func(w http.ResponseWriter, r *http.Request) {
 		snap := s.Ecosystem()
-		s.serveCached(w, "ecosystem", &ecoCache, snap.Epoch, snap)
+		s.serveCached(w, epEcosystem, &ecoCache, snap.Epoch, snap)
 	}))
-	mux.Handle("GET /v1/deanon/lookup", s.limited("deanon_lookup", s.handleLookup))
+	mux.Handle("GET /v1/deanon/lookup", s.limited(epLookup, s.handleLookup))
 
 	if s.fd != nil {
 		// Front-door endpoints share the admission limiter: a quote storm
 		// cannot starve the snapshot queries and vice versa. Submission
 		// backpressure (queue depth) is the front door's own second gate.
-		mux.Handle("GET /v1/path_find", s.limited("path_find", s.fd.HandlePathFind))
-		mux.Handle("POST /v1/submit", s.limited("submit", s.fd.HandleSubmit))
-		mux.Handle("GET /v1/tx_status", s.limited("tx_status", s.fd.HandleTxStatus))
+		mux.Handle("GET /v1/path_find", s.limited(epPathFind, s.fd.HandlePathFind))
+		mux.Handle("POST /v1/submit", s.limited(epSubmit, s.fd.HandleSubmit))
+		mux.Handle("GET /v1/tx_status", s.limited(epTxStatus, s.fd.HandleTxStatus))
 	}
 	return mux
 }
 
 // limited wraps a query handler with the admission limiter and latency
 // recording.
-func (s *Service) limited(name string, h http.HandlerFunc) http.Handler {
+func (s *Service) limited(ep int, h http.HandlerFunc) http.Handler {
+	latency := &s.endpoints[ep].latency
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case s.admit <- struct{}{}:
@@ -95,7 +96,7 @@ func (s *Service) limited(name string, h http.HandlerFunc) http.Handler {
 		s.inflight.Add(1)
 		start := time.Now()
 		defer func() {
-			s.metrics.endpoint(name).latency.Record(time.Since(start))
+			latency.Observe(time.Since(start))
 			s.inflight.Add(-1)
 			<-s.admit
 		}()
@@ -107,9 +108,9 @@ func (s *Service) limited(name string, h http.HandlerFunc) http.Handler {
 // has not advanced, re-rendering (and republishing the cache) otherwise.
 // A stale concurrent store is harmless: every body is valid for its own
 // epoch and the next request re-checks.
-func (s *Service) serveCached(w http.ResponseWriter, name string, cache *atomic.Pointer[cachedResponse], epoch uint64, v any) {
+func (s *Service) serveCached(w http.ResponseWriter, ep int, cache *atomic.Pointer[cachedResponse], epoch uint64, v any) {
 	if c := cache.Load(); c != nil && c.epoch == epoch {
-		s.metrics.endpoint(name).recordCacheHit()
+		s.endpoints[ep].hits.Add(1)
 		writeJSONBytes(w, c.body)
 		return
 	}

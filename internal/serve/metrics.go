@@ -1,154 +1,89 @@
 package serve
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"sync"
-	"time"
+	"strconv"
+	"sync/atomic"
 
-	"ripplestudy/internal/txq"
+	"ripplestudy/internal/telemetry"
 )
 
-// endpointMetrics aggregates one endpoint's query counters.
-type endpointMetrics struct {
-	latency *txq.LatencyRing
-	mu      sync.Mutex
-	hits    uint64
+// The query endpoints, indexing Service.endpoints. The front door's come
+// last: a service without one mounts, and exports, only the others.
+const (
+	epValidators = iota
+	epDeanon
+	epLookup
+	epEcosystem
+	epPathFind
+	epSubmit
+	epTxStatus
+	numEndpoints
+	numQueryEndpoints = epPathFind
+)
+
+// endpoint is one query endpoint's request metrics, recorded without a
+// lock or a lookup.
+type endpoint struct {
+	name    string
+	latency telemetry.Histogram
+	hits    atomic.Uint64 // responses replayed from the epoch-keyed cache
 }
 
-// metricsSet is the registry behind /metrics: per-endpoint latency plus
-// whatever gauges the service reports at scrape time.
-type metricsSet struct {
-	window int
-
-	mu        sync.Mutex
-	endpoints map[string]*endpointMetrics
-}
-
-func newMetricsSet(window int) *metricsSet {
-	return &metricsSet{window: window, endpoints: make(map[string]*endpointMetrics)}
-}
-
-func (m *metricsSet) endpoint(name string) *endpointMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e := m.endpoints[name]
-	if e == nil {
-		e = &endpointMetrics{latency: txq.NewLatencyRing(m.window)}
-		m.endpoints[name] = e
-	}
-	return e
-}
-
-func (e *endpointMetrics) recordCacheHit() {
-	e.mu.Lock()
-	e.hits++
-	e.mu.Unlock()
-}
-
-func (e *endpointMetrics) cacheHitCount() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.hits
-}
-
-// names returns the registered endpoint names, sorted for stable
-// scrape output.
-func (m *metricsSet) names() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.endpoints))
-	for name := range m.endpoints {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// writeMetrics renders the service's state in Prometheus text
-// exposition format.
-func (s *Service) writeMetrics(w io.Writer) {
+// writeMetrics renders the service's state, and the attached front
+// door's, in Prometheus text exposition format.
+func (s *Service) writeMetrics(out io.Writer) {
+	w := telemetry.NewWriter(out)
 	h := s.Health()
-	fmt.Fprintf(w, "# HELP serve_ingested_events_total Stream events accepted by the ingester.\n")
-	fmt.Fprintf(w, "serve_ingested_events_total %d\n", h.IngestedEvents)
-	fmt.Fprintf(w, "# HELP serve_ingested_pages_total Sealed ledger pages ingested (stream + backfill).\n")
-	fmt.Fprintf(w, "serve_ingested_pages_total %d\n", h.IngestedPages)
-	fmt.Fprintf(w, "# HELP serve_ingested_payments_total Successful payments projected at ingest; rate() gives live payments/s throughput.\n")
-	fmt.Fprintf(w, "serve_ingested_payments_total %d\n", h.IngestedPayments)
-	fmt.Fprintf(w, "# HELP serve_ingest_batches_total Update batches fanned out to the page views.\n")
-	fmt.Fprintf(w, "serve_ingest_batches_total %d\n", s.ingestBatches.Load())
-	fmt.Fprintf(w, "# HELP serve_ingest_batch_pages_total Pages carried by those batches; divide by serve_ingest_batches_total for the mean batch size.\n")
-	fmt.Fprintf(w, "serve_ingest_batch_pages_total %d\n", s.ingestBatchPages.Load())
-	fmt.Fprintf(w, "# HELP serve_fingerprint_shards Single-writer count shards behind the fingerprint view.\n")
-	fmt.Fprintf(w, "serve_fingerprint_shards %d\n", s.fpState.shards())
-	fmt.Fprintf(w, "# HELP serve_pipeline_workers Apply workers (state shards and rings) per view pipeline.\n")
-	fmt.Fprintf(w, "serve_pipeline_workers %d\n", s.opts.PipelineWorkers)
-	fmt.Fprintf(w, "# HELP serve_dropped_events_total Events lost: undecodable page payloads plus view-queue overflow drops.\n")
-	fmt.Fprintf(w, "serve_dropped_events_total %d\n", h.DroppedEvents)
-	fmt.Fprintf(w, "# HELP serve_stream_last_seq Highest stream sequence seen from the network.\n")
-	fmt.Fprintf(w, "serve_stream_last_seq %d\n", h.StreamLastSeq)
-	fmt.Fprintf(w, "# HELP serve_ingest_idle_seconds Time since the last ingested event.\n")
-	fmt.Fprintf(w, "serve_ingest_idle_seconds %.3f\n", h.IngestIdle.Seconds())
+	w.Counter("serve_ingested_events_total", "Stream events accepted by the ingester.", h.IngestedEvents)
+	w.Counter("serve_ingested_pages_total", "Sealed ledger pages ingested (stream + backfill).", h.IngestedPages)
+	w.Counter("serve_ingested_payments_total", "Successful payments projected at ingest; rate() gives live payments/s throughput.", h.IngestedPayments)
+	w.Counter("serve_ingest_batches_total", "Update batches fanned out to the page views.", s.ingestBatches.Load())
+	w.Counter("serve_ingest_batch_pages_total", "Pages carried by those batches; divide by serve_ingest_batches_total for the mean batch size.", s.ingestBatchPages.Load())
+	w.Gauge("serve_fingerprint_shards", "Single-writer count shards behind the fingerprint view.", float64(s.fpState.shards()))
+	w.Gauge("serve_pipeline_workers", "Apply workers (state shards and rings) per view pipeline.", float64(s.opts.PipelineWorkers))
+	w.Counter("serve_dropped_events_total", "Events lost: undecodable page payloads plus view-queue overflow drops.", h.DroppedEvents)
+	w.Gauge("serve_stream_last_seq", "Highest stream sequence seen from the network.", float64(h.StreamLastSeq))
+	w.Gauge("serve_ingest_idle_seconds", "Time since the last ingested event.", h.IngestIdle.Seconds())
 
-	fmt.Fprintf(w, "# HELP serve_view_epoch Snapshot epoch of each materialized view.\n")
 	for _, v := range h.Views {
-		fmt.Fprintf(w, "serve_view_epoch{view=%q} %d\n", v.Name, v.Epoch)
+		w.Gauge("serve_view_epoch", "Snapshot epoch of each materialized view.", float64(v.Epoch), "view", v.Name)
 	}
-	fmt.Fprintf(w, "# HELP serve_view_applied_seq Highest ledger sequence applied to each view.\n")
 	for _, v := range h.Views {
-		fmt.Fprintf(w, "serve_view_applied_seq{view=%q} %d\n", v.Name, v.AppliedSeq)
+		w.Gauge("serve_view_applied_seq", "Highest ledger sequence applied to each view.", float64(v.AppliedSeq), "view", v.Name)
 	}
-	fmt.Fprintf(w, "# HELP serve_view_applied_events_total Updates applied to each view.\n")
 	for _, v := range h.Views {
-		fmt.Fprintf(w, "serve_view_applied_events_total{view=%q} %d\n", v.Name, v.AppliedEvents)
+		w.Counter("serve_view_applied_events_total", "Updates applied to each view.", v.AppliedEvents, "view", v.Name)
 	}
-	fmt.Fprintf(w, "# HELP serve_view_ingest_lag_events Updates offered to the view but not yet applied.\n")
 	for _, v := range h.Views {
-		fmt.Fprintf(w, "serve_view_ingest_lag_events{view=%q} %d\n", v.Name, v.Lag)
+		w.Gauge("serve_view_ingest_lag_events", "Updates offered to the view but not yet applied.", float64(v.Lag), "view", v.Name)
 	}
-	fmt.Fprintf(w, "# HELP serve_view_dropped_events_total Updates dropped at the view inbox (non-blocking mode).\n")
 	for _, v := range h.Views {
-		fmt.Fprintf(w, "serve_view_dropped_events_total{view=%q} %d\n", v.Name, v.Dropped)
+		w.Counter("serve_view_dropped_events_total", "Updates dropped at the view inbox (non-blocking mode).", v.Dropped, "view", v.Name)
 	}
-	fmt.Fprintf(w, "# HELP serve_view_seals_total Snapshot publishes per view.\n")
 	for _, vw := range s.views {
-		fmt.Fprintf(w, "serve_view_seals_total{view=%q} %d\n", vw.name, vw.seals.Load())
+		w.Histogram("serve_view_seal_duration_seconds", "Snapshot publishes per view, each timed from pausing the apply workers to the end of the merge.", &vw.sealDur, "view", vw.name)
 	}
-	fmt.Fprintf(w, "# HELP serve_view_merge_seconds_total Time each view has spent in shard merge and snapshot build, summed over its publishes; divide its rate by serve_view_seals_total's for the mean merge.\n")
 	for _, vw := range s.views {
-		fmt.Fprintf(w, "serve_view_merge_seconds_total{view=%q} %.9f\n", vw.name, time.Duration(vw.mergeTotal.Load()).Seconds())
+		w.Histogram("serve_view_merge_duration_seconds", "Shard merge and snapshot build per publish; _sum / _count is the mean merge.", &vw.mergeDur, "view", vw.name)
 	}
-	fmt.Fprintf(w, "# HELP serve_view_last_seal_seconds Duration of each view's most recent snapshot publish (the full barrier: pause, merge, release).\n")
-	for _, vw := range s.views {
-		fmt.Fprintf(w, "serve_view_last_seal_seconds{view=%q} %.6f\n", vw.name, time.Duration(vw.sealNanos.Load()).Seconds())
-	}
-	fmt.Fprintf(w, "# HELP serve_view_last_merge_seconds Duration of each view's most recent shard merge and snapshot build alone.\n")
-	for _, vw := range s.views {
-		fmt.Fprintf(w, "serve_view_last_merge_seconds{view=%q} %.6f\n", vw.name, time.Duration(vw.mergeNanos.Load()).Seconds())
-	}
-	fmt.Fprintf(w, "# HELP serve_view_shard_queue_depth Update batches queued in each view shard's ring.\n")
 	for _, vw := range s.views {
 		for i, d := range vw.shardDepths() {
-			fmt.Fprintf(w, "serve_view_shard_queue_depth{view=%q,shard=\"%d\"} %d\n", vw.name, i, d)
+			w.Gauge("serve_view_shard_queue_depth", "Update batches queued in each view shard's ring.", float64(d), "view", vw.name, "shard", strconv.Itoa(i))
 		}
 	}
 
-	fmt.Fprintf(w, "# HELP serve_http_inflight In-flight HTTP requests.\n")
-	fmt.Fprintf(w, "serve_http_inflight %d\n", s.inflight.Load())
-	fmt.Fprintf(w, "# HELP serve_http_rejected_total Requests shed by the admission limiter.\n")
-	fmt.Fprintf(w, "serve_http_rejected_total %d\n", s.rejected.Load())
-
-	fmt.Fprintf(w, "# HELP serve_query_total Queries served per endpoint.\n")
-	fmt.Fprintf(w, "# HELP serve_query_cache_hits_total Responses served from the epoch-keyed cache.\n")
-	fmt.Fprintf(w, "# HELP serve_query_latency_seconds Windowed query latency quantiles per endpoint.\n")
-	for _, name := range s.metrics.names() {
-		e := s.metrics.endpoint(name)
-		p50, p99, count := e.latency.Quantiles()
-		fmt.Fprintf(w, "serve_query_total{endpoint=%q} %d\n", name, count)
-		fmt.Fprintf(w, "serve_query_cache_hits_total{endpoint=%q} %d\n", name, e.cacheHitCount())
-		fmt.Fprintf(w, "serve_query_latency_seconds{endpoint=%q,quantile=\"0.5\"} %.6f\n", name, p50.Seconds())
-		fmt.Fprintf(w, "serve_query_latency_seconds{endpoint=%q,quantile=\"0.99\"} %.6f\n", name, p99.Seconds())
+	w.Gauge("serve_http_inflight", "In-flight HTTP requests.", float64(s.inflight.Load()))
+	w.Counter("serve_http_rejected_total", "Requests shed by the admission limiter.", s.rejected.Load())
+	eps := s.endpoints[:]
+	if s.fd == nil {
+		eps = eps[:numQueryEndpoints] // the front door's are not mounted
+	}
+	for i := range eps {
+		w.Histogram("serve_query_duration_seconds", "Query latency per endpoint, admission to response.", &eps[i].latency, "endpoint", eps[i].name)
+	}
+	for i := range eps {
+		w.Counter("serve_query_cache_hits_total", "Responses served from the epoch-keyed cache.", eps[i].hits.Load(), "endpoint", eps[i].name)
 	}
 
 	if s.fd != nil {

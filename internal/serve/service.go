@@ -58,9 +58,6 @@ type Options struct {
 	// AdmitWait is how long a request waits for an admission slot
 	// before being shed with 503 (default 2s).
 	AdmitWait time.Duration
-	// LatencyWindow is the per-endpoint latency sample window behind
-	// the /metrics quantiles (default 512).
-	LatencyWindow int
 	// ValidatorLabels maps node IDs to display labels (domains) for the
 	// Figure 2 view, like monitor.Collector.SetLabel.
 	ValidatorLabels map[addr.NodeID]string
@@ -88,9 +85,6 @@ func (o Options) withDefaults() Options {
 	if o.AdmitWait <= 0 {
 		o.AdmitWait = 2 * time.Second
 	}
-	if o.LatencyWindow <= 0 {
-		o.LatencyWindow = 512
-	}
 	return o
 }
 
@@ -102,10 +96,10 @@ var ErrClosed = errors.New("serve: service closed")
 // to single-writer materialized views, plus the query surface (snapshot
 // accessors and the HTTP API in http.go).
 type Service struct {
-	opts    Options
-	metrics *metricsSet
-	proj    *projector
-	fpState *fingerprintState
+	opts      Options
+	endpoints [numEndpoints]endpoint
+	proj      *projector
+	fpState   *fingerprintState
 
 	tallyW *viewWorker
 	fpW    *viewWorker
@@ -147,9 +141,11 @@ func NewService(opts Options) *Service {
 	opts = opts.withDefaults()
 	s := &Service{
 		opts:       opts,
-		metrics:    newMetricsSet(opts.LatencyWindow),
 		admit:      make(chan struct{}, opts.MaxConcurrent),
 		progressCh: make(chan struct{}),
+	}
+	for i, name := range [numEndpoints]string{"validators", "deanon", "deanon_lookup", "ecosystem", "path_find", "submit", "tx_status"} {
+		s.endpoints[i].name = name
 	}
 
 	workers := opts.PipelineWorkers

@@ -134,7 +134,7 @@ func TestFrontDoorEndpoints(t *testing.T) {
 	metrics := rec.Body.String()
 	for _, family := range []string{
 		"txq_depth", "txq_applied_total", "txq_plan_cache_hits_total",
-		"txq_quote_latency_seconds", "txq_submit_latency_seconds",
+		"txq_quote_duration_seconds_count 3", "txq_submit_to_applied_seconds_count 1",
 	} {
 		if !strings.Contains(metrics, family) {
 			t.Errorf("/metrics missing %s", family)

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"ripplestudy/internal/consensus"
+	"ripplestudy/internal/telemetry"
 )
 
 // update is one unit of ingest work fanned out to the views: a stream
@@ -137,13 +138,11 @@ type viewWorker struct {
 	offered    atomic.Uint64
 	applied    atomic.Uint64
 	dropped    atomic.Uint64
-	sealed     atomic.Uint64 // applied updates covered by the latest publish
-	appliedSeq atomic.Uint64 // highest ledger sequence applied
-	streamSeq  atomic.Uint64 // highest stream sequence applied
-	seals      atomic.Uint64 // publishes since start (excluding bootstrap)
-	sealNanos  atomic.Int64  // duration of the latest seal (barrier + merge)
-	mergeNanos atomic.Int64  // duration of the latest merge+publish alone
-	mergeTotal atomic.Int64  // summed merge+publish durations of every seal
+	sealed     atomic.Uint64       // applied updates covered by the latest publish
+	appliedSeq atomic.Uint64       // highest ledger sequence applied
+	streamSeq  atomic.Uint64       // highest stream sequence applied
+	sealDur    telemetry.Histogram // each publish (bootstrap excluded): pause through merge
+	mergeDur   telemetry.Histogram // each publish's merge alone
 
 	rr atomic.Uint64 // round-robin ring cursor for unrouted batches
 
@@ -332,20 +331,14 @@ func (w *viewWorker) sealBarrier() {
 	applied := w.applied.Load()
 	mergeStart := time.Now()
 	w.publish(w.epoch.Add(1))
-	w.recordMerge(int64(time.Since(mergeStart)))
-	w.seals.Add(1)
+	end := time.Now()
+	w.mergeDur.Observe(end.Sub(mergeStart))
+	w.sealDur.Observe(end.Sub(start))
 	w.sealed.Store(applied)
 	close(release)
-	w.sealNanos.Store(int64(time.Since(start)))
 	if w.notify != nil {
 		w.notify()
 	}
-}
-
-// recordMerge notes one seal's merge+publish duration.
-func (w *viewWorker) recordMerge(d int64) {
-	w.mergeNanos.Store(d)
-	w.mergeTotal.Add(d)
 }
 
 // bumpSeq raises a monotonic gauge to at least v. Apply workers race on
@@ -493,10 +486,9 @@ func (w *viewWorker) close() {
 	if applied := w.applied.Load(); applied != w.sealed.Load() {
 		start := time.Now()
 		w.publish(w.epoch.Add(1))
-		d := int64(time.Since(start))
-		w.recordMerge(d)
-		w.sealNanos.Store(d)
-		w.seals.Add(1)
+		d := time.Since(start)
+		w.mergeDur.Observe(d)
+		w.sealDur.Observe(d)
 		w.sealed.Store(applied)
 		if w.notify != nil {
 			w.notify()

@@ -58,9 +58,6 @@ type Options struct {
 	// StatusCapacity bounds how many resolved transaction statuses are
 	// retained for /v1/tx_status. Default 8192.
 	StatusCapacity int
-	// LatencyWindow sizes the quote / submit-to-applied latency rings.
-	// Default 512 samples.
-	LatencyWindow int
 }
 
 func (o Options) withDefaults() Options {
@@ -78,9 +75,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StatusCapacity < 1 {
 		o.StatusCapacity = 8192
-	}
-	if o.LatencyWindow < 1 {
-		o.LatencyWindow = 512
 	}
 	return o
 }
@@ -214,7 +208,6 @@ func New(eng *payment.Engine, opts Options) *FrontDoor {
 		changes: eng.TrackChanges(),
 		byHash:  make(map[ledger.Hash]*queuedTx),
 	}
-	fd.met.init(opts.LatencyWindow)
 	fd.quoters.New = func() any {
 		return pathfind.New(eng.Graph(), eng.Books(), pathfind.WithRecording())
 	}
@@ -288,7 +281,6 @@ func (fd *FrontDoor) Submit(tx *ledger.Tx) (*Ticket, error) {
 		fd.stMu.Unlock()
 		return nil, err
 	}
-	fd.met.submitted.Add(1)
 	return &Ticket{ID: id, Hash: qt.subHash, fd: fd, rec: qt}, nil
 }
 
@@ -401,7 +393,7 @@ func (fd *FrontDoor) resolve(qt *queuedTx) {
 	if succeeded {
 		fd.met.succeeded.Add(1)
 	}
-	fd.met.submitLat.Record(wait)
+	fd.met.submit.Observe(wait)
 }
 
 // PathFind answers a ripple_path_find-style quote: the best liquidity
@@ -410,7 +402,7 @@ func (fd *FrontDoor) resolve(qt *queuedTx) {
 // fresh recording search against the live engine under the read lock.
 func (fd *FrontDoor) PathFind(src, dst addr.AccountID, srcCur amount.Currency, deliver amount.Amount) (Quote, error) {
 	start := time.Now()
-	defer func() { fd.met.quoteLat.Record(time.Since(start)) }()
+	defer func() { fd.met.quote.Observe(time.Since(start)) }()
 	if fd.closed.Load() {
 		return Quote{}, ErrClosed
 	}
