@@ -187,7 +187,8 @@ type Server struct {
 	ringStart int
 	ringLen   int
 	stats     ServerStats
-	enc       []byte // Publish's encode scratch; frames are exact-size copies
+	enc       []byte    // Publish's encode scratch; frames are exact-size copies
+	nodes     nodeTexts // Publish's node-key text memo
 
 	wg sync.WaitGroup
 }
@@ -394,7 +395,7 @@ func (s *Server) Publish(ev consensus.Event) {
 		s.seq = ev.StreamSeq
 	}
 	var err error
-	if s.enc, err = appendFrame(s.enc[:0], &ev); err != nil {
+	if s.enc, err = appendFrameNode(s.enc[:0], &ev, s.nodes.text(ev.Node)); err != nil {
 		// Only a time RFC 3339 cannot express; nothing here makes one.
 		return
 	}

@@ -21,6 +21,12 @@ import (
 // byte for byte json.Marshal(ev), and fails where json.Marshal does: on
 // a time RFC 3339 cannot say (year past 9999, zone hour past 23).
 func appendFrame(dst []byte, ev *consensus.Event) ([]byte, error) {
+	return appendFrameNode(dst, ev, ev.Node.String())
+}
+
+// appendFrameNode is appendFrame with ev.Node's text supplied by the
+// caller, so an encoder can memoise it.
+func appendFrameNode(dst []byte, ev *consensus.Event, node string) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, `00000000 {"kind":`...)
 	dst = strconv.AppendInt(dst, int64(ev.Kind), 10)
@@ -33,7 +39,7 @@ func appendFrame(dst []byte, ev *consensus.Event) ([]byte, error) {
 	dst = append(dst, `,"ledger_hash":"`...)
 	dst = ev.LedgerHash.AppendHex(dst)
 	dst = append(dst, `","node":"`...)
-	dst = append(dst, ev.Node.String()...)
+	dst = append(dst, node...)
 	if len(ev.Signature) > 0 {
 		dst = append(dst, `","signature":"`...)
 		dst = base64.StdEncoding.AppendEncode(dst, ev.Signature)
@@ -71,9 +77,27 @@ func appendFrame(dst []byte, ev *consensus.Event) ([]byte, error) {
 	return append(dst, '\n'), nil
 }
 
-// nodeMemoMax bounds decoder.nodes; the paper's collection windows saw
-// under 40 validators each.
+// nodeMemoMax bounds decoder.nodes and nodeTexts; the paper's
+// collection windows saw under 40 validators each.
 const nodeMemoMax = 1024
+
+// nodeTexts memoises NodeID → node-key text for one encoding goroutine,
+// so base58check runs once per validator and not once per frame. It
+// starts over at nodeMemoMax entries.
+type nodeTexts map[addr.NodeID]string
+
+// text is id.String(), through the memo.
+func (m *nodeTexts) text(id addr.NodeID) string {
+	if t, ok := (*m)[id]; ok {
+		return t
+	}
+	t := id.String()
+	if *m == nil || len(*m) >= nodeMemoMax {
+		*m = make(nodeTexts)
+	}
+	(*m)[id] = t
+	return t
+}
 
 // decoder turns wire lines back into events, for one reading goroutine.
 type decoder struct {

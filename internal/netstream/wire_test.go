@@ -331,6 +331,27 @@ func TestNodeMemoRefusesBadChecksum(t *testing.T) {
 	}
 }
 
+// TestNodeTextsBounded: the encode-side memo answers what String does,
+// for the zero key too, and ten times more distinct validators than it
+// holds never grow it past its bound.
+func TestNodeTextsBounded(t *testing.T) {
+	var m nodeTexts
+	for i := 0; i <= 10*nodeMemoMax; i++ {
+		var id addr.NodeID
+		if i > 0 {
+			id = addr.KeyPairFromSeed(uint64(i)).NodeID()
+		}
+		for pass := 0; pass < 2; pass++ { // cold, then warm
+			if got, want := m.text(id), id.String(); got != want {
+				t.Fatalf("validator %d, pass %d: memo says %q, String %q", i, pass, got, want)
+			}
+		}
+		if len(m) > nodeMemoMax {
+			t.Fatalf("memo holds %d node texts after %d validators, bound is %d", len(m), i, nodeMemoMax)
+		}
+	}
+}
+
 // TestHelloCapped: a peer that sends bytes and no newline is hung up on
 // at maxHelloBytes, not held for the hello timeout.
 func TestHelloCapped(t *testing.T) {
@@ -484,9 +505,10 @@ func BenchmarkEncodeFrame(b *testing.B) {
 	for name, ev := range benchEvents() {
 		ev := ev
 		b.Run(name, func(b *testing.B) {
+			var nodes nodeTexts // warm after the first frame, as in Publish
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkLine, _ = appendFrame(sinkLine[:0], &ev)
+				sinkLine, _ = appendFrameNode(sinkLine[:0], &ev, nodes.text(ev.Node))
 			}
 		})
 		b.Run(name+"/encoding-json", func(b *testing.B) {

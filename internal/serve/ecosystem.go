@@ -109,8 +109,10 @@ func (e *ecoShards) apply(shard int, rec *pageRecord) {
 // histograms and sorts the offer owners — O(view state) — so requiring
 // the folded page count to double since the previous seal keeps that
 // cost linear in ingest, the same discipline the fingerprint view
-// applies to its table seals. Ring-dry and shutdown seals bypass the
-// gate, so idle epochs stay fresh and Drain always completes.
+// applies to its table seals. Ring-dry seals (after a wait as long as
+// the previous seal took, or none while a Drain waits) and shutdown
+// seals bypass the gate, so idle epochs stay fresh and Drain always
+// completes.
 func (e *ecoShards) sealDue() bool {
 	return e.pages.Load() >= 2*e.lastSealPages
 }

@@ -76,9 +76,9 @@ func (f *fingerprintState) apply(shard int, rec *pageRecord) {
 // O(batch). Requiring the study to double since the previous seal spaces
 // those publishes geometrically, so total copy traffic stays linear in
 // ingest (≤2× the final table) while a backfill still surfaces
-// mid-stream epochs. Inbox-dry seals bypass this gate, so any pause in
-// the stream — including every Drain — still publishes immediately and
-// idle epochs stay fresh.
+// mid-stream epochs. Ring-dry seals bypass this gate: once the rings run
+// dry the view publishes after waiting as long as its previous seal took
+// (at once while a Drain waits), so idle epochs stay fresh.
 func (f *fingerprintState) sealDue() bool {
 	return f.study.Payments() >= 2*f.lastSealPayments
 }

@@ -211,6 +211,14 @@ func TestMetricsExposition(t *testing.T) {
 		if (pageView && seals < 1) || merges != seals || (seals > 0) != (total > 0) || total > sealTotal {
 			t.Errorf("view %s: %v seals taking %vs, %v merges taking %vs", vw.name, seals, sealTotal, merges, total)
 		}
+		// Every view exports its dry waits. A view that never had an
+		// update to publish never waited; the others may not have either,
+		// since Drain skips the wait.
+		waits := metricValue(t, body, "serve_view_dry_wait_seconds_count"+label)
+		waited := metricValue(t, body, "serve_view_dry_wait_seconds_sum"+label)
+		if seals == 0 && (waits != 0 || waited != 0) {
+			t.Errorf("view %s: %v dry waits taking %vs with nothing to publish", vw.name, waits, waited)
+		}
 	}
 }
 

@@ -68,6 +68,9 @@ func (s *Service) writeMetrics(out io.Writer) {
 		w.Histogram("serve_view_merge_duration_seconds", "Shard merge and snapshot build per publish; _sum / _count is the mean merge.", &vw.mergeDur, "view", vw.name)
 	}
 	for _, vw := range s.views {
+		w.Histogram("serve_view_dry_wait_seconds", "Waits on dry rings for a publish to fall due, as long as the view's previous seal took after the rings first ran dry; one observation per wait, ended by the seal or by new work.", &vw.dryWait, "view", vw.name)
+	}
+	for _, vw := range s.views {
 		for i, d := range vw.shardDepths() {
 			w.Gauge("serve_view_shard_queue_depth", "Update batches queued in each view shard's ring.", float64(d), "view", vw.name, "shard", strconv.Itoa(i))
 		}

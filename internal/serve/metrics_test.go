@@ -127,7 +127,7 @@ func TestMetricsWellFormed(t *testing.T) {
 			t.Errorf("%s: %d HELP and %d TYPE lines", name, f.help, f.types)
 		}
 	}
-	for _, fam := range []string{"serve_query_duration_seconds", "serve_view_seal_duration_seconds", "txq_quote_duration_seconds", "txq_submit_to_applied_seconds"} {
+	for _, fam := range []string{"serve_query_duration_seconds", "serve_view_seal_duration_seconds", "serve_view_dry_wait_seconds", "txq_quote_duration_seconds", "txq_submit_to_applied_seconds"} {
 		if f := families[fam]; f == nil || f.typ != "histogram" {
 			t.Errorf("%s is not exported as a histogram", fam)
 		}

@@ -32,8 +32,9 @@ type Options struct {
 	// QueueSize bounds each view's inbox, in batches (default 1024).
 	QueueSize int
 	// PublishBatch is the most updates a view applies between epoch
-	// publishes; a view also publishes whenever its inbox runs dry, and
-	// never in the middle of an ingest batch (default 256).
+	// publishes; a view also publishes once its inbox has run dry and as
+	// long as its previous seal took has passed (at once during Drain),
+	// and never in the middle of an ingest batch (default 256).
 	PublishBatch int
 	// IngestBatchPages is how many projected pages the batched ingest
 	// paths (Backfill, BackfillStore, IngestPages) accumulate before
@@ -596,13 +597,17 @@ func (s *Service) notifyProgress() {
 // and published it, or the context expires — the barrier differential
 // tests and graceful shutdown use. Ingestion may continue concurrently;
 // Drain only guarantees the offers that happened before the call are
-// visible. Waiting is notification-driven (views signal every seal and
-// drop), so drain latency is bounded by the last seal, not a poll
-// interval.
+// visible. While it waits, views seal as soon as their rings run dry,
+// without the usual wait, and waiting is notification-driven (views
+// signal every seal and drop), so drain latency is bounded by the last
+// seal, not a timer or a poll interval.
 func (s *Service) Drain(ctx context.Context) error {
 	target := make([]uint64, len(s.views))
 	for i, w := range s.views {
 		target[i] = w.offered.Load()
+		w.draining.Add(1)
+		defer w.draining.Add(-1)
+		w.wake() // a dry wait in progress ends now
 	}
 	for {
 		gate := s.progressGate()

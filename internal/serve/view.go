@@ -29,10 +29,16 @@
 // publish seals an immutable snapshot — sharing whatever did not change
 // with the previous one — behind an atomic pointer and bumps the view's
 // epoch, so queries never block ingestion and ingestion never blocks
-// queries. Publishes happen whenever a view's rings run dry (fresh
-// epochs under light load) and at least every PublishBatch updates
-// (amortized snapshot cost under heavy load) — but never in the middle
-// of an ingest batch, so a snapshot always covers whole batches.
+// queries. A view publishes at least every PublishBatch updates
+// (amortized snapshot cost under heavy load) and, once its rings run dry
+// with unpublished updates, after waiting as long as its previous seal
+// took: updates arriving meanwhile join that seal without extending the
+// wait, and a Drain skips it. So a paced stream with cheap seals is
+// visible almost at once, while a firehose whose seals copy whole tables
+// waits longer and coalesces more (measured on one core; the multi-core
+// behaviour is unproven). A view
+// never publishes in the middle of an ingest batch, so a snapshot always
+// covers whole batches.
 package serve
 
 import (
@@ -77,13 +83,6 @@ func putUpdateBatch(b []update) {
 	batchPool.Put(&b)
 }
 
-// sealGrace is how long a view waits on dry rings before paying for a
-// publish. Under sustained ingest the producer refills the rings well
-// inside the grace window, so snapshots coalesce to PublishBatch
-// boundaries instead of sealing once per scheduler pass; on a genuinely
-// idle stream the epoch is still fresh within half a millisecond.
-const sealGrace = 500 * time.Microsecond
-
 // viewConfig describes one materialized view's pipeline.
 type viewConfig struct {
 	name string
@@ -115,8 +114,8 @@ type viewConfig struct {
 	// key off it.
 	notify func()
 	// sealDue (optional) gates batch-boundary seals for views whose
-	// publish cost grows with state size; ring-dry and shutdown seals
-	// bypass it.
+	// publish cost grows with state size; ring-dry seals (after their
+	// wait) and shutdown seals bypass it.
 	sealDue func() bool
 }
 
@@ -143,6 +142,22 @@ type viewWorker struct {
 	streamSeq  atomic.Uint64       // highest stream sequence applied
 	sealDur    telemetry.Histogram // each publish (bootstrap excluded): pause through merge
 	mergeDur   telemetry.Histogram // each publish's merge alone
+	dryWait    telemetry.Histogram // each ring-dry wait, ended by a seal or by new work
+
+	// lastSeal is how long the latest seal took, pause through merge,
+	// and dryDue when the next ring-dry seal falls due: lastSeal after
+	// the rings first ran dry with unpublished updates since that seal
+	// (zero until then; no wait before the first seal). Updates that
+	// arrive in between join the seal without moving dryDue, so a
+	// stream steadier than the seal cost still publishes. Both are
+	// owned by the sealer goroutine.
+	lastSeal time.Duration
+	dryDue   time.Time
+
+	// draining counts Service.Drain calls in progress. While one waits,
+	// dry rings seal without the wait: its caller wants this epoch now,
+	// and nothing it waits for can coalesce.
+	draining atomic.Int32
 
 	rr atomic.Uint64 // round-robin ring cursor for unrouted batches
 
@@ -248,26 +263,30 @@ func (w *viewWorker) runShardWorker(i int) {
 			}
 			w.applied.Add(uint64(len(b)))
 			putUpdateBatch(b)
-			select {
-			case w.progress <- struct{}{}:
-			default:
-			}
+			w.wake()
 		}
 	}
 }
 
 // runSealer decides when a view publishes: at least every batch
 // applied updates once the publish-cost gate agrees, or — gate
-// bypassed — whenever the rings run dry for a sealGrace window, so idle
-// epochs stay fresh and Drain always completes. Each seal is a
-// stop-the-world barrier over the apply workers; the counters the
-// sealer reads are exact at the barrier because every worker has acked
-// (and therefore finished its in-flight batch) before the merge runs.
+// bypassed — once the rings have run dry with unpublished updates and
+// as long again as the previous seal took has passed (at once while a
+// Drain waits), so idle epochs stay fresh and Drain always completes.
+// The wait is a ski-rental rule: it pays at most one more seal's worth
+// of latency to avoid a seal that new work would have made redundant,
+// so cheap seals publish almost at once and dear ones coalesce. Work
+// that arrives during the wait is applied first and joins the seal; it
+// does not restart the wait, which would starve a stream whose updates
+// arrive faster than a seal takes. Each seal is a stop-the-world
+// barrier over the apply workers; the counters the sealer reads are
+// exact at the barrier because every worker has acked (and therefore
+// finished its in-flight batch) before the merge runs.
 func (w *viewWorker) runSealer() {
 	defer close(w.sealerDone)
-	grace := time.NewTimer(sealGrace)
-	if !grace.Stop() {
-		<-grace.C
+	wait := time.NewTimer(time.Hour)
+	if !wait.Stop() {
+		<-wait.C
 	}
 	for {
 		select {
@@ -290,21 +309,32 @@ func (w *viewWorker) runSealer() {
 				// rather than splitting a producer's batch train.
 				break
 			}
-			// Rings dry with unpublished updates: grace-wait, then seal
-			// if still dry (gate bypassed — the stream paused).
-			grace.Reset(sealGrace)
+			if w.draining.Load() > 0 {
+				w.sealBarrier()
+				continue
+			}
+			// Rings dry with unpublished updates: wait until the seal
+			// falls due, then seal if still dry (gate bypassed — the
+			// stream paused).
+			start := time.Now()
+			if w.dryDue.IsZero() {
+				w.dryDue = start.Add(w.lastSeal)
+			}
+			wait.Reset(w.dryDue.Sub(start))
 			select {
 			case <-w.stopSeal:
-				if !grace.Stop() {
-					<-grace.C
+				if !wait.Stop() {
+					<-wait.C
 				}
 				return
 			case <-w.progress:
-				if !grace.Stop() {
-					<-grace.C
+				if !wait.Stop() {
+					<-wait.C
 				}
+				w.dryWait.Observe(time.Since(start))
 				continue
-			case <-grace.C:
+			case <-wait.C:
+				w.dryWait.Observe(time.Since(start))
 				if w.lag() == 0 {
 					w.sealBarrier()
 					continue
@@ -333,11 +363,21 @@ func (w *viewWorker) sealBarrier() {
 	w.publish(w.epoch.Add(1))
 	end := time.Now()
 	w.mergeDur.Observe(end.Sub(mergeStart))
-	w.sealDur.Observe(end.Sub(start))
+	w.lastSeal, w.dryDue = end.Sub(start), time.Time{}
+	w.sealDur.Observe(w.lastSeal)
 	w.sealed.Store(applied)
 	close(release)
 	if w.notify != nil {
 		w.notify()
+	}
+}
+
+// wake makes the sealer re-read the counters: after an applied batch,
+// or when a Drain starts.
+func (w *viewWorker) wake() {
+	select {
+	case w.progress <- struct{}{}:
+	default:
 	}
 }
 
