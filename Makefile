@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test bench-module bench-smoke race race-mp chaos attack bench bench-check fuzz check
+.PHONY: all build vet test bench-module bench-smoke race race-mp chaos attack fuzz check
 
 all: check
 
@@ -66,51 +66,6 @@ race-mp:
 		echo "$$tests" | grep -q "^Test.*$$t" || { echo "race-mp: pattern $$t matches no test"; exit 1; }; \
 	done
 	GOMAXPROCS=4 $(GO) test -race -run '$(subst $(space),|,$(RACE_MP_TESTS))' $(RACE_MP_PKGS)
-
-# Perf trajectory: run the Figure 3 pipeline and store benchmarks with
-# allocation stats and archive them as JSON so future PRs can diff
-# payments/s, ns/op, and B/op against this one. Serving-layer
-# benchmarks (ingest fan-out, O(1) lookups, snapshot publish, HTTP)
-# are archived in BENCH_serve.json; the zero-copy segment-scan path
-# (ScanPayments projection, arena page decoding) in BENCH_store.json.
-# One archive takes one pass per package: benchjson drops a package's
-# archived entries that its fresh pass no longer reports.
-bench:
-	$(GO) test -run '^$$' -bench 'Figure3|Fig3Deanon|Store' -benchmem . | tee bench.out
-	$(GO) run ./cmd/benchjson -out BENCH_deanon.json < bench.out
-	@echo "wrote BENCH_deanon.json"
-	$(GO) test -run '^$$' -bench 'ScanPayments|PagesParallel' -benchmem ./internal/ledgerstore | tee bench_store.out
-	$(GO) run ./cmd/benchjson -out BENCH_store.json < bench_store.out
-	@echo "wrote BENCH_store.json"
-	$(GO) test -run '^$$' -bench 'Serve' -benchmem ./internal/serve | tee bench_serve.out
-	$(GO) run ./cmd/benchjson -check BENCH_serve.json -tolerance $(TOLERANCE) < bench_serve.out
-	$(GO) run ./cmd/benchjson -out BENCH_serve.json < bench_serve.out
-	@echo "wrote BENCH_serve.json"
-	$(GO) test -run '^$$' -bench 'Table2Replay|Pathfind|CheckpointResume' -benchmem . | tee bench_replay.out
-	$(GO) run ./cmd/benchjson -out BENCH_replay.json < bench_replay.out
-	$(GO) test -run '^$$' -bench 'Shamap' -benchmem ./internal/shamap | tee bench_shamap.out
-	$(GO) run ./cmd/benchjson -out BENCH_replay.json < bench_shamap.out
-	@echo "wrote BENCH_replay.json"
-	$(GO) test -run '^$$' -bench 'ConsensusRound' -benchmem ./internal/consensus | tee bench_consensus.out
-	$(GO) run ./cmd/benchjson -out BENCH_consensus.json < bench_consensus.out
-	@echo "wrote BENCH_consensus.json"
-	$(GO) test -run '^$$' -bench 'TxqFrontDoor' -benchmem ./internal/txq | tee bench_txq.out
-	$(GO) run ./cmd/benchjson -out BENCH_txq.json < bench_txq.out
-	@echo "wrote BENCH_txq.json"
-
-# Regression smoke: re-run the serving-layer benchmarks and gate ns/op
-# against the committed archive without rewriting it. TOLERANCE is the
-# allowed regression in percent; the archived numbers come from one
-# machine, so loosen it when checking on very different hardware
-# (`make bench-check TOLERANCE=50`).
-TOLERANCE ?= 20
-bench-check:
-	$(GO) test -run '^$$' -bench 'Serve' -benchmem ./internal/serve | tee bench_serve.out
-	$(GO) run ./cmd/benchjson -check BENCH_serve.json -tolerance $(TOLERANCE) < bench_serve.out
-	$(GO) test -run '^$$' -bench 'TxqFrontDoor' -benchmem ./internal/txq | tee bench_txq.out
-	$(GO) run ./cmd/benchjson -check BENCH_txq.json -tolerance $(TOLERANCE) < bench_txq.out
-	$(GO) test -run '^$$' -bench 'CheckpointResume' -benchmem . | tee bench_ckpt.out
-	$(GO) run ./cmd/benchjson -check BENCH_replay.json -tolerance $(TOLERANCE) < bench_ckpt.out
 
 # Fuzz smoke: brief randomized exploration of the zero-copy decode
 # surfaces (the in-place payment scan and the arena page decoder), the

@@ -1,19 +1,17 @@
-// Benchmark harness: one benchmark per table and figure of the paper,
-// plus ablation benches for the design choices DESIGN.md calls out.
+// Benchmarks for the experiment kernels the end-to-end harness in
+// bench/ does not time (Fig. 2, Figs. 4-7, the Table I rounding, the
+// mitigation study, the page codec), plus ablation benches for the
+// design choices DESIGN.md calls out. Fig. 3 and Table II are timed
+// there (core.figure3_*, replay.run_seq_s), not here.
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// The figure/table benches share one generated history (built once);
-// each bench measures the cost of regenerating its experiment's data
-// from that history, reporting domain metrics (payments/s, rounds/s)
-// alongside ns/op.
+// The benches share one generated history (built once); each measures
+// the cost of regenerating its experiment's data from that history.
 package ripplestudy_test
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -23,11 +21,9 @@ import (
 	"ripplestudy/internal/consensus"
 	"ripplestudy/internal/deanon"
 	"ripplestudy/internal/ledger"
-	"ripplestudy/internal/ledgerstore"
 	"ripplestudy/internal/monitor"
 	"ripplestudy/internal/orderbook"
 	"ripplestudy/internal/pathfind"
-	"ripplestudy/internal/replay"
 	"ripplestudy/internal/synth"
 	"ripplestudy/internal/trustgraph"
 )
@@ -93,164 +89,6 @@ func BenchmarkFig2Consensus(b *testing.B) {
 	b.ReportMetric(rounds, "rounds/op")
 }
 
-// BenchmarkFig3Deanon regenerates Figure 3: one streaming pass computing
-// the information gain of all ten resolution tuples.
-func BenchmarkFig3Deanon(b *testing.B) {
-	pages, _ := history(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		study := deanon.NewStudy(deanon.Figure3Rows)
-		for _, p := range pages {
-			for j := range p.Txs {
-				if f, ok := deanon.FromTransaction(p, p.Txs[j], p.Metas[j]); ok {
-					study.Observe(f)
-				}
-			}
-		}
-		rows := study.Results()
-		if rows[0].IG < 0.9 {
-			b.Fatalf("IG collapsed: %v", rows[0].IG)
-		}
-	}
-	b.ReportMetric(float64(benchPayments), "payments/op")
-}
-
-// baselineFingerprint is the pre-optimization fingerprint path — a
-// fresh hash.Hash and a fresh Table I rounding per (payment,
-// resolution) pair — kept as the performance baseline BenchmarkFigure3
-// measures the sharded pipeline against.
-func baselineFingerprint(f deanon.Features, res deanon.Resolution) deanon.Fingerprint {
-	h := fnv.New64a()
-	var buf [16]byte
-	if res.Amount != deanon.AmountOff {
-		v := deanon.RoundAmount(f.Amount, f.Currency, res.Amount)
-		e := uint64(int64(v.Exponent()))
-		s := uint64(0)
-		if v.IsNegative() {
-			s = 1
-		}
-		binary.BigEndian.PutUint64(buf[:8], v.Mantissa())
-		binary.BigEndian.PutUint64(buf[8:16], e<<1|s)
-		h.Write([]byte{'A'})
-		h.Write(buf[:])
-	}
-	if res.Time != deanon.TimeOff {
-		binary.BigEndian.PutUint64(buf[:8], uint64(deanon.CoarsenTime(f.Time, res.Time)))
-		h.Write([]byte{'T'})
-		h.Write(buf[:8])
-	}
-	if res.Currency {
-		h.Write([]byte{'C'})
-		h.Write(f.Currency[:])
-	}
-	if res.Destination {
-		h.Write([]byte{'D'})
-		h.Write(f.Destination[:])
-	}
-	return deanon.Fingerprint(h.Sum64())
-}
-
-// benchFeatures extracts the payment features of the shared history.
-func benchFeatures(b *testing.B) []deanon.Features {
-	b.Helper()
-	pages, _ := history(b)
-	var feats []deanon.Features
-	for _, p := range pages {
-		for j := range p.Txs {
-			if f, ok := deanon.FromTransaction(p, p.Txs[j], p.Metas[j]); ok {
-				feats = append(feats, f)
-			}
-		}
-	}
-	return feats
-}
-
-// BenchmarkFigure3 is the headline pipeline benchmark: the full ten-row
-// Figure 3 information-gain computation over one payment stream.
-//
-//	baseline    pre-optimization path: hash.Hash + rounding per pair
-//	sequential  zero-alloc Study (inline FNV, features encoded once)
-//	parallel    sharded ParallelStudy, GOMAXPROCS feeders
-//
-// Every variant recomputes the complete study per iteration; the
-// payments/s metric is the domain throughput of one full Figure 3 run.
-func BenchmarkFigure3(b *testing.B) {
-	feats := benchFeatures(b)
-	check := func(b *testing.B, rows []deanon.RowResult) {
-		b.Helper()
-		if rows[0].IG < 0.9 {
-			b.Fatalf("IG collapsed: %v", rows[0].IG)
-		}
-	}
-	reportThroughput := func(b *testing.B) {
-		b.ReportMetric(float64(len(feats))*float64(b.N)/b.Elapsed().Seconds(), "payments/s")
-	}
-
-	b.Run("baseline", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			counts := make([]map[deanon.Fingerprint]uint32, len(deanon.Figure3Rows))
-			for r := range counts {
-				counts[r] = make(map[deanon.Fingerprint]uint32)
-			}
-			for _, f := range feats {
-				for r, res := range deanon.Figure3Rows {
-					counts[r][baselineFingerprint(f, res)]++
-				}
-			}
-			rows := make([]deanon.RowResult, len(deanon.Figure3Rows))
-			for r := range counts {
-				for _, c := range counts[r] {
-					if c == 1 {
-						rows[r].Unique++
-					}
-				}
-				rows[r].IG = float64(rows[r].Unique) / float64(len(feats))
-			}
-			check(b, rows)
-		}
-		reportThroughput(b)
-	})
-
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			study := deanon.NewStudy(deanon.Figure3Rows)
-			for _, f := range feats {
-				study.Observe(f)
-			}
-			check(b, study.Results())
-		}
-		reportThroughput(b)
-	})
-
-	b.Run("parallel", func(b *testing.B) {
-		workers := runtime.GOMAXPROCS(0)
-		shardBits := 0
-		for 1<<shardBits < workers {
-			shardBits++
-		}
-		for i := 0; i < b.N; i++ {
-			study := deanon.NewParallelStudy(deanon.Figure3Rows, shardBits)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				fd := study.Feeder()
-				wg.Add(1)
-				go func(w int, fd *deanon.Feeder) {
-					defer wg.Done()
-					for j := w; j < len(feats); j += workers {
-						fd.Observe(feats[j])
-					}
-				}(w, fd)
-			}
-			wg.Wait()
-			check(b, study.Results())
-			// Recycle the count tables: steady-state reuse is the mode the
-			// serving layer runs this pipeline in.
-			study.Close()
-		}
-		reportThroughput(b)
-	})
-}
-
 // BenchmarkFig4to6Analysis regenerates Figures 4, 5, and 6: the
 // streaming ecosystem statistics.
 func BenchmarkFig4to6Analysis(b *testing.B) {
@@ -289,135 +127,6 @@ func BenchmarkFig7Intermediaries(b *testing.B) {
 		if len(top) == 0 {
 			b.Fatal("no intermediaries")
 		}
-	}
-}
-
-// BenchmarkTable2Replay regenerates Table II: state rebuild, ablation,
-// and post-snapshot replay.
-//
-// The payments/s metric counts the post-snapshot payments the replay
-// submitted per wall-clock second, end to end (including the state
-// rebuild — the paper's experiment always pays it).
-func BenchmarkTable2Replay(b *testing.B) {
-	pages, _ := history(b)
-	snap := pages[len(pages)*7/10].Header.Sequence
-	check := func(b *testing.B, res *replay.Result) {
-		b.Helper()
-		if res.Cross.Delivered != 0 {
-			b.Fatal("cross-currency payments survived the ablation")
-		}
-		if res.Total().Submitted == 0 {
-			b.Fatal("nothing replayed")
-		}
-	}
-
-	b.Run("sequential", func(b *testing.B) {
-		submitted := 0
-		for i := 0; i < b.N; i++ {
-			res, err := replay.Run(replay.FromPages(pages), snap)
-			if err != nil {
-				b.Fatal(err)
-			}
-			check(b, res)
-			submitted = res.Total().Submitted
-		}
-		b.ReportMetric(float64(submitted)*float64(b.N)/b.Elapsed().Seconds(), "payments/s")
-	})
-}
-
-// BenchmarkCheckpointResume measures what the state-tree checkpoint
-// sidecar buys: rebuilding the full engine state from a disk store cold
-// (replaying every page) versus resuming from the nearest persisted
-// checkpoint (loading the sealed tree and replaying only the tail).
-// Both paths end in the same StateDigest — the resume differential
-// tests pin that — so the ratio of the two ns/op numbers is pure
-// replay-work saved.
-func BenchmarkCheckpointResume(b *testing.B) {
-	pages, _ := history(b)
-	last := pages[len(pages)-1].Header.Sequence
-	dir := b.TempDir()
-	store, err := ledgerstore.Create(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range pages {
-		if err := store.Append(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := store.Close(); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := store.SegmentRanges(); err != nil {
-		b.Fatal(err) // warm the sequence index sidecar
-	}
-
-	// Seed the checkpoint sidecar once; 8 checkpoints across the history
-	// leave a short tail past the last one.
-	every := uint64(len(pages) / 8)
-	if every == 0 {
-		every = 1
-	}
-	ref, err := replay.BuildStateOpts(store, last, replay.BuildOptions{CheckpointEvery: every, DisableResume: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	wantDigest := ref.StateDigest()
-
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			eng, err := replay.BuildStateOpts(store, last, replay.BuildOptions{DisableResume: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if eng.StateDigest() != wantDigest {
-				b.Fatal("cold rebuild digest diverged")
-			}
-		}
-		b.ReportMetric(float64(len(pages)), "pages/op")
-	})
-	b.Run("resume", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			eng, err := replay.BuildStateOpts(store, last, replay.BuildOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if eng.StateDigest() != wantDigest {
-				b.Fatal("resumed rebuild digest diverged")
-			}
-		}
-		b.ReportMetric(float64(len(pages)), "pages/op")
-	})
-}
-
-// BenchmarkPathfind measures the scratch-workspace BFS router on credit
-// networks of increasing breadth and depth. With the dense-index
-// workspace, steady-state searches allocate only the returned plan.
-func BenchmarkPathfind(b *testing.B) {
-	shapes := []struct {
-		name          string
-		width, length int
-	}{
-		{"narrow-4x6", 4, 6},
-		{"wide-16x4", 16, 4},
-		{"deep-2x30", 2, 30},
-	}
-	for _, sh := range shapes {
-		b.Run(sh.name, func(b *testing.B) {
-			g, src, dst := chainNetwork(sh.width, sh.length)
-			f := pathfind.New(g, orderbook.New())
-			want := amount.MustAmount("150/USD") // forces multi-path splits
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				plan, err := f.FindPayment(src, dst, amount.USD, want)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !plan.Delivered.IsPositive() {
-					b.Fatal("no delivery")
-				}
-			}
-		})
 	}
 }
 
@@ -607,58 +316,6 @@ func BenchmarkAblationAutobridge(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkStore measures the persistence layer: append throughput and
-// streaming-read throughput (the "parse 500 GB" path).
-func BenchmarkStore(b *testing.B) {
-	pages, _ := history(b)
-	b.Run("append", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dir := b.TempDir()
-			store, err := ledgerstore.Create(dir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			for _, p := range pages {
-				if err := store.Append(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := store.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(len(pages)), "pages/op")
-		}
-	})
-	b.Run("stream", func(b *testing.B) {
-		dir := b.TempDir()
-		store, err := ledgerstore.Create(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pages {
-			if err := store.Append(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := store.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			n := 0
-			if err := store.Pages(func(*ledger.Page) error { n++; return nil }); err != nil {
-				b.Fatal(err)
-			}
-			if n != len(pages) {
-				b.Fatalf("read %d of %d pages", n, len(pages))
-			}
-		}
-		b.ReportMetric(float64(len(pages)), "pages/op")
-	})
 }
 
 // BenchmarkMitigation measures the wallet-splitting study (extension).

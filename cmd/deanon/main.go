@@ -79,11 +79,11 @@ func run(storeDir string, samples int, seed int64, workers int) error {
 	var reservoir []deanon.Features
 	rng := rand.New(rand.NewSource(seed))
 	n := 0
-	err = store.Transactions(func(p *ledger.Page, tx *ledger.Tx, m *ledger.TxMeta) error {
-		f, ok := deanon.FromTransaction(p, tx, m)
-		if !ok {
-			return nil
-		}
+	// One scan worker delivers the payments in store order, so the index
+	// and the sample see the history as a sequential walk would (and the
+	// index, which is not safe for concurrent use, has one writer).
+	err = store.ScanPayments(context.Background(), 1, func(_ int, pv *ledger.PaymentView) error {
+		f := deanon.FromPaymentView(pv)
 		idx.Add(f)
 		n++
 		// Reservoir-sample the observations to attack.

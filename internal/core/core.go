@@ -240,13 +240,7 @@ func (ds *Dataset) feedStudy(ctx context.Context, workers int, study *deanon.Par
 			feeders[i] = study.Feeder()
 		}
 		return store.ScanPayments(ctx, workers, func(w int, pv *ledger.PaymentView) error {
-			feeders[w].Observe(deanon.Features{
-				Sender:      pv.Sender,
-				Destination: pv.Destination,
-				Currency:    pv.Currency,
-				Amount:      pv.Amount,
-				Time:        pv.Time,
-			})
+			feeders[w].Observe(deanon.FromPaymentView(pv))
 			return nil
 		})
 	}
@@ -331,13 +325,7 @@ func (ds *Dataset) collectFeatures(ctx context.Context) ([]deanon.Features, erro
 		perWorker[w] = append(perWorker[w], taggedFeat{
 			seq: pv.Seq,
 			idx: pv.Index,
-			f: deanon.Features{
-				Sender:      pv.Sender,
-				Destination: pv.Destination,
-				Currency:    pv.Currency,
-				Amount:      pv.Amount,
-				Time:        pv.Time,
-			},
+			f:   deanon.FromPaymentView(pv),
 		})
 		return nil
 	})

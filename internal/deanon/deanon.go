@@ -198,6 +198,19 @@ func FromTransaction(p *ledger.Page, tx *ledger.Tx, meta *ledger.TxMeta) (Featur
 	}, true
 }
 
+// FromPaymentView extracts features from one payment of the zero-copy
+// scan (ledger.ScanPayments), which projects exactly the payments
+// FromTransaction accepts.
+func FromPaymentView(pv *ledger.PaymentView) Features {
+	return Features{
+		Sender:      pv.Sender,
+		Destination: pv.Destination,
+		Currency:    pv.Currency,
+		Amount:      pv.Amount,
+		Time:        pv.Time,
+	}
+}
+
 // Fingerprint is the 64-bit digest of a payment's resolved features.
 // Hashing (FNV-1a) keeps the uniqueness-counting maps compact at
 // multi-million-payment scale; at 23M payments the 64-bit collision

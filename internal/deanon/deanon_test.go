@@ -1,6 +1,7 @@
 package deanon
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -166,6 +167,38 @@ func TestFromTransaction(t *testing.T) {
 	trust := &ledger.Tx{Type: ledger.TxTrustSet, Account: acct(1)}
 	if _, ok := FromTransaction(p, trust, okMeta); ok {
 		t.Error("non-payment accepted")
+	}
+}
+
+// TestFromPaymentViewMatchesFromTransaction pins the zero-copy feed to
+// the decoded one: over a generated history, ledger.ScanPayments
+// projects exactly the payments FromTransaction accepts, in the same
+// order and with the same features.
+func TestFromPaymentViewMatchesFromTransaction(t *testing.T) {
+	var want, got []Features
+	failed := 0
+	_, err := synth.Generate(synth.Config{Payments: 2000, Seed: 5, SkipSignatures: true}, func(p *ledger.Page) error {
+		for i := range p.Txs {
+			if f, ok := FromTransaction(p, p.Txs[i], p.Metas[i]); ok {
+				want = append(want, f)
+			} else if p.Txs[i].Type == ledger.TxPayment {
+				failed++
+			}
+		}
+		_, err := ledger.ScanPayments(p.Encode(nil), func(pv *ledger.PaymentView) error {
+			got = append(got, FromPaymentView(pv))
+			return nil
+		})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || failed == 0 {
+		t.Fatalf("history has %d accepted and %d failed payments, want both", len(want), failed)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ScanPayments projected %d payments, FromTransaction accepted %d, or their features differ", len(got), len(want))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -514,92 +513,5 @@ func TestExportJSONRoundTrip(t *testing.T) {
 	}
 	if storeDigest(t, s) != storeDigest(t, re) {
 		t.Fatal("re-imported store digest differs from original")
-	}
-}
-
-// buildBenchStore writes a store shaped like the Fig. 3 feed for the
-// scan benchmarks.
-func buildBenchStore(b *testing.B) *Store {
-	b.Helper()
-	dir := b.TempDir()
-	s, err := Create(dir, WithSegmentBytes(1<<15))
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(1))
-	parent := ledger.Hash{}
-	for i := 1; i <= benchStorePages; i++ {
-		p := buildPage(uint64(i), parent, 6, r)
-		parent = p.Header.Hash()
-		if err := s.Append(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		b.Fatal(err)
-	}
-	return s
-}
-
-const benchStorePages = 240
-
-// BenchmarkPagesParallelArena measures the segment-parallel page scan
-// (arena decode included) — the 500GB-history read path. The workers
-// sweep has only ever run at GOMAXPROCS=1, where it is flat.
-func BenchmarkPagesParallelArena(b *testing.B) {
-	s := buildBenchStore(b)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				count := 0
-				var mu sync.Mutex
-				err := s.PagesParallelArena(context.Background(), workers, func(int, *ledger.Page) error {
-					mu.Lock()
-					count++
-					mu.Unlock()
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if count != benchStorePages {
-					b.Fatalf("scanned %d pages, want %d", count, benchStorePages)
-				}
-			}
-			b.ReportMetric(float64(benchStorePages)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
-		})
-	}
-}
-
-// BenchmarkScanPayments measures the zero-copy payment projection —
-// the new feed under the Fig. 3 sweep — on the mmap reader and the
-// ReadFile fallback.
-func BenchmarkScanPayments(b *testing.B) {
-	s := buildBenchStore(b)
-	const wantPayments = benchStorePages * 6
-	for _, mode := range []struct {
-		name     string
-		fileRead bool
-	}{{"mmap", false}, {"file", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			forceFileRead = mode.fileRead
-			defer func() { forceFileRead = false }()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				count := 0
-				err := s.ScanPayments(context.Background(), 1, func(int, *ledger.PaymentView) error {
-					count++
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if count != wantPayments {
-					b.Fatalf("scanned %d payments, want %d", count, wantPayments)
-				}
-			}
-			b.ReportMetric(float64(wantPayments)*float64(b.N)/b.Elapsed().Seconds(), "payments/s")
-		})
 	}
 }

@@ -215,25 +215,10 @@ func (s *Store) Pages(fn func(*ledger.Page) error) error {
 	return nil
 }
 
-// ErrStop is a sentinel fn can return from Pages/Transactions to stop
-// iteration without Pages reporting an error.
+// ErrStop is a sentinel a walker's fn can return to stop iteration
+// early. Walkers hand it back unwrapped, so a caller that stops on
+// purpose checks errors.Is(err, ErrStop).
 var ErrStop = errors.New("ledgerstore: stop iteration")
-
-// Transactions streams every (page, tx, meta) triple, in ledger order.
-func (s *Store) Transactions(fn func(*ledger.Page, *ledger.Tx, *ledger.TxMeta) error) error {
-	err := s.Pages(func(p *ledger.Page) error {
-		for i := range p.Txs {
-			if err := fn(p, p.Txs[i], p.Metas[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if errors.Is(err, ErrStop) {
-		return nil
-	}
-	return err
-}
 
 // Stats summarizes a store's contents.
 type Stats struct {

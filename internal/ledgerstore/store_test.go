@@ -172,29 +172,6 @@ func TestStoreStats(t *testing.T) {
 	}
 }
 
-func TestStoreTransactionsAndStop(t *testing.T) {
-	dir := t.TempDir()
-	writeStore(t, dir, 5, 2)
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	err = s.Transactions(func(p *ledger.Page, tx *ledger.Tx, m *ledger.TxMeta) error {
-		count++
-		if count == 3 {
-			return ErrStop
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("ErrStop leaked: %v", err)
-	}
-	if count != 3 {
-		t.Fatalf("iterated %d transactions, want early stop at 3", count)
-	}
-}
-
 func TestStoreCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
 	writeStore(t, dir, 3, 2)

@@ -91,31 +91,53 @@ func TestDirectTrustPayment(t *testing.T) {
 }
 
 func TestParallelPathSplitting(t *testing.T) {
-	// Diamond: s→{m1,m2}→d, each branch capacity 5; paying 8 needs both.
-	g := trustgraph.New()
-	s, m1, m2, d := acct(1), acct(2), acct(3), acct(4)
-	for _, edge := range []struct{ truster, trustee addr.AccountID }{
-		{m1, s}, {m2, s}, {d, m1}, {d, m2},
+	// width disjoint chains of length intermediaries from s to d, every
+	// link of capacity limit; paying pay needs exactly two chains. The
+	// diamond is the smallest case; the others are wide, and deep enough
+	// to reach well into the default hop budget.
+	for _, tc := range []struct {
+		name          string
+		width, length int
+		limit, pay    string
+	}{
+		{"diamond", 2, 1, "5", "8"},
+		{"narrow-4x6", 4, 6, "100", "150"},
+		{"wide-16x4", 16, 4, "100", "150"},
+		{"deep-2x30", 2, 30, "100", "150"},
 	} {
-		if err := g.SetTrust(edge.truster, edge.trustee, amount.USD, val("5")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f := New(g, orderbook.New())
-	plan, err := f.FindPayment(s, d, amount.USD, usd("8"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Delivered.Cmp(val("8")) != 0 {
-		t.Fatalf("delivered %s, want 8", plan.Delivered)
-	}
-	if len(plan.Paths) != 2 {
-		t.Fatalf("parallel paths = %d, want 2", len(plan.Paths))
-	}
-	for _, p := range plan.Paths {
-		if p.Hops != 1 {
-			t.Errorf("path hops = %d, want 1", p.Hops)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			g := trustgraph.New()
+			s, d := acct(1), acct(2)
+			next := uint64(100)
+			for w := 0; w < tc.width; w++ {
+				prev := s
+				for l := 0; l < tc.length; l++ {
+					next++
+					if err := g.SetTrust(acct(next), prev, amount.USD, val(tc.limit)); err != nil {
+						t.Fatal(err)
+					}
+					prev = acct(next)
+				}
+				if err := g.SetTrust(d, prev, amount.USD, val(tc.limit)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			plan, err := New(g, orderbook.New()).FindPayment(s, d, amount.USD, usd(tc.pay))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Delivered.Cmp(val(tc.pay)) != 0 {
+				t.Fatalf("delivered %s, want %s", plan.Delivered, tc.pay)
+			}
+			if len(plan.Paths) != 2 {
+				t.Fatalf("parallel paths = %d, want 2", len(plan.Paths))
+			}
+			for _, p := range plan.Paths {
+				if p.Hops != tc.length {
+					t.Errorf("path hops = %d, want %d", p.Hops, tc.length)
+				}
+			}
+		})
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"ripplestudy/internal/ledger"
 	"ripplestudy/internal/ledgerstore"
 	"ripplestudy/internal/netstream"
-	"ripplestudy/internal/replay"
 	"ripplestudy/internal/txq"
 )
 
@@ -37,7 +36,7 @@ type Options struct {
 	// and never in the middle of an ingest batch (default 256).
 	PublishBatch int
 	// IngestBatchPages is how many projected pages the batched ingest
-	// paths (Backfill, BackfillStore, IngestPages) accumulate before
+	// paths (BackfillStore, IngestPages) accumulate before
 	// flushing one batch to the view inboxes (default 64).
 	IngestBatchPages int
 	// FingerprintShards is the number of count shards behind the
@@ -419,32 +418,13 @@ func (b *recBatcher) discard() {
 	b.buf, b.payments = nil, 0
 }
 
-// Backfill streams a closed history into the page views, in order,
-// batching the fan-out.
-func (s *Service) Backfill(ctx context.Context, src replay.Source) error {
-	b := s.newBatcher()
-	err := src.Pages(func(p *ledger.Page) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		rec := newPageRecord(pageViews)
-		s.proj.fromPage(p, rec)
-		return b.add(rec)
-	})
-	if err != nil {
-		b.discard()
-		return err
-	}
-	return b.flush()
-}
-
-// BackfillStore is Backfill over a ledgerstore at memory-scan speed: up
-// to workers goroutines walk the raw record payloads (mmap'd where the
-// platform allows) and project each page in place into an owned record
-// — no *ledger.Page is ever materialized — then feed the views in
-// batches. Pages interleave across segments, but every view statistic
-// is order-insensitive, so the result is identical to a sequential
-// backfill.
+// BackfillStore streams a closed history from a ledgerstore into the
+// page views at memory-scan speed: up to workers goroutines walk the raw
+// record payloads (mmap'd where the platform allows) and project each
+// page in place into an owned record — no *ledger.Page is ever
+// materialized — then feed the views in batches. Pages interleave
+// across segments, but every view statistic is order-insensitive, so the
+// result is identical to a sequential backfill.
 //
 // Projection validates record framing exactly like the decoding scans
 // (a CRC-clean record that DecodePage accepts always projects) plus the

@@ -361,64 +361,3 @@ func TestDecodeNodeRejectsGarbage(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkShamapSeal measures a ledger close: mutate a small working
-// set of a large sealed tree, then re-hash. The per-seal cost must stay
-// O(changed·depth), not O(tree).
-func BenchmarkShamapSeal(b *testing.B) {
-	for _, size := range []int{1_000, 50_000} {
-		b.Run(fmt.Sprintf("size=%d/touch=64", size), func(b *testing.B) {
-			tr := build(size, nil)
-			tr.Seal()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				base := (i * 64) % size
-				for j := 0; j < 64; j++ {
-					tr.Set(key((base+j)%size), val(i))
-				}
-				tr.Seal()
-			}
-		})
-	}
-}
-
-// BenchmarkShamapLookup measures point reads on a sealed tree.
-func BenchmarkShamapLookup(b *testing.B) {
-	const size = 50_000
-	tr := build(size, nil)
-	tr.Seal()
-	keys := make([]ledger.Hash, 1024)
-	for i := range keys {
-		keys[i] = key(i * (size / len(keys)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := tr.Get(keys[i%len(keys)]); !ok {
-			b.Fatal("missing key")
-		}
-	}
-}
-
-// BenchmarkShamapWriteNew measures the incremental checkpoint batch: the
-// encode+emit cost of persisting one seal's changed nodes.
-func BenchmarkShamapWriteNew(b *testing.B) {
-	const size = 50_000
-	tr := build(size, nil)
-	tr.Seal()
-	sink := 0
-	put := func(h ledger.Hash, data []byte) error { sink += len(data); return nil }
-	if _, err := tr.WriteNew(put); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 64; j++ {
-			tr.Set(key((i*64+j)%size), val(i+1))
-		}
-		tr.Seal()
-		if _, err := tr.WriteNew(put); err != nil {
-			b.Fatal(err)
-		}
-	}
-	_ = sink
-}

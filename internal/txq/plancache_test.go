@@ -94,6 +94,9 @@ func TestPlanCacheDifferential(t *testing.T) {
 	if !q2.Cached {
 		t.Fatal("second identical quote missed the cache")
 	}
+	if st := fd.StatsNow(); st.CacheHits != 1 {
+		t.Fatalf("stats count %d cache hits after one hit", st.CacheHits)
+	}
 	want := freshQuote(t, ref, c, a, deliver)
 	for _, q := range []Quote{q1, q2} {
 		if !q.Found || q.Delivered.Cmp(want.Delivered) != 0 || q.SourceCost.Cmp(want.SourceCost) != 0 {
