@@ -10,13 +10,22 @@
 //	Table II        delivery without market makers
 //	Figure 7 (a–c)  top intermediaries, their trust and balances
 //
-// Run with -only to regenerate a single experiment (e.g. -only fig3).
+// It also runs the §V attack itself (feature importance, activation
+// clustering, the attack demo on sampled payments) and, over a stored
+// history, the store's integrity check. Run with -only to regenerate a
+// single experiment (e.g. -only fig3); -store reuses a history that
+// ledger-gen or an earlier run wrote:
+//
+//	experiments -store ./history -only attack -samples 1000
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"sort"
 	"strings"
@@ -24,30 +33,62 @@ import (
 	"ripplestudy/internal/amount"
 	"ripplestudy/internal/consensus"
 	"ripplestudy/internal/core"
+	"ripplestudy/internal/deanon"
+	"ripplestudy/internal/ledger"
+	"ripplestudy/internal/ledgerstore"
 	"ripplestudy/internal/monitor"
 )
 
+// options are the command's flags.
+type options struct {
+	payments  int
+	seed      int64
+	rounds    int
+	storeDir  string
+	only      string
+	workers   int
+	ckptEvery uint64
+	top       int
+	samples   int
+}
+
+// errUsage marks a flag combination the command refuses to run.
+var errUsage = errors.New("usage")
+
 func main() {
-	payments := flag.Int("payments", 50_000, "synthetic history size (payments)")
-	seed := flag.Int64("seed", 1, "random seed")
-	rounds := flag.Int("rounds", 2000, "consensus rounds per Figure 2 period")
-	storeDir := flag.String("store", "", "persist/reuse the history in this ledgerstore directory")
-	only := flag.String("only", "", "run a single experiment: fig2|table1|fig3|fig4|fig5|fig6|table2|fig7|mitigation|incentives|spamcost|overlap|dos|window|attacks")
-	workers := flag.Int("workers", 0, "parallel scan/study workers for the de-anonymization pipeline (0 = GOMAXPROCS); the Table II replay is sequential whatever the value")
-	ckptEvery := flag.Uint64("checkpoint-every", 0, "write state-tree checkpoints every N pages during store replays (0 = resume only, never write)")
+	var o options
+	flag.IntVar(&o.payments, "payments", 50_000, "synthetic history size (payments)")
+	flag.Int64Var(&o.seed, "seed", 1, "random seed (history, Figure 2, attack-demo sampling)")
+	flag.IntVar(&o.rounds, "rounds", 2000, "consensus rounds per Figure 2 period")
+	flag.StringVar(&o.storeDir, "store", "", "persist/reuse the history in this ledgerstore directory")
+	flag.StringVar(&o.only, "only", "", "run a single experiment: fig2|table1|fig3|importance|cluster|attack|fig4|fig5|fig6|table2|fig7|mitigation|incentives|spamcost|overlap|dos|window|attacks|integrity (needs -store)")
+	flag.IntVar(&o.workers, "workers", 0, "parallel scan/study workers for the de-anonymization pipeline (0 = GOMAXPROCS); the Table II replay is sequential whatever the value")
+	flag.Uint64Var(&o.ckptEvery, "checkpoint-every", 0, "write state-tree checkpoints every N pages during store replays (0 = resume only, never write)")
+	flag.IntVar(&o.top, "top", 50, "intermediaries to list (Figure 7)")
+	flag.IntVar(&o.samples, "samples", 1000, "observations to attack in the attack demo")
 	flag.Parse()
 
-	if err := run(*payments, *seed, *rounds, *storeDir, *only, *workers, *ckptEvery); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
+		if errors.Is(err, errUsage) {
+			flag.Usage()
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
-func run(payments int, seed int64, rounds int, storeDir, only string, workers int, ckptEvery uint64) error {
-	want := func(name string) bool { return only == "" || only == name }
+func run(o options) error {
+	want := func(name string) bool { return o.only == "" || o.only == name }
+	if o.samples < 1 {
+		return fmt.Errorf("%w: -samples must be at least 1", errUsage)
+	}
+	if o.only == "integrity" && o.storeDir == "" {
+		return fmt.Errorf("%w: -only integrity needs -store", errUsage)
+	}
 
 	if want("fig2") {
-		if err := figure2(rounds, seed); err != nil {
+		if err := figure2(o.rounds, o.seed); err != nil {
 			return err
 		}
 	}
@@ -72,20 +113,24 @@ func run(payments int, seed int64, rounds int, storeDir, only string, workers in
 		}
 	}
 
-	needDataset := only == "" || only == "fig3" || only == "fig4" || only == "fig5" ||
-		only == "fig6" || only == "table2" || only == "fig7" ||
-		only == "mitigation" || only == "spamcost" || only == "window"
-	if !needDataset {
+	switch o.only {
+	case "", "integrity", "fig3", "importance", "cluster", "attack", "fig4", "fig5",
+		"fig6", "table2", "fig7", "mitigation", "spamcost", "window":
+	default:
 		return nil
 	}
 
-	fmt.Printf("\n=== Building synthetic history: %d payments, seed %d ===\n", payments, seed)
-	ds, err := buildOrOpen(payments, seed, storeDir)
+	ds, err := buildOrOpen(o.payments, o.seed, o.storeDir)
 	if err != nil {
 		return err
 	}
-	ds.SetWorkers(workers)
-	ds.SetCheckpointEvery(ckptEvery)
+	ds.SetWorkers(o.workers)
+	ds.SetCheckpointEvery(o.ckptEvery)
+	if want("integrity") && o.storeDir != "" {
+		if err := integrity(o.storeDir); err != nil {
+			return err
+		}
+	}
 	st, err := ds.Stats()
 	if err != nil {
 		return err
@@ -93,50 +138,64 @@ func run(payments int, seed int64, rounds int, storeDir, only string, workers in
 	fmt.Printf("history: %d pages, %d payments ok (%d failed), %d multi-hop, %d offers, %d active senders\n",
 		st.TotalPages, st.Payments, st.Failed, st.MultiHop, st.Offers, st.ActiveUsers)
 
-	if want("fig3") {
-		if err := figure3(ds); err != nil {
-			return err
+	steps := []struct {
+		name string
+		run  func() error
+	}{
+		{"fig3", func() error { return figure3(ds) }},
+		{"importance", func() error { return featureImportance(ds, o.workers) }},
+		{"cluster", func() error { return clustering(ds) }},
+		{"attack", func() error { return attackDemo(ds, o.samples, o.seed) }},
+		{"fig4", func() error { return figure4(ds) }},
+		{"fig5", func() error { return figure5(ds) }},
+		{"fig6", func() error { return figure6(ds) }},
+		{"table2", func() error { return tableII(ds) }},
+		{"fig7", func() error { return figure7(ds, o.top) }},
+		{"mitigation", func() error { return mitigation(ds) }},
+		{"spamcost", func() error { return spamCost(ds) }},
+		{"window", func() error { return window(ds) }},
+	}
+	for _, step := range steps {
+		if want(step.name) {
+			if err := step.run(); err != nil {
+				return err
+			}
 		}
 	}
-	if want("fig4") {
-		if err := figure4(ds); err != nil {
-			return err
-		}
+	return nil
+}
+
+// integrity verifies every stored page's checksum, decode and
+// parent-hash link, and reports the sequence-index sidecar's health: a
+// corrupt or stale sidecar still works — it rebuilds transparently —
+// but an operator should know the cache is being thrown away.
+func integrity(storeDir string) error {
+	store, err := ledgerstore.Open(storeDir)
+	if err != nil {
+		return err
 	}
-	if want("fig5") {
-		if err := figure5(ds); err != nil {
-			return err
-		}
+	rep, err := store.VerifyIntegrity()
+	if err != nil {
+		return err
 	}
-	if want("fig6") {
-		if err := figure6(ds); err != nil {
-			return err
-		}
+	ok := rep.ChainOK && rep.PageErrors == 0
+	if !ok {
+		fmt.Printf("WARNING: store integrity: chainOK=%v (broken at %d), %d corrupt pages\n",
+			rep.ChainOK, rep.BrokenAt, rep.PageErrors)
 	}
-	if want("table2") {
-		if err := tableII(ds); err != nil {
-			return err
-		}
+	if _, err := store.SegmentRanges(); err != nil {
+		return err
 	}
-	if want("fig7") {
-		if err := figure7(ds); err != nil {
-			return err
-		}
+	if idx := store.IndexReport(); idx.Corrupt {
+		fmt.Printf("WARNING: seqindex sidecar corrupt (%s); rebuilt %d segment entries\n",
+			idx.Error, idx.Rebuilt)
+	} else if !idx.Present {
+		fmt.Println("note: seqindex sidecar absent; built fresh")
+	} else if idx.Rebuilt > 0 {
+		fmt.Printf("note: seqindex sidecar stale; rebuilt %d segment entries\n", idx.Rebuilt)
 	}
-	if want("mitigation") {
-		if err := mitigation(ds); err != nil {
-			return err
-		}
-	}
-	if want("spamcost") {
-		if err := spamCost(ds); err != nil {
-			return err
-		}
-	}
-	if want("window") {
-		if err := window(ds); err != nil {
-			return err
-		}
+	if ok {
+		fmt.Printf("store integrity ok: %d pages, checksums and parent-hash chain verified\n", rep.Pages)
 	}
 	return nil
 }
@@ -161,10 +220,11 @@ func window(ds *core.Dataset) error {
 func buildOrOpen(payments int, seed int64, storeDir string) (*core.Dataset, error) {
 	if storeDir != "" {
 		if _, err := os.Stat(storeDir); err == nil {
-			fmt.Printf("(reusing existing store %s)\n", storeDir)
+			fmt.Printf("\n(reusing existing store %s)\n", storeDir)
 			return core.OpenDataset(storeDir)
 		}
 	}
+	fmt.Printf("\n=== Building synthetic history: %d payments, seed %d ===\n", payments, seed)
 	return core.BuildDataset(core.Config{Payments: payments, Seed: seed, StoreDir: storeDir})
 }
 
@@ -209,8 +269,93 @@ func figure3(ds *core.Dataset) error {
 	}
 	for _, r := range rows {
 		pct := 100 * r.IG
-		fmt.Printf("%-16s %6.2f%%  %s\n", r.Resolution, pct, strings.Repeat("#", int(pct/2.5)))
+		fmt.Printf("%-16s %6.2f%%  (%d unique of %d)  %s\n",
+			r.Resolution, pct, r.Unique, r.Total, strings.Repeat("#", int(pct/2.5)))
 	}
+	return nil
+}
+
+// featureImportance ranks the four fingerprint features by how much
+// information gain each carries alone and how much dropping it costs.
+func featureImportance(ds *core.Dataset, workers int) error {
+	imp, fullIG, err := ds.FeatureImportance(context.Background(), workers)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("\nFeature importance (full-resolution IG %.2f%%), strongest first:\n", 100*fullIG)
+	fmt.Printf("  %-12s %12s %12s %12s\n", "feature", "alone", "dropped", "marginal")
+	for _, fi := range imp {
+		fmt.Printf("  %-12s %11.2f%% %11.2f%% %11.2f%%\n",
+			fi.Feature, 100*fi.Alone, 100*fi.Dropped, 100*(fullIG-fi.Dropped))
+	}
+	return nil
+}
+
+// clustering links accounts activated by the same funder (the paper's
+// Appendix D / related-work [10] heuristic).
+func clustering(ds *core.Dataset) error {
+	clusterer := deanon.NewClusterer()
+	if err := ds.Source().Pages(clusterer.Page); err != nil {
+		return err
+	}
+	clusters := clusterer.Clusters(2)
+	fmt.Printf("\nActivation clustering: %d multi-account clusters", len(clusters))
+	if len(clusters) > 0 {
+		fmt.Printf("; largest links %d accounts through %s",
+			len(clusters[0].Accounts), clusters[0].Activator.Short())
+	}
+	fmt.Println()
+	fmt.Println("(de-anonymizing any member exposes the whole cluster's history)")
+	return nil
+}
+
+// attackDemo builds the attacker's index at full resolution, then
+// reservoir-samples payments and queries each with the sender blinded.
+func attackDemo(ds *core.Dataset, samples int, seed int64) error {
+	res := deanon.Figure3Rows[0] // ⟨Am;Tsc;C;D⟩
+	idx := deanon.NewIndex(res)
+	var reservoir []deanon.Features
+	rng := rand.New(rand.NewSource(seed))
+	n := 0
+	err := ds.Source().Pages(func(p *ledger.Page) error {
+		for i := range p.Txs {
+			f, ok := deanon.FromTransaction(p, p.Txs[i], p.Metas[i])
+			if !ok {
+				continue
+			}
+			idx.Add(f)
+			n++
+			if len(reservoir) < samples {
+				reservoir = append(reservoir, f)
+			} else if j := rng.Intn(n); j < samples {
+				reservoir[j] = f
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+
+	unique, hit := 0, 0
+	for _, obs := range reservoir {
+		truth := obs.Sender
+		blinded := obs
+		blinded.Sender = [20]byte{}
+		cands := idx.Candidates(blinded)
+		if len(cands) == 1 {
+			unique++
+			if cands[0] == truth {
+				hit++
+			}
+		}
+	}
+	fmt.Printf("\nAttack demo at %s over %d sampled observations:\n", res, len(reservoir))
+	fmt.Printf("  uniquely identified: %d (%.1f%%); all unique identifications correct: %v\n",
+		unique, 100*float64(unique)/float64(len(reservoir)), unique == hit)
+	fmt.Println("\nAnyone who overhears a single payment can, with this probability,")
+	fmt.Println("link it to the sender's account — and thus to the account's entire")
+	fmt.Println("past and future financial history on the public ledger.")
 	return nil
 }
 
@@ -439,9 +584,9 @@ func spamCost(ds *core.Dataset) error {
 	return nil
 }
 
-func figure7(ds *core.Dataset) error {
-	fmt.Println("\n=== Figure 7: the 50 most frequent intermediaries ===")
-	top, err := ds.Figure7(50)
+func figure7(ds *core.Dataset, k int) error {
+	fmt.Printf("\n=== Figure 7: the %d most frequent intermediaries ===\n", k)
+	top, err := ds.Figure7(k)
 	if err != nil {
 		return err
 	}

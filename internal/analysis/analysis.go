@@ -246,7 +246,7 @@ func (c *Collector) AddOffer(owner addr.AccountID) {
 // order-insensitive sum (counts, histograms) or union (account sets),
 // so merging per-worker collectors from a segment-parallel scan yields
 // exactly the state a single sequential collector would have reached —
-// the property the parallel cmd/ledger-analyze path relies on.
+// the property core's segment-parallel ecosystem scan relies on.
 func (c *Collector) Merge(other *Collector) { c.mergeFrom(other, true) }
 
 // MergeCloned folds another collector's statistics into c like Merge

@@ -137,12 +137,21 @@ func (ds *Dataset) ecosystem() (*analysis.Collector, error) {
 	workers := ds.workers()
 	if store, ok := ds.source.(*ledgerstore.Store); ok {
 		cols := make([]*analysis.Collector, workers)
+		arenas := make([]ledger.PageArena, workers)
 		for i := range cols {
 			cols[i] = analysis.NewCollector()
 		}
-		// Collector.Page copies everything it keeps, so the arena-decoded
-		// scan path is safe and skips the per-page decode garbage.
-		err := store.PagesParallelArena(context.Background(), workers, func(w int, p *ledger.Page) error {
+		// Collector.Page copies everything it keeps, so each worker
+		// decodes into its own reused arena and skips the per-page
+		// decode garbage.
+		err := store.PayloadsParallel(context.Background(), workers, func(w int, payload []byte) error {
+			p, used, err := ledger.DecodePageInto(payload, &arenas[w])
+			if err != nil {
+				return err
+			}
+			if used != len(payload) {
+				return fmt.Errorf("%w: %d trailing bytes in record", ledgerstore.ErrCorrupted, len(payload)-used)
+			}
 			return cols[w].Page(p)
 		})
 		if err != nil {

@@ -1,10 +1,17 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ripplestudy/internal/amount"
+	"ripplestudy/internal/ledger"
+	"ripplestudy/internal/ledgerstore"
 )
 
 // smallDataset builds a shared in-memory dataset for the facade tests.
@@ -69,6 +76,67 @@ func TestBuildDatasetWithStoreAndReopen(t *testing.T) {
 	}
 	if top[0].Profile.TrustReceived == 0 && top[0].Profile.TrustGiven == 0 {
 		t.Error("profiles not filled from replayed state")
+	}
+}
+
+// TestFigure4StoreScan: the store's segment-parallel ecosystem scan
+// agrees with the in-memory walk of the same history, and a CRC-clean
+// final record carrying bytes past its page encoding fails it with
+// ErrCorrupted instead of being counted.
+func TestFigure4StoreScan(t *testing.T) {
+	cfg := Config{Payments: 1200, Seed: 6}
+	mem, err := BuildDataset(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mem.Figure4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.StoreDir = filepath.Join(t.TempDir(), "store")
+	if _, err := BuildDataset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := OpenDataset(cfg.StoreDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.SetWorkers(4)
+	got, err := ds.Figure4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("store Figure 4 = %v, want %v", got, want)
+	}
+
+	var last *ledger.Page
+	if err := ds.Source().Pages(func(p *ledger.Page) error { last = p; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	payload := append(last.Encode(nil), 0)
+	rec := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	rec = append(rec, payload...)
+	rec = binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
+	segs, err := filepath.Glob(filepath.Join(cfg.StoreDir, "segment-*"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments: %v", err)
+	}
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ds, err = OpenDataset(cfg.StoreDir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.Figure4(); !errors.Is(err, ledgerstore.ErrCorrupted) {
+		t.Fatalf("Figure4 over a record with trailing bytes: err = %v, want ErrCorrupted", err)
 	}
 }
 

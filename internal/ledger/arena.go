@@ -19,7 +19,8 @@ import (
 // first — or use DecodePage, whose output is independently allocated.
 //
 // A PageArena is not safe for concurrent use; parallel scans keep one
-// arena per worker (see ledgerstore.PagesParallelArena).
+// arena per worker (see core's ecosystem scan over
+// ledgerstore.PayloadsParallel).
 type PageArena struct {
 	page  Page
 	txs   []Tx

@@ -83,50 +83,6 @@ feed:
 	return firstErr
 }
 
-// PagesParallelArena streams every stored page to fn, decoding segments
-// concurrently on up to `workers` goroutines. Each worker owns one
-// ledger.PageArena reused for every page it decodes, so a steady-state
-// scan allocates almost nothing.
-//
-// Ordering: pages within one segment arrive in append order, but
-// segments are interleaved arbitrarily across workers — callers needing
-// global order must use Pages or reorder by header sequence. fn is
-// called concurrently from up to `workers` goroutines; the worker index
-// (0 ≤ w < workers) identifies the calling goroutine so callers can
-// keep per-worker state (e.g. one analysis.Collector each) without
-// locking.
-//
-// The first error — fn's, a decode failure, or ctx cancellation — stops
-// all workers and is returned. A workers value < 1 defaults to
-// GOMAXPROCS. Like Pages, a truncated final record is tolerated and a
-// checksum mismatch returns ErrCorrupted.
-//
-// Recycling contract: the page passed to fn (and every transaction,
-// metadata record, and byte slice reachable from it) is valid only
-// until fn returns — the worker's next decode resets the arena. fn must
-// copy anything it keeps; consumers that retain pages use Pages.
-func (s *Store) PagesParallelArena(ctx context.Context, workers int, fn func(worker int, p *ledger.Page) error) error {
-	return s.forEachSegmentParallel(ctx, workers, func(ctx context.Context, w int, seg string) error {
-		a := arenaPool.Get().(*ledger.PageArena)
-		defer arenaPool.Put(a)
-		return forEachRecord(seg, func(payload []byte) error {
-			page, err := decodeRecord(seg, payload, a)
-			if err != nil {
-				return err
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return fn(w, page)
-		})
-	})
-}
-
-// arenaPool recycles decode arenas across scans so repeated
-// PagesParallelArena/ScanPayments calls (the live serve layer's
-// refresh cadence) reuse warmed slabs.
-var arenaPool = sync.Pool{New: func() any { return new(ledger.PageArena) }}
-
 // PayloadsParallel streams every CRC-verified record payload (one
 // canonical page encoding each) to fn on up to `workers` goroutines,
 // without decoding anything — the rawest scan surface, for consumers
@@ -134,10 +90,18 @@ var arenaPool = sync.Pool{New: func() any { return new(ledger.PageArena) }}
 // (ledger.VisitTxs / ledger.ScanPayments) and own the result.
 //
 // The payload aliases the segment's (possibly memory-mapped) bytes and
-// is valid only inside fn; retain copies, not the slice. Ordering and
-// error semantics match PagesParallelArena: per-segment append order,
-// arbitrary interleaving across segments, first error (fn's, a
-// corrupted record, or ctx cancellation) stops all workers.
+// is valid only inside fn; retain copies, not the slice. Records within
+// one segment arrive in append order, but segments are interleaved
+// arbitrarily across workers — callers needing global order use Pages
+// or reorder by header sequence. fn is called concurrently from up to
+// `workers` goroutines; the worker index (0 ≤ w < workers) identifies
+// the calling goroutine, so callers keep per-worker state (one
+// ledger.PageArena and one analysis.Collector each, say) without
+// locking. The first error — fn's, a corrupted record, or ctx
+// cancellation — stops all workers and is returned. A workers value
+// < 1 defaults to GOMAXPROCS. Like Pages, a truncated final record is
+// tolerated; unlike it, a CRC-clean record with bytes past its page
+// encoding is delivered, so a decoding consumer checks the length.
 func (s *Store) PayloadsParallel(ctx context.Context, workers int, fn func(worker int, payload []byte) error) error {
 	return s.forEachSegmentParallel(ctx, workers, func(ctx context.Context, w int, seg string) error {
 		n := 0
@@ -163,8 +127,9 @@ func (s *Store) PayloadsParallel(ctx context.Context, workers int, fn func(worke
 // The *ledger.PaymentView passed to fn is reused by that worker and
 // valid only inside the call; all its fields are plain values, so
 // copying what's needed is cheap. Ordering and error semantics match
-// PagesParallelArena (per-segment order, arbitrary interleaving across
-// segments, first error wins).
+// PayloadsParallel (per-segment order, arbitrary interleaving across
+// segments, first error wins), except that a record with trailing bytes
+// is ErrCorrupted.
 func (s *Store) ScanPayments(ctx context.Context, workers int, fn func(worker int, pv *ledger.PaymentView) error) error {
 	return s.forEachSegmentParallel(ctx, workers, func(ctx context.Context, w int, seg string) error {
 		n := 0

@@ -12,15 +12,27 @@ import (
 	"ripplestudy/internal/ledger"
 )
 
-// parallelSeqs runs PagesParallelArena and collects the observed page
+// The tests below hold forEachSegmentParallel to its contract through
+// PayloadsParallel, the walker that hands it out most directly.
+
+// payloadSeq reads a record's page sequence from its header.
+func payloadSeq(t *testing.T, payload []byte) uint64 {
+	h, _, err := ledger.DecodeHeader(payload)
+	if err != nil {
+		t.Error(err)
+	}
+	return h.Sequence
+}
+
+// parallelSeqs runs PayloadsParallel and collects the observed page
 // sequences.
 func parallelSeqs(t *testing.T, s *Store, workers int) []uint64 {
 	t.Helper()
 	var mu sync.Mutex
 	var seqs []uint64
-	err := s.PagesParallelArena(context.Background(), workers, func(w int, p *ledger.Page) error {
+	err := s.PayloadsParallel(context.Background(), workers, func(w int, payload []byte) error {
 		mu.Lock()
-		seqs = append(seqs, p.Header.Sequence)
+		seqs = append(seqs, payloadSeq(t, payload))
 		mu.Unlock()
 		return nil
 	})
@@ -77,8 +89,8 @@ func TestPagesParallelPreservesSegmentOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []uint64
-	err = s.PagesParallelArena(context.Background(), 1, func(w int, p *ledger.Page) error {
-		got = append(got, p.Header.Sequence)
+	err = s.PayloadsParallel(context.Background(), 1, func(w int, payload []byte) error {
+		got = append(got, payloadSeq(t, payload))
 		return nil
 	})
 	if err != nil {
@@ -97,9 +109,9 @@ func TestPagesParallelPreservesSegmentOrder(t *testing.T) {
 	// worker never revisits a sequence.
 	perWorker := make([][]uint64, 4)
 	var mu sync.Mutex
-	err = s.PagesParallelArena(context.Background(), 4, func(w int, p *ledger.Page) error {
+	err = s.PayloadsParallel(context.Background(), 4, func(w int, payload []byte) error {
 		mu.Lock()
-		perWorker[w] = append(perWorker[w], p.Header.Sequence)
+		perWorker[w] = append(perWorker[w], payloadSeq(t, payload))
 		mu.Unlock()
 		return nil
 	})
@@ -126,7 +138,7 @@ func TestPagesParallelPropagatesError(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	var calls atomic.Int64
-	err = s.PagesParallelArena(context.Background(), 3, func(w int, p *ledger.Page) error {
+	err = s.PayloadsParallel(context.Background(), 3, func(w int, payload []byte) error {
 		if calls.Add(1) == 4 {
 			return boom
 		}
@@ -146,7 +158,7 @@ func TestPagesParallelHonorsContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
-	err = s.PagesParallelArena(ctx, 2, func(w int, p *ledger.Page) error {
+	err = s.PayloadsParallel(ctx, 2, func(w int, payload []byte) error {
 		if calls.Add(1) == 2 {
 			cancel()
 		}
@@ -176,7 +188,7 @@ func TestPagesParallelDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = s.PagesParallelArena(context.Background(), 4, func(int, *ledger.Page) error { return nil })
+	err = s.PayloadsParallel(context.Background(), 4, func(int, []byte) error { return nil })
 	if !errors.Is(err, ErrCorrupted) {
 		t.Fatalf("err = %v, want ErrCorrupted", err)
 	}
@@ -191,7 +203,7 @@ func TestPagesParallelWorkerIndexBounds(t *testing.T) {
 	}
 	const workers = 3
 	var bad atomic.Int64
-	err = s.PagesParallelArena(context.Background(), workers, func(w int, p *ledger.Page) error {
+	err = s.PayloadsParallel(context.Background(), workers, func(w int, payload []byte) error {
 		if w < 0 || w >= workers {
 			bad.Add(1)
 		}

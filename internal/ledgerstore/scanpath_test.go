@@ -73,6 +73,20 @@ func pageDigest(p *ledger.Page) ledger.Hash {
 	return ledger.SHA512Half(p.Encode(nil))
 }
 
+// arenaPages decodes every record PayloadsParallel delivers into one
+// reused arena per worker, with decodeRecord's one-page-per-record
+// check — the way core's ecosystem scan reads a store.
+func arenaPages(s *Store, workers int, fn func(w int, p *ledger.Page) error) error {
+	arenas := make([]ledger.PageArena, workers)
+	return s.PayloadsParallel(context.Background(), workers, func(w int, payload []byte) error {
+		p, err := decodeRecord("payload", payload, &arenas[w])
+		if err != nil {
+			return err
+		}
+		return fn(w, p)
+	})
+}
+
 // TestPagesArenaMatchesPages: the arena-decoded scan must see
 // bit-identical pages — in Pages order on one worker, and as the same
 // multiset of page-encoding digests (the arena contract forbids
@@ -86,12 +100,12 @@ func TestPagesArenaMatchesPages(t *testing.T) {
 	}
 	want := collectPages(t, s)
 	i := 0
-	err = s.PagesParallelArena(context.Background(), 1, func(_ int, p *ledger.Page) error {
+	err = arenaPages(s, 1, func(_ int, p *ledger.Page) error {
 		if i >= len(want) {
 			t.Fatal("arena scan yielded extra pages")
 		}
 		if !reflect.DeepEqual(want[i], p) {
-			t.Fatalf("page %d differs between Pages and PagesParallelArena", i)
+			t.Fatalf("page %d differs between Pages and the arena scan", i)
 		}
 		i++
 		return nil
@@ -108,7 +122,7 @@ func TestPagesArenaMatchesPages(t *testing.T) {
 		wantDigests = append(wantDigests, pageDigest(p).String())
 	}
 	var mu sync.Mutex
-	err = s.PagesParallelArena(context.Background(), 4, func(_ int, p *ledger.Page) error {
+	err = arenaPages(s, 4, func(_ int, p *ledger.Page) error {
 		d := pageDigest(p).String()
 		mu.Lock()
 		gotDigests = append(gotDigests, d)
@@ -223,7 +237,7 @@ func TestScanPaymentsStops(t *testing.T) {
 
 // TestScanPathsAgreeUnderFaultInjection corrupts well over 15% of the
 // store's segments and requires every scan path — heap pages, arena
-// pages, payment projection, each under both mmap and ReadFile — to
+// pages over raw payloads, payment projection, each under both mmap and ReadFile — to
 // fail or succeed identically, with identical surviving payments when
 // the corruption only truncates framing.
 func TestScanPathsAgreeUnderFaultInjection(t *testing.T) {
@@ -264,6 +278,11 @@ func TestScanPathsAgreeUnderFaultInjection(t *testing.T) {
 			case errors.Is(err, ErrCorrupted):
 				return "corrupted"
 			default:
+				// Pages names the segment and the arena scan does not;
+				// the decoder's own error must still match.
+				for errors.Unwrap(err) != nil {
+					err = errors.Unwrap(err)
+				}
 				return "decode:" + err.Error()
 			}
 		}
@@ -287,7 +306,7 @@ func TestScanPathsAgreeUnderFaultInjection(t *testing.T) {
 		}
 		viaArena := func() outcome {
 			var o outcome
-			o.errClass = classify(s.PagesParallelArena(context.Background(), 1, func(_ int, p *ledger.Page) error {
+			o.errClass = classify(arenaPages(s, 1, func(_ int, p *ledger.Page) error {
 				for i, tx := range p.Txs {
 					if tx.Type == ledger.TxPayment && p.Metas[i].Result.Succeeded() {
 						o.payments = append(o.payments, ledger.PaymentView{
@@ -337,7 +356,8 @@ func TestScanPathsAgreeUnderFaultInjection(t *testing.T) {
 						seed, fileRead, name, got.errClass)
 				}
 			}
-			// The full-decode paths must agree exactly, error text included.
+			// The full-decode paths must agree exactly, decoder error text
+			// included.
 			if got := viaArena(); got.errClass != ref.errClass || len(got.payments) != len(ref.payments) {
 				t.Fatalf("seed %d (fileRead=%v): arena outcome %q/%d vs pages %q/%d",
 					seed, fileRead, got.errClass, len(got.payments), ref.errClass, len(ref.payments))
@@ -391,6 +411,19 @@ func TestSeqIndexCorruptSidecarSurfaced(t *testing.T) {
 	}
 }
 
+// rangeDigests is the reference a range read is held to: the digests of
+// the pages Pages delivers whose sequence lies in [lo, hi], in order.
+func rangeDigests(t *testing.T, s *Store, lo, hi uint64) []ledger.Hash {
+	t.Helper()
+	var out []ledger.Hash
+	for _, p := range collectPages(t, s) {
+		if seq := p.Header.Sequence; seq >= lo && seq <= hi {
+			out = append(out, pageDigest(p))
+		}
+	}
+	return out
+}
+
 // TestPagesRangeRecycledOwnership: the ownership-transfer range reader
 // must deliver bit-identical pages, and every retained page must stay
 // intact until its release is called — even after later pages in the
@@ -403,13 +436,7 @@ func TestPagesRangeRecycledOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rng := range [][2]uint64{{1, 30}, {7, 19}, {15, 15}, {25, 99}, {31, 40}} {
-		var want []ledger.Hash
-		if err := s.PagesRange(rng[0], rng[1], func(p *ledger.Page) error {
-			want = append(want, pageDigest(p))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		want := rangeDigests(t, s, rng[0], rng[1])
 		var (
 			pages    []*ledger.Page
 			releases []func()
@@ -445,15 +472,8 @@ func TestPagesRangeRecycledOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []ledger.Hash
-	if err := s.PagesRange(1, 30, func(p *ledger.Page) error {
-		want = append(want, pageDigest(p))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("recycled rescan disagrees with PagesRange")
+	if want := rangeDigests(t, s, 1, 30); !reflect.DeepEqual(got, want) {
+		t.Fatal("recycled rescan disagrees with Pages")
 	}
 }
 

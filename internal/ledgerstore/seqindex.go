@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"ripplestudy/internal/ledger"
 )
@@ -123,8 +124,8 @@ func scanSegmentRange(path string, size int64) (SegmentRange, error) {
 }
 
 // IndexReport returns the sidecar health observed by the most recent
-// SegmentRanges call (directly or via LastSeq/PagesRange/Stats). The
-// zero value means the index has not been loaded yet this session.
+// SegmentRanges call (via LastSeq, PagesRangeRecycled, Stats or
+// directly). The zero value means it has not been loaded this session.
 func (s *Store) IndexReport() IndexLoadReport { return s.indexReport }
 
 // SegmentRanges returns the per-segment sequence coverage, in segment
@@ -208,15 +209,27 @@ func (s *Store) rangeSegments(lo, hi uint64) ([]SegmentRange, error) {
 	return out, nil
 }
 
-// walkRange is the one range walker under PagesRange and
-// PagesRangeRecycled: it streams, in append order, the CRC-verified
-// payload of every record whose header sequence lies in [lo, hi]
-// (inclusive) to visit. Segments entirely outside the range are never
-// opened — the point of the sequence index: replaying from a 70%
-// snapshot touches ~30% of the store. Within a boundary segment, pages
-// below the range are skipped after a header-only peek, without
-// decoding their transactions. The payload is valid only inside visit.
-func (s *Store) walkRange(lo, hi uint64, visit func(path string, payload []byte) error) error {
+// arenaPool recycles decode arenas across scans, so repeated replays
+// (the decode-ahead stream) reuse warmed slabs.
+var arenaPool = sync.Pool{New: func() any { return new(ledger.PageArena) }}
+
+// PagesRangeRecycled streams the pages in [lo, hi] with per-page arena
+// decoding and explicit recycling: each page is decoded into an arena
+// drawn from the package pool and handed to fn together with a release
+// closure. The page stays valid — independently of any later decode or
+// of the segment mapping — until release is called, at which point its
+// arena returns to the pool and the page is dead.
+//
+// Segments entirely outside the range are never opened — the point of
+// the sequence index: replaying from a 70% snapshot touches ~30% of the
+// store. Within a boundary segment, pages below the range are skipped
+// after a header-only peek, without decoding their transactions.
+//
+// Pipelined consumers (the replay decode-ahead stream) call release
+// exactly once per page, when done with it. Never calling it is safe (a
+// caller that keeps its pages does that); calling it twice corrupts the
+// pool. fn's errors, ErrStop included, propagate as in Pages.
+func (s *Store) PagesRangeRecycled(lo, hi uint64, fn func(p *ledger.Page, release func()) error) error {
 	segs, err := s.rangeSegments(lo, hi)
 	if err != nil {
 		return err
@@ -236,7 +249,13 @@ func (s *Store) walkRange(lo, hi uint64, visit func(path string, payload []byte)
 				// segment can be in range.
 				return errStopSegment
 			}
-			return visit(path, payload)
+			a := arenaPool.Get().(*ledger.PageArena)
+			page, err := decodeRecord(path, payload, a)
+			if err != nil {
+				arenaPool.Put(a)
+				return err
+			}
+			return fn(page, func() { arenaPool.Put(a) })
 		})
 		if errors.Is(err, errStopSegment) {
 			return nil
@@ -246,41 +265,4 @@ func (s *Store) walkRange(lo, hi uint64, visit func(path string, payload []byte)
 		}
 	}
 	return nil
-}
-
-// PagesRange streams, in append order, every page whose header sequence
-// lies in [lo, hi] (inclusive), opening only the segments the sequence
-// index says overlap the range. Pages are decoded onto the heap, so fn
-// may retain them. fn's errors, ErrStop included, propagate as in
-// Pages.
-func (s *Store) PagesRange(lo, hi uint64, fn func(*ledger.Page) error) error {
-	return s.walkRange(lo, hi, func(path string, payload []byte) error {
-		page, err := decodeRecord(path, payload, nil)
-		if err != nil {
-			return err
-		}
-		return fn(page)
-	})
-}
-
-// PagesRangeRecycled streams the pages in [lo, hi] with per-page arena
-// decoding and explicit recycling: each page is decoded into an arena
-// drawn from the package pool and handed to fn together with a release
-// closure. The page stays valid — independently of any later decode or
-// of the segment mapping — until release is called, at which point its
-// arena returns to the pool and the page is dead. This is the
-// ownership-transfer variant of PagesRange for pipelined consumers (the
-// replay decode-ahead stream) that buffer pages across goroutines: call
-// release exactly once per page, when done with it. Not calling it is
-// safe but forfeits recycling; calling it twice corrupts the pool.
-func (s *Store) PagesRangeRecycled(lo, hi uint64, fn func(p *ledger.Page, release func()) error) error {
-	return s.walkRange(lo, hi, func(path string, payload []byte) error {
-		a := arenaPool.Get().(*ledger.PageArena)
-		page, err := decodeRecord(path, payload, a)
-		if err != nil {
-			arenaPool.Put(a)
-			return err
-		}
-		return fn(page, func() { arenaPool.Put(a) })
-	})
 }

@@ -129,22 +129,28 @@ func TestSeqIndexSurvivesDeletion(t *testing.T) {
 	}
 }
 
+// TestPagesRange: the range reader delivers exactly the pages Pages
+// does whose sequence lies in the range, in order.
 func TestPagesRange(t *testing.T) {
-	s, all := openSmall(t, 40)
+	s, _ := openSmall(t, 40)
 	lo, hi := uint64(13), uint64(29)
 	var got []uint64
-	err := s.PagesRange(lo, hi, func(p *ledger.Page) error {
+	err := s.PagesRangeRecycled(lo, hi, func(p *ledger.Page, release func()) error {
 		got = append(got, p.Header.Sequence)
+		release()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []uint64
-	for _, p := range all {
-		if p.Header.Sequence >= lo && p.Header.Sequence <= hi {
-			want = append(want, p.Header.Sequence)
+	if err := s.Pages(func(p *ledger.Page) error {
+		if seq := p.Header.Sequence; seq >= lo && seq <= hi {
+			want = append(want, seq)
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d pages, want %d", len(got), len(want))
@@ -155,14 +161,20 @@ func TestPagesRange(t *testing.T) {
 		}
 	}
 	// Degenerate ranges.
-	if err := s.PagesRange(5, 4, func(*ledger.Page) error { t.Fatal("inverted range visited a page"); return nil }); err != nil {
-		t.Fatal(err)
+	visit := func(count *int) func(*ledger.Page, func()) error {
+		return func(_ *ledger.Page, release func()) error {
+			*count++
+			release()
+			return nil
+		}
 	}
-	count := 0
-	if err := s.PagesRange(1000, 2000, func(*ledger.Page) error { count++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 0 {
-		t.Errorf("out-of-history range visited %d pages", count)
+	for _, rng := range [][2]uint64{{5, 4}, {1000, 2000}} {
+		count := 0
+		if err := s.PagesRangeRecycled(rng[0], rng[1], visit(&count)); err != nil {
+			t.Fatal(err)
+		}
+		if count != 0 {
+			t.Errorf("range %v visited %d pages", rng, count)
+		}
 	}
 }

@@ -191,7 +191,8 @@ func (s *Store) Dir() string { return s.dir }
 // truncated final record terminates iteration silently (crash-tolerant
 // tail); a checksum mismatch returns ErrCorrupted. Pages are decoded
 // onto the heap, so fn may retain them; scans that don't need that use
-// PagesParallelArena or ScanPayments and skip the per-page allocations.
+// PayloadsParallel (decoding into one PageArena per worker) or
+// ScanPayments and skip the per-page allocations.
 func (s *Store) Pages(fn func(*ledger.Page) error) error {
 	if err := s.closeCurrent(); err != nil {
 		return err

@@ -34,17 +34,11 @@ var scanWalkers = []scanWalker{
 	{name: "Pages", decodes: true, run: func(_ context.Context, s *Store, visit func() error) error {
 		return s.Pages(func(*ledger.Page) error { return visit() })
 	}},
-	{name: "PagesRange", decodes: true, run: func(_ context.Context, s *Store, visit func() error) error {
-		return s.PagesRange(0, math.MaxUint64, func(*ledger.Page) error { return visit() })
-	}},
 	{name: "PagesRangeRecycled", decodes: true, run: func(_ context.Context, s *Store, visit func() error) error {
 		return s.PagesRangeRecycled(0, math.MaxUint64, func(_ *ledger.Page, release func()) error {
 			release()
 			return visit()
 		})
-	}},
-	{name: "PagesParallelArena", takesCtx: true, decodes: true, run: func(ctx context.Context, s *Store, visit func() error) error {
-		return s.PagesParallelArena(ctx, 1, func(int, *ledger.Page) error { return visit() })
 	}},
 	{name: "PayloadsParallel", takesCtx: true, run: func(ctx context.Context, s *Store, visit func() error) error {
 		return s.PayloadsParallel(ctx, 1, func(int, []byte) error { return visit() })

@@ -9,9 +9,8 @@
 // Run applies the post-snapshot transactions one at a time, in ledger
 // order, each payment searched against the state the previous one left.
 // History arrives through a decode-ahead page stream that uses the
-// source's sequence index (RangeSource) when available, so a replay
-// from a 70% snapshot reads each byte of the store once instead of
-// scanning it twice.
+// store's sequence index, so a replay from a 70% snapshot reads each
+// byte of the store once instead of scanning it twice.
 package replay
 
 import (
@@ -26,17 +25,14 @@ import (
 	"ripplestudy/internal/shamap"
 )
 
-// Source streams ledger pages in order; ledgerstore.Store satisfies it.
+// Source streams ledger pages in order: all of them, or only those whose
+// header sequence falls in [lo, hi], each with a release that recycles
+// its decode arena (nil when the source keeps its pages).
+// ledgerstore.Store satisfies it through its segment sequence index;
+// FromPages wraps an in-memory history.
 type Source interface {
 	Pages(fn func(*ledger.Page) error) error
-}
-
-// RangeSource is a Source that can stream only the pages whose header
-// sequence falls in [lo, hi], skipping the rest without decoding them.
-// ledgerstore.Store satisfies it via its segment sequence index.
-type RangeSource interface {
-	Source
-	PagesRange(lo, hi uint64, fn func(*ledger.Page) error) error
+	PagesRangeRecycled(lo, hi uint64, fn func(p *ledger.Page, release func()) error) error
 }
 
 // sliceSource adapts an in-memory page list (tests, freshly generated
@@ -52,8 +48,9 @@ func (s sliceSource) Pages(fn func(*ledger.Page) error) error {
 	return nil
 }
 
-// PagesRange implements RangeSource; pages are in append (ledger) order.
-func (s sliceSource) PagesRange(lo, hi uint64, fn func(*ledger.Page) error) error {
+// PagesRangeRecycled implements Source; pages are in append (ledger)
+// order and stay owned by the slice, so release is nil.
+func (s sliceSource) PagesRangeRecycled(lo, hi uint64, fn func(p *ledger.Page, release func()) error) error {
 	for _, p := range s {
 		seq := p.Header.Sequence
 		if seq < lo {
@@ -62,7 +59,7 @@ func (s sliceSource) PagesRange(lo, hi uint64, fn func(*ledger.Page) error) erro
 		if seq > hi {
 			return nil
 		}
-		if err := fn(p); err != nil {
+		if err := fn(p, nil); err != nil {
 			return err
 		}
 	}
@@ -72,33 +69,9 @@ func (s sliceSource) PagesRange(lo, hi uint64, fn func(*ledger.Page) error) erro
 // FromPages wraps an in-memory page list as a Source.
 func FromPages(pages []*ledger.Page) Source { return sliceSource(pages) }
 
-// errStopBuild stops a full scan once past the requested range. It must
-// be matched with errors.Is: wrapped errors compared with != would leak
-// past the check and abort callers that merely reached the snapshot.
-var errStopBuild = errors.New("replay: snapshot reached")
-
-// rangePages streams the pages with sequence in [lo, hi] from src,
-// using PagesRange when the source supports it and an early-stopping
-// full scan otherwise (history pages are in ledger order).
-func rangePages(src Source, lo, hi uint64, fn func(*ledger.Page) error) error {
-	if rs, ok := src.(RangeSource); ok {
-		return rs.PagesRange(lo, hi, fn)
-	}
-	err := src.Pages(func(p *ledger.Page) error {
-		seq := p.Header.Sequence
-		if seq < lo {
-			return nil
-		}
-		if seq > hi {
-			return errStopBuild
-		}
-		return fn(p)
-	})
-	if errors.Is(err, errStopBuild) {
-		return nil
-	}
-	return err
-}
+// errStopStream stops the decode-ahead producer once the consumer has
+// quit. It must be matched with errors.Is: the source may wrap it.
+var errStopStream = errors.New("replay: consumer stopped")
 
 // pageOrErr is one element of the decode-ahead stream. release, when
 // non-nil, recycles the page's decode arena; the consumer must call it
@@ -110,21 +83,14 @@ type pageOrErr struct {
 	err     error
 }
 
-// recycledRangeSource is the optional fast path of the decode-ahead
-// stream: a source that can decode each page into a pooled arena and
-// hand ownership to the consumer (ledgerstore.Store implements it).
-type recycledRangeSource interface {
-	PagesRangeRecycled(lo, hi uint64, fn func(p *ledger.Page, release func()) error) error
-}
-
 // decodeAhead is how many decoded pages streamPages buffers.
 const decodeAhead = 16
 
 // streamPages decodes pages [lo, hi] on a producer goroutine, sending
 // them through a buffered channel so decoding overlaps whatever the
-// consumer does with each page (engine apply). Sources with
-// recycled-arena decoding stream through pooled arenas — the consumer
-// releases each page once it has finished with it, so a steady-state
+// consumer does with each page (engine apply). A store decodes into
+// pooled arenas — the consumer releases each page once it has finished
+// with it (an in-memory source's release is nil), so a steady-state
 // replay reuses a bounded ring of arenas instead of heap-decoding the
 // whole history. The ring is decodeAhead pages deep: an arena keeps
 // slabs sized to the largest page it has decoded, so a deeper ring holds
@@ -141,22 +107,15 @@ func streamPages(src Source, lo, hi uint64, stop <-chan struct{}) <-chan pageOrE
 			if pe.release != nil {
 				pe.release()
 			}
-			return errStopBuild
+			return errStopStream
 		}
 	}
 	go func() {
 		defer close(ch)
-		var err error
-		if rs, ok := src.(recycledRangeSource); ok {
-			err = rs.PagesRangeRecycled(lo, hi, func(p *ledger.Page, release func()) error {
-				return send(pageOrErr{page: p, release: release})
-			})
-		} else {
-			err = rangePages(src, lo, hi, func(p *ledger.Page) error {
-				return send(pageOrErr{page: p})
-			})
-		}
-		if err != nil && !errors.Is(err, errStopBuild) {
+		err := src.PagesRangeRecycled(lo, hi, func(p *ledger.Page, release func()) error {
+			return send(pageOrErr{page: p, release: release})
+		})
+		if err != nil && !errors.Is(err, errStopStream) {
 			select {
 			case ch <- pageOrErr{err: err}:
 			case <-stop:

@@ -37,7 +37,7 @@ func sameResult(t *testing.T, want, got *Result, label string) {
 }
 
 // TestRunStoreMatchesSlice replays the same history from a disk store
-// (exercising the segment sequence index / PagesRange path) and from
+// (exercising the segment sequence index / PagesRangeRecycled path) and from
 // memory; the two must agree.
 func TestRunStoreMatchesSlice(t *testing.T) {
 	pages, _ := generate(t, 2000, 8)
