@@ -14,9 +14,28 @@
 // requires the union of every cp-*.nodes with sequence ≤ N, read back
 // under one index. A missing or damaged batch makes the checkpoints from
 // it onward unloadable, and the replayer resumes from the newest one
-// before it (or rebuilds cold when there is none). The manifest is
-// written atomically (tmp + rename) AFTER its nodes file is synced, so a
-// manifest's existence implies a complete batch.
+// before it (or rebuilds cold when there is none).
+//
+// A build that writes checkpoints ends by writing one more file, the
+// base of the newest checkpoint it sealed:
+//
+//	cp-%016d.base   — nodestore batch: EVERY node of that checkpoint's
+//	                  tree, parents first, so a restart from it opens
+//	                  one file sized by the state rather than by the
+//	                  history of batches
+//
+// A base has no manifest of its own: it is read under its checkpoint's
+// manifest, and the load checks every record's CRC and every node's hash
+// against that manifest's root, so a damaged or foreign base fails the
+// load and the restart reads the incremental batches instead. Writing a
+// base deletes the bases of older checkpoints once it is durable; the
+// incremental batches are never deleted, so every checkpoint stays
+// loadable.
+//
+// Every file is committed the same way (commitFile): written to a tmp
+// name and synced, renamed into place, and the directory synced. A
+// manifest is committed after its nodes file is synced, so a manifest's
+// existence implies a complete batch.
 package ledgerstore
 
 import (
@@ -103,11 +122,96 @@ func WriteCheckpoint(dir string, meta *CheckpointMeta, emit func(put func(h ledg
 	if err != nil {
 		return err
 	}
-	tmp := metaPath + ".tmp"
-	if err := os.WriteFile(tmp, append(blob, '\n'), 0o644); err != nil {
+	return commitFile(metaPath, func(tmp string) error {
+		f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if err != nil {
+			return err
+		}
+		_, err = f.Write(append(blob, '\n'))
+		if err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	})
+}
+
+// commitFile makes path appear whole and durably, or not at all: write
+// creates, fills and syncs path+".tmp" (a stale one, left by a commit
+// that was interrupted, is removed first), which is then renamed over
+// path, and the directory is synced so that the rename survives a crash.
+func commitFile(path string, write func(tmp string) error) error {
+	tmp := path + ".tmp"
+	_ = os.Remove(tmp)
+	if err := write(tmp); err != nil {
+		_ = os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, metaPath)
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func checkpointBasePath(dir string, seq uint64) string {
+	return filepath.Join(dir, checkpointBase(seq)+".base")
+}
+
+// WriteCheckpointBase commits the base of the checkpoint at seq: emit
+// streams every node of that checkpoint's tree into one batch, committed
+// by commitFile. Once it is durable, the bases of older checkpoints are
+// deleted, and so are the tmp files interrupted writes of them left. A
+// newer base stays: a build that stops short of it has not superseded it.
+func WriteCheckpointBase(dir string, seq uint64, emit func(put func(h ledger.Hash, data []byte) error) (int, error)) error {
+	path := checkpointBasePath(dir, seq)
+	err := commitFile(path, func(tmp string) error {
+		fw, err := nodestore.CreateFile(tmp)
+		if err != nil {
+			return err
+		}
+		if _, err := emit(fw.Put); err != nil {
+			fw.Close()
+			return err
+		}
+		return fw.Close()
+	})
+	if err != nil {
+		return err
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".base") && !strings.HasSuffix(name, ".base.tmp") {
+			continue
+		}
+		var older uint64
+		if _, err := fmt.Sscanf(name, "cp-%016d.base", &older); err != nil || older >= seq {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// OpenCheckpointBase opens the base of the checkpoint at seq as a store,
+// CRC-verifying every record. It fails when there is no such base.
+func OpenCheckpointBase(dir string, seq uint64) (*nodestore.FileStore, error) {
+	return nodestore.OpenFile(checkpointBasePath(dir, seq))
 }
 
 // ListCheckpoints returns the usable checkpoints in dir, sorted by

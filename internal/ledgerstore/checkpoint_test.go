@@ -157,3 +157,73 @@ func TestListCheckpointsNoDir(t *testing.T) {
 		t.Fatalf("got %v, %v; want empty, nil", metas, err)
 	}
 }
+
+// TestCheckpointBaseWriteOpen pins the base file's life cycle: it opens
+// as one store, a newer base deletes the older ones and the tmp files
+// their interrupted writes left, an older base leaves a newer one alone,
+// and a stale tmp under the name being written is replaced.
+func TestCheckpointBaseWriteOpen(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), CheckpointDirName)
+	writeTestCheckpoint(t, dir, 100, 1)
+	writeBase := func(seq uint64, recs ...int) {
+		t.Helper()
+		err := WriteCheckpointBase(dir, seq, func(put func(ledger.Hash, []byte) error) (int, error) {
+			for _, i := range recs {
+				h, p := cpRec(i)
+				if err := put(h, p); err != nil {
+					return 0, err
+				}
+			}
+			return len(recs), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	bases := func() []string {
+		t.Helper()
+		matches, err := filepath.Glob(filepath.Join(dir, "*.base*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range matches {
+			matches[i] = filepath.Base(m)
+		}
+		return matches
+	}
+	for _, name := range []string{"cp-0000000000000050.base.tmp", "cp-0000000000000300.base.tmp", "cp-0000000000000400.base.tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeBase(100, 1, 2)
+	writeBase(300, 1, 2, 3)
+	if got := strings.Join(bases(), " "); got != "cp-0000000000000300.base cp-0000000000000400.base.tmp" {
+		t.Fatalf("after the base at 300: %s", got)
+	}
+	writeBase(200, 1)
+	if got := strings.Join(bases(), " "); got != "cp-0000000000000200.base cp-0000000000000300.base cp-0000000000000400.base.tmp" {
+		t.Fatalf("after the base at 200: %s", got)
+	}
+
+	store, err := OpenCheckpointBase(dir, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.Len() != 3 {
+		t.Fatalf("base at 300 holds %d records, wrote 3", store.Len())
+	}
+	for _, i := range []int{1, 2, 3} {
+		h, p := cpRec(i)
+		if got, err := store.Get(h); err != nil || string(got) != string(p) {
+			t.Fatalf("record %d: %x, %v", i, got, err)
+		}
+	}
+	if _, err := OpenCheckpointBase(dir, 100); err == nil {
+		t.Fatal("the superseded base at 100 still opens")
+	}
+	// A base is not a checkpoint: the listing is the manifests'.
+	if metas, err := ListCheckpoints(dir); err != nil || len(metas) != 1 || metas[0].Seq != 100 {
+		t.Fatalf("listed %+v, %v", metas, err)
+	}
+}

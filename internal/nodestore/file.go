@@ -13,7 +13,7 @@ import (
 // FileWriter is the batch-writing file backend: records append through
 // a buffered writer, duplicates (by hash) are skipped, and Close
 // flushes and syncs. A replay checkpoint streams one seal's new tree
-// nodes through it and renames the finished file into place.
+// nodes through it, and a checkpoint base the whole tree.
 type FileWriter struct {
 	f     *os.File
 	w     *bufio.Writer
@@ -79,8 +79,8 @@ func (fw *FileWriter) Close() error {
 // many batches a checkpoint restore spans. A slot names a record by file
 // and payload offset; hash and length are read back from the frame in
 // front of the payload. Batch files are bounded (one seal's changed
-// nodes), so loading them whole is the simplest and fastest shape for a
-// restore. The zero value is an empty store.
+// nodes, or one tree), so loading them whole is the simplest and fastest
+// shape for a restore. The zero value is an empty store.
 type FileStore struct {
 	files [][]byte
 	slots []uint64 // 0 is empty, else file<<offsetBits | payload offset

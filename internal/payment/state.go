@@ -9,8 +9,9 @@
 // StateDigest, which chains the applied history), so two engines with
 // equal roots hold byte-identical state regardless of how they got
 // there. WriteNewStateNodes emits the nodes new since the previous
-// seal, and RestoreEngine rebuilds a working engine from a loaded tree
-// — the checkpoint/resume path in internal/replay.
+// seal, WriteAllStateNodes the whole tree, and RestoreEngine rebuilds a
+// working engine from a loaded tree — the checkpoint/resume path in
+// internal/replay.
 package payment
 
 import (
@@ -205,6 +206,15 @@ func (e *Engine) WriteNewStateNodes(put func(h ledger.Hash, data []byte) error) 
 		return 0, ErrNoStateTree
 	}
 	return e.state.tree.WriteNew(put)
+}
+
+// WriteAllStateNodes streams every node of the sealed tree through put,
+// parents first — a checkpoint base, which restores on its own.
+func (e *Engine) WriteAllStateNodes(put func(h ledger.Hash, data []byte) error) (int, error) {
+	if e.state == nil {
+		return 0, ErrNoStateTree
+	}
+	return e.state.tree.WriteAll(put)
 }
 
 // RestoreScalars carries the engine state a checkpoint persists outside

@@ -21,6 +21,7 @@ import (
 	"ripplestudy/internal/amount"
 	"ripplestudy/internal/ledger"
 	"ripplestudy/internal/ledgerstore"
+	"ripplestudy/internal/nodestore"
 	"ripplestudy/internal/payment"
 	"ripplestudy/internal/shamap"
 )
@@ -161,9 +162,12 @@ func (o BuildOptions) dir(src Source) string {
 }
 
 // resumeFromCheckpoint restores the engine from the newest usable
-// checkpoint at or before snapshotSeq. Damage costs only the checkpoints
-// it touches: a batch that fails its CRCs ends the opened store just
-// before it, a tree with a node missing or altered does not load, a
+// checkpoint at or before snapshotSeq. It first tries that checkpoint's
+// base, one file holding its whole tree; failing that, it reads the
+// tree from the union of the incremental batches. Damage costs only the
+// checkpoints it touches: a base that fails a CRC or a hash is passed
+// over for the union, a batch that fails its CRCs ends the opened store
+// just before it, a tree with a node missing or altered does not load, a
 // manifest that disagrees with its tree does not restore — and each time
 // the next older checkpoint is tried, whose tree the same store still
 // holds in full. Only when none is left — no sidecar, no eligible
@@ -179,35 +183,65 @@ func resumeFromCheckpoint(dir string, snapshotSeq uint64) (eng *payment.Engine, 
 	for eligible < len(metas) && metas[eligible].Seq <= snapshotSeq {
 		eligible++
 	}
+	if eligible == 0 {
+		return nil, 0, false
+	}
 	// The tree at checkpoint N lives in the union of every batch ≤ N. The
 	// open's error is not news: the loads below find out what the store
-	// still holds, hash by hash.
-	store, _ := ledgerstore.OpenCheckpointNodes(dir, metas[:eligible])
+	// still holds, hash by hash. It is opened only if the base fails.
+	var union *nodestore.FileStore
+	openUnion := func() *nodestore.FileStore {
+		if union == nil {
+			union, _ = ledgerstore.OpenCheckpointNodes(dir, metas[:eligible])
+		}
+		return union
+	}
+	newest := metas[eligible-1]
+	openBase := func() *nodestore.FileStore {
+		base, err := ledgerstore.OpenCheckpointBase(dir, newest.Seq)
+		if err != nil {
+			return nil
+		}
+		return base
+	}
+	type attempt struct {
+		cp   ledgerstore.CheckpointMeta
+		open func() *nodestore.FileStore // nil when the file does not open
+	}
+	attempts := []attempt{{newest, openBase}}
 	for i := eligible - 1; i >= 0; i-- {
-		cp := metas[i]
-		tree, err := shamap.Load(cp.Root, store.Get)
+		attempts = append(attempts, attempt{metas[i], openUnion})
+	}
+	for _, a := range attempts {
+		store := a.open()
+		if store == nil {
+			continue
+		}
+		tree, err := shamap.Load(a.cp.Root, store.Get)
 		if err != nil {
 			continue
 		}
 		restored, err := payment.RestoreEngine(tree, payment.RestoreScalars{
-			TotalDrops:    cp.TotalDrops,
-			FeesDestroyed: amount.Drops(cp.FeesDestroyed),
-			StateDigest:   cp.StateDigest,
+			TotalDrops:    a.cp.TotalDrops,
+			FeesDestroyed: amount.Drops(a.cp.FeesDestroyed),
+			StateDigest:   a.cp.StateDigest,
 		})
 		if err != nil {
 			continue
 		}
-		return restored, cp.Seq, true
+		return restored, a.cp.Seq, true
 	}
 	return nil, 0, false
 }
 
 // checkpointWriter seals and persists the engine's state tree every
-// `every` pages.
+// `every` pages, and at the end of the build writes the base of the
+// newest checkpoint it sealed.
 type checkpointWriter struct {
 	dir   string
 	every uint64
 	since uint64
+	last  *ledgerstore.CheckpointMeta // newest checkpoint sealed, nil before the first
 }
 
 func (cw *checkpointWriter) maybe(eng *payment.Engine, seq uint64) error {
@@ -230,7 +264,24 @@ func (cw *checkpointWriter) maybe(eng *payment.Engine, seq uint64) error {
 		TotalDrops:    eng.TotalDrops(),
 		FeesDestroyed: int64(eng.FeesDestroyed()),
 	}
-	return ledgerstore.WriteCheckpoint(cw.dir, meta, eng.WriteNewStateNodes)
+	if err := ledgerstore.WriteCheckpoint(cw.dir, meta, eng.WriteNewStateNodes); err != nil {
+		return err
+	}
+	cw.last = meta
+	return nil
+}
+
+// writeBase persists the whole tree of the newest checkpoint sealed as
+// that checkpoint's base. Only SealState mutates the tree, so it still
+// is that checkpoint's tree; the root check guards that.
+func (cw *checkpointWriter) writeBase(eng *payment.Engine) error {
+	if cw == nil || cw.last == nil {
+		return nil
+	}
+	if root := eng.StateRoot(); root != cw.last.Root {
+		return fmt.Errorf("replay: state root %s moved from checkpoint %d's %s", root.Short(), cw.last.Seq, cw.last.Root.Short())
+	}
+	return ledgerstore.WriteCheckpointBase(cw.dir, cw.last.Seq, eng.WriteAllStateNodes)
 }
 
 // BuildState replays every transaction in pages with sequence ≤
@@ -273,6 +324,9 @@ func BuildStateOpts(src Source, snapshotSeq uint64, opts BuildOptions) (*payment
 		if err := cw.maybe(eng, seq); err != nil {
 			return nil, fmt.Errorf("replay: checkpointing at page %d: %w", seq, err)
 		}
+	}
+	if err := cw.writeBase(eng); err != nil {
+		return nil, fmt.Errorf("replay: writing the checkpoint base: %w", err)
 	}
 	return eng, nil
 }

@@ -40,8 +40,8 @@ type node struct {
 
 	leaf     bool
 	key      ledger.Hash // leaf only
-	value    []byte      // leaf only; owned by the tree
-	children [16]*node   // inner only
+	value    []byte      // leaf only; never written through
+	children *[16]*node  // inner only; nil on a leaf, which keeps a leaf small
 }
 
 // Tree is the authenticated map. It is not safe for concurrent
@@ -80,12 +80,17 @@ func nibble(key ledger.Hash, d int) int {
 }
 
 // editable returns a node safe to mutate in the current generation,
-// copying nodes sealed into earlier generations. Either way the node's
-// cached hash and saved mark are invalidated.
+// copying nodes sealed into earlier generations — an inner node together
+// with its child array, which the older generation still reads. Either
+// way the node's cached hash and saved mark are invalidated.
 func (t *Tree) editable(n *node) *node {
 	if n.gen != t.gen {
 		cp := *n
 		cp.gen = t.gen
+		if cp.children != nil {
+			children := *cp.children
+			cp.children = &children
+		}
 		n = &cp
 	}
 	n.hashed = false
@@ -132,7 +137,7 @@ func (t *Tree) set(n *node, depth int, key ledger.Hash, value []byte) *node {
 		// both keys share this nibble the recursion splits again, growing
 		// the chain of single-child inner nodes the keys' common prefix
 		// dictates.
-		inner := &node{gen: t.gen}
+		inner := &node{gen: t.gen, children: new([16]*node)}
 		inner.children[nibble(n.key, depth)] = n
 		return t.set(inner, depth, key, value)
 	}
@@ -307,12 +312,52 @@ func writeNode(n *node, scratch *[]byte, put func(h ledger.Hash, data []byte) er
 	return count + 1, nil
 }
 
+// WriteAll emits the encoded form of every node reachable from the
+// sealed root, parents before their children — the order Load fetches
+// them in, so a store written this way is read front to back. It is the
+// whole tree in one batch, whatever WriteNew has already emitted, and
+// leaves the WriteNew marks alone. The data slice passed to put is
+// reused between calls; implementations that retain it must copy.
+func (t *Tree) WriteAll(put func(h ledger.Hash, data []byte) error) (int, error) {
+	if t.dirty {
+		return 0, ErrUnsealed
+	}
+	var scratch []byte
+	return writeAll(t.root, &scratch, put)
+}
+
+func writeAll(n *node, scratch *[]byte, put func(h ledger.Hash, data []byte) error) (int, error) {
+	if n == nil {
+		return 0, nil
+	}
+	*scratch = appendNode((*scratch)[:0], n)
+	if err := put(n.hash, *scratch); err != nil {
+		return 0, err
+	}
+	count := 1
+	if !n.leaf {
+		for _, c := range n.children {
+			nc, err := writeAll(c, scratch, put)
+			count += nc
+			if err != nil {
+				return count, err
+			}
+		}
+	}
+	return count, nil
+}
+
 // Load materializes the tree sealed under root from a content-addressed
 // node source: get must return the encoded node stored under the given
 // hash. Every fetched node is verified against the hash that named it,
 // so the returned tree is authenticated by root. A zero root loads the
 // empty tree. The loaded tree reports root from Root() and is ready for
 // further mutation (copy-on-write against the loaded nodes).
+//
+// The tree retains the slices get returns: a loaded leaf's value is a
+// window on them, not a copy. get must therefore return bytes that no
+// one writes afterwards and that live as long as the tree — a
+// nodestore.FileStore's file buffers and a MemStore's records are both.
 func Load(root ledger.Hash, get func(ledger.Hash) ([]byte, error)) (*Tree, error) {
 	t := &Tree{gen: 1, lastRoot: root}
 	if root.IsZero() {
@@ -346,7 +391,7 @@ func loadNode(h ledger.Hash, get func(ledger.Hash) ([]byte, error), depth int) (
 		n := &node{
 			leaf:   true,
 			key:    ledger.Hash(body[:32]),
-			value:  append([]byte(nil), body[32:]...),
+			value:  body[32:len(body):len(body)],
 			hash:   h,
 			hashed: true,
 			saved:  true,
@@ -354,7 +399,7 @@ func loadNode(h ledger.Hash, get func(ledger.Hash) ([]byte, error), depth int) (
 		return n, 1, nil
 	}
 	// Walk the packed child hashes where they lie: one per set bit.
-	n := &node{hash: h, hashed: true, saved: true}
+	n := &node{hash: h, hashed: true, saved: true, children: new([16]*node)}
 	size := 0
 	for i := 0; bitmap != 0; i, bitmap = i+1, bitmap>>1 {
 		if bitmap&1 == 0 {
