@@ -47,9 +47,18 @@ type Page struct {
 // recorded in PageHeader.TxSetHash. Consensus proposals exchange this
 // digest.
 func TxSetHash(txs []*Tx) Hash {
-	var buf []byte
-	for _, tx := range txs {
-		h := tx.Hash()
+	hashes := make([]Hash, len(txs))
+	for i, tx := range txs {
+		hashes[i] = tx.Hash()
+	}
+	return TxSetHashOf(hashes)
+}
+
+// TxSetHashOf is TxSetHash over transaction hashes already computed, in
+// order: a caller that has just applied the transactions holds them.
+func TxSetHashOf(hashes []Hash) Hash {
+	buf := make([]byte, 0, len(hashes)*len(Hash{}))
+	for _, h := range hashes {
 		buf = append(buf, h[:]...)
 	}
 	return SHA512Half(buf)

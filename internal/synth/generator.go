@@ -106,8 +106,9 @@ type generator struct {
 	seq      uint64
 	prevHash ledger.Hash
 
-	pageTxs   []*ledger.Tx
-	pageMetas []*ledger.TxMeta
+	pageTxs    []*ledger.Tx
+	pageMetas  []*ledger.TxMeta
+	pageHashes []ledger.Hash // the engine's hash of each of pageTxs
 
 	sink func(*ledger.Page) error
 
@@ -177,21 +178,32 @@ func Generate(cfg Config, sink func(*ledger.Page) error) (*Result, error) {
 // submit builds, (optionally) signs, and applies a transaction, adding
 // it to the current page.
 func (g *generator) submit(sender *addr.KeyPair, mutate func(*ledger.Tx)) (*ledger.TxMeta, error) {
+	if g.cfg.SkipSignatures {
+		return g.apply(sender.AccountID(), nil, mutate)
+	}
+	return g.apply(sender.AccountID(), sender, mutate)
+}
+
+// apply builds account's next transaction, signs it when key is
+// non-nil, applies it, and adds it to the current page together with
+// its metadata and the hash the engine computed for it.
+func (g *generator) apply(account addr.AccountID, key *addr.KeyPair, mutate func(*ledger.Tx)) (*ledger.TxMeta, error) {
 	tx := &ledger.Tx{
-		Account:  sender.AccountID(),
-		Sequence: g.eng.NextSequence(sender.AccountID()),
+		Account:  account,
+		Sequence: g.eng.NextSequence(account),
 		Fee:      10,
 	}
 	mutate(tx)
-	if !g.cfg.SkipSignatures {
-		tx.Sign(sender)
+	if key != nil {
+		tx.Sign(key)
 	}
-	meta, err := g.eng.Apply(tx)
+	meta, hash, err := g.eng.ApplyTx(tx)
 	if err != nil {
 		return nil, err
 	}
 	g.pageTxs = append(g.pageTxs, tx)
 	g.pageMetas = append(g.pageMetas, meta)
+	g.pageHashes = append(g.pageHashes, hash)
 	g.stats.Transactions++
 	if tx.Type == ledger.TxPayment {
 		if meta.Result.Succeeded() {
@@ -220,7 +232,7 @@ func (g *generator) closePage() error {
 		Header: ledger.PageHeader{
 			Sequence:   g.seq,
 			ParentHash: g.prevHash,
-			TxSetHash:  ledger.TxSetHash(g.pageTxs),
+			TxSetHash:  ledger.TxSetHashOf(g.pageHashes),
 			StateHash:  g.eng.StateDigest(),
 			CloseTime:  ledger.CloseTimeFromTime(g.now),
 			TotalDrops: g.eng.TotalDrops(),
@@ -231,6 +243,7 @@ func (g *generator) closePage() error {
 	g.prevHash = page.Header.Hash()
 	g.pageTxs = nil
 	g.pageMetas = nil
+	g.pageHashes = g.pageHashes[:0]
 	g.stats.Pages++
 	return g.sink(page)
 }

@@ -82,7 +82,10 @@ func (o Options) withDefaults() Options {
 // TxStatus is the queryable outcome record for one admitted
 // transaction.
 type TxStatus struct {
-	ID      uint64         `json:"id"`
+	ID uint64 `json:"id"`
+	// Hash is the final (as-applied) hash. While an auto-sequenced
+	// submission is queued it is the hash it was registered under over
+	// HTTP, or zero: its final bytes do not exist before apply.
 	Hash    ledger.Hash    `json:"hash"`
 	Account addr.AccountID `json:"account"`
 	// Sequence is the effective sequence: 0 while an auto-sequenced
@@ -105,9 +108,9 @@ var errEvicted = errors.New("txq: status evicted")
 // outcome, then read it back via Status.
 type Ticket struct {
 	ID uint64
-	// Hash is the as-submitted transaction hash. For auto-sequenced
-	// submissions the as-applied hash differs (the sequence is filled
-	// in); Status reports the final one.
+	// Hash is the final hash of an explicit-sequence submission; zero
+	// for an auto-sequenced one, whose bytes are final only once the
+	// applier fills in its sequence: its hash is in its status.
 	Hash ledger.Hash
 
 	fd  *FrontDoor
@@ -165,7 +168,10 @@ type Stats struct {
 //
 // Each submission is one queuedTx, from admission until its status is
 // evicted: the Ticket and the hash index point at it, and a ring of the
-// last StatusCapacity resolutions decides which status goes next.
+// last StatusCapacity resolutions decides which status goes next. A
+// transaction is hashed once its bytes are final: an explicit-sequence
+// submission at admission, an auto-sequenced one by the engine as it is
+// applied.
 type FrontDoor struct {
 	opts Options
 
@@ -184,7 +190,7 @@ type FrontDoor struct {
 	quoters sync.Pool        // *pathfind.Finder for PathFind readers
 
 	stMu     sync.Mutex
-	byHash   map[ledger.Hash]*queuedTx // either hash → record (last wins)
+	byHash   map[ledger.Hash]*queuedTx // final or registered hash → record (newest ID wins)
 	resolved []*queuedTx               // ring of the last StatusCapacity resolutions, grown on demand
 	ringNext int                       // the ring slot the next resolution takes once it is full
 	nextID   uint64
@@ -218,9 +224,11 @@ func New(eng *payment.Engine, opts Options) *FrontDoor {
 
 // Submit offers one transaction to the queue. A Sequence of 0 requests
 // auto-sequencing: the applier fills in the account's next sequence at
-// apply time (so the as-applied hash differs from the as-submitted
-// one). Admission is bounded by QueueDepth — beyond it Submit sheds
-// with ErrQueueFull, or waits up to SubmitWait when Backpressure is on.
+// apply time, so the transaction is hashed, and its status reachable by
+// hash, only once applied. An explicit-sequence submission is hashed
+// and indexed here. Admission is bounded by QueueDepth — beyond it
+// Submit sheds with ErrQueueFull, or waits up to SubmitWait when
+// Backpressure is on.
 func (fd *FrontDoor) Submit(tx *ledger.Tx) (*Ticket, error) {
 	fd.met.offered.Add(1)
 	if tx == nil || tx.Account.IsZero() || !knownType(tx.Type) {
@@ -255,7 +263,6 @@ func (fd *FrontDoor) Submit(tx *ledger.Tx) (*Ticket, error) {
 		fee:      effectiveFee(tx),
 		autoSeq:  tx.Sequence == 0,
 		enqueued: time.Now(),
-		subHash:  tx.Hash(),
 		done:     make(chan struct{}),
 	}
 	fd.stMu.Lock()
@@ -263,31 +270,55 @@ func (fd *FrontDoor) Submit(tx *ledger.Tx) (*Ticket, error) {
 	id := fd.nextID
 	qt.st = TxStatus{
 		ID:       id,
-		Hash:     qt.subHash,
 		Account:  tx.Account,
 		Sequence: tx.Sequence,
 		State:    "queued",
 	}
-	fd.byHash[qt.subHash] = qt
 	fd.stMu.Unlock()
 
 	if err := fd.q.push(qt); err != nil {
 		<-fd.slots
 		fd.met.rejected.Add(1)
-		fd.stMu.Lock()
-		if fd.byHash[qt.subHash] == qt {
-			delete(fd.byHash, qt.subHash)
-		}
-		fd.stMu.Unlock()
 		return nil, err
 	}
-	return &Ticket{ID: id, Hash: qt.subHash, fd: fd, rec: qt}, nil
+	tk := &Ticket{ID: id, fd: fd, rec: qt}
+	if !qt.autoSeq {
+		tk.Hash = tx.Hash()
+		fd.register(qt, tk.Hash)
+	}
+	return tk, nil
+}
+
+// register makes h resolve to qt's status: an explicit-sequence
+// submission's final hash, or the as-submitted hash of an
+// auto-sequenced one, which HandleSubmit hands its client. It registers
+// nothing once the status is evicted.
+func (fd *FrontDoor) register(qt *queuedTx, h ledger.Hash) {
+	fd.stMu.Lock()
+	defer fd.stMu.Unlock()
+	if qt.evicted {
+		return
+	}
+	qt.subHash = h
+	if qt.st.Hash.IsZero() {
+		qt.st.Hash = h
+	}
+	fd.own(h, qt)
+}
+
+// own points h at qt unless a newer submission owns it, so hashes that
+// identical submissions share end with the newest ID however their
+// registrations race. The caller holds stMu.
+func (fd *FrontDoor) own(h ledger.Hash, qt *queuedTx) {
+	if cur, ok := fd.byHash[h]; !ok || cur.st.ID < qt.st.ID {
+		fd.byHash[h] = qt
+	}
 }
 
 // knownType reports whether the engine can apply the transaction type.
 func knownType(t ledger.TxType) bool {
 	switch t {
-	case ledger.TxPayment, ledger.TxTrustSet, ledger.TxOfferCreate, ledger.TxOfferCancel:
+	case ledger.TxPayment, ledger.TxTrustSet, ledger.TxOfferCreate, ledger.TxOfferCancel, ledger.TxAccountSet:
 		return true
 	}
 	return false
@@ -366,10 +397,10 @@ func (fd *FrontDoor) resolve(qt *queuedTx) {
 	qt.st.Result = result
 	qt.st.Succeeded = succeeded
 	qt.st.WaitNS = wait.Nanoseconds()
-	// Both the as-submitted and as-applied hashes resolve; clients hold
-	// the former until they read the status back.
-	if qt.hash != qt.subHash {
-		fd.byHash[qt.hash] = qt
+	// An auto-sequenced transaction's final hash is new here; an
+	// explicit one's was registered at admission.
+	if qt.autoSeq {
+		fd.own(qt.hash, qt)
 	}
 	// The ring grows by append until it holds StatusCapacity statuses;
 	// from then on ringNext is the oldest, and each resolution evicts it.
@@ -451,7 +482,9 @@ func (fd *FrontDoor) PathFind(src, dst addr.AccountID, srcCur amount.Currency, d
 	return q, nil
 }
 
-// Status looks up a transaction by its as-submitted or as-applied hash.
+// Status looks up a transaction by its final hash, or by the
+// as-submitted hash an auto-sequenced submission was registered under
+// over HTTP.
 func (fd *FrontDoor) Status(h ledger.Hash) (TxStatus, bool) {
 	fd.stMu.Lock()
 	defer fd.stMu.Unlock()

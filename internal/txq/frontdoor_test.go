@@ -320,10 +320,51 @@ func TestFrontDoorMalformedRejected(t *testing.T) {
 		if _, err := fd.Submit(&dup); !errors.Is(err, ErrDuplicateSequence) {
 			t.Errorf("duplicate explicit sequence: err = %v, want ErrDuplicateSequence", err)
 		}
+		if st, ok := fd.Status(tx.Hash()); !ok || st.State != "queued" {
+			t.Errorf("after the duplicate's rejection the queued original's hash resolves to %+v, %v", st, ok)
+		}
 	})
 	st := fd.StatsNow()
 	if st.Rejected != 3 {
 		t.Errorf("rejected = %d, want 3", st.Rejected)
+	}
+}
+
+// TestFrontDoorAccountSet pins that the front door admits every type
+// the engine applies: an auto-sequenced AccountSet consumes its sequence,
+// burns its fee, and leaves the digest a sequential Engine.Apply of the
+// filled-in copy leaves.
+func TestFrontDoorAccountSet(t *testing.T) {
+	from := acct(1)
+	const funds = 100_000_000
+	eng, ref := payment.NewEngine(), payment.NewEngine()
+	eng.Fund(from, funds)
+	ref.Fund(from, funds)
+	fd := New(eng, Options{QueueDepth: 4})
+	tx := &ledger.Tx{Type: ledger.TxAccountSet, Account: from, Fee: 25}
+	tk, err := fd.Submit(tx)
+	if err != nil {
+		t.Fatalf("submit AccountSet: %v", err)
+	}
+	st, err := tk.Wait(context.Background())
+	if err != nil || !st.Succeeded || st.Sequence != 1 {
+		t.Fatalf("AccountSet status = %+v, %v; want succeeded at sequence 1", st, err)
+	}
+	drainAndClose(t, fd)
+
+	filled := *tx
+	filled.Sequence = 1
+	if meta, err := ref.Apply(&filled); err != nil || !meta.Result.Succeeded() {
+		t.Fatalf("reference apply: %v, %v", meta, err)
+	}
+	if got, want := eng.NextSequence(from), uint32(2); got != want {
+		t.Errorf("next sequence = %d, want %d", got, want)
+	}
+	if got, want := eng.XRPBalance(from), amount.Drops(funds-25); got != want {
+		t.Errorf("balance = %d drops, want %d (fee burned)", got, want)
+	}
+	if eng.StateDigest() != ref.StateDigest() {
+		t.Error("front-door digest differs from the sequential apply")
 	}
 }
 
@@ -341,41 +382,82 @@ func TestFrontDoorSubmitAfterClose(t *testing.T) {
 	}
 }
 
-// TestFrontDoorStatusLookup exercises the as-submitted vs as-applied
-// hash lookup for auto-sequenced submissions.
+// TestFrontDoorStatusLookup pins which hash reaches a status. An
+// explicit-sequence submission is hashed at admission: its ticket
+// carries its final hash, which resolves while it is queued and once it
+// is applied. An auto-sequenced one is hashed only at apply: its ticket
+// carries no hash, and its status reports the filled-in copy's.
 func TestFrontDoorStatusLookup(t *testing.T) {
-	eng := payment.NewEngine()
-	from := acct(1)
-	eng.Fund(from, 100_000_000)
-	fd := New(eng, Options{QueueDepth: 4, Backpressure: true})
-	tx := &ledger.Tx{Type: ledger.TxPayment, Account: from, Fee: 10,
-		Destination: acct(2), Amount: amount.XRPAmount(500)}
-	tk, err := fd.Submit(tx)
-	if err != nil {
-		t.Fatal(err)
+	setup := func(t *testing.T) (*FrontDoor, addr.AccountID) {
+		eng := payment.NewEngine()
+		from := acct(1)
+		eng.Fund(from, 100_000_000)
+		fd := New(eng, Options{QueueDepth: 4, Backpressure: true})
+		t.Cleanup(func() { drainAndClose(t, fd) })
+		return fd, from
 	}
-	st, err := tk.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	applied := func(t *testing.T, tk *Ticket) TxStatus {
+		t.Helper()
+		st, err := tk.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Succeeded || st.State != "applied" || st.Sequence != 1 {
+			t.Fatalf("status = %+v, want applied+succeeded at sequence 1", st)
+		}
+		if st.WaitNS <= 0 {
+			t.Error("submit-to-applied latency not recorded")
+		}
+		if got, ok := tk.fd.Status(st.Hash); !ok || got != st {
+			t.Errorf("Status(final hash) = %+v, %v; want %+v", got, ok, st)
+		}
+		return st
 	}
-	if !st.Succeeded || st.State != "applied" {
-		t.Fatalf("status = %+v, want applied+succeeded", st)
-	}
-	if st.Sequence != 1 {
-		t.Errorf("auto-assigned sequence = %d, want 1", st.Sequence)
-	}
-	// Both the as-submitted hash (the ticket's) and the as-applied hash
-	// (the status') must resolve.
-	if _, ok := fd.Status(tk.Hash); !ok {
-		t.Error("as-submitted hash lookup failed")
-	}
-	if _, ok := fd.Status(st.Hash); !ok {
-		t.Error("as-applied hash lookup failed")
-	}
-	if st.WaitNS <= 0 {
-		t.Error("submit-to-applied latency not recorded")
-	}
-	drainAndClose(t, fd)
+
+	t.Run("explicit", func(t *testing.T) {
+		fd, from := setup(t)
+		tx := &ledger.Tx{Type: ledger.TxPayment, Account: from, Sequence: 1, Fee: 10,
+			Destination: acct(2), Amount: amount.XRPAmount(500)}
+		var tk *Ticket
+		// While this goroutine holds the engine read lock, nothing applies.
+		fd.WithEngine(func(*payment.Engine) {
+			var err error
+			if tk, err = fd.Submit(tx); err != nil {
+				t.Fatal(err)
+			}
+			if tk.Hash != tx.Hash() {
+				t.Fatalf("ticket hash %s, want the transaction's %s", tk.Hash.Short(), tx.Hash().Short())
+			}
+			if st, ok := fd.Status(tk.Hash); !ok || st.State != "queued" || st.Hash != tk.Hash {
+				t.Errorf("queued: Status(ticket hash) = %+v, %v", st, ok)
+			}
+		})
+		if st := applied(t, tk); st.Hash != tk.Hash {
+			t.Errorf("applied under hash %s, want the ticket's %s", st.Hash.Short(), tk.Hash.Short())
+		}
+	})
+
+	t.Run("auto", func(t *testing.T) {
+		fd, from := setup(t)
+		tx := &ledger.Tx{Type: ledger.TxPayment, Account: from, Fee: 10,
+			Destination: acct(2), Amount: amount.XRPAmount(500)}
+		tk, err := fd.Submit(tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tk.Hash.IsZero() {
+			t.Errorf("auto-sequenced ticket carries hash %s, want zero", tk.Hash.Short())
+		}
+		st := applied(t, tk)
+		filled := *tx
+		filled.Sequence = st.Sequence
+		if st.Hash != filled.Hash() {
+			t.Errorf("status hash %s, want the filled-in copy's %s", st.Hash.Short(), filled.Hash().Short())
+		}
+		if _, ok := fd.Status(tx.Hash()); ok {
+			t.Error("an unregistered as-submitted hash resolves")
+		}
+	})
 }
 
 // TestFrontDoorStatusRingGrowsOnDemand pins that New with default
@@ -412,9 +494,11 @@ func TestFrontDoorStatusRingGrowsOnDemand(t *testing.T) {
 }
 
 // TestFrontDoorStatusEviction pins the retained-status window: after
-// StatusCapacity more resolutions a status is unreachable by either hash
-// and its ticket's Wait reports the eviction, while a hash shared with a
-// later submission keeps resolving to the later one.
+// StatusCapacity more resolutions a status is unreachable by its final
+// hash and by the as-submitted hash registered for it, its ticket's Wait
+// reports the eviction, and registering it again restores nothing. A
+// hash shared with a later submission keeps resolving to the later one,
+// whichever registers first.
 func TestFrontDoorStatusEviction(t *testing.T) {
 	const capacity = 4
 	eng := payment.NewEngine()
@@ -423,23 +507,27 @@ func TestFrontDoorStatusEviction(t *testing.T) {
 	fd := New(eng, Options{QueueDepth: 4, Backpressure: true, StatusCapacity: capacity})
 	defer drainAndClose(t, fd)
 	ctx := context.Background()
-	// submit resolves one auto-sequenced payment of drops to acct(2) and
-	// returns its ticket and final status.
-	submit := func(drops amount.Drops) (*Ticket, TxStatus) {
+	// submit resolves one auto-sequenced payment of drops to acct(2),
+	// registering its as-submitted hash as HandleSubmit does, and
+	// returns its ticket, that hash and its final status.
+	submit := func(drops amount.Drops) (*Ticket, ledger.Hash, TxStatus) {
 		t.Helper()
-		tk, err := fd.Submit(&ledger.Tx{Type: ledger.TxPayment, Account: from, Fee: 10,
-			Destination: acct(2), Amount: amount.XRPAmount(drops)})
+		tx := &ledger.Tx{Type: ledger.TxPayment, Account: from, Fee: 10,
+			Destination: acct(2), Amount: amount.XRPAmount(drops)}
+		tk, err := fd.Submit(tx)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sub := tx.Hash()
+		fd.register(tk.rec, sub)
 		st, err := tk.Wait(ctx)
 		if err != nil || !st.Succeeded {
 			t.Fatalf("payment of %d drops: %+v, %v", drops, st, err)
 		}
-		if st.Hash == tk.Hash {
+		if st.Hash == sub {
 			t.Fatalf("payment of %d drops: auto-sequenced, yet applied as submitted", drops)
 		}
-		return tk, st
+		return tk, sub, st
 	}
 	reachable := func(h ledger.Hash, id uint64) bool {
 		st, ok := fd.Status(h)
@@ -448,15 +536,16 @@ func TestFrontDoorStatusEviction(t *testing.T) {
 
 	const n = 10
 	tickets := make([]*Ticket, n)
+	submitted := make([]ledger.Hash, n)
 	applied := make([]ledger.Hash, n)
 	for i := range tickets {
 		var st TxStatus
-		tickets[i], st = submit(amount.Drops(100 + i))
+		tickets[i], submitted[i], st = submit(amount.Drops(100 + i))
 		applied[i] = st.Hash
 	}
 	for i, tk := range tickets {
 		kept := i >= n-capacity
-		for _, h := range []ledger.Hash{tk.Hash, applied[i]} {
+		for _, h := range []ledger.Hash{submitted[i], applied[i]} {
 			if _, ok := fd.Status(h); ok != kept {
 				t.Errorf("submission %d: Status(%s) found = %v, want %v", i, h.Short(), ok, kept)
 			}
@@ -467,17 +556,27 @@ func TestFrontDoorStatusEviction(t *testing.T) {
 			t.Errorf("submission %d: Wait = %v, want %v", i, err, errEvicted)
 		}
 	}
+	// A registration that arrives after the eviction (a slow handler)
+	// must not bring the status back.
+	fd.register(tickets[0].rec, submitted[0])
+	if _, ok := fd.Status(submitted[0]); ok {
+		t.Error("an evicted status was registered again")
+	}
 
 	// The same auto-sequenced payment twice shares its as-submitted hash;
-	// the later submission owns it, and evicting the earlier must not
-	// take it away.
-	first, firstSt := submit(7)
-	second, secondSt := submit(7)
-	if first.Hash != second.Hash {
+	// the later submission owns it, also against a late registration of
+	// the earlier one, and evicting the earlier must not take it away.
+	first, firstSub, firstSt := submit(7)
+	second, secondSub, secondSt := submit(7)
+	if firstSub != secondSub {
 		t.Fatal("identical auto-sequenced submissions hash differently")
 	}
-	if !reachable(first.Hash, second.ID) {
+	if !reachable(firstSub, second.ID) {
 		t.Error("shared as-submitted hash does not resolve to the later submission")
+	}
+	fd.register(first.rec, firstSub)
+	if !reachable(firstSub, second.ID) {
+		t.Error("a late registration of the earlier submission took the shared hash")
 	}
 	for i := 0; i < capacity-1; i++ {
 		submit(amount.Drops(200 + i))
@@ -485,7 +584,7 @@ func TestFrontDoorStatusEviction(t *testing.T) {
 	if _, ok := fd.Status(firstSt.Hash); ok {
 		t.Error("evicted submission still resolves by its as-applied hash")
 	}
-	if !reachable(first.Hash, second.ID) || !reachable(secondSt.Hash, second.ID) {
+	if !reachable(secondSub, second.ID) || !reachable(secondSt.Hash, second.ID) {
 		t.Error("evicting the earlier submission took the later one's hashes with it")
 	}
 }

@@ -79,8 +79,10 @@ type SubmitResponse struct {
 	// Accepted is true when the transaction was admitted to the queue.
 	Accepted bool   `json:"accepted"`
 	ID       uint64 `json:"id,omitempty"`
-	// Hash is the as-submitted hash (auto-sequenced transactions hash
-	// differently once applied; poll /v1/tx_status with either).
+	// Hash is the as-submitted hash. /v1/tx_status resolves it while
+	// the transaction is queued and once applied; an auto-sequenced
+	// transaction's final hash, in its status, differs (the sequence is
+	// filled in) and resolves too.
 	Hash   string    `json:"hash,omitempty"`
 	Error  string    `json:"error,omitempty"`
 	Status *TxStatus `json:"status,omitempty"`
@@ -116,7 +118,14 @@ func (fd *FrontDoor) HandleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("\n"))
 		return
 	}
-	resp := SubmitResponse{Accepted: true, ID: ticket.ID, Hash: ticket.Hash.String()}
+	h := ticket.Hash
+	if h.IsZero() {
+		// Auto-sequenced: Submit leaves the hash to the apply, but the
+		// client polls by the hash of what it sent.
+		h = req.Tx.Hash()
+		fd.register(ticket.rec, h)
+	}
+	resp := SubmitResponse{Accepted: true, ID: ticket.ID, Hash: h.String()}
 	if req.Wait {
 		st, werr := ticket.Wait(r.Context())
 		if werr == nil {
@@ -127,7 +136,7 @@ func (fd *FrontDoor) HandleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // HandleTxStatus is the GET /v1/tx_status handler; hash may be the
-// as-submitted or as-applied transaction hash.
+// as-submitted hash /v1/submit returned or the final transaction hash.
 func (fd *FrontDoor) HandleTxStatus(w http.ResponseWriter, r *http.Request) {
 	h, err := ledger.ParseHash(r.URL.Query().Get("hash"))
 	if err != nil {

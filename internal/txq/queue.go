@@ -41,16 +41,19 @@ type queuedTx struct {
 	enqueued time.Time
 
 	// What the apply produced (hash and sequence as applied), held back
-	// until its batch's plan-cache epoch advance.
+	// until its batch's plan-cache epoch advance. The engine's hash is
+	// the only one an auto-sequenced submission gets from the front door.
 	hash     ledger.Hash
 	sequence uint32
 	meta     *ledger.TxMeta
 	err      error
 
-	// The status, guarded by FrontDoor.stMu. subHash keeps the
-	// as-submitted hash resolvable after an auto-sequenced transaction's
-	// final hash diverges from it; evicted marks a status that has left
-	// the retained window. done is closed once the status is final.
+	// The status, guarded by FrontDoor.stMu. subHash is the hash
+	// registered at admission, which eviction must also unindex: an
+	// explicit-sequence submission's final hash, an auto-sequenced one's
+	// as-submitted hash when HandleSubmit registered it, zero otherwise.
+	// evicted marks a status that has left the retained window. done is
+	// closed once the status is final.
 	st      TxStatus
 	subHash ledger.Hash
 	evicted bool
