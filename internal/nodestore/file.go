@@ -11,14 +11,17 @@ import (
 )
 
 // FileWriter is the batch-writing file backend: records append through
-// a buffered writer, duplicates (by hash) are skipped, and Close
-// flushes and syncs. A replay checkpoint streams one seal's new tree
-// nodes through it, and a checkpoint base the whole tree.
+// a buffered writer, and Close flushes and syncs. It writes every record
+// it is given, duplicates included: keeping a batch free of them is the
+// producer's guarantee — one shamap WriteNew or WriteAll call never
+// emits a hash twice — and a FileStore reading a batch keeps the first
+// copy of any hash anyway. A replay checkpoint streams one seal's new
+// tree nodes through it, and a checkpoint base the whole tree.
 type FileWriter struct {
 	f     *os.File
 	w     *bufio.Writer
-	seen  map[ledger.Hash]struct{}
 	buf   []byte
+	n     int
 	bytes int64
 }
 
@@ -29,31 +32,23 @@ func CreateFile(path string) (*FileWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FileWriter{
-		f:    f,
-		w:    bufio.NewWriterSize(f, 1<<16),
-		seen: make(map[ledger.Hash]struct{}),
-	}, nil
+	return &FileWriter{f: f, w: bufio.NewWriterSize(f, 1<<16)}, nil
 }
 
-// Put appends one record; a hash already written to this file is
-// skipped. The payload is only borrowed for the call.
+// Put appends one record. The payload is only borrowed for the call.
 func (fw *FileWriter) Put(h ledger.Hash, payload []byte) error {
 	if len(payload) > MaxPayload {
 		return fmt.Errorf("nodestore: payload of %d bytes exceeds cap", len(payload))
 	}
-	if _, dup := fw.seen[h]; dup {
-		return nil
-	}
-	fw.seen[h] = struct{}{}
 	fw.buf = AppendRecord(fw.buf[:0], h, payload)
 	n, err := fw.w.Write(fw.buf)
 	fw.bytes += int64(n)
+	fw.n++
 	return err
 }
 
-// Len returns the number of distinct records written.
-func (fw *FileWriter) Len() int { return len(fw.seen) }
+// Len returns the number of records written.
+func (fw *FileWriter) Len() int { return fw.n }
 
 // Bytes returns the encoded size written so far.
 func (fw *FileWriter) Bytes() int64 { return fw.bytes }

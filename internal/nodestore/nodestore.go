@@ -8,9 +8,11 @@
 // Three backends cover the study's needs: MemStore for tests and
 // in-process snapshots, FileWriter/FileStore for the append-only batch
 // files a replay checkpoint persists — any number of them read back
-// under one index (file.go) — and Cache, an LRU layer
-// over any Getter for hot-node reads (cache.go). The flat record framing
-// (AppendRecord/DecodeRecord) is shared by every backend:
+// under one index that keeps the first record of a hash, so the writer
+// appends what it is given without checking for repeats (file.go) — and
+// Cache, an LRU layer over any Getter for hot-node reads (cache.go). The
+// flat record framing (AppendRecord/DecodeRecord) is shared by every
+// backend:
 //
 //	u32 payload length ‖ hash[32] ‖ payload ‖ u32 CRC-32 (hash‖payload)
 //

@@ -114,15 +114,23 @@ func TestFileRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Duplicate puts are skipped.
-	h0, p0 := rec(0)
-	if err := fw.Put(h0, p0); err != nil {
+	// A duplicate put is written like any other record: keeping a batch
+	// free of repeats is the producer's job, and the store below keeps
+	// the first copy. The repeat carries another payload so that which
+	// copy the store returns shows.
+	h0, _ := rec(0)
+	second := []byte("second copy")
+	before := fw.Bytes()
+	if err := fw.Put(h0, second); err != nil {
 		t.Fatal(err)
 	}
-	if fw.Len() != n {
-		t.Fatalf("writer Len = %d, want %d", fw.Len(), n)
+	if fw.Len() != n+1 {
+		t.Fatalf("writer Len = %d, want %d", fw.Len(), n+1)
 	}
 	wantBytes := fw.Bytes()
+	if grew := wantBytes - before; grew != int64(RecordOverhead+len(second)) {
+		t.Fatalf("the duplicate put wrote %d bytes, want %d", grew, RecordOverhead+len(second))
+	}
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +138,8 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatalf("file size %v (err %v), writer reported %d", fi.Size(), err, wantBytes)
 	}
 
+	// The store counts distinct hashes and answers with the first copy,
+	// so record 0 reads back as its original payload.
 	fs, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)

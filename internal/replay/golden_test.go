@@ -3,7 +3,12 @@ package replay
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"ripplestudy/internal/ledgerstore"
 )
 
 // TestGeneratedHistoryGolden pins, as literals, what the payment engine
@@ -79,5 +84,56 @@ func TestGeneratedHistoryGolden(t *testing.T) {
 		if got := res.StateRoot.String(); got != g.replayRoot {
 			t.Errorf("seed %d: replay state root = %s, want %s", g.seed, got, g.replayRoot)
 		}
+	}
+}
+
+// TestCheckpointSidecarGolden pins the checkpoint sidecar's bytes as a
+// literal: every file name, length and content after a checkpointed
+// build over half of a generated history, then a Table II run that
+// resumes from that build's base and checkpoints on to its snapshot. So
+// it covers batches and bases written from a fresh tree and from one
+// loaded back off disk, the manifests, and the base the second run
+// supersedes. The literal was taken at commit 66f088f; a change that
+// moves it has changed what a checkpoint writes, not just how fast.
+func TestCheckpointSidecarGolden(t *testing.T) {
+	const want = "34aab8468b74e22ab5601a2f79cc811e70e45ed972d9b78e6309c8e86102cad4"
+	pages, _ := generate(t, 8000, 7)
+	store, _ := storeWithHistory(t, pages)
+	half := pages[len(pages)/2].Header.Sequence
+	snap := pages[len(pages)*7/10].Header.Sequence
+	if _, err := BuildStateOpts(store, half, BuildOptions{CheckpointEvery: 300, DisableResume: true}); err != nil {
+		t.Fatal(err)
+	}
+	dir := store.CheckpointDir()
+	metas, err := ledgerstore.ListCheckpoints(dir)
+	if err != nil || len(metas) == 0 {
+		t.Fatalf("checkpoints after the first build: %v (%d found)", err, len(metas))
+	}
+	resumedAt := metas[len(metas)-1].Seq
+	if _, seq, ok := resumeFromCheckpoint(dir, snap); !ok || seq != resumedAt {
+		t.Fatalf("resume point %d (ok=%v), want %d", seq, ok, resumedAt)
+	}
+	if _, err := RunOpts(store, snap, BuildOptions{CheckpointEvery: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if metas, err = ledgerstore.ListCheckpoints(dir); err != nil || metas[len(metas)-1].Seq <= resumedAt {
+		t.Fatalf("the resumed run wrote no checkpoint past %d (%v)", resumedAt, err)
+	}
+
+	entries, err := os.ReadDir(dir) // sorted by name
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.New()
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(sum, "%s %d\n", e.Name(), len(data))
+		sum.Write(data)
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
+		t.Errorf("sidecar of %d files hashes to %s, want %s", len(entries), got, want)
 	}
 }

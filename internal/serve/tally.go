@@ -19,7 +19,6 @@ import (
 // already-valid page credits immediately, so the per-validator counters
 // are always current and a snapshot is O(validators).
 type tallyState struct {
-	labels  map[addr.NodeID]string
 	totals  map[addr.NodeID]int
 	valids  map[addr.NodeID]int
 	badSigs map[addr.NodeID]int
@@ -32,9 +31,8 @@ type tallyState struct {
 	malformed  int
 }
 
-func newTallyState(labels map[addr.NodeID]string) *tallyState {
+func newTallyState() *tallyState {
 	return &tallyState{
-		labels:     labels,
 		totals:     make(map[addr.NodeID]int),
 		valids:     make(map[addr.NodeID]int),
 		badSigs:    make(map[addr.NodeID]int),
@@ -80,13 +78,6 @@ func (t *tallyState) apply(ev consensus.Event) {
 	}
 }
 
-func (t *tallyState) displayName(node addr.NodeID) string {
-	if l, ok := t.labels[node]; ok && l != "" {
-		return l
-	}
-	return node.Short()
-}
-
 // tallyShards is the Figure 2 view sharded for the multi-worker
 // pipeline: each apply worker owns one full tallyState, and events are
 // routed by ledger hash (tallyRoute), so a page's validations, its
@@ -99,17 +90,40 @@ func (t *tallyState) displayName(node addr.NodeID) string {
 // events in any order.
 type tallyShards struct {
 	shards []*tallyState
+	labels map[addr.NodeID]string
+	// names memoizes the short node IDs of unlabelled validators, so a
+	// snapshot base58-encodes each validator once, not once per seal.
+	// Only snapshot touches it, on the view's one sealer.
+	names map[addr.NodeID]string
 }
 
 func newTallyShards(labels map[addr.NodeID]string, n int) *tallyShards {
 	if n < 1 {
 		n = 1
 	}
-	t := &tallyShards{shards: make([]*tallyState, n)}
+	t := &tallyShards{
+		shards: make([]*tallyState, n),
+		labels: labels,
+		names:  make(map[addr.NodeID]string),
+	}
 	for i := range t.shards {
-		t.shards[i] = newTallyState(labels)
+		t.shards[i] = newTallyState()
 	}
 	return t
+}
+
+// displayName is the validator's configured label, or else its short
+// node ID.
+func (t *tallyShards) displayName(node addr.NodeID) string {
+	if l := t.labels[node]; l != "" {
+		return l
+	}
+	name, ok := t.names[node]
+	if !ok {
+		name = node.Short()
+		t.names[node] = name
+	}
+	return name
 }
 
 // tallyRoute keys an update to the shard owning its ledger hash.
@@ -151,7 +165,7 @@ func (t *tallyShards) snapshot(epoch, appliedSeq uint64) *TallySnapshot {
 	for node, total := range totals {
 		stats = append(stats, monitor.ValidatorStats{
 			Node:          node,
-			Label:         t.shards[0].displayName(node),
+			Label:         t.displayName(node),
 			Total:         total,
 			Valid:         valids[node],
 			BadSignatures: badSigs[node],

@@ -10,18 +10,17 @@ import (
 
 // FuzzShamapOps drives a random insert/update/delete sequence against
 // one tree (with seals interleaved) and checks the fundamental Merkle
-// invariant: the final root equals the root of a tree rebuilt from
+// invariant: a sealed root equals the root of a tree rebuilt from
 // scratch out of the surviving entries — the sealed root is a pure
 // function of the key/value set. Around it:
-//   - a Snapshot taken at every interleaved seal keeps its root, its
-//     leaves and its Get results through every later mutation, so no
-//     copy-on-write copy shares a child array with the generation it
-//     was copied from;
-//   - the final tree round-trips through WriteNew/Load, and through
-//     WriteAll alone, whose records come parents first;
+//   - at every interleaved seal the tree's leaves are the model's, and
+//     its WriteNew and WriteAll calls never pass put the same hash twice;
+//   - the final tree loads back from the union of every WriteNew batch,
+//     and from WriteAll alone, whose records come parents first;
 //   - the tree loaded from WriteAll runs a second op sequence against
-//     the model and reseals to the rebuilt root, while the store it
-//     loaded from, whose bytes its leaves alias, stays byte-identical.
+//     the model, editing loaded nodes in place, and reseals to the
+//     rebuilt root and loads back from its batches; the store it loaded
+//     from, whose bytes its leaves alias, stays byte-identical.
 func FuzzShamapOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x02})
@@ -34,33 +33,19 @@ func FuzzShamapOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tr := New()
 		model := make(map[ledger.Hash][]byte)
-		snaps := runOps(t, tr, model, ops)
+		store := storeMap{}
+		runOps(t, tr, model, ops, store)
 		root := tr.Seal()
 		checkRebuilt(t, model, root)
-
-		store := storeMap{}
-		if _, err := tr.WriteNew(store.put); err != nil {
-			t.Fatal(err)
-		}
+		writeOnce(t, "WriteNew", tr.WriteNew, store)
 		loaded, err := Load(root, store.get)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("the WriteNew batches do not load: %v", err)
 		}
 		checkLeaves(t, "loaded", loaded, model)
 
 		base := storeMap{}
-		var order []ledger.Hash
-		n, err := tr.WriteAll(func(h ledger.Hash, data []byte) error {
-			order = append(order, h)
-			return base.put(h, data)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(base) || n != len(order) {
-			t.Fatalf("WriteAll reported %d nodes, put %d, stored %d distinct", n, len(order), len(base))
-		}
-		checkParentsFirst(t, base, order)
+		checkParentsFirst(t, base, writeOnce(t, "WriteAll", tr.WriteAll, base))
 		fromBase, err := Load(root, base.get)
 		if err != nil {
 			t.Fatalf("WriteAll output alone does not load: %v", err)
@@ -77,32 +62,32 @@ func FuzzShamapOps(f *testing.F) {
 		for i, j := 0, len(second)-1; i < j; i, j = i+1, j-1 {
 			second[i], second[j] = second[j], second[i]
 		}
-		snaps = append(snaps, runOps(t, fromBase, model, second)...)
-		checkRebuilt(t, model, fromBase.Seal())
+		more := storeMap{}
+		runOps(t, fromBase, model, second, more)
+		root = fromBase.Seal()
+		checkRebuilt(t, model, root)
+		writeOnce(t, "WriteNew after Load", fromBase.WriteNew, more)
 		if !maps.EqualFunc(base, pristine, bytes.Equal) {
 			t.Fatal("mutating a loaded tree wrote through to the store it loaded from")
 		}
-		for i, s := range snaps {
-			if got := s.tree.Root(); got != s.root {
-				t.Fatalf("snapshot %d: root %s, sealed %s", i, got.Short(), s.root.Short())
+		reloaded, err := Load(root, func(h ledger.Hash) ([]byte, error) {
+			if d, ok := more[h]; ok {
+				return d, nil
 			}
-			checkLeaves(t, "snapshot", s.tree, s.model)
+			return base.get(h)
+		})
+		if err != nil {
+			t.Fatalf("the base and the batches written after it do not load: %v", err)
 		}
+		checkLeaves(t, "reloaded", reloaded, model)
 	})
 }
 
-// sealedSnapshot is a Snapshot together with what it must keep showing.
-type sealedSnapshot struct {
-	tree  *Tree
-	root  ledger.Hash
-	model map[ledger.Hash][]byte
-}
-
-// runOps applies one op sequence to tr and to model, snapshotting at
-// every interleaved seal.
-func runOps(t *testing.T, tr *Tree, model map[ledger.Hash][]byte, ops []byte) []sealedSnapshot {
+// runOps applies one op sequence to tr and to model. At every
+// interleaved seal it holds the tree to the model and writes the seal's
+// new nodes into store.
+func runOps(t *testing.T, tr *Tree, model map[ledger.Hash][]byte, ops []byte, store storeMap) {
 	t.Helper()
-	var snaps []sealedSnapshot
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, sel := ops[i], ops[i+1]
 		// Keys are drawn from a small hashed universe so inserts,
@@ -120,18 +105,41 @@ func runOps(t *testing.T, tr *Tree, model map[ledger.Hash][]byte, ops []byte) []
 			}
 			delete(model, k)
 		case 3: // interleaved seal
-			root := tr.Seal()
-			s, err := tr.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			snaps = append(snaps, sealedSnapshot{s, root, maps.Clone(model)})
+			checkRebuilt(t, model, tr.Seal())
+			checkLeaves(t, "sealed", tr, model)
+			writeOnce(t, "WriteNew", tr.WriteNew, store)
+			writeOnce(t, "WriteAll", tr.WriteAll, storeMap{})
 		}
 	}
 	if tr.Len() != len(model) {
 		t.Fatalf("Len = %d, model has %d", tr.Len(), len(model))
 	}
-	return snaps
+}
+
+// writeOnce runs one WriteNew or WriteAll call into store and returns
+// the hashes in the order put received them. It fails when the call
+// passes put a hash twice or reports another count than it put: a batch
+// file takes what it is given, so the tree is what keeps it free of
+// repeats.
+func writeOnce(t *testing.T, what string, write func(func(ledger.Hash, []byte) error) (int, error), store storeMap) []ledger.Hash {
+	t.Helper()
+	var order []ledger.Hash
+	seen := make(map[ledger.Hash]bool)
+	n, err := write(func(h ledger.Hash, data []byte) error {
+		if seen[h] {
+			t.Fatalf("%s put %s twice in one call", what, h.Short())
+		}
+		seen[h] = true
+		order = append(order, h)
+		return store.put(h, data)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(order) {
+		t.Fatalf("%s reported %d nodes, put %d", what, n, len(order))
+	}
+	return order
 }
 
 // checkRebuilt holds root to the root of a tree built from scratch out

@@ -6,12 +6,12 @@
 // function of the key set (inner nodes with a single leaf child collapse
 // on delete, exactly undoing the split that insertion performs).
 //
-// Nodes are copy-on-write across generations: Seal hashes the dirty
-// paths, stamps a root, and bumps the tree's generation, after which any
-// further mutation copies the nodes it touches instead of editing them
-// in place. A ledger close therefore re-hashes only the O(changed·depth)
-// path to the root, and a sealed Snapshot shares all unchanged structure
-// with the live tree at zero cost.
+// Set and Delete edit nodes in place and mark the path they touch, and
+// Seal hashes only the marked paths and stamps a root: a ledger close
+// re-hashes the O(changed·depth) path to the root, and WriteNew emits
+// only the nodes created or changed since it last ran. There is one
+// live version of the tree; a sealed root is kept only as its hash, and
+// the nodes under it can be had again from a store (Load).
 //
 // The byte encoding of a node (encode.go) is also its hash preimage, so
 // a content-addressed store of encoded nodes is self-verifying: fetching
@@ -30,10 +30,6 @@ import (
 // node is one tree node: a leaf carrying a key/value pair, or an inner
 // node with up to 16 children, one per nibble.
 type node struct {
-	// gen is the tree generation that owns this node; mutating a node
-	// from an older generation copies it first (copy-on-write).
-	gen uint64
-
 	hash   ledger.Hash
 	hashed bool // hash is valid for the current content
 	saved  bool // content has been handed to WriteNew (or came from Load)
@@ -48,10 +44,9 @@ type node struct {
 // mutation; concurrent readers are safe while no writer runs.
 type Tree struct {
 	root *node
-	gen  uint64
 	size int
 	// dirty is set by any mutation since the last Seal; WriteNew and
-	// Snapshot require a sealed tree.
+	// WriteAll require a sealed tree.
 	dirty bool
 	// lastRoot is the root hash Seal last produced (zero before the
 	// first Seal; the empty tree seals to the zero hash).
@@ -79,23 +74,11 @@ func nibble(key ledger.Hash, d int) int {
 	return int(b & 0x0f)
 }
 
-// editable returns a node safe to mutate in the current generation,
-// copying nodes sealed into earlier generations — an inner node together
-// with its child array, which the older generation still reads. Either
-// way the node's cached hash and saved mark are invalidated.
-func (t *Tree) editable(n *node) *node {
-	if n.gen != t.gen {
-		cp := *n
-		cp.gen = t.gen
-		if cp.children != nil {
-			children := *cp.children
-			cp.children = &children
-		}
-		n = &cp
-	}
+// edited invalidates the node's cached hash and saved mark: its content
+// is about to change.
+func (n *node) edited() {
 	n.hashed = false
 	n.saved = false
-	return n
 }
 
 // Get returns the value stored under key. The returned slice is owned
@@ -125,11 +108,11 @@ func (t *Tree) Set(key ledger.Hash, value []byte) {
 func (t *Tree) set(n *node, depth int, key ledger.Hash, value []byte) *node {
 	if n == nil {
 		t.size++
-		return &node{gen: t.gen, leaf: true, key: key, value: value}
+		return &node{leaf: true, key: key, value: value}
 	}
 	if n.leaf {
 		if n.key == key {
-			n = t.editable(n)
+			n.edited()
 			n.value = value
 			return n
 		}
@@ -137,11 +120,11 @@ func (t *Tree) set(n *node, depth int, key ledger.Hash, value []byte) *node {
 		// both keys share this nibble the recursion splits again, growing
 		// the chain of single-child inner nodes the keys' common prefix
 		// dictates.
-		inner := &node{gen: t.gen, children: new([16]*node)}
+		inner := &node{children: new([16]*node)}
 		inner.children[nibble(n.key, depth)] = n
 		return t.set(inner, depth, key, value)
 	}
-	n = t.editable(n)
+	n.edited()
 	b := nibble(key, depth)
 	n.children[b] = t.set(n.children[b], depth+1, key, value)
 	return n
@@ -174,7 +157,7 @@ func (t *Tree) del(n *node, depth int, key ledger.Hash) (*node, bool) {
 	if !ok {
 		return n, false
 	}
-	n = t.editable(n)
+	n.edited()
 	n.children[b] = child
 	// Collapse: an inner node left holding a single leaf becomes that
 	// leaf, restoring the canonical shape a from-scratch build of the
@@ -199,14 +182,12 @@ func (t *Tree) del(n *node, depth int, key ledger.Hash) (*node, bool) {
 	return n, true
 }
 
-// Seal hashes every node dirtied since the previous Seal, stamps the
-// root, and opens a new copy-on-write generation. The empty tree seals
-// to the zero hash.
+// Seal hashes every node dirtied since the previous Seal and stamps the
+// root. The empty tree seals to the zero hash.
 func (t *Tree) Seal() ledger.Hash {
 	var scratch []byte
 	root := hashNode(t.root, &scratch)
 	t.lastRoot = root
-	t.gen++
 	t.dirty = false
 	return root
 }
@@ -234,17 +215,6 @@ func hashNode(n *node, scratch *[]byte) ledger.Hash {
 
 // ErrUnsealed is returned by operations that require a sealed tree.
 var ErrUnsealed = errors.New("shamap: tree has unsealed mutations")
-
-// Snapshot returns a read-snapshot of the sealed tree sharing all
-// structure with it. Both trees remain fully usable: the first mutation
-// on either side copies the path it touches. It errors if the tree has
-// been mutated since the last Seal.
-func (t *Tree) Snapshot() (*Tree, error) {
-	if t.dirty {
-		return nil, ErrUnsealed
-	}
-	return &Tree{root: t.root, gen: t.gen, size: t.size, lastRoot: t.lastRoot}, nil
-}
 
 // Walk visits every leaf in key order (the radix order of the tree).
 func (t *Tree) Walk(fn func(key ledger.Hash, value []byte) error) error {
@@ -277,7 +247,9 @@ func walk(n *node, fn func(key ledger.Hash, value []byte) error) error {
 // must copy. Emitted nodes are marked, so successive WriteNew calls
 // across seals together persist exactly the union of the trees, which a
 // content-addressed store reassembles from any subset containing the
-// latest root's closure.
+// latest root's closure. One call never passes put the same hash twice:
+// leaf keys are unique in a tree, and an inner node's hash commits to
+// its whole subtree, so two nodes of one tree never share an encoding.
 func (t *Tree) WriteNew(put func(h ledger.Hash, data []byte) error) (int, error) {
 	if t.dirty {
 		return 0, ErrUnsealed
@@ -316,8 +288,9 @@ func writeNode(n *node, scratch *[]byte, put func(h ledger.Hash, data []byte) er
 // sealed root, parents before their children — the order Load fetches
 // them in, so a store written this way is read front to back. It is the
 // whole tree in one batch, whatever WriteNew has already emitted, and
-// leaves the WriteNew marks alone. The data slice passed to put is
-// reused between calls; implementations that retain it must copy.
+// leaves the WriteNew marks alone. Like WriteNew, it never passes put
+// the same hash twice. The data slice passed to put is reused between
+// calls; implementations that retain it must copy.
 func (t *Tree) WriteAll(put func(h ledger.Hash, data []byte) error) (int, error) {
 	if t.dirty {
 		return 0, ErrUnsealed
@@ -352,14 +325,15 @@ func writeAll(n *node, scratch *[]byte, put func(h ledger.Hash, data []byte) err
 // hash. Every fetched node is verified against the hash that named it,
 // so the returned tree is authenticated by root. A zero root loads the
 // empty tree. The loaded tree reports root from Root() and is ready for
-// further mutation (copy-on-write against the loaded nodes).
+// further mutation, which edits the loaded nodes in place.
 //
 // The tree retains the slices get returns: a loaded leaf's value is a
-// window on them, not a copy. get must therefore return bytes that no
-// one writes afterwards and that live as long as the tree — a
-// nodestore.FileStore's file buffers and a MemStore's records are both.
+// window on them, not a copy. An edit replaces a leaf's value and never
+// writes through it. get must therefore return bytes that no one writes
+// afterwards and that live as long as the tree — a nodestore.FileStore's
+// file buffers and a MemStore's records are both.
 func Load(root ledger.Hash, get func(ledger.Hash) ([]byte, error)) (*Tree, error) {
-	t := &Tree{gen: 1, lastRoot: root}
+	t := &Tree{lastRoot: root}
 	if root.IsZero() {
 		return t, nil
 	}

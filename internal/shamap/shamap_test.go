@@ -135,40 +135,6 @@ func TestSealIdempotentAndSensitive(t *testing.T) {
 	}
 }
 
-// TestSnapshotIsolation pins copy-on-write: mutations after a seal leave
-// the snapshot's contents and root untouched, in both directions.
-func TestSnapshotIsolation(t *testing.T) {
-	tr := build(64, nil)
-	root := tr.Seal()
-	snap, err := tr.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Set(key(3), []byte("mutated"))
-	tr.Delete(key(10))
-	tr.Set(key(1000), val(1000))
-	if got, _ := snap.Get(key(3)); string(got) != string(val(3)) {
-		t.Fatalf("snapshot saw live mutation: %q", got)
-	}
-	if _, ok := snap.Get(key(10)); !ok {
-		t.Fatal("snapshot lost a deleted key")
-	}
-	if r := snap.Seal(); r != root {
-		t.Fatalf("snapshot root drifted: %s vs %s", r.Short(), root.Short())
-	}
-	// And the other direction: mutating the snapshot leaves the live
-	// tree's state alone.
-	snap.Set(key(5), []byte("snap-only"))
-	if got, _ := tr.Get(key(5)); string(got) != string(val(5)) {
-		t.Fatalf("live tree saw snapshot mutation: %q", got)
-	}
-
-	tr.Set(key(4), []byte("x"))
-	if _, err := tr.Snapshot(); err == nil {
-		t.Fatal("Snapshot of a dirty tree did not error")
-	}
-}
-
 func TestWalkOrderAndCompleteness(t *testing.T) {
 	const n = 200
 	tr := build(n, func(i int) bool { return i%7 == 0 })
