@@ -56,7 +56,7 @@ race:
 # every fan-out (1 included).
 # Each pattern must still select a test: a rename that drops one out of
 # the pass fails the target instead of shrinking it silently.
-RACE_MP_TESTS = PipelineWorkersMatchSequentialJSON ShardPartitionMergeParityJSON ShardedMatchesSingleWriterService ParallelBackfillMatchesSequential ShardedInc SealedTableMatchesModel MergeClonedRepeatable ViewWorker Shed ConcurrentQueries HistogramMatchesModel
+RACE_MP_TESTS = PipelineWorkersMatchSequentialJSON ShardPartitionMergeParityJSON ShardedMatchesSingleWriterService ParallelBackfillMatchesSequential ShardedInc SealedTableMatchesModel SealCopyTrafficBounded CountBytesIndependentOfHistory MergeClonedRepeatable ViewWorker Shed ConcurrentQueries HistogramMatchesModel
 RACE_MP_PKGS = ./internal/serve/ ./internal/deanon/ ./internal/analysis/ ./internal/telemetry/
 empty :=
 space := $(empty) $(empty)

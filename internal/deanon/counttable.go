@@ -40,9 +40,8 @@ type countTable struct {
 	// since the last seal.
 	dirty []bool
 	// last is the table's most recent seal, whose clean pages the next
-	// seal shares. nil when the table is new, grown or recycled since:
-	// its pages no longer describe these arrays, so the next seal copies
-	// in full.
+	// seal shares. nil when the table is new or grown since: its pages
+	// no longer describe these arrays, so the next seal copies in full.
 	last *sealedTable
 }
 
@@ -69,61 +68,6 @@ func newCountTable() *countTable {
 		mask:   countTableMinCap - 1,
 		dirty:  make([]bool, countTableMinCap>>sealPageShift),
 	}
-}
-
-// countTablePool recycles tables across studies. A Figure 3 run over
-// the full history grows each shard table to megabytes; a serving layer
-// that rebuilds studies on a refresh cadence would otherwise churn that
-// allocation (and the GC) on every cycle.
-var countTablePool = struct {
-	mu   chan struct{} // 1-slot semaphore; avoids sync.Pool's per-P drift
-	free []*countTable
-}{mu: make(chan struct{}, 1)}
-
-// maxPooledSlots bounds the capacity of tables kept in the pool so one
-// pathological study can't pin an arbitrarily large table forever.
-const maxPooledSlots = 1 << 21
-
-// getCountTable returns a zeroed table, reusing pooled capacity.
-func getCountTable() *countTable {
-	countTablePool.mu <- struct{}{}
-	n := len(countTablePool.free)
-	var t *countTable
-	if n > 0 {
-		t = countTablePool.free[n-1]
-		countTablePool.free[n-1] = nil
-		countTablePool.free = countTablePool.free[:n-1]
-	}
-	<-countTablePool.mu
-	if t == nil {
-		return newCountTable()
-	}
-	return t
-}
-
-// release resets the table and returns it to the pool. The caller must
-// not use it afterwards.
-func (t *countTable) release() {
-	if len(t.keys) > maxPooledSlots {
-		return
-	}
-	t.reset()
-	countTablePool.mu <- struct{}{}
-	countTablePool.free = append(countTablePool.free, t)
-	<-countTablePool.mu
-}
-
-// reset zeroes the table in place, keeping its capacity. It forgets the
-// last seal too: a recycled table whose dirty bits are cleared but whose
-// last pointer survived would publish the previous study's pages.
-func (t *countTable) reset() {
-	clear(t.keys)
-	clear(t.counts)
-	clear(t.dirty)
-	t.used = 0
-	t.zeroCount = 0
-	t.uniques = 0
-	t.last = nil
 }
 
 // incr bumps fp's saturating counter, keeping uniques current from the
@@ -262,10 +206,10 @@ var emptySealed = newCountTable().sealWhole()
 // seal publishes the table's current counts. Pages no increment has
 // written since the previous seal are shared with it by pointer, and a
 // table with nothing written is shared whole. A table with no previous
-// seal — new, grown or recycled since — is copied whole, and so is one
-// with at least half its pages dirty, as under a firehose: one memmove
-// beats a page-by-page copy there, and it drops the earlier copies'
-// pages, so the current seal never pins more than twice the table.
+// seal — new or grown since — is copied whole, and so is one with at
+// least half its pages dirty, as under a firehose: one memmove beats a
+// page-by-page copy there, and it drops the earlier copies' pages, so
+// the current seal never pins more than twice the table.
 func (t *countTable) seal() *sealedTable {
 	if t.last == nil && t.used == 0 && t.zeroCount == 0 {
 		return emptySealed

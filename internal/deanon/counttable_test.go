@@ -51,18 +51,18 @@ func (e *sealEpoch) check(t *testing.T, what string, stride int) bool {
 	return true
 }
 
-// TestSealedTableMatchesModel drives random increments, growth, seals
-// and pool recycling through ShardedIncStudy against a map model
-// captured at each seal. Every snapshot must keep answering for its own
-// epoch (Lookup, Results, DistinctFingerprints) through later seals,
-// grows, Close and the reuse of its study's tables, while reader
-// goroutines query earlier snapshots concurrently: under -race, a seal
-// that wrote into a published page is a race. Between two seals of one
-// table, an unchanged table is the previous seal itself, and every page
-// whose contents did not change is the previous seal's page by pointer —
-// unless half the pages or more changed, when the table is copied whole
-// and shares none. A grown table, and the first seal of a table recycled
-// through the pool, share no page with any earlier seal.
+// TestSealedTableMatchesModel drives random increments, growth and seals
+// through ShardedIncStudy against a map model captured at each seal.
+// Every snapshot must keep answering for its own epoch (Lookup, Results,
+// DistinctFingerprints) through later seals, grows, its study's Close and
+// a second study's counting, while reader goroutines query earlier
+// snapshots concurrently: under -race, a seal that wrote into a
+// published page is a race. Between two seals of one table, an unchanged
+// table is the previous seal itself, and every page whose contents did
+// not change is the previous seal's page by pointer — unless half the
+// pages or more changed, when the table is copied whole and shares none.
+// A grown table shares no page with any earlier seal, and a study
+// started after another study's Close publishes no page of that study.
 func TestSealedTableMatchesModel(t *testing.T) {
 	rows := Figure3Rows[:3]
 	// repeat[r] is how often row r re-observes a known key: row 0 grows
@@ -225,8 +225,8 @@ func TestSealedTableMatchesModel(t *testing.T) {
 	first := NewShardedIncStudy(rows, 1)
 	firstEpochs := run(first, 6000)
 	sharing(firstEpochs)
-	// Recycling: the second study takes the first's tables from the pool
-	// — reset, but grown — and must seal each in full on first use.
+	// A study started after the first's Close counts in tables of its
+	// own: none of its seals may publish a page of the first study.
 	first.Close()
 	second := NewShardedIncStudy(rows, 1)
 	secondEpochs := run(second, 400)
@@ -234,7 +234,7 @@ func TestSealedTableMatchesModel(t *testing.T) {
 	old := pages(firstEpochs)
 	for pg := range pages(secondEpochs) {
 		if old[pg] {
-			t.Fatal("a recycled table's seals publish a page of the previous study")
+			t.Fatal("a new study's seals publish a page of a closed study")
 		}
 	}
 	second.Close()
@@ -258,4 +258,85 @@ func TestSealedTableMatchesModel(t *testing.T) {
 	if after := tab.seal(); after == before || after.get(0) != 1 || before.get(0) != 0 {
 		t.Fatalf("zero-key-only seal: shared=%v, counts %d then %d", after == before, before.get(0), after.get(0))
 	}
+}
+
+// TestSealCopyTrafficBounded feeds uniform fingerprints to a
+// ShardedIncStudy sealed under the serving view's doubling gate — at a
+// batch boundary, once the study has doubled since its previous seal —
+// and then once more ungated, as a Drain ends. The bytes of the pages
+// each seal does not share with the previous seal must sum to at most 3×
+// the final CountBytes: about 2× from the gated seals, whose tables
+// double between them, and 1× from the final seal. The bound is reached
+// when the final tables are the size the last gated seal copied; here
+// they are twice that, and the sum reads about 2×. A larger study counts
+// and closes first, so the bound also holds for a study whose process
+// has run another: its tables grow from the minimum, not from the size
+// the earlier study reached.
+func TestSealCopyTrafficBounded(t *testing.T) {
+	rows := Figure3Rows
+	rng := rand.New(rand.NewSource(83))
+	fps := make([]Fingerprint, len(rows))
+	observe := func(study *ShardedIncStudy) {
+		for r := range fps {
+			fps[r] = Fingerprint(rng.Uint64())
+		}
+		study.ObserveFingerprints(fps)
+	}
+	const payments, batch = 60_000, 256
+
+	earlier := NewShardedIncStudy(rows, 2)
+	for range 2 * payments {
+		observe(earlier)
+	}
+	earlier.Close()
+
+	study := NewShardedIncStudy(rows, 2)
+	defer study.Close()
+	var prev *IncSnapshot
+	copied, seals, lastSeal := 0, 0, 0
+	seal := func() {
+		snap := study.Seal()
+		copied += unsharedPageBytes(prev, snap)
+		prev, lastSeal = snap, snap.Payments()
+		seals++
+	}
+	for p := 1; p <= payments; p++ {
+		observe(study)
+		if p%batch == 0 && study.Payments() >= 2*lastSeal {
+			seal()
+		}
+	}
+	seal()
+	final := prev.CountBytes()
+	if copied > 3*final {
+		t.Fatalf("%d seals copied %d bytes, %.2f× the final %d count bytes; want ≤ 3×",
+			seals, copied, float64(copied)/float64(final), final)
+	}
+	t.Logf("%d seals copied %.2f× the final %d count bytes", seals, float64(copied)/float64(final), final)
+}
+
+// unsharedPageBytes sums the bytes of cur's pages that prev (nil before
+// the first seal) does not hold in the same table: what sealing cur
+// copied. The shared empty placeholder is never copied.
+func unsharedPageBytes(prev, cur *IncSnapshot) int {
+	n := 0
+	for sh, tables := range cur.tables {
+		for r, st := range tables {
+			if st == emptySealed {
+				continue
+			}
+			old := map[*[sealPageSlots]Fingerprint]bool{}
+			if prev != nil {
+				for _, pg := range prev.tables[sh][r].keys {
+					old[pg] = true
+				}
+			}
+			for _, pg := range st.keys {
+				if !old[pg] {
+					n += sealPageSlots * 9
+				}
+			}
+		}
+	}
+	return n
 }

@@ -385,7 +385,7 @@ func (s *ImportanceStudy) Parallel() *ParallelStudy { return s.study }
 // Observe folds one payment in.
 func (s *ImportanceStudy) Observe(f Features) { s.study.Observe(f) }
 
-// Close releases the study's count tables to the package pool (see
+// Close stops the study's shard workers and drops its count tables (see
 // ParallelStudy.Close). Call after the last Results read.
 func (s *ImportanceStudy) Close() { s.study.Close() }
 

@@ -83,56 +83,12 @@ func TestCountTableUniquesIncremental(t *testing.T) {
 	if got, want := s.distinct(), tab.distinct(); got != want {
 		t.Fatalf("seal: distinct() = %d, table %d", got, want)
 	}
-	tab.reset()
-	if tab.unique() != 0 || tab.uniqueScan() != 0 || tab.distinct() != 0 {
-		t.Fatalf("reset left counts behind: unique=%d distinct=%d", tab.unique(), tab.distinct())
-	}
-	// The reset table must count correctly again.
-	tab.incr(1)
-	tab.incr(2)
-	tab.incr(2)
-	if tab.unique() != 1 || tab.get(1) != 1 || tab.get(2) != countSaturated {
-		t.Fatalf("post-reset counting broken: unique=%d", tab.unique())
-	}
 }
 
-// TestCountTablePoolRecycling verifies released tables come back zeroed
-// with their grown capacity intact, and that oversized tables are
-// dropped instead of pinned.
-func TestCountTablePoolRecycling(t *testing.T) {
-	tab := getCountTable()
-	for i := 1; i <= 10_000; i++ {
-		tab.incr(Fingerprint(i))
-	}
-	grown := len(tab.keys)
-	if grown <= countTableMinCap {
-		t.Fatalf("table did not grow (cap %d)", grown)
-	}
-	tab.release()
-	got := getCountTable()
-	if len(got.keys) < grown {
-		t.Fatalf("pooled capacity lost: got %d, want >= %d", len(got.keys), grown)
-	}
-	if got.used != 0 || got.unique() != 0 || got.uniqueScan() != 0 {
-		t.Fatalf("pooled table not zeroed: used=%d unique=%d", got.used, got.unique())
-	}
-	got.release()
-
-	huge := &countTable{
-		keys:   make([]Fingerprint, 2*maxPooledSlots),
-		counts: make([]uint8, 2*maxPooledSlots),
-		mask:   2*maxPooledSlots - 1,
-	}
-	huge.release() // must be a no-op
-	if fresh := getCountTable(); len(fresh.keys) >= 2*maxPooledSlots {
-		t.Fatalf("oversized table was pooled (cap %d)", len(fresh.keys))
-	}
-}
-
-// TestParallelStudyCloseRecycles checks Close is safe (idempotent,
-// post-Results) and that a study built after Close still produces
-// correct results from recycled tables.
-func TestParallelStudyCloseRecycles(t *testing.T) {
+// TestParallelStudyCloseIdempotent checks Close is safe (idempotent,
+// post-Results) and that a study built after another's Close still
+// produces correct results.
+func TestParallelStudyCloseIdempotent(t *testing.T) {
 	feats := randomFeatures(5_000, 17)
 	want := NewStudy(Figure3Rows)
 	for _, f := range feats {

@@ -108,7 +108,7 @@ func (c *shardCore) start(resolutions []Resolution, shardBits int) {
 		// on a worker that is mid-batch; ack carries one barrier token.
 		sh := &countShard{ch: make(chan shardMsg, 4), ack: make(chan struct{}, 1)}
 		for range c.resolutions {
-			sh.counts = append(sh.counts, getCountTable())
+			sh.counts = append(sh.counts, newCountTable())
 		}
 		c.shards = append(c.shards, sh)
 		c.wg.Add(1)
@@ -257,12 +257,11 @@ func (c *shardCore) tables() [][]*countTable {
 	return out
 }
 
-// Close stops the shard workers and returns the live count tables to
-// the package pool, so callers that rebuild studies repeatedly (the
-// serve refresh cadence, benchmark loops) reuse the fully-grown tables
-// instead of reallocating and re-growing them every cycle. The study is
-// unusable afterwards; sealed snapshots are independent copies and stay
-// valid. Close is idempotent.
+// Close stops the shard workers and drops the live count tables. The
+// study is unusable afterwards; sealed snapshots are independent copies
+// and stay valid. Dropping the tables matters to a caller that keeps a
+// closed study reachable, such as a handler still holding a closed
+// service: it then pins only the sealed snapshots. Close is idempotent.
 func (c *shardCore) Close() {
 	if c.closed {
 		return
@@ -273,10 +272,7 @@ func (c *shardCore) Close() {
 	}
 	c.wg.Wait()
 	for _, sh := range c.shards {
-		for i, t := range sh.counts {
-			t.release()
-			sh.counts[i] = nil
-		}
+		clear(sh.counts)
 	}
 }
 

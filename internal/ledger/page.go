@@ -5,8 +5,11 @@ import (
 )
 
 // PageHeader identifies a closed ledger page: its position in the chain,
-// the hash of its parent, digests of its transaction set and resulting
-// state, and the consensus close time.
+// the hash of its parent, a digest of its transaction set, the history
+// digest the engine held after applying it, and the consensus close
+// time. StateHash chains every applied transaction's hash with its
+// result byte (payment.Engine.StateDigest): it commits to the history
+// and to each transaction's success or failure, not to balances.
 type PageHeader struct {
 	Sequence   uint64    `json:"sequence"`
 	ParentHash Hash      `json:"parent_hash"`

@@ -43,10 +43,11 @@ type Engine struct {
 	interAccts []addr.AccountID
 	interPaths []int
 
-	// stateDigest chains applied transaction hashes into a deterministic
-	// state fingerprint. Hashing the full state on every ledger close
-	// would be quadratic; the chained digest preserves the property the
-	// consensus needs: equal histories ⇒ equal digests.
+	// stateDigest chains each applied transaction's hash and its result
+	// byte into a history digest: it commits to what was applied and
+	// whether each succeeded, not to balances. Hashing the full state on
+	// every ledger close would be quadratic; the chained digest keeps the
+	// property the consensus needs: equal histories ⇒ equal digests.
 	stateDigest ledger.Hash
 
 	// state is the optional authenticated state tree and its mutation
@@ -113,7 +114,9 @@ func (e *Engine) TotalDrops() uint64 { return e.totalDrops }
 // FeesDestroyed returns the cumulative drops burned as fees.
 func (e *Engine) FeesDestroyed() amount.Drops { return e.feesDestroyed }
 
-// StateDigest returns the deterministic fingerprint of the state history.
+// StateDigest returns the history digest: every applied transaction's
+// hash chained with its result byte. Equal digests mean equal applied
+// histories with equal outcomes; they say nothing of balances directly.
 func (e *Engine) StateDigest() ledger.Hash { return e.stateDigest }
 
 // Clone deep-copies the engine for replay experiments (Table II). The

@@ -74,11 +74,16 @@ func (f *fingerprintState) apply(shard int, rec *pageRecord) {
 // uniform fingerprints dirty every page between two seals (and growth
 // forces whole copies), so a seal there is O(distinct fingerprints), not
 // O(batch). Requiring the study to double since the previous seal spaces
-// those publishes geometrically, so total copy traffic stays linear in
-// ingest (≤2× the final table) while a backfill still surfaces
-// mid-stream epochs. Ring-dry seals bypass this gate: once the rings run
-// dry the view publishes after waiting as long as its previous seal took
-// (at once while a Drain waits), so idle epochs stay fresh.
+// those publishes geometrically, so a backfill still surfaces mid-stream
+// epochs while the gated seals together copy at most about 2× the final
+// tables, and the ungated seal that ends a Drain at most 1× more:
+// deanon.TestSealCopyTrafficBounded holds the sum to ≤ 3× the final
+// CountBytes. The bound holds because every study's tables start at the
+// minimum and double as they fill, so each seal copies a table whose
+// size tracks the payments ingested so far, not one grown by an earlier
+// study. Ring-dry seals bypass this gate: once the rings run dry the
+// view publishes after waiting as long as its previous seal took (at
+// once while a Drain waits), so idle epochs stay fresh.
 func (f *fingerprintState) sealDue() bool {
 	return f.study.Payments() >= 2*f.lastSealPayments
 }

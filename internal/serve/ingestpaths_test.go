@@ -139,6 +139,35 @@ func TestBatchedIngestMatchesSinglePage(t *testing.T) {
 	}
 }
 
+// TestCountBytesIndependentOfHistory backfills one history into three
+// services in turn, each closed before the next starts, as a process
+// that rebuilds its service per pass does. The fingerprint view's count
+// memory must follow the history it counted, not the services that ran
+// before it: equal Rows and equal CountBytes from all three.
+func TestCountBytesIndependentOfHistory(t *testing.T) {
+	pages := genPages(t, 2000, 73)
+	var first *FingerprintSnapshot
+	for pass := range 3 {
+		s := NewService(Options{})
+		if err := s.IngestPages(pages); err != nil {
+			t.Fatal(err)
+		}
+		drain(t, s)
+		fp := s.Fingerprints()
+		s.Close()
+		if pass == 0 {
+			first = fp
+			continue
+		}
+		if !reflect.DeepEqual(fp.Rows, first.Rows) {
+			t.Fatalf("pass %d: Figure 3 rows diverged from pass 0", pass)
+		}
+		if fp.CountBytes() != first.CountBytes() {
+			t.Fatalf("pass %d: %d count bytes, pass 0 held %d", pass, fp.CountBytes(), first.CountBytes())
+		}
+	}
+}
+
 // TestDifferentialThroughInjectedFaults streams a history where well
 // over 15% of the page payloads are corrupted in flight: every corrupt
 // payload must be quarantined (counted, tally still advances) and the

@@ -41,6 +41,7 @@ func (s *Service) writeMetrics(out io.Writer) {
 	w.Counter("serve_ingest_batches_total", "Update batches fanned out to the page views.", s.ingestBatches.Load())
 	w.Counter("serve_ingest_batch_pages_total", "Pages carried by those batches; divide by serve_ingest_batches_total for the mean batch size.", s.ingestBatchPages.Load())
 	w.Gauge("serve_fingerprint_shards", "Single-writer count shards behind the fingerprint view.", float64(s.fpState.shards()))
+	w.Gauge("serve_fingerprint_count_bytes", "Bytes of the current fingerprint snapshot's count tables (keys and counts, each table at its full size).", float64(s.Fingerprints().CountBytes()))
 	w.Gauge("serve_pipeline_workers", "Apply workers (state shards and rings) per view pipeline.", float64(s.opts.PipelineWorkers))
 	w.Counter("serve_dropped_events_total", "Events lost: undecodable page payloads plus view-queue overflow drops.", h.DroppedEvents)
 	w.Gauge("serve_stream_last_seq", "Highest stream sequence seen from the network.", float64(h.StreamLastSeq))

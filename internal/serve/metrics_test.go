@@ -170,3 +170,34 @@ func TestMetricsWellFormed(t *testing.T) {
 		t.Errorf("validators query count %s, want %d", got, validatorsRequests)
 	}
 }
+
+// TestMetricsCountBytesGauge checks serve_fingerprint_count_bytes
+// exports the current fingerprint snapshot's CountBytes, and that it
+// grows from the empty service's as the view counts a history.
+func TestMetricsCountBytesGauge(t *testing.T) {
+	s := NewService(Options{})
+	defer s.Close()
+	scrape := func() string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		return rec.Body.String()
+	}
+	gauge := func(n int) string { return "\nserve_fingerprint_count_bytes " + strconv.Itoa(n) + "\n" }
+
+	empty := s.Fingerprints().CountBytes()
+	if body := scrape(); !strings.Contains(body, gauge(empty)) {
+		t.Fatalf("empty service: metrics missing %q", gauge(empty))
+	}
+	if err := s.IngestPages(genPages(t, 1000, 79)); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, s)
+	counted := s.Fingerprints().CountBytes()
+	if counted <= empty {
+		t.Fatalf("count bytes %d after a backfill, %d before", counted, empty)
+	}
+	if body := scrape(); !strings.Contains(body, gauge(counted)) {
+		t.Fatalf("after backfill: metrics missing %q", gauge(counted))
+	}
+}
