@@ -266,12 +266,7 @@ func ListCheckpoints(dir string) ([]CheckpointMeta, error) {
 // damage: records are content-addressed and tree loads verify every
 // hash, so a short store can fail a load but never falsify one.
 func OpenCheckpointNodes(dir string, metas []CheckpointMeta) (*nodestore.FileStore, error) {
-	records := 0
-	for _, m := range metas {
-		// NodesBytes was checked against the file; NewNodes is only a claim.
-		records += min(m.NewNodes, int(m.NodesBytes/nodestore.RecordOverhead))
-	}
-	store := nodestore.NewFileStore(records)
+	store := &nodestore.FileStore{}
 	for _, m := range metas {
 		if err := store.Add(checkpointNodesPath(dir, m.Seq)); err != nil {
 			return store, err

@@ -14,9 +14,10 @@ import (
 // a buffered writer, and Close flushes and syncs. It writes every record
 // it is given, duplicates included: keeping a batch free of them is the
 // producer's guarantee — one shamap WriteNew or WriteAll call never
-// emits a hash twice — and a FileStore reading a batch keeps the first
-// copy of any hash anyway. A replay checkpoint streams one seal's new
-// tree nodes through it, and a checkpoint base the whole tree.
+// emits a hash twice — and a FileStore reading a batch answers for a
+// repeated hash with one of its copies anyway. A replay checkpoint
+// streams one seal's new tree nodes through it, and a checkpoint base
+// the whole tree.
 type FileWriter struct {
 	f     *os.File
 	w     *bufio.Writer
@@ -67,34 +68,33 @@ func (fw *FileWriter) Close() error {
 	return closeErr
 }
 
-// FileStore is the read side of batch files: Add loads one whole,
-// CRC-checks every record, and enters each new hash into one
-// open-addressed table shared by every file added — content addressing
-// makes the union of batches a store, so a lookup is one probe however
-// many batches a checkpoint restore spans. A slot names a record by file
-// and payload offset; hash and length are read back from the frame in
-// front of the payload. Batch files are bounded (one seal's changed
-// nodes, or one tree), so loading them whole is the simplest and fastest
-// shape for a restore. The zero value is an empty store.
+// FileStore is the read side of batch files: Add loads one whole and
+// CRC-checks every record. A Get that asks for the record after the one
+// Get last returned — every Get of a load from a checkpoint base, which
+// shamap WriteAll writes in the order Load asks for nodes — is answered
+// by comparing the hash framed in front of it. The first Get that misses
+// there builds one open-addressed table over every file added so far
+// (later Adds enter theirs): content addressing makes the union of
+// batches a store, so a lookup is one probe however many batches a
+// restore spans. A slot names a record by file and payload offset. A
+// probe answers with the first record of a hash, a read in file order
+// with the record it meets; both hold the bytes the hash names. The zero
+// value is an empty store. Get moves the read position and may build
+// the table, so a FileStore is not safe for concurrent use.
 type FileStore struct {
-	files [][]byte
-	slots []uint64 // 0 is empty, else file<<offsetBits | payload offset
-	n     int      // distinct hashes
+	files   [][]byte
+	records int      // records across files, repeats included
+	slots   []uint64 // nil until built; 0 is empty, else file<<offsetBits | payload offset
+	n       int      // distinct hashes, once the table is built
+
+	nextFile, nextOff int // the frame after the one Get last returned
 }
 
 // offsetBits is the width of a slot's payload offset (a file is read
 // whole, so it is far smaller); the file number takes the rest.
 const offsetBits = 40
 
-// NewFileStore returns an empty store whose table is sized for the given
-// number of records, so adding that many never rebuilds it.
-func NewFileStore(records int) *FileStore {
-	s := &FileStore{}
-	s.resize(records)
-	return s
-}
-
-// OpenFile loads and indexes one batch file written by FileWriter.
+// OpenFile loads one batch file written by FileWriter.
 func OpenFile(path string) (*FileStore, error) {
 	s := &FileStore{}
 	if err := s.Add(path); err != nil {
@@ -103,11 +103,12 @@ func OpenFile(path string) (*FileStore, error) {
 	return s, nil
 }
 
-// Add loads and indexes one more batch file; a hash already present
-// keeps its first record (the bytes are identical by construction). Any
-// framing or CRC damage fails the add and leaves the store as it was — a
-// checkpoint loader falls back to an older checkpoint (or a cold replay)
-// rather than trusting a torn batch.
+// Add loads one more batch file, and enters its hashes into the table
+// if one has been built; a hash already present keeps its first record
+// (the bytes are identical by construction). Any framing or CRC damage
+// fails the add and leaves the store as it was — a checkpoint loader
+// falls back to an older checkpoint (or a cold replay) rather than
+// trusting a torn batch.
 func (s *FileStore) Add(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -119,11 +120,29 @@ func (s *FileStore) Add(path string) error {
 			return fmt.Errorf("nodestore: %s: %w", path, err)
 		}
 	}
-	if 2*(s.n+records) > len(s.slots) {
-		s.resize(s.n + records)
-	}
-	file := uint64(len(s.files)) << offsetBits
 	s.files = append(s.files, data)
+	s.records += records
+	if s.slots != nil {
+		if 2*(s.n+records) > len(s.slots) {
+			s.resize(s.n + records)
+		}
+		s.index(len(s.files) - 1)
+	}
+	return nil
+}
+
+// buildTable makes the table for every file added so far, sized for
+// all their records.
+func (s *FileStore) buildTable() {
+	s.resize(s.records)
+	for f := range s.files {
+		s.index(f)
+	}
+}
+
+// index enters the new hashes of file f into the table.
+func (s *FileStore) index(f int) {
+	data, file := s.files[f], uint64(f)<<offsetBits
 	for off := recordHeader; off < len(data); {
 		if i := s.probe(data[off-32 : off]); s.slots[i] == 0 {
 			s.slots[i] = file | uint64(off)
@@ -131,7 +150,6 @@ func (s *FileStore) Add(path string) error {
 		}
 		off += int(binary.BigEndian.Uint32(data[off-recordHeader:])) + recordTrailer + recordHeader
 	}
-	return nil
 }
 
 // resize rebuilds the table to hold n records at most half full.
@@ -173,17 +191,38 @@ func (s *FileStore) probe(h []byte) int {
 
 // Get implements Getter. The returned slice aliases the loaded file.
 func (s *FileStore) Get(h ledger.Hash) ([]byte, error) {
-	if len(s.slots) == 0 {
-		return nil, ErrNotFound
+	for s.nextFile < len(s.files) && s.nextOff >= len(s.files[s.nextFile]) {
+		s.nextFile, s.nextOff = s.nextFile+1, 0
+	}
+	if s.nextFile < len(s.files) {
+		if data, off := s.files[s.nextFile], s.nextOff+recordHeader; bytes.Equal(data[off-32:off], h[:]) {
+			return s.payload(uint64(s.nextFile)<<offsetBits | uint64(off)), nil
+		}
+	}
+	if s.slots == nil {
+		s.buildTable()
 	}
 	slot := s.slots[s.probe(h[:])]
 	if slot == 0 {
 		return nil, ErrNotFound
 	}
-	data, off := s.at(slot)
-	end := off + int(binary.BigEndian.Uint32(data[off-recordHeader:]))
-	return data[off:end:end], nil
+	return s.payload(slot), nil
 }
 
-// Len returns the number of distinct records across the files added.
-func (s *FileStore) Len() int { return s.n }
+// payload returns the payload a slot names and moves the read position
+// to the record after it.
+func (s *FileStore) payload(slot uint64) []byte {
+	data, off := s.at(slot)
+	end := off + int(binary.BigEndian.Uint32(data[off-recordHeader:]))
+	s.nextFile, s.nextOff = int(slot>>offsetBits), end+recordTrailer
+	return data[off:end:end]
+}
+
+// Len returns the number of distinct records across the files added. It
+// builds the table.
+func (s *FileStore) Len() int {
+	if s.slots == nil {
+		s.buildTable()
+	}
+	return s.n
+}

@@ -5,20 +5,21 @@
 // stores is itself a valid store, and readers verify integrity by
 // re-hashing what they fetch.
 //
-// Three backends cover the study's needs: MemStore for tests and
-// in-process snapshots, FileWriter/FileStore for the append-only batch
-// files a replay checkpoint persists — any number of them read back
-// under one index that keeps the first record of a hash, so the writer
-// appends what it is given without checking for repeats (file.go) — and
-// Cache, an LRU layer over any Getter for hot-node reads (cache.go). The
-// flat record framing (AppendRecord/DecodeRecord) is shared by every
-// backend:
+// Two backends cover the study's needs: MemStore for tests and
+// in-process snapshots, and FileWriter/FileStore for the append-only
+// batch files a replay checkpoint persists (file.go). A FileStore reads
+// any number of them: in file order by following the records, out of
+// order through one index, built at the first read that needs it, that
+// keeps the first record of a hash — so the writer appends what it is
+// given without checking for repeats. The flat record framing
+// (AppendRecord/DecodeRecord) is shared by both:
 //
 //	u32 payload length ‖ hash[32] ‖ payload ‖ u32 CRC-32 (hash‖payload)
 //
 // lengths big-endian, CRC over the hash and payload bytes (IEEE). The
-// CRC catches torn writes and bit rot cheaply at scan time; the hash
-// check (the caller's, or VerifyRecord) authenticates content.
+// CRC catches torn writes and bit rot cheaply at scan time; the
+// caller's hash check (shamap.Load re-hashes every node) authenticates
+// content.
 package nodestore
 
 import (
@@ -87,9 +88,8 @@ func (s *MemStore) Len() int { return len(s.m) }
 const (
 	recordHeader  = 4 + 32 // length + hash
 	recordTrailer = 4      // CRC-32
-	// RecordOverhead is the framing around every payload, so a file of n
-	// bytes holds at most n/RecordOverhead records.
-	RecordOverhead = recordHeader + recordTrailer
+	// recordOverhead is the framing around every payload.
+	recordOverhead = recordHeader + recordTrailer
 	// MaxPayload bounds a single record: far above any real tree node
 	// (a full inner node is 515 bytes) but small enough that a corrupt
 	// length field cannot drive an allocation of gigabytes.
@@ -109,14 +109,14 @@ func AppendRecord(dst []byte, h ledger.Hash, payload []byte) []byte {
 // DecodeRecord parses one framed record from the front of data,
 // returning the payload (aliasing data) and the remaining bytes.
 func DecodeRecord(data []byte) (h ledger.Hash, payload, rest []byte, err error) {
-	if len(data) < recordHeader+recordTrailer {
+	if len(data) < recordOverhead {
 		return h, nil, nil, fmt.Errorf("nodestore: record truncated at %d bytes", len(data))
 	}
 	n := binary.BigEndian.Uint32(data)
 	if n > MaxPayload {
 		return h, nil, nil, fmt.Errorf("nodestore: record length %d exceeds cap %d", n, MaxPayload)
 	}
-	total := recordHeader + int(n) + recordTrailer
+	total := recordOverhead + int(n)
 	if len(data) < total {
 		return h, nil, nil, fmt.Errorf("nodestore: record wants %d bytes, have %d", total, len(data))
 	}
@@ -127,13 +127,4 @@ func DecodeRecord(data []byte) (h ledger.Hash, payload, rest []byte, err error) 
 	}
 	copy(h[:], body)
 	return h, body[32:], data[total:], nil
-}
-
-// VerifyRecord re-hashes a payload against the hash that names it —
-// the content-addressing check on top of the frame CRC.
-func VerifyRecord(h ledger.Hash, payload []byte) error {
-	if ledger.SHA512Half(payload) != h {
-		return fmt.Errorf("nodestore: payload does not hash to %s", h.Short())
-	}
-	return nil
 }

@@ -8,10 +8,21 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ripplestudy/internal/ledger"
+	"ripplestudy/internal/shamap"
 )
+
+// VerifyRecord re-hashes a payload against the hash that names it —
+// the content-addressing check on top of the frame CRC.
+func VerifyRecord(h ledger.Hash, payload []byte) error {
+	if ledger.SHA512Half(payload) != h {
+		return fmt.Errorf("nodestore: payload does not hash to %s", h.Short())
+	}
+	return nil
+}
 
 func rec(i int) (ledger.Hash, []byte) {
 	payload := binary.BigEndian.AppendUint64(nil, uint64(i))
@@ -115,9 +126,8 @@ func TestFileRoundTrip(t *testing.T) {
 		}
 	}
 	// A duplicate put is written like any other record: keeping a batch
-	// free of repeats is the producer's job, and the store below keeps
-	// the first copy. The repeat carries another payload so that which
-	// copy the store returns shows.
+	// free of repeats is the producer's job. The repeat carries another
+	// payload so that which copy the store returns shows.
 	h0, _ := rec(0)
 	second := []byte("second copy")
 	before := fw.Bytes()
@@ -128,8 +138,8 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatalf("writer Len = %d, want %d", fw.Len(), n+1)
 	}
 	wantBytes := fw.Bytes()
-	if grew := wantBytes - before; grew != int64(RecordOverhead+len(second)) {
-		t.Fatalf("the duplicate put wrote %d bytes, want %d", grew, RecordOverhead+len(second))
+	if grew := wantBytes - before; grew != int64(recordOverhead+len(second)) {
+		t.Fatalf("the duplicate put wrote %d bytes, want %d", grew, recordOverhead+len(second))
 	}
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
@@ -138,8 +148,11 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatalf("file size %v (err %v), writer reported %d", fi.Size(), err, wantBytes)
 	}
 
-	// The store counts distinct hashes and answers with the first copy,
-	// so record 0 reads back as its original payload.
+	// The store counts distinct hashes. Read in file order, record 0 is
+	// met at its first copy and reads back as its original payload. (Read
+	// right after record 49 it would be the second: in file order the
+	// store answers with the record it meets, where real copies of a
+	// hash hold the same bytes.)
 	fs, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -258,15 +271,18 @@ func TestLayeredUnion(t *testing.T) {
 	}
 }
 
-// TestFileStoreMatchesMapModel holds the one index over many files
-// against a map[Hash][]byte: random batches whose hashes repeat across
-// files, families of forged hashes that share their first eight bytes
-// (so they start their probe in the same slot and only the full compare
-// tells them apart), an empty file, and a table that starts at nothing
-// and must grow — beside a table sized up front, which must not. Every
-// present hash returns its payload; every absent one, including absent
-// members of a forged family queued behind an occupied run, is
-// ErrNotFound.
+// TestFileStoreMatchesMapModel holds a store over many files against a
+// map[Hash][]byte: random batches whose hashes repeat across files, a
+// file added twice, families of forged hashes that share their first
+// eight bytes (so they start their probe in the same slot and only the
+// full compare tells them apart), and an empty file. The records are
+// read in file order, which must never build the table and leaves Len
+// to build it; in reverse order, whose first read builds the table over
+// every record, which nothing rebuilds; and in random order, into a
+// table first built before most files were added, which must grow.
+// Every present hash
+// returns its payload; every absent one, including absent members of a
+// forged family queued behind an occupied run, is ErrNotFound.
 func TestFileStoreMatchesMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	model := map[ledger.Hash][]byte{}
@@ -278,8 +294,8 @@ func TestFileStoreMatchesMapModel(t *testing.T) {
 		return h
 	}
 	var paths []string
-	var pool []ledger.Hash // hashes already written, to repeat across files
-	total := 0
+	var reads []ledger.Hash // every record of every file, in file order
+	var pool []ledger.Hash  // hashes already written, to repeat across files
 	for file := 0; file < 9; file++ {
 		var hashes []ledger.Hash
 		var payloads [][]byte
@@ -309,47 +325,102 @@ func TestFileStoreMatchesMapModel(t *testing.T) {
 				add(h, p)
 			}
 		}
-		total += len(hashes)
+		reads = append(reads, hashes...)
 		paths = append(paths, writeBatch(t, hashes, payloads))
+		if file == 2 { // the same records once more, in a file of their own
+			reads = append(reads, hashes...)
+			paths = append(paths, paths[len(paths)-1])
+		}
 	}
 	for i := 0; i < 200; i++ {
 		absent = append(absent, ledger.SHA512Half(binary.BigEndian.AppendUint64([]byte("absent"), uint64(i))))
 	}
-
-	grown, sized := &FileStore{}, NewFileStore(total)
-	sizedSlots := len(sized.slots)
-	for _, s := range []*FileStore{grown, sized} {
-		if _, err := s.Get(absent[0]); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("store of zero files: err = %v, want ErrNotFound", err)
+	total := len(reads)
+	tableFor := func(records int) int {
+		size := 16
+		for size < 2*records {
+			size <<= 1
 		}
+		return size
+	}
+
+	addAll := func(s *FileStore, paths []string) {
+		t.Helper()
 		for _, path := range paths {
 			if err := s.Add(path); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+	read := func(s *FileStore, order []ledger.Hash) {
+		t.Helper()
+		for _, h := range order {
+			got, err := s.Get(h)
+			if err != nil || !bytes.Equal(got, model[h]) {
+				t.Fatalf("Get(%s) = %x, %v; model %x", h.Short(), got, err, model[h])
+			}
+		}
+	}
+	checkRest := func(s *FileStore) {
+		t.Helper()
 		if s.Len() != len(model) {
 			t.Fatalf("Len = %d, model holds %d", s.Len(), len(model))
-		}
-		for h, want := range model {
-			got, err := s.Get(h)
-			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("Get(%s) = %x, %v; model %x", h.Short(), got, err, want)
-			}
 		}
 		for _, h := range absent {
 			if got, err := s.Get(h); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("absent %s: got %x, %v", h.Short(), got, err)
 			}
 		}
+		read(s, reads) // again, now behind misses and probes
 		if 2*s.Len() > len(s.slots) {
 			t.Fatalf("%d records in %d slots: table over half full", s.Len(), len(s.slots))
 		}
 	}
-	if len(sized.slots) != sizedSlots {
-		t.Fatalf("table sized for %d records was rebuilt (%d → %d slots)", total, sizedSlots, len(sized.slots))
+
+	// File order: every read is the record after the last one, so no
+	// table is built until Len asks for a count.
+	if _, err := (&FileStore{}).Get(absent[0]); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("store of zero files: err = %v, want ErrNotFound", err)
 	}
-	if len(grown.slots) <= 16 {
-		t.Fatalf("unsized table never grew (%d slots)", len(grown.slots))
+	inOrder := &FileStore{}
+	addAll(inOrder, paths)
+	read(inOrder, reads)
+	if inOrder.slots != nil {
+		t.Fatalf("a read in file order built a table of %d slots", len(inOrder.slots))
+	}
+	if inOrder.Len() != len(model) || len(inOrder.slots) != tableFor(total) {
+		t.Fatalf("after a walk in file order: Len = %d (model %d), %d slots (want %d)",
+			inOrder.Len(), len(model), len(inOrder.slots), tableFor(total))
+	}
+	checkRest(inOrder)
+
+	// Reverse order: the first read misses and builds the table for
+	// every record, and nothing rebuilds it.
+	reversed := &FileStore{}
+	addAll(reversed, paths)
+	backwards := slices.Clone(reads)
+	slices.Reverse(backwards)
+	read(reversed, backwards)
+	checkRest(reversed)
+	if len(reversed.slots) != tableFor(total) {
+		t.Fatalf("table sized for %d records has %d slots, want %d", total, len(reversed.slots), tableFor(total))
+	}
+
+	// Random order, into a table built from the first files alone: the
+	// files added after it enter the table, which grows.
+	grown := &FileStore{}
+	addAll(grown, paths[:4])
+	if _, err := grown.Get(absent[0]); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("absent %s: err = %v", absent[0].Short(), err)
+	}
+	built := len(grown.slots)
+	addAll(grown, paths[4:])
+	shuffled := slices.Clone(reads)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	read(grown, shuffled)
+	checkRest(grown)
+	if len(grown.slots) <= built {
+		t.Fatalf("table built at %d slots never grew (%d slots)", built, len(grown.slots))
 	}
 
 	// A damaged file is refused whole and changes nothing.
@@ -362,94 +433,50 @@ func TestFileStoreMatchesMapModel(t *testing.T) {
 	if err := os.WriteFile(bad, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	files, n := len(sized.files), sized.Len()
-	if err := sized.Add(bad); err == nil {
+	files, n := len(reversed.files), reversed.Len()
+	if err := reversed.Add(bad); err == nil {
 		t.Fatal("Add accepted a damaged file")
 	}
-	if len(sized.files) != files || sized.Len() != n {
+	if len(reversed.files) != files || reversed.Len() != n {
 		t.Fatal("a refused file changed the store")
 	}
 }
 
-type countingGetter struct {
-	inner Getter
-	gets  int
-}
-
-func (g *countingGetter) Get(h ledger.Hash) ([]byte, error) {
-	g.gets++
-	return g.inner.Get(h)
-}
-
-func TestCacheLRU(t *testing.T) {
-	mem := NewMem()
-	const n = 6
-	var hashes []ledger.Hash
-	for i := 0; i < n; i++ {
+// TestFileStoreReadsBaseInFileOrder loads a state tree from a batch that
+// WriteAll wrote, through FileStore.Get: WriteAll writes parents first,
+// in the order Load asks for nodes, so the load never builds the table.
+func TestFileStoreReadsBaseInFileOrder(t *testing.T) {
+	tr := shamap.New()
+	for i := 0; i < 3000; i++ {
 		h, p := rec(i)
-		if err := mem.Put(h, p); err != nil {
-			t.Fatal(err)
-		}
-		hashes = append(hashes, h)
+		tr.Set(h, p)
 	}
-	counted := &countingGetter{inner: mem}
-	c := NewCache(counted, 3)
-
-	// Fill: 0,1,2 cached.
-	for i := 0; i < 3; i++ {
-		if _, err := c.Get(hashes[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if counted.gets != 3 || c.Len() != 3 {
-		t.Fatalf("after fill: %d inner gets, cache Len %d", counted.gets, c.Len())
-	}
-	// Hits don't touch the inner store.
-	for i := 0; i < 3; i++ {
-		if _, err := c.Get(hashes[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if counted.gets != 3 {
-		t.Fatalf("cache hit reached inner store (%d gets)", counted.gets)
-	}
-	// Touch 0 (making 1 the LRU), then insert 3 — evicting 1.
-	if _, err := c.Get(hashes[0]); err != nil {
+	root := tr.Seal()
+	path := filepath.Join(t.TempDir(), "base.nodes")
+	fw, err := CreateFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(hashes[3]); err != nil {
+	nodes, err := tr.WriteAll(fw.Put)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 3 {
-		t.Fatalf("cache Len = %d, want 3", c.Len())
-	}
-	before := counted.gets
-	if _, err := c.Get(hashes[0]); err != nil { // still cached
+	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if counted.gets != before {
-		t.Fatal("recently used entry was evicted")
-	}
-	if _, err := c.Get(hashes[1]); err != nil { // evicted, refetched
+	fs, err := OpenFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if counted.gets != before+1 {
-		t.Fatalf("LRU entry not evicted (%d gets, want %d)", counted.gets, before+1)
+	loaded, err := shamap.Load(root, fs.Get)
+	if err != nil {
+		t.Fatal(err)
 	}
-	hits, misses := c.Stats()
-	if hits < 4 || misses != int64(counted.gets) {
-		t.Fatalf("Stats = (%d, %d), inner gets %d", hits, misses, counted.gets)
+	if loaded.Len() != tr.Len() {
+		t.Fatalf("loaded %d leaves, want %d", loaded.Len(), tr.Len())
 	}
-
-	// Misses are not negative-cached.
-	missing := ledger.Hash{0xEE}
-	for i := 0; i < 2; i++ {
-		if _, err := c.Get(missing); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("err = %v, want ErrNotFound", err)
-		}
-	}
-	if counted.gets != before+3 {
-		t.Fatalf("miss was cached (%d gets, want %d)", counted.gets, before+3)
+	if fs.slots != nil {
+		t.Fatalf("loading %d nodes in file order built a table of %d slots", nodes, len(fs.slots))
 	}
 }
 

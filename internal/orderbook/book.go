@@ -18,7 +18,9 @@
 package orderbook
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ripplestudy/internal/addr"
@@ -91,19 +93,19 @@ type book struct {
 	offers []*Offer
 }
 
-// before reports whether a sorts ahead of b in a book's canonical
-// (quality, stamp) order.
-func before(a, b *Offer) bool {
+// bookOrder orders offers in a book's canonical (quality, stamp) order: it
+// is negative when a sorts ahead of b.
+func bookOrder(a, b *Offer) int {
 	if c := a.quality.Cmp(b.quality); c != 0 {
-		return c < 0
+		return c
 	}
-	return a.stamp < b.stamp
+	return cmp.Compare(a.stamp, b.stamp)
 }
 
 // insert places o at its canonical position.
 func (bk *book) insert(o *Offer) {
 	idx := sort.Search(len(bk.offers), func(i int) bool {
-		return before(o, bk.offers[i])
+		return bookOrder(o, bk.offers[i]) < 0
 	})
 	bk.offers = append(bk.offers, nil)
 	copy(bk.offers[idx+1:], bk.offers[idx:])
@@ -157,24 +159,25 @@ func (b *Books) checkPlaceable(o *Offer) error {
 	return nil
 }
 
-// insert memoizes quality and indexes the offer in its book and in the
-// owner map. The stamp must already be set.
-func (b *Books) insert(o *Offer) {
-	pair := Pair{Pays: o.Pays.Currency, Gets: o.Gets.Currency}
-	bk, ok := b.byPair[pair]
-	if !ok {
-		bk = &book{}
-		b.byPair[pair] = bk
-	}
-	o.memoQuality()
-	bk.insert(o)
-
+// index enters the offer in the owner map.
+func (b *Books) index(o *Offer) {
 	owned, ok := b.byOwner[o.Owner]
 	if !ok {
 		owned = make(map[uint32]*Offer)
 		b.byOwner[o.Owner] = owned
 	}
 	owned[o.Seq] = o
+}
+
+// bookOf returns the offer's book, creating it when the pair has none.
+func (b *Books) bookOf(o *Offer) *book {
+	pair := Pair{Pays: o.Pays.Currency, Gets: o.Gets.Currency}
+	bk, ok := b.byPair[pair]
+	if !ok {
+		bk = &book{}
+		b.byPair[pair] = bk
+	}
+	return bk
 }
 
 // Place inserts an offer into its book with a fresh placement stamp.
@@ -186,27 +189,46 @@ func (b *Books) Place(o *Offer) error {
 	}
 	b.nextStamp++
 	o.stamp = b.nextStamp
-	b.insert(o)
+	o.memoQuality()
+	b.bookOf(o).insert(o)
+	b.index(o)
 	return nil
 }
 
-// PlaceRestored inserts an offer under an existing stamp — the restore
-// path from a persisted state tree. Stamps are never reassigned, so a
-// restored book reproduces the live book's order exactly; nextStamp
-// advances past the largest restored stamp so future placements stay
-// unique.
-func (b *Books) PlaceRestored(o *Offer, stamp uint64) error {
-	if stamp == 0 {
-		return fmt.Errorf("orderbook: restored offer %s/%d has no stamp", o.Owner.Short(), o.Seq)
+// RestoreOffers reinstates a whole persisted offer set, offers[i] under
+// stamps[i], into a book set that holds no offers — the restore path
+// from a persisted state tree. Stamps are never reassigned, so a
+// restored book reproduces the live book's order exactly, whatever order
+// the offers come in; nextStamp advances past the largest stamp so
+// future placements stay unique. Each offer's quality is memoized once,
+// the offer is appended to its pair's book, and every book is sorted a
+// single time. The offers Place refuses are refused, and so is a zero
+// stamp. The books adopt the offers; after an error the set is not
+// usable.
+func (b *Books) RestoreOffers(offers []*Offer, stamps []uint64) error {
+	if n := b.NumOffers(); n != 0 {
+		return fmt.Errorf("orderbook: bulk restore into a book set of %d offers", n)
 	}
-	if err := b.checkPlaceable(o); err != nil {
-		return err
+	if len(offers) != len(stamps) {
+		return fmt.Errorf("orderbook: %d offers restored under %d stamps", len(offers), len(stamps))
 	}
-	o.stamp = stamp
-	if stamp > b.nextStamp {
-		b.nextStamp = stamp
+	for i, o := range offers {
+		if stamps[i] == 0 {
+			return fmt.Errorf("orderbook: restored offer %s/%d has no stamp", o.Owner.Short(), o.Seq)
+		}
+		if err := b.checkPlaceable(o); err != nil {
+			return err
+		}
+		o.stamp = stamps[i]
+		b.nextStamp = max(b.nextStamp, o.stamp)
+		o.memoQuality()
+		bk := b.bookOf(o)
+		bk.offers = append(bk.offers, o)
+		b.index(o)
 	}
-	b.insert(o)
+	for _, bk := range b.byPair {
+		slices.SortFunc(bk.offers, bookOrder)
+	}
 	return nil
 }
 

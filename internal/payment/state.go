@@ -15,12 +15,10 @@
 package payment
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"ripplestudy/internal/addr"
 	"ripplestudy/internal/amount"
@@ -230,11 +228,12 @@ type RestoreScalars struct {
 // tree. Book order and adjacency order are pure functions of the state
 // (offers keep their placement stamps; edges sort by currency and peer),
 // so the order leaves arrive in does not matter and each structure is
-// built the cheap way: offers are re-placed via PlaceRestored already in
-// book order, every placement an append, and trust pairs go to the graph
-// in one RestorePairs. The restored engine's observable behavior —
-// quotes, paths, digests, future seals — is identical to the engine that
-// sealed the tree. The engine adopts the tree.
+// built the cheap way: offers are decoded into one slice and go to the
+// books in one RestoreOffers, which sorts each book once, and trust
+// pairs go to the graph in one RestorePairs. The restored engine's
+// observable behavior — quotes, paths, digests, future seals — is
+// identical to the engine that sealed the tree. The engine adopts the
+// tree.
 func RestoreEngine(tree *shamap.Tree, sc RestoreScalars, opts ...Option) (*Engine, error) {
 	// A first walk counts the leaves of each kind, so the maps and slices
 	// below are made once at their final size.
@@ -251,12 +250,8 @@ func RestoreEngine(tree *shamap.Tree, sc RestoreScalars, opts ...Option) (*Engin
 		xrp:   make(map[addr.AccountID]amount.Drops, count[leafAccount]),
 		seq:   make(map[addr.AccountID]uint32, count[leafAccount]),
 	}
-	type stampedOffer struct {
-		o       *orderbook.Offer
-		stamp   uint64
-		quality amount.Value
-	}
-	offers := make([]stampedOffer, 0, count[leafOffer])
+	offers := make([]orderbook.Offer, count[leafOffer])
+	stamps := make([]uint64, 0, count[leafOffer])
 	pairs := make([]trustgraph.Pair, 0, count[leafTrust])
 	var stampCounter uint64
 	sawMeta := false
@@ -290,16 +285,17 @@ func RestoreEngine(tree *shamap.Tree, sc RestoreScalars, opts ...Option) (*Engin
 				LimitLoHi: limLoHi, LimitHiLo: limHiLo, Balance: balance,
 			})
 		case leafOffer:
-			o, stamp, err := decodeOfferLeaf(value)
+			o := &offers[len(stamps)] // the count walk saw this leaf too
+			stamp, err := decodeOfferLeaf(value, o)
 			if err != nil {
 				return err
 			}
 			if offerKey(o.Owner, o.Seq) != key {
 				return fmt.Errorf("payment: offer leaf keyed %s under %s", offerKey(o.Owner, o.Seq).Short(), key.Short())
 			}
-			offers = append(offers, stampedOffer{o: o, stamp: stamp, quality: o.Quality()})
+			stamps = append(stamps, stamp)
 		case leafMeta:
-			totalDrops, feesDestroyed, stamps, err := decodeMetaLeaf(value)
+			totalDrops, feesDestroyed, counter, err := decodeMetaLeaf(value)
 			if err != nil {
 				return err
 			}
@@ -307,7 +303,7 @@ func RestoreEngine(tree *shamap.Tree, sc RestoreScalars, opts ...Option) (*Engin
 				return fmt.Errorf("payment: meta leaf (%d, %d) disagrees with checkpoint scalars (%d, %d)",
 					totalDrops, feesDestroyed, sc.TotalDrops, sc.FeesDestroyed)
 			}
-			stampCounter = stamps
+			stampCounter = counter
 			sawMeta = true
 		default:
 			return fmt.Errorf("payment: unknown leaf tag %#x", value[0])
@@ -323,16 +319,12 @@ func RestoreEngine(tree *shamap.Tree, sc RestoreScalars, opts ...Option) (*Engin
 	if err := e.graph.RestorePairs(pairs); err != nil {
 		return nil, err
 	}
-	slices.SortFunc(offers, func(a, b stampedOffer) int {
-		if c := a.quality.Cmp(b.quality); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.stamp, b.stamp)
-	})
-	for _, so := range offers {
-		if err := e.books.PlaceRestored(so.o, so.stamp); err != nil {
-			return nil, err
-		}
+	placed := make([]*orderbook.Offer, len(stamps))
+	for i := range placed {
+		placed[i] = &offers[i]
+	}
+	if err := e.books.RestoreOffers(placed, stamps); err != nil {
+		return nil, err
 	}
 	// Fast-forward past stamps consumed by offers that no longer stand,
 	// so placements after the restore stamp identically to the original.
@@ -477,27 +469,27 @@ func appendOfferLeaf(dst []byte, o *orderbook.Offer) []byte {
 	return appendValue(dst, o.Gets.Value)
 }
 
-func decodeOfferLeaf(b []byte) (*orderbook.Offer, uint64, error) {
+// decodeOfferLeaf decodes an offer leaf into o and returns its stamp.
+func decodeOfferLeaf(b []byte, o *orderbook.Offer) (uint64, error) {
 	if len(b) != offerLeafLen {
-		return nil, 0, fmt.Errorf("payment: offer leaf of %d bytes", len(b))
+		return 0, fmt.Errorf("payment: offer leaf of %d bytes", len(b))
 	}
-	o := &orderbook.Offer{}
 	copy(o.Owner[:], b[1:21])
 	o.Seq = binary.BigEndian.Uint32(b[21:25])
 	stamp := binary.BigEndian.Uint64(b[25:33])
 	copy(o.Pays.Currency[:], b[33:36])
 	paysVal, err := decodeValue(b[36 : 36+valueLen])
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	o.Pays.Value = paysVal
 	copy(o.Gets.Currency[:], b[47:50])
 	getsVal, err := decodeValue(b[50 : 50+valueLen])
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	o.Gets.Value = getsVal
-	return o, stamp, nil
+	return stamp, nil
 }
 
 func appendMetaLeaf(dst []byte, totalDrops uint64, feesDestroyed amount.Drops, stampCounter uint64) []byte {

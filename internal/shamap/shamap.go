@@ -332,12 +332,18 @@ func writeAll(n *node, scratch *[]byte, put func(h ledger.Hash, data []byte) err
 // writes through it. get must therefore return bytes that no one writes
 // afterwards and that live as long as the tree — a nodestore.FileStore's
 // file buffers and a MemStore's records are both.
+//
+// Nodes and child arrays are carved from slabs of loadSlab, so a load
+// costs the allocator a few dozen calls rather than one or two per node.
+// A slab lives as long as any node in it, which for a loaded tree is
+// the tree's lifetime.
 func Load(root ledger.Hash, get func(ledger.Hash) ([]byte, error)) (*Tree, error) {
 	t := &Tree{lastRoot: root}
 	if root.IsZero() {
 		return t, nil
 	}
-	n, size, err := loadNode(root, get, 0)
+	l := loader{get: get}
+	n, size, err := l.node(root, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -346,11 +352,34 @@ func Load(root ledger.Hash, get func(ledger.Hash) ([]byte, error)) (*Tree, error
 	return t, nil
 }
 
-func loadNode(h ledger.Hash, get func(ledger.Hash) ([]byte, error), depth int) (*node, int, error) {
+// loadSlab is the number of nodes, and of child arrays, one slab holds:
+// at most 32 KiB each.
+const loadSlab = 256
+
+// loader carries one Load's node source and the unused rest of its
+// current slabs.
+type loader struct {
+	get      func(ledger.Hash) ([]byte, error)
+	nodes    []node
+	children [][16]*node
+}
+
+// carve returns a zeroed element of the slab, which starts anew at
+// loadSlab elements when it runs out.
+func carve[T any](slab *[]T) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, loadSlab)
+	}
+	p := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return p
+}
+
+func (l *loader) node(h ledger.Hash, depth int) (*node, int, error) {
 	if depth > maxDepth {
 		return nil, 0, fmt.Errorf("shamap: load: node %s beyond max depth", h.Short())
 	}
-	data, err := get(h)
+	data, err := l.get(h)
 	if err != nil {
 		return nil, 0, fmt.Errorf("shamap: load %s: %w", h.Short(), err)
 	}
@@ -361,25 +390,22 @@ func loadNode(h ledger.Hash, get func(ledger.Hash) ([]byte, error), depth int) (
 	if err != nil {
 		return nil, 0, fmt.Errorf("shamap: load %s: %w", h.Short(), err)
 	}
+	n := carve(&l.nodes)
+	n.hash, n.hashed, n.saved = h, true, true
 	if leaf {
-		n := &node{
-			leaf:   true,
-			key:    ledger.Hash(body[:32]),
-			value:  body[32:len(body):len(body)],
-			hash:   h,
-			hashed: true,
-			saved:  true,
-		}
+		n.leaf = true
+		n.key = ledger.Hash(body[:32])
+		n.value = body[32:len(body):len(body)]
 		return n, 1, nil
 	}
 	// Walk the packed child hashes where they lie: one per set bit.
-	n := &node{hash: h, hashed: true, saved: true, children: new([16]*node)}
+	n.children = carve(&l.children)
 	size := 0
 	for i := 0; bitmap != 0; i, bitmap = i+1, bitmap>>1 {
 		if bitmap&1 == 0 {
 			continue
 		}
-		c, sz, err := loadNode(ledger.Hash(body[:32]), get, depth+1)
+		c, sz, err := l.node(ledger.Hash(body[:32]), depth+1)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -3,6 +3,7 @@ package shamap
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"ripplestudy/internal/ledger"
@@ -286,11 +287,12 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestLoadAllocs pins what a loaded node costs the allocator: the node
-// itself, and for an inner node its child array. A leaf's value stays
+// TestLoadAllocs pins what a load costs the allocator: the tree, and
+// the slabs its nodes and child arrays are carved from — one slab of
+// loadSlab per started block of nodes, and one per started block of
+// inner nodes, which alone carry a child array. A leaf's value stays
 // where the getter returned it and nothing is decoded into an
-// intermediate form on the way, so nothing else is allocated per node —
-// the handful over is the tree and the error-free walk's fixed cost.
+// intermediate form on the way, so nothing else is allocated.
 func TestLoadAllocs(t *testing.T) {
 	store := storeMap{}
 	tr := build(2000, nil)
@@ -299,13 +301,17 @@ func TestLoadAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	get := store.get // a method value allocates; bind it once
+	// A collection cycle makes allocations of its own; hold it off.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := Load(root, store.get); err != nil {
+		if _, err := Load(root, get); err != nil {
 			t.Fatal(err)
 		}
 	})
 	inner := nodes - tr.Len()
-	if want := float64(nodes + inner); allocs < want || allocs > want+4 {
+	slabs := func(n int) int { return (n + loadSlab - 1) / loadSlab }
+	if want := float64(1 + slabs(nodes) + slabs(inner)); allocs != want {
 		t.Fatalf("Load of %d nodes (%d inner) made %.0f allocations, want %.0f", nodes, inner, allocs, want)
 	}
 }
