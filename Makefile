@@ -69,8 +69,9 @@ race-mp:
 
 # Fuzz smoke: brief randomized exploration of the zero-copy decode
 # surfaces (the in-place payment scan and the arena page decoder), the
-# nodestore record framing, the state-tree operation sequences, and the
-# stream's hand-written frame codec held against encoding/json — beyond
+# nodestore record framing, the state-tree operation sequences, the
+# stream's hand-written frame codec held against encoding/json, and the
+# planned fingerprint folds held against FingerprintOf — beyond
 # their seeded corpora. CI runs the same targets with a short
 # -fuzztime; run them longer locally when touching the codec.
 FUZZTIME ?= 10s
@@ -81,6 +82,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzShamapOps$$' -fuzztime $(FUZZTIME) ./internal/shamap
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/netstream
 	$(GO) test -run '^$$' -fuzz 'FuzzEncodeFrame$$' -fuzztime $(FUZZTIME) ./internal/netstream
+	$(GO) test -run '^$$' -fuzz 'FuzzAppendFingerprints$$' -fuzztime $(FUZZTIME) ./internal/deanon
 
 # Short chaos pass: fault injection, resilience, and the degraded-stream
 # integration test.

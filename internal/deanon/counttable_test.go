@@ -27,7 +27,7 @@ func (e *sealEpoch) check(t *testing.T, what string, stride int) bool {
 		t.Errorf("%s: Payments() = %d, want %d", what, e.snap.Payments(), e.payments)
 		return false
 	}
-	distinct := e.snap.DistinctFingerprints()
+	distinct := sumPerResolution(e.snap.tables, (*sealedTable).distinct)
 	for r, res := range e.snap.Results() {
 		unique := 0
 		for _, c := range e.model[r] {
@@ -54,7 +54,7 @@ func (e *sealEpoch) check(t *testing.T, what string, stride int) bool {
 // TestSealedTableMatchesModel drives random increments, growth and seals
 // through ShardedIncStudy against a map model captured at each seal.
 // Every snapshot must keep answering for its own epoch (Lookup, Results,
-// DistinctFingerprints) through later seals, grows, its study's Close and
+// distinct counts) through later seals, grows, its study's Close and
 // a second study's counting, while reader goroutines query earlier
 // snapshots concurrently: under -race, a seal that wrote into a
 // published page is a race. Between two seals of one table, an unchanged

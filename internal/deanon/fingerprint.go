@@ -2,6 +2,8 @@ package deanon
 
 import (
 	"encoding/binary"
+	"fmt"
+	"slices"
 
 	"ripplestudy/internal/amount"
 )
@@ -14,8 +16,12 @@ import (
 // stack buffers, and FeatureEnc precomputes every feature's byte
 // encoding (all Table I rounding levels, all time granularities) once
 // per payment so that a study over k resolutions performs the rounding
-// and serialization work 1×, not k×. Both paths are bit-identical to
-// hashing the same byte sequence with hash/fnv's New64a.
+// and serialization work 1×, not k×. A FingerprintPlan then folds the
+// chunks of many rows at once in register-held lanes, so independent
+// chains advance together (EXPERIMENTS.md, "Fingerprints at the
+// multiplier's pace", has the measurements). Both paths are
+// bit-identical to hashing the same byte sequence with hash/fnv's
+// New64a.
 
 // FNV-1a 64-bit parameters (FNV-0 offset basis hashed over
 // "chongo <Landon Curt Noll> /\\../\\", and the 64-bit FNV prime).
@@ -123,164 +129,157 @@ func (e *FeatureEnc) Fingerprint(res Resolution) Fingerprint {
 // lets the hot loop exploit two structural facts about real resolution
 // sets like Figure3Rows:
 //
-//   - Rows share (amount, time) hash prefixes — Figure 3's ten rows have
-//     only seven distinct prefixes — so the prefix FNV state is computed
-//     once per distinct prefix and memoized.
-//   - Most rows end with the 21-byte destination chunk. FNV-1a is a
-//     serial multiply chain, so folding it row-by-row pays the full
-//     multiply latency 21×k times; folding it lane-interleaved across k
-//     independent row states pipelines the multiplies and costs close to
-//     one chain.
+//   - Rows share hash prefixes: Figure 3's ten rows fold only four
+//     amount chunks and five distinct (amount, time) prefixes, so each
+//     prefix state is computed once per payment and shared.
+//   - FNV-1a is a serial multiply chain, but chains of different rows
+//     are independent. The plan groups them so that AppendFingerprints
+//     folds four or eight of them at once, each in its own register,
+//     and runs at the multiplier's throughput rather than its latency.
 type FingerprintPlan struct {
-	rows []planRow
+	// timed lists the distinct (amount, time) prefixes with a time
+	// level, padded with throwaway entries to a multiple of four lanes.
+	timed []planPair
+	// rowPre maps every row to its prefix state in AppendFingerprints'
+	// pre array: the amount level alone (0 = offset basis, nothing
+	// folded) or preTimed+k for timed[k].
+	rowPre []int8
 	// curRows / dstRows index the rows whose resolution selects the
 	// currency / destination feature, in row order.
 	curRows []int32
 	dstRows []int32
-	// amtLevels lists the distinct nonzero amount levels the rows use;
-	// the amount stage folds each level's chunk exactly once,
-	// lane-interleaved. pairs lists the distinct (amount level, time
-	// level) prefixes, each continuing from its amount lane (-1 = amount
-	// off); rowPair maps every row to its prefix pair.
-	amtLevels []int8
-	pairs     []planPair
-	rowPair   []int32
-}
-
-type planRow struct {
-	amt int8 // AmountRes (0 = off)
-	tim int8 // TimeRes (0 = off)
-	cur bool
 }
 
 type planPair struct {
-	amtLane int8 // index into amtLevels, -1 = amount off
-	tim     int8 // TimeRes (0 = off)
+	amt int8 // AmountRes (0 = off)
+	tim int8 // TimeRes (never off)
 }
 
+// The prefix state array: slots 0–4 hold the offset basis and the four
+// amount levels, and the timed prefixes start at preTimed. At most
+// 5 × 4 = 20 timed prefixes exist, a whole number of four-lane groups.
+const (
+	preTimed = 1 + int(AmountExact)
+	preLen   = preTimed + preTimed*int(TimeDays)
+)
+
 // NewFingerprintPlan compiles a resolution list. The plan is immutable
-// and safe for concurrent use by any number of goroutines.
+// and safe for concurrent use by any number of goroutines. It panics on
+// an amount or time level outside Table I's, as Fingerprint does.
 func NewFingerprintPlan(resolutions []Resolution) *FingerprintPlan {
-	p := &FingerprintPlan{
-		rows:    make([]planRow, len(resolutions)),
-		rowPair: make([]int32, len(resolutions)),
-	}
+	p := &FingerprintPlan{rowPre: make([]int8, len(resolutions))}
 	for i, r := range resolutions {
-		p.rows[i] = planRow{amt: int8(r.Amount), tim: int8(r.Time), cur: r.Currency}
+		if r.Amount < AmountOff || r.Amount > AmountExact || r.Time < TimeOff || r.Time > TimeDays {
+			panic(fmt.Sprintf("deanon: resolution %d has a level out of range: %+v", i, r))
+		}
 		if r.Currency {
 			p.curRows = append(p.curRows, int32(i))
 		}
 		if r.Destination {
 			p.dstRows = append(p.dstRows, int32(i))
 		}
-		lane := int8(-1)
-		if r.Amount != AmountOff {
-			lane = int8(len(p.amtLevels))
-			for j, lvl := range p.amtLevels {
-				if lvl == int8(r.Amount) {
-					lane = int8(j)
-					break
-				}
-			}
-			if lane == int8(len(p.amtLevels)) {
-				p.amtLevels = append(p.amtLevels, int8(r.Amount))
-			}
+		if r.Time == TimeOff {
+			p.rowPre[i] = int8(r.Amount)
+			continue
 		}
-		pair := planPair{amtLane: lane, tim: int8(r.Time)}
-		idx := int32(len(p.pairs))
-		for j, pr := range p.pairs {
-			if pr == pair {
-				idx = int32(j)
-				break
-			}
+		pair := planPair{amt: int8(r.Amount), tim: int8(r.Time)}
+		k := slices.Index(p.timed, pair)
+		if k < 0 {
+			k = len(p.timed)
+			p.timed = append(p.timed, pair)
 		}
-		if idx == int32(len(p.pairs)) {
-			p.pairs = append(p.pairs, pair)
-		}
-		p.rowPair[i] = idx
+		p.rowPre[i] = int8(preTimed + k)
+	}
+	for len(p.timed)%4 != 0 {
+		p.timed = append(p.timed, planPair{tim: int8(TimeSeconds)})
 	}
 	return p
 }
 
 // Rows returns the number of resolutions the plan fingerprints.
-func (p *FingerprintPlan) Rows() int { return len(p.rows) }
-
-// dstLanes is how many row states the destination fold interleaves at
-// once: 16 lanes of running FNV state is 128 B, two cache lines.
-const dstLanes = 16
+func (p *FingerprintPlan) Rows() int { return len(p.rowPre) }
 
 // AppendFingerprints appends one fingerprint per plan row to out and
 // returns the extended slice. Each appended value is bit-identical to
 // e.Fingerprint (and FingerprintOf) for the corresponding resolution —
 // the plan only reorders work, never the per-row byte sequence.
 //
-// Every stage is lane-interleaved: FNV-1a is a serial multiply chain, so
-// folding chunks row-by-row pays the full multiply latency per row,
-// while folding one byte position across many independent row states
-// pipelines the multiplies and costs close to a single chain.
+// Every stage folds independent FNV states held in local variables:
+// four lanes where each lane reads its own chunk (amount levels, then
+// (amount, time) prefixes), eight where the lanes share one chunk
+// (currency, then destination), with partial groups padded by
+// throwaway lanes. The four amount levels are folded whether or not a
+// row reads them.
 func (e *FeatureEnc) AppendFingerprints(p *FingerprintPlan, out []Fingerprint) []Fingerprint {
-	// Amount stage: fold each distinct amount chunk once, all levels in
-	// parallel lanes (Figure 3 uses at most 4).
-	var amtSt [4]uint64
-	nA := len(p.amtLevels)
-	for j := 0; j < nA; j++ {
-		amtSt[j] = fnvOffset64
-	}
-	for b := 0; b < amtChunkLen; b++ {
-		for j := 0; j < nA; j++ {
-			amtSt[j] = (amtSt[j] ^ uint64(e.amt[p.amtLevels[j]-1][b])) * fnvPrime64
-		}
-	}
-	// Pair stage: continue each distinct (amount, time) prefix with its
-	// time chunk, interleaved across pairs (at most 25 exist).
-	var pairSt [25]uint64
-	for k, pr := range p.pairs {
-		if pr.amtLane >= 0 {
-			pairSt[k] = amtSt[pr.amtLane]
-		} else {
-			pairSt[k] = fnvOffset64
-		}
-	}
-	for b := 0; b < timeChunkLen; b++ {
-		for k, pr := range p.pairs {
-			if pr.tim != 0 {
-				pairSt[k] = (pairSt[k] ^ uint64(e.tim[pr.tim-1][b])) * fnvPrime64
-			}
-		}
+	var pre [preLen]uint64
+	pre[0] = fnvOffset64
+	st := [4]uint64{fnvOffset64, fnvOffset64, fnvOffset64, fnvOffset64}
+	fnv4(&st, e.amt[0][:], e.amt[1][:], e.amt[2][:], e.amt[3][:])
+	copy(pre[1:preTimed], st[:])
+	for k := 0; k+4 <= len(p.timed); k += 4 {
+		g := p.timed[k : k+4]
+		st = [4]uint64{pre[g[0].amt], pre[g[1].amt], pre[g[2].amt], pre[g[3].amt]}
+		fnv4(&st, e.tim[g[0].tim-1][:], e.tim[g[1].tim-1][:], e.tim[g[2].tim-1][:], e.tim[g[3].tim-1][:])
+		copy(pre[preTimed+k:], st[:])
 	}
 	start := len(out)
-	for i := range p.rows {
-		out = append(out, Fingerprint(pairSt[p.rowPair[i]]))
+	for _, k := range p.rowPre {
+		out = append(out, Fingerprint(pre[k]))
 	}
 	rows := out[start:]
-	// Currency and destination stages: fold the shared chunk across the
-	// selecting rows' states, up to dstLanes at a time.
-	foldLanes(rows, p.curRows, e.cur[:])
-	foldLanes(rows, p.dstRows, e.dst[:])
+	foldShared(rows, p.curRows, e.cur[:])
+	foldShared(rows, p.dstRows, e.dst[:])
 	return out
 }
 
-// foldLanes folds chunk into rows[idx] for every idx in sel,
-// interleaving up to dstLanes independent FNV states.
-func foldLanes(rows []Fingerprint, sel []int32, chunk []byte) {
-	for lo := 0; lo < len(sel); lo += dstLanes {
-		batch := sel[lo:]
-		if len(batch) > dstLanes {
-			batch = batch[:dstLanes]
-		}
-		var st [dstLanes]uint64
-		n := len(batch)
-		for j, ri := range batch {
+// foldShared folds chunk into rows[i] for every i in sel, eight lanes
+// at a time; the lanes of a partial last group past its rows are thrown
+// away.
+func foldShared(rows []Fingerprint, sel []int32, chunk []byte) {
+	for len(sel) > 0 {
+		g := sel[:min(len(sel), 8)]
+		var st [8]uint64
+		for j, ri := range g {
 			st[j] = uint64(rows[ri])
 		}
-		for _, c := range chunk {
-			x := uint64(c)
-			for j := 0; j < n; j++ {
-				st[j] = (st[j] ^ x) * fnvPrime64
-			}
-		}
-		for j, ri := range batch {
+		fnv8(&st, chunk)
+		for j, ri := range g {
 			rows[ri] = Fingerprint(st[j])
 		}
+		sel = sel[len(g):]
 	}
+}
+
+// fnv4 folds chunk cj into lane st[j], the four states held in
+// registers for the whole fold. The chunks must be equally long.
+func fnv4(st *[4]uint64, c0, c1, c2, c3 []byte) {
+	h0, h1, h2, h3 := st[0], st[1], st[2], st[3]
+	c1, c2, c3 = c1[:len(c0)], c2[:len(c0)], c3[:len(c0)]
+	for b, x := range c0 {
+		h0 = (h0 ^ uint64(x)) * fnvPrime64
+		h1 = (h1 ^ uint64(c1[b])) * fnvPrime64
+		h2 = (h2 ^ uint64(c2[b])) * fnvPrime64
+		h3 = (h3 ^ uint64(c3[b])) * fnvPrime64
+	}
+	st[0], st[1], st[2], st[3] = h0, h1, h2, h3
+}
+
+// fnv8 folds one chunk into all eight lanes of st, the states held in
+// registers for the whole fold.
+func fnv8(st *[8]uint64, chunk []byte) {
+	h0, h1, h2, h3 := st[0], st[1], st[2], st[3]
+	h4, h5, h6, h7 := st[4], st[5], st[6], st[7]
+	for _, c := range chunk {
+		x := uint64(c)
+		h0 = (h0 ^ x) * fnvPrime64
+		h1 = (h1 ^ x) * fnvPrime64
+		h2 = (h2 ^ x) * fnvPrime64
+		h3 = (h3 ^ x) * fnvPrime64
+		h4 = (h4 ^ x) * fnvPrime64
+		h5 = (h5 ^ x) * fnvPrime64
+		h6 = (h6 ^ x) * fnvPrime64
+		h7 = (h7 ^ x) * fnvPrime64
+	}
+	st[0], st[1], st[2], st[3] = h0, h1, h2, h3
+	st[4], st[5], st[6], st[7] = h4, h5, h6, h7
 }

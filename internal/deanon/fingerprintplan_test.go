@@ -3,13 +3,16 @@ package deanon
 import (
 	"math/rand"
 	"testing"
+
+	"ripplestudy/internal/amount"
+	"ripplestudy/internal/ledger"
 )
 
 // TestAppendFingerprintsMatchesFingerprintOf pins the planned
-// fingerprint path (prefix memoization + interleaved destination fold)
+// fingerprint path (shared prefixes + register-lane folds)
 // bit-identical to the per-resolution reference for every resolution
 // combination. allResolutions() has 50 destination rows, so the
-// dstLanes batching is exercised past one batch.
+// eight-lane shared fold is exercised past one group.
 func TestAppendFingerprintsMatchesFingerprintOf(t *testing.T) {
 	plans := map[string][]Resolution{
 		"figure3":    Figure3Rows,
@@ -56,6 +59,114 @@ func TestAppendFingerprintsAppends(t *testing.T) {
 			t.Fatalf("row %d: %x, want %x", i, out[2+i], want)
 		}
 	}
+}
+
+// checkPlanned appends fingerprints for every feature set under rows
+// and holds each against FingerprintOf and the hash/fnv reference.
+func checkPlanned(t *testing.T, name string, rows []Resolution, feats []Features) {
+	t.Helper()
+	plan := NewFingerprintPlan(rows)
+	var fps []Fingerprint
+	for _, f := range feats {
+		enc := EncodeFeatures(f)
+		fps = enc.AppendFingerprints(plan, fps[:0])
+		if len(fps) != len(rows) {
+			t.Fatalf("%s: got %d fingerprints, want %d", name, len(fps), len(rows))
+		}
+		for i, res := range rows {
+			want, ref := FingerprintOf(f, res), refFingerprint(f, res)
+			if fps[i] != want || fps[i] != ref {
+				t.Fatalf("%s row %d (%s): planned %x, FingerprintOf %x, hash/fnv %x",
+					name, i, res, fps[i], want, ref)
+			}
+		}
+	}
+}
+
+// TestAppendFingerprintsEveryLaneTail runs every group width the folds
+// have: currency and destination selections of 1–17 rows (two full
+// eight-lane groups and every padded tail after them) against 1–25
+// distinct (amount, time) prefixes (up to all 20 timed ones, so every
+// four-lane tail), with AmountOff and TimeOff rows and a repeated row.
+func TestAppendFingerprintsEveryLaneTail(t *testing.T) {
+	var prefixes []Resolution
+	for a := AmountOff; a <= AmountExact; a++ {
+		for ti := TimeOff; ti <= TimeDays; ti++ {
+			prefixes = append(prefixes, Resolution{Amount: a, Time: ti})
+		}
+	}
+	rand.New(rand.NewSource(38)).Shuffle(len(prefixes), func(i, j int) {
+		prefixes[i], prefixes[j] = prefixes[j], prefixes[i]
+	})
+	feats := randomFeatures(12, 38)
+	for nPre := 1; nPre <= len(prefixes); nPre++ {
+		for nCur := 1; nCur <= 17; nCur++ {
+			nDst := 18 - nCur
+			n := max(nPre, nCur, nDst)
+			rows := make([]Resolution, n, n+1)
+			for i := range rows {
+				rows[i] = prefixes[i%nPre]
+				rows[i].Currency = i < nCur
+				rows[i].Destination = i >= n-nDst
+			}
+			rows = append(rows, rows[0])
+			checkPlanned(t, "tail", rows, feats)
+		}
+	}
+}
+
+// TestNewFingerprintPlanRejectsOutOfRange checks that a level outside
+// Table I's panics when the plan is built, as Fingerprint panics on it,
+// rather than reading another prefix's state.
+func TestNewFingerprintPlanRejectsOutOfRange(t *testing.T) {
+	for _, r := range []Resolution{
+		{Amount: AmountExact + 1},
+		{Amount: -1, Time: TimeDays},
+		{Time: TimeDays + 1},
+		{Amount: AmountMax, Time: -1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewFingerprintPlan(%+v) did not panic", r)
+				}
+			}()
+			NewFingerprintPlan([]Resolution{Figure3Rows[0], r})
+		}()
+	}
+}
+
+// FuzzAppendFingerprints holds random resolution lists (1–30 rows, one
+// byte each) over random features against both references.
+func FuzzAppendFingerprints(f *testing.F) {
+	f.Add([]byte{99, 0, 42, 7}, int64(123456), 0, false, "USD", []byte("dest"), uint32(500_000_000))
+	f.Add([]byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3}, int64(-5), -3, true, "BTC", []byte{}, uint32(0))
+	f.Fuzz(func(t *testing.T, spec []byte, mant int64, exp int, neg bool, cur string, dst []byte, tm uint32) {
+		if len(spec) == 0 {
+			spec = []byte{0}
+		}
+		rows := make([]Resolution, 0, 30)
+		for _, b := range spec[:min(len(spec), 30)] {
+			b %= 100
+			rows = append(rows, Resolution{
+				Amount:      AmountRes(b % 5),
+				Time:        TimeRes(b / 5 % 5),
+				Currency:    b/25%2 == 1,
+				Destination: b/50 == 1,
+			})
+		}
+		v, err := amount.NewValue(mant, exp%20)
+		if err != nil {
+			t.Skip()
+		}
+		if neg {
+			v = v.Neg()
+		}
+		feat := Features{Amount: v, Time: ledger.CloseTime(tm)}
+		copy(feat.Currency[:], cur)
+		copy(feat.Destination[:], dst)
+		checkPlanned(t, "fuzz", rows, []Features{feat})
+	})
 }
 
 // TestCountTableUniquesIncremental pins the O(1) uniques counter to the

@@ -151,10 +151,3 @@ func MitigationStudy(payments []Features, ks []int) []MitigationResult {
 	sort.Slice(out, func(i, j int) bool { return out[i].Wallets < out[j].Wallets })
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

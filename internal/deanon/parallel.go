@@ -64,13 +64,6 @@ func (s *ParallelStudy) Results() []RowResult {
 	return rowResults(s.resolutions, unique, s.Payments())
 }
 
-// DistinctFingerprints reports, per resolution, how many distinct
-// fingerprints the shards hold — the footprint driver the saturating
-// counters were sized for.
-func (s *ParallelStudy) DistinctFingerprints() []int {
-	return sumPerResolution(s.finish(), (*countTable).distinct)
-}
-
 // CountBytes reports the resident footprint of every shard's counting
 // tables, summed across resolutions — the number the saturating uint8
 // counters were introduced to keep small at 23M-payment scale.

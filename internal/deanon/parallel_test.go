@@ -166,7 +166,7 @@ func TestSaturatingCounterBoundary(t *testing.T) {
 	if rows[0].Total != 303 {
 		t.Fatalf("total = %d, want 303", rows[0].Total)
 	}
-	if distinct := par.DistinctFingerprints(); distinct[0] != 3 {
+	if distinct := sumPerResolution(par.finish(), (*countTable).distinct); distinct[0] != 3 {
 		t.Fatalf("distinct fingerprints = %d, want 3", distinct[0])
 	}
 }
@@ -193,7 +193,7 @@ func TestShardMergeAcrossShards(t *testing.T) {
 	// The shards partition the fingerprint space: summing shard map
 	// sizes must equal the true distinct-fingerprint count — any
 	// double-count across shards would inflate it.
-	parDistinct := par.DistinctFingerprints()
+	parDistinct := sumPerResolution(par.finish(), (*countTable).distinct)
 	for i, res := range Figure3Rows {
 		distinct := make(map[Fingerprint]struct{})
 		for _, f := range feats {

@@ -151,12 +151,6 @@ func (s *IncSnapshot) LookupFingerprint(i int, fp Fingerprint) uint8 {
 	return s.tables[uint64(fp)>>s.shift][i].get(fp)
 }
 
-// DistinctFingerprints reports the number of distinct fingerprints per
-// resolution.
-func (s *IncSnapshot) DistinctFingerprints() []int {
-	return sumPerResolution(s.tables, (*sealedTable).distinct)
-}
-
 // CountBytes reports the footprint of the sealed tables, each counted at
 // its full size whatever pages it shares with other epochs. The shared
 // empty placeholder is counted once, not per shard.

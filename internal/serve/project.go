@@ -2,8 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"ripplestudy/internal/addr"
 	"ripplestudy/internal/amount"
@@ -36,8 +34,10 @@ type paymentRecord struct {
 
 // pageRecord is one projected page: the page-level stats plus the
 // per-payment slabs. All slices are owned; nothing aliases the source
-// encoding. refs counts the views the record has been offered to — the
-// last unref resets the record and returns it to the pool.
+// encoding. Views only read a record, and it is garbage once both page
+// views have applied it: records are not pooled, because a pool keeps a
+// whole pass's records alive through the next collection (see
+// EXPERIMENTS "Fingerprints at the multiplier's pace").
 type pageRecord struct {
 	seq  uint64
 	time ledger.CloseTime
@@ -47,34 +47,6 @@ type pageRecord struct {
 	fps         []deanon.Fingerprint // fpRows per payment, payment order
 	offerOwners []addr.AccountID     // successful OfferCreate senders
 	failed      int                  // failed payment transactions
-
-	refs atomic.Int32
-}
-
-var recordPool = sync.Pool{New: func() any { return new(pageRecord) }}
-
-// newPageRecord returns a reset record owned by `views` consumers.
-func newPageRecord(views int32) *pageRecord {
-	r := recordPool.Get().(*pageRecord)
-	r.refs.Store(views)
-	return r
-}
-
-// unref releases one view's hold; the last hold recycles the record.
-func (r *pageRecord) unref() { r.unrefN(1) }
-
-// unrefN releases n holds at once — the abort paths (closed service,
-// undecodable payload) drop every view's hold in one step.
-func (r *pageRecord) unrefN(n int32) {
-	if r.refs.Add(-n) == 0 {
-		r.payments = r.payments[:0]
-		r.hops = r.hops[:0]
-		r.fps = r.fps[:0]
-		r.offerOwners = r.offerOwners[:0]
-		r.failed = 0
-		r.seq, r.time = 0, 0
-		recordPool.Put(r)
-	}
 }
 
 // projector turns pages into pageRecords. The plan is the fingerprint

@@ -175,7 +175,6 @@ func NewService(opts Options) *Service {
 		apply: func(shard int, u update) {
 			if u.rec != nil {
 				fp.apply(shard, u.rec)
-				u.rec.unref()
 			}
 		},
 		publish: func(epoch uint64) { s.fpSnap.Store(fp.snapshot(epoch, seqOf(s.fpW))) },
@@ -193,7 +192,6 @@ func NewService(opts Options) *Service {
 		apply: func(shard int, u update) {
 			if u.rec != nil {
 				eco.apply(shard, u.rec)
-				u.rec.unref()
 			}
 		},
 		publish: func(epoch uint64) { s.ecoSnap.Store(eco.snapshot(epoch, seqOf(s.ecoW))) },
@@ -214,11 +212,6 @@ func seqOf(w *viewWorker) uint64 {
 	return w.appliedSeq.Load()
 }
 
-// pageViews is the number of views every page record fans out to (the
-// fingerprint and ecosystem views); it is the record's initial
-// refcount.
-const pageViews = 2
-
 // IngestEvent folds one validation-stream event into the views: every
 // well-formed event feeds the Figure 2 tally, and ledger-close events
 // carrying a page payload feed the page views. The payload is projected
@@ -236,10 +229,9 @@ func (s *Service) IngestEvent(ev consensus.Event) error {
 
 	var rec *pageRecord
 	if ev.Kind == consensus.EventLedgerClosed && len(ev.PageData) > 0 {
-		rec = newPageRecord(pageViews)
+		rec = new(pageRecord)
 		if err := s.proj.fromPayload(ev.PageData, rec); err != nil {
 			s.undecodable.Add(1)
-			rec.unrefN(pageViews)
 			rec = nil
 		}
 	}
@@ -263,7 +255,7 @@ func (s *Service) IngestEvent(ev consensus.Event) error {
 // view is untouched). Bulk loads should prefer IngestPages or
 // BackfillStore, which amortize the queue operations.
 func (s *Service) IngestPage(p *ledger.Page) error {
-	rec := newPageRecord(pageViews)
+	rec := new(pageRecord)
 	s.proj.fromPage(p, rec)
 	b := getUpdateBatch()
 	b = append(b, update{rec: rec, seq: rec.seq})
@@ -309,11 +301,11 @@ func (s *Service) IngestPages(pages []*ledger.Page) error {
 func (s *Service) ingestChunk(pages []*ledger.Page) error {
 	b := s.newBatcher()
 	for _, p := range pages {
-		rec := newPageRecord(pageViews)
+		rec := new(pageRecord)
 		s.proj.fromPage(p, rec)
 		if err := b.add(rec); err != nil {
 			// add only fails once the service is closed, and the failing
-			// flush already released the flushed records; nothing is left
+			// flush already released the flushed batch; nothing is left
 			// buffered.
 			return err
 		}
@@ -323,15 +315,11 @@ func (s *Service) ingestChunk(pages []*ledger.Page) error {
 
 // ingestPageBatch is the shared back half of every page ingest path:
 // bookkeeping once per batch, then fan-out of the batch to both page
-// views. It takes ownership of b (and one of each record's refs per
-// view).
+// views. It takes ownership of b.
 func (s *Service) ingestPageBatch(b []update, payments int) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		for i := range b {
-			b[i].rec.unrefN(pageViews)
-		}
 		putUpdateBatch(b)
 		return ErrClosed
 	}
@@ -342,19 +330,13 @@ func (s *Service) ingestPageBatch(b []update, payments int) error {
 	s.ingestBatchPages.Add(uint64(len(b)))
 
 	// Each view consumes (and recycles) its own batch slice; the
-	// updates inside share the records via the refcount.
+	// updates inside share the records, which views only read.
 	fpB := getUpdateBatch()
 	fpB = append(fpB, b...)
 	if !s.fpW.offerBatch(fpB) {
-		for i := range fpB {
-			fpB[i].rec.unref()
-		}
 		putUpdateBatch(fpB)
 	}
 	if !s.ecoW.offerBatch(b) {
-		for i := range b {
-			b[i].rec.unref()
-		}
 		putUpdateBatch(b)
 	}
 	return nil
@@ -411,9 +393,6 @@ func (b *recBatcher) flush() error {
 
 // discard releases anything still buffered (abandoned backfill).
 func (b *recBatcher) discard() {
-	for i := range b.buf {
-		b.buf[i].rec.unrefN(pageViews)
-	}
 	putUpdateBatch(b.buf)
 	b.buf, b.payments = nil, 0
 }
@@ -441,9 +420,8 @@ func (s *Service) BackfillStore(ctx context.Context, store *ledgerstore.Store, w
 			b = s.newBatcher()
 			batchers[w] = b
 		}
-		rec := newPageRecord(pageViews)
+		rec := new(pageRecord)
 		if perr := s.proj.fromPayload(payload, rec); perr != nil {
-			rec.unrefN(pageViews)
 			return fmt.Errorf("serve: backfill: %w", perr)
 		}
 		return b.add(rec)

@@ -398,9 +398,6 @@ func (w *viewWorker) offer(u update) bool {
 	b := getUpdateBatch()
 	b = append(b, u)
 	if !w.offerBatch(b) {
-		if u.rec != nil {
-			u.rec.unref()
-		}
 		putUpdateBatch(b)
 		return false
 	}
@@ -414,10 +411,9 @@ func (w *viewWorker) offer(u update) bool {
 // worse than a coarser view).
 //
 // Ownership: in unrouted mode (route == nil) a true return transfers
-// the slice to the view; on false the CALLER still owns the slice — and
-// the records it references. In routed mode the view always takes
-// ownership: the batch is split per shard, full rings shed their
-// sub-batch internally (records unreferenced, drops counted and
+// the slice to the view; on false the CALLER still owns the slice. In
+// routed mode the view always takes ownership: the batch is split per
+// shard, full rings shed their sub-batch internally (drops counted and
 // notified), and offerBatch always returns true.
 func (w *viewWorker) offerBatch(b []update) bool {
 	n := uint64(len(b))
@@ -493,11 +489,6 @@ func (w *viewWorker) sendRouted(sh int, sub []update) {
 	case w.ins[sh] <- sub:
 	default:
 		w.dropped.Add(uint64(len(sub)))
-		for i := range sub {
-			if sub[i].rec != nil {
-				sub[i].rec.unref()
-			}
-		}
 		putUpdateBatch(sub)
 		if w.notify != nil {
 			w.notify()
