@@ -8,11 +8,14 @@ build:
 	$(GO) build ./...
 
 # Formatting is part of vet: gofmt -l must list nothing, here or in the
-# benchmark module (reported, never rewritten).
+# benchmark module (reported, never rewritten). So is the API check: an
+# exported identifier of internal/ that no non-test file calls fails
+# TestExportsHaveCallers, which lists each one with its file:line.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l *.go cmd examples internal bench) || exit 1; \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+	$(GO) test -run '^TestExportsHaveCallers$$' .
 
 test:
 	$(GO) test ./...

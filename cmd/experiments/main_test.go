@@ -52,10 +52,13 @@ func storeOptions(t *testing.T) options {
 }
 
 // TestRunSections: each -only value prints its own section and no
-// other, and a reused store never claims to have been built.
+// other, and a reused store never claims to have been built. Figure 2
+// runs at a reduced -rounds and never opens the store.
 func TestRunSections(t *testing.T) {
 	o := storeOptions(t)
+	o.rounds = 100
 	headers := map[string]string{
+		"fig2":       "=== Figure 2: validator pages",
 		"integrity":  "store integrity ok: ",
 		"fig3":       "=== Figure 3: information gain",
 		"importance": "Feature importance (full-resolution IG ",
@@ -63,6 +66,8 @@ func TestRunSections(t *testing.T) {
 		"attack":     "Attack demo at <Am;Tsc;C;D> over 200 sampled observations:",
 	}
 	extra := map[string][]string{
+		"fig2": {"summary: ", "churn: ", " recurring active contributors (≥5 % of busiest) in all three periods, of ",
+			" validators observed (paper: 9 of 70)"},
 		// The sidecar is absent until the first run builds it.
 		"integrity":  {"note: seqindex sidecar absent; built fresh"},
 		"fig3":       {" unique of "},
@@ -70,13 +75,19 @@ func TestRunSections(t *testing.T) {
 		"cluster":    {"(de-anonymizing any member exposes the whole cluster's history)"},
 		"attack":     {"all unique identifications correct: true"},
 	}
-	for _, only := range []string{"integrity", "fig3", "importance", "cluster", "attack"} {
+	for _, only := range []string{"fig2", "integrity", "fig3", "importance", "cluster", "attack"} {
 		o.only = only
 		out, err := capture(t, o)
 		if err != nil {
 			t.Fatalf("-only %s: %v", only, err)
 		}
-		for _, want := range append([]string{headers[only], "(reusing existing store "}, extra[only]...) {
+		wants := append([]string{headers[only]}, extra[only]...)
+		if only != "fig2" {
+			wants = append(wants, "(reusing existing store ")
+		} else if strings.Contains(out, "history: ") {
+			t.Errorf("-only fig2 read the history:\n%s", out)
+		}
+		for _, want := range wants {
 			if !strings.Contains(out, want) {
 				t.Errorf("-only %s: output lacks %q:\n%s", only, want, out)
 			}

@@ -44,51 +44,50 @@ import (
 	"ripplestudy/internal/txq"
 )
 
-// txqFlags carries the front-door configuration from flag parsing to
-// run.
-type txqFlags struct {
-	enable       bool
-	depth        int
-	batch        int
-	backpressure bool
-	cache        int
-	ckptEvery    uint64
+// config is the command line, parsed. Every numeric flag that tunes
+// serve, txq or the backfill defaults to 0, which hands the choice to
+// the library, so each default is written in one place.
+type config struct {
+	listen, connect, storeDir, period string
+	workers, retries                  int
+	stall                             time.Duration
+	serve                             serve.Options
+	txq                               txq.Options
+	txqEnable                         bool
+	ckptEvery                         uint64
+}
+
+// parseFlags parses args (without the program name) into a config; a
+// malformed command line exits with the usage.
+func parseFlags(args []string) config {
+	var c config
+	fs := flag.NewFlagSet("ripple-serve", flag.ExitOnError)
+	fs.StringVar(&c.listen, "listen", "127.0.0.1:8080", "HTTP address for the query API")
+	fs.StringVar(&c.connect, "connect", "", "validation stream address to follow (optional)")
+	fs.StringVar(&c.storeDir, "store", "", "ledgerstore directory to backfill before following (optional)")
+	fs.IntVar(&c.workers, "workers", 0, "parallel decode workers for the backfill (0 = GOMAXPROCS)")
+	fs.StringVar(&c.period, "period", "", "label validators from a collection period: dec2015|jul2016|nov2016")
+	fs.IntVar(&c.retries, "retries", 8, "consecutive connection failures before giving up on the stream")
+	fs.DurationVar(&c.stall, "stall", 30*time.Second, "reconnect if no event arrives for this long (0 = never)")
+	fs.IntVar(&c.serve.QueueSize, "queue", 0, "per-view ingest queue size, in batches (0 = 1024)")
+	fs.IntVar(&c.serve.PublishBatch, "batch", 0, "max updates between view snapshot publishes (0 = 256)")
+	fs.IntVar(&c.serve.IngestBatchPages, "ingest-batch", 0, "pages per ingest fan-out batch on the backfill paths (0 = 64)")
+	fs.IntVar(&c.serve.FingerprintShards, "fp-shards", 0, "fingerprint count shards, rounded up to a power of two (0 = cover GOMAXPROCS)")
+	fs.IntVar(&c.serve.PipelineWorkers, "pipeline-workers", 0, "apply workers per view pipeline (0 = GOMAXPROCS)")
+	fs.BoolVar(&c.serve.NonBlocking, "drop", false, "shed ingest load when a view falls behind instead of applying backpressure")
+	fs.IntVar(&c.serve.MaxConcurrent, "max-inflight", 0, "max concurrent HTTP queries (0 = 64)")
+	fs.BoolVar(&c.txqEnable, "txq", false, "serve the online front door: /v1/path_find quotes, /v1/submit, /v1/tx_status (engine state replayed from -store when given, empty otherwise)")
+	fs.IntVar(&c.txq.QueueDepth, "txq-depth", 0, "transaction queue admission bound (0 = 1024)")
+	fs.IntVar(&c.txq.BatchSize, "txq-batch", 0, "transactions applied per batch, one plan-cache epoch advance each (0 = 256)")
+	fs.BoolVar(&c.txq.Backpressure, "txq-backpressure", false, "make /v1/submit wait for queue space instead of shedding with 503")
+	fs.IntVar(&c.txq.CacheSize, "txq-cache", 0, "path-plan quote cache entries (0 = 4096)")
+	fs.Uint64Var(&c.ckptEvery, "checkpoint-every", 0, "write state-tree checkpoints every N pages during the txq engine rebuild (0 = resume only, never write)")
+	_ = fs.Parse(args) // ExitOnError: a bad command line exits inside Parse
+	return c
 }
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:8080", "HTTP address for the query API")
-	connect := flag.String("connect", "", "validation stream address to follow (optional)")
-	storeDir := flag.String("store", "", "ledgerstore directory to backfill before following (optional)")
-	workers := flag.Int("workers", 4, "parallel decode workers for the backfill")
-	period := flag.String("period", "", "label validators from a collection period: dec2015|jul2016|nov2016")
-	retries := flag.Int("retries", 8, "consecutive connection failures before giving up on the stream")
-	stall := flag.Duration("stall", 30*time.Second, "reconnect if no event arrives for this long (0 = never)")
-	queue := flag.Int("queue", 1024, "per-view ingest queue size, in batches")
-	batch := flag.Int("batch", 64, "max updates between view snapshot publishes")
-	ingestBatch := flag.Int("ingest-batch", 0, "pages per ingest fan-out batch on the backfill paths (0 = default)")
-	fpShards := flag.Int("fp-shards", 0, "fingerprint count shards, rounded up to a power of two (0 = cover GOMAXPROCS)")
-	pipeWorkers := flag.Int("pipeline-workers", 0, "apply workers per view pipeline (0 = GOMAXPROCS)")
-	drop := flag.Bool("drop", false, "shed ingest load when a view falls behind instead of applying backpressure")
-	maxInflight := flag.Int("max-inflight", 64, "max concurrent HTTP queries")
-	var tq txqFlags
-	flag.BoolVar(&tq.enable, "txq", false, "serve the online front door: /v1/path_find quotes, /v1/submit, /v1/tx_status (engine state replayed from -store when given, empty otherwise)")
-	flag.IntVar(&tq.depth, "txq-depth", 1024, "transaction queue admission bound")
-	flag.IntVar(&tq.batch, "txq-batch", 256, "transactions applied per batch (one plan-cache epoch advance each)")
-	flag.BoolVar(&tq.backpressure, "txq-backpressure", false, "make /v1/submit wait for queue space instead of shedding with 503")
-	flag.IntVar(&tq.cache, "txq-cache", 4096, "path-plan quote cache entries")
-	flag.Uint64Var(&tq.ckptEvery, "checkpoint-every", 0, "write state-tree checkpoints every N pages during the txq engine rebuild (0 = resume only, never write)")
-	flag.Parse()
-
-	opts := serve.Options{
-		QueueSize:         *queue,
-		PublishBatch:      *batch,
-		IngestBatchPages:  *ingestBatch,
-		FingerprintShards: *fpShards,
-		PipelineWorkers:   *pipeWorkers,
-		NonBlocking:       *drop,
-		MaxConcurrent:     *maxInflight,
-	}
-	if err := run(*listen, *connect, *storeDir, *period, *workers, *retries, *stall, opts, tq); err != nil {
+	if err := run(parseFlags(os.Args[1:])); err != nil {
 		fmt.Fprintln(os.Stderr, "ripple-serve:", err)
 		os.Exit(1)
 	}
@@ -120,11 +119,12 @@ func periodLabels(period string) (map[addr.NodeID]string, error) {
 	return labels, nil
 }
 
-func run(listen, connect, storeDir, period string, workers, retries int, stall time.Duration, opts serve.Options, tq txqFlags) error {
-	labels, err := periodLabels(period)
+func run(c config) error {
+	labels, err := periodLabels(c.period)
 	if err != nil {
 		return err
 	}
+	opts := c.serve
 	opts.ValidatorLabels = labels
 	svc := serve.NewService(opts)
 
@@ -132,15 +132,15 @@ func run(listen, connect, storeDir, period string, workers, retries int, stall t
 	defer stop()
 
 	var st *ledgerstore.Store
-	if storeDir != "" {
-		st, err = ledgerstore.Open(storeDir)
+	if c.storeDir != "" {
+		st, err = ledgerstore.Open(c.storeDir)
 		if err != nil {
 			return err
 		}
 	}
 
 	var fd *txq.FrontDoor
-	if tq.enable {
+	if c.txqEnable {
 		// The front door owns its own engine: replayed from the store's
 		// full history when one is given, empty (accounts funded via
 		// submitted history) otherwise.
@@ -155,7 +155,7 @@ func run(listen, connect, storeDir, period string, workers, retries int, stall t
 				// when one is present (and optionally refreshes it), so a
 				// restart fast-forwards instead of replaying all history.
 				start := time.Now()
-				eng, serr = replay.BuildStateOpts(st, last, replay.BuildOptions{CheckpointEvery: tq.ckptEvery})
+				eng, serr = replay.BuildStateOpts(st, last, replay.BuildOptions{CheckpointEvery: c.ckptEvery})
 				if serr != nil {
 					return fmt.Errorf("txq: rebuilding engine state: %w", serr)
 				}
@@ -163,21 +163,15 @@ func run(listen, connect, storeDir, period string, workers, retries int, stall t
 					last, time.Since(start).Round(time.Millisecond))
 			}
 		}
-		fd = txq.New(eng, txq.Options{
-			QueueDepth:   tq.depth,
-			BatchSize:    tq.batch,
-			Backpressure: tq.backpressure,
-			CacheSize:    tq.cache,
-		})
+		fd = txq.New(eng, c.txq)
 		svc.AttachFrontDoor(fd)
-		fmt.Fprintf(os.Stderr, "ripple-serve: txq front door up (depth=%d batch=%d backpressure=%v)\n",
-			tq.depth, tq.batch, tq.backpressure)
+		fmt.Fprintf(os.Stderr, "ripple-serve: txq front door up (backpressure=%v)\n", c.txq.Backpressure)
 	}
 
-	httpSrv := &http.Server{Addr: listen, Handler: svc.Handler()}
+	httpSrv := &http.Server{Addr: c.listen, Handler: svc.Handler()}
 	httpErr := make(chan error, 1)
 	go func() {
-		fmt.Fprintf(os.Stderr, "ripple-serve: serving on http://%s\n", listen)
+		fmt.Fprintf(os.Stderr, "ripple-serve: serving on http://%s\n", c.listen)
 		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			httpErr <- err
 		}
@@ -186,7 +180,7 @@ func run(listen, connect, storeDir, period string, workers, retries int, stall t
 
 	if st != nil {
 		start := time.Now()
-		if err := svc.BackfillStore(ctx, st, workers); err != nil {
+		if err := svc.BackfillStore(ctx, st, c.workers); err != nil {
 			if ctx.Err() != nil {
 				// Interrupted mid-backfill: keep what was ingested.
 				fmt.Fprintln(os.Stderr, "ripple-serve: backfill interrupted, keeping partial views")
@@ -195,17 +189,17 @@ func run(listen, connect, storeDir, period string, workers, retries int, stall t
 			}
 		} else {
 			h := svc.Health()
-			fmt.Fprintf(os.Stderr, "ripple-serve: backfilled %d pages in %v with %d workers\n",
-				h.IngestedPages, time.Since(start).Round(time.Millisecond), workers)
+			fmt.Fprintf(os.Stderr, "ripple-serve: backfilled %d pages in %v\n",
+				h.IngestedPages, time.Since(start).Round(time.Millisecond))
 		}
 	}
 
 	var streamStats netstream.ClientStats
-	if connect != "" && ctx.Err() == nil {
-		fmt.Fprintf(os.Stderr, "ripple-serve: following validation stream at %s\n", connect)
-		stats, err := svc.Follow(ctx, connect, netstream.ResilientOptions{
-			MaxConsecutiveFailures: retries,
-			StallTimeout:           stall,
+	if c.connect != "" && ctx.Err() == nil {
+		fmt.Fprintf(os.Stderr, "ripple-serve: following validation stream at %s\n", c.connect)
+		stats, err := svc.Follow(ctx, c.connect, netstream.ResilientOptions{
+			MaxConsecutiveFailures: c.retries,
+			StallTimeout:           c.stall,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
 			},
@@ -220,7 +214,7 @@ func run(listen, connect, storeDir, period string, workers, retries int, stall t
 			stats.Events, stats.Reconnects, stats.Gaps)
 	}
 
-	if connect == "" && storeDir != "" && ctx.Err() == nil {
+	if c.connect == "" && c.storeDir != "" && ctx.Err() == nil {
 		// Pure backfill mode: keep serving until a signal arrives.
 		<-ctx.Done()
 	}
@@ -271,7 +265,7 @@ func run(listen, connect, storeDir, period string, workers, retries int, stall t
 		fp.Payments, len(fp.Rows), fp.Epoch)
 	fmt.Fprintf(os.Stderr, "ripple-serve: fig4-6: %d payments, %d offers, %d active users (epoch %d)\n",
 		eco.Payments, eco.Offers, eco.ActiveUsers, eco.Epoch)
-	if streamStats.Events > 0 || connect != "" {
+	if streamStats.Events > 0 || c.connect != "" {
 		fmt.Fprintf(os.Stderr, "ripple-serve: stream client: connects=%d events=%d missed=%d duplicates=%d\n",
 			streamStats.Connects, streamStats.Events, streamStats.Missed, streamStats.Duplicates)
 	}

@@ -44,15 +44,6 @@ func ParseAccountID(s string) (AccountID, error) {
 	return id, nil
 }
 
-// MustParseAccountID is like ParseAccountID but panics on error.
-func MustParseAccountID(s string) AccountID {
-	id, err := ParseAccountID(s)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
-
 // IsZero reports whether id is AccountZero.
 func (id AccountID) IsZero() bool { return id == AccountZero }
 

@@ -2,7 +2,6 @@ package addr
 
 import (
 	"bytes"
-	"crypto/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -166,10 +165,7 @@ func TestKeyPairDeterminism(t *testing.T) {
 }
 
 func TestSignVerify(t *testing.T) {
-	kp, err := GenerateKeyPair(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kp := KeyPairFromSeed(4)
 	msg := []byte("ledger page 12345")
 	sig := kp.Sign(msg)
 	if !Verify(kp.PublicKey(), msg, sig) {

@@ -4,8 +4,6 @@ import (
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
-	"io"
 )
 
 // KeyPair holds an ed25519 signing keypair together with the derived
@@ -14,17 +12,6 @@ import (
 type KeyPair struct {
 	pub  ed25519.PublicKey
 	priv ed25519.PrivateKey
-}
-
-// GenerateKeyPair creates a keypair from the given entropy source. Pass
-// crypto/rand.Reader for real randomness or a deterministic reader for
-// reproducible populations.
-func GenerateKeyPair(rand io.Reader) (*KeyPair, error) {
-	pub, priv, err := ed25519.GenerateKey(rand)
-	if err != nil {
-		return nil, fmt.Errorf("addr: generating keypair: %w", err)
-	}
-	return &KeyPair{pub: pub, priv: priv}, nil
 }
 
 // KeyPairFromSeed deterministically derives a keypair from a 64-bit seed.

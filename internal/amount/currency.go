@@ -10,7 +10,6 @@ package amount
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Currency identifies a currency by its three-character Ripple currency
@@ -156,21 +155,4 @@ func StrengthOf(c Currency) Strength {
 		return s
 	}
 	return StrengthMedium
-}
-
-// ParseCurrencyList parses a comma-separated list of currency codes.
-func ParseCurrencyList(s string) ([]Currency, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]Currency, 0, len(parts))
-	for _, p := range parts {
-		c, err := NewCurrency(strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
 }

@@ -160,12 +160,6 @@ func (v Value) Neg() Value {
 	return v
 }
 
-// Abs returns |v|.
-func (v Value) Abs() Value {
-	v.negative = false
-	return v
-}
-
 // Cmp compares v and w, returning -1 if v < w, 0 if v == w, +1 if v > w.
 func (v Value) Cmp(w Value) int {
 	vs, ws := v.Sign(), w.Sign()

@@ -48,29 +48,6 @@ func (h *histogram) add(v float64) {
 	h.total++
 }
 
-// survival returns P(amount > x).
-func (h *histogram) survival(x float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if x <= 0 {
-		return 1
-	}
-	d := math.Log10(x)
-	idx := int((d - minDecade) * bucketPerDecade)
-	if idx < 0 {
-		return 1
-	}
-	if idx >= numBuckets {
-		return 0
-	}
-	var above int64
-	for i := idx + 1; i < numBuckets; i++ {
-		above += h.buckets[i]
-	}
-	return float64(above) / float64(h.total)
-}
-
 // Collector accumulates the appendix statistics from a stream of pages.
 // It is not safe for concurrent use.
 type Collector struct {
@@ -524,16 +501,6 @@ func (c *Collector) OfferConcentration(ks []int) map[int]float64 {
 
 // TotalOffers returns the number of successful OfferCreate transactions.
 func (c *Collector) TotalOffers() int64 { return c.offersTotal }
-
-// ResultCounts returns how many transactions landed on each engine
-// result code — the health profile of the history.
-func (c *Collector) ResultCounts() map[ledger.TxResult]int64 {
-	out := make(map[ledger.TxResult]int64, len(c.resultCounts))
-	for k, v := range c.resultCounts {
-		out[k] = v
-	}
-	return out
-}
 
 // FeePayer is one row of the spam-cost analysis: an account and the XRP
 // it burned in fees.

@@ -195,6 +195,16 @@ func TestOfferConcentration(t *testing.T) {
 	}
 }
 
+// ResultCounts returns how many transactions landed on each engine
+// result code — the health profile of the history.
+func (c *Collector) ResultCounts() map[ledger.TxResult]int64 {
+	out := make(map[ledger.TxResult]int64, len(c.resultCounts))
+	for k, v := range c.resultCounts {
+		out[k] = v
+	}
+	return out
+}
+
 func TestResultCounts(t *testing.T) {
 	c := NewCollector()
 	tx1, m1 := pay(1, 2, "1/USD", nil)

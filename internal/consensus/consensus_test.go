@@ -9,6 +9,16 @@ import (
 	"ripplestudy/internal/ledger"
 )
 
+// pageByHash finds the page of c whose header hashes to h.
+func pageByHash(c *ledger.Chain, h ledger.Hash) (*ledger.Page, bool) {
+	for i := 0; i < c.Len(); i++ {
+		if p := c.Page(i); p.Header.Hash() == h {
+			return p, true
+		}
+	}
+	return nil, false
+}
+
 // activeSpecs builds n trusted, always-available active validators.
 func activeSpecs(n int) []ValidatorSpec {
 	specs := make([]ValidatorSpec, 0, n)
@@ -203,10 +213,10 @@ func TestTestnetChainDivergesFromMain(t *testing.T) {
 		t.Fatalf("testnet validations = %d, want 5", len(testnetHashes))
 	}
 	for _, h := range testnetHashes {
-		if _, onMain := n.Chain().ByHash(h); onMain {
+		if _, onMain := pageByHash(n.Chain(), h); onMain {
 			t.Error("testnet validation matches a main-chain page")
 		}
-		if _, onTest := n.TestChain().ByHash(h); !onTest {
+		if _, onTest := pageByHash(n.testChain, h); !onTest {
 			t.Error("testnet validation not on the test chain")
 		}
 	}
@@ -226,7 +236,7 @@ func TestLaggardRarelyValid(t *testing.T) {
 			return
 		}
 		signed++
-		if _, ok := n.Chain().ByHash(ev.LedgerHash); ok {
+		if _, ok := pageByHash(n.Chain(), ev.LedgerHash); ok {
 			valid++
 		}
 	})

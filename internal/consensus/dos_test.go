@@ -2,6 +2,8 @@ package consensus
 
 import (
 	"testing"
+
+	"ripplestudy/internal/addr"
 )
 
 // validatedFraction runs `rounds` rounds and returns the fraction that
@@ -57,26 +59,32 @@ func TestDoSSingleTakedownDegrades(t *testing.T) {
 	t.Logf("validated fraction: %.3f healthy, %.3f with one trusted validator down", before, after)
 }
 
-func TestDisableByLabel(t *testing.T) {
+// TestDisabledValidatorsStopSigning: a validator DisableTopActives takes
+// down signs nothing afterwards, and asking for more than the trusted
+// actives takes down only those.
+func TestDisabledValidatorsStopSigning(t *testing.T) {
 	n := NewNetwork(Config{Seed: 43}, December2015(0).Specs)
-	if got := n.Disable("R1", "R2"); got != 2 {
-		t.Fatalf("Disable matched %d, want 2", got)
+	if got := n.DisableTopActives(2); got != 2 {
+		t.Fatalf("disabled %d validators, want 2", got)
 	}
-	if got := n.Disable("no-such-validator"); got != 0 {
-		t.Errorf("Disable matched %d for unknown label", got)
+	down := make(map[addr.NodeID]bool)
+	for _, v := range n.validators {
+		if v.disabled {
+			down[v.id] = true
+		}
 	}
-	// Disabled validators stop signing entirely.
-	r1, _ := n.NodeIDOf("R1")
-	signed := false
+	if len(down) != 2 {
+		t.Fatalf("%d validators marked disabled, want 2", len(down))
+	}
 	n.Subscribe(func(ev Event) {
-		if ev.Kind == EventValidation && ev.Node == r1 {
-			signed = true
+		if ev.Kind == EventValidation && down[ev.Node] {
+			t.Errorf("disabled validator %s kept signing", ev.Node.Short())
 		}
 	})
 	if _, err := n.Run(20, nil); err != nil {
 		t.Fatal(err)
 	}
-	if signed {
-		t.Error("disabled validator kept signing")
+	if got := n.DisableTopActives(100); got != 6 {
+		t.Errorf("disabling every remaining trusted active hit %d, want the other 6", got)
 	}
 }

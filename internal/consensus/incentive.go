@@ -135,16 +135,3 @@ func SimulateIncentives(cfg IncentiveConfig) []IncentivePoint {
 	}
 	return out
 }
-
-// EquilibriumValidators returns the closed-form steady state of the
-// model: the population the reward pool can sustain (never below the
-// subsidized floor).
-func EquilibriumValidators(cfg IncentiveConfig) int {
-	cfg = cfg.withDefaults()
-	pool := cfg.TaxPerRound * float64(cfg.RoundsPerEpoch)
-	eq := pool / cfg.OperatingCost
-	if eq < float64(cfg.Subsidized) {
-		eq = float64(cfg.Subsidized)
-	}
-	return int(math.Round(eq))
-}

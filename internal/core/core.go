@@ -121,10 +121,6 @@ func OpenDataset(dir string) (*Dataset, error) {
 // Source exposes the page stream.
 func (ds *Dataset) Source() replay.Source { return ds.source }
 
-// GeneratorResult returns the generator's output, or nil for datasets
-// opened from disk.
-func (ds *Dataset) GeneratorResult() *synth.Result { return ds.result }
-
 // ecosystem builds (once) the streaming appendix statistics. Store-backed
 // datasets scan segments in parallel at the configured worker count, one
 // private collector per worker, merged at the end — every collector

@@ -36,7 +36,7 @@ func TestBuildDatasetInMemory(t *testing.T) {
 	if st.TotalPages == 0 || st.ActiveUsers == 0 || st.Offers == 0 {
 		t.Errorf("stats incomplete: %+v", st)
 	}
-	if ds.GeneratorResult() == nil {
+	if ds.result == nil {
 		t.Error("generator result missing for in-memory dataset")
 	}
 }
@@ -63,7 +63,7 @@ func TestBuildDatasetWithStoreAndReopen(t *testing.T) {
 	if st1 != st2 {
 		t.Errorf("stats differ across reopen:\n%+v\n%+v", st1, st2)
 	}
-	if ds2.GeneratorResult() != nil {
+	if ds2.result != nil {
 		t.Error("reopened dataset should have no generator result")
 	}
 	// Figure 7 must still work (state rebuilt by replay).

@@ -15,17 +15,9 @@ import (
 // this implementation provides the activation heuristic: accounts first
 // funded by the same (non-faucet) account likely belong to one entity.
 
-// Activation records who sent an account its first XRP payment.
-type Activation struct {
-	Account   addr.AccountID
-	Activator addr.AccountID
-	Time      ledger.CloseTime
-}
-
 // Clusterer streams a history and groups accounts by their activator.
 type Clusterer struct {
 	firstFunder map[addr.AccountID]addr.AccountID
-	firstTime   map[addr.AccountID]ledger.CloseTime
 	// excluded activators (faucets/exchanges like ACCOUNT_ZERO) whose
 	// funding fan-out says nothing about common ownership.
 	excluded map[addr.AccountID]bool
@@ -37,7 +29,6 @@ type Clusterer struct {
 func NewClusterer(exclude ...addr.AccountID) *Clusterer {
 	c := &Clusterer{
 		firstFunder: make(map[addr.AccountID]addr.AccountID),
-		firstTime:   make(map[addr.AccountID]ledger.CloseTime),
 		excluded:    map[addr.AccountID]bool{addr.AccountZero: true},
 	}
 	for _, a := range exclude {
@@ -45,9 +36,6 @@ func NewClusterer(exclude ...addr.AccountID) *Clusterer {
 	}
 	return c
 }
-
-// Exclude marks an activator as a known faucet/exchange.
-func (c *Clusterer) Exclude(a addr.AccountID) { c.excluded[a] = true }
 
 // Page folds one ledger page into the activation records.
 func (c *Clusterer) Page(p *ledger.Page) error {
@@ -62,18 +50,8 @@ func (c *Clusterer) Page(p *ledger.Page) error {
 			continue
 		}
 		c.firstFunder[tx.Destination] = tx.Account
-		c.firstTime[tx.Destination] = p.Header.CloseTime
 	}
 	return nil
-}
-
-// ActivationOf returns who activated the account, if observed.
-func (c *Clusterer) ActivationOf(a addr.AccountID) (Activation, bool) {
-	f, ok := c.firstFunder[a]
-	if !ok {
-		return Activation{}, false
-	}
-	return Activation{Account: a, Activator: f, Time: c.firstTime[a]}, true
 }
 
 // Cluster is a set of accounts sharing a (non-excluded) activator.
@@ -106,38 +84,5 @@ func (c *Clusterer) Clusters(minSize int) []Cluster {
 		}
 		return out[i].Activator.Less(out[j].Activator)
 	})
-	return out
-}
-
-// SameEntity reports whether the heuristic links a and b: they share a
-// non-excluded activator, or one activated the other.
-func (c *Clusterer) SameEntity(a, b addr.AccountID) bool {
-	fa, oka := c.firstFunder[a]
-	fb, okb := c.firstFunder[b]
-	if oka && fa == b && !c.excluded[b] {
-		return true
-	}
-	if okb && fb == a && !c.excluded[a] {
-		return true
-	}
-	return oka && okb && fa == fb && !c.excluded[fa]
-}
-
-// MergeHistories returns, for a de-anonymized account, the full set of
-// accounts the heuristic attributes to the same entity — what an
-// attacker gains beyond the single recovered wallet.
-func (c *Clusterer) MergeHistories(a addr.AccountID) []addr.AccountID {
-	out := []addr.AccountID{a}
-	f, ok := c.firstFunder[a]
-	if !ok || c.excluded[f] {
-		return out
-	}
-	out = append(out, f)
-	for account, funder := range c.firstFunder {
-		if funder == f && account != a {
-			out = append(out, account)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }

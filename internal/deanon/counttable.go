@@ -156,30 +156,6 @@ func (t *countTable) grow() {
 // maintained incrementally by incr, so reading it is O(1).
 func (t *countTable) unique() int { return t.uniques }
 
-// uniqueScan recomputes unique() from the slots; the O(capacity)
-// reference implementation the incremental counter is tested against.
-func (t *countTable) uniqueScan() int {
-	n := 0
-	for i, k := range t.keys {
-		if k != 0 && t.counts[i] == 1 {
-			n++
-		}
-	}
-	if t.zeroCount == 1 {
-		n++
-	}
-	return n
-}
-
-// distinct returns the number of distinct fingerprints in the table.
-func (t *countTable) distinct() int {
-	n := t.used
-	if t.zeroCount > 0 {
-		n++
-	}
-	return n
-}
-
 // bytes reports the table's resident footprint (keys + counts arrays).
 func (t *countTable) bytes() int {
 	return len(t.keys)*8 + len(t.counts)
@@ -285,14 +261,6 @@ func (s *sealedTable) get(fp Fingerprint) uint8 {
 }
 
 func (s *sealedTable) unique() int { return s.uniques }
-
-func (s *sealedTable) distinct() int {
-	n := s.used
-	if s.zeroCount > 0 {
-		n++
-	}
-	return n
-}
 
 // bytes reports the table's logical footprint (keys + counts), the same
 // measure as countTable.bytes however many pages it shares.

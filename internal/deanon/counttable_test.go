@@ -8,6 +8,40 @@ import (
 	"testing"
 )
 
+// uniqueScan recomputes unique() from the slots; the O(capacity)
+// reference implementation the incremental counter is tested against.
+func (t *countTable) uniqueScan() int {
+	n := 0
+	for i, k := range t.keys {
+		if k != 0 && t.counts[i] == 1 {
+			n++
+		}
+	}
+	if t.zeroCount == 1 {
+		n++
+	}
+	return n
+}
+
+// distinct returns the number of distinct fingerprints in the table.
+func (t *countTable) distinct() int {
+	n := t.used
+	if t.zeroCount > 0 {
+		n++
+	}
+	return n
+}
+
+// distinct returns the number of distinct fingerprints in the sealed
+// table.
+func (s *sealedTable) distinct() int {
+	n := s.used
+	if s.zeroCount > 0 {
+		n++
+	}
+	return n
+}
+
 // sealEpoch is one seal of the model test: the snapshot, the map model
 // of every row's saturated counts at that seal, and the keys generated
 // so far (a prefix of the append-only key list), which the checks look

@@ -7,10 +7,10 @@
 // writes, and bit corruption — so tests can prove the pipeline's
 // reports are identical with and without them.
 //
-// Wrap a server's listener with Wrap (or a single connection with
-// WrapConn) to degrade every byte written through it. The file helpers
-// (FlipBitAt, FlipRandomBit, TruncateTail) apply the same corruption
-// model to on-disk segment files.
+// Wrap a server's listener with Wrap to degrade every byte written
+// through its connections. The file helpers (FlipBitAt, FlipRandomBit,
+// TruncateTail) apply the same corruption model to on-disk segment
+// files.
 package faultnet
 
 import (
@@ -119,26 +119,12 @@ type Conn struct {
 	cfg   Config
 	mu    sync.Mutex
 	rng   *rand.Rand
-	tally *counters
-	local counters
-}
-
-// WrapConn degrades a single connection with its own fault tally.
-func WrapConn(conn net.Conn, cfg Config) *Conn {
-	return newConn(conn, cfg, cfg.Seed, nil)
+	tally *counters // shared with the Listener that accepted the conn
 }
 
 func newConn(conn net.Conn, cfg Config, seed int64, tally *counters) *Conn {
-	c := &Conn{Conn: conn, cfg: cfg, rng: rand.New(rand.NewSource(seed)), tally: tally}
-	if c.tally == nil {
-		c.tally = &c.local
-	}
-	return c
+	return &Conn{Conn: conn, cfg: cfg, rng: rand.New(rand.NewSource(seed)), tally: tally}
 }
-
-// Stats reports faults injected by this connection (for WrapConn; a
-// Listener's connections share the Listener tally).
-func (c *Conn) Stats() Stats { return c.tally.snapshot() }
 
 // Write injects at most one fault, then forwards to the wrapped
 // connection.

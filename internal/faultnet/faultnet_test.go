@@ -15,7 +15,8 @@ import (
 func pipeWrite(t *testing.T, cfg Config, chunks [][]byte) ([]byte, Stats) {
 	t.Helper()
 	client, server := net.Pipe()
-	wrapped := WrapConn(server, cfg)
+	var tally counters
+	wrapped := newConn(server, cfg, cfg.Seed, &tally)
 	done := make(chan []byte, 1)
 	go func() {
 		data, _ := io.ReadAll(client)
@@ -27,7 +28,7 @@ func pipeWrite(t *testing.T, cfg Config, chunks [][]byte) ([]byte, Stats) {
 		}
 	}
 	wrapped.Close()
-	return <-done, wrapped.Stats()
+	return <-done, tally.snapshot()
 }
 
 func testChunks(n int) [][]byte {

@@ -146,7 +146,7 @@ func TestConsensusStreamMonitorPipeline(t *testing.T) {
 	}
 	defer srv.Close()
 
-	client, err := netstream.Dial(srv.Addr())
+	client, err := netstream.DialResume(srv.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -291,9 +291,6 @@ func TestChainAppend(t *testing.T) {
 	if c.Len() != 2 || c.Tip() != next {
 		t.Error("append did not extend the chain")
 	}
-	if got, ok := c.ByHash(next.Header.Hash()); !ok || got != next {
-		t.Error("ByHash lookup failed")
-	}
 
 	// Wrong sequence.
 	bad := &Page{Header: PageHeader{Sequence: 7, ParentHash: next.Header.Hash(), TxSetHash: TxSetHash(nil)}}
@@ -330,19 +327,6 @@ func TestTxTypeAndResultStrings(t *testing.T) {
 	}
 	if !strings.Contains(TxResult(99).String(), "99") {
 		t.Error("unknown TxResult string should include the numeric value")
-	}
-}
-
-func TestIssueString(t *testing.T) {
-	if (Issue{}).String() != "XRP" {
-		t.Errorf("zero issue = %q, want XRP", (Issue{}).String())
-	}
-	iss := Issue{Currency: amount.USD, Issuer: addr.KeyPairFromSeed(1).AccountID()}
-	if !strings.HasPrefix(iss.String(), "USD/r") {
-		t.Errorf("issue string = %q", iss.String())
-	}
-	if (Issue{}).IsXRP() != true || iss.IsXRP() {
-		t.Error("IsXRP misbehaves")
 	}
 }
 

@@ -150,16 +150,12 @@ func Genesis(chainTag string, closeTime CloseTime) *Page {
 // Chain is an in-memory ledger chain: an append-only list of closed
 // pages with parent-hash linkage enforced.
 type Chain struct {
-	pages  []*Page
-	byHash map[Hash]*Page
+	pages []*Page
 }
 
 // NewChain starts a chain from a genesis page.
 func NewChain(genesis *Page) *Chain {
-	c := &Chain{byHash: make(map[Hash]*Page)}
-	c.pages = append(c.pages, genesis)
-	c.byHash[genesis.Header.Hash()] = genesis
-	return c
+	return &Chain{pages: []*Page{genesis}}
 }
 
 // Tip returns the most recently appended page.
@@ -170,12 +166,6 @@ func (c *Chain) Len() int { return len(c.pages) }
 
 // Page returns the page at 0-based index i.
 func (c *Chain) Page(i int) *Page { return c.pages[i] }
-
-// ByHash looks a page up by its hash.
-func (c *Chain) ByHash(h Hash) (*Page, bool) {
-	p, ok := c.byHash[h]
-	return p, ok
-}
 
 // Append validates linkage and internal consistency, then appends p.
 func (c *Chain) Append(p *Page) error {
@@ -191,6 +181,5 @@ func (c *Chain) Append(p *Page) error {
 		return err
 	}
 	c.pages = append(c.pages, p)
-	c.byHash[p.Header.Hash()] = p
 	return nil
 }

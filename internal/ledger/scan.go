@@ -163,20 +163,6 @@ func (v *TxView) OffersConsumed() uint32 {
 	return binary.BigEndian.Uint32(v.Meta[n:])
 }
 
-// DecodeTx fully decodes the viewed transaction (heap-allocated, safe
-// to retain).
-func (v *TxView) DecodeTx() (*Tx, error) {
-	tx, _, err := DecodeTx(v.Tx)
-	return tx, err
-}
-
-// DecodeMeta fully decodes the viewed metadata (heap-allocated, safe to
-// retain).
-func (v *TxView) DecodeMeta() (*TxMeta, error) {
-	m, _, err := DecodeMeta(v.Meta)
-	return m, err
-}
-
 // TxIter walks a page encoding in place, one transaction at a time,
 // with the same framing validation as VisitTxs. Unlike VisitTxs it is
 // allocation-free: the header and the reused view live inside the

@@ -148,10 +148,10 @@ func TestVisitTxsMatchesDecodePage(t *testing.T) {
 			t.Fatalf("tx %d: hops %v, want %v", i, hops, meta.PathHops)
 		}
 		// Raw slices must be exact record encodings.
-		if fullTx, err := v.DecodeTx(); err != nil || !reflect.DeepEqual(fullTx, tx) {
+		if fullTx, _, err := DecodeTx(v.Tx); err != nil || !reflect.DeepEqual(fullTx, tx) {
 			t.Fatalf("tx %d: DecodeTx from view differs (err %v)", i, err)
 		}
-		if fullMeta, err := v.DecodeMeta(); err != nil || !reflect.DeepEqual(fullMeta, meta) {
+		if fullMeta, _, err := DecodeMeta(v.Meta); err != nil || !reflect.DeepEqual(fullMeta, meta) {
 			t.Fatalf("tx %d: DecodeMeta from view differs (err %v)", i, err)
 		}
 		i++

@@ -47,25 +47,6 @@ func (t TxType) String() string {
 	}
 }
 
-// Issue identifies an issued asset: a currency code plus the account
-// whose IOUs denominate it. The zero Issuer with the XRP currency is the
-// native asset.
-type Issue struct {
-	Currency amount.Currency `json:"currency"`
-	Issuer   addr.AccountID  `json:"issuer"`
-}
-
-// IsXRP reports whether the issue is the native asset.
-func (i Issue) IsXRP() bool { return i.Currency.IsXRP() }
-
-// String renders "CUR/rIssuer..." or "XRP".
-func (i Issue) String() string {
-	if i.IsXRP() {
-		return "XRP"
-	}
-	return i.Currency.String() + "/" + i.Issuer.Short()
-}
-
 // Tx is a signed Ripple transaction. A single struct covers all types
 // (mirroring rippled's STTx); fields irrelevant to a given type stay at
 // their zero values. Which fields each type uses:

@@ -223,12 +223,12 @@ func TestScanPaymentsStops(t *testing.T) {
 	n := 0
 	err = s.ScanPayments(context.Background(), 1, func(w int, pv *ledger.PaymentView) error {
 		if n++; n == 5 {
-			return ErrStop
+			return errStop
 		}
 		return nil
 	})
-	if !errors.Is(err, ErrStop) {
-		t.Fatalf("err = %v, want ErrStop unwrapped", err)
+	if !errors.Is(err, errStop) {
+		t.Fatalf("err = %v, want errStop unwrapped", err)
 	}
 	if n != 5 {
 		t.Fatalf("scanned %d payments after stop, want 5", n)

@@ -136,7 +136,7 @@ func scanSegmentPayments(path string, fn func(*ledger.PaymentView) error) error 
 		})
 		if err != nil {
 			if cbErr != nil && err == cbErr {
-				return cbErr // the caller's own error, e.g. ErrStop
+				return cbErr // the caller's own error, unwrapped
 			}
 			return fmt.Errorf("ledgerstore: scanning page in %s: %w", path, err)
 		}

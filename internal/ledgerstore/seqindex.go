@@ -228,7 +228,7 @@ var arenaPool = sync.Pool{New: func() any { return new(ledger.PageArena) }}
 // Pipelined consumers (the replay decode-ahead stream) call release
 // exactly once per page, when done with it. Never calling it is safe (a
 // caller that keeps its pages does that); calling it twice corrupts the
-// pool. fn's errors, ErrStop included, propagate as in Pages.
+// pool. fn's errors propagate as in Pages.
 func (s *Store) PagesRangeRecycled(lo, hi uint64, fn func(p *ledger.Page, release func()) error) error {
 	segs, err := s.rangeSegments(lo, hi)
 	if err != nil {

@@ -187,7 +187,8 @@ func (s *Store) Close() error { return s.closeCurrent() }
 func (s *Store) Dir() string { return s.dir }
 
 // Pages streams every stored page, in append order, to fn. Iteration
-// stops early if fn returns a non-nil error, which is propagated. A
+// stops early if fn returns a non-nil error, which is returned unwrapped,
+// so a caller can stop on purpose with a sentinel of its own. A
 // truncated final record terminates iteration silently (crash-tolerant
 // tail); a checksum mismatch returns ErrCorrupted. Pages are decoded
 // onto the heap, so fn may retain them; scans that don't need that use
@@ -215,11 +216,6 @@ func (s *Store) Pages(fn func(*ledger.Page) error) error {
 	}
 	return nil
 }
-
-// ErrStop is a sentinel a walker's fn can return to stop iteration
-// early. Walkers hand it back unwrapped, so a caller that stops on
-// purpose checks errors.Is(err, ErrStop).
-var ErrStop = errors.New("ledgerstore: stop iteration")
 
 // Stats summarizes a store's contents.
 type Stats struct {

@@ -14,6 +14,10 @@ import (
 	"ripplestudy/internal/ledger"
 )
 
+// errStop is the sentinel the tests' callbacks return to stop a walk on
+// purpose; every walker must hand it back unwrapped.
+var errStop = errors.New("ledgerstore test: stop iteration")
+
 // scanWalker is one exported scan, reduced to "call visit once per unit
 // delivered" so every walker can sit in one table.
 type scanWalker struct {
@@ -71,7 +75,7 @@ func appendRawRecord(t *testing.T, path string, payload []byte) {
 // flipped payload bit is ErrCorrupted; a CRC-clean record carrying bytes
 // past its page encoding is ErrCorrupted from every scan that decodes
 // (the raw-payload scan delivers it: the check is its consumer's); the
-// callback's ErrStop comes back unwrapped after exactly that many
+// callback's errStop comes back unwrapped after exactly that many
 // units; a cancelled context comes back as context.Canceled. Each cell
 // runs on the mmap reader and on the ReadFile fallback (the
 // ledgerstore_nommap build runs the fallback twice).
@@ -84,7 +88,7 @@ func TestScanWalkersFaultTable(t *testing.T) {
 	faults := []struct {
 		name   string
 		inject func(t *testing.T, segs []string)
-		stopAt int // visit returns ErrStop on this unit (0: never)
+		stopAt int // visit returns errStop on this unit (0: never)
 		cancel bool
 		want   func(w scanWalker) expect
 	}{
@@ -116,7 +120,7 @@ func TestScanWalkersFaultTable(t *testing.T) {
 			return expect{err: ErrCorrupted, pages: pages}
 		}},
 		{name: "ErrStop", inject: func(*testing.T, []string) {}, stopAt: 4,
-			want: func(scanWalker) expect { return expect{err: ErrStop, pages: -1} }},
+			want: func(scanWalker) expect { return expect{err: errStop, pages: -1} }},
 		{name: "cancelled ctx", inject: func(*testing.T, []string) {}, cancel: true,
 			want: func(w scanWalker) expect {
 				if !w.takesCtx {
@@ -153,7 +157,7 @@ func TestScanWalkersFaultTable(t *testing.T) {
 					units := 0
 					err = w.run(ctx, s, func() error {
 						if units++; units == fault.stopAt {
-							return ErrStop
+							return errStop
 						}
 						return nil
 					})

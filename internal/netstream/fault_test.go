@@ -39,7 +39,7 @@ func TestClientSkipsBadFrames(t *testing.T) {
 		conn.Write(good1[:len(good1)/2]) // truncated final frame, then EOF
 	}()
 
-	c, err := Dial(ln.Addr().String())
+	c, err := DialResume(ln.Addr().String(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestStalledSubscriberDoesNotBlockPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	healthy, err := Dial(s.Addr())
+	healthy, err := DialResume(s.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

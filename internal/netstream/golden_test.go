@@ -73,7 +73,7 @@ func TestClientDecodesParentServer(t *testing.T) {
 			conn.Write(golden)
 		}
 	}()
-	c, err := Dial(ln.Addr().String())
+	c, err := DialResume(ln.Addr().String(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

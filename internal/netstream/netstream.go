@@ -151,16 +151,6 @@ func WithWriteTimeout(d time.Duration) Option {
 	}
 }
 
-// WithHelloTimeout bounds how long a new connection may take to send
-// its hello line.
-func WithHelloTimeout(d time.Duration) Option {
-	return func(s *Server) {
-		if d > 0 {
-			s.helloTimeout = d
-		}
-	}
-}
-
 // WithListenerWrapper installs a wrapper around the TCP listener —
 // the hook faultnet uses to inject faults into every subscriber
 // connection.
@@ -395,7 +385,7 @@ func (s *Server) Publish(ev consensus.Event) {
 		s.seq = ev.StreamSeq
 	}
 	var err error
-	if s.enc, err = appendFrameNode(s.enc[:0], &ev, s.nodes.text(ev.Node)); err != nil {
+	if s.enc, err = appendFrame(s.enc[:0], &ev, s.nodes.text(ev.Node)); err != nil {
 		// Only a time RFC 3339 cannot express; nothing here makes one.
 		return
 	}
@@ -547,15 +537,9 @@ func (r socketReader) Read(p []byte) (int, error) {
 	return r.c.conn.Read(p)
 }
 
-// Dial connects to a stream server and subscribes from the present
-// moment (no replay).
-func Dial(address string) (*Client, error) {
-	return DialResume(address, 0, 0)
-}
-
 // DialResume connects and asks the server to replay buffered events
-// with stream sequence greater than resumeAfter. A zero timeout means
-// no dial timeout.
+// with stream sequence greater than resumeAfter (0 subscribes from the
+// present moment, no replay). A zero timeout means no dial timeout.
 func DialResume(address string, resumeAfter uint64, timeout time.Duration) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", address, timeout)
 	if err != nil {

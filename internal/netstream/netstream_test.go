@@ -43,7 +43,7 @@ func TestPublishSubscribe(t *testing.T) {
 	}
 	defer s.Close()
 
-	c, err := Dial(s.Addr())
+	c, err := DialResume(s.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestMultipleSubscribers(t *testing.T) {
 	var wg sync.WaitGroup
 	counts := make([]int, subs)
 	for i := 0; i < subs; i++ {
-		c, err := Dial(s.Addr())
+		c, err := DialResume(s.Addr(), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestClientSeesEOFOnServerClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(s.Addr())
+	c, err := DialResume(s.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestDeadSubscriberDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, err := Dial(s.Addr())
+	c, err := DialResume(s.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestCallbackErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, err := Dial(s.Addr())
+	c, err := DialResume(s.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,14 +19,9 @@ import (
 
 // appendFrame appends ev to dst as "crc32hex SP json LF", the payload
 // byte for byte json.Marshal(ev), and fails where json.Marshal does: on
-// a time RFC 3339 cannot say (year past 9999, zone hour past 23).
-func appendFrame(dst []byte, ev *consensus.Event) ([]byte, error) {
-	return appendFrameNode(dst, ev, ev.Node.String())
-}
-
-// appendFrameNode is appendFrame with ev.Node's text supplied by the
-// caller, so an encoder can memoise it.
-func appendFrameNode(dst []byte, ev *consensus.Event, node string) ([]byte, error) {
+// a time RFC 3339 cannot say (year past 9999, zone hour past 23). node
+// is ev.Node's text, supplied by the caller so an encoder can memoise it.
+func appendFrame(dst []byte, ev *consensus.Event, node string) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, `00000000 {"kind":`...)
 	dst = strconv.AppendInt(dst, int64(ev.Kind), 10)

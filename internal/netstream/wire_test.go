@@ -21,7 +21,7 @@ import (
 )
 
 // encodeFrame renders one event as a fresh wire line.
-func encodeFrame(ev consensus.Event) ([]byte, error) { return appendFrame(nil, &ev) }
+func encodeFrame(ev consensus.Event) ([]byte, error) { return appendFrame(nil, &ev, ev.Node.String()) }
 
 // refEncode and refDecode are the codec as it was before wire.go,
 // reflection and all: the oracle every test here compares against.
@@ -268,7 +268,7 @@ func FuzzEncodeFrame(f *testing.F) {
 		}
 		want, wantErr := refEncode(ev)
 		prefix := []byte("kept")
-		got, err := appendFrame(prefix, &ev)
+		got, err := appendFrame(prefix, &ev, ev.Node.String())
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("appendFrame err=%v, json.Marshal err=%v for %+v", err, wantErr, ev)
 		}
@@ -355,7 +355,7 @@ func TestNodeTextsBounded(t *testing.T) {
 // TestHelloCapped: a peer that sends bytes and no newline is hung up on
 // at maxHelloBytes, not held for the hello timeout.
 func TestHelloCapped(t *testing.T) {
-	s, err := Serve("127.0.0.1:0", WithHelloTimeout(time.Minute))
+	s, err := Serve("127.0.0.1:0", func(s *Server) { s.helloTimeout = time.Minute })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestOverlongFrameSkipped(t *testing.T) {
 		conn.Write([]byte("\n"))
 		conn.Write(good3)
 	}()
-	c, err := Dial(ln.Addr().String())
+	c, err := DialResume(ln.Addr().String(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +508,7 @@ func BenchmarkEncodeFrame(b *testing.B) {
 			var nodes nodeTexts // warm after the first frame, as in Publish
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkLine, _ = appendFrameNode(sinkLine[:0], &ev, nodes.text(ev.Node))
+				sinkLine, _ = appendFrame(sinkLine[:0], &ev, nodes.text(ev.Node))
 			}
 		})
 		b.Run(name+"/encoding-json", func(b *testing.B) {

@@ -189,7 +189,8 @@ func (s *FileStore) probe(h []byte) int {
 	return i
 }
 
-// Get implements Getter. The returned slice aliases the loaded file.
+// Get returns the payload stored under h, or ErrNotFound. The returned
+// slice aliases the loaded file: callers must not mutate it.
 func (s *FileStore) Get(h ledger.Hash) ([]byte, error) {
 	for s.nextFile < len(s.files) && s.nextOff >= len(s.files[s.nextFile]) {
 		s.nextFile, s.nextOff = s.nextFile+1, 0

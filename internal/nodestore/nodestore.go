@@ -34,25 +34,6 @@ import (
 // ErrNotFound reports a hash absent from a store.
 var ErrNotFound = errors.New("nodestore: not found")
 
-// Getter is the read side of a store.
-type Getter interface {
-	// Get returns the payload stored under h, or ErrNotFound. The
-	// returned slice is owned by the store: callers must not mutate it.
-	Get(h ledger.Hash) ([]byte, error)
-}
-
-// Store is a content-addressed node store.
-type Store interface {
-	Getter
-	// Put stores payload under h. Storing a hash that is already present
-	// is a no-op (content addressing makes the write idempotent). The
-	// payload is only borrowed for the call; implementations copy what
-	// they keep.
-	Put(h ledger.Hash, payload []byte) error
-	// Len returns the number of distinct records.
-	Len() int
-}
-
 // MemStore is the in-memory backend.
 type MemStore struct {
 	m map[ledger.Hash][]byte
@@ -63,7 +44,8 @@ func NewMem() *MemStore {
 	return &MemStore{m: make(map[ledger.Hash][]byte)}
 }
 
-// Get implements Getter.
+// Get returns the payload stored under h, or ErrNotFound. The returned
+// slice is owned by the store: callers must not mutate it.
 func (s *MemStore) Get(h ledger.Hash) ([]byte, error) {
 	d, ok := s.m[h]
 	if !ok {
@@ -72,7 +54,9 @@ func (s *MemStore) Get(h ledger.Hash) ([]byte, error) {
 	return d, nil
 }
 
-// Put implements Store.
+// Put stores payload under h. Storing a hash that is already present is
+// a no-op (content addressing makes the write idempotent). The payload
+// is only borrowed for the call: the store keeps a copy.
 func (s *MemStore) Put(h ledger.Hash, payload []byte) error {
 	if _, ok := s.m[h]; ok {
 		return nil
@@ -81,7 +65,7 @@ func (s *MemStore) Put(h ledger.Hash, payload []byte) error {
 	return nil
 }
 
-// Len implements Store.
+// Len returns the number of distinct records.
 func (s *MemStore) Len() int { return len(s.m) }
 
 // Record framing constants.

@@ -39,8 +39,7 @@ type Offer struct {
 	// quality memoizes Pays/Gets for placed offers. It is written only
 	// under Books mutation (Place / Apply), never lazily on reads, so
 	// concurrent readers of an unmutated book set never race.
-	quality    amount.Value
-	hasQuality bool
+	quality amount.Value
 
 	// stamp is the placement tiebreaker: offers sort by (quality, stamp),
 	// so equal-quality offers keep arrival order, and book order is a pure
@@ -52,15 +51,6 @@ type Offer struct {
 
 // Stamp returns the offer's placement stamp (positive once placed).
 func (o *Offer) Stamp() uint64 { return o.stamp }
-
-// Quality returns the taker's price: Pays per unit of Gets. Lower is
-// better for the taker. For placed offers this is a memoized field read.
-func (o *Offer) Quality() amount.Value {
-	if o.hasQuality {
-		return o.quality
-	}
-	return o.computeQuality()
-}
 
 func (o *Offer) computeQuality() amount.Value {
 	q, err := o.Pays.Value.Div(o.Gets.Value)
@@ -74,7 +64,6 @@ func (o *Offer) computeQuality() amount.Value {
 // Called only while the book set is being mutated.
 func (o *Offer) memoQuality() {
 	o.quality = o.computeQuality()
-	o.hasQuality = true
 }
 
 // Pair identifies a book: takers pay Pays currency and receive Gets
@@ -254,27 +243,6 @@ func (b *Books) Cancel(owner addr.AccountID, seq uint32) bool {
 	return true
 }
 
-// Best returns the best (lowest quality) offer in the pair's book, or
-// nil when the book is empty.
-func (b *Books) Best(pair Pair) *Offer {
-	bk := b.byPair[pair]
-	if bk == nil || len(bk.offers) == 0 {
-		return nil
-	}
-	return bk.offers[0]
-}
-
-// BestQuality returns the memoized quality of the best offer in the
-// pair's book. ok is false when the book is empty. This is the O(1)
-// "is this bridge even worth probing" check.
-func (b *Books) BestQuality(pair Pair) (q amount.Value, ok bool) {
-	bk := b.byPair[pair]
-	if bk == nil || len(bk.offers) == 0 {
-		return amount.Zero, false
-	}
-	return bk.offers[0].quality, true
-}
-
 // Lookup returns the standing offer identified by (owner, seq), or nil.
 // Replay uses it to remap fills planned against a snapshot onto the
 // live book set's offers.
@@ -311,21 +279,12 @@ type Quote struct {
 	Fills     []Fill
 }
 
-// QuoteBuy computes, without mutating the book, how the taker can acquire
-// up to wantGets of the pair's Gets currency, walking offers from best
-// quality onward.
-func (b *Books) QuoteBuy(pair Pair, wantGets amount.Value) (Quote, error) {
-	var q Quote
-	if err := b.QuoteBuyInto(pair, wantGets, &q); err != nil {
-		return Quote{Pair: pair}, err
-	}
-	return q, nil
-}
-
-// QuoteBuyInto is QuoteBuy writing into a caller-owned Quote, reusing
-// its Fills capacity — the allocation-free hot path. A fill that
-// consumes an entire offer pays exactly the offer's Pays amount (no
-// multiply, no rounding); partial fills pay take × quality.
+// QuoteBuyInto computes into q, without mutating the book, how the
+// taker can acquire up to wantGets of the pair's Gets currency, walking
+// offers from best quality onward. It reuses q's Fills capacity, so a
+// warm Quote makes it allocation-free. A fill that consumes an entire
+// offer pays exactly the offer's Pays amount (no multiply, no rounding);
+// partial fills pay take × quality.
 func (b *Books) QuoteBuyInto(pair Pair, wantGets amount.Value, q *Quote) error {
 	q.Pair = pair
 	q.TotalPays = amount.Zero
@@ -411,9 +370,6 @@ func (b *Books) Apply(q Quote) error {
 	}
 	return nil
 }
-
-// OffersOf returns the number of standing offers owned by account.
-func (b *Books) OffersOf(owner addr.AccountID) int { return len(b.byOwner[owner]) }
 
 // StampCounter returns the last placement stamp issued. Persisting it
 // (and restoring via RestoreStampCounter) keeps future placements'

@@ -22,6 +22,22 @@ func offer(owner uint64, seq uint32, pays, gets string) *Offer {
 	}
 }
 
+// quoteBuy quotes into a fresh Quote.
+func quoteBuy(b *Books, pair Pair, wantGets amount.Value) (Quote, error) {
+	var q Quote
+	err := b.QuoteBuyInto(pair, wantGets, &q)
+	return q, err
+}
+
+// bestOffer returns the best (lowest quality) offer in the pair's book,
+// or nil when the book is empty.
+func bestOffer(b *Books, pair Pair) *Offer {
+	if bk := b.byPair[pair]; bk != nil && len(bk.offers) > 0 {
+		return bk.offers[0]
+	}
+	return nil
+}
+
 func TestPlaceAndBestOrdering(t *testing.T) {
 	b := New()
 	// Qualities: 1.2, 1.0, 1.1 — best must be 1.0.
@@ -34,14 +50,14 @@ func TestPlaceAndBestOrdering(t *testing.T) {
 			t.Fatalf("offer %d: %v", i, err)
 		}
 	}
-	best := b.Best(usdEUR())
+	best := bestOffer(b, usdEUR())
 	if best == nil || best.Owner != acct(2) {
 		t.Fatalf("best offer = %+v, want owner 2 at quality 1.0", best)
 	}
 	if b.Depth(usdEUR()) != 3 {
 		t.Errorf("depth = %d, want 3", b.Depth(usdEUR()))
 	}
-	if b.Best(Pair{Pays: amount.EUR, Gets: amount.USD}) != nil {
+	if bestOffer(b, Pair{Pays: amount.EUR, Gets: amount.USD}) != nil {
 		t.Error("reverse book should be empty")
 	}
 }
@@ -91,7 +107,7 @@ func TestQuoteBuyFullFill(t *testing.T) {
 	if err := b.Place(offer(2, 1, "100", "100")); err != nil { // quality 1.0
 		t.Fatal(err)
 	}
-	q, err := b.QuoteBuy(usdEUR(), amount.MustParse("150"))
+	q, err := quoteBuy(b, usdEUR(), amount.MustParse("150"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +125,7 @@ func TestQuoteBuyFullFill(t *testing.T) {
 		t.Error("best offer not consumed first")
 	}
 	// Quote must not mutate.
-	if b.Best(usdEUR()).Gets.Value.String() != "100" {
+	if bestOffer(b, usdEUR()).Gets.Value.String() != "100" {
 		t.Error("QuoteBuy mutated the book")
 	}
 }
@@ -119,7 +135,7 @@ func TestQuotePartialLiquidity(t *testing.T) {
 	if err := b.Place(offer(1, 1, "50", "50")); err != nil {
 		t.Fatal(err)
 	}
-	q, err := b.QuoteBuy(usdEUR(), amount.MustParse("200"))
+	q, err := quoteBuy(b, usdEUR(), amount.MustParse("200"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +143,14 @@ func TestQuotePartialLiquidity(t *testing.T) {
 		t.Errorf("TotalGets = %s, want 50 (partial)", q.TotalGets)
 	}
 	// Empty book quotes zero.
-	empty, err := b.QuoteBuy(Pair{Pays: amount.BTC, Gets: amount.USD}, amount.MustParse("1"))
+	empty, err := quoteBuy(b, Pair{Pays: amount.BTC, Gets: amount.USD}, amount.MustParse("1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !empty.TotalGets.IsZero() || len(empty.Fills) != 0 {
 		t.Errorf("empty book quote = %+v", empty)
 	}
-	if _, err := b.QuoteBuy(usdEUR(), amount.Zero); err == nil {
+	if _, err := quoteBuy(b, usdEUR(), amount.Zero); err == nil {
 		t.Error("zero-amount quote accepted")
 	}
 }
@@ -147,7 +163,7 @@ func TestApplyConsumesOffers(t *testing.T) {
 	if err := b.Place(offer(2, 1, "220", "200")); err != nil {
 		t.Fatal(err)
 	}
-	q, err := b.QuoteBuy(usdEUR(), amount.MustParse("150"))
+	q, err := quoteBuy(b, usdEUR(), amount.MustParse("150"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +171,10 @@ func TestApplyConsumesOffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First offer fully consumed and removed; second reduced to 150 gets.
-	if b.OffersOf(acct(1)) != 0 {
+	if len(b.byOwner[acct(1)]) != 0 {
 		t.Error("fully consumed offer still standing")
 	}
-	rest := b.Best(usdEUR())
+	rest := bestOffer(b, usdEUR())
 	if rest == nil || rest.Owner != acct(2) {
 		t.Fatal("remaining offer missing")
 	}
@@ -169,8 +185,8 @@ func TestApplyConsumesOffers(t *testing.T) {
 		t.Errorf("remaining pays = %s, want 165", rest.Pays.Value)
 	}
 	// Quality unchanged by proportional fill.
-	if rest.Quality().String() != "1.1" {
-		t.Errorf("quality after partial fill = %s, want 1.1", rest.Quality())
+	if rest.quality.String() != "1.1" {
+		t.Errorf("quality after partial fill = %s, want 1.1", rest.quality)
 	}
 }
 
@@ -179,7 +195,7 @@ func TestApplyStaleQuote(t *testing.T) {
 	if err := b.Place(offer(1, 1, "100", "100")); err != nil {
 		t.Fatal(err)
 	}
-	q, err := b.QuoteBuy(usdEUR(), amount.MustParse("10"))
+	q, err := quoteBuy(b, usdEUR(), amount.MustParse("10"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +225,7 @@ func TestConservationUnderFills(t *testing.T) {
 	}
 	for round := 0; round < 30 && b.NumOffers() > 0; round++ {
 		want := amount.FromInt64(int64(r.Intn(200) + 1))
-		q, err := b.QuoteBuy(usdEUR(), want)
+		q, err := quoteBuy(b, usdEUR(), want)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,16 +236,19 @@ func TestConservationUnderFills(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			diff, err := ratio.Sub(f.Offer.Quality())
+			diff, err := ratio.Sub(f.Offer.quality)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rel, err := diff.Abs().Div(f.Offer.Quality())
+			if diff.IsNegative() {
+				diff = diff.Neg()
+			}
+			rel, err := diff.Div(f.Offer.quality)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rel.Cmp(amount.MustValue(1, -12)) > 0 {
-				t.Fatalf("fill ratio %s deviates from quality %s", ratio, f.Offer.Quality())
+				t.Fatalf("fill ratio %s deviates from quality %s", ratio, f.Offer.quality)
 			}
 		}
 		if err := b.Apply(q); err != nil {
@@ -254,7 +273,7 @@ func TestRemoveOwner(t *testing.T) {
 	if b.NumOffers() != 1 {
 		t.Errorf("offers remaining = %d, want 1", b.NumOffers())
 	}
-	if b.OffersOf(acct(1)) != 0 {
+	if len(b.byOwner[acct(1)]) != 0 {
 		t.Error("owner still has offers after removal")
 	}
 }
@@ -283,7 +302,7 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp := b.Clone()
-	q, err := cp.QuoteBuy(usdEUR(), amount.MustParse("100"))
+	q, err := quoteBuy(cp, usdEUR(), amount.MustParse("100"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,10 +24,12 @@ func TestLookup(t *testing.T) {
 	}
 }
 
+// TestBestQuality: the best offer of a book carries the lowest
+// memoized quality.
 func TestBestQuality(t *testing.T) {
 	b := New()
-	if _, ok := b.BestQuality(usdEUR()); ok {
-		t.Fatal("empty book reported a best quality")
+	if bestOffer(b, usdEUR()) != nil {
+		t.Fatal("empty book reported a best offer")
 	}
 	for _, o := range []*Offer{
 		offer(1, 1, "120", "100"), // 1.2
@@ -37,9 +39,8 @@ func TestBestQuality(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q, ok := b.BestQuality(usdEUR())
-	if !ok || q.Cmp(amount.MustParse("1.05")) != 0 {
-		t.Fatalf("best quality = %s/%v, want 1.05", q, ok)
+	if o := bestOffer(b, usdEUR()); o == nil || o.quality.Cmp(amount.MustParse("1.05")) != 0 {
+		t.Fatalf("best offer = %+v, want quality 1.05", o)
 	}
 }
 
@@ -52,7 +53,7 @@ func TestQualityMemoRefreshedAfterPartialFill(t *testing.T) {
 	if err := b.Place(o); err != nil {
 		t.Fatal(err)
 	}
-	q, err := b.QuoteBuy(usdEUR(), amount.MustParse("40"))
+	q, err := quoteBuy(b, usdEUR(), amount.MustParse("40"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +64,8 @@ func TestQualityMemoRefreshedAfterPartialFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Quality().Cmp(want) != 0 {
-		t.Errorf("memoized quality = %s, want residual Pays/Gets = %s", o.Quality(), want)
+	if o.quality.Cmp(want) != 0 {
+		t.Errorf("memoized quality = %s, want residual Pays/Gets = %s", o.quality, want)
 	}
 }
 

@@ -36,8 +36,8 @@ func TestPropRandomOpsKeepInvariants(t *testing.T) {
 		// Quote across the full depth must be sorted by quality: the
 		// average unit price of a larger quote is never better than a
 		// smaller one.
-		q1, err1 := b.QuoteBuy(pair, amount.MustParse("10"))
-		q2, err2 := b.QuoteBuy(pair, amount.MustParse("1000"))
+		q1, err1 := quoteBuy(b, pair, amount.MustParse("10"))
+		q2, err2 := quoteBuy(b, pair, amount.MustParse("1000"))
 		if err1 != nil || err2 != nil {
 			t.Fatalf("step %d: quote errors %v %v", step, err1, err2)
 		}
@@ -79,7 +79,7 @@ func TestPropRandomOpsKeepInvariants(t *testing.T) {
 			standing = append(standing[:i], standing[i+1:]...)
 		default: // quote+apply
 			want := amount.FromInt64(int64(1 + r.Intn(300)))
-			q, err := b.QuoteBuy(pair, want)
+			q, err := quoteBuy(b, pair, want)
 			if err != nil {
 				t.Fatalf("step %d: quote: %v", step, err)
 			}

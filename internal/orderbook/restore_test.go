@@ -45,7 +45,7 @@ func TestRestoreOffersMatchesPlace(t *testing.T) {
 			live.Cancel(acct(owner), uint32(1+rng.Intn(int(nextSeq[owner]))))
 		case 1: // a taker partly drains this book
 			pair := Pair{Pays: pays, Gets: gets}
-			q, err := live.QuoteBuy(pair, amount.MustParse(sizes[rng.Intn(len(sizes))]))
+			q, err := quoteBuy(live, pair, amount.MustParse(sizes[rng.Intn(len(sizes))]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestRestoreOffersMatchesPlace(t *testing.T) {
 				t.Fatalf("%s[%d]: restored %s/%d@%d, live %s/%d@%d",
 					pair, i, r.Owner.Short(), r.Seq, r.Stamp(), o.Owner.Short(), o.Seq, o.Stamp())
 			}
-			if i > 0 && o.Quality().Cmp(bk.offers[i-1].Quality()) == 0 {
+			if i > 0 && o.quality.Cmp(bk.offers[i-1].quality) == 0 {
 				ties++
 			}
 		}

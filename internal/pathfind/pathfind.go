@@ -137,9 +137,6 @@ type Option func(*Finder)
 // WithMaxHops bounds intermediate accounts per path.
 func WithMaxHops(n int) Option { return func(f *Finder) { f.maxHops = n } }
 
-// WithMaxPaths bounds the number of parallel paths per payment.
-func WithMaxPaths(n int) Option { return func(f *Finder) { f.maxPaths = n } }
-
 // WithRecording makes every FindPayment accumulate the ReadSet of state
 // it inspected, retrievable via AppendReadSet until the next call.
 func WithRecording() Option { return func(f *Finder) { f.record = true } }

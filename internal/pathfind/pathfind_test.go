@@ -31,6 +31,9 @@ func figure1(t *testing.T) (*trustgraph.Graph, addr.AccountID, addr.AccountID, a
 	return g, a, b, c
 }
 
+// withMaxPaths bounds the number of parallel paths per payment.
+func withMaxPaths(n int) Option { return func(f *Finder) { f.maxPaths = n } }
+
 func TestFigure1Payment(t *testing.T) {
 	g, a, b, c := figure1(t)
 	f := New(g, orderbook.New())
@@ -155,7 +158,7 @@ func TestMaxPathsBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f := New(g, orderbook.New(), WithMaxPaths(3))
+	f := New(g, orderbook.New(), withMaxPaths(3))
 	plan, err := f.FindPayment(s, d, amount.USD, usd("8"))
 	if err != nil {
 		t.Fatal(err)

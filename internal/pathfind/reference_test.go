@@ -155,7 +155,8 @@ func (r *refPlanner) routeTrust(plan *Plan, src, dst addr.AccountID, cur amount.
 
 func (r *refPlanner) quote(pair orderbook.Pair, want amount.Value) (orderbook.Quote, bool) {
 	r.readPair[pair] = true
-	q, err := r.books.QuoteBuy(pair, want)
+	var q orderbook.Quote
+	err := r.books.QuoteBuyInto(pair, want, &q)
 	return q, err == nil && q.TotalGets.Cmp(want) == 0
 }
 
@@ -359,7 +360,7 @@ func TestFindPaymentMatchesReference(t *testing.T) {
 		for world := uint64(1); world <= 6; world++ {
 			r := rand.New(rand.NewSource(int64(1800 + world)))
 			g, books, all := refWorld(r, world)
-			f := New(g, books, WithRecording(), WithMaxHops(b.hops), WithMaxPaths(b.paths))
+			f := New(g, books, WithRecording(), WithMaxHops(b.hops), withMaxPaths(b.paths))
 			ref := &refPlanner{g: g, books: books, maxHops: b.hops, maxPaths: b.paths}
 			curs := []amount.Currency{amount.USD, amount.EUR}
 			for n := 0; n < 250; n++ {

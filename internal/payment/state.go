@@ -83,9 +83,6 @@ func (e *Engine) EnableStateTree() {
 	e.books.Each(e.markOffer)
 }
 
-// HasStateTree reports whether the engine maintains a state tree.
-func (e *Engine) HasStateTree() bool { return e.state != nil }
-
 // StateRoot returns the root hash of the last SealState (zero before
 // the first seal or without a tree).
 func (e *Engine) StateRoot() ledger.Hash {

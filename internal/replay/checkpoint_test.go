@@ -583,7 +583,7 @@ func TestMemorySourceHasNoCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildState(FromPages(pages), last)
+	b, err := BuildStateOpts(FromPages(pages), last, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestGeneratedHistoryGolden(t *testing.T) {
 			t.Errorf("seed %d: generator state digest = %s, want %s", g.seed, got, g.genDigest)
 		}
 		snap := uint64(float64(gen.LastSeq) * 0.7)
-		res, err := Run(FromPages(pages), snap)
+		res, err := RunOpts(FromPages(pages), snap, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

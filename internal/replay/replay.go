@@ -284,17 +284,13 @@ func (cw *checkpointWriter) writeBase(eng *payment.Engine) error {
 	return ledgerstore.WriteCheckpointBase(cw.dir, cw.last.Seq, eng.WriteAllStateNodes)
 }
 
-// BuildState replays every transaction in pages with sequence ≤
+// BuildStateOpts replays every transaction in pages with sequence ≤
 // snapshotSeq into a fresh engine, reconstructing the network state at
 // the snapshot. Replaying is deterministic, so the rebuilt state matches
 // the state that produced the history. When the source carries
 // checkpoints, the rebuild resumes from the newest one at or before the
-// snapshot instead of starting from genesis.
-func BuildState(src Source, snapshotSeq uint64) (*payment.Engine, error) {
-	return BuildStateOpts(src, snapshotSeq, BuildOptions{})
-}
-
-// BuildStateOpts is BuildState with explicit checkpoint options.
+// snapshot instead of starting from genesis; opts can also make it
+// write checkpoints of its own (the zero BuildOptions only reads them).
 func BuildStateOpts(src Source, snapshotSeq uint64, opts BuildOptions) (*payment.Engine, error) {
 	dir := opts.dir(src)
 	var eng *payment.Engine
@@ -425,17 +421,12 @@ func (r Result) Total() Row {
 	}
 }
 
-// Run executes the Table II experiment over the history in src,
-// snapshotting at snapshotSeq: it rebuilds the state, removes every
-// market maker and their offers, and replays the post-snapshot IOU
-// payments (direct XRP transfers don't traverse trust or books and are
-// excluded, as in the paper's 1.7M-payment replay set).
-func Run(src Source, snapshotSeq uint64) (*Result, error) {
-	return RunOpts(src, snapshotSeq, BuildOptions{})
-}
-
-// RunOpts is Run with explicit checkpoint options for the state
-// rebuild phase.
+// RunOpts executes the Table II experiment over the history in src,
+// snapshotting at snapshotSeq: it rebuilds the state (BuildStateOpts,
+// with opts), removes every market maker and their offers, and replays
+// the post-snapshot IOU payments (direct XRP transfers don't traverse
+// trust or books and are excluded, as in the paper's 1.7M-payment
+// replay set).
 func RunOpts(src Source, snapshotSeq uint64, opts BuildOptions) (*Result, error) {
 	state, err := BuildStateOpts(src, snapshotSeq, opts)
 	if err != nil {

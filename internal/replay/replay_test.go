@@ -5,7 +5,15 @@ import (
 
 	"ripplestudy/internal/ledger"
 	"ripplestudy/internal/synth"
+	"ripplestudy/internal/trustgraph"
 )
+
+// numPairs counts the trust pairs of g.
+func numPairs(g *trustgraph.Graph) int {
+	n := 0
+	g.Pairs(func(*trustgraph.Pair) { n++ })
+	return n
+}
 
 // generate builds a small history in memory and returns pages + result.
 func generate(t *testing.T, payments int, seed int64) ([]*ledger.Page, *synth.Result) {
@@ -26,7 +34,7 @@ func generate(t *testing.T, payments int, seed int64) ([]*ledger.Page, *synth.Re
 func TestBuildStateMatchesGenerator(t *testing.T) {
 	pages, res := generate(t, 2500, 1)
 	last := pages[len(pages)-1].Header.Sequence
-	eng, err := BuildState(FromPages(pages), last)
+	eng, err := BuildStateOpts(FromPages(pages), last, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +46,9 @@ func TestBuildStateMatchesGenerator(t *testing.T) {
 	if eng.TotalDrops() != res.Engine.TotalDrops() {
 		t.Error("replayed XRP supply differs")
 	}
-	if eng.Graph().NumPairs() != res.Engine.Graph().NumPairs() {
+	if numPairs(eng.Graph()) != numPairs(res.Engine.Graph()) {
 		t.Errorf("replayed trust pairs = %d, generator = %d",
-			eng.Graph().NumPairs(), res.Engine.Graph().NumPairs())
+			numPairs(eng.Graph()), numPairs(res.Engine.Graph()))
 	}
 	if eng.Books().NumOffers() != res.Engine.Books().NumOffers() {
 		t.Errorf("replayed offers = %d, generator = %d",
@@ -51,11 +59,11 @@ func TestBuildStateMatchesGenerator(t *testing.T) {
 func TestBuildStateStopsAtSnapshot(t *testing.T) {
 	pages, _ := generate(t, 1500, 2)
 	mid := pages[len(pages)/2].Header.Sequence
-	eng, err := BuildState(FromPages(pages), mid)
+	eng, err := BuildStateOpts(FromPages(pages), mid, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := BuildState(FromPages(pages), pages[len(pages)-1].Header.Sequence)
+	full, err := BuildStateOpts(FromPages(pages), pages[len(pages)-1].Header.Sequence, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +80,7 @@ func TestTableIIShape(t *testing.T) {
 	// Snapshot at 70% of the history, past the spam campaigns' windows,
 	// like the paper's stable Feb 2015 snapshot.
 	snapSeq := pages[len(pages)*7/10].Header.Sequence
-	res, err := Run(FromPages(pages), snapSeq)
+	res, err := RunOpts(FromPages(pages), snapSeq, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +120,7 @@ func TestReplayWithoutAblationDelivers(t *testing.T) {
 	// caused by the ablation, not by replay artifacts.
 	pages, _ := generate(t, 3000, 4)
 	snapSeq := pages[len(pages)*7/10].Header.Sequence
-	state, err := BuildState(FromPages(pages), snapSeq)
+	state, err := BuildStateOpts(FromPages(pages), snapSeq, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

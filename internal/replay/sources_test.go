@@ -57,11 +57,11 @@ func TestRunStoreMatchesSlice(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, err := Run(FromPages(pages), snap)
+	want, err := RunOpts(FromPages(pages), snap, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromStore, err := Run(store, snap)
+	fromStore, err := RunOpts(store, snap, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestReplaySourceCreatedAfterSnapshot(t *testing.T) {
 	}
 	h.close()
 
-	want, err := Run(FromPages(h.pages), snap)
+	want, err := RunOpts(FromPages(h.pages), snap, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"strings"
 	"testing"
 	"time"
+
+	"ripplestudy/internal/telemetry"
 )
 
 // TestViewWorkerDryWaitFollowsSealCost pins the ring-dry wait rule on a
@@ -91,8 +94,10 @@ func TestViewWorkerDryWaitFollowsSealCost(t *testing.T) {
 		w.draining.Add(1)
 		w.offer(update{})
 		waitSealed(t, w, sealed, 1)
-		if d := w.dryWait.Quantile(1); d != 0 { // 0 only while no wait was observed
-			t.Fatalf("sealed under a Drain after a dry wait (longest about %v), want no wait", d)
+		var b strings.Builder
+		telemetry.NewWriter(&b).Histogram("dry_wait", "", &w.dryWait)
+		if n := metricValue(t, b.String(), "dry_wait_count"); n != 0 {
+			t.Fatalf("sealed under a Drain after %v dry waits, want no wait:\n%s", n, b.String())
 		}
 	})
 }

@@ -68,35 +68,6 @@ func (h *Histogram) snapshot() (counts [numBuckets]uint64, count uint64) {
 	return counts, count
 }
 
-// Quantile estimates the q-quantile (0 < q ≤ 1) the way Prometheus's
-// histogram_quantile does: it finds the bucket holding rank q·count and
-// interpolates linearly inside it, the first bucket starting at 0. A
-// rank in the +Inf bucket answers the top finite bound; an empty
-// histogram answers 0.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	counts, n := h.snapshot()
-	if n == 0 {
-		return 0
-	}
-	rank := q * float64(n)
-	var below uint64
-	for i, c := range counts {
-		if c == 0 || float64(below+c) < rank {
-			below += c
-			continue
-		}
-		if i == numBuckets-1 {
-			break
-		}
-		var lo time.Duration
-		if i > 0 {
-			lo = bound(i - 1)
-		}
-		return lo + time.Duration(float64(bound(i)-lo)*(rank-float64(below))/float64(c))
-	}
-	return bound(numBuckets - 2)
-}
-
 // Writer renders metric families in the Prometheus text exposition
 // format. Each call writes one sample (a histogram's whole series); the
 // first sample of a family also writes its # HELP and # TYPE lines, so

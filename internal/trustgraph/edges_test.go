@@ -2,6 +2,7 @@ package trustgraph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -60,8 +61,8 @@ func checkEdges(t *testing.T, step int, g *Graph, m pairModel, curs []amount.Cur
 			t.Fatalf("step %d: graph pair %+v, model %+v", step, p, want)
 		}
 	})
-	if seen != len(m) || g.NumPairs() != len(m) {
-		t.Fatalf("step %d: graph has %d pairs (NumPairs %d), model %d", step, seen, g.NumPairs(), len(m))
+	if seen != len(m) || g.pairs != len(m) {
+		t.Fatalf("step %d: graph has %d pairs (NumPairs %d), model %d", step, seen, g.pairs, len(m))
 	}
 	for ai := int32(0); ai < int32(g.NumInterned()); ai++ {
 		owner := g.AccountAt(ai)
@@ -181,7 +182,7 @@ func TestEdgesMatchModel(t *testing.T) {
 				LimitHiLo: amount.FromInt64(int64(r.Intn(80))),
 				Balance:   amount.FromInt64(int64(r.Intn(41) - 20)),
 			}
-			if err := g.RestorePair(p.Lo, p.Hi, cur, p.LimitLoHi, p.LimitHiLo, p.Balance); err != nil {
+			if err := restorePair(g, p.Lo, p.Hi, cur, p.LimitLoHi, p.LimitHiLo, p.Balance); err != nil {
 				t.Fatalf("step %d: RestorePair: %v", step, err)
 			}
 			m[k] = p
@@ -203,6 +204,23 @@ func TestEdgesMatchModel(t *testing.T) {
 	if flows < 200 || removals == 0 || restores == 0 || clones == 0 {
 		t.Fatalf("mix too thin: %d flows, %d removed pairs, %d restores, %d clones", flows, removals, restores, clones)
 	}
+}
+
+// restorePair reinstates one trust pair with explicit limits and
+// balance, the one-at-a-time oracle RestorePairs is held against. lo and
+// hi must already be in canonical order and the pair must not exist yet.
+func restorePair(g *Graph, lo, hi addr.AccountID, cur amount.Currency, limLoHi, limHiLo, balance amount.Value) error {
+	if err := checkRestorable(lo, hi, cur); err != nil {
+		return err
+	}
+	if g.pair(lo, hi, cur, false) != nil {
+		return fmt.Errorf("trustgraph: restored pair %s/%s/%s already present", lo.Short(), hi.Short(), cur)
+	}
+	p := g.pair(lo, hi, cur, true)
+	p.LimitLoHi = limLoHi
+	p.LimitHiLo = limHiLo
+	p.Balance = balance
+	return nil
 }
 
 // TestRestorePairsMatchesRestorePair is the bulk restore's differential:
@@ -237,9 +255,9 @@ func TestRestorePairsMatchesRestorePair(t *testing.T) {
 	}
 	same := func(label string, one, bulk *Graph) {
 		t.Helper()
-		if one.NumInterned() != bulk.NumInterned() || one.NumPairs() != bulk.NumPairs() || one.NumAccounts() != bulk.NumAccounts() {
+		if one.NumInterned() != bulk.NumInterned() || one.pairs != bulk.pairs || activeAccounts(one) != activeAccounts(bulk) {
 			t.Fatalf("%s: one-at-a-time has %d interned, %d pairs, %d active; bulk %d, %d, %d", label,
-				one.NumInterned(), one.NumPairs(), one.NumAccounts(), bulk.NumInterned(), bulk.NumPairs(), bulk.NumAccounts())
+				one.NumInterned(), one.pairs, activeAccounts(one), bulk.NumInterned(), bulk.pairs, activeAccounts(bulk))
 		}
 		for ai := int32(0); ai < int32(one.NumInterned()); ai++ {
 			if one.AccountAt(ai) != bulk.AccountAt(ai) {
@@ -275,7 +293,7 @@ func TestRestorePairsMatchesRestorePair(t *testing.T) {
 
 		one, bulk := New(), New()
 		for _, p := range pairs {
-			if err := one.RestorePair(p.Lo, p.Hi, p.Currency, p.LimitLoHi, p.LimitHiLo, p.Balance); err != nil {
+			if err := restorePair(one, p.Lo, p.Hi, p.Currency, p.LimitLoHi, p.LimitHiLo, p.Balance); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -358,7 +376,7 @@ func TestRestorePairsMatchesRestorePair(t *testing.T) {
 		one := New()
 		var want error
 		for _, p := range batch {
-			if want = one.RestorePair(p.Lo, p.Hi, p.Currency, p.LimitLoHi, p.LimitHiLo, p.Balance); want != nil {
+			if want = restorePair(one, p.Lo, p.Hi, p.Currency, p.LimitLoHi, p.LimitHiLo, p.Balance); want != nil {
 				break
 			}
 		}

@@ -77,10 +77,8 @@ type Graph struct {
 	// ID), so iteration — and therefore path finding and everything
 	// built on it — is deterministic and independent of interning order.
 	adj [][]Edge
-	// pairs counts distinct trust pairs for stats.
+	// pairs counts distinct trust pairs.
 	pairs int
-	// active counts accounts with at least one edge.
-	active int
 }
 
 // New creates an empty credit network.
@@ -149,9 +147,6 @@ func (g *Graph) link(ai, pi int32, cur amount.Currency, p *Pair) {
 		g.adj[ai][i].pair = p
 		return
 	}
-	if len(g.adj[ai]) == 0 {
-		g.active++
-	}
 	g.adj[ai] = append(g.adj[ai], Edge{})
 	copy(g.adj[ai][i+1:], g.adj[ai][i:])
 	g.adj[ai][i] = Edge{cur: cur, ownerLo: p.Lo == g.accounts[ai], peer: pi, pair: p}
@@ -164,9 +159,6 @@ func (g *Graph) unlink(ai int32, cur amount.Currency, peer addr.AccountID) {
 		return
 	}
 	g.adj[ai] = append(g.adj[ai][:i], g.adj[ai][i+1:]...)
-	if len(g.adj[ai]) == 0 {
-		g.active--
-	}
 }
 
 // canonical orders two accounts.
@@ -225,18 +217,6 @@ func (g *Graph) SetTrust(truster, trustee addr.AccountID, cur amount.Currency, l
 		p.LimitHiLo = limit
 	}
 	return nil
-}
-
-// Trust returns the limit truster currently extends to trustee.
-func (g *Graph) Trust(truster, trustee addr.AccountID, cur amount.Currency) amount.Value {
-	p := g.pair(truster, trustee, cur, false)
-	if p == nil {
-		return amount.Zero
-	}
-	if p.Lo == truster {
-		return p.LimitLoHi
-	}
-	return p.LimitHiLo
 }
 
 // Owed returns how much debtor currently owes creditor (zero or positive;
@@ -397,23 +377,6 @@ func (g *Graph) PairsOf(a addr.AccountID, fn func(*Pair)) {
 	}
 }
 
-// RestorePair reinstates a trust pair with explicit limits and balance —
-// the restore path from a persisted state tree. lo and hi must already
-// be in canonical order and the pair must not exist yet.
-func (g *Graph) RestorePair(lo, hi addr.AccountID, cur amount.Currency, limLoHi, limHiLo, balance amount.Value) error {
-	if err := checkRestorable(lo, hi, cur); err != nil {
-		return err
-	}
-	if g.pair(lo, hi, cur, false) != nil {
-		return fmt.Errorf("trustgraph: restored pair %s/%s/%s already present", lo.Short(), hi.Short(), cur)
-	}
-	p := g.pair(lo, hi, cur, true)
-	p.LimitLoHi = limLoHi
-	p.LimitHiLo = limHiLo
-	p.Balance = balance
-	return nil
-}
-
 // checkRestorable refuses the pairs no graph can hold: XRP, a self-pair,
 // endpoints out of canonical order.
 func checkRestorable(lo, hi addr.AccountID, cur amount.Currency) error {
@@ -429,7 +392,7 @@ func checkRestorable(lo, hi addr.AccountID, cur amount.Currency) error {
 }
 
 // RestorePairs reinstates a whole persisted trust network into a graph
-// that holds no pairs, and is RestorePair over the slice in order done at
+// that holds no pairs, as restoring each pair in order would, done at
 // once: accounts are interned as the walk meets them (Lo, then Hi), every
 // adjacency is allocated at its final size, filled by appending, and
 // sorted a single time — restoring a hub costs a sort, not an insertion
@@ -456,7 +419,6 @@ func (g *Graph) RestorePairs(pairs []Pair) error {
 	for ai, d := range degree {
 		if d > 0 {
 			g.adj[ai], slab = slab[:0:d], slab[d:]
-			g.active++
 		}
 	}
 	for i := range pairs {
@@ -483,18 +445,6 @@ func (g *Graph) RestorePairs(pairs []Pair) error {
 	return nil
 }
 
-// NumPairs returns the number of distinct (pair, currency) trust records.
-func (g *Graph) NumPairs() int { return g.pairs }
-
-// NumAccounts returns the number of accounts with at least one pair.
-func (g *Graph) NumAccounts() int { return g.active }
-
-// HasAccount reports whether the account participates in any trust pair.
-func (g *Graph) HasAccount(a addr.AccountID) bool {
-	ai, ok := g.ids[a]
-	return ok && len(g.adj[ai]) > 0
-}
-
 // RemoveAccount deletes an account and every trust pair it participates
 // in — the mutation behind the paper's market-maker ablation (Table II).
 // The dense index remains interned (a tombstone with no edges).
@@ -508,7 +458,6 @@ func (g *Graph) RemoveAccount(a addr.AccountID) {
 		g.pairs--
 	}
 	g.adj[ai] = nil
-	g.active--
 }
 
 // Clone returns a deep copy of the graph, for replay experiments. The
@@ -520,7 +469,6 @@ func (g *Graph) Clone() *Graph {
 		accounts: append([]addr.AccountID(nil), g.accounts...),
 		adj:      make([][]Edge, len(g.adj)),
 		pairs:    g.pairs,
-		active:   g.active,
 	}
 	for a, i := range g.ids {
 		out.ids[a] = i

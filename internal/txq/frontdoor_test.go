@@ -53,12 +53,12 @@ func TestFrontDoorDifferentialDigest(t *testing.T) {
 	pages := generate(t, 3000, 42)
 	mid := pages[len(pages)/2].Header.Sequence
 
-	want, err := replay.Run(replay.FromPages(pages), mid)
+	want, err := replay.RunOpts(replay.FromPages(pages), mid, replay.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	eng, err := replay.BuildState(replay.FromPages(pages), mid)
+	eng, err := replay.BuildStateOpts(replay.FromPages(pages), mid, replay.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
