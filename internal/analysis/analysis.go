@@ -72,8 +72,6 @@ type Collector struct {
 
 	feesByAccount map[addr.AccountID]amount.Drops
 	feesTotal     amount.Drops
-
-	resultCounts map[ledger.TxResult]int64
 }
 
 // NewCollector creates an empty collector.
@@ -88,7 +86,6 @@ func NewCollector() *Collector {
 		senders:       make(map[addr.AccountID]struct{}),
 		receivers:     make(map[addr.AccountID]struct{}),
 		feesByAccount: make(map[addr.AccountID]amount.Drops),
-		resultCounts:  make(map[ledger.TxResult]int64),
 	}
 }
 
@@ -112,7 +109,6 @@ func (c *Collector) Reset() {
 	clear(c.senders)
 	clear(c.receivers)
 	clear(c.feesByAccount)
-	clear(c.resultCounts)
 }
 
 // Page folds one ledger page into the statistics.
@@ -126,7 +122,6 @@ func (c *Collector) Page(p *ledger.Page) error {
 		// confirmed").
 		c.feesByAccount[tx.Account] += tx.Fee
 		c.feesTotal += tx.Fee
-		c.resultCounts[meta.Result]++
 		switch tx.Type {
 		case ledger.TxOfferCreate:
 			if meta.Result.Succeeded() {
@@ -282,9 +277,6 @@ func (c *Collector) mergeFrom(other *Collector, adopt bool) {
 	for a, f := range other.feesByAccount {
 		c.feesByAccount[a] += f
 	}
-	for k, v := range other.resultCounts {
-		c.resultCounts[k] += v
-	}
 }
 
 // merge adds another histogram's buckets into h.
@@ -342,8 +334,9 @@ type SurvivalPoint struct {
 // the buckets serves every threshold, so a whole curve costs
 // O(buckets + thresholds) instead of O(buckets × thresholds) — the
 // live serving layer seals these curves on every ecosystem publish.
-// Each point is bit-identical to histogram.survival: the suffix sums
-// are the same integer additions, in the same order.
+// Each point is the share of payments filed (by histogram.add) in a
+// bucket above the one x falls in; the suffix sums are exact integers,
+// so a point is the same whichever order its buckets are summed in.
 func (c *Collector) Survival(cur amount.Currency, global bool, thresholds []float64) []SurvivalPoint {
 	h := &c.global
 	if !global {
@@ -352,8 +345,8 @@ func (c *Collector) Survival(cur amount.Currency, global bool, thresholds []floa
 			return nil
 		}
 	}
-	// suffix[i] counts payments in buckets strictly above i-1, i.e.
-	// suffix[idx+1] is histogram.survival's "above" sum for idx.
+	// suffix[i] counts payments in bucket i and above, so suffix[idx+1]
+	// counts those strictly above bucket idx.
 	var suffix [numBuckets + 1]int64
 	for i := numBuckets - 1; i >= 0; i-- {
 		suffix[i] = suffix[i+1] + h.buckets[i]
@@ -365,8 +358,9 @@ func (c *Collector) Survival(cur amount.Currency, global bool, thresholds []floa
 	return out
 }
 
-// survivalAt is histogram.survival answered from a precomputed suffix
-// table.
+// survivalAt returns the share of h's payments in buckets above the one
+// x falls in, read from Survival's suffix table: 1 for x below the first
+// bucket, 0 for x past the last.
 func (h *histogram) survivalAt(x float64, suffix *[numBuckets + 1]int64) float64 {
 	if h.total == 0 {
 		return 0

@@ -195,32 +195,6 @@ func TestOfferConcentration(t *testing.T) {
 	}
 }
 
-// ResultCounts returns how many transactions landed on each engine
-// result code — the health profile of the history.
-func (c *Collector) ResultCounts() map[ledger.TxResult]int64 {
-	out := make(map[ledger.TxResult]int64, len(c.resultCounts))
-	for k, v := range c.resultCounts {
-		out[k] = v
-	}
-	return out
-}
-
-func TestResultCounts(t *testing.T) {
-	c := NewCollector()
-	tx1, m1 := pay(1, 2, "1/USD", nil)
-	tx2, _ := pay(1, 3, "1/USD", nil)
-	m2 := &ledger.TxMeta{Result: ledger.ResultPathDry}
-	tx3, _ := pay(1, 4, "1/USD", nil)
-	m3 := &ledger.TxMeta{Result: ledger.ResultPathDry}
-	if err := c.Page(page([]*ledger.Tx{tx1, tx2, tx3}, []*ledger.TxMeta{m1, m2, m3})); err != nil {
-		t.Fatal(err)
-	}
-	counts := c.ResultCounts()
-	if counts[ledger.ResultSuccess] != 1 || counts[ledger.ResultPathDry] != 2 {
-		t.Errorf("result counts = %v", counts)
-	}
-}
-
 func TestFeeAccounting(t *testing.T) {
 	c := NewCollector()
 	var txs []*ledger.Tx

@@ -14,11 +14,17 @@
 // steady state. The search walks each expanded account's edge block
 // (trustgraph.Edges): a peer already seen is skipped before its edge is
 // weighed, the overlay is consulted only for an edge between two accounts
-// that both carry planned flow, the block is abandoned at the destination,
-// and the edge each account was reached through is remembered, so the
-// bottleneck pass does not look the path's edges up again. A Finder is
-// therefore NOT safe for concurrent use; spawn one Finder per goroutine
-// over a shared read-only graph.
+// that both carry planned flow, and the edge each account was reached
+// through is remembered, so the bottleneck pass does not look the path's
+// edges up again. Before it expands a layer past the source, the search
+// checks the last hop: the destination's neighbours are marked once per
+// routing call, and the first frontier account, in frontier order, that
+// is marked and still has residual towards the destination is the parent
+// the expansion would have given it — so the layer that reaches the
+// destination (typically a gateway's thousands of lines) is never
+// expanded, and the path and the accounts read stay what a full expansion
+// gives. A Finder is therefore NOT safe for concurrent use; spawn one
+// Finder per goroutine over a shared read-only graph.
 package pathfind
 
 import (
@@ -108,17 +114,26 @@ type Finder struct {
 	record   bool
 
 	// BFS scratch, indexed by the graph's dense account indices.
-	// seen/readSeen are epoch-stamped so searches never clear them.
+	// seen/readSeen/marks are epoch-stamped so searches never clear them.
 	epoch     uint32
 	readEpoch uint32
+	markEpoch uint32
 	seen      []uint32
 	readSeen  []uint32
+	marks     []dstMark
 	parent    []int32
 	via       []*trustgraph.Edge // the edge parent[i] → i of the current search
-	depth     []int32
 	frontier  []int32
 	next      []int32
 	pathIdx   []int32
+
+	// The destination's edge block in the currency being routed, once
+	// marked (marked is reset by each routeTrust call), and the last hop
+	// of the latest path found from it: the edge into the destination,
+	// seen from the sender's side.
+	dstEdges []trustgraph.Edge
+	marked   bool
+	lastHop  trustgraph.Edge
 
 	ov overlay
 
@@ -129,6 +144,14 @@ type Finder struct {
 	// Scratch quotes for bridge probing; accepted quotes are deep-copied
 	// out before the scratch is reused.
 	qtmp [3]orderbook.Quote
+}
+
+// dstMark marks an account that shares an edge with the destination:
+// current while stamp is the Finder's markEpoch, with slot the index of
+// that edge in the destination's block.
+type dstMark struct {
+	stamp uint32
+	slot  int32
 }
 
 // Option configures a Finder.
@@ -165,9 +188,9 @@ func (f *Finder) ensureScratch() {
 	}
 	f.seen = append(f.seen, make([]uint32, n-len(f.seen))...)
 	f.readSeen = append(f.readSeen, make([]uint32, n-len(f.readSeen))...)
+	f.marks = append(f.marks, make([]dstMark, n-len(f.marks))...)
 	f.parent = append(f.parent, make([]int32, n-len(f.parent))...)
 	f.via = append(f.via, make([]*trustgraph.Edge, n-len(f.via))...)
-	f.depth = append(f.depth, make([]int32, n-len(f.depth))...)
 	f.ov.heads = append(f.ov.heads, make([]ovHead, n-len(f.ov.heads))...)
 }
 
@@ -392,6 +415,7 @@ func (f *Finder) routeTrust(plan *Plan, src, dst addr.AccountID, cur amount.Curr
 	if !ok {
 		return amount.Zero, nil
 	}
+	f.marked = false
 	total := amount.Zero
 	remaining := want
 	for len(plan.Paths) < f.maxPaths && remaining.IsPositive() {
@@ -441,6 +465,14 @@ func (f *Finder) routeTrust(plan *Plan, src, dst addr.AccountID, cur amount.Curr
 // returns the dense-index node list src..dst (valid until the next
 // search), or nil. All state lives in the Finder's scratch arrays:
 // the steady state allocates nothing.
+//
+// Every frontier account sits at the layer's depth, and dst is never
+// seen before it is reached, so an expansion reaches dst from the first
+// frontier account with positive residual towards it, having read the
+// accounts up to and including that one. Past the source's layer,
+// reachedFrom answers that from dst's marked neighbours before the
+// layer is expanded, and the layer is expanded only when no frontier
+// account reaches dst.
 func (f *Finder) shortestPath(src, dst int32, cur amount.Currency) []int32 {
 	f.epoch++
 	if f.epoch == 0 { // epoch counter wrapped: invalidate all stamps
@@ -449,7 +481,6 @@ func (f *Finder) shortestPath(src, dst int32, cur amount.Currency) []int32 {
 	}
 	e := f.epoch
 	f.seen[src] = e
-	f.depth[src] = 0
 	frontier := f.frontier[:0]
 	frontier = append(frontier, src)
 	next := f.next[:0]
@@ -459,15 +490,23 @@ func (f *Finder) shortestPath(src, dst int32, cur amount.Currency) []int32 {
 		f.frontier = frontier[:0]
 		f.next = next[:0]
 	}()
-	for len(frontier) > 0 {
+	for depth := int32(0); len(frontier) > 0 && depth < maxLen; depth++ {
+		if depth > 0 {
+			if !f.marked {
+				f.markNeighbours(dst, cur)
+			}
+			if k := f.reachedFrom(frontier, dst, cur); k >= 0 {
+				for _, u := range frontier[:k+1] {
+					f.noteRead(u)
+				}
+				f.parent[dst] = frontier[k]
+				f.via[dst] = &f.lastHop
+				return f.walkBack(src, dst)
+			}
+		}
 		next = next[:0]
 		for _, u := range frontier {
-			du := f.depth[u]
-			if du >= maxLen {
-				continue
-			}
 			f.noteRead(u)
-			found := false
 			edges := f.graph.Edges(u, cur)
 			for i := range edges {
 				peer := edges[i].Peer()
@@ -480,32 +519,67 @@ func (f *Finder) shortestPath(src, dst int32, cur amount.Currency) []int32 {
 				f.seen[peer] = e
 				f.parent[peer] = u
 				f.via[peer] = &edges[i]
-				f.depth[peer] = du + 1
-				if peer == dst {
-					found = true
-					break
+				if peer == dst { // only from src: later layers check first
+					return f.walkBack(src, dst)
 				}
 				next = append(next, peer)
-			}
-			if found {
-				// Reconstruct into the path scratch buffer.
-				rev := f.pathIdx[:0]
-				for at := dst; ; at = f.parent[at] {
-					rev = append(rev, at)
-					if at == src {
-						break
-					}
-				}
-				for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-					rev[i], rev[j] = rev[j], rev[i]
-				}
-				f.pathIdx = rev
-				return rev
 			}
 		}
 		frontier, next = next, frontier
 	}
 	return nil
+}
+
+// markNeighbours stamps every account that shares an edge with dst in
+// cur, remembering which of dst's edges it is. dst's block cannot change
+// while a plan is built (only the overlay moves), so one marking serves
+// every search of a routeTrust call.
+func (f *Finder) markNeighbours(dst int32, cur amount.Currency) {
+	f.markEpoch++
+	if f.markEpoch == 0 { // epoch counter wrapped: invalidate all stamps
+		clear(f.marks)
+		f.markEpoch = 1
+	}
+	f.dstEdges = f.graph.Edges(dst, cur)
+	for i := range f.dstEdges {
+		f.marks[f.dstEdges[i].Peer()] = dstMark{stamp: f.markEpoch, slot: int32(i)}
+	}
+	f.marked = true
+}
+
+// reachedFrom returns the position of the first frontier account with
+// positive residual towards dst, leaving its edge to dst in lastHop, or
+// -1 when none has. Each account costs one mark lookup; only a marked
+// one has its edge weighed, read from dst's own block.
+func (f *Finder) reachedFrom(frontier []int32, dst int32, cur amount.Currency) int {
+	for k, u := range frontier {
+		m := f.marks[u]
+		if m.stamp != f.markEpoch {
+			continue
+		}
+		f.lastHop = f.dstEdges[m.slot].Reverse(dst)
+		if f.residual(u, &f.lastHop, cur).IsPositive() {
+			return k
+		}
+	}
+	return -1
+}
+
+// walkBack reconstructs the path src..dst from the parent links into
+// the path scratch buffer.
+func (f *Finder) walkBack(src, dst int32) []int32 {
+	rev := f.pathIdx[:0]
+	for at := dst; ; at = f.parent[at] {
+		rev = append(rev, at)
+		if at == src {
+			break
+		}
+	}
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	f.pathIdx = rev
+	return rev
 }
 
 // quoteBuy quotes the book into one of the Finder's scratch quotes,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -349,10 +350,206 @@ func accountSet(as []addr.AccountID) map[addr.AccountID]bool {
 	return out
 }
 
+// hubWorld is the shape the destination's marked neighbours are for, at
+// the degree where it matters: one gateway holding hundreds of USD lines,
+// a second hub and a small one linked to it, users rippling user →
+// gateway → user, and users whose line from the gateway is fully drawn,
+// so that the one last hop from the gateway has no residual and the
+// search must reach them through a friend one layer deeper.
+type hubWorld struct {
+	g     *trustgraph.Graph
+	books *orderbook.Books
+	gw    addr.AccountID   // the wide gateway
+	hub   addr.AccountID   // a second hub, linked to the gateway
+	users []addr.AccountID // the gateway's users
+	late  []addr.AccountID // the users in the last fifth of the gateway's block
+	drawn []addr.AccountID // users the gateway can send nothing more
+}
+
+func newHubWorld(r *rand.Rand, seed uint64) *hubWorld {
+	g, books := trustgraph.New(), orderbook.New()
+	next := seed * 10_000
+	fresh := func() addr.AccountID {
+		next++
+		return addr.KeyPairFromSeed(next).AccountID()
+	}
+	trust := func(a, b addr.AccountID, cur amount.Currency, limit int) {
+		_ = g.SetTrust(a, b, cur, amount.FromInt64(int64(limit)))
+	}
+	// issue has `from` send `to` a share of what the line allows, so each
+	// line carries a balance and room in both directions.
+	issue := func(from, to addr.AccountID, cur amount.Currency, pct int) {
+		if c := g.Capacity(from, to, cur); c.IsPositive() {
+			v, _ := c.Mul(amount.FromInt64(int64(pct)))
+			v, _ = v.Div(amount.FromInt64(100))
+			if v.IsPositive() {
+				_ = g.ApplyFlow(from, to, cur, v)
+			}
+		}
+	}
+	w := &hubWorld{g: g, books: books, gw: fresh(), hub: fresh()}
+	small := fresh()
+	for _, pair := range [][2]addr.AccountID{{w.gw, w.hub}, {w.gw, small}, {w.hub, small}} {
+		for _, cur := range []amount.Currency{amount.USD, amount.EUR} {
+			trust(pair[0], pair[1], cur, 150+r.Intn(200))
+			trust(pair[1], pair[0], cur, 150+r.Intn(200))
+			issue(pair[0], pair[1], cur, 20+r.Intn(40))
+		}
+	}
+	line := func(u, h addr.AccountID, cur amount.Currency) {
+		trust(u, h, cur, 10+r.Intn(40))
+		issue(h, u, cur, 30+r.Intn(60))
+	}
+	for i := 0; i < 330; i++ {
+		u := fresh()
+		w.users = append(w.users, u)
+		line(u, w.gw, amount.USD)
+		if r.Intn(5) == 0 {
+			line(u, w.hub, amount.USD)
+		}
+		if r.Intn(10) == 0 {
+			line(u, small, amount.USD)
+		}
+		if r.Intn(6) == 0 {
+			line(u, w.gw, amount.EUR)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		// A few chords between users, so a destination can have more than
+		// one parent in a layer and frontier order decides between them.
+		a, b := w.users[r.Intn(len(w.users))], w.users[r.Intn(len(w.users))]
+		if a != b {
+			trust(a, b, amount.USD, 5+r.Intn(20))
+			trust(b, a, amount.USD, 5+r.Intn(20))
+		}
+	}
+	for i := 0; i < 12; i++ {
+		// x's gateway line is fully issued; x is reachable only through
+		// its friend f, itself a gateway user.
+		x, f := fresh(), w.users[r.Intn(len(w.users))]
+		trust(x, w.gw, amount.USD, 10+r.Intn(30))
+		issue(w.gw, x, amount.USD, 100)
+		trust(x, f, amount.USD, 15+r.Intn(30))
+		trust(f, x, amount.USD, 5+r.Intn(10))
+		w.drawn = append(w.drawn, x)
+		w.users = append(w.users, x)
+	}
+	for i := 0; i < 2; i++ {
+		mm := fresh()
+		for _, cur := range []amount.Currency{amount.USD, amount.EUR} {
+			for _, h := range []addr.AccountID{w.gw, w.hub} {
+				trust(mm, h, cur, 60+r.Intn(60))
+				trust(h, mm, cur, 60+r.Intn(60))
+				issue(h, mm, cur, 50)
+			}
+		}
+		for j, p := range [][2]amount.Currency{{amount.USD, amount.EUR}, {amount.EUR, amount.USD}, {amount.USD, amount.XRP}, {amount.XRP, amount.USD}} {
+			_ = books.Place(&orderbook.Offer{Owner: mm, Seq: uint32(j + 1),
+				Pays: amount.New(p[0], amount.FromInt64(int64(20+r.Intn(60)))),
+				Gets: amount.New(p[1], amount.FromInt64(int64(20+r.Intn(60))))})
+		}
+	}
+	gi, _ := g.Index(w.gw)
+	block := g.Edges(gi, amount.USD)
+	for _, e := range block[len(block)*4/5:] {
+		if a := g.AccountAt(e.Peer()); slices.Contains(w.users, a) {
+			w.late = append(w.late, a)
+		}
+	}
+	return w
+}
+
+// payment picks the next hub-world payment from its mix: to a user late
+// in the gateway's block, to the gateway, to the second hub, to a user
+// whose gateway line is drawn, or between any two users. It returns the
+// payment's kind as its index into that list.
+func (w *hubWorld) payment(r *rand.Rand) (src, dst addr.AccountID, srcCur amount.Currency, deliver amount.Amount, kind int) {
+	src = w.users[r.Intn(len(w.users))]
+	kind = r.Intn(5)
+	switch kind {
+	case 0:
+		dst = w.late[r.Intn(len(w.late))]
+	case 1:
+		dst = w.gw
+	case 2:
+		dst = w.hub
+	case 3:
+		dst = w.drawn[r.Intn(len(w.drawn))]
+	default:
+		dst = w.users[r.Intn(len(w.users))]
+	}
+	deliver = amount.New(amount.USD, amount.FromInt64(int64(1+r.Intn(30))))
+	srcCur = amount.USD
+	if r.Intn(8) == 0 {
+		srcCur = amount.EUR
+	}
+	return src, dst, srcCur, deliver, kind
+}
+
+// matchReference plans one payment with the Finder and with the
+// reference planner and requires identical flows, paths, amounts and
+// quotes, and read sets equal as sets. A plan that delivers in full is
+// executed, so later payments search a network with used-up lines and
+// thinner books. It returns the Finder's plan, nil when both found none.
+func matchReference(t *testing.T, f *Finder, ref *refPlanner, world uint64, n int, src, dst addr.AccountID, srcCur amount.Currency, deliver amount.Amount) *Plan {
+	t.Helper()
+	got, err := f.FindPayment(src, dst, srcCur, deliver)
+	want := ref.find(src, dst, srcCur, deliver)
+	var rs ReadSet
+	f.AppendReadSet(&rs)
+	if !reflect.DeepEqual(accountSet(rs.Accounts), ref.readAcct) {
+		t.Fatalf("world %d payment %d (%s→%s %s via %s): read %d accounts, reference %d",
+			world, n, src.Short(), dst.Short(), deliver, srcCur, len(accountSet(rs.Accounts)), len(ref.readAcct))
+	}
+	pairs := map[orderbook.Pair]bool{}
+	for _, p := range rs.Pairs {
+		pairs[p] = true
+	}
+	if !reflect.DeepEqual(pairs, ref.readPair) {
+		t.Fatalf("world %d payment %d: read book pairs %v, reference %v", world, n, pairs, ref.readPair)
+	}
+	if (err != nil) != (want == nil) {
+		t.Fatalf("world %d payment %d (%s→%s %s via %s): err = %v, reference plan = %v",
+			world, n, src.Short(), dst.Short(), deliver, srcCur, err, want)
+	}
+	if err != nil {
+		return nil
+	}
+	if !reflect.DeepEqual(got.TrustFlows, want.TrustFlows) && len(got.TrustFlows)+len(want.TrustFlows) > 0 {
+		t.Fatalf("world %d payment %d: trust flows\n got %v\nwant %v", world, n, got.TrustFlows, want.TrustFlows)
+	}
+	if !reflect.DeepEqual(got.Paths, want.Paths) {
+		t.Fatalf("world %d payment %d: paths got %v want %v", world, n, got.Paths, want.Paths)
+	}
+	if got.Delivered != want.Delivered || got.SourceCost != want.SourceCost || got.UsedBridge != want.UsedBridge {
+		t.Fatalf("world %d payment %d: delivered/cost/bridge got %s/%s/%v want %s/%s/%v", world, n,
+			got.Delivered, got.SourceCost, got.UsedBridge, want.Delivered, want.SourceCost, want.UsedBridge)
+	}
+	if !reflect.DeepEqual(got.Quotes, want.Quotes) && len(got.Quotes)+len(want.Quotes) > 0 {
+		t.Fatalf("world %d payment %d: quotes got %v want %v", world, n, got.Quotes, want.Quotes)
+	}
+	if got.Delivered.Cmp(deliver.Value) < 0 {
+		return got
+	}
+	for _, fl := range got.TrustFlows {
+		if err := ref.g.ApplyFlow(fl.From, fl.To, fl.Currency, fl.Value); err != nil {
+			t.Fatalf("world %d payment %d: planned flow does not apply: %v", world, n, err)
+		}
+	}
+	for _, q := range got.Quotes {
+		if err := ref.books.Apply(q); err != nil {
+			t.Fatalf("world %d payment %d: planned quote does not apply: %v", world, n, err)
+		}
+	}
+	return got
+}
+
 // TestFindPaymentMatchesReference plans the same seeded payments with one
 // long-lived recording Finder and with the reference planner, executing
 // each found plan so the state keeps moving, and requires identical
-// flows, paths, amounts and quotes, and read sets equal as sets.
+// flows, paths, amounts and quotes, and read sets equal as sets. It runs
+// over the mixed refWorld networks and over wide-hub networks, where
+// most searches end one layer past a gateway of hundreds of lines.
 func TestFindPaymentMatchesReference(t *testing.T) {
 	type bounds struct{ hops, paths int }
 	for _, b := range []bounds{{DefaultMaxHops, DefaultMaxPaths}, {2, 2}} {
@@ -380,41 +577,10 @@ func TestFindPaymentMatchesReference(t *testing.T) {
 					deliver.Currency = amount.XRP
 					srcCur = curs[r.Intn(2)]
 				}
-				got, err := f.FindPayment(src, dst, srcCur, deliver)
-				want := ref.find(src, dst, srcCur, deliver)
-				var rs ReadSet
-				f.AppendReadSet(&rs)
-				if !reflect.DeepEqual(accountSet(rs.Accounts), ref.readAcct) {
-					t.Fatalf("world %d payment %d (%s→%s %s via %s): read %d accounts, reference %d",
-						world, n, src.Short(), dst.Short(), deliver, srcCur, len(accountSet(rs.Accounts)), len(ref.readAcct))
-				}
-				pairs := map[orderbook.Pair]bool{}
-				for _, p := range rs.Pairs {
-					pairs[p] = true
-				}
-				if !reflect.DeepEqual(pairs, ref.readPair) {
-					t.Fatalf("world %d payment %d: read book pairs %v, reference %v", world, n, pairs, ref.readPair)
-				}
-				if (err != nil) != (want == nil) {
-					t.Fatalf("world %d payment %d (%s→%s %s via %s): err = %v, reference plan = %v",
-						world, n, src.Short(), dst.Short(), deliver, srcCur, err, want)
-				}
-				if err != nil {
+				got := matchReference(t, f, ref, world, n, src, dst, srcCur, deliver)
+				if got == nil {
 					dry++
 					continue
-				}
-				if !reflect.DeepEqual(got.TrustFlows, want.TrustFlows) && len(got.TrustFlows)+len(want.TrustFlows) > 0 {
-					t.Fatalf("world %d payment %d: trust flows\n got %v\nwant %v", world, n, got.TrustFlows, want.TrustFlows)
-				}
-				if !reflect.DeepEqual(got.Paths, want.Paths) {
-					t.Fatalf("world %d payment %d: paths got %v want %v", world, n, got.Paths, want.Paths)
-				}
-				if got.Delivered != want.Delivered || got.SourceCost != want.SourceCost || got.UsedBridge != want.UsedBridge {
-					t.Fatalf("world %d payment %d: delivered/cost/bridge got %s/%s/%v want %s/%s/%v", world, n,
-						got.Delivered, got.SourceCost, got.UsedBridge, want.Delivered, want.SourceCost, want.UsedBridge)
-				}
-				if !reflect.DeepEqual(got.Quotes, want.Quotes) && len(got.Quotes)+len(want.Quotes) > 0 {
-					t.Fatalf("world %d payment %d: quotes got %v want %v", world, n, got.Quotes, want.Quotes)
 				}
 				found++
 				if len(got.Paths) > 1 && !got.UsedBridge {
@@ -426,26 +592,46 @@ func TestFindPaymentMatchesReference(t *testing.T) {
 						mixed++
 					}
 				}
-				// Execute what was planned, so later payments search a
-				// network with used-up lines and thinner books.
-				if got.Delivered.Cmp(deliver.Value) < 0 {
-					continue
-				}
-				for _, fl := range got.TrustFlows {
-					if err := g.ApplyFlow(fl.From, fl.To, fl.Currency, fl.Value); err != nil {
-						t.Fatalf("world %d payment %d: planned flow does not apply: %v", world, n, err)
-					}
-				}
-				for _, q := range got.Quotes {
-					if err := books.Apply(q); err != nil {
-						t.Fatalf("world %d payment %d: planned quote does not apply: %v", world, n, err)
-					}
-				}
 			}
 		}
 		t.Logf("bounds %+v: %d plans (%d multi-path, %d bridged, %d trust+bridge), %d dry", b, found, multi, bridged, mixed, dry)
 		if found < 300 || dry < 50 || multi < 30 || bridged < 30 {
 			t.Errorf("bounds %+v: mix too thin: %d plans (%d multi-path, %d bridged), %d dry", b, found, multi, bridged, dry)
+		}
+
+		// planned[k] counts plans of each hubWorld.payment kind; deeper
+		// counts plans to a drawn user whose first path is longer than
+		// the gateway's one hop.
+		var planned [5]int
+		deeper := 0
+		for world := uint64(7); world <= 8; world++ {
+			r := rand.New(rand.NewSource(int64(1800 + world)))
+			w := newHubWorld(r, world)
+			f := New(w.g, w.books, WithRecording(), WithMaxHops(b.hops), withMaxPaths(b.paths))
+			ref := &refPlanner{g: w.g, books: w.books, maxHops: b.hops, maxPaths: b.paths}
+			for n := 0; n < 250; n++ {
+				src, dst, srcCur, deliver, kind := w.payment(r)
+				if src == dst {
+					continue
+				}
+				got := matchReference(t, f, ref, world, n, src, dst, srcCur, deliver)
+				if got == nil || got.UsedBridge {
+					continue
+				}
+				planned[kind]++
+				if kind == 3 && got.Paths[0].Hops > 1 {
+					deeper++
+				}
+			}
+		}
+		t.Logf("bounds %+v: hub worlds planned %v by kind (late user, gateway, hub, drawn, any), %d through a drawn user's friend", b, planned, deeper)
+		for kind, n := range planned {
+			if n < 20 {
+				t.Errorf("bounds %+v: hub-world mix too thin: %d plans of kind %d", b, n, kind)
+			}
+		}
+		if deeper < 10 {
+			t.Errorf("bounds %+v: only %d plans reached a drawn user through its friend", b, deeper)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package pathfind
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"ripplestudy/internal/addr"
@@ -47,6 +50,43 @@ func TestFindPaymentSteadyStateAllocs(t *testing.T) {
 	const planAllocs = 3
 	if allocs > planAllocs {
 		t.Errorf("FindPayment allocates %.1f per call, want ≤ %d (plan only)", allocs, planAllocs)
+	}
+}
+
+// TestMarkEpochWrap pins the destination marks across their stamp
+// counter's wrap: before each payment the counter is set to its last
+// value, so the payment's first marking wraps it while the marks of the
+// previous payment's destinations still hold small stamps. Every plan
+// and read set must be the one a fresh Finder produces.
+func TestMarkEpochWrap(t *testing.T) {
+	r := rand.New(rand.NewSource(1841))
+	w := newHubWorld(r, 41)
+	f := New(w.g, w.books, WithRecording())
+	marked := 0
+	for n := 0; n < 120; n++ {
+		src, dst, srcCur, deliver, _ := w.payment(r)
+		if src == dst {
+			continue
+		}
+		f.markEpoch = math.MaxUint32
+		got, err := f.FindPayment(src, dst, srcCur, deliver)
+		if f.markEpoch != math.MaxUint32 {
+			marked++
+		}
+		fresh := New(w.g, w.books, WithRecording())
+		want, wantErr := fresh.FindPayment(src, dst, srcCur, deliver)
+		if !reflect.DeepEqual(got, want) || (err == nil) != (wantErr == nil) {
+			t.Fatalf("payment %d (%s→%s %s): plan %v (err %v), fresh Finder %v (err %v)", n, src.Short(), dst.Short(), deliver, got, err, want, wantErr)
+		}
+		var gotRS, wantRS ReadSet
+		f.AppendReadSet(&gotRS)
+		fresh.AppendReadSet(&wantRS)
+		if !reflect.DeepEqual(gotRS, wantRS) {
+			t.Fatalf("payment %d (%s→%s %s): read set %v, fresh Finder %v", n, src.Short(), dst.Short(), deliver, gotRS, wantRS)
+		}
+	}
+	if marked < 60 {
+		t.Fatalf("only %d of 120 payments marked a destination's neighbours", marked)
 	}
 }
 

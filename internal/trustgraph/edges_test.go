@@ -99,6 +99,12 @@ func checkEdges(t *testing.T, step int, g *Graph, m pairModel, curs []amount.Cur
 				if e.ownerLo != (e.pair.Lo == owner) || e.cur != cur {
 					t.Fatalf("step %d: edge %s→%s/%s has side flag %v on pair Lo=%s", step, owner.Short(), peer.Short(), cur, e.ownerLo, e.pair.Lo.Short())
 				}
+				// The reverse view is the peer's own entry for owner.
+				back := g.Edges(e.Peer(), cur)
+				j := sort.Search(len(back), func(j int) bool { return !g.AccountAt(back[j].Peer()).Less(owner) })
+				if rev := e.Reverse(ai); j == len(back) || back[j] != rev {
+					t.Fatalf("step %d: reverse of %s→%s/%s is not %s's entry for %s", step, owner.Short(), peer.Short(), cur, peer.Short(), owner.Short())
+				}
 			}
 		}
 	}

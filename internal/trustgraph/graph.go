@@ -67,6 +67,14 @@ func (e *Edge) Peer() int32 { return e.peer }
 // credit the peer extends to the owner.
 func (e *Edge) Capacity() amount.Value { return pairCapacity(e.pair, e.ownerLo) }
 
+// Reverse returns the same pair seen from the other side: the edge peer →
+// owner, where owner is the dense index of the account whose block holds
+// e. It is the entry the peer's own block holds, so a searcher holding one
+// account's block reads the edges into that account from it.
+func (e *Edge) Reverse(owner int32) Edge {
+	return Edge{cur: e.cur, ownerLo: !e.ownerLo, peer: owner, pair: e.pair}
+}
+
 // Graph is the in-memory credit network. It is not safe for concurrent
 // mutation; analyses clone it before replaying. Concurrent readers are
 // safe while no writer runs (all queries are pure).
