@@ -56,10 +56,12 @@ race:
 # apply workers, seal barrier, cross-shard merges and histogram
 # observers are genuinely concurrent even on a single-core default
 # runner. Everything here must equal the independent batch oracles at
-# every fan-out (1 included).
+# every fan-out (1 included). The carve test and the ingest-path
+# differentials run here too: BackfillStore with 4 workers carves from 4
+# producer arenas at once.
 # Each pattern must still select a test: a rename that drops one out of
 # the pass fails the target instead of shrinking it silently.
-RACE_MP_TESTS = PipelineWorkersMatchSequentialJSON ShardPartitionMergeParityJSON ShardedMatchesSingleWriterService ParallelBackfillMatchesSequential ShardedInc SealedTableMatchesModel SealCopyTrafficBounded CountBytesIndependentOfHistory MergeClonedRepeatable ViewWorker Shed ConcurrentQueries HistogramMatchesModel
+RACE_MP_TESTS = PipelineWorkersMatchSequentialJSON ShardPartitionMergeParityJSON ShardedMatchesSingleWriterService ParallelBackfillMatchesSequential CarvedPartsNeverAlias BatchedIngestMatchesSinglePage DifferentialThroughInjectedFaults ShardedInc SealedTableMatchesModel SealCopyTrafficBounded CountBytesIndependentOfHistory MergeClonedRepeatable ViewWorker Shed ConcurrentQueries HistogramMatchesModel
 RACE_MP_PKGS = ./internal/serve/ ./internal/deanon/ ./internal/analysis/ ./internal/telemetry/
 empty :=
 space := $(empty) $(empty)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -47,6 +48,143 @@ func TestMmapVsFileParity(t *testing.T) {
 	fallback := collectPages(t, s)
 	if !reflect.DeepEqual(mapped, fallback) {
 		t.Fatal("mmap and ReadFile paths decoded different pages")
+	}
+}
+
+// writeLongSegments writes a store whose first segment spans more than
+// three release strides: a few distinct transaction sets of different
+// sizes, reused under a chain of headers, so records come in several
+// lengths and land across the stride boundaries at varying offsets.
+func writeLongSegments(t *testing.T, dir string) []*ledger.Page {
+	t.Helper()
+	r := rand.New(rand.NewSource(7))
+	var sets []*ledger.Page
+	for _, n := range []int{3, 11, 17, 29, 41} {
+		sets = append(sets, buildPage(1, ledger.Hash{}, n, r))
+	}
+	s, err := Create(dir, WithSegmentBytes(3*releaseStride+releaseStride/2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pages []*ledger.Page
+	parent := ledger.Hash{}
+	for seq, size := uint64(1), 0; size < 5*releaseStride; seq++ {
+		set := sets[int(seq*7)%len(sets)]
+		p := &ledger.Page{Header: set.Header, Txs: set.Txs, Metas: set.Metas}
+		p.Header.Sequence, p.Header.ParentHash, p.Header.CloseTime = seq, parent, ledger.CloseTime(seq*5)
+		parent = p.Header.Hash()
+		if err := s.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, p)
+		size += len(p.Encode(nil)) + 8
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return pages
+}
+
+// TestScanReleaseChangesNoByte runs a store whose first segment spans
+// more than three release strides, with a record straddling a stride
+// boundary, through PayloadsParallel, ScanPayments and Pages under the
+// mmap reader (which releases the pages behind its cursor) and under
+// the forced ReadFile fallback (which releases nothing): all three must
+// yield byte-identical output from both, and the payloads must be the
+// encodings of the pages written.
+func TestScanReleaseChangesNoByte(t *testing.T) {
+	dir := t.TempDir()
+	written := writeLongSegments(t, dir)
+	segs, err := segmentFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) <= 3*releaseStride {
+		t.Fatalf("first segment holds %d bytes, not more than three strides of %d", len(raw), releaseStride)
+	}
+	straddles := 0
+	for off := 0; off+4 <= len(raw); {
+		end := off + 8 + int(binary.BigEndian.Uint32(raw[off:]))
+		if off/releaseStride != (end-1)/releaseStride {
+			straddles++
+		}
+		off = end
+	}
+	if straddles == 0 {
+		t.Fatal("no record of the first segment straddles a stride boundary")
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type scans struct {
+		payloads []string
+		payments []ledger.PaymentView
+		pages    []ledger.Hash
+	}
+	run := func(fileRead bool) scans {
+		forceFileRead = fileRead
+		defer func() { forceFileRead = false }()
+		var (
+			out scans
+			mu  sync.Mutex
+		)
+		if err := s.PayloadsParallel(context.Background(), 2, func(_ int, payload []byte) error {
+			mu.Lock()
+			out.payloads = append(out.payloads, string(payload))
+			mu.Unlock()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(out.payloads)
+		if err := s.ScanPayments(context.Background(), 2, func(_ int, pv *ledger.PaymentView) error {
+			mu.Lock()
+			out.payments = append(out.payments, *pv)
+			mu.Unlock()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sort.Slice(out.payments, func(i, j int) bool {
+			a, b := out.payments[i], out.payments[j]
+			return a.Seq < b.Seq || a.Seq == b.Seq && a.Index < b.Index
+		})
+		if err := s.Pages(func(p *ledger.Page) error {
+			out.pages = append(out.pages, pageDigest(p))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	mapped, fallback := run(false), run(true)
+
+	var want []string
+	for _, p := range written {
+		want = append(want, string(p.Encode(nil)))
+	}
+	sort.Strings(want)
+	if !reflect.DeepEqual(mapped.payloads, want) {
+		t.Fatal("mmap PayloadsParallel payloads differ from the pages written")
+	}
+	if !reflect.DeepEqual(fallback.payloads, want) {
+		t.Fatal("ReadFile PayloadsParallel payloads differ from the pages written")
+	}
+	if len(mapped.payments) == 0 || !reflect.DeepEqual(mapped.payments, fallback.payments) {
+		t.Fatalf("ScanPayments differs between mmap (%d payments) and ReadFile (%d)", len(mapped.payments), len(fallback.payments))
+	}
+	var wantPages []ledger.Hash
+	for _, p := range written {
+		wantPages = append(wantPages, pageDigest(p))
+	}
+	if !reflect.DeepEqual(mapped.pages, wantPages) || !reflect.DeepEqual(fallback.pages, wantPages) {
+		t.Fatalf("Pages differs from the pages written under mmap (%d pages) or ReadFile (%d); %d written", len(mapped.pages), len(fallback.pages), len(written))
 	}
 }
 

@@ -18,6 +18,19 @@ import (
 // (decodeRecord with no arena) or passes the explicit
 // valid-only-inside-the-callback contract up to its caller
 // (scanSegmentPayments, PayloadsParallel).
+//
+// A walk over a mapped segment also lets go of what it has read: about
+// every releaseStride bytes it hands the whole pages that lie before the
+// current record back to the kernel (releaseMapped, MADV_DONTNEED on
+// Linux), so a scan worker's resident set holds about a stride of its
+// segment instead of all of it. That is safe because segments are
+// immutable once written and the mapping is a shared, read-only file
+// mapping: touching a released page again faults the same bytes back in
+// from the page cache, so a consumer that broke the
+// valid-only-inside-the-callback contract would still read the right
+// bytes, only slower. The ReadFile path (no mapping, or the
+// ledgerstore_nommap build tag) holds heap memory, which is never
+// released this way; it is freed whole with the segment.
 
 // errMmapUnavailable is returned by mapSegment when the platform (or
 // the ledgerstore_nommap build tag) rules out memory mapping; callers
@@ -28,11 +41,33 @@ var errMmapUnavailable = fmt.Errorf("ledgerstore: mmap unavailable")
 // run the same inputs through both readers in one process.
 var forceFileRead = false
 
+// releaseStride is how far a walk over a mapped segment reads between
+// two releases of the pages behind it.
+const releaseStride = 1 << 20
+
+// pageSize is the granule releases are cut to.
+var pageSize = os.Getpagesize()
+
 // segment is one segment file's contents, either memory-mapped or read
 // into heap memory. Close releases the mapping (a no-op for heap data).
 type segment struct {
 	data  []byte
 	unmap func() error
+	// released is the end of the mapped prefix already handed back, a
+	// multiple of pageSize.
+	released int
+}
+
+// releaseBefore hands the kernel the mapped pages wholly before off,
+// once at least releaseStride bytes have been read since the last
+// release. Heap data is left alone.
+func (s *segment) releaseBefore(off int) {
+	if s.unmap == nil || off-s.released < releaseStride {
+		return
+	}
+	end := off &^ (pageSize - 1)
+	releaseMapped(s.data[s.released:end])
+	s.released = end
 }
 
 func (s *segment) Close() error {
@@ -68,7 +103,8 @@ func openSegment(path string) (segment, error) {
 // incremental reader exactly: a truncated final record (length prefix,
 // payload, or checksum cut short) ends the walk silently, an oversized
 // length prefix or checksum mismatch returns ErrCorrupted, and fn's
-// errors propagate as-is.
+// errors propagate as-is. On a mapped segment the pages behind the
+// cursor are released as the walk goes (releaseBefore).
 func forEachRecord(path string, fn func(payload []byte) error) error {
 	seg, err := openSegment(path)
 	if err != nil {
@@ -77,6 +113,7 @@ func forEachRecord(path string, fn func(payload []byte) error) error {
 	defer seg.Close()
 	data := seg.data
 	for off := 0; ; {
+		seg.releaseBefore(off)
 		if off+4 > len(data) {
 			return nil // EOF, or a truncated length prefix: tolerate
 		}

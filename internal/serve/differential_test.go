@@ -37,13 +37,27 @@ func genPages(t testing.TB, payments int, seed int64) []*ledger.Page {
 	return pages
 }
 
-// drain waits for every view to publish everything ingested so far.
+// drain waits for every view to publish everything ingested so far,
+// then requires that no page view still holds a part: every byte
+// offered has been applied or dropped.
 func drain(t testing.TB, s *Service) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
+	}
+	checkNoInflightBytes(t, s)
+}
+
+// checkNoInflightBytes requires every page view's in-flight byte gauge
+// to read exactly 0.
+func checkNoInflightBytes(t testing.TB, s *Service) {
+	t.Helper()
+	for _, w := range []*viewWorker{s.fpW, s.ecoW} {
+		if n := w.inflightBytes.Load(); n != 0 {
+			t.Fatalf("view %s: %d bytes in flight with nothing left to apply", w.name, n)
+		}
 	}
 }
 

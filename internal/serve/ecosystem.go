@@ -11,7 +11,7 @@ import (
 // already a streaming accumulator, so the incremental maintenance IS
 // the batch computation — the view work is sealing its derived
 // statistics into immutable snapshots per epoch. The view consumes
-// projected records (project.go), not pages: the collector's record
+// each page's ecoPart (project.go), not pages: the collector's record
 // entry points fold in exactly the statistics the snapshot surfaces,
 // bit-identical to Collector.Page over the originals.
 type ecosystemState struct {
@@ -23,16 +23,16 @@ func newEcosystemState() *ecosystemState {
 	return &ecosystemState{col: analysis.NewCollector()}
 }
 
-func (e *ecosystemState) apply(rec *pageRecord) {
+func (e *ecosystemState) apply(part *ecoPart) {
 	e.pages++
-	e.col.AddFailedPayments(rec.failed)
-	for _, owner := range rec.offerOwners {
+	e.col.AddFailedPayments(part.failed)
+	for _, owner := range part.offerOwners {
 		e.col.AddOffer(owner)
 	}
-	for i := range rec.payments {
-		p := &rec.payments[i]
+	for i := range part.payments {
+		p := &part.payments[i]
 		e.col.AddPayment(p.sender, p.dest, p.currency, p.value,
-			rec.hops[p.hopsOff:p.hopsOff+p.hopsLen])
+			part.hops[p.hopsOff:p.hopsOff+p.hopsLen])
 	}
 }
 
@@ -64,7 +64,7 @@ func (e *ecosystemState) snapshot(epoch, appliedSeq uint64) *EcosystemSnapshot {
 }
 
 // ecoShards is the Figures 4–6 view sharded for the multi-worker
-// pipeline: each apply worker folds records into its own
+// pipeline: each apply worker folds parts into its own
 // analysis.Collector, and the seal folds them into one cumulative
 // collector before building the snapshot. The worker shards are
 // per-epoch deltas: a seal MergeClones each into merged and Resets it,
@@ -99,8 +99,8 @@ func newEcoShards(n int) *ecoShards {
 	return e
 }
 
-func (e *ecoShards) apply(shard int, rec *pageRecord) {
-	e.shards[shard].apply(rec)
+func (e *ecoShards) apply(shard int, part *ecoPart) {
+	e.shards[shard].apply(part)
 	e.pages.Add(1)
 }
 

@@ -14,11 +14,7 @@ func TestEcoShardsRecycledSealParity(t *testing.T) {
 	fpSt := newFingerprintState(1, 1)
 	defer fpSt.close()
 	proj := newProjector(fpSt.plan())
-	recs := make([]*pageRecord, len(pages))
-	for i, p := range pages {
-		recs[i] = new(pageRecord)
-		proj.fromPage(p, recs[i])
-	}
+	recs := ecoPartsOf(proj, pages)
 
 	const shards = 3
 	recycled := newEcoShards(shards)
@@ -59,11 +55,7 @@ func TestEcoShardsSealCostFollowsDelta(t *testing.T) {
 	fpSt := newFingerprintState(1, 1)
 	defer fpSt.close()
 	proj := newProjector(fpSt.plan())
-	recs := make([]*pageRecord, len(pages))
-	for i, p := range pages {
-		recs[i] = new(pageRecord)
-		proj.fromPage(p, recs[i])
-	}
+	recs := ecoPartsOf(proj, pages)
 
 	sealAllocs := func(history int) float64 {
 		e := newEcoShards(shards)

@@ -14,12 +14,12 @@ import (
 //
 // The fingerprints themselves are computed upstream, once per payment,
 // by the projection front door (project.go) through the study's shared
-// plan; apply only routes them. Sealing is epoch-consistent
-// scatter-gather: the study flushes and barriers every shard that
-// changed, then copies only the table pages written since the previous
-// seal, sharing the rest, so Lookup and the Figure 3 rows are
-// bit-identical to a batch deanon.Study over the same pages at any shard
-// count.
+// plan, and reach the view as each page's fpPart; apply only routes
+// them. Sealing is epoch-consistent scatter-gather: the study flushes
+// and barriers every shard that changed, then copies only the table
+// pages written since the previous seal, sharing the rest, so Lookup and
+// the Figure 3 rows are bit-identical to a batch deanon.Study over the
+// same pages at any shard count.
 type fingerprintState struct {
 	study *deanon.ShardedIncStudy
 	// feeders are the per-pipeline-worker intakes: each apply worker
@@ -57,14 +57,14 @@ func (f *fingerprintState) plan() *deanon.FingerprintPlan { return f.study.Plan(
 // shards reports the count-shard fan-out, for metrics.
 func (f *fingerprintState) shards() int { return f.study.Shards() }
 
-// apply folds one projected page in through the calling worker's own
-// feeder, which only that worker touches outside a seal: the record's
-// fingerprint slab holds rows fingerprints per payment, already in the
-// study's row order.
-func (f *fingerprintState) apply(shard int, rec *pageRecord) {
+// apply folds one page's fingerprint part in through the calling
+// worker's own feeder, which only that worker touches outside a seal:
+// the part holds rows fingerprints per payment, already in the study's
+// row order.
+func (f *fingerprintState) apply(shard int, p *fpPart) {
 	fd := f.feeders[shard]
-	for off := 0; off < len(rec.fps); off += f.rows {
-		fd.ObserveFingerprints(rec.fps[off : off+f.rows])
+	for off := 0; off < len(p.fps); off += f.rows {
+		fd.ObserveFingerprints(p.fps[off : off+f.rows])
 	}
 }
 

@@ -59,6 +59,11 @@ func (s *Service) writeMetrics(out io.Writer) {
 	for _, v := range h.Views {
 		w.Gauge("serve_view_ingest_lag_events", "Updates offered to the view but not yet applied.", float64(v.Lag), "view", v.Name)
 	}
+	for _, vw := range s.views {
+		if vw.size != nil {
+			w.Gauge("serve_view_inflight_bytes", "Bytes of record parts offered to each page view and not yet applied or dropped.", float64(vw.inflightBytes.Load()), "view", vw.name)
+		}
+	}
 	for _, v := range h.Views {
 		w.Counter("serve_view_dropped_events_total", "Updates dropped at the view inbox (non-blocking mode).", v.Dropped, "view", v.Name)
 	}

@@ -173,7 +173,9 @@ func TestMetricsWellFormed(t *testing.T) {
 
 // TestMetricsCountBytesGauge checks serve_fingerprint_count_bytes
 // exports the current fingerprint snapshot's CountBytes, and that it
-// grows from the empty service's as the view counts a history.
+// grows from the empty service's as the view counts a history; and that
+// serve_view_inflight_bytes reads exactly 0 for both page views after
+// the Drain and after Close.
 func TestMetricsCountBytesGauge(t *testing.T) {
 	s := NewService(Options{})
 	defer s.Close()
@@ -200,4 +202,17 @@ func TestMetricsCountBytesGauge(t *testing.T) {
 	if body := scrape(); !strings.Contains(body, gauge(counted)) {
 		t.Fatalf("after backfill: metrics missing %q", gauge(counted))
 	}
+
+	inflight := func(when string) {
+		t.Helper()
+		body := scrape()
+		for _, view := range []string{"fig3_fingerprints", "fig4to6_ecosystem"} {
+			if want := "\nserve_view_inflight_bytes{view=\"" + view + "\"} 0\n"; !strings.Contains(body, want) {
+				t.Fatalf("%s: metrics missing %q", when, want)
+			}
+		}
+	}
+	inflight("after the Drain")
+	s.Close()
+	inflight("after Close")
 }

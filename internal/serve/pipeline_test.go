@@ -179,11 +179,7 @@ func TestShardPartitionMergeParityJSON(t *testing.T) {
 	fpSt := newFingerprintState(1, 1)
 	defer fpSt.close()
 	proj := newProjector(fpSt.plan())
-	recs := make([]*pageRecord, len(pages))
-	for i, p := range pages {
-		recs[i] = new(pageRecord)
-		proj.fromPage(p, recs[i])
-	}
+	recs := ecoPartsOf(proj, pages)
 
 	// Single-shard folds.
 	seqEco := newEcoShards(1)

@@ -92,9 +92,9 @@ func (o Options) withDefaults() Options {
 var ErrClosed = errors.New("serve: service closed")
 
 // Service is the live query-serving layer: one ingestion front door
-// projecting pages into owned records and fanning them out in batches
-// to single-writer materialized views, plus the query surface (snapshot
-// accessors and the HTTP API in http.go).
+// projecting pages into owned per-view parts and fanning them out in
+// batches to single-writer materialized views, plus the query surface
+// (snapshot accessors and the HTTP API in http.go).
 type Service struct {
 	opts      Options
 	endpoints [numEndpoints]endpoint
@@ -172,11 +172,8 @@ func NewService(opts Options) *Service {
 		queue:   opts.QueueSize,
 		batch:   opts.PublishBatch,
 		block:   !opts.NonBlocking,
-		apply: func(shard int, u update) {
-			if u.rec != nil {
-				fp.apply(shard, u.rec)
-			}
-		},
+		apply:   func(shard int, u update) { fp.apply(shard, u.fp) },
+		size:    func(u *update) int64 { return u.fp.bytes() },
 		publish: func(epoch uint64) { s.fpSnap.Store(fp.snapshot(epoch, seqOf(s.fpW))) },
 		notify:  s.notifyProgress,
 		sealDue: fp.sealDue,
@@ -189,11 +186,8 @@ func NewService(opts Options) *Service {
 		queue:   opts.QueueSize,
 		batch:   opts.PublishBatch,
 		block:   !opts.NonBlocking,
-		apply: func(shard int, u update) {
-			if u.rec != nil {
-				eco.apply(shard, u.rec)
-			}
-		},
+		apply:   func(shard int, u update) { eco.apply(shard, u.eco) },
+		size:    func(u *update) int64 { return u.eco.bytes() },
 		publish: func(epoch uint64) { s.ecoSnap.Store(eco.snapshot(epoch, seqOf(s.ecoW))) },
 		notify:  s.notifyProgress,
 		sealDue: eco.sealDue,
@@ -215,9 +209,9 @@ func seqOf(w *viewWorker) uint64 {
 // IngestEvent folds one validation-stream event into the views: every
 // well-formed event feeds the Figure 2 tally, and ledger-close events
 // carrying a page payload feed the page views. The payload is projected
-// in place (never materialized as a *ledger.Page); an undecodable one
-// is quarantined (counted in DroppedEvents) without losing the close
-// event itself.
+// in place (never materialized as a *ledger.Page) into exact-size parts
+// with no chunk; an undecodable one is quarantined (counted in
+// DroppedEvents) without losing the close event itself.
 func (s *Service) IngestEvent(ev consensus.Event) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -227,25 +221,28 @@ func (s *Service) IngestEvent(ev consensus.Event) error {
 	s.noteIngest(ev.StreamSeq)
 	s.ingestedEvents.Add(1)
 
-	var rec *pageRecord
+	var (
+		fp  *fpPart
+		eco *ecoPart
+	)
+	seq := ev.Seq
 	if ev.Kind == consensus.EventLedgerClosed && len(ev.PageData) > 0 {
-		rec = new(pageRecord)
+		rec := scratchPool.Get().(*pageRecord)
 		if err := s.proj.fromPayload(ev.PageData, rec); err != nil {
 			s.undecodable.Add(1)
-			rec = nil
+		} else {
+			var single partArena
+			fp, eco = single.carve(rec)
+			seq = rec.seq
 		}
-	}
-	seq := ev.Seq
-	if rec != nil {
-		seq = rec.seq
+		scratchPool.Put(rec)
 	}
 	s.tallyW.offer(update{ev: &ev, seq: seq, streamSeq: ev.StreamSeq})
-	if rec != nil {
+	if fp != nil {
 		s.ingestedPages.Add(1)
-		s.ingestedPayments.Add(uint64(len(rec.payments)))
-		u := update{rec: rec, seq: rec.seq, streamSeq: ev.StreamSeq}
-		s.fpW.offer(u)
-		s.ecoW.offer(u)
+		s.ingestedPayments.Add(uint64(len(eco.payments)))
+		s.fpW.offer(update{fp: fp, seq: seq, streamSeq: ev.StreamSeq})
+		s.ecoW.offer(update{eco: eco, seq: seq, streamSeq: ev.StreamSeq})
 	}
 	return nil
 }
@@ -255,11 +252,15 @@ func (s *Service) IngestEvent(ev consensus.Event) error {
 // view is untouched). Bulk loads should prefer IngestPages or
 // BackfillStore, which amortize the queue operations.
 func (s *Service) IngestPage(p *ledger.Page) error {
-	rec := new(pageRecord)
+	rec := scratchPool.Get().(*pageRecord)
 	s.proj.fromPage(p, rec)
-	b := getUpdateBatch()
-	b = append(b, update{rec: rec, seq: rec.seq})
-	return s.ingestPageBatch(b, len(rec.payments))
+	var single partArena
+	fp, eco := single.carve(rec)
+	seq := rec.seq
+	scratchPool.Put(rec)
+	fpB := append(getUpdateBatch(), update{fp: fp, seq: seq})
+	ecoB := append(getUpdateBatch(), update{eco: eco, seq: seq})
+	return s.ingestPageBatch(fpB, ecoB, len(eco.payments))
 }
 
 // IngestPages folds a batch of sealed pages into the page views with
@@ -301,12 +302,11 @@ func (s *Service) IngestPages(pages []*ledger.Page) error {
 func (s *Service) ingestChunk(pages []*ledger.Page) error {
 	b := s.newBatcher()
 	for _, p := range pages {
-		rec := new(pageRecord)
-		s.proj.fromPage(p, rec)
-		if err := b.add(rec); err != nil {
+		s.proj.fromPage(p, &b.scratch)
+		if err := b.add(); err != nil {
 			// add only fails once the service is closed, and the failing
-			// flush already released the flushed batch; nothing is left
-			// buffered.
+			// flush already released the flushed batches; nothing is
+			// left buffered.
 			return err
 		}
 	}
@@ -314,30 +314,28 @@ func (s *Service) ingestChunk(pages []*ledger.Page) error {
 }
 
 // ingestPageBatch is the shared back half of every page ingest path:
-// bookkeeping once per batch, then fan-out of the batch to both page
-// views. It takes ownership of b.
-func (s *Service) ingestPageBatch(b []update, payments int) error {
+// bookkeeping once per batch, then fan-out of each page view's batch of
+// parts to its view. It takes ownership of both batches, which carry
+// the same pages in the same order.
+func (s *Service) ingestPageBatch(fpB, ecoB []update, payments int) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		putUpdateBatch(b)
+		putUpdateBatch(fpB)
+		putUpdateBatch(ecoB)
 		return ErrClosed
 	}
 	s.noteIngest(0)
-	s.ingestedPages.Add(uint64(len(b)))
+	s.ingestedPages.Add(uint64(len(ecoB)))
 	s.ingestedPayments.Add(uint64(payments))
 	s.ingestBatches.Add(1)
-	s.ingestBatchPages.Add(uint64(len(b)))
+	s.ingestBatchPages.Add(uint64(len(ecoB)))
 
-	// Each view consumes (and recycles) its own batch slice; the
-	// updates inside share the records, which views only read.
-	fpB := getUpdateBatch()
-	fpB = append(fpB, b...)
 	if !s.fpW.offerBatch(fpB) {
 		putUpdateBatch(fpB)
 	}
-	if !s.ecoW.offerBatch(b) {
-		putUpdateBatch(b)
+	if !s.ecoW.offerBatch(ecoB) {
+		putUpdateBatch(ecoB)
 	}
 	return nil
 }
@@ -359,49 +357,63 @@ func (s *Service) noteIngest(streamSeq uint64) {
 	}
 }
 
-// recBatcher accumulates projected records and flushes them through
-// ingestPageBatch every IngestBatchPages pages. Not safe for concurrent
-// use; parallel backfills keep one per worker.
+// recBatcher is one producer of the batched ingest paths: it projects
+// every page into its one scratch record, carves the record's parts
+// from its own chunk slabs, and flushes them through ingestPageBatch
+// every IngestBatchPages pages. Not safe for concurrent use; parallel
+// backfills keep one per worker.
 type recBatcher struct {
-	s        *Service
-	buf      []update
+	s       *Service
+	scratch pageRecord
+	arena   partArena
+	fpBuf   []update
+	ecoBuf  []update
+	// payments counts the buffered pages' payments.
 	payments int
 	limit    int
 }
 
 func (s *Service) newBatcher() *recBatcher {
-	return &recBatcher{s: s, buf: getUpdateBatch(), limit: s.opts.IngestBatchPages}
+	return &recBatcher{s: s, arena: partArena{chunked: true},
+		fpBuf: getUpdateBatch(), ecoBuf: getUpdateBatch(), limit: s.opts.IngestBatchPages}
 }
 
-func (b *recBatcher) add(rec *pageRecord) error {
-	b.buf = append(b.buf, update{rec: rec, seq: rec.seq})
-	b.payments += len(rec.payments)
-	if len(b.buf) >= b.limit {
+// add carves the page just projected into b.scratch and buffers its
+// parts.
+func (b *recBatcher) add() error {
+	fp, eco := b.arena.carve(&b.scratch)
+	seq := b.scratch.seq
+	b.fpBuf = append(b.fpBuf, update{fp: fp, seq: seq})
+	b.ecoBuf = append(b.ecoBuf, update{eco: eco, seq: seq})
+	b.payments += len(eco.payments)
+	if len(b.ecoBuf) >= b.limit {
 		return b.flush()
 	}
 	return nil
 }
 
 func (b *recBatcher) flush() error {
-	if len(b.buf) == 0 {
+	if len(b.ecoBuf) == 0 {
 		return nil
 	}
-	buf, n := b.buf, b.payments
-	b.buf, b.payments = getUpdateBatch(), 0
-	return b.s.ingestPageBatch(buf, n)
+	fpB, ecoB, n := b.fpBuf, b.ecoBuf, b.payments
+	b.fpBuf, b.ecoBuf, b.payments = getUpdateBatch(), getUpdateBatch(), 0
+	return b.s.ingestPageBatch(fpB, ecoB, n)
 }
 
 // discard releases anything still buffered (abandoned backfill).
 func (b *recBatcher) discard() {
-	putUpdateBatch(b.buf)
-	b.buf, b.payments = nil, 0
+	putUpdateBatch(b.fpBuf)
+	putUpdateBatch(b.ecoBuf)
+	b.fpBuf, b.ecoBuf, b.payments = nil, nil, 0
 }
 
 // BackfillStore streams a closed history from a ledgerstore into the
 // page views at memory-scan speed: up to workers goroutines walk the raw
-// record payloads (mmap'd where the platform allows) and project each
-// page in place into an owned record — no *ledger.Page is ever
-// materialized — then feed the views in batches. Pages interleave
+// record payloads (mmap'd where the platform allows), each projecting
+// every page in place into its one scratch record — no *ledger.Page is
+// ever materialized — and carving the record's two parts from its own
+// chunk slabs, then feed the views in batches. Pages interleave
 // across segments, but every view statistic is order-insensitive, so the
 // result is identical to a sequential backfill.
 //
@@ -420,11 +432,10 @@ func (s *Service) BackfillStore(ctx context.Context, store *ledgerstore.Store, w
 			b = s.newBatcher()
 			batchers[w] = b
 		}
-		rec := new(pageRecord)
-		if perr := s.proj.fromPayload(payload, rec); perr != nil {
+		if perr := s.proj.fromPayload(payload, &b.scratch); perr != nil {
 			return fmt.Errorf("serve: backfill: %w", perr)
 		}
-		return b.add(rec)
+		return b.add()
 	})
 	for _, b := range batchers {
 		if b == nil {

@@ -11,7 +11,7 @@ import (
 // and concurrent non-blocking offerers, every offered update must end
 // up either applied (and sealed by the shutdown publish) or counted as
 // dropped — sealed + dropped == offered, with no update lost or
-// double-counted. Run under -race in CI.
+// double-counted — and no byte left in flight. Run under -race in CI.
 func TestViewWorkerShedAccounting(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -23,7 +23,8 @@ func TestViewWorkerShedAccounting(t *testing.T) {
 					once.Do(func() { close(first) })
 					<-release
 				},
-				publish: func(uint64) {}})
+				publish: func(uint64) {},
+				size:    func(*update) int64 { return 3 }})
 
 			w.offer(update{}) // a worker blocks in apply
 			<-first
@@ -65,6 +66,9 @@ func TestViewWorkerShedAccounting(t *testing.T) {
 			if w.lag() != 0 {
 				t.Fatalf("lag %d after close, want 0", w.lag())
 			}
+			if n := w.inflightBytes.Load(); n != 0 {
+				t.Fatalf("%d bytes in flight after close, want 0", n)
+			}
 		})
 	}
 }
@@ -74,7 +78,8 @@ func TestViewWorkerShedAccounting(t *testing.T) {
 // — until the page views shed real load, checking along the way that
 // /healthz status is coupled exactly to the drop counter — "ok" iff
 // zero drops — and afterwards that every view's ledger balances:
-// sealed + dropped == offered.
+// sealed + dropped == offered, with no byte in flight after the Drain
+// or after Close.
 func TestNonBlockingServiceShedsAndDegrades(t *testing.T) {
 	pages := genPages(t, 1500, 53)
 	for _, workers := range []int{1, 3} {
@@ -122,6 +127,8 @@ func TestNonBlockingServiceShedsAndDegrades(t *testing.T) {
 			if h := s.Health(); h.Status != "degraded" {
 				t.Fatalf("health after shedding = %q, want degraded", h.Status)
 			}
+			s.Close()
+			checkNoInflightBytes(t, s)
 		})
 	}
 }

@@ -22,14 +22,14 @@
 // bit-identical to the sequential fold — the property the differential
 // tests pin.
 //
-// Ingest projects each page once at the front door (project.go) into an
-// owned record and fans the record out in batches, so queue operations,
-// channel wakeups, and bookkeeping amortize over IngestBatchPages
-// updates instead of one. Readers never touch mutable state: each
-// publish seals an immutable snapshot — sharing whatever did not change
-// with the previous one — behind an atomic pointer and bumps the view's
-// epoch, so queries never block ingestion and ingestion never blocks
-// queries. A view publishes at least every PublishBatch updates
+// Ingest projects each page once at the front door (project.go) into two
+// owned parts, one per page view, and fans each view's parts out in
+// batches, so queue operations, channel wakeups, and bookkeeping
+// amortize over IngestBatchPages updates instead of one. Readers never
+// touch mutable state: each publish seals an immutable snapshot —
+// sharing whatever did not change with the previous one — behind an
+// atomic pointer and bumps the view's epoch, so queries never block
+// ingestion and ingestion never blocks queries. A view publishes at least every PublishBatch updates
 // (amortized snapshot cost under heavy load) and, once its rings run dry
 // with unpublished updates, after waiting as long as its previous seal
 // took: updates arriving meanwhile join that seal without extending the
@@ -51,15 +51,16 @@ import (
 )
 
 // update is one unit of ingest work fanned out to the views: a stream
-// event (validation or ledger close) for the tally view, or a projected
-// page record for the page views. seq and streamSeq carry the ledger
+// event (validation or ledger close) for the tally view, or one page
+// view's part of a projected page. seq and streamSeq carry the ledger
 // and stream sequence bookkeeping so workers never re-inspect payloads.
 // The event rides behind a pointer: a consensus.Event is ~200 bytes, and
 // page updates (the firehose path) never carry one, so keeping it inline
 // would make every pooled batch slab 7× larger to copy and GC-scan.
 type update struct {
 	ev        *consensus.Event // tally view only
-	rec       *pageRecord      // page views only
+	fp        *fpPart          // fingerprint view only
+	eco       *ecoPart         // ecosystem view only
 	seq       uint64
 	streamSeq uint64
 }
@@ -117,6 +118,9 @@ type viewConfig struct {
 	// publish cost grows with state size; ring-dry seals (after their
 	// wait) and shutdown seals bypass it.
 	sealDue func() bool
+	// size (optional) is the bytes an update holds alive until it is
+	// applied, summed per batch into inflightBytes.
+	size func(u *update) int64
 }
 
 // viewWorker is the pipeline machinery shared by all views: bounded
@@ -130,6 +134,7 @@ type viewWorker struct {
 	publish func(epoch uint64)
 	notify  func()
 	sealDue func() bool
+	size    func(u *update) int64
 	batch   int
 	block   bool
 
@@ -143,6 +148,11 @@ type viewWorker struct {
 	sealDur    telemetry.Histogram // each publish (bootstrap excluded): pause through merge
 	mergeDur   telemetry.Histogram // each publish's merge alone
 	dryWait    telemetry.Histogram // each ring-dry wait, ended by a seal or by new work
+	// inflightBytes is size summed over the updates offered and not yet
+	// applied or dropped: added once per offered batch, subtracted once
+	// per applied or shed batch, before the counters that let a Drain
+	// return.
+	inflightBytes atomic.Int64
 
 	// lastSeal is how long the latest seal took, pause through merge,
 	// and dryDue when the next ring-dry seal falls due: lastSeal after
@@ -195,6 +205,7 @@ func newViewWorker(cfg viewConfig) *viewWorker {
 		publish: cfg.publish,
 		notify:  cfg.notify,
 		sealDue: cfg.sealDue,
+		size:    cfg.size,
 		batch:   cfg.batch,
 		block:   cfg.block,
 	}
@@ -261,6 +272,7 @@ func (w *viewWorker) runShardWorker(i int) {
 					w.bumpSeq(&w.streamSeq, u.streamSeq)
 				}
 			}
+			w.release(b)
 			w.applied.Add(uint64(len(b)))
 			putUpdateBatch(b)
 			w.wake()
@@ -393,6 +405,25 @@ func (w *viewWorker) bumpSeq(g *atomic.Uint64, v uint64) {
 	}
 }
 
+// batchBytes sums size over a batch; 0 for a view without one.
+func (w *viewWorker) batchBytes(b []update) int64 {
+	if w.size == nil {
+		return 0
+	}
+	var n int64
+	for i := range b {
+		n += w.size(&b[i])
+	}
+	return n
+}
+
+// release takes an applied or shed batch's bytes off inflightBytes.
+func (w *viewWorker) release(b []update) {
+	if n := w.batchBytes(b); n != 0 {
+		w.inflightBytes.Add(-n)
+	}
+}
+
 // offer hands a single update to the view, as a one-element batch.
 func (w *viewWorker) offer(u update) bool {
 	b := getUpdateBatch()
@@ -421,6 +452,9 @@ func (w *viewWorker) offerBatch(b []update) bool {
 		putUpdateBatch(b)
 		return true
 	}
+	if bytes := w.batchBytes(b); bytes != 0 {
+		w.inflightBytes.Add(bytes)
+	}
 	w.offered.Add(n)
 	if w.route == nil {
 		// Any partition of the stream merges to the same snapshot, so
@@ -435,6 +469,7 @@ func (w *viewWorker) offerBatch(b []update) bool {
 		case in <- b:
 			return true
 		default:
+			w.release(b)
 			w.dropped.Add(n)
 			// A drop can complete a Drain target (dropped updates never
 			// seal), so it must wake waiters too.
@@ -488,6 +523,7 @@ func (w *viewWorker) sendRouted(sh int, sub []update) {
 	select {
 	case w.ins[sh] <- sub:
 	default:
+		w.release(sub)
 		w.dropped.Add(uint64(len(sub)))
 		putUpdateBatch(sub)
 		if w.notify != nil {

@@ -375,8 +375,8 @@ func (fd *FrontDoor) applyLoop() {
 }
 
 // resolve finalizes one transaction's status, evicts the status that
-// leaves the retained window, signals the waiter, and releases the
-// admission slot.
+// leaves the retained window, counts the outcome, signals the waiter,
+// and releases the admission slot.
 func (fd *FrontDoor) resolve(qt *queuedTx) {
 	wait := time.Since(qt.enqueued)
 	result := "internal error"
@@ -418,13 +418,15 @@ func (fd *FrontDoor) resolve(qt *queuedTx) {
 		fd.ringNext = (fd.ringNext + 1) % len(fd.resolved)
 	}
 	fd.stMu.Unlock()
-	close(qt.done)
-	<-fd.slots
+	// Count the outcome before the waiter can see it, so a submitter
+	// that returns and scrapes /metrics finds its own submission there.
 	fd.met.applied.Add(1)
 	if succeeded {
 		fd.met.succeeded.Add(1)
 	}
 	fd.met.submit.Observe(wait)
+	close(qt.done)
+	<-fd.slots
 }
 
 // PathFind answers a ripple_path_find-style quote: the best liquidity
