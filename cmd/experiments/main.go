@@ -14,7 +14,9 @@
 // clustering, the attack demo on sampled payments) and, over a stored
 // history, the store's integrity check. Run with -only to regenerate a
 // single experiment (e.g. -only fig3); -store reuses a history that
-// ledger-gen or an earlier run wrote:
+// ledger-gen or an earlier run wrote, or keeps the one this run
+// generates. Without -store the run generates into a temporary store and
+// removes it on exit:
 //
 //	experiments -store ./history -only attack -samples 1000
 package main
@@ -27,6 +29,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -60,7 +63,7 @@ func main() {
 	flag.IntVar(&o.payments, "payments", 50_000, "synthetic history size (payments)")
 	flag.Int64Var(&o.seed, "seed", 1, "random seed (history, Figure 2, attack-demo sampling)")
 	flag.IntVar(&o.rounds, "rounds", 2000, "consensus rounds per Figure 2 period")
-	flag.StringVar(&o.storeDir, "store", "", "persist/reuse the history in this ledgerstore directory")
+	flag.StringVar(&o.storeDir, "store", "", "persist/reuse the history in this ledgerstore directory (default: a temporary store, removed on exit)")
 	flag.StringVar(&o.only, "only", "", "run a single experiment: fig2|table1|fig3|importance|cluster|attack|fig4|fig5|fig6|table2|fig7|mitigation|incentives|spamcost|overlap|dos|window|attacks|integrity (needs -store)")
 	flag.IntVar(&o.workers, "workers", 0, "parallel scan/study workers for the de-anonymization pipeline (0 = GOMAXPROCS); the Table II replay is sequential whatever the value")
 	flag.Uint64Var(&o.ckptEvery, "checkpoint-every", 0, "write state-tree checkpoints every N pages during store replays (0 = resume only, never write)")
@@ -120,7 +123,16 @@ func run(o options) error {
 		return nil
 	}
 
-	ds, err := buildOrOpen(o.payments, o.seed, o.storeDir)
+	storeDir := o.storeDir
+	if storeDir == "" {
+		tmp, err := os.MkdirTemp("", "experiments-")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(tmp)
+		storeDir = filepath.Join(tmp, "history")
+	}
+	ds, err := buildOrOpen(o.payments, o.seed, storeDir)
 	if err != nil {
 		return err
 	}

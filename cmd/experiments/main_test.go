@@ -180,3 +180,30 @@ func TestRunUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRunWithoutStoreRemovesItsStore: without -store the history is
+// generated into a temporary store, which is gone when the run returns,
+// and the integrity section (a check of a user's store) does not run.
+func TestRunWithoutStoreRemovesItsStore(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	out, err := capture(t, options{payments: 1500, seed: 3, workers: 1, top: 5, samples: 1, only: "fig4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"=== Building synthetic history: 1500 payments, seed 3 ===", "history: "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "integrity") {
+		t.Errorf("integrity ran without -store:\n%s", out)
+	}
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Errorf("the run left %d entries in the temporary directory, first %s", len(left), left[0].Name())
+	}
+}

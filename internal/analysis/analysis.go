@@ -213,26 +213,17 @@ func (c *Collector) AddOffer(owner addr.AccountID) {
 	c.offersTotal++
 }
 
-// Merge folds another collector's accumulated statistics into c,
-// leaving other unusable. Every statistic the collector keeps is an
-// order-insensitive sum (counts, histograms) or union (account sets),
-// so merging per-worker collectors from a segment-parallel scan yields
-// exactly the state a single sequential collector would have reached —
-// the property core's segment-parallel ecosystem scan relies on.
-func (c *Collector) Merge(other *Collector) { c.mergeFrom(other, true) }
-
-// MergeCloned folds another collector's statistics into c like Merge
-// but leaves other untouched and reusable: per-currency histograms are
+// MergeCloned folds another collector's accumulated statistics into c
+// and leaves other untouched and reusable: per-currency histograms are
 // copied, never adopted, so the same source collector can keep
-// accumulating and be merged again later. This is the repeated
-// seal-time merge the serving layer's sharded ecosystem view runs
-// against its persistent per-worker shards.
-func (c *Collector) MergeCloned(other *Collector) { c.mergeFrom(other, false) }
-
-// mergeFrom is the shared merge walk; adopt controls whether histogram
-// pointers first seen under a currency are taken over (cheap,
-// destructive) or deep-copied (repeatable).
-func (c *Collector) mergeFrom(other *Collector, adopt bool) {
+// accumulating and be merged again later. Every statistic the collector
+// keeps is an order-insensitive sum (counts, histograms) or union
+// (account sets), so merging per-worker collectors from a
+// segment-parallel scan yields exactly the state a single sequential
+// collector would have reached. core's segment-parallel ecosystem scan
+// merges its workers' collectors once; the serving layer's sharded
+// ecosystem view merges its persistent per-worker shards at every seal.
+func (c *Collector) MergeCloned(other *Collector) {
 	c.payments += other.payments
 	c.failed += other.failed
 	c.transacts += other.transacts
@@ -245,12 +236,8 @@ func (c *Collector) mergeFrom(other *Collector, adopt bool) {
 	for cur, h := range other.amounts {
 		mine := c.amounts[cur]
 		if mine == nil {
-			if adopt {
-				c.amounts[cur] = h
-			} else {
-				cp := *h
-				c.amounts[cur] = &cp
-			}
+			cp := *h
+			c.amounts[cur] = &cp
 			continue
 		}
 		mine.merge(h)

@@ -356,8 +356,7 @@ func collectorFingerprint(c *Collector) map[string]any {
 // layer's sharded ecosystem view runs: per-shard collectors keep
 // accumulating across repeated MergeCloned merges, and each merged
 // result equals the sequential fold of the same prefix — so the merge
-// neither corrupts the sources (Merge would: it adopts histogram
-// pointers) nor drifts from the single-writer answer.
+// neither corrupts the sources nor drifts from the single-writer answer.
 func TestMergeClonedRepeatable(t *testing.T) {
 	var pages []*ledger.Page
 	_, err := synth.Generate(synth.Config{
@@ -401,24 +400,6 @@ func TestMergeClonedRepeatable(t *testing.T) {
 		}
 	}
 
-	// Destructive-merge cross-check: Merge over clones of nothing — the
-	// classic batch path — must agree with MergeCloned's answer.
-	adopted := NewCollector()
-	fresh := make([]*Collector, shards)
-	for i := range fresh {
-		fresh[i] = NewCollector()
-	}
-	for i, p := range pages {
-		if err := fresh[i%shards].Page(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, sh := range fresh {
-		adopted.Merge(sh)
-	}
-	if !reflect.DeepEqual(collectorFingerprint(adopted), collectorFingerprint(seq)) {
-		t.Fatal("destructive Merge diverges from sequential fold")
-	}
 }
 
 // TestResetMatchesFresh pins the recycle contract: a Reset collector is

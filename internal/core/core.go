@@ -1,12 +1,16 @@
 // Package core is the public facade of the study: it wires the synthetic
 // history generator, the ledger store, the consensus simulator, and the
 // analysis engines into one-call experiment runners — one per table and
-// figure of the paper. The cmd/ binaries and the benchmark harness are
-// thin wrappers around this package.
+// figure of the paper. A dataset is a ledgerstore: BuildDataset writes
+// the generated history into one and OpenDataset reopens one, and every
+// figure streams its history from the store's segments. The cmd/
+// binaries and the benchmark harness are thin wrappers around this
+// package.
 package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -22,89 +26,62 @@ import (
 	"ripplestudy/internal/synth"
 )
 
-// Config parameterizes a study run.
+// Config parameterizes BuildDataset.
 type Config struct {
 	// Payments sizes the synthetic history (the paper's full scale is
 	// 23M; the default is laptop-friendly).
 	Payments int
 	// Seed drives all randomness.
 	Seed int64
-	// StoreDir, when set, persists the history to a ledgerstore and
-	// streams analyses from disk; otherwise pages stay in memory.
+	// StoreDir is the ledgerstore directory the history is written to.
+	// It is required: every analysis streams the history from disk.
 	StoreDir string
-	// ConsensusRounds scales the Figure 2 collection periods (a full
-	// 2-week period is consensus.FullPeriodRounds).
-	ConsensusRounds int
-	// Workers caps the scan/study parallelism of the de-anonymization
-	// pipeline; 0 means GOMAXPROCS.
-	Workers int
-	// CheckpointEvery, when nonzero on a disk-backed dataset, makes the
-	// replay-based experiments persist sealed state-tree checkpoints every
-	// N pages into the store's sidecar, and resume from the nearest one on
-	// later runs. Zero still resumes from any checkpoints already present.
-	CheckpointEvery uint64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Payments == 0 {
-		c.Payments = 50_000
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.ConsensusRounds == 0 {
-		c.ConsensusRounds = 2000
-	}
-	return c
-}
-
-// Dataset is a generated history plus the state needed by the analyses.
+// Dataset is a stored history plus the state needed by the analyses.
 type Dataset struct {
-	cfg    Config
-	source replay.Source
-	result *synth.Result
+	store  *ledgerstore.Store
+	result *synth.Result // the generator's final state; nil for an opened store
+
+	// workers caps the scan/study parallelism of the de-anonymization
+	// pipeline; 0 means GOMAXPROCS.
+	workers int
+	// checkpointEvery, when nonzero, makes the replay-based experiments
+	// persist sealed state-tree checkpoints every N pages into the store's
+	// sidecar. Zero still resumes from any checkpoints already present.
+	checkpointEvery uint64
 
 	collector *analysis.Collector // lazy ecosystem statistics
 }
 
-// BuildDataset generates the history (persisting it when StoreDir is
-// set) and returns the dataset the experiments run on.
+// BuildDataset generates the history into cfg.StoreDir and returns the
+// dataset the experiments run on.
 func BuildDataset(cfg Config) (*Dataset, error) {
-	cfg = cfg.withDefaults()
-	ds := &Dataset{cfg: cfg}
-
-	genCfg := synth.Config{
-		Payments:       cfg.Payments,
-		Seed:           cfg.Seed,
-		SkipSignatures: true,
+	if cfg.StoreDir == "" {
+		return nil, errors.New("core: Config.StoreDir is required")
 	}
-	if cfg.StoreDir != "" {
-		store, err := ledgerstore.Create(cfg.StoreDir)
-		if err != nil {
-			return nil, err
-		}
-		res, err := synth.Generate(genCfg, store.Append)
-		if err != nil {
-			return nil, err
-		}
-		if err := store.Close(); err != nil {
-			return nil, err
-		}
-		ds.source = store
-		ds.result = res
-		return ds, nil
+	if cfg.Payments == 0 {
+		cfg.Payments = 50_000
 	}
-	var pages []*ledger.Page
-	res, err := synth.Generate(genCfg, func(p *ledger.Page) error {
-		pages = append(pages, p)
-		return nil
-	})
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	store, err := ledgerstore.Create(cfg.StoreDir)
 	if err != nil {
 		return nil, err
 	}
-	ds.source = replay.FromPages(pages)
-	ds.result = res
-	return ds, nil
+	res, err := synth.Generate(synth.Config{
+		Payments:       cfg.Payments,
+		Seed:           cfg.Seed,
+		SkipSignatures: true,
+	}, store.Append)
+	if err != nil {
+		return nil, err
+	}
+	if err := store.Close(); err != nil {
+		return nil, err
+	}
+	return &Dataset{store: store, result: res}, nil
 }
 
 // OpenDataset runs the experiments over a previously generated store.
@@ -115,78 +92,48 @@ func OpenDataset(dir string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Dataset{cfg: Config{StoreDir: dir}.withDefaults(), source: store}, nil
+	return &Dataset{store: store}, nil
 }
 
-// Source exposes the page stream.
-func (ds *Dataset) Source() replay.Source { return ds.source }
+// Source returns the store the dataset reads.
+func (ds *Dataset) Source() *ledgerstore.Store { return ds.store }
 
-// ecosystem builds (once) the streaming appendix statistics. Store-backed
-// datasets scan segments in parallel at the configured worker count, one
-// private collector per worker, merged at the end — every collector
-// statistic is an order-insensitive sum or union, so the merged result
-// is identical to a sequential scan.
+// ecosystem builds (once) the streaming appendix statistics. It scans
+// segments in parallel at the configured worker count, one private
+// collector per worker, merged at the end — every collector statistic
+// is an order-insensitive sum or union, so the merged result is
+// identical to a sequential scan.
 func (ds *Dataset) ecosystem() (*analysis.Collector, error) {
 	if ds.collector != nil {
 		return ds.collector, nil
 	}
-	workers := ds.workers()
-	if store, ok := ds.source.(*ledgerstore.Store); ok {
-		cols := make([]*analysis.Collector, workers)
-		arenas := make([]ledger.PageArena, workers)
-		for i := range cols {
-			cols[i] = analysis.NewCollector()
-		}
-		// Collector.Page copies everything it keeps, so each worker
-		// decodes into its own reused arena and skips the per-page
-		// decode garbage.
-		err := store.PayloadsParallel(context.Background(), workers, func(w int, payload []byte) error {
-			p, used, err := ledger.DecodePageInto(payload, &arenas[w])
-			if err != nil {
-				return err
-			}
-			if used != len(payload) {
-				return fmt.Errorf("%w: %d trailing bytes in record", ledgerstore.ErrCorrupted, len(payload)-used)
-			}
-			return cols[w].Page(p)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: scanning history: %w", err)
-		}
-		c := cols[0]
-		for _, other := range cols[1:] {
-			c.Merge(other)
-		}
-		ds.collector = c
-		return c, nil
+	workers := ds.resolveWorkers()
+	cols := make([]*analysis.Collector, workers)
+	arenas := make([]ledger.PageArena, workers)
+	for i := range cols {
+		cols[i] = analysis.NewCollector()
 	}
-	c := analysis.NewCollector()
-	if err := ds.source.Pages(c.Page); err != nil {
+	// Collector.Page copies everything it keeps, so each worker decodes
+	// into its own reused arena and skips the per-page decode garbage.
+	err := ds.store.PayloadsParallel(context.Background(), workers, func(w int, payload []byte) error {
+		p, used, err := ledger.DecodePageInto(payload, &arenas[w])
+		if err != nil {
+			return err
+		}
+		if used != len(payload) {
+			return fmt.Errorf("%w: %d trailing bytes in record", ledgerstore.ErrCorrupted, len(payload)-used)
+		}
+		return cols[w].Page(p)
+	})
+	if err != nil {
 		return nil, fmt.Errorf("core: scanning history: %w", err)
+	}
+	c := cols[0]
+	for _, other := range cols[1:] {
+		c.MergeCloned(other)
 	}
 	ds.collector = c
 	return c, nil
-}
-
-// lastSeq returns the final page sequence of the history. Sources with
-// a sequence index (ledgerstore.Store) answer without scanning.
-func (ds *Dataset) lastSeq() (uint64, error) {
-	if ls, ok := ds.source.(interface{ LastSeq() (uint64, bool, error) }); ok {
-		seq, has, err := ls.LastSeq()
-		if err != nil {
-			return 0, err
-		}
-		if has {
-			return seq, nil
-		}
-		return 0, nil
-	}
-	var last uint64
-	err := ds.source.Pages(func(p *ledger.Page) error {
-		last = p.Header.Sequence
-		return nil
-	})
-	return last, err
 }
 
 // Figure2 runs the three collection-period simulations and returns one
@@ -211,53 +158,31 @@ func TableI() []string { return deanon.TableISpec() }
 
 // SetWorkers overrides the de-anonymization pipeline's parallelism
 // (0 restores the GOMAXPROCS default).
-func (ds *Dataset) SetWorkers(n int) { ds.cfg.Workers = n }
+func (ds *Dataset) SetWorkers(n int) { ds.workers = n }
 
-// SetCheckpointEvery adjusts the checkpoint cadence after opening a
-// dataset (flags on the cmd binaries go through here).
-func (ds *Dataset) SetCheckpointEvery(n uint64) { ds.cfg.CheckpointEvery = n }
+// SetCheckpointEvery sets the checkpoint cadence of the replay-based
+// experiments (flags on the cmd binaries go through here).
+func (ds *Dataset) SetCheckpointEvery(n uint64) { ds.checkpointEvery = n }
 
-// buildOpts resolves the replay options the dataset's experiments use:
-// write checkpoints at the configured cadence, resume from whatever the
-// sidecar already holds.
-func (ds *Dataset) buildOpts() replay.BuildOptions {
-	return replay.BuildOptions{CheckpointEvery: ds.cfg.CheckpointEvery}
-}
-
-// workers resolves the configured parallelism.
-func (ds *Dataset) workers() int {
-	if ds.cfg.Workers > 0 {
-		return ds.cfg.Workers
+// resolveWorkers resolves the configured parallelism.
+func (ds *Dataset) resolveWorkers() int {
+	if ds.workers > 0 {
+		return ds.workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// feedStudy streams every payment's features into the sharded study.
-// Store-backed datasets take the zero-copy payment projection
-// (ledgerstore.ScanPayments) with one Feeder per scan worker — no page,
-// transaction, or metadata object is ever materialized; in-memory
-// datasets feed sequentially (the shard workers still count
-// concurrently).
+// feedStudy streams every payment's features into the sharded study
+// through the zero-copy payment projection (ledgerstore.ScanPayments),
+// one Feeder per scan worker — no page, transaction, or metadata object
+// is ever materialized.
 func (ds *Dataset) feedStudy(ctx context.Context, workers int, study *deanon.ParallelStudy) error {
-	if store, ok := ds.source.(*ledgerstore.Store); ok {
-		feeders := make([]*deanon.Feeder, workers)
-		for i := range feeders {
-			feeders[i] = study.Feeder()
-		}
-		return store.ScanPayments(ctx, workers, func(w int, pv *ledger.PaymentView) error {
-			feeders[w].Observe(deanon.FromPaymentView(pv))
-			return nil
-		})
+	feeders := make([]*deanon.Feeder, workers)
+	for i := range feeders {
+		feeders[i] = study.Feeder()
 	}
-	return ds.source.Pages(func(p *ledger.Page) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for i := range p.Txs {
-			if f, ok := deanon.FromTransaction(p, p.Txs[i], p.Metas[i]); ok {
-				study.Observe(f)
-			}
-		}
+	return ds.store.ScanPayments(ctx, workers, func(w int, pv *ledger.PaymentView) error {
+		feeders[w].Observe(deanon.FromPaymentView(pv))
 		return nil
 	})
 }
@@ -275,7 +200,7 @@ func (ds *Dataset) Figure3() ([]deanon.RowResult, error) {
 // count.
 func (ds *Dataset) Figure3Parallel(ctx context.Context, workers int) ([]deanon.RowResult, error) {
 	if workers < 1 {
-		workers = ds.workers()
+		workers = ds.resolveWorkers()
 	}
 	study := deanon.NewParallelStudy(deanon.Figure3Rows, deanon.ShardBitsFor(workers))
 	defer study.Close()
@@ -290,7 +215,7 @@ func (ds *Dataset) Figure3Parallel(ctx context.Context, workers int) ([]deanon.R
 // the same parallel pipeline as Figure3.
 func (ds *Dataset) FeatureImportance(ctx context.Context, workers int) ([]deanon.FeatureImportance, float64, error) {
 	if workers < 1 {
-		workers = ds.workers()
+		workers = ds.resolveWorkers()
 	}
 	imp := deanon.NewImportanceStudy(deanon.ShardBitsFor(workers))
 	defer imp.Close()
@@ -301,32 +226,19 @@ func (ds *Dataset) FeatureImportance(ctx context.Context, workers int) ([]deanon
 	return imp.Results(), imp.FullIG(), nil
 }
 
-// collectFeatures gathers every payment's features in history order,
-// scanning segments in parallel when the dataset is store-backed. The
-// parallel path tags each page's features with its sequence and sorts,
-// so the result is identical to a sequential scan.
+// collectFeatures gathers every payment's features in history order.
+// The segments are scanned in parallel; each payment's features are
+// tagged with its page sequence and sorted, so the result is identical
+// to a sequential scan at any worker count.
 func (ds *Dataset) collectFeatures(ctx context.Context) ([]deanon.Features, error) {
-	workers := ds.workers()
-	store, ok := ds.source.(*ledgerstore.Store)
-	if !ok || workers <= 1 {
-		var feats []deanon.Features
-		err := ds.source.Pages(func(p *ledger.Page) error {
-			for i := range p.Txs {
-				if f, ok := deanon.FromTransaction(p, p.Txs[i], p.Metas[i]); ok {
-					feats = append(feats, f)
-				}
-			}
-			return nil
-		})
-		return feats, err
-	}
+	workers := ds.resolveWorkers()
 	type taggedFeat struct {
 		seq uint64
 		idx int
 		f   deanon.Features
 	}
 	perWorker := make([][]taggedFeat, workers)
-	err := store.ScanPayments(ctx, workers, func(w int, pv *ledger.PaymentView) error {
+	err := ds.store.ScanPayments(ctx, workers, func(w int, pv *ledger.PaymentView) error {
 		perWorker[w] = append(perWorker[w], taggedFeat{
 			seq: pv.Seq,
 			idx: pv.Index,
@@ -403,29 +315,23 @@ func (ds *Dataset) Figure7(k int) ([]analysis.Intermediary, error) {
 	if err != nil {
 		return nil, err
 	}
-	var names analysis.Namer
 	if ds.result != nil {
-		names = ds.result.Population.Registry()
-	}
-	top := c.TopIntermediaries(k, names)
-	graph := ds.finalGraphSource()
-	if graph == nil {
-		last, err := ds.lastSeq()
-		if err != nil {
-			return nil, err
-		}
-		eng, err := replay.BuildStateOpts(ds.source, last, ds.buildOpts())
-		if err != nil {
-			return nil, err
-		}
-		analysis.ProfileTop(top, eng.Graph(), synth.RateEUR)
+		top := c.TopIntermediaries(k, ds.result.Population.Registry())
+		analysis.ProfileTop(top, ds.result.Engine.Graph(), synth.RateEUR)
 		return top, nil
 	}
-	analysis.ProfileTop(top, graph.Engine.Graph(), synth.RateEUR)
+	top := c.TopIntermediaries(k, nil)
+	last, _, err := ds.store.LastSeq()
+	if err != nil {
+		return nil, err
+	}
+	eng, err := replay.BuildStateOpts(ds.store, last, replay.BuildOptions{CheckpointEvery: ds.checkpointEvery})
+	if err != nil {
+		return nil, err
+	}
+	analysis.ProfileTop(top, eng.Graph(), synth.RateEUR)
 	return top, nil
 }
-
-func (ds *Dataset) finalGraphSource() *synth.Result { return ds.result }
 
 // OfferConcentration returns the top-k offer shares for the appendix's
 // market-maker concentration claim (k ∈ {10, 50, 100}).
@@ -444,7 +350,7 @@ func (ds *Dataset) TableII(snapshotFraction float64) (*replay.Result, error) {
 	if snapshotFraction <= 0 || snapshotFraction >= 1 {
 		snapshotFraction = 0.7
 	}
-	last, err := ds.lastSeq()
+	last, _, err := ds.store.LastSeq()
 	if err != nil {
 		return nil, err
 	}
@@ -452,7 +358,7 @@ func (ds *Dataset) TableII(snapshotFraction float64) (*replay.Result, error) {
 	if snap < 1 {
 		snap = 1
 	}
-	return replay.RunOpts(ds.source, snap, ds.buildOpts())
+	return replay.RunOpts(ds.store, snap, replay.BuildOptions{CheckpointEvery: ds.checkpointEvery})
 }
 
 // Mitigation runs the §V wallet-splitting countermeasure study over the
@@ -544,19 +450,15 @@ func (ds *Dataset) Stats() (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	pages := 0
-	if store, ok := ds.source.(*ledgerstore.Store); ok {
-		// The sequence index answers the page count from the sidecar (one
-		// stat per segment when warm) instead of re-decoding the history.
-		ranges, err := store.SegmentRanges()
-		if err != nil {
-			return Stats{}, err
-		}
-		for _, sr := range ranges {
-			pages += sr.Pages
-		}
-	} else if err := ds.source.Pages(func(*ledger.Page) error { pages++; return nil }); err != nil {
+	// The sequence index answers the page count from the sidecar (one
+	// stat per segment when warm) instead of re-decoding the history.
+	ranges, err := ds.store.SegmentRanges()
+	if err != nil {
 		return Stats{}, err
+	}
+	pages := 0
+	for _, sr := range ranges {
+		pages += sr.Pages
 	}
 	return Stats{
 		Payments:    c.Payments(),

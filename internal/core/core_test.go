@@ -10,34 +10,30 @@ import (
 	"testing"
 
 	"ripplestudy/internal/amount"
+	"ripplestudy/internal/analysis"
 	"ripplestudy/internal/ledger"
 	"ripplestudy/internal/ledgerstore"
+	"ripplestudy/internal/synth"
 )
 
-// smallDataset builds a shared in-memory dataset for the facade tests.
+// smallDataset builds a dataset in a test temp directory for the facade
+// tests.
 func smallDataset(t *testing.T) *Dataset {
 	t.Helper()
-	ds, err := BuildDataset(Config{Payments: 3000, Seed: 5})
+	ds, err := BuildDataset(Config{Payments: 3000, Seed: 5, StoreDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ds
 }
 
-func TestBuildDatasetInMemory(t *testing.T) {
-	ds := smallDataset(t)
-	st, err := ds.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Payments < 3000 {
-		t.Errorf("payments = %d, want ≥3000", st.Payments)
-	}
-	if st.TotalPages == 0 || st.ActiveUsers == 0 || st.Offers == 0 {
-		t.Errorf("stats incomplete: %+v", st)
-	}
-	if ds.result == nil {
-		t.Error("generator result missing for in-memory dataset")
+// TestBuildDatasetNeedsStoreDir: a history is always written to a
+// store, so a Config without one is refused before anything is
+// generated.
+func TestBuildDatasetNeedsStoreDir(t *testing.T) {
+	ds, err := BuildDataset(Config{Payments: 100, Seed: 5})
+	if err == nil || ds != nil {
+		t.Fatalf("BuildDataset without a StoreDir = %v, %v; want an error", ds, err)
 	}
 }
 
@@ -80,20 +76,17 @@ func TestBuildDatasetWithStoreAndReopen(t *testing.T) {
 }
 
 // TestFigure4StoreScan: the store's segment-parallel ecosystem scan
-// agrees with the in-memory walk of the same history, and a CRC-clean
-// final record carrying bytes past its page encoding fails it with
-// ErrCorrupted instead of being counted.
+// agrees with one collector walking the generated pages in order, and a
+// CRC-clean final record carrying bytes past its page encoding fails it
+// with ErrCorrupted instead of being counted.
 func TestFigure4StoreScan(t *testing.T) {
-	cfg := Config{Payments: 1200, Seed: 6}
-	mem, err := BuildDataset(cfg)
+	cfg := Config{Payments: 1200, Seed: 6, StoreDir: filepath.Join(t.TempDir(), "store")}
+	seq := analysis.NewCollector()
+	_, err := synth.Generate(synth.Config{Payments: cfg.Payments, Seed: cfg.Seed, SkipSignatures: true}, seq.Page)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mem.Figure4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.StoreDir = filepath.Join(t.TempDir(), "store")
+	want := seq.CurrencyHistogram()
 	if _, err := BuildDataset(cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package integration exercises the whole system end to end: the
 // generate → persist → reopen → analyze pipeline, the consensus →
-// TCP stream → monitor pipeline, and the consistency between in-memory
-// and store-backed execution of every experiment.
+// TCP stream → monitor pipeline, and the agreement of every experiment
+// over a stored history with the same figures computed in memory.
 package integration
 
 import (
@@ -11,8 +11,11 @@ import (
 	"testing"
 
 	"ripplestudy/internal/addr"
+	"ripplestudy/internal/amount"
+	"ripplestudy/internal/analysis"
 	"ripplestudy/internal/consensus"
 	"ripplestudy/internal/core"
+	"ripplestudy/internal/deanon"
 	"ripplestudy/internal/ledger"
 	"ripplestudy/internal/ledgerstore"
 	"ripplestudy/internal/monitor"
@@ -21,115 +24,115 @@ import (
 	"ripplestudy/internal/synth"
 )
 
-// TestStoreAndMemoryAgreeOnEveryExperiment generates one history twice —
-// once streamed to disk, once kept in memory — and checks that every
-// experiment produces identical results from both sources.
+// TestStoreAndMemoryAgreeOnEveryExperiment generates one history into a
+// store whose segments roll every 64 KiB, so four scan workers each get
+// segments and the dataset merges four collectors, and checks what the
+// store dataset reports against computations held in memory over the
+// same pages: a sequential deanon.Study fed by FromTransaction for
+// Figure 3, one analysis.Collector walking the pages in order for the
+// statistics and Figures 4–7, and the generator's own final state for
+// Figure 7's profiles, which the dataset rebuilds by replaying the store.
 func TestStoreAndMemoryAgreeOnEveryExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline")
 	}
-	const payments = 4000
-	const seed = 17
-
-	mem, err := core.BuildDataset(core.Config{Payments: payments, Seed: seed})
+	dir := filepath.Join(t.TempDir(), "store")
+	store, err := ledgerstore.Create(dir, ledgerstore.WithSegmentBytes(1<<16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(t.TempDir(), "store")
-	if _, err := core.BuildDataset(core.Config{Payments: payments, Seed: seed, StoreDir: dir}); err != nil {
+	col := analysis.NewCollector()
+	study := deanon.NewStudy(deanon.Figure3Rows)
+	pages := 0
+	gen, err := synth.Generate(synth.Config{Payments: 4000, Seed: 17, SkipSignatures: true}, func(p *ledger.Page) error {
+		pages++
+		for i := range p.Txs {
+			if f, ok := deanon.FromTransaction(p, p.Txs[i], p.Metas[i]); ok {
+				study.Observe(f)
+			}
+		}
+		if err := col.Page(p); err != nil {
+			return err
+		}
+		return store.Append(p)
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ranges, err := store.SegmentRanges(); err != nil || len(ranges) < 8 {
+		t.Fatalf("store holds %d segments (%v), want at least 8", len(ranges), err)
 	}
 	disk, err := core.OpenDataset(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	disk.SetWorkers(4)
 
-	// Stats agree.
-	ms, err := mem.Stats()
+	st, err := disk.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsStats, err := disk.Stats()
-	if err != nil {
-		t.Fatal(err)
+	wantStats := core.Stats{
+		Payments:    col.Payments(),
+		Failed:      col.FailedPayments(),
+		MultiHop:    col.MultiHopPayments(),
+		Offers:      col.TotalOffers(),
+		ActiveUsers: col.ActiveAccounts(),
+		TotalPages:  pages,
 	}
-	if ms != dsStats {
-		t.Fatalf("stats differ:\nmem:  %+v\ndisk: %+v", ms, dsStats)
+	if st != wantStats {
+		t.Fatalf("stats differ:\nmemory: %+v\nstore:  %+v", wantStats, st)
 	}
 
 	// Figure 3 agrees bit-for-bit.
-	f3m, err := mem.Figure3()
+	f3, err := disk.Figure3()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f3d, err := disk.Figure3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f3m, f3d) {
-		t.Error("Figure 3 differs between memory and store")
+	if !reflect.DeepEqual(f3, study.Results()) {
+		t.Errorf("Figure 3 differs:\nmemory: %+v\nstore:  %+v", study.Results(), f3)
 	}
 
-	// Figure 4 agrees.
-	f4m, err := mem.Figure4()
+	f4, err := disk.Figure4()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f4d, err := disk.Figure4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f4m, f4d) {
+	if !reflect.DeepEqual(f4, col.CurrencyHistogram()) {
 		t.Error("Figure 4 differs between memory and store")
 	}
 
-	// Figure 6 agrees.
-	hm, pm, err := mem.Figure6()
+	f5, err := disk.Figure5()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hd, pd, err := disk.Figure6()
+	grid := analysis.DefaultSurvivalGrid()
+	want5 := []core.Figure5Curve{{Label: "Global", Points: col.Survival(amount.Currency{}, true, grid)}}
+	for _, cur := range analysis.FeaturedCurrencies() {
+		want5 = append(want5, core.Figure5Curve{Label: cur.String(), Points: col.Survival(cur, false, grid)})
+	}
+	if !reflect.DeepEqual(f5, want5) {
+		t.Error("Figure 5 differs between memory and store")
+	}
+
+	hops, parallel, err := disk.Figure6()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(hm, hd) || !reflect.DeepEqual(pm, pd) {
+	if !reflect.DeepEqual(hops, col.HopHistogram()) || !reflect.DeepEqual(parallel, col.ParallelHistogram()) {
 		t.Error("Figure 6 differs between memory and store")
 	}
 
-	// Table II agrees (the replay rebuilds state from pages in both
-	// cases).
-	t2m, err := mem.TableII(0.7)
+	want7 := col.TopIntermediaries(20, nil)
+	analysis.ProfileTop(want7, gen.Engine.Graph(), synth.RateEUR)
+	f7, err := disk.Figure7(20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2d, err := disk.TableII(0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t2m.Cross != t2d.Cross || t2m.Single != t2d.Single {
-		t.Errorf("Table II differs:\nmem:  %+v %+v\ndisk: %+v %+v",
-			t2m.Cross, t2m.Single, t2d.Cross, t2d.Single)
-	}
-
-	// Figure 7 intermediary ordering agrees (names differ: the disk
-	// dataset has no registry).
-	f7m, err := mem.Figure7(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f7d, err := disk.Figure7(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range f7m {
-		if f7m[i].Account != f7d[i].Account || f7m[i].TimesIntermediate != f7d[i].TimesIntermediate {
-			t.Fatalf("Figure 7 rank %d differs", i)
-		}
-		// Profiles come from generator state vs replayed state — they
-		// must match too.
-		if f7m[i].Profile != f7d[i].Profile {
-			t.Fatalf("Figure 7 profile %d differs: %+v vs %+v", i, f7m[i].Profile, f7d[i].Profile)
-		}
+	if len(f7) == 0 || !reflect.DeepEqual(f7, want7) {
+		t.Errorf("Figure 7 differs:\nmemory: %+v\nstore:  %+v", want7, f7)
 	}
 }
 

@@ -14,26 +14,6 @@ import (
 	"ripplestudy/internal/synth"
 )
 
-// storeWithHistory persists pages into a fresh disk store and returns
-// the reopened store plus the last page sequence.
-func storeWithHistory(t *testing.T, pages []*ledger.Page) (*ledgerstore.Store, uint64) {
-	t.Helper()
-	dir := t.TempDir()
-	store, err := ledgerstore.Create(dir, ledgerstore.WithSegmentBytes(1<<16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pages {
-		if err := store.Append(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return store, pages[len(pages)-1].Header.Sequence
-}
-
 // TestCheckpointResumeMatchesCold is the resume differential: replays
 // resumed from a checkpoint must be bit-identical — rows, digest, and
 // sealed state root — to cold replays, for checkpoints strictly before,
@@ -571,23 +551,4 @@ func pad16(seq uint64) string {
 		seq /= 10
 	}
 	return string(b[:])
-}
-
-// TestMemorySourceHasNoCheckpoints pins the zero-config behavior: a
-// memory source neither writes nor resumes, and options asking for
-// checkpointing on it are a quiet no-op.
-func TestMemorySourceHasNoCheckpoints(t *testing.T) {
-	pages, _ := generate(t, 800, 11)
-	last := pages[len(pages)-1].Header.Sequence
-	a, err := BuildStateOpts(FromPages(pages), last, BuildOptions{CheckpointEvery: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BuildStateOpts(FromPages(pages), last, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.StateDigest() != b.StateDigest() {
-		t.Error("checkpoint options changed a memory-source replay")
-	}
 }

@@ -6,11 +6,12 @@
 // network," updating balances after each successful payment and applying
 // the trust-line updates that happened on the real system.
 //
-// Run applies the post-snapshot transactions one at a time, in ledger
+// RunOpts applies the post-snapshot transactions one at a time, in ledger
 // order, each payment searched against the state the previous one left.
-// History arrives through a decode-ahead page stream that uses the
-// store's sequence index, so a replay from a 70% snapshot reads each
-// byte of the store once instead of scanning it twice.
+// History is always read from a ledgerstore: it arrives through a
+// decode-ahead page stream that uses the store's sequence index, so a
+// replay from a 70% snapshot reads each byte of the store once instead
+// of scanning it twice.
 package replay
 
 import (
@@ -26,58 +27,14 @@ import (
 	"ripplestudy/internal/shamap"
 )
 
-// Source streams ledger pages in order: all of them, or only those whose
-// header sequence falls in [lo, hi], each with a release that recycles
-// its decode arena (nil when the source keeps its pages).
-// ledgerstore.Store satisfies it through its segment sequence index;
-// FromPages wraps an in-memory history.
-type Source interface {
-	Pages(fn func(*ledger.Page) error) error
-	PagesRangeRecycled(lo, hi uint64, fn func(p *ledger.Page, release func()) error) error
-}
-
-// sliceSource adapts an in-memory page list (tests, freshly generated
-// histories).
-type sliceSource []*ledger.Page
-
-func (s sliceSource) Pages(fn func(*ledger.Page) error) error {
-	for _, p := range s {
-		if err := fn(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PagesRangeRecycled implements Source; pages are in append (ledger)
-// order and stay owned by the slice, so release is nil.
-func (s sliceSource) PagesRangeRecycled(lo, hi uint64, fn func(p *ledger.Page, release func()) error) error {
-	for _, p := range s {
-		seq := p.Header.Sequence
-		if seq < lo {
-			continue
-		}
-		if seq > hi {
-			return nil
-		}
-		if err := fn(p, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// FromPages wraps an in-memory page list as a Source.
-func FromPages(pages []*ledger.Page) Source { return sliceSource(pages) }
-
 // errStopStream stops the decode-ahead producer once the consumer has
-// quit. It must be matched with errors.Is: the source may wrap it.
+// quit. It must be matched with errors.Is: the store may wrap it.
 var errStopStream = errors.New("replay: consumer stopped")
 
-// pageOrErr is one element of the decode-ahead stream. release, when
-// non-nil, recycles the page's decode arena; the consumer must call it
-// exactly once after it is done with the page (and everything reachable
-// from it — replayed tx pointers included).
+// pageOrErr is one element of the decode-ahead stream: a page, or the
+// error that ended the stream. release recycles the page's decode arena;
+// the consumer must call it exactly once after it is done with the page
+// (and everything reachable from it — replayed tx pointers included).
 type pageOrErr struct {
 	page    *ledger.Page
 	release func()
@@ -89,25 +46,23 @@ const decodeAhead = 16
 
 // streamPages decodes pages [lo, hi] on a producer goroutine, sending
 // them through a buffered channel so decoding overlaps whatever the
-// consumer does with each page (engine apply). A store decodes into
+// consumer does with each page (engine apply). The store decodes into
 // pooled arenas — the consumer releases each page once it has finished
-// with it (an in-memory source's release is nil), so a steady-state
-// replay reuses a bounded ring of arenas instead of heap-decoding the
-// whole history. The ring is decodeAhead pages deep: an arena keeps
-// slabs sized to the largest page it has decoded, so a deeper ring holds
-// more memory without more overlap — decoding runs far ahead of apply.
+// with it, so a steady-state replay reuses a bounded ring of arenas
+// instead of heap-decoding the whole history. The ring is decodeAhead
+// pages deep: an arena keeps slabs sized to the largest page it has
+// decoded, so a deeper ring holds more memory without more overlap —
+// decoding runs far ahead of apply.
 // Closing stop makes the producer quit promptly; the channel is always
 // closed when the producer finishes.
-func streamPages(src Source, lo, hi uint64, stop <-chan struct{}) <-chan pageOrErr {
+func streamPages(src *ledgerstore.Store, lo, hi uint64, stop <-chan struct{}) <-chan pageOrErr {
 	ch := make(chan pageOrErr, decodeAhead)
 	send := func(pe pageOrErr) error {
 		select {
 		case ch <- pe:
 			return nil
 		case <-stop:
-			if pe.release != nil {
-				pe.release()
-			}
+			pe.release()
 			return errStopStream
 		}
 	}
@@ -130,8 +85,8 @@ func streamPages(src Source, lo, hi uint64, stop <-chan struct{}) <-chan pageOrE
 const maxSeq = ^uint64(0)
 
 // BuildOptions configure state-tree checkpointing during a replay.
-// The zero value replays cold with no checkpoint writes — but a resume
-// still happens automatically when the source carries usable
+// The zero value replays with no checkpoint writes — but a resume still
+// happens automatically when the store's sidecar holds usable
 // checkpoints (set DisableResume to force cold).
 type BuildOptions struct {
 	// CheckpointEvery persists a sealed checkpoint to the sidecar every N
@@ -139,26 +94,6 @@ type BuildOptions struct {
 	CheckpointEvery uint64
 	// DisableResume forces a cold rebuild even when checkpoints exist.
 	DisableResume bool
-	// CheckpointDir overrides the sidecar directory. Empty uses the
-	// source's own sidecar when it has one (ledgerstore.Store does); a
-	// memory source with no dir neither writes nor resumes.
-	CheckpointDir string
-}
-
-// checkpointDirer is satisfied by sources with a checkpoint sidecar
-// (ledgerstore.Store).
-type checkpointDirer interface {
-	CheckpointDir() string
-}
-
-func (o BuildOptions) dir(src Source) string {
-	if o.CheckpointDir != "" {
-		return o.CheckpointDir
-	}
-	if cd, ok := src.(checkpointDirer); ok {
-		return cd.CheckpointDir()
-	}
-	return ""
 }
 
 // resumeFromCheckpoint restores the engine from the newest usable
@@ -284,18 +219,19 @@ func (cw *checkpointWriter) writeBase(eng *payment.Engine) error {
 	return ledgerstore.WriteCheckpointBase(cw.dir, cw.last.Seq, eng.WriteAllStateNodes)
 }
 
-// BuildStateOpts replays every transaction in pages with sequence ≤
+// BuildStateOpts replays every transaction in src with page sequence ≤
 // snapshotSeq into a fresh engine, reconstructing the network state at
 // the snapshot. Replaying is deterministic, so the rebuilt state matches
-// the state that produced the history. When the source carries
-// checkpoints, the rebuild resumes from the newest one at or before the
-// snapshot instead of starting from genesis; opts can also make it
-// write checkpoints of its own (the zero BuildOptions only reads them).
-func BuildStateOpts(src Source, snapshotSeq uint64, opts BuildOptions) (*payment.Engine, error) {
-	dir := opts.dir(src)
+// the state that produced the history. When the store's sidecar
+// carries checkpoints, the rebuild resumes from the newest one at or
+// before the snapshot instead of starting from genesis; opts can also
+// make it write checkpoints of its own (the zero BuildOptions only
+// reads them).
+func BuildStateOpts(src *ledgerstore.Store, snapshotSeq uint64, opts BuildOptions) (*payment.Engine, error) {
+	dir := src.CheckpointDir()
 	var eng *payment.Engine
 	from := uint64(0)
-	if dir != "" && !opts.DisableResume {
+	if !opts.DisableResume {
 		if restored, seq, ok := resumeFromCheckpoint(dir, snapshotSeq); ok {
 			eng, from = restored, seq+1
 		}
@@ -304,7 +240,7 @@ func BuildStateOpts(src Source, snapshotSeq uint64, opts BuildOptions) (*payment
 		eng = payment.NewEngine(payment.WithStateTree())
 	}
 	var cw *checkpointWriter
-	if dir != "" && opts.CheckpointEvery > 0 {
+	if opts.CheckpointEvery > 0 {
 		cw = &checkpointWriter{dir: dir, every: opts.CheckpointEvery}
 	}
 	stop := make(chan struct{})
@@ -332,9 +268,7 @@ func BuildStateOpts(src Source, snapshotSeq uint64, opts BuildOptions) (*payment
 // path; the engine keeps no references into the page — it reads value
 // fields only.
 func applyPage(eng *payment.Engine, pe pageOrErr) (seq uint64, err error) {
-	if pe.release != nil {
-		defer pe.release()
-	}
+	defer pe.release()
 	seq = pe.page.Header.Sequence
 	for _, tx := range pe.page.Txs {
 		if _, err := eng.Apply(tx); err != nil {
@@ -427,7 +361,7 @@ func (r Result) Total() Row {
 // the post-snapshot IOU payments (direct XRP transfers don't traverse
 // trust or books and are excluded, as in the paper's 1.7M-payment
 // replay set).
-func RunOpts(src Source, snapshotSeq uint64, opts BuildOptions) (*Result, error) {
+func RunOpts(src *ledgerstore.Store, snapshotSeq uint64, opts BuildOptions) (*Result, error) {
 	state, err := BuildStateOpts(src, snapshotSeq, opts)
 	if err != nil {
 		return nil, err
@@ -458,9 +392,7 @@ func RunOpts(src Source, snapshotSeq uint64, opts BuildOptions) (*Result, error)
 				row.Delivered++
 			}
 		}
-		if pe.release != nil {
-			pe.release()
-		}
+		pe.release()
 	}
 	res.StateDigest = state.StateDigest()
 	if res.StateRoot, err = state.SealState(); err != nil {
@@ -502,7 +434,7 @@ func classify(tx *ledger.Tx, meta *ledger.TxMeta, removed map[addr.AccountID]boo
 //
 // Deprecated: use RunOpts. It stays for the benchmark harness and goes
 // with the benchmark change that retires replay.run_parallel_s.
-func RunParallelOpts(src Source, snapshotSeq uint64, _ int, opts BuildOptions) (*Result, error) {
+func RunParallelOpts(src *ledgerstore.Store, snapshotSeq uint64, _ int, opts BuildOptions) (*Result, error) {
 	return RunOpts(src, snapshotSeq, opts)
 }
 

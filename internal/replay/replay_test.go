@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ripplestudy/internal/ledger"
+	"ripplestudy/internal/ledgerstore"
 	"ripplestudy/internal/synth"
 	"ripplestudy/internal/trustgraph"
 )
@@ -16,6 +17,7 @@ func numPairs(g *trustgraph.Graph) int {
 }
 
 // generate builds a small history in memory and returns pages + result.
+// Replays read it back from a store (storeWithHistory).
 func generate(t *testing.T, payments int, seed int64) ([]*ledger.Page, *synth.Result) {
 	t.Helper()
 	var pages []*ledger.Page
@@ -31,10 +33,31 @@ func generate(t *testing.T, payments int, seed int64) ([]*ledger.Page, *synth.Re
 	return pages, res
 }
 
+// storeWithHistory persists pages into a fresh store in a test temp
+// directory and returns it plus the last page sequence. The store rolls
+// its segments every 64 KiB, so a replay's range reads skip whole
+// segments; opts, applied after that, can change it.
+func storeWithHistory(t *testing.T, pages []*ledger.Page, opts ...ledgerstore.Option) (*ledgerstore.Store, uint64) {
+	t.Helper()
+	store, err := ledgerstore.Create(t.TempDir(), append([]ledgerstore.Option{ledgerstore.WithSegmentBytes(1 << 16)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pages {
+		if err := store.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return store, pages[len(pages)-1].Header.Sequence
+}
+
 func TestBuildStateMatchesGenerator(t *testing.T) {
 	pages, res := generate(t, 2500, 1)
-	last := pages[len(pages)-1].Header.Sequence
-	eng, err := BuildStateOpts(FromPages(pages), last, BuildOptions{})
+	store, last := storeWithHistory(t, pages)
+	eng, err := BuildStateOpts(store, last, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +81,13 @@ func TestBuildStateMatchesGenerator(t *testing.T) {
 
 func TestBuildStateStopsAtSnapshot(t *testing.T) {
 	pages, _ := generate(t, 1500, 2)
+	store, last := storeWithHistory(t, pages)
 	mid := pages[len(pages)/2].Header.Sequence
-	eng, err := BuildStateOpts(FromPages(pages), mid, BuildOptions{})
+	eng, err := BuildStateOpts(store, mid, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := BuildStateOpts(FromPages(pages), pages[len(pages)-1].Header.Sequence, BuildOptions{})
+	full, err := BuildStateOpts(store, last, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +101,11 @@ func TestTableIIShape(t *testing.T) {
 		t.Skip("generates a 12k-payment history")
 	}
 	pages, _ := generate(t, 12_000, 3)
+	store, _ := storeWithHistory(t, pages)
 	// Snapshot at 70% of the history, past the spam campaigns' windows,
 	// like the paper's stable Feb 2015 snapshot.
 	snapSeq := pages[len(pages)*7/10].Header.Sequence
-	res, err := RunOpts(FromPages(pages), snapSeq, BuildOptions{})
+	res, err := RunOpts(store, snapSeq, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +144,16 @@ func TestReplayWithoutAblationDelivers(t *testing.T) {
 	// deliver nearly everything — the collapse in TestTableIIShape is
 	// caused by the ablation, not by replay artifacts.
 	pages, _ := generate(t, 3000, 4)
+	store, _ := storeWithHistory(t, pages)
 	snapSeq := pages[len(pages)*7/10].Header.Sequence
-	state, err := BuildStateOpts(FromPages(pages), snapSeq, BuildOptions{})
+	state, err := BuildStateOpts(store, snapSeq, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	submitted, delivered := 0, 0
-	err = FromPages(pages).Pages(func(p *ledger.Page) error {
+	for _, p := range pages {
 		if p.Header.Sequence <= snapSeq {
-			return nil
+			continue
 		}
 		for i, tx := range p.Txs {
 			if tx.Type != ledger.TxPayment || !p.Metas[i].Result.Succeeded() {
@@ -141,10 +167,6 @@ func TestReplayWithoutAblationDelivers(t *testing.T) {
 				delivered++
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if submitted == 0 {
 		t.Fatal("no IOU payments in replay window")

@@ -36,36 +36,42 @@ func sameResult(t *testing.T, want, got *Result, label string) {
 	}
 }
 
-// TestRunStoreMatchesSlice replays the same history from a disk store
-// (exercising the segment sequence index / PagesRangeRecycled path) and from
-// memory; the two must agree.
-func TestRunStoreMatchesSlice(t *testing.T) {
+// TestRunManySegmentsMatchesOneSegment replays the same history from a
+// store that rolls its segments every 64 KiB, so the post-snapshot
+// stream opens only the segments the sequence index places at or past
+// the snapshot, and from a store holding it in one segment; the two
+// must agree bit for bit.
+func TestRunManySegmentsMatchesOneSegment(t *testing.T) {
 	pages, _ := generate(t, 2000, 8)
 	snap := pages[len(pages)*7/10].Header.Sequence
 
-	dir := t.TempDir()
-	store, err := ledgerstore.Create(dir, ledgerstore.WithSegmentBytes(1<<16))
+	many, _ := storeWithHistory(t, pages)
+	one, _ := storeWithHistory(t, pages, ledgerstore.WithSegmentBytes(ledgerstore.DefaultSegmentBytes))
+	manyRanges, err := many.SegmentRanges()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range pages {
-		if err := store.Append(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := store.Close(); err != nil {
+	oneRanges, err := one.SegmentRanges()
+	if err != nil {
 		t.Fatal(err)
 	}
+	if len(manyRanges) < 4 || len(oneRanges) != 1 {
+		t.Fatalf("segments: %d and %d, want at least 4 and exactly 1", len(manyRanges), len(oneRanges))
+	}
+	if manyRanges[0].MaxSeq >= snap {
+		t.Fatalf("snapshot %d falls in the first segment (up to %d): nothing to skip", snap, manyRanges[0].MaxSeq)
+	}
+	t.Logf("%d segments, snapshot at page %d", len(manyRanges), snap)
 
-	want, err := RunOpts(FromPages(pages), snap, BuildOptions{})
+	want, err := RunOpts(one, snap, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromStore, err := RunOpts(store, snap, BuildOptions{})
+	got, err := RunOpts(many, snap, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, want, fromStore, "store")
+	sameResult(t, want, got, "many segments")
 }
 
 // hist drives a real engine to produce a consistent crafted history:
@@ -174,7 +180,8 @@ func TestReplaySourceCreatedAfterSnapshot(t *testing.T) {
 	}
 	h.close()
 
-	want, err := RunOpts(FromPages(h.pages), snap, BuildOptions{})
+	store, _ := storeWithHistory(t, h.pages)
+	want, err := RunOpts(store, snap, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

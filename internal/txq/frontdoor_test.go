@@ -10,6 +10,7 @@ import (
 	"ripplestudy/internal/addr"
 	"ripplestudy/internal/amount"
 	"ripplestudy/internal/ledger"
+	"ripplestudy/internal/ledgerstore"
 	"ripplestudy/internal/payment"
 	"ripplestudy/internal/replay"
 	"ripplestudy/internal/synth"
@@ -31,6 +32,25 @@ func generate(t testing.TB, payments int, seed int64) []*ledger.Page {
 	return pages
 }
 
+// storeWithHistory persists pages into a fresh store in a test temp
+// directory, the history replay reads.
+func storeWithHistory(t testing.TB, pages []*ledger.Page) *ledgerstore.Store {
+	t.Helper()
+	store, err := ledgerstore.Create(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pages {
+		if err := store.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
 // drainAndClose waits for the front door to resolve everything admitted
 // and shuts it down.
 func drainAndClose(t testing.TB, fd *FrontDoor) {
@@ -44,7 +64,7 @@ func drainAndClose(t testing.TB, fd *FrontDoor) {
 }
 
 // TestFrontDoorDifferentialDigest is the acceptance differential: the
-// same post-snapshot history, once through sequential replay.Run and
+// same post-snapshot history, once through sequential replay.RunOpts and
 // once as live submissions through the admission queue and the batch
 // applier, must land on a bit-identical state digest. Equal fees
 // make the escalation heap globally FIFO, and auto-sequencing mirrors
@@ -52,13 +72,14 @@ func drainAndClose(t testing.TB, fd *FrontDoor) {
 func TestFrontDoorDifferentialDigest(t *testing.T) {
 	pages := generate(t, 3000, 42)
 	mid := pages[len(pages)/2].Header.Sequence
+	store := storeWithHistory(t, pages)
 
-	want, err := replay.RunOpts(replay.FromPages(pages), mid, replay.BuildOptions{})
+	want, err := replay.RunOpts(store, mid, replay.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	eng, err := replay.BuildStateOpts(replay.FromPages(pages), mid, replay.BuildOptions{})
+	eng, err := replay.BuildStateOpts(store, mid, replay.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
