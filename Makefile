@@ -58,11 +58,12 @@ race:
 # runner. Everything here must equal the independent batch oracles at
 # every fan-out (1 included). The carve test and the ingest-path
 # differentials run here too: BackfillStore with 4 workers carves from 4
-# producer arenas at once.
+# producer arenas at once. So do the front door's quote readers, racing
+# the applier on pooled Finders whose plans each search overwrites.
 # Each pattern must still select a test: a rename that drops one out of
 # the pass fails the target instead of shrinking it silently.
-RACE_MP_TESTS = PipelineWorkersMatchSequentialJSON ShardPartitionMergeParityJSON ShardedMatchesSingleWriterService ParallelBackfillMatchesSequential CarvedPartsNeverAlias BatchedIngestMatchesSinglePage DifferentialThroughInjectedFaults ShardedInc SealedTableMatchesModel SealCopyTrafficBounded CountBytesIndependentOfHistory MergeClonedRepeatable ViewWorker Shed ConcurrentQueries HistogramMatchesModel
-RACE_MP_PKGS = ./internal/serve/ ./internal/deanon/ ./internal/analysis/ ./internal/telemetry/
+RACE_MP_TESTS = PipelineWorkersMatchSequentialJSON ShardPartitionMergeParityJSON ShardedMatchesSingleWriterService ParallelBackfillMatchesSequential CarvedPartsNeverAlias BatchedIngestMatchesSinglePage DifferentialThroughInjectedFaults ShardedInc SealedTableMatchesModel SealCopyTrafficBounded CountBytesIndependentOfHistory MergeClonedRepeatable ViewWorker Shed ConcurrentQueries HistogramMatchesModel PlanCacheConcurrentQuotesAndSubmissions FrontDoorConcurrentPerAccountOrdering
+RACE_MP_PKGS = ./internal/serve/ ./internal/deanon/ ./internal/analysis/ ./internal/telemetry/ ./internal/txq/
 empty :=
 space := $(empty) $(empty)
 race-mp:

@@ -56,7 +56,11 @@ type Dataset struct {
 
 // BuildDataset generates the history into cfg.StoreDir and returns the
 // dataset the experiments run on.
-func BuildDataset(cfg Config) (*Dataset, error) {
+func BuildDataset(cfg Config) (*Dataset, error) { return buildDataset(cfg) }
+
+// buildDataset is BuildDataset with the store's options, which tests set
+// to spread a small history over many segments.
+func buildDataset(cfg Config, opts ...ledgerstore.Option) (*Dataset, error) {
 	if cfg.StoreDir == "" {
 		return nil, errors.New("core: Config.StoreDir is required")
 	}
@@ -66,7 +70,7 @@ func BuildDataset(cfg Config) (*Dataset, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	store, err := ledgerstore.Create(cfg.StoreDir)
+	store, err := ledgerstore.Create(cfg.StoreDir, opts...)
 	if err != nil {
 		return nil, err
 	}

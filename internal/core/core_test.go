@@ -37,21 +37,37 @@ func TestBuildDatasetNeedsStoreDir(t *testing.T) {
 	}
 }
 
-func TestBuildDatasetWithStoreAndReopen(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
-	ds, err := BuildDataset(Config{Payments: 1200, Seed: 6, StoreDir: dir})
+// manySegments builds cfg's history into segments of 64 KiB, so a small
+// history spans enough of them that SetWorkers(4) scans with four
+// workers and merges four collectors.
+func manySegments(t *testing.T, cfg Config) *Dataset {
+	t.Helper()
+	ds, err := buildDataset(cfg, ledgerstore.WithSegmentBytes(64<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
+	segs, err := filepath.Glob(filepath.Join(cfg.StoreDir, "segment-*"))
+	if err != nil || len(segs) < 4 {
+		t.Fatalf("history spans %d segments (%v), want ≥ 4", len(segs), err)
+	}
+	return ds
+}
+
+func TestBuildDatasetWithStoreAndReopen(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	ds := manySegments(t, Config{Payments: 1200, Seed: 6, StoreDir: dir})
+	ds.SetWorkers(4)
 	st1, err := ds.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reopen from disk: same statistics without the generator state.
+	// Reopen from disk: the same statistics from one worker, without the
+	// generator state.
 	ds2, err := OpenDataset(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds2.SetWorkers(1)
 	st2, err := ds2.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +103,7 @@ func TestFigure4StoreScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := seq.CurrencyHistogram()
-	if _, err := BuildDataset(cfg); err != nil {
-		t.Fatal(err)
-	}
+	manySegments(t, cfg)
 	ds, err := OpenDataset(cfg.StoreDir)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -311,4 +312,105 @@ func FuzzDecodePageInto(f *testing.F) {
 			t.Fatal("arena decode differs from DecodePage")
 		}
 	})
+}
+
+// TestFixedOffsetsMatchEncoding pins every constant offset of the
+// transaction and meta layouts — the ones the scan reads and the ones
+// that only document the layout — against the field Encode and
+// EncodeMeta write there, with each field holding a distinct value.
+func TestFixedOffsetsMatchEncoding(t *testing.T) {
+	tx := &Tx{
+		Type:            TxOfferCreate,
+		Account:         addr.KeyPairFromSeed(1).AccountID(),
+		Sequence:        0x01020304,
+		Fee:             0x05060708090a0b0c,
+		Destination:     addr.KeyPairFromSeed(2).AccountID(),
+		Amount:          amount.New(amount.USD, amount.MustValue(12345, -2)),
+		DestIssuer:      addr.KeyPairFromSeed(3).AccountID(),
+		SendMax:         amount.New(amount.EUR, amount.MustValue(-678, 1)),
+		SendIssuer:      addr.KeyPairFromSeed(4).AccountID(),
+		TakerPays:       amount.New(amount.BTC, amount.MustValue(9, 0)),
+		TakerPaysIssuer: addr.KeyPairFromSeed(5).AccountID(),
+		TakerGets:       amount.New(amount.CNY, amount.MustValue(11, 3)),
+		TakerGetsIssuer: addr.KeyPairFromSeed(6).AccountID(),
+		OfferSequence:   0x0d0e0f10,
+		LimitPeer:       addr.KeyPairFromSeed(7).AccountID(),
+		Limit:           amount.New(amount.XRP, amount.MustValue(13, 0)),
+		SigningKey:      []byte{1, 2, 3},
+		Signature:       []byte{4, 5, 6, 7, 8},
+	}
+	b := tx.Encode(nil)
+	amountAt := func(buf []byte, off int) amount.Amount {
+		t.Helper()
+		var c amount.Currency
+		copy(c[:], buf[off:])
+		v, err := decodeValueAt(buf, off+3)
+		if err != nil {
+			t.Fatalf("amount at %d: %v", off, err)
+		}
+		return amount.New(c, v)
+	}
+	if got := TxType(b[txOffType]); got != tx.Type {
+		t.Errorf("txOffType reads %v, want %v", got, tx.Type)
+	}
+	if !bytes.Equal(b[txOffAccount:txOffAccount+20], tx.Account[:]) {
+		t.Error("txOffAccount does not read the sender")
+	}
+	if got := binary.BigEndian.Uint32(b[txOffSequence:]); got != tx.Sequence {
+		t.Errorf("txOffSequence reads %#x, want %#x", got, tx.Sequence)
+	}
+	if got := amount.Drops(binary.BigEndian.Uint64(b[txOffFee:])); got != tx.Fee {
+		t.Errorf("txOffFee reads %#x, want %#x", got, tx.Fee)
+	}
+	if !bytes.Equal(b[txOffDestination:txOffDestination+20], tx.Destination[:]) {
+		t.Error("txOffDestination does not read the destination")
+	}
+	if got := amountAt(b, txOffAmount); got != tx.Amount {
+		t.Errorf("txOffAmount reads %s, want %s", got, tx.Amount)
+	}
+	if got := amountAt(b, txOffSendMax); got != tx.SendMax {
+		t.Errorf("txOffSendMax reads %s, want %s", got, tx.SendMax)
+	}
+	if got := int(binary.BigEndian.Uint16(b[txFixedBytes:])); got != len(tx.SigningKey) {
+		t.Errorf("txFixedBytes reads a signing-key length of %d, want %d", got, len(tx.SigningKey))
+	}
+	if want := txFixedBytes + 2 + len(tx.SigningKey) + 2 + len(tx.Signature); len(b) != want {
+		t.Errorf("encoded tx is %d bytes, want %d", len(b), want)
+	}
+
+	m := &TxMeta{
+		Result:         ResultPathDry,
+		Delivered:      amount.New(amount.USD, amount.MustValue(-4321, -3)),
+		PathHops:       []uint8{3, 1, 4},
+		OffersConsumed: 0x11121314,
+		CrossCurrency:  true,
+		Intermediaries: []addr.AccountID{addr.KeyPairFromSeed(8).AccountID(), addr.KeyPairFromSeed(9).AccountID()},
+	}
+	mb := m.EncodeMeta(nil)
+	if got := TxResult(mb[metaOffResult]); got != m.Result {
+		t.Errorf("metaOffResult reads %v, want %v", got, m.Result)
+	}
+	if got := amountAt(mb, metaOffDelivered); got != m.Delivered {
+		t.Errorf("metaOffDelivered reads %s, want %s", got, m.Delivered)
+	}
+	n := int(mb[metaOffNPaths])
+	if n != len(m.PathHops) || !bytes.Equal(mb[metaOffNPaths+1:metaOffNPaths+1+n], m.PathHops) {
+		t.Errorf("metaOffNPaths reads %d hops %v, want %v", n, mb[metaOffNPaths+1:metaOffNPaths+1+n], m.PathHops)
+	}
+	tail := mb[metaOffNPaths+1+n:]
+	if got := binary.BigEndian.Uint32(tail); got != m.OffersConsumed {
+		t.Errorf("offers consumed reads %#x, want %#x", got, m.OffersConsumed)
+	}
+	if tail[4] != 1 {
+		t.Errorf("cross-currency byte reads %d, want 1", tail[4])
+	}
+	if got := int(binary.BigEndian.Uint16(tail[5:])); got != len(m.Intermediaries) {
+		t.Errorf("intermediary count reads %d, want %d", got, len(m.Intermediaries))
+	}
+	if want := metaOffNPaths + 1 + n + metaFixedTail + 20*len(m.Intermediaries); len(mb) != want {
+		t.Errorf("encoded meta is %d bytes, want %d", len(mb), want)
+	}
+	if got := len((&TxMeta{}).EncodeMeta(nil)); got != metaMinBytes {
+		t.Errorf("an empty meta encodes to %d bytes, metaMinBytes is %d", got, metaMinBytes)
+	}
 }

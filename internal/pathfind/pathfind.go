@@ -23,8 +23,11 @@
 // the expansion would have given it — so the layer that reaches the
 // destination (typically a gateway's thousands of lines) is never
 // expanded, and the path and the accounts read stay what a full expansion
-// gives. A Finder is therefore NOT safe for concurrent use; spawn one
-// Finder per goroutine over a shared read-only graph.
+// gives. The plan lives in the Finder too: each search resets it and
+// appends its flows, paths and quotes into the storage earlier searches
+// grew, and a bridge trial that fails truncates the plan back to where
+// the trial began. A Finder is therefore NOT safe for concurrent use;
+// spawn one Finder per goroutine over a shared read-only graph.
 package pathfind
 
 import (
@@ -141,9 +144,14 @@ type Finder struct {
 	readAcct []addr.AccountID
 	readPair []orderbook.Pair
 
-	// Scratch quotes for bridge probing; accepted quotes are deep-copied
-	// out before the scratch is reused.
-	qtmp [3]orderbook.Quote
+	// Scratch quotes for bridge probing; the chosen quotes are copied
+	// into bridge, their fills into fills, before the scratch is reused.
+	qtmp   [3]orderbook.Quote
+	bridge [2]orderbook.Quote
+	fills  []orderbook.Fill
+
+	// The plan FindPayment returns, reset by each call.
+	plan Plan
 }
 
 // dstMark marks an account that shares an edge with the destination:
@@ -358,6 +366,10 @@ func (f *Finder) recordAccount(a addr.AccountID) {
 // dst. When srcCur differs from the delivery currency the plan bridges
 // through order books. XRP-to-XRP payments need no path (the ledger moves
 // drops directly); callers handle them before planning.
+//
+// The Finder owns the returned plan, down to its slices and its quotes'
+// fills: it is valid until the next FindPayment on the same Finder, which
+// overwrites it. A caller that keeps any of it longer copies it first.
 func (f *Finder) FindPayment(src, dst addr.AccountID, srcCur amount.Currency, deliver amount.Amount) (*Plan, error) {
 	f.beginSearch(src, dst)
 	if src == dst {
@@ -366,18 +378,23 @@ func (f *Finder) FindPayment(src, dst addr.AccountID, srcCur amount.Currency, de
 	if !deliver.Value.IsPositive() {
 		return nil, fmt.Errorf("pathfind: non-positive delivery %s", deliver)
 	}
-	if srcCur == deliver.Currency {
-		return f.planSameCurrency(src, dst, deliver)
+	plan := &f.plan
+	*plan = Plan{
+		Src: src, Dst: dst, Currency: deliver.Currency, SrcCurrency: srcCur,
+		TrustFlows: plan.TrustFlows[:0], Quotes: plan.Quotes[:0], Paths: plan.Paths[:0],
 	}
-	return f.planCrossCurrency(src, dst, srcCur, deliver)
+	f.fills = f.fills[:0]
+	if srcCur == deliver.Currency {
+		return f.planSameCurrency(plan, deliver)
+	}
+	return f.planCrossCurrency(plan, deliver)
 }
 
 // planSameCurrency routes over trust-lines only, falling back to an
 // XRP auto-bridge (cur→XRP→cur through the books) for any residue the
 // trust network cannot carry.
-func (f *Finder) planSameCurrency(src, dst addr.AccountID, deliver amount.Amount) (*Plan, error) {
-	plan := &Plan{Src: src, Dst: dst, Currency: deliver.Currency, SrcCurrency: deliver.Currency}
-	delivered, err := f.routeTrust(plan, src, dst, deliver.Currency, deliver.Value)
+func (f *Finder) planSameCurrency(plan *Plan, deliver amount.Amount) (*Plan, error) {
+	delivered, err := f.routeTrust(plan, plan.Src, plan.Dst, deliver.Currency, deliver.Value)
 	if err != nil {
 		return nil, err
 	}
@@ -391,9 +408,7 @@ func (f *Finder) planSameCurrency(src, dst addr.AccountID, deliver amount.Amount
 		if err != nil {
 			return nil, err
 		}
-		if bridged := f.tryBridge(plan, src, dst, deliver.Currency, amount.New(deliver.Currency, residue)); bridged != nil {
-			plan = bridged
-		}
+		f.tryBridge(plan, deliver.Currency, amount.New(deliver.Currency, residue))
 	}
 	if plan.Delivered.IsZero() {
 		return nil, ErrNoPath
@@ -430,13 +445,6 @@ func (f *Finder) routeTrust(plan *Plan, src, dst addr.AccountID, cur amount.Curr
 		}
 		if !bottleneck.IsPositive() {
 			break
-		}
-		// Reserve the whole path's flows at once: one growth per path
-		// instead of log(len) incremental doublings.
-		if need := len(path) - 1; cap(plan.TrustFlows)-len(plan.TrustFlows) < need {
-			grown := make([]Flow, len(plan.TrustFlows), len(plan.TrustFlows)+need)
-			copy(grown, plan.TrustFlows)
-			plan.TrustFlows = grown
 		}
 		for i := 0; i+1 < len(path); i++ {
 			plan.TrustFlows = append(plan.TrustFlows, Flow{
@@ -593,29 +601,23 @@ func (f *Finder) quoteBuy(slot int, pair orderbook.Pair, want amount.Value) (*or
 	return q, nil
 }
 
-// cloneQuote deep-copies a scratch quote for inclusion in a plan.
-func cloneQuote(q *orderbook.Quote) orderbook.Quote {
-	out := *q
-	out.Fills = append([]orderbook.Fill(nil), q.Fills...)
-	return out
+// cloneQuote deep-copies a scratch quote into bridge[slot], its fills
+// into the Finder's fill storage, for inclusion in the plan.
+func (f *Finder) cloneQuote(slot int, q *orderbook.Quote) {
+	start := len(f.fills)
+	f.fills = append(f.fills, q.Fills...)
+	f.bridge[slot] = *q
+	f.bridge[slot].Fills = f.fills[start:len(f.fills):len(f.fills)]
 }
 
 // bridgeQuote finds the cheapest conversion of srcCur into `deliver`:
 // the direct book, or an XRP auto-bridge composing two books. It returns
-// the quotes (1 or 2) and the source-currency cost, or ok=false when no
-// liquidity exists.
+// the quotes (1 or 2, in the Finder's bridge storage) and the
+// source-currency cost, or ok=false when no liquidity exists.
 func (f *Finder) bridgeQuote(srcCur amount.Currency, deliver amount.Amount) (quotes []orderbook.Quote, cost amount.Value, ok bool) {
-	var bestQuotes []orderbook.Quote
-	var bestCost amount.Value
-	haveBest := false
-
 	// Direct book: taker pays srcCur, receives deliver.Currency.
 	direct, err := f.quoteBuy(0, orderbook.Pair{Pays: srcCur, Gets: deliver.Currency}, deliver.Value)
-	if err == nil && direct.TotalGets.Cmp(deliver.Value) == 0 {
-		bestQuotes = []orderbook.Quote{cloneQuote(direct)}
-		bestCost = direct.TotalPays
-		haveBest = true
-	}
+	haveDirect := err == nil && direct.TotalGets.Cmp(deliver.Value) == 0
 
 	// Auto-bridge via XRP: buy deliver with XRP, then buy that XRP with
 	// srcCur. Skipped when either leg is already XRP.
@@ -623,54 +625,54 @@ func (f *Finder) bridgeQuote(srcCur amount.Currency, deliver amount.Amount) (quo
 		leg2, err2 := f.quoteBuy(1, orderbook.Pair{Pays: amount.XRP, Gets: deliver.Currency}, deliver.Value)
 		if err2 == nil && leg2.TotalGets.Cmp(deliver.Value) == 0 {
 			leg1, err1 := f.quoteBuy(2, orderbook.Pair{Pays: srcCur, Gets: amount.XRP}, leg2.TotalPays)
-			if err1 == nil && leg1.TotalGets.Cmp(leg2.TotalPays) == 0 {
-				if !haveBest || leg1.TotalPays.Cmp(bestCost) < 0 {
-					bestQuotes = []orderbook.Quote{cloneQuote(leg1), cloneQuote(leg2)}
-					bestCost = leg1.TotalPays
-					haveBest = true
-				}
+			if err1 == nil && leg1.TotalGets.Cmp(leg2.TotalPays) == 0 &&
+				(!haveDirect || leg1.TotalPays.Cmp(direct.TotalPays) < 0) {
+				f.cloneQuote(0, leg1)
+				f.cloneQuote(1, leg2)
+				return f.bridge[:2], leg1.TotalPays, true
 			}
 		}
 	}
-	if !haveBest {
+	if !haveDirect {
 		return nil, amount.Zero, false
 	}
-	return bestQuotes, bestCost, true
+	f.cloneQuote(0, direct)
+	return f.bridge[:1], direct.TotalPays, true
 }
 
 // planCrossCurrency bridges srcCur→deliver.Currency through books, then
 // routes the source side src→(offer owners) and the delivery side
 // (offer owners)→dst over trust-lines.
-func (f *Finder) planCrossCurrency(src, dst addr.AccountID, srcCur amount.Currency, deliver amount.Amount) (*Plan, error) {
-	plan := &Plan{Src: src, Dst: dst, Currency: deliver.Currency, SrcCurrency: srcCur}
-	out := f.tryBridge(plan, src, dst, srcCur, deliver)
-	if out == nil || out.Delivered.IsZero() {
+func (f *Finder) planCrossCurrency(plan *Plan, deliver amount.Amount) (*Plan, error) {
+	if !f.tryBridge(plan, plan.SrcCurrency, deliver) || plan.Delivered.IsZero() {
 		return nil, ErrNoPath
 	}
-	return out, nil
+	return plan, nil
 }
 
-// tryBridge attempts to add a bridged route for `deliver` to the plan.
-// It returns the updated plan, or nil when bridging is impossible.
+// tryBridge attempts to add a bridged route for `deliver` to the plan,
+// reporting whether it did. A failed attempt truncates the plan's flows
+// and paths back to where it began; the overlay keeps the trial's flows.
 //
 // Routing model: the sender moves srcCur to each consumed offer's owner
 // over trust-lines (unless the leg is XRP, which transfers freely), the
 // conversion happens at the owner, and the owner moves the delivery
 // currency to the destination over trust-lines. A leg with no trust route
 // voids the bridge.
-func (f *Finder) tryBridge(plan *Plan, src, dst addr.AccountID, srcCur amount.Currency, deliver amount.Amount) *Plan {
+func (f *Finder) tryBridge(plan *Plan, srcCur amount.Currency, deliver amount.Amount) bool {
 	quotes, cost, ok := f.bridgeQuote(srcCur, deliver)
 	if !ok {
-		return nil
+		return false
 	}
-	// Snapshot plan state for rollback-free trial: work on a copy.
-	trial := *plan
-	trial.TrustFlows = append([]Flow(nil), plan.TrustFlows...)
-	trial.Paths = append([]PathInfo(nil), plan.Paths...)
-	trial.Quotes = append([]orderbook.Quote(nil), plan.Quotes...)
+	src, dst := plan.Src, plan.Dst
+	nFlows, nPaths := len(plan.TrustFlows), len(plan.Paths)
+	abandon := func() bool {
+		plan.TrustFlows, plan.Paths = plan.TrustFlows[:nFlows], plan.Paths[:nPaths]
+		return false
+	}
 
-	entry := quotes[0]            // sender pays srcCur into this quote's offers
-	exit := quotes[len(quotes)-1] // delivery currency comes out of this quote's offers
+	entry := &quotes[0]            // sender pays srcCur into this quote's offers
+	exit := &quotes[len(quotes)-1] // delivery currency comes out of this quote's offers
 
 	// Source leg: src → each entry-offer owner, in srcCur.
 	if !srcCur.IsXRP() {
@@ -679,15 +681,14 @@ func (f *Finder) tryBridge(plan *Plan, src, dst addr.AccountID, srcCur amount.Cu
 			if owner == src {
 				continue // self-owned offer: no movement needed
 			}
-			savedPaths := len(trial.Paths)
-			routed, err := f.routeTrust(&trial, src, owner, srcCur, fill.Pays)
+			routed, err := f.routeTrust(plan, src, owner, srcCur, fill.Pays)
 			if err != nil || routed.Cmp(fill.Pays) < 0 {
-				return nil
+				return abandon()
 			}
 			// Source-side hops are part of the overall path; fold their
 			// path records into bridge accounting below by trimming the
 			// separate entries (we count one logical path per fill).
-			trial.Paths = trial.Paths[:savedPaths]
+			plan.Paths = plan.Paths[:nPaths]
 		}
 	}
 	// Delivery leg: each exit-offer owner → dst, in deliver.Currency.
@@ -698,32 +699,32 @@ func (f *Finder) tryBridge(plan *Plan, src, dst addr.AccountID, srcCur amount.Cu
 			if owner == dst {
 				continue
 			}
-			savedPaths := len(trial.Paths)
-			routed, err := f.routeTrust(&trial, owner, dst, deliver.Currency, fill.Gets)
+			routed, err := f.routeTrust(plan, owner, dst, deliver.Currency, fill.Gets)
 			if err != nil || routed.Cmp(fill.Gets) < 0 {
-				return nil
+				return abandon()
 			}
-			for _, p := range trial.Paths[savedPaths:] {
+			for _, p := range plan.Paths[nPaths:] {
 				if p.Hops > exitHops {
 					exitHops = p.Hops
 				}
 			}
-			trial.Paths = trial.Paths[:savedPaths]
+			plan.Paths = plan.Paths[:nPaths]
 		}
 	}
-	trial.Quotes = append(trial.Quotes, quotes...)
+	delivered, err := plan.Delivered.Add(deliver.Value)
+	if err != nil {
+		return abandon()
+	}
+	sourceCost, err := plan.SourceCost.Add(cost)
+	if err != nil {
+		return abandon()
+	}
+	plan.Quotes = append(plan.Quotes, quotes...)
 	// Record one logical parallel path per exit fill; each crosses the
 	// offer owner (1 hop) plus any trust hops on the delivery leg.
 	for _, fill := range exit.Fills {
-		trial.Paths = append(trial.Paths, PathInfo{Hops: 1 + exitHops, Value: fill.Gets})
+		plan.Paths = append(plan.Paths, PathInfo{Hops: 1 + exitHops, Value: fill.Gets})
 	}
-	var err error
-	if trial.Delivered, err = trial.Delivered.Add(deliver.Value); err != nil {
-		return nil
-	}
-	if trial.SourceCost, err = trial.SourceCost.Add(cost); err != nil {
-		return nil
-	}
-	trial.UsedBridge = true
-	return &trial
+	plan.Delivered, plan.SourceCost, plan.UsedBridge = delivered, sourceCost, true
+	return true
 }

@@ -111,20 +111,7 @@ func TestParallelPathSplitting(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := trustgraph.New()
 			s, d := acct(1), acct(2)
-			next := uint64(100)
-			for w := 0; w < tc.width; w++ {
-				prev := s
-				for l := 0; l < tc.length; l++ {
-					next++
-					if err := g.SetTrust(acct(next), prev, amount.USD, val(tc.limit)); err != nil {
-						t.Fatal(err)
-					}
-					prev = acct(next)
-				}
-				if err := g.SetTrust(d, prev, amount.USD, val(tc.limit)); err != nil {
-					t.Fatal(err)
-				}
-			}
+			addChains(t, g, s, d, tc.width, tc.length, tc.limit, 100)
 			plan, err := New(g, orderbook.New()).FindPayment(s, d, amount.USD, usd(tc.pay))
 			if err != nil {
 				t.Fatal(err)
@@ -141,6 +128,26 @@ func TestParallelPathSplitting(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// addChains links s to d by width disjoint USD chains of length
+// intermediaries (accounts seed+1, seed+2, …), every link of capacity
+// limit.
+func addChains(t *testing.T, g *trustgraph.Graph, s, d addr.AccountID, width, length int, limit string, seed uint64) {
+	t.Helper()
+	for w := 0; w < width; w++ {
+		prev := s
+		for l := 0; l < length; l++ {
+			seed++
+			if err := g.SetTrust(acct(seed), prev, amount.USD, val(limit)); err != nil {
+				t.Fatal(err)
+			}
+			prev = acct(seed)
+		}
+		if err := g.SetTrust(d, prev, amount.USD, val(limit)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -307,11 +314,11 @@ func TestCrossCurrencyNeedsTrustLegs(t *testing.T) {
 	}
 }
 
-func TestAutoBridgeViaXRP(t *testing.T) {
-	// No direct EUR→USD book; instead EUR→XRP and XRP→USD books exist.
-	g := trustgraph.New()
-	books := orderbook.New()
-	src, mm1, mm2, dst := acct(1), acct(2), acct(3), acct(4)
+// addAutoBridge gives src a EUR payment to dst of up to 100 USD with no
+// direct EUR→USD book: src trusts mm1 for EUR, dst trusts mm2 for USD,
+// mm1 sells XRP for EUR and mm2 sells USD for XRP.
+func addAutoBridge(t *testing.T, g *trustgraph.Graph, books *orderbook.Books, src, mm1, mm2, dst addr.AccountID) {
+	t.Helper()
 	if err := g.SetTrust(mm1, src, amount.EUR, val("1000")); err != nil {
 		t.Fatal(err)
 	}
@@ -336,6 +343,14 @@ func TestAutoBridgeViaXRP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestAutoBridgeViaXRP(t *testing.T) {
+	// No direct EUR→USD book; instead EUR→XRP and XRP→USD books exist.
+	g := trustgraph.New()
+	books := orderbook.New()
+	src, dst := acct(1), acct(4)
+	addAutoBridge(t, g, books, src, acct(2), acct(3), dst)
 	f := New(g, books)
 	plan, err := f.FindPayment(src, dst, amount.EUR, usd("50"))
 	if err != nil {

@@ -28,28 +28,132 @@ func line(t *testing.T, n int) (*trustgraph.Graph, []addr.AccountID) {
 	return g, accts
 }
 
-// TestFindPaymentSteadyStateAllocs pins the tentpole contract: after a
-// warm-up search sizes the Finder's scratch workspace, repeated trust
-// routing allocates only the returned Plan — the BFS itself (visited,
-// parent, frontier, overlay) allocates nothing.
-func TestFindPaymentSteadyStateAllocs(t *testing.T) {
-	g, accts := line(t, 12)
-	f := New(g, orderbook.New())
-	src, dst := accts[len(accts)-1], accts[0]
-	if _, err := f.FindPayment(src, dst, amount.USD, usd("5")); err != nil {
-		t.Fatal(err) // warm-up
+// planCase is one payment of planWorld.
+type planCase struct {
+	name     string
+	src, dst addr.AccountID
+	srcCur   amount.Currency
+	deliver  amount.Amount
+}
+
+// planWorld is one network holding the payments the plan-storage tests
+// search, each on its own accounts: a long single path, a payment that
+// splits over DefaultMaxPaths parallel paths of six hops, and an XRP
+// auto-bridged payment.
+func planWorld(t *testing.T) (*trustgraph.Graph, *orderbook.Books, []planCase) {
+	t.Helper()
+	g, chain := line(t, 12)
+	books := orderbook.New()
+	addChains(t, g, acct(200), acct(201), DefaultMaxPaths, 6, "1", 300)
+	addAutoBridge(t, g, books, acct(400), acct(401), acct(402), acct(403))
+	return g, books, []planCase{
+		{"line", chain[len(chain)-1], chain[0], amount.USD, usd("5")},
+		{"parallel", acct(200), acct(201), amount.USD, usd("6")},
+		{"bridged", acct(400), acct(403), amount.EUR, usd("50")},
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := f.FindPayment(src, dst, amount.USD, usd("5")); err != nil {
+}
+
+// clonePlan deep-copies a plan out of its Finder's storage, with empty
+// slices as nil, so plans compare by content.
+func clonePlan(p *Plan) *Plan {
+	if p == nil {
+		return nil
+	}
+	c := *p
+	c.TrustFlows = append([]Flow(nil), p.TrustFlows...)
+	c.Paths = append([]PathInfo(nil), p.Paths...)
+	c.Quotes = nil
+	for _, q := range p.Quotes {
+		q.Fills = append([]orderbook.Fill(nil), q.Fills...)
+		c.Quotes = append(c.Quotes, q)
+	}
+	return &c
+}
+
+// TestFindPaymentSteadyStateAllocs pins that a warm Finder plans without
+// allocating: the BFS scratch, the overlay, and the plan it returns with
+// its flows, paths, quotes and fills all reuse storage earlier searches
+// grew.
+func TestFindPaymentSteadyStateAllocs(t *testing.T) {
+	g, books, cases := planWorld(t)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := New(g, books)
+			plan, err := f.FindPayment(tc.src, tc.dst, tc.srcCur, tc.deliver)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch tc.name {
+			case "parallel":
+				if len(plan.Paths) != DefaultMaxPaths || plan.Paths[0].Hops != 6 {
+					t.Fatalf("paths %v, want %d of 6 hops", plan.Paths, DefaultMaxPaths)
+				}
+			case "bridged":
+				if len(plan.Quotes) != 2 || !plan.UsedBridge {
+					t.Fatalf("quotes %v, want the two legs of an XRP bridge", plan.Quotes)
+				}
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, err := f.FindPayment(tc.src, tc.dst, tc.srcCur, tc.deliver); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("FindPayment allocates %.1f per call, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestPlanFlowsGrowGeometrically pins how a plan outgrows its storage:
+// six seven-flow paths planned into storage sized for one path take
+// ⌈log2 6⌉ = 3 growths, not one per path.
+func TestPlanFlowsGrowGeometrically(t *testing.T) {
+	g, books, cases := planWorld(t)
+	tc := cases[1] // the parallel payment
+	f := New(g, books)
+	if _, err := f.FindPayment(tc.src, tc.dst, tc.srcCur, tc.deliver); err != nil {
+		t.Fatal(err) // warm every other buffer
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		f.plan.TrustFlows = f.plan.TrustFlows[:0:7]
+		if _, err := f.FindPayment(tc.src, tc.dst, tc.srcCur, tc.deliver); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// The Plan struct, its flow slice, and its path slice are the
-	// caller's result and necessarily fresh; everything else must come
-	// from the workspace.
-	const planAllocs = 3
-	if allocs > planAllocs {
-		t.Errorf("FindPayment allocates %.1f per call, want ≤ %d (plan only)", allocs, planAllocs)
+	if allocs > 3 {
+		t.Errorf("flows grew %.1f times from one path to %d, want ≤ 3", allocs, DefaultMaxPaths)
+	}
+}
+
+// TestPlanValidUntilNextSearch pins the plan's lifetime on one Finder: a
+// search overwrites the plan the previous one returned, and nothing of
+// it leaks into the next plan — searching a payment again after another
+// gives back what a copy of its first plan holds.
+func TestPlanValidUntilNextSearch(t *testing.T) {
+	g, books, cases := planWorld(t)
+	f := New(g, books)
+	for _, a := range cases {
+		for _, b := range cases {
+			if a == b {
+				continue
+			}
+			first, err := f.FindPayment(a.src, a.dst, a.srcCur, a.deliver)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := clonePlan(first)
+			if _, err := f.FindPayment(b.src, b.dst, b.srcCur, b.deliver); err != nil {
+				t.Fatal(err)
+			}
+			again, err := f.FindPayment(a.src, a.dst, a.srcCur, a.deliver)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := clonePlan(again); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s after %s: plan %+v, first search %+v", a.name, b.name, got, want)
+			}
+		}
 	}
 }
 
@@ -75,7 +179,7 @@ func TestMarkEpochWrap(t *testing.T) {
 		}
 		fresh := New(w.g, w.books, WithRecording())
 		want, wantErr := fresh.FindPayment(src, dst, srcCur, deliver)
-		if !reflect.DeepEqual(got, want) || (err == nil) != (wantErr == nil) {
+		if !reflect.DeepEqual(clonePlan(got), clonePlan(want)) || (err == nil) != (wantErr == nil) {
 			t.Fatalf("payment %d (%s→%s %s): plan %v (err %v), fresh Finder %v (err %v)", n, src.Short(), dst.Short(), deliver, got, err, want, wantErr)
 		}
 		var gotRS, wantRS ReadSet

@@ -281,7 +281,8 @@ func (fd *FrontDoor) Submit(tx *ledger.Tx) (*Ticket, error) {
 		fd.met.rejected.Add(1)
 		return nil, err
 	}
-	tk := &Ticket{ID: id, fd: fd, rec: qt}
+	tk := &qt.ticket
+	*tk = Ticket{ID: id, fd: fd, rec: qt}
 	if !qt.autoSeq {
 		tk.Hash = tx.Hash()
 		fd.register(qt, tk.Hash)
@@ -461,24 +462,22 @@ func (fd *FrontDoor) PathFind(src, dst addr.AccountID, srcCur amount.Currency, d
 	plan, err := f.FindPayment(src, dst, srcCur, deliver)
 	var reads pathfind.ReadSet
 	f.AppendReadSet(&reads)
-	fd.quoters.Put(f)
-	epoch := fd.cache.currentEpoch()
-	fd.mu.RUnlock()
-
-	if err != nil && !errors.Is(err, pathfind.ErrNoPath) {
-		return Quote{}, err
-	}
-	q := Quote{
-		SrcCurrency: srcCur,
-		DstCurrency: deliver.Currency,
-		Epoch:       epoch,
-	}
+	q := Quote{SrcCurrency: srcCur, DstCurrency: deliver.Currency}
 	if err == nil && plan != nil {
+		// The plan is f's until its next search: copy it out before f
+		// goes back to the pool, where another reader can take it.
 		q.Found = true
 		q.Delivered = plan.Delivered
 		q.SourceCost = plan.SourceCost
 		q.Paths = append([]pathfind.PathInfo(nil), plan.Paths...)
 		q.UsedBridge = plan.UsedBridge
+	}
+	fd.quoters.Put(f)
+	q.Epoch = fd.cache.currentEpoch()
+	fd.mu.RUnlock()
+
+	if err != nil && !errors.Is(err, pathfind.ErrNoPath) {
+		return Quote{}, err
 	}
 	fd.cache.put(key, q, reads)
 	return q, nil

@@ -28,8 +28,8 @@ import (
 
 // queuedTx is one submission from admission until its status is evicted:
 // the queue orders it, the applier fills in what its apply produced,
-// and the front door's hash index and its Ticket reach its status
-// through it.
+// and the front door's hash index and its Ticket, which it holds, reach
+// its status through it.
 type queuedTx struct {
 	tx     *ledger.Tx // dropped once resolved
 	fee    amount.Drops
@@ -58,6 +58,8 @@ type queuedTx struct {
 	subHash ledger.Hash
 	evicted bool
 	done    chan struct{}
+
+	ticket Ticket // Submit's receipt, returned as &ticket
 }
 
 // acctQueue is one account's pending transactions in apply order:
