@@ -51,18 +51,19 @@ bench-smoke:
 race:
 	$(GO) test -race ./internal/netstream/... ./internal/monitor/... ./internal/faultnet/... ./internal/deanon/... ./internal/ledgerstore/... ./internal/serve/... ./internal/replay/... ./internal/txq/... ./internal/telemetry/... ./internal/integration/...
 
-# Multi-core pipeline pass: the view-pipeline and count-shard
-# differential suites with GOMAXPROCS pinned above 1, so the sharded
-# apply workers, seal barrier, cross-shard merges and histogram
-# observers are genuinely concurrent even on a single-core default
-# runner. Everything here must equal the independent batch oracles at
-# every fan-out (1 included). The carve test and the ingest-path
-# differentials run here too: BackfillStore with 4 workers carves from 4
-# producer arenas at once. So do the front door's quote readers, racing
-# the applier on pooled Finders whose plans each search overwrites.
+# Multi-core pass: the serve-view and count-shard differential suites
+# with GOMAXPROCS pinned above 1, so the view goroutines, the producers
+# feeding their inboxes, the fingerprint count shards, the snapshot
+# readers and the histogram observers are genuinely concurrent even on a
+# single-core default runner. Everything here must equal the independent
+# batch oracles at every count-shard and producer fan-out (1 included).
+# The carve test and the ingest-path differentials run here too:
+# BackfillStore with 4 workers carves from 4 producer arenas at once. So
+# do the front door's quote readers, racing the applier on pooled
+# Finders whose plans each search overwrites.
 # Each pattern must still select a test: a rename that drops one out of
 # the pass fails the target instead of shrinking it silently.
-RACE_MP_TESTS = PipelineWorkersMatchSequentialJSON ShardPartitionMergeParityJSON ShardedMatchesSingleWriterService ParallelBackfillMatchesSequential CarvedPartsNeverAlias BatchedIngestMatchesSinglePage DifferentialThroughInjectedFaults ShardedInc SealedTableMatchesModel SealCopyTrafficBounded CountBytesIndependentOfHistory MergeClonedRepeatable ViewWorker Shed ConcurrentQueries HistogramMatchesModel PlanCacheConcurrentQuotesAndSubmissions FrontDoorConcurrentPerAccountOrdering
+RACE_MP_TESTS = ServiceMatchesOracles ShardedMatchesSingleWriterService ParallelBackfillMatchesSequential CarvedPartsNeverAlias BatchedIngestMatchesSinglePage DifferentialThroughInjectedFaults ShardedInc SealedTableMatchesModel SealCopyTrafficBounded CountBytesIndependentOfHistory MergeClonedRepeatable ViewWorker Shed ConcurrentQueries HistogramMatchesModel PlanCacheConcurrentQuotesAndSubmissions FrontDoorConcurrentPerAccountOrdering
 RACE_MP_PKGS = ./internal/serve/ ./internal/deanon/ ./internal/analysis/ ./internal/telemetry/ ./internal/txq/
 empty :=
 space := $(empty) $(empty)

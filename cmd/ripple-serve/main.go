@@ -73,7 +73,6 @@ func parseFlags(args []string) config {
 	fs.IntVar(&c.serve.PublishBatch, "batch", 0, "max updates between view snapshot publishes (0 = 256)")
 	fs.IntVar(&c.serve.IngestBatchPages, "ingest-batch", 0, "pages per ingest fan-out batch on the backfill paths (0 = 64)")
 	fs.IntVar(&c.serve.FingerprintShards, "fp-shards", 0, "fingerprint count shards, rounded up to a power of two (0 = cover GOMAXPROCS)")
-	fs.IntVar(&c.serve.PipelineWorkers, "pipeline-workers", 0, "apply workers per view pipeline (0 = GOMAXPROCS)")
 	fs.BoolVar(&c.serve.NonBlocking, "drop", false, "shed ingest load when a view falls behind instead of applying backpressure")
 	fs.IntVar(&c.serve.MaxConcurrent, "max-inflight", 0, "max concurrent HTTP queries (0 = 64)")
 	fs.BoolVar(&c.txqEnable, "txq", false, "serve the online front door: /v1/path_find quotes, /v1/submit, /v1/tx_status (engine state replayed from -store when given, empty otherwise)")

@@ -89,28 +89,6 @@ func NewCollector() *Collector {
 	}
 }
 
-// Reset returns the collector to its empty state while keeping the
-// allocations it has grown: maps are cleared, not reallocated, so their
-// buckets survive. This is what lets a merge-target collector be
-// recycled across seals instead of rebuilding O(view state) maps per
-// epoch. Per-currency histogram entries are dropped outright — a
-// currency absent from the next accumulation must read as absent
-// (Survival returns nil), not as an empty curve.
-func (c *Collector) Reset() {
-	c.payments, c.failed, c.transacts = 0, 0, 0
-	c.multiHop, c.offersTotal, c.feesTotal = 0, 0, 0
-	clear(c.byCurrency)
-	clear(c.amounts)
-	c.global = histogram{}
-	clear(c.hopHist)
-	clear(c.parallelHist)
-	clear(c.intermediary)
-	clear(c.offersByOwner)
-	clear(c.senders)
-	clear(c.receivers)
-	clear(c.feesByAccount)
-}
-
 // Page folds one ledger page into the statistics.
 func (c *Collector) Page(p *ledger.Page) error {
 	for i, tx := range p.Txs {
@@ -221,8 +199,7 @@ func (c *Collector) AddOffer(owner addr.AccountID) {
 // (account sets), so merging per-worker collectors from a
 // segment-parallel scan yields exactly the state a single sequential
 // collector would have reached. core's segment-parallel ecosystem scan
-// merges its workers' collectors once; the serving layer's sharded
-// ecosystem view merges its persistent per-worker shards at every seal.
+// merges its workers' collectors once.
 func (c *Collector) MergeCloned(other *Collector) {
 	c.payments += other.payments
 	c.failed += other.failed

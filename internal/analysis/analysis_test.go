@@ -399,54 +399,4 @@ func TestMergeClonedRepeatable(t *testing.T) {
 			t.Fatalf("cut %d: merged state diverges from sequential fold\ngot  %+v\nwant %+v", cut, got, want)
 		}
 	}
-
-}
-
-// TestResetMatchesFresh pins the recycle contract: a Reset collector is
-// indistinguishable from a brand-new one — including after it has
-// accumulated state, so retained (zeroed-in-place) histograms and map
-// buckets never leak previous contents into the next accumulation.
-func TestResetMatchesFresh(t *testing.T) {
-	var pages []*ledger.Page
-	_, err := synth.Generate(synth.Config{
-		Payments: 3000, Seed: 19, SkipSignatures: true,
-	}, func(p *ledger.Page) error {
-		pages = append(pages, p)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := len(pages) / 2
-
-	recycled := NewCollector()
-	for _, p := range pages[:half] {
-		if err := recycled.Page(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recycled.Reset()
-	if !reflect.DeepEqual(collectorFingerprint(recycled), collectorFingerprint(NewCollector())) {
-		t.Fatal("reset collector differs from a fresh one")
-	}
-
-	fresh := NewCollector()
-	for _, p := range pages[half:] {
-		if err := recycled.Page(p); err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.Page(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(collectorFingerprint(recycled), collectorFingerprint(fresh)) {
-		t.Fatal("accumulation after Reset diverges from a fresh collector")
-	}
-	// The recycle loop the sharded view runs: Reset + MergeCloned must
-	// also round-trip.
-	recycled.Reset()
-	recycled.MergeCloned(fresh)
-	if !reflect.DeepEqual(collectorFingerprint(recycled), collectorFingerprint(fresh)) {
-		t.Fatal("Reset+MergeCloned diverges from the merge source")
-	}
 }

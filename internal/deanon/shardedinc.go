@@ -57,35 +57,12 @@ func (s *ShardedIncStudy) Plan() *FingerprintPlan { return s.plan }
 // ObserveFingerprints folds one payment's precomputed fingerprints —
 // one per resolution row, produced by the study's Plan — into the shard
 // counts via the study's default producer handle. It must not be called
-// concurrently with itself, Observe or Seal; use Feeders for concurrent
-// producers.
+// concurrently with itself, Observe or Seal.
 func (s *ShardedIncStudy) ObserveFingerprints(fps []Fingerprint) { s.def.add(fps) }
 
 // Observe folds one payment in, encoding its features and
 // fingerprinting every resolution through the shared plan.
 func (s *ShardedIncStudy) Observe(f Features) { s.def.observe(f) }
-
-// IncFeeder is a per-producer intake for a ShardedIncStudy: each
-// concurrent producer goroutine owns one feeder, so a counting shard
-// receives one coalesced batch per flush instead of per-record handoffs
-// and the producers never contend on shared batch state. A feeder is
-// single-goroutine, and every producer must be quiescent while the
-// coordinator calls Seal (which flushes every feeder).
-type IncFeeder intake
-
-// Feeders prepares n concurrent intakes.
-func (s *ShardedIncStudy) Feeders(n int) []*IncFeeder {
-	out := make([]*IncFeeder, n)
-	for i := range out {
-		out[i] = (*IncFeeder)(s.newIntake())
-	}
-	return out
-}
-
-// ObserveFingerprints folds one payment's precomputed fingerprints into
-// the feeder's per-shard batches, handing full batches to the owning
-// shard goroutine.
-func (f *IncFeeder) ObserveFingerprints(fps []Fingerprint) { (*intake)(f).add(fps) }
 
 // Seal publishes the current counts as an immutable IncSnapshot. Only
 // shards that changed since the previous Seal are resealed, and a

@@ -13,9 +13,10 @@ import (
 // ≡ the map-based Study over the same stream; every mid-stream seal ≡
 // Study over exactly the observed prefix; a sealed lookup ≡ the Study's
 // count saturated at 2; and sealed epochs stay frozen through later
-// observes, seals and Close. One producer feeds through the studies' own
-// default intakes, several through concurrent feeders split over
-// contiguous chunks — run under -race.
+// observes, seals and Close. The incremental study has one producer, its
+// default intake; the parallel study is fed by one producer, or by
+// several concurrent feeders split over contiguous chunks — run under
+// -race.
 func TestShardedIncMatchesBatchStudy(t *testing.T) {
 	feats := randomFeatures(4000, 31)
 	cuts := []int{len(feats) / 5, len(feats) / 2, len(feats)}
@@ -41,23 +42,21 @@ func TestShardedIncMatchesBatchStudy(t *testing.T) {
 				if inc.Shards() != 1<<shardBits || par.Shards() != 1<<shardBits {
 					t.Fatalf("got %d and %d shards, want %d", inc.Shards(), par.Shards(), 1<<shardBits)
 				}
-				// feed folds one chunk into both studies from one goroutine.
-				feed := func(observe func(Features), observeFps func([]Fingerprint), chunk []Features) {
+				// feedInc folds one chunk into the incremental study through
+				// fingerprints precomputed by its plan.
+				feedInc := func(chunk []Features) {
 					var fps []Fingerprint
 					for _, f := range chunk {
-						observe(f)
 						enc := EncodeFeatures(f)
 						fps = enc.AppendFingerprints(inc.Plan(), fps[:0])
-						observeFps(fps)
+						inc.ObserveFingerprints(fps)
 					}
 				}
 				var parFeeders []*Feeder
-				var incFeeders []*IncFeeder
 				if producers > 1 {
 					for p := 0; p < producers; p++ {
 						parFeeders = append(parFeeders, par.Feeder())
 					}
-					incFeeders = inc.Feeders(producers)
 				}
 
 				var snaps []*IncSnapshot
@@ -66,7 +65,9 @@ func TestShardedIncMatchesBatchStudy(t *testing.T) {
 					part := feats[prev:cut]
 					prev = cut
 					if producers == 1 {
-						feed(par.Observe, inc.ObserveFingerprints, part)
+						for _, f := range part {
+							par.Observe(f)
+						}
 					} else {
 						var wg sync.WaitGroup
 						per := (len(part) + producers - 1) / producers
@@ -74,12 +75,14 @@ func TestShardedIncMatchesBatchStudy(t *testing.T) {
 							wg.Add(1)
 							go func(p int) {
 								defer wg.Done()
-								chunk := part[min(p*per, len(part)):min((p+1)*per, len(part))]
-								feed(parFeeders[p].Observe, incFeeders[p].ObserveFingerprints, chunk)
+								for _, f := range part[min(p*per, len(part)):min((p+1)*per, len(part))] {
+									parFeeders[p].Observe(f)
+								}
 							}(p)
 						}
 						wg.Wait()
 					}
+					feedInc(part)
 					snap := inc.Seal()
 					if snap.Payments() != cut {
 						t.Fatalf("cut=%d: sealed %d payments", cut, snap.Payments())

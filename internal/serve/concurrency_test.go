@@ -169,7 +169,7 @@ func TestDropModeCountsAndDegrades(t *testing.T) {
 	first := make(chan struct{})
 	var once sync.Once
 	w := newViewWorker(viewConfig{name: "test", queue: 1, batch: 1,
-		apply: func(int, update) {
+		apply: func(*update) {
 			once.Do(func() { close(first) })
 			<-release
 		},
@@ -275,6 +275,18 @@ func TestHealthzJSONShape(t *testing.T) {
 	}
 	if h.Status != "ok" || h.IngestedPages != uint64(len(pages)) || len(h.Views) != 3 {
 		t.Fatalf("healthz = %+v", h)
+	}
+	// A view has no shard fan-out to report.
+	var raw struct {
+		Views []map[string]any `json:"views"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range raw.Views {
+		if _, ok := v["shards"]; ok {
+			t.Fatalf("healthz view %v still reports shards", v["name"])
+		}
 	}
 	for _, v := range h.Views[1:] { // page views
 		if v.Epoch == 0 || v.AppliedSeq == 0 {

@@ -193,9 +193,9 @@ func TestMidStreamSnapshotsMatchBatchPrefix(t *testing.T) {
 }
 
 // TestParallelBackfillMatchesSequential persists the history to a
-// ledgerstore and backfills it with several decode workers into 1-, 2-,
-// 3-, and 8-worker pipelines; neither segment interleaving nor the
-// fan-out may change any view (all statistics commute): every one must
+// ledgerstore and backfills it with 1, 2, 3 and 8 decode workers, each
+// projecting and feeding the views concurrently; segment interleaving
+// may not change any view (all statistics commute): every one must
 // equal the sequential batch pass over the same pages.
 func TestParallelBackfillMatchesSequential(t *testing.T) {
 	pages := genPages(t, 2000, 7)
@@ -220,9 +220,9 @@ func TestParallelBackfillMatchesSequential(t *testing.T) {
 	study, col := batchViews(t, pages)
 	for _, workers := range []int{1, 2, 3, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			s := NewService(Options{PipelineWorkers: workers})
+			s := NewService(Options{})
 			defer s.Close()
-			if err := s.BackfillStore(context.Background(), st, 4); err != nil {
+			if err := s.BackfillStore(context.Background(), st, workers); err != nil {
 				t.Fatal(err)
 			}
 			drain(t, s)

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"sync/atomic"
-
 	"ripplestudy/internal/amount"
 	"ripplestudy/internal/analysis"
 )
@@ -17,6 +15,9 @@ import (
 type ecosystemState struct {
 	col   *analysis.Collector
 	pages uint64
+	// lastSealPages is the page count the previous seal covered; sealDue
+	// compares against it.
+	lastSealPages uint64
 }
 
 func newEcosystemState() *ecosystemState {
@@ -36,11 +37,24 @@ func (e *ecosystemState) apply(part *ecoPart) {
 	}
 }
 
+// sealDue spaces publishes geometrically under sustained load: building
+// the snapshot copies the cumulative histograms and sorts the offer
+// owners — O(view state) — so requiring the folded page count to double
+// since the previous seal keeps that cost linear in ingest, the same
+// discipline the fingerprint view applies to its table seals. Dry-inbox
+// seals (after a wait as long as the previous seal took, or none while a
+// Drain waits) and shutdown seals bypass the gate, so idle epochs stay
+// fresh and Drain always completes.
+func (e *ecosystemState) sealDue() bool {
+	return e.pages >= 2*e.lastSealPages
+}
+
 // snapshot seals the derived histograms. Every accessor used here
 // (CurrencyHistogram, Survival, HopHistogram, ParallelHistogram,
 // OfferConcentration) copies out of the collector, so the snapshot
 // shares no mutable state with it.
 func (e *ecosystemState) snapshot(epoch, appliedSeq uint64) *EcosystemSnapshot {
+	e.lastSealPages = e.pages
 	grid := analysis.DefaultSurvivalGrid()
 	curves := []SurvivalCurve{{Label: "Global", Points: e.col.Survival(amount.Currency{}, true, grid)}}
 	for _, cur := range analysis.FeaturedCurrencies() {
@@ -61,74 +75,6 @@ func (e *ecosystemState) snapshot(epoch, appliedSeq uint64) *EcosystemSnapshot {
 		Parallel:           e.col.ParallelHistogram(),
 		OfferConcentration: e.col.OfferConcentration([]int{10, 50, 100}),
 	}
-}
-
-// ecoShards is the Figures 4–6 view sharded for the multi-worker
-// pipeline: each apply worker folds parts into its own
-// analysis.Collector, and the seal folds them into one cumulative
-// collector before building the snapshot. The worker shards are
-// per-epoch deltas: a seal MergeClones each into merged and Resets it,
-// so a merge costs O(records since the last seal), not O(view state).
-// Every collector statistic is an order-insensitive sum or union, so
-// any partition of the record stream, cut into any epochs, merges to
-// the state a sequential fold reaches (the property analysis.Merge
-// already pins for the segment-parallel batch scan).
-type ecoShards struct {
-	shards []*ecosystemState
-	// pages counts records folded across all shards; atomic because the
-	// sealer reads it for the publish gate without a barrier (it is a
-	// heuristic, exactness is not needed).
-	pages atomic.Uint64
-	// lastSealPages is the folded page count the previous seal covered.
-	// Sealer-goroutine only.
-	lastSealPages uint64
-	// merged is the cumulative state through the last seal, the only
-	// collector a snapshot reads. Sealer-goroutine only, like
-	// lastSealPages.
-	merged *ecosystemState
-}
-
-func newEcoShards(n int) *ecoShards {
-	if n < 1 {
-		n = 1
-	}
-	e := &ecoShards{shards: make([]*ecosystemState, n), merged: newEcosystemState()}
-	for i := range e.shards {
-		e.shards[i] = newEcosystemState()
-	}
-	return e
-}
-
-func (e *ecoShards) apply(shard int, part *ecoPart) {
-	e.shards[shard].apply(part)
-	e.pages.Add(1)
-}
-
-// sealDue spaces publishes geometrically under sustained load: the merge
-// is O(delta), but building the snapshot still copies the cumulative
-// histograms and sorts the offer owners — O(view state) — so requiring
-// the folded page count to double since the previous seal keeps that
-// cost linear in ingest, the same discipline the fingerprint view
-// applies to its table seals. Ring-dry seals (after a wait as long as
-// the previous seal took, or none while a Drain waits) and shutdown
-// seals bypass the gate, so idle epochs stay fresh and Drain always
-// completes.
-func (e *ecoShards) sealDue() bool {
-	return e.pages.Load() >= 2*e.lastSealPages
-}
-
-// snapshot folds the shards' deltas into merged and seals the derived
-// histograms. It runs under the seal barrier (or after shutdown), so the
-// shard collectors are quiescent.
-func (e *ecoShards) snapshot(epoch, appliedSeq uint64) *EcosystemSnapshot {
-	e.lastSealPages = e.pages.Load()
-	for _, sh := range e.shards {
-		e.merged.col.MergeCloned(sh.col)
-		e.merged.pages += sh.pages
-		sh.col.Reset()
-		sh.pages = 0
-	}
-	return e.merged.snapshot(epoch, appliedSeq)
 }
 
 // SurvivalCurve is one labelled Figure 5 curve.

@@ -9,8 +9,7 @@ import (
 // maintained incrementally by a deanon.ShardedIncStudy — K count shards
 // routed by fingerprint high bits, each owned by one goroutine — so both
 // the information-gain rows and individual sender-uniqueness lookups
-// stay O(1) at any point of the stream while increments scale with
-// cores.
+// stay O(1) at any point of the stream.
 //
 // The fingerprints themselves are computed upstream, once per payment,
 // by the projection front door (project.go) through the study's shared
@@ -22,31 +21,22 @@ import (
 // same pages at any shard count.
 type fingerprintState struct {
 	study *deanon.ShardedIncStudy
-	// feeders are the per-pipeline-worker intakes: each apply worker
-	// batches observations through its own feeder, so a count shard
-	// receives one coalesced batch per flush instead of contended
-	// per-record handoffs.
-	feeders []*deanon.IncFeeder
-	rows    int
+	rows  int
 	// lastSealPayments is the study size the previous seal covered;
-	// sealDue compares against it. Written only by the sealing
-	// goroutine.
+	// sealDue compares against it.
 	lastSealPayments int
 }
 
 // newFingerprintState builds the view with the requested shard count
-// (rounded up to a power of two; <= 0 picks the machine default) and
-// one feeder per pipeline worker.
-func newFingerprintState(shards, workers int) *fingerprintState {
+// (rounded up to a power of two; <= 0 picks the machine default).
+func newFingerprintState(shards int) *fingerprintState {
 	bits := deanon.DefaultShardBits()
 	if shards > 0 {
 		bits = deanon.ShardBitsFor(shards)
 	}
-	study := deanon.NewShardedIncStudy(deanon.Figure3Rows, bits)
 	return &fingerprintState{
-		study:   study,
-		feeders: study.Feeders(workers),
-		rows:    len(deanon.Figure3Rows),
+		study: deanon.NewShardedIncStudy(deanon.Figure3Rows, bits),
+		rows:  len(deanon.Figure3Rows),
 	}
 }
 
@@ -57,14 +47,11 @@ func (f *fingerprintState) plan() *deanon.FingerprintPlan { return f.study.Plan(
 // shards reports the count-shard fan-out, for metrics.
 func (f *fingerprintState) shards() int { return f.study.Shards() }
 
-// apply folds one page's fingerprint part in through the calling
-// worker's own feeder, which only that worker touches outside a seal:
-// the part holds rows fingerprints per payment, already in the study's
-// row order.
-func (f *fingerprintState) apply(shard int, p *fpPart) {
-	fd := f.feeders[shard]
+// apply folds one page's fingerprint part in: the part holds rows
+// fingerprints per payment, already in the study's row order.
+func (f *fingerprintState) apply(p *fpPart) {
 	for off := 0; off < len(p.fps); off += f.rows {
-		fd.ObserveFingerprints(p.fps[off : off+f.rows])
+		f.study.ObserveFingerprints(p.fps[off : off+f.rows])
 	}
 }
 
@@ -81,7 +68,7 @@ func (f *fingerprintState) apply(shard int, p *fpPart) {
 // CountBytes. The bound holds because every study's tables start at the
 // minimum and double as they fill, so each seal copies a table whose
 // size tracks the payments ingested so far, not one grown by an earlier
-// study. Ring-dry seals bypass this gate: once the rings run dry the
+// study. Dry-inbox seals bypass this gate: once the inbox runs dry the
 // view publishes after waiting as long as its previous seal took (at
 // once while a Drain waits), so idle epochs stay fresh.
 func (f *fingerprintState) sealDue() bool {
@@ -92,9 +79,8 @@ func (f *fingerprintState) sealDue() bool {
 // copies only the pages written since the last one; unchanged shards,
 // tables and pages are shared with the previous snapshot.
 func (f *fingerprintState) snapshot(epoch, appliedSeq uint64) *FingerprintSnapshot {
-	// This runs with every apply worker paused (seal barrier) or stopped
-	// (shutdown), so the study flushing their feeders is single-threaded
-	// by construction.
+	// This runs on the view's goroutine, the study's only producer, so
+	// nothing observes while the study flushes.
 	snap := f.study.Seal()
 	f.lastSealPayments = snap.Payments()
 	return &FingerprintSnapshot{

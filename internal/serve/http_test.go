@@ -176,40 +176,36 @@ func TestMetricsExposition(t *testing.T) {
 		"serve_query_duration_seconds_bucket{endpoint=\"validators\",le=\"+Inf\"} 1",
 		"serve_http_rejected_total 0",
 		"serve_ingest_idle_seconds",
-		fmt.Sprintf("serve_pipeline_workers %d", s.opts.PipelineWorkers),
-		"serve_view_merge_duration_seconds_sum{view=\"fig3_fingerprints\"}",
-		"serve_view_shard_queue_depth{view=\"fig2_tally\",shard=\"0\"} 0",
+		"serve_view_queue_depth{view=\"fig2_tally\"} 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q\n%s", want, body)
+		}
+	}
+	// Each view is one goroutine: no worker count, shard merge or
+	// per-shard ring is left to export.
+	for _, gone := range []string{"serve_pipeline_workers", "serve_view_merge_duration_seconds", "serve_view_shard_queue_depth"} {
+		if strings.Contains(body, gone) {
+			t.Errorf("metrics still export %s", gone)
 		}
 	}
 	// Without a front door its endpoints are not mounted, so not exported.
 	if strings.Contains(body, `endpoint="path_find"`) {
 		t.Error("metrics export the unmounted path_find endpoint")
 	}
-	// Every pipeline shard must expose its ring depth gauge, whatever
-	// the worker fan-out this machine defaults to.
-	for _, vw := range s.views {
-		for i := range vw.shardDepths() {
-			want := fmt.Sprintf("serve_view_shard_queue_depth{view=%q,shard=\"%d\"}", vw.name, i)
-			if !strings.Contains(body, want) {
-				t.Errorf("metrics missing %q", want)
-			}
-		}
-	}
-	// Every seal times one merge. The summed merge time is zero for a
-	// view that never sealed (the tally view: pages carry no validation
-	// events), otherwise positive and at most the summed seal time.
+	// Every view exports its inbox depth. The summed seal time is zero
+	// for a view that never sealed (the tally view: pages carry no
+	// validation events), otherwise positive.
 	for _, vw := range s.views {
 		label := fmt.Sprintf("{view=%q}", vw.name)
+		if depth := metricValue(t, body, "serve_view_queue_depth"+label); depth != 0 {
+			t.Errorf("view %s: %v batches queued after a Drain", vw.name, depth)
+		}
 		seals := metricValue(t, body, "serve_view_seal_duration_seconds_count"+label)
 		sealTotal := metricValue(t, body, "serve_view_seal_duration_seconds_sum"+label)
-		merges := metricValue(t, body, "serve_view_merge_duration_seconds_count"+label)
-		total := metricValue(t, body, "serve_view_merge_duration_seconds_sum"+label)
 		pageView := vw.name != "fig2_tally"
-		if (pageView && seals < 1) || merges != seals || (seals > 0) != (total > 0) || total > sealTotal {
-			t.Errorf("view %s: %v seals taking %vs, %v merges taking %vs", vw.name, seals, sealTotal, merges, total)
+		if (pageView && seals < 1) || (seals > 0) != (sealTotal > 0) {
+			t.Errorf("view %s: %v seals taking %vs", vw.name, seals, sealTotal)
 		}
 		// Every view exports its dry waits. A view that never had an
 		// update to publish never waited; the others may not have either,

@@ -69,8 +69,7 @@ func checkEcosystemViewsEqual(t *testing.T, a, b *Service) {
 
 // TestShardedMatchesSingleWriterService pins the sharded fingerprint
 // view at the service level: the same pages through eight count shards
-// under the default pipeline and through one count shard under a
-// one-worker pipeline must both equal the batch oracles over exactly
+// and through one count shard must both equal the batch oracles over exactly
 // the ingested prefix at every mid-stream epoch and at the end, and
 // each other bit for bit.
 func TestShardedMatchesSingleWriterService(t *testing.T) {
@@ -79,7 +78,7 @@ func TestShardedMatchesSingleWriterService(t *testing.T) {
 
 	sharded := NewService(Options{FingerprintShards: 8, PublishBatch: 16})
 	defer sharded.Close()
-	single := NewService(Options{FingerprintShards: 1, PipelineWorkers: 1, PublishBatch: 16})
+	single := NewService(Options{FingerprintShards: 1, PublishBatch: 16})
 	defer single.Close()
 	if got := sharded.fpState.shards(); got != 8 {
 		t.Fatalf("sharded service runs %d shards, want 8", got)

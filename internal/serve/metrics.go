@@ -2,7 +2,6 @@ package serve
 
 import (
 	"io"
-	"strconv"
 	"sync/atomic"
 
 	"ripplestudy/internal/telemetry"
@@ -42,7 +41,6 @@ func (s *Service) writeMetrics(out io.Writer) {
 	w.Counter("serve_ingest_batch_pages_total", "Pages carried by those batches; divide by serve_ingest_batches_total for the mean batch size.", s.ingestBatchPages.Load())
 	w.Gauge("serve_fingerprint_shards", "Single-writer count shards behind the fingerprint view.", float64(s.fpState.shards()))
 	w.Gauge("serve_fingerprint_count_bytes", "Bytes of the current fingerprint snapshot's count tables (keys and counts, each table at its full size).", float64(s.Fingerprints().CountBytes()))
-	w.Gauge("serve_pipeline_workers", "Apply workers (state shards and rings) per view pipeline.", float64(s.opts.PipelineWorkers))
 	w.Counter("serve_dropped_events_total", "Events lost: undecodable page payloads plus view-queue overflow drops.", h.DroppedEvents)
 	w.Gauge("serve_stream_last_seq", "Highest stream sequence seen from the network.", float64(h.StreamLastSeq))
 	w.Gauge("serve_ingest_idle_seconds", "Time since the last ingested event.", h.IngestIdle.Seconds())
@@ -68,18 +66,15 @@ func (s *Service) writeMetrics(out io.Writer) {
 		w.Counter("serve_view_dropped_events_total", "Updates dropped at the view inbox (non-blocking mode).", v.Dropped, "view", v.Name)
 	}
 	for _, vw := range s.views {
-		w.Histogram("serve_view_seal_duration_seconds", "Snapshot publishes per view, each timed from pausing the apply workers to the end of the merge.", &vw.sealDur, "view", vw.name)
+		w.Histogram("serve_view_seal_duration_seconds", "Snapshot publishes per view, each timed from the start to the end of the snapshot build.", &vw.sealDur, "view", vw.name)
 	}
 	for _, vw := range s.views {
-		w.Histogram("serve_view_merge_duration_seconds", "Shard merge and snapshot build per publish; _sum / _count is the mean merge.", &vw.mergeDur, "view", vw.name)
+		w.Histogram("serve_view_dry_wait_seconds", "Waits on a dry inbox for a publish to fall due, as long as the view's previous seal took after the inbox first ran dry; one observation per wait, ended by the seal, by new work or by a Drain.", &vw.dryWait, "view", vw.name)
 	}
 	for _, vw := range s.views {
-		w.Histogram("serve_view_dry_wait_seconds", "Waits on dry rings for a publish to fall due, as long as the view's previous seal took after the rings first ran dry; one observation per wait, ended by the seal or by new work.", &vw.dryWait, "view", vw.name)
-	}
-	for _, vw := range s.views {
-		for i, d := range vw.shardDepths() {
-			w.Gauge("serve_view_shard_queue_depth", "Update batches queued in each view shard's ring.", float64(d), "view", vw.name, "shard", strconv.Itoa(i))
-		}
+		// A channel length read is racy by nature: the gauge is an
+		// instantaneous load indicator, not accounting.
+		w.Gauge("serve_view_queue_depth", "Update batches queued in each view's inbox.", float64(len(vw.in)), "view", vw.name)
 	}
 
 	w.Gauge("serve_http_inflight", "In-flight HTTP requests.", float64(s.inflight.Load()))

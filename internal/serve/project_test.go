@@ -8,7 +8,6 @@ import (
 
 	"ripplestudy/internal/addr"
 	"ripplestudy/internal/deanon"
-	"ripplestudy/internal/ledger"
 )
 
 // TestProjectPayloadMatchesPage pins the in-place payload projection
@@ -64,18 +63,6 @@ func TestProjectPayloadMatchesPage(t *testing.T) {
 	if !sawOffers {
 		t.Error("no page with successful offers in the test history")
 	}
-}
-
-// ecoPartsOf projects each page alone into its ecosystem part.
-func ecoPartsOf(pr *projector, pages []*ledger.Page) []*ecoPart {
-	parts := make([]*ecoPart, len(pages))
-	var rec pageRecord
-	for i, p := range pages {
-		pr.fromPage(p, &rec)
-		var single partArena
-		_, parts[i] = single.carve(&rec)
-	}
-	return parts
 }
 
 // perChunk is how many elements of T one chunk slab holds.

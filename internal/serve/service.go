@@ -44,10 +44,9 @@ type Options struct {
 	// power of two. Default: the smallest power of two covering
 	// GOMAXPROCS.
 	FingerprintShards int
-	// PipelineWorkers is the apply fan-out of every view pipeline: each
-	// view keeps that many state shards, each owned by one goroutine fed
-	// over its own bounded ring, merged into one snapshot at seal.
-	// Default: GOMAXPROCS, capped at 64.
+	// PipelineWorkers has no effect: every view is one goroutine.
+	//
+	// Deprecated: the per-view apply fan-out it sized is gone.
 	PipelineWorkers int
 	// NonBlocking switches ingest fan-out from backpressure (lossless;
 	// the differential-test configuration) to drop-on-full
@@ -72,12 +71,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.IngestBatchPages <= 0 {
 		o.IngestBatchPages = defaultIngestBatch
-	}
-	if o.PipelineWorkers <= 0 {
-		o.PipelineWorkers = runtime.GOMAXPROCS(0)
-	}
-	if o.PipelineWorkers > 64 {
-		o.PipelineWorkers = 64
 	}
 	if o.MaxConcurrent <= 0 {
 		o.MaxConcurrent = 64
@@ -148,45 +141,39 @@ func NewService(opts Options) *Service {
 		s.endpoints[i].name = name
 	}
 
-	workers := opts.PipelineWorkers
-
-	tally := newTallyShards(opts.ValidatorLabels, workers)
+	tally := newTallyState(opts.ValidatorLabels)
 	s.tallyW = newViewWorker(viewConfig{
 		name:    "fig2_tally",
-		workers: workers,
 		queue:   opts.QueueSize,
 		batch:   opts.PublishBatch,
 		block:   !opts.NonBlocking,
-		apply:   func(shard int, u update) { tally.apply(shard, *u.ev) },
-		route:   tallyRoute,
+		apply:   func(u *update) { tally.apply(*u.ev) },
 		publish: func(epoch uint64) { s.tallySnap.Store(tally.snapshot(epoch, seqOf(s.tallyW))) },
 		notify:  s.notifyProgress,
 	})
 
-	fp := newFingerprintState(opts.FingerprintShards, workers)
+	fp := newFingerprintState(opts.FingerprintShards)
 	s.fpState = fp
 	s.proj = newProjector(fp.plan())
 	s.fpW = newViewWorker(viewConfig{
 		name:    "fig3_fingerprints",
-		workers: workers,
 		queue:   opts.QueueSize,
 		batch:   opts.PublishBatch,
 		block:   !opts.NonBlocking,
-		apply:   func(shard int, u update) { fp.apply(shard, u.fp) },
+		apply:   func(u *update) { fp.apply(u.fp) },
 		size:    func(u *update) int64 { return u.fp.bytes() },
 		publish: func(epoch uint64) { s.fpSnap.Store(fp.snapshot(epoch, seqOf(s.fpW))) },
 		notify:  s.notifyProgress,
 		sealDue: fp.sealDue,
 	})
 
-	eco := newEcoShards(workers)
+	eco := newEcosystemState()
 	s.ecoW = newViewWorker(viewConfig{
 		name:    "fig4to6_ecosystem",
-		workers: workers,
 		queue:   opts.QueueSize,
 		batch:   opts.PublishBatch,
 		block:   !opts.NonBlocking,
-		apply:   func(shard int, u update) { eco.apply(shard, u.eco) },
+		apply:   func(u *update) { eco.apply(u.eco) },
 		size:    func(u *update) int64 { return u.eco.bytes() },
 		publish: func(epoch uint64) { s.ecoSnap.Store(eco.snapshot(epoch, seqOf(s.ecoW))) },
 		notify:  s.notifyProgress,
@@ -237,12 +224,12 @@ func (s *Service) IngestEvent(ev consensus.Event) error {
 		}
 		scratchPool.Put(rec)
 	}
-	s.tallyW.offer(update{ev: &ev, seq: seq, streamSeq: ev.StreamSeq})
+	s.tallyW.offer(update{ev: &ev, seq: seq})
 	if fp != nil {
 		s.ingestedPages.Add(1)
 		s.ingestedPayments.Add(uint64(len(eco.payments)))
-		s.fpW.offer(update{fp: fp, seq: seq, streamSeq: ev.StreamSeq})
-		s.ecoW.offer(update{eco: eco, seq: seq, streamSeq: ev.StreamSeq})
+		s.fpW.offer(update{fp: fp, seq: seq})
+		s.ecoW.offer(update{eco: eco, seq: seq})
 	}
 	return nil
 }
@@ -264,42 +251,9 @@ func (s *Service) IngestPage(p *ledger.Page) error {
 }
 
 // IngestPages folds a batch of sealed pages into the page views with
-// one queue operation per view per IngestBatchPages pages. When the
-// batch is large enough to amortize the goroutine fan-out, projection
-// itself runs in parallel: contiguous chunks of pages are projected by
-// PipelineWorkers goroutines, each feeding the view rings through its
-// own batcher. Every view statistic is order-insensitive, so the
-// interleaving cannot change any sealed snapshot.
+// one queue operation per view per IngestBatchPages pages, projecting
+// them in order through one batcher.
 func (s *Service) IngestPages(pages []*ledger.Page) error {
-	workers := s.opts.PipelineWorkers
-	if len(pages) < 2*s.opts.IngestBatchPages {
-		return s.ingestChunk(pages)
-	}
-	chunk := (len(pages) + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for g := 0; g*chunk < len(pages); g++ {
-		lo, hi := g*chunk, (g+1)*chunk
-		if hi > len(pages) {
-			hi = len(pages)
-		}
-		wg.Add(1)
-		go func(g int, chunk []*ledger.Page) {
-			defer wg.Done()
-			errs[g] = s.ingestChunk(chunk)
-		}(g, pages[lo:hi])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ingestChunk projects pages in order through one batcher.
-func (s *Service) ingestChunk(pages []*ledger.Page) error {
 	b := s.newBatcher()
 	for _, p := range pages {
 		s.proj.fromPage(p, &b.scratch)
@@ -495,8 +449,6 @@ type ViewHealth struct {
 	AppliedEvents uint64 `json:"applied_events"`
 	Lag           uint64 `json:"ingest_lag_events"`
 	Dropped       uint64 `json:"dropped_events"`
-	// Shards is the view's pipeline fan-out (state shards / rings).
-	Shards int `json:"shards"`
 }
 
 // HealthReport summarizes the service for /healthz.
@@ -534,7 +486,6 @@ func (s *Service) Health() HealthReport {
 			AppliedEvents: w.applied.Load(),
 			Lag:           w.lag(),
 			Dropped:       w.dropped.Load(),
-			Shards:        w.workerCount(),
 		})
 	}
 	h.DroppedEvents = dropped
@@ -566,7 +517,7 @@ func (s *Service) notifyProgress() {
 // and published it, or the context expires — the barrier differential
 // tests and graceful shutdown use. Ingestion may continue concurrently;
 // Drain only guarantees the offers that happened before the call are
-// visible. While it waits, views seal as soon as their rings run dry,
+// visible. While it waits, views seal as soon as their inboxes run dry,
 // without the usual wait, and waiting is notification-driven (views
 // signal every seal and drop), so drain latency is bounded by the last
 // seal, not a timer or a poll interval.
@@ -576,7 +527,7 @@ func (s *Service) Drain(ctx context.Context) error {
 		target[i] = w.offered.Load()
 		w.draining.Add(1)
 		defer w.draining.Add(-1)
-		w.wake() // a dry wait in progress ends now
+		w.wakeForDrain() // a dry wait in progress ends now
 	}
 	for {
 		gate := s.progressGate()

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"encoding/binary"
-
 	"ripplestudy/internal/addr"
 	"ripplestudy/internal/consensus"
 	"ripplestudy/internal/ledger"
@@ -29,15 +27,22 @@ type tallyState struct {
 	validPages map[ledger.Hash]bool
 	events     int
 	malformed  int
+
+	labels map[addr.NodeID]string
+	// names memoizes the short node IDs of unlabelled validators, so a
+	// snapshot base58-encodes each validator once, not once per seal.
+	names map[addr.NodeID]string
 }
 
-func newTallyState() *tallyState {
+func newTallyState(labels map[addr.NodeID]string) *tallyState {
 	return &tallyState{
 		totals:     make(map[addr.NodeID]int),
 		valids:     make(map[addr.NodeID]int),
 		badSigs:    make(map[addr.NodeID]int),
 		pending:    make(map[ledger.Hash][]addr.NodeID),
 		validPages: make(map[ledger.Hash]bool),
+		labels:     labels,
+		names:      make(map[addr.NodeID]string),
 	}
 }
 
@@ -78,43 +83,9 @@ func (t *tallyState) apply(ev consensus.Event) {
 	}
 }
 
-// tallyShards is the Figure 2 view sharded for the multi-worker
-// pipeline: each apply worker owns one full tallyState, and events are
-// routed by ledger hash (tallyRoute), so a page's validations, its
-// close event, its pending index entry, and its validPages bit all
-// colocate on one shard. Within a hash the validation/close interplay
-// commutes (a validation credits immediately after the close, or at the
-// close if it signed first — either way total and valid both advance),
-// and across hashes every statistic is an order-insensitive sum, so the
-// merged snapshot is bit-identical to a sequential fold of the same
-// events in any order.
-type tallyShards struct {
-	shards []*tallyState
-	labels map[addr.NodeID]string
-	// names memoizes the short node IDs of unlabelled validators, so a
-	// snapshot base58-encodes each validator once, not once per seal.
-	// Only snapshot touches it, on the view's one sealer.
-	names map[addr.NodeID]string
-}
-
-func newTallyShards(labels map[addr.NodeID]string, n int) *tallyShards {
-	if n < 1 {
-		n = 1
-	}
-	t := &tallyShards{
-		shards: make([]*tallyState, n),
-		labels: labels,
-		names:  make(map[addr.NodeID]string),
-	}
-	for i := range t.shards {
-		t.shards[i] = newTallyState()
-	}
-	return t
-}
-
 // displayName is the validator's configured label, or else its short
 // node ID.
-func (t *tallyShards) displayName(node addr.NodeID) string {
+func (t *tallyState) displayName(node addr.NodeID) string {
 	if l := t.labels[node]; l != "" {
 		return l
 	}
@@ -126,58 +97,25 @@ func (t *tallyShards) displayName(node addr.NodeID) string {
 	return name
 }
 
-// tallyRoute keys an update to the shard owning its ledger hash.
-// Malformed events (zero hash, or no event at all) quarantine on shard
-// 0; the worker reduces the key modulo the shard count.
-func tallyRoute(u *update) uint64 {
-	if u.ev == nil || u.ev.LedgerHash.IsZero() {
-		return 0
-	}
-	return binary.BigEndian.Uint64(u.ev.LedgerHash[:8])
-}
-
-func (t *tallyShards) apply(shard int, ev consensus.Event) { t.shards[shard].apply(ev) }
-
-// snapshot merges the shards into one immutable TallySnapshot — the
-// deterministic cross-shard reconciliation at seal. Per-validator
-// counters and event counts are plain sums; Rounds sums the disjoint
-// per-shard validPages sets (each hash lives on exactly one shard).
-func (t *tallyShards) snapshot(epoch, appliedSeq uint64) *TallySnapshot {
-	totals := make(map[addr.NodeID]int)
-	valids := make(map[addr.NodeID]int)
-	badSigs := make(map[addr.NodeID]int)
-	rounds, events, malformed := 0, 0, 0
-	for _, sh := range t.shards {
-		for node, n := range sh.totals {
-			totals[node] += n
-		}
-		for node, n := range sh.valids {
-			valids[node] += n
-		}
-		for node, n := range sh.badSigs {
-			badSigs[node] += n
-		}
-		rounds += len(sh.validPages)
-		events += sh.events
-		malformed += sh.malformed
-	}
-	stats := make([]monitor.ValidatorStats, 0, len(totals))
-	for node, total := range totals {
+// snapshot seals the counters into one immutable TallySnapshot.
+func (t *tallyState) snapshot(epoch, appliedSeq uint64) *TallySnapshot {
+	stats := make([]monitor.ValidatorStats, 0, len(t.totals))
+	for node, total := range t.totals {
 		stats = append(stats, monitor.ValidatorStats{
 			Node:          node,
 			Label:         t.displayName(node),
 			Total:         total,
-			Valid:         valids[node],
-			BadSignatures: badSigs[node],
+			Valid:         t.valids[node],
+			BadSignatures: t.badSigs[node],
 		})
 	}
 	monitor.SortStats(stats)
 	return &TallySnapshot{
 		Epoch:      epoch,
 		AppliedSeq: appliedSeq,
-		Rounds:     rounds,
-		Events:     events,
-		Malformed:  malformed,
+		Rounds:     len(t.validPages),
+		Events:     t.events,
+		Malformed:  t.malformed,
 		Validators: stats,
 	}
 }
