@@ -361,8 +361,9 @@ func BenchmarkLedgerCodec(b *testing.B) {
 	})
 	data := page.Encode(nil)
 	b.Run("decode", func(b *testing.B) {
+		var arena ledger.PageArena
 		for i := 0; i < b.N; i++ {
-			if _, _, err := ledger.DecodePage(data); err != nil {
+			if _, _, err := ledger.DecodePageInto(data, &arena); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -141,22 +141,6 @@ type Event struct {
 	TxHashes []ledger.Hash `json:"tx_hashes,omitempty"`
 }
 
-// Page decodes the sealed page attached to a ledger-close event.
-// It returns (nil, nil) when the event carries no page payload.
-func (ev Event) Page() (*ledger.Page, error) {
-	if len(ev.PageData) == 0 {
-		return nil, nil
-	}
-	p, used, err := ledger.DecodePage(ev.PageData)
-	if err != nil {
-		return nil, err
-	}
-	if used != len(ev.PageData) {
-		return nil, fmt.Errorf("consensus: %d trailing bytes after page %d payload", len(ev.PageData)-used, p.Header.Sequence)
-	}
-	return p, nil
-}
-
 // RoundResult summarizes one consensus round.
 type RoundResult struct {
 	Page          *ledger.Page

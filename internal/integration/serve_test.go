@@ -98,11 +98,11 @@ func TestServingLayerOverDegradedStream(t *testing.T) {
 	var validatedPages []*ledger.Page
 	var last consensus.Event
 	net.Subscribe(func(ev consensus.Event) {
-		if ev.Kind == consensus.EventLedgerClosed {
-			p, err := ev.Page()
+		if ev.Kind == consensus.EventLedgerClosed && len(ev.PageData) > 0 {
+			p, _, err := ledger.DecodePageInto(ev.PageData, new(ledger.PageArena))
 			if err != nil {
 				t.Errorf("streamed page: %v", err)
-			} else if p != nil {
+			} else {
 				validatedPages = append(validatedPages, p)
 			}
 		}

@@ -1,22 +1,22 @@
 package ledger
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"ripplestudy/internal/addr"
 )
 
-// PageArena is a reusable allocation arena for page decoding. A scan
-// that decodes millions of pages through DecodePage pays for a fresh
-// *Page, per-transaction *Tx/*TxMeta structs, and per-field byte slices
-// on every record; DecodePageInto carves all of that out of the arena's
-// slabs instead, so a steady-state scan allocates nothing.
+// PageArena is the storage a decoded page lives in. DecodePageInto
+// carves the *Page, its per-transaction Tx/TxMeta structs and every
+// byte-slice field out of the arena's slabs, so a scan that reuses one
+// arena allocates nothing in steady state.
 //
 // Contract: every DecodePageInto call resets the arena, invalidating
 // the previous page decoded into it and everything reachable from it
 // (transactions, metadata, signature bytes, intermediary lists). A
-// consumer that needs a page beyond the next decode must deep-copy it
-// first — or use DecodePage, whose output is independently allocated.
+// consumer that keeps a page beyond the next decode decodes it into an
+// arena of its own (new(PageArena) per page).
 //
 // A PageArena is not safe for concurrent use; parallel scans keep one
 // arena per worker (see core's ecosystem scan over
@@ -96,24 +96,23 @@ const minTxRecordBytes = txFixedBytes + 2 + 2 + 1 + 14 + 1 + 4 + 1 + 2
 
 // DecodePageInto decodes one page from data, carving every object out
 // of the arena. It returns the decoded page (whose storage belongs to
-// the arena) and the number of bytes consumed. The result is
-// bit-identical to DecodePage on the same input; only the allocation
-// strategy differs. The call resets the arena first, so the previously
-// decoded page is invalidated (see the PageArena contract).
+// the arena) and the number of bytes consumed. It is the one page
+// decoder: a caller that keeps its pages decodes each into a fresh
+// arena. The call resets the arena first, so the previously decoded
+// page is invalidated (see the PageArena contract).
 func DecodePageInto(data []byte, a *PageArena) (*Page, int, error) {
 	a.Reset()
-	d := decoder{buf: data}
-	p := &a.page
-	p.Header.Sequence = d.u64()
-	p.Header.ParentHash = d.hash()
-	p.Header.TxSetHash = d.hash()
-	p.Header.StateHash = d.hash()
-	p.Header.CloseTime = CloseTime(d.u32())
-	p.Header.TotalDrops = d.u64()
-	n := int(d.u32())
-	if d.err != nil {
-		return nil, 0, d.err
+	hdr, off, err := DecodeHeader(data)
+	if err != nil {
+		return nil, 0, err
 	}
+	if len(data) < off+4 {
+		return nil, 0, ErrTruncated
+	}
+	p := &a.page
+	p.Header = hdr
+	n := int(binary.BigEndian.Uint32(data[off:]))
+	off += 4
 	if reserve := n; reserve <= len(data)/minTxRecordBytes+1 {
 		// Credible count: pre-size the slabs so no mid-page growth
 		// relocations happen at all.
@@ -131,28 +130,29 @@ func DecodePageInto(data []byte, a *PageArena) (*Page, int, error) {
 		}
 	}
 	if a.txp == nil {
-		// Match DecodePage's empty-but-non-nil Txs/Metas on
-		// transaction-free pages (one-time cost per arena).
+		// Transaction-free pages decode to empty, non-nil Txs and
+		// Metas, so they export as [] rather than null (one-time cost
+		// per arena).
 		a.txp = make([]*Tx, 0, 4)
 		a.metap = make([]*TxMeta, 0, 4)
 	}
 	for i := 0; i < n; i++ {
 		tx := a.newTx()
-		used, err := decodeTxInto(data[d.off:], tx, a)
+		used, err := decodeTxInto(data[off:], tx, a)
 		if err != nil {
 			return nil, 0, fmt.Errorf("ledger: page %d, tx %d: %w", p.Header.Sequence, i, err)
 		}
-		d.off += used
+		off += used
 		meta := a.newMeta()
-		used, err = decodeMetaInto(data[d.off:], meta, a)
+		used, err = decodeMetaInto(data[off:], meta, a)
 		if err != nil {
 			return nil, 0, fmt.Errorf("ledger: page %d, meta %d: %w", p.Header.Sequence, i, err)
 		}
-		d.off += used
+		off += used
 		a.txp = append(a.txp, tx)
 		a.metap = append(a.metap, meta)
 	}
 	p.Txs = a.txp
 	p.Metas = a.metap
-	return p, d.off, nil
+	return p, off, nil
 }

@@ -99,20 +99,6 @@ func (d *decoder) u64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-func (d *decoder) bytes() []byte {
-	n := int(d.u16())
-	if n == 0 {
-		return nil
-	}
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
-}
-
 func (d *decoder) account() addr.AccountID {
 	var id addr.AccountID
 	b := d.take(20)
@@ -120,15 +106,6 @@ func (d *decoder) account() addr.AccountID {
 		copy(id[:], b)
 	}
 	return id
-}
-
-func (d *decoder) hash() Hash {
-	var h Hash
-	b := d.take(32)
-	if b != nil {
-		copy(h[:], b)
-	}
-	return h
 }
 
 func (d *decoder) value() amount.Value {
@@ -210,12 +187,9 @@ const (
 	amountBytes = 3 + 1 + 8 + 2 // currency ∥ sign ∥ mantissa ∥ exponent
 )
 
-// bytesInto is decoder.bytes with the copy carved from an arena slab
-// (nil arena falls back to a heap allocation).
+// bytesInto reads a length-prefixed byte string, copying it into the
+// arena's byte slab.
 func (d *decoder) bytesInto(a *PageArena) []byte {
-	if a == nil {
-		return d.bytes()
-	}
 	n := int(d.u16())
 	if n == 0 {
 		return nil
@@ -228,8 +202,8 @@ func (d *decoder) bytesInto(a *PageArena) []byte {
 }
 
 // decodeTxInto decodes one transaction from data into tx, drawing
-// byte-slice fields from the arena when one is supplied. It returns the
-// number of bytes consumed.
+// byte-slice fields from the arena. It returns the number of bytes
+// consumed.
 func decodeTxInto(data []byte, tx *Tx, a *PageArena) (int, error) {
 	d := decoder{buf: data}
 	ver := d.u8()
@@ -260,17 +234,6 @@ func decodeTxInto(data []byte, tx *Tx, a *PageArena) (int, error) {
 	return d.off, nil
 }
 
-// DecodeTx decodes one transaction from data and returns it together with
-// the number of bytes consumed.
-func DecodeTx(data []byte) (*Tx, int, error) {
-	var tx Tx
-	used, err := decodeTxInto(data, &tx, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &tx, used, nil
-}
-
 // EncodeMeta appends the canonical serialization of m to buf.
 func (m *TxMeta) EncodeMeta(buf []byte) []byte {
 	e := encoder{buf: buf}
@@ -298,19 +261,14 @@ func (m *TxMeta) EncodeMeta(buf []byte) []byte {
 }
 
 // decodeMetaInto decodes one TxMeta from data into m, drawing slices
-// from the arena when one is supplied. It returns bytes consumed.
+// from the arena. It returns bytes consumed.
 func decodeMetaInto(data []byte, m *TxMeta, a *PageArena) (int, error) {
 	d := decoder{buf: data}
 	m.Result = TxResult(d.u8())
 	m.Delivered = d.amount()
 	if nPaths := int(d.u8()); nPaths > 0 {
 		if hops := d.take(nPaths); hops != nil {
-			if a != nil {
-				m.PathHops = a.grabHops(hops)
-			} else {
-				m.PathHops = make([]uint8, nPaths)
-				copy(m.PathHops, hops)
-			}
+			m.PathHops = a.grabHops(hops)
 		}
 	}
 	m.OffersConsumed = d.u32()
@@ -321,12 +279,7 @@ func decodeMetaInto(data []byte, m *TxMeta, a *PageArena) (int, error) {
 			// before reserving space for it.
 			return 0, ErrTruncated
 		}
-		var out []addr.AccountID
-		if a != nil {
-			out = a.grabAccounts(n)
-		} else {
-			out = make([]addr.AccountID, n)
-		}
+		out := a.grabAccounts(n)
 		for i := 0; i < n; i++ {
 			out[i] = d.account()
 		}
@@ -336,14 +289,4 @@ func decodeMetaInto(data []byte, m *TxMeta, a *PageArena) (int, error) {
 		return 0, d.err
 	}
 	return d.off, nil
-}
-
-// DecodeMeta decodes one TxMeta from data, returning bytes consumed.
-func DecodeMeta(data []byte) (*TxMeta, int, error) {
-	var m TxMeta
-	used, err := decodeMetaInto(data, &m, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &m, used, nil
 }

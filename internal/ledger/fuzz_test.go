@@ -11,7 +11,7 @@ import (
 
 func TestDecodeTxNeverPanicsOnRandomBytes(t *testing.T) {
 	f := func(data []byte) bool {
-		tx, used, err := DecodeTx(data)
+		tx, used, err := decodeTx(data)
 		if err != nil {
 			return tx == nil
 		}
@@ -26,7 +26,7 @@ func TestDecodeTxNeverPanicsOnRandomBytes(t *testing.T) {
 
 func TestDecodeMetaNeverPanicsOnRandomBytes(t *testing.T) {
 	f := func(data []byte) bool {
-		m, _, err := DecodeMeta(data)
+		m, _, err := decodeMeta(data)
 		return (err == nil) == (m != nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
@@ -36,7 +36,7 @@ func TestDecodeMetaNeverPanicsOnRandomBytes(t *testing.T) {
 
 func TestDecodePageNeverPanicsOnRandomBytes(t *testing.T) {
 	f := func(data []byte) bool {
-		p, _, err := DecodePage(data)
+		p, _, err := DecodePageInto(data, new(PageArena))
 		return (err == nil) == (p != nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -55,7 +55,7 @@ func TestDecodeTxBitFlips(t *testing.T) {
 	for i := 0; i < len(data); i++ {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x01
-		got, _, err := DecodeTx(mut)
+		got, _, err := decodeTx(mut)
 		if err != nil {
 			continue
 		}
@@ -81,7 +81,7 @@ func TestDecodePageAllPrefixesFail(t *testing.T) {
 	}
 	data := p.Encode(nil)
 	for cut := 0; cut < len(data); cut++ {
-		if _, _, err := DecodePage(data[:cut]); err == nil {
+		if _, _, err := DecodePageInto(data[:cut], new(PageArena)); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded successfully", cut, len(data))
 		}
 	}

@@ -84,6 +84,26 @@ func TestCloseTime(t *testing.T) {
 	}
 }
 
+// decodeTx and decodeMeta decode one record into an arena of its own,
+// the way DecodePageInto decodes each record of a page.
+func decodeTx(data []byte) (*Tx, int, error) {
+	tx := new(Tx)
+	used, err := decodeTxInto(data, tx, new(PageArena))
+	if err != nil {
+		return nil, 0, err
+	}
+	return tx, used, nil
+}
+
+func decodeMeta(data []byte) (*TxMeta, int, error) {
+	m := new(TxMeta)
+	used, err := decodeMetaInto(data, m, new(PageArena))
+	if err != nil {
+		return nil, 0, err
+	}
+	return m, used, nil
+}
+
 func randomTx(r *rand.Rand) *Tx {
 	kp := addr.KeyPairFromSeed(r.Uint64())
 	dest := addr.KeyPairFromSeed(r.Uint64())
@@ -109,7 +129,7 @@ func TestTxEncodeDecodeRoundTrip(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		tx := randomTx(r)
 		data := tx.Encode(nil)
-		back, used, err := DecodeTx(data)
+		back, used, err := decodeTx(data)
 		if err != nil {
 			t.Fatalf("tx %d: decode: %v", i, err)
 		}
@@ -129,7 +149,7 @@ func TestTxDecodeTruncated(t *testing.T) {
 	tx := randomTx(rand.New(rand.NewSource(2)))
 	data := tx.Encode(nil)
 	for _, cut := range []int{0, 1, 10, len(data) / 2, len(data) - 1} {
-		if _, _, err := DecodeTx(data[:cut]); err == nil {
+		if _, _, err := decodeTx(data[:cut]); err == nil {
 			t.Errorf("decoding %d-byte prefix succeeded", cut)
 		}
 	}
@@ -139,7 +159,7 @@ func TestTxDecodeBadVersion(t *testing.T) {
 	tx := randomTx(rand.New(rand.NewSource(3)))
 	data := tx.Encode(nil)
 	data[0] = 99
-	if _, _, err := DecodeTx(data); err == nil {
+	if _, _, err := decodeTx(data); err == nil {
 		t.Error("bad codec version accepted")
 	}
 }
@@ -197,7 +217,7 @@ func TestMetaRoundTrip(t *testing.T) {
 		},
 	}
 	data := m.EncodeMeta(nil)
-	back, used, err := DecodeMeta(data)
+	back, used, err := decodeMeta(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +256,7 @@ func TestPageEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := p.Encode(nil)
-	back, used, err := DecodePage(data)
+	back, used, err := DecodePageInto(data, new(PageArena))
 	if err != nil {
 		t.Fatal(err)
 	}

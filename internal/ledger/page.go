@@ -93,39 +93,6 @@ func (p *Page) Encode(buf []byte) []byte {
 	return buf
 }
 
-// DecodePage decodes one page from data, returning bytes consumed.
-func DecodePage(data []byte) (*Page, int, error) {
-	d := decoder{buf: data}
-	var p Page
-	p.Header.Sequence = d.u64()
-	p.Header.ParentHash = d.hash()
-	p.Header.TxSetHash = d.hash()
-	p.Header.StateHash = d.hash()
-	p.Header.CloseTime = CloseTime(d.u32())
-	p.Header.TotalDrops = d.u64()
-	n := int(d.u32())
-	if d.err != nil {
-		return nil, 0, d.err
-	}
-	p.Txs = make([]*Tx, 0, n)
-	p.Metas = make([]*TxMeta, 0, n)
-	for i := 0; i < n; i++ {
-		tx, used, err := DecodeTx(data[d.off:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("ledger: page %d, tx %d: %w", p.Header.Sequence, i, err)
-		}
-		d.off += used
-		meta, used, err := DecodeMeta(data[d.off:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("ledger: page %d, meta %d: %w", p.Header.Sequence, i, err)
-		}
-		d.off += used
-		p.Txs = append(p.Txs, tx)
-		p.Metas = append(p.Metas, meta)
-	}
-	return &p, d.off, nil
-}
-
 // GenesisTotalDrops is the initial XRP supply: 100 billion XRP, all owned
 // by ACCOUNT_ZERO at genesis, as in Ripple.
 const GenesisTotalDrops = 100_000_000_000 * 1_000_000

@@ -8,20 +8,20 @@ import (
 	"ripplestudy/internal/amount"
 )
 
-// This file is the zero-copy scan path over the canonical page
-// encoding. DecodePage materializes a full object graph per record —
-// fine for consumers that need every field, but the history-scale scans
-// (the Figure 3 feature feed, ecosystem statistics, sequence-index
-// rebuilds) read a handful of fields from each of millions of
-// transactions. The visitors here walk the encoding in place: fixed
-// fields are read at their constant offsets (see the txOff* layout in
-// codec.go), variable-length fields are skipped by their length
-// prefixes, and nothing is allocated.
+// This file is the zero-copy walk over the canonical page encoding.
+// DecodePageInto materializes a full object graph per record — fine for
+// consumers that need every field, but the history-scale scans (the
+// Figure 3 feature feed, ecosystem statistics, store statistics) read a
+// handful of fields from each of millions of transactions. TxIter walks
+// the encoding in place instead: fixed fields are read at their
+// constant offsets (see the txOff* layout in codec.go), variable-length
+// fields are skipped by their length prefixes, and nothing is
+// allocated. ScanPayments is a filter over that walk.
 //
-// Aliasing rules: the views passed to the callbacks are reused between
-// calls and, when the payload comes from ledgerstore's mmap reader,
-// their raw byte fields alias the mapped segment. Everything a callback
-// receives is valid only until it returns; retain copies, not views.
+// Aliasing rules: the views TxIter and ScanPayments hand out are reused
+// between transactions and, when the payload comes from ledgerstore's
+// mmap reader, their raw byte fields alias the mapped segment. A view
+// is valid only until the next transaction; retain copies, not views.
 
 // pageHeaderBytes is the encoded size of a PageHeader.
 const pageHeaderBytes = 8 + 32 + 32 + 32 + 4 + 8
@@ -97,7 +97,7 @@ func skipMeta(data []byte) (int, error) {
 // TxView is a zero-copy view of one (transaction, metadata) record
 // inside a page encoding. Tx and Meta alias the scanned payload; the
 // accessors decode individual fields on demand. The view (and the
-// bytes it aliases) is valid only inside the VisitTxs callback.
+// bytes it aliases) is valid only until the iterator's next Next call.
 type TxView struct {
 	// Index is the transaction's position within the page.
 	Index int
@@ -163,13 +163,15 @@ func (v *TxView) OffersConsumed() uint32 {
 	return binary.BigEndian.Uint32(v.Meta[n:])
 }
 
-// TxIter walks a page encoding in place, one transaction at a time,
-// with the same framing validation as VisitTxs. Unlike VisitTxs it is
-// allocation-free: the header and the reused view live inside the
-// caller-owned iterator, so a projection loop whose views never escape
-// keeps the whole walk on its stack. The view returned by Next aliases
-// both the iterator and the payload and is valid only until the next
-// Next call.
+// TxIter walks a page encoding in place, one transaction at a time.
+// The walk validates record framing (lengths, codec version) but not
+// field contents; a page that DecodePageInto accepts is always walkable,
+// and the per-field accessors apply the full decoder's validation on the
+// fields they touch. The iterator is allocation-free: the header and
+// the reused view live inside the caller-owned iterator, so a
+// projection loop whose views never escape keeps the whole walk on its
+// stack. The view returned by Next aliases both the iterator and the
+// payload and is valid only until the next Next call.
 type TxIter struct {
 	// Hdr is the decoded page header, valid after Init.
 	Hdr PageHeader
@@ -226,31 +228,6 @@ func (it *TxIter) Next() (*TxView, error) {
 // it is the page encoding's length.
 func (it *TxIter) Used() int { return it.off }
 
-// VisitTxs walks a page encoding in place, calling fn once per
-// transaction with a reused zero-copy view, and returns the bytes
-// consumed. The walk validates record framing (lengths, codec version)
-// but not field contents; a page that DecodePage accepts is always
-// walkable, and the per-field accessors apply DecodePage's validation
-// on the fields they touch. fn errors abort the walk and propagate.
-func VisitTxs(payload []byte, fn func(hdr *PageHeader, v *TxView) error) (int, error) {
-	var it TxIter
-	if err := it.Init(payload); err != nil {
-		return 0, err
-	}
-	for {
-		v, err := it.Next()
-		if err != nil {
-			return 0, err
-		}
-		if v == nil {
-			return it.Used(), nil
-		}
-		if err := fn(&it.Hdr, v); err != nil {
-			return it.Used(), err
-		}
-	}
-}
-
 // PaymentView is the field projection the de-anonymization and
 // analysis scans consume: one successful payment's observable features
 // plus its execution shape, without the enclosing *Page object graph.
@@ -297,65 +274,50 @@ func decodeValueAt(data []byte, off int) (amount.Value, error) {
 
 // ScanPayments walks a page encoding in place and calls fn once per
 // successful payment with a reused PaymentView, returning the bytes
-// consumed. The projection is exactly the set of payments
-// deanon.FromTransaction accepts from the DecodePage'd equivalent:
-// transactions of type TxPayment whose result is tesSUCCESS. Framing is
-// fully validated (a CRC-clean store record that DecodePage accepts
-// never fails here); field contents of skipped transactions are not
-// inspected. fn errors abort the scan and propagate.
+// consumed. It is a filter over TxIter: the projection is exactly the
+// set of payments deanon.FromTransaction accepts from the decoded
+// equivalent, transactions of type TxPayment whose result is
+// tesSUCCESS. Framing is fully validated (a CRC-clean store record that
+// DecodePageInto accepts never fails here); field contents of skipped
+// transactions are not inspected. fn errors abort the scan and
+// propagate unwrapped.
 func ScanPayments(payload []byte, fn func(pv *PaymentView) error) (int, error) {
-	hdr, off, err := DecodeHeader(payload)
-	if err != nil {
+	var it TxIter
+	if err := it.Init(payload); err != nil {
 		return 0, err
 	}
-	if len(payload) < off+4 {
-		return 0, ErrTruncated
-	}
-	n := int(binary.BigEndian.Uint32(payload[off:]))
-	off += 4
 	var pv PaymentView
-	pv.Seq = hdr.Sequence
-	pv.Time = hdr.CloseTime
-	for i := 0; i < n; i++ {
-		tx := payload[off:]
-		txLen, err := skipTx(tx)
+	pv.Seq = it.Hdr.Sequence
+	pv.Time = it.Hdr.CloseTime
+	for {
+		v, err := it.Next()
 		if err != nil {
-			return 0, fmt.Errorf("ledger: page %d, tx %d: %w", hdr.Sequence, i, err)
+			return 0, err
 		}
-		tx = tx[:txLen]
-		off += txLen
-		meta := payload[off:]
-		metaLen, err := skipMeta(meta)
-		if err != nil {
-			return 0, fmt.Errorf("ledger: page %d, meta %d: %w", hdr.Sequence, i, err)
+		if v == nil {
+			return it.Used(), nil
 		}
-		meta = meta[:metaLen]
-		off += metaLen
-		if TxType(tx[txOffType]) != TxPayment || TxResult(meta[metaOffResult]) != ResultSuccess {
+		if v.Type() != TxPayment || v.Result() != ResultSuccess {
 			continue
 		}
-		pv.Index = i
-		copy(pv.Sender[:], tx[txOffAccount:])
-		copy(pv.Destination[:], tx[txOffDestination:])
-		copy(pv.Currency[:], tx[txOffAmount:])
-		if pv.Amount, err = decodeValueAt(tx, txOffAmount+3); err != nil {
-			return 0, fmt.Errorf("ledger: page %d, tx %d: %w", hdr.Sequence, i, err)
+		pv.Index = v.Index
+		pv.Sender = v.Account()
+		pv.Destination = v.Destination()
+		pv.Currency = v.Currency()
+		if pv.Amount, err = v.AmountValue(); err != nil {
+			return 0, fmt.Errorf("ledger: page %d, tx %d: %w", it.Hdr.Sequence, v.Index, err)
 		}
-		hops := meta[metaOffNPaths+1 : metaOffNPaths+1+int(meta[metaOffNPaths])]
+		hops := v.PathHops()
 		pv.ParallelPaths = len(hops)
 		maxHops := 0
 		for _, h := range hops {
-			if int(h) > maxHops {
-				maxHops = int(h)
-			}
+			maxHops = max(maxHops, int(h))
 		}
 		pv.MaxHops = maxHops
-		tail := metaOffNPaths + 1 + len(hops)
-		pv.OffersConsumed = binary.BigEndian.Uint32(meta[tail:])
-		pv.CrossCurrency = meta[tail+4] == 1
+		pv.OffersConsumed = v.OffersConsumed()
+		pv.CrossCurrency = v.CrossCurrency()
 		if err := fn(&pv); err != nil {
-			return off, err
+			return it.Used(), err
 		}
 	}
-	return off, nil
 }

@@ -2,6 +2,7 @@ package ledgerstore
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -87,7 +88,7 @@ feed:
 // canonical page encoding each) to fn on up to `workers` goroutines,
 // without decoding anything — the rawest scan surface, for consumers
 // that project the fields they need straight out of the encoding
-// (ledger.VisitTxs / ledger.ScanPayments) and own the result.
+// (ledger.TxIter / ledger.ScanPayments) and own the result.
 //
 // The payload aliases the segment's (possibly memory-mapped) bytes and
 // is valid only inside fn; retain copies, not the slice. Records within
@@ -133,16 +134,30 @@ func (s *Store) PayloadsParallel(ctx context.Context, workers int, fn func(worke
 func (s *Store) ScanPayments(ctx context.Context, workers int, fn func(worker int, pv *ledger.PaymentView) error) error {
 	return s.forEachSegmentParallel(ctx, workers, func(ctx context.Context, w int, seg string) error {
 		n := 0
-		return scanSegmentPayments(seg, func(pv *ledger.PaymentView) error {
-			// Poll cancellation every few hundred payments, not every
-			// payment: the projection callback is only tens of
-			// nanoseconds of work.
-			if n++; n&255 == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
+		return forEachRecord(seg, func(payload []byte) error {
+			var cbErr error
+			used, err := ledger.ScanPayments(payload, func(pv *ledger.PaymentView) error {
+				// Poll cancellation every few hundred payments, not every
+				// payment: the projection callback is only tens of
+				// nanoseconds of work.
+				if n++; n&255 == 0 {
+					if cbErr = ctx.Err(); cbErr != nil {
+						return cbErr
+					}
 				}
+				cbErr = fn(w, pv)
+				return cbErr
+			})
+			if err != nil {
+				if cbErr != nil && err == cbErr {
+					return cbErr // the caller's own error, unwrapped
+				}
+				return fmt.Errorf("ledgerstore: scanning page in %s: %w", seg, err)
 			}
-			return fn(w, pv)
+			if used != len(payload) {
+				return fmt.Errorf("%w: %d trailing bytes in record", ErrCorrupted, len(payload)-used)
+			}
+			return nil
 		})
 	})
 }

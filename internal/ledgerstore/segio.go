@@ -14,10 +14,10 @@ import (
 // maps the whole segment (mmap where the platform supports it, one
 // ReadFile otherwise) and walks the framed records in place. Record
 // payloads handed to the walkers alias the mapped region, which is why
-// every consumer either decodes onto the heap before returning
-// (decodeRecord with no arena) or passes the explicit
-// valid-only-inside-the-callback contract up to its caller
-// (scanSegmentPayments, PayloadsParallel).
+// every consumer either decodes into an arena before returning
+// (decodeRecord; Pages gives each record an arena of its own) or passes
+// the explicit valid-only-inside-the-callback contract up to its caller
+// (ScanPayments, PayloadsParallel).
 //
 // A walk over a mapped segment also lets go of what it has read: about
 // every releaseStride bytes it hands the whole pages that lie before the
@@ -136,21 +136,11 @@ func forEachRecord(path string, fn func(payload []byte) error) error {
 	}
 }
 
-// decodeRecord decodes a record payload as a full page — onto the heap
-// when a is nil (the page is safe to retain), else through the arena
-// (the page is valid until the arena's next decode) — enforcing that the
+// decodeRecord decodes a record payload as a full page into the arena
+// (the page is valid until the arena's next decode), enforcing that the
 // record contains exactly one page encoding.
 func decodeRecord(path string, payload []byte, a *ledger.PageArena) (*ledger.Page, error) {
-	var (
-		page *ledger.Page
-		used int
-		err  error
-	)
-	if a == nil {
-		page, used, err = ledger.DecodePage(payload)
-	} else {
-		page, used, err = ledger.DecodePageInto(payload, a)
-	}
+	page, used, err := ledger.DecodePageInto(payload, a)
 	if err != nil {
 		return nil, fmt.Errorf("ledgerstore: decoding page in %s: %w", path, err)
 	}
@@ -158,28 +148,4 @@ func decodeRecord(path string, payload []byte, a *ledger.PageArena) (*ledger.Pag
 		return nil, fmt.Errorf("%w: %d trailing bytes in record", ErrCorrupted, len(payload)-used)
 	}
 	return page, nil
-}
-
-// scanSegmentPayments walks a segment's successful payments through the
-// zero-copy projection, never materializing pages. The view is valid
-// only inside fn. Structural framing is fully validated, so corruption
-// detection matches the page path.
-func scanSegmentPayments(path string, fn func(*ledger.PaymentView) error) error {
-	return forEachRecord(path, func(payload []byte) error {
-		var cbErr error
-		used, err := ledger.ScanPayments(payload, func(pv *ledger.PaymentView) error {
-			cbErr = fn(pv)
-			return cbErr
-		})
-		if err != nil {
-			if cbErr != nil && err == cbErr {
-				return cbErr // the caller's own error, unwrapped
-			}
-			return fmt.Errorf("ledgerstore: scanning page in %s: %w", path, err)
-		}
-		if used != len(payload) {
-			return fmt.Errorf("%w: %d trailing bytes in record", ErrCorrupted, len(payload)-used)
-		}
-		return nil
-	})
 }

@@ -190,10 +190,10 @@ func (s *Store) Dir() string { return s.dir }
 // stops early if fn returns a non-nil error, which is returned unwrapped,
 // so a caller can stop on purpose with a sentinel of its own. A
 // truncated final record terminates iteration silently (crash-tolerant
-// tail); a checksum mismatch returns ErrCorrupted. Pages are decoded
-// onto the heap, so fn may retain them; scans that don't need that use
-// PayloadsParallel (decoding into one PageArena per worker) or
-// ScanPayments and skip the per-page allocations.
+// tail); a checksum mismatch returns ErrCorrupted. Each page is decoded
+// into a PageArena of its own, so fn may retain it; scans that don't
+// need that use PagesRangeRecycled or PayloadsParallel (one reused
+// arena per worker) or ScanPayments and skip the per-page allocations.
 func (s *Store) Pages(fn func(*ledger.Page) error) error {
 	if err := s.closeCurrent(); err != nil {
 		return err
@@ -204,7 +204,7 @@ func (s *Store) Pages(fn func(*ledger.Page) error) error {
 	}
 	for _, seg := range segs {
 		err := forEachRecord(seg, func(payload []byte) error {
-			page, err := decodeRecord(seg, payload, nil)
+			page, err := decodeRecord(seg, payload, new(ledger.PageArena))
 			if err != nil {
 				return err
 			}
@@ -232,9 +232,9 @@ type Stats struct {
 }
 
 // Stats scans the store and reports its contents. The scan is a
-// zero-copy walk (headers and per-transaction type bytes only), so it
-// validates framing and checksums but not every field of every record —
-// VerifyIntegrity does the full decode.
+// zero-copy TxIter walk (headers and per-transaction type bytes only),
+// so it validates framing and checksums but not every field of every
+// record — VerifyIntegrity does the full decode.
 func (s *Store) Stats() (Stats, error) {
 	var st Stats
 	if err := s.closeCurrent(); err != nil {
@@ -255,27 +255,28 @@ func (s *Store) Stats() (Stats, error) {
 	_, st.Index = loadSeqIndex(s.dir)
 	for _, seg := range segs {
 		err := forEachRecord(seg, func(payload []byte) error {
-			used, err := ledger.VisitTxs(payload, func(_ *ledger.PageHeader, v *ledger.TxView) error {
+			var it ledger.TxIter
+			err := it.Init(payload)
+			for err == nil {
+				var v *ledger.TxView
+				if v, err = it.Next(); v == nil {
+					break
+				}
 				st.Transactions++
 				if v.Type() == ledger.TxPayment {
 					st.Payments++
 				}
-				return nil
-			})
+			}
 			if err != nil {
 				return fmt.Errorf("ledgerstore: scanning page in %s: %w", seg, err)
 			}
-			if used != len(payload) {
+			if used := it.Used(); used != len(payload) {
 				return fmt.Errorf("%w: %d trailing bytes in record", ErrCorrupted, len(payload)-used)
 			}
-			h, _, err := ledger.DecodeHeader(payload)
-			if err != nil {
-				return err
-			}
 			if st.Pages == 0 {
-				st.FirstSeq = h.Sequence
+				st.FirstSeq = it.Hdr.Sequence
 			}
-			st.LastSeq = h.Sequence
+			st.LastSeq = it.Hdr.Sequence
 			st.Pages++
 			return nil
 		})

@@ -23,7 +23,6 @@ type Collector struct {
 	validations map[addr.NodeID][]ledger.Hash
 	validPages  map[ledger.Hash]bool
 	labels      map[addr.NodeID]string
-	sigOK       map[addr.NodeID]int
 	sigBad      map[addr.NodeID]int
 	events      int
 	malformed   int
@@ -37,7 +36,6 @@ func NewCollector() *Collector {
 		validations: make(map[addr.NodeID][]ledger.Hash),
 		validPages:  make(map[ledger.Hash]bool),
 		labels:      make(map[addr.NodeID]string),
-		sigOK:       make(map[addr.NodeID]int),
 		sigBad:      make(map[addr.NodeID]int),
 		detector:    NewDetector(DetectorConfig{}),
 	}
@@ -75,12 +73,8 @@ func (c *Collector) Record(ev consensus.Event) {
 		}
 		c.events++
 		c.validations[ev.Node] = append(c.validations[ev.Node], ev.LedgerHash)
-		if len(ev.Signature) > 0 {
-			if addr.Verify(ev.Node.PublicKey(), ev.LedgerHash[:], ev.Signature) {
-				c.sigOK[ev.Node]++
-			} else {
-				c.sigBad[ev.Node]++
-			}
+		if len(ev.Signature) > 0 && !addr.Verify(ev.Node.PublicKey(), ev.LedgerHash[:], ev.Signature) {
+			c.sigBad[ev.Node]++
 		}
 		c.detector.observeValidation(ev)
 	case consensus.EventLedgerClosed:

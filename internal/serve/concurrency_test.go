@@ -97,8 +97,8 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 	net := consensus.NewNetwork(consensus.Config{Seed: 5, StartTime: spec.Start, StreamPages: true}, spec.Specs)
 	var streamed []*ledger.Page // validated pages only; written from the net.Run goroutine
 	net.Subscribe(func(ev consensus.Event) {
-		if ev.Kind == consensus.EventLedgerClosed {
-			if p, err := ev.Page(); err == nil && p != nil {
+		if ev.Kind == consensus.EventLedgerClosed && len(ev.PageData) > 0 {
+			if p, _, err := ledger.DecodePageInto(ev.PageData, new(ledger.PageArena)); err == nil {
 				streamed = append(streamed, p)
 			}
 		}

@@ -265,10 +265,10 @@ func TestTallyMatchesMonitorCollector(t *testing.T) {
 	// announced on the stream (quorum failures close no page).
 	var streamed []*ledger.Page
 	net.Subscribe(func(ev consensus.Event) {
-		if ev.Kind == consensus.EventLedgerClosed {
-			if p, err := ev.Page(); err != nil {
+		if ev.Kind == consensus.EventLedgerClosed && len(ev.PageData) > 0 {
+			if p, _, err := ledger.DecodePageInto(ev.PageData, new(ledger.PageArena)); err != nil {
 				t.Errorf("streamed page: %v", err)
-			} else if p != nil {
+			} else {
 				streamed = append(streamed, p)
 			}
 		}

@@ -12,12 +12,14 @@ import (
 )
 
 // pipelineEventStream builds a deterministic validation stream over the
-// pages: per page, validations from three validators (two signing
+// pages: per page, an aggregate and a per-validator proposal of the
+// round's candidate set, validations from three validators (two signing
 // before the close announcement, one after, exercising both the pending
 // index and the immediate-credit path), the close event carrying the
 // page payload — corrupted for one page in five — and a periodic sprinkle
-// of malformed events (zero-hash validations, unknown kinds) that must
-// quarantine exactly as the batch oracle does.
+// of malformed events (zero-hash validations, unknown kinds, proposals
+// without candidates) that must quarantine exactly as the batch oracle
+// does.
 func pipelineEventStream(pages []*ledger.Page) (events []consensus.Event, goodPages []*ledger.Page, corrupted, malformed int) {
 	nodes := []addr.NodeID{
 		addr.KeyPairFromSeed(101).NodeID(),
@@ -30,6 +32,14 @@ func pipelineEventStream(pages []*ledger.Page) (events []consensus.Event, goodPa
 	for i, p := range pages {
 		var hash ledger.Hash
 		hash[0], hash[1], hash[2] = byte(i), byte(i>>8), 1
+		candidates := []ledger.Hash{hash}
+		candidates[0][2] = 2
+		for _, n := range []addr.NodeID{{}, nodes[1]} { // aggregate, then per-validator
+			events = append(events, consensus.Event{
+				Kind: consensus.EventProposal, Node: n, Seq: p.Header.Sequence,
+				StreamSeq: next(), TxHashes: candidates,
+			})
+		}
 		for _, n := range nodes[:2] {
 			events = append(events, consensus.Event{
 				Kind: consensus.EventValidation, LedgerHash: hash, Node: n,
@@ -58,6 +68,12 @@ func pipelineEventStream(pages []*ledger.Page) (events []consensus.Event, goodPa
 		}
 		if i%11 == 0 { // unknown kind: quarantined
 			events = append(events, consensus.Event{Kind: consensus.EventKind(250), StreamSeq: next()})
+			malformed++
+		}
+		if i%13 == 0 { // proposal without candidates: quarantined
+			events = append(events, consensus.Event{
+				Kind: consensus.EventProposal, Node: nodes[0], Seq: p.Header.Sequence, StreamSeq: next(),
+			})
 			malformed++
 		}
 	}

@@ -224,7 +224,7 @@ func (pr *projector) fromPage(p *ledger.Page, rec *pageRecord) {
 // (count, record lengths, codec version, no trailing bytes) and payment
 // amounts get the full decoder's value validation; field contents of
 // non-payment transactions are not inspected. The result is identical
-// to fromPage over the DecodePage'd equivalent.
+// to fromPage over the page ledger.DecodePageInto decodes.
 func (pr *projector) fromPayload(payload []byte, rec *pageRecord) error {
 	var it ledger.TxIter
 	if err := it.Init(payload); err != nil {

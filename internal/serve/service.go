@@ -372,7 +372,7 @@ func (b *recBatcher) discard() {
 // result is identical to a sequential backfill.
 //
 // Projection validates record framing exactly like the decoding scans
-// (a CRC-clean record that DecodePage accepts always projects) plus the
+// (a CRC-clean record that DecodePageInto accepts always projects) plus the
 // payment fields the views consume; fields of non-payment transactions
 // are not inspected.
 func (s *Service) BackfillStore(ctx context.Context, store *ledgerstore.Store, workers int) error {

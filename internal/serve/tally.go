@@ -78,6 +78,12 @@ func (t *tallyState) apply(ev consensus.Event) {
 			}
 			delete(t.pending, ev.LedgerHash)
 		}
+	case consensus.EventProposal:
+		if ev.Seq == 0 || len(ev.TxHashes) == 0 {
+			t.malformed++
+			return
+		}
+		t.events++
 	default:
 		t.malformed++
 	}
