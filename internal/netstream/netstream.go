@@ -538,8 +538,8 @@ func (r socketReader) Read(p []byte) (int, error) {
 }
 
 // DialResume connects and asks the server to replay buffered events
-// with stream sequence greater than resumeAfter (0 subscribes from the
-// present moment, no replay). A zero timeout means no dial timeout.
+// with stream sequence greater than resumeAfter (0 replays everything
+// the ring still holds). A zero timeout means no dial timeout.
 func DialResume(address string, resumeAfter uint64, timeout time.Duration) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", address, timeout)
 	if err != nil {

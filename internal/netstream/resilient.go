@@ -71,7 +71,8 @@ type ClientStats struct {
 	// server's replay ring).
 	Gaps int
 	// Missed counts events confirmed lost after a failed repair — the
-	// replay ring no longer held them.
+	// replay ring no longer held them. A client that joins after the
+	// ring has evicted the stream's first events counts those too.
 	Missed uint64
 	// Duplicates counts events skipped because their sequence was
 	// already processed (replay overlap after resume).
@@ -257,7 +258,10 @@ func (rc *ResilientClient) observe(ev consensus.Event, fn func(consensus.Event) 
 			rc.mu.Unlock()
 			return nil
 		}
-		if rc.lastSeq != 0 && seq > rc.lastSeq+1 {
+		// A stream starts at sequence 1, so a client that has processed
+		// nothing is owed 1 first: the server can drop a new
+		// subscriber's oldest queued frames before its writer sends one.
+		if seq > rc.lastSeq+1 {
 			if rc.repairedAt != rc.lastSeq {
 				// First sight of this gap: reconnect and ask the server
 				// to replay from lastSeq. The cursor stays put so the

@@ -3,7 +3,9 @@ package netstream
 import (
 	"context"
 	"errors"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -177,6 +179,132 @@ func TestResilientClientReportsUnrecoverableGap(t *testing.T) {
 	}
 	if n := len(got.snapshot()); n != 12 {
 		t.Errorf("collected %d events, want 12 (1–10, 15, 16)", n)
+	}
+}
+
+// swallowFirstWrite is a listener whose first connection silently
+// loses its first write: it reports success, delivers nothing, and
+// closes swallowed.
+type swallowFirstWrite struct {
+	net.Listener
+	accepted  atomic.Int32
+	swallowed chan struct{}
+}
+
+func (l *swallowFirstWrite) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil || l.accepted.Add(1) > 1 {
+		return conn, err
+	}
+	return &swallowConn{Conn: conn, swallowed: l.swallowed}, nil
+}
+
+type swallowConn struct {
+	net.Conn
+	once      sync.Once
+	swallowed chan struct{}
+}
+
+func (c *swallowConn) Write(p []byte) (int, error) {
+	lost := false
+	c.once.Do(func() { lost = true })
+	if lost {
+		close(c.swallowed)
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
+}
+
+// TestResilientClientRepairsLostFirstFrames: a stream starts at
+// sequence 1, so a client whose first connection never delivers the
+// first frames (here a lost first write; on a loaded box, the server
+// dropping a new subscriber's oldest queued frames before its writer
+// sends one) must repair them from the ring, not start at the first
+// frame it happens to receive.
+func TestResilientClientRepairsLostFirstFrames(t *testing.T) {
+	wrap := &swallowFirstWrite{swallowed: make(chan struct{})}
+	srv, err := Serve("127.0.0.1:0", WithListenerWrapper(func(ln net.Listener) net.Listener {
+		wrap.Listener = ln
+		return wrap
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	rc := NewResilientClient(srv.Addr(), testOptions())
+	var got collectSeqs
+	runErr := make(chan error, 1)
+	go func() {
+		runErr <- rc.Run(context.Background(), func(ev consensus.Event) error {
+			if err := got.add(ev); err != nil {
+				return err
+			}
+			if ev.StreamSeq == 10 {
+				return ErrStop
+			}
+			return nil
+		})
+	}()
+	waitSubscribers(t, srv, 1)
+	srv.Publish(testEvent(1))
+	select {
+	case <-wrap.swallowed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first write never happened")
+	}
+	for i := uint64(2); i <= 10; i++ {
+		srv.Publish(testEvent(i))
+	}
+	if err := <-runErr; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	seqs := got.snapshot()
+	for i, seq := range seqs {
+		if seq != uint64(i+1) {
+			t.Fatalf("collected %v, want 1–10 in order", seqs)
+		}
+	}
+	if len(seqs) != 10 {
+		t.Fatalf("collected %v, want 1–10", seqs)
+	}
+	if st := rc.Stats(); st.Gaps != 1 || st.Missed != 0 || st.Reconnects == 0 {
+		t.Errorf("stats %+v, want one repaired gap, a reconnect and nothing missed", st)
+	}
+}
+
+// TestResilientClientCountsEvictedHeadAsMissed: a client that joins
+// after the ring has evicted the stream's first events repairs a
+// bounded number of times, then counts them as lost and goes on.
+func TestResilientClientCountsEvictedHeadAsMissed(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", WithReplayRing(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i := uint64(1); i <= 10; i++ {
+		srv.Publish(testEvent(i))
+	}
+
+	rc := NewResilientClient(srv.Addr(), testOptions())
+	var got collectSeqs
+	err = rc.Run(context.Background(), func(ev consensus.Event) error {
+		if err := got.add(ev); err != nil {
+			return err
+		}
+		if ev.StreamSeq == 10 {
+			return ErrStop
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if seqs := got.snapshot(); len(seqs) != 4 || seqs[0] != 7 {
+		t.Errorf("collected %v, want 7–10", seqs)
+	}
+	if st := rc.Stats(); st.Gaps != 1 || st.Missed != 6 || st.Reconnects != maxGapRepairs {
+		t.Errorf("stats %+v, want one gap, 6 missed, %d repair reconnects", st, maxGapRepairs)
 	}
 }
 
