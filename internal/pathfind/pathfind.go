@@ -15,10 +15,12 @@
 // (trustgraph.Edges): a peer already seen is skipped before its edge is
 // weighed, the overlay is consulted only for an edge between two accounts
 // that both carry planned flow, and the edge each account was reached
-// through is remembered, so the bottleneck pass does not look the path's
-// edges up again. Before it expands a layer past the source, the search
-// checks the last hop: the destination's neighbours are marked once per
-// routing call, and the first frontier account, in frontier order, that
+// through is remembered, so neither the bottleneck pass nor the engine
+// that applies the plan looks the path's edges up again: each planned
+// flow carries the trust pair it crosses. Before it expands a layer past
+// the source, the search checks the last hop: the destination's
+// neighbours are marked once per routing call, and the first frontier
+// account, in frontier order, that
 // is marked and still has residual towards the destination is the parent
 // the expansion would have given it — so the layer that reaches the
 // destination (typically a gateway's thousands of lines) is never
@@ -56,12 +58,18 @@ var ErrNoPath = errors.New("pathfind: no path with liquidity")
 // Flow is one planned trust-line movement: value flows From → To. Path
 // is the index of the parallel path the flow belongs to, so consumers
 // can attribute hops per path (an account on three parallel paths served
-// as an intermediate hop three times).
+// as an intermediate hop three times). Line is the trust pair the search
+// crossed and FromLo whether From is its Lo endpoint, so the engine
+// applies the flow (Line.ApplyFlow(FromLo, Value)) without finding the
+// pair again; a pair never moves, so the pointer holds while the graph
+// gains lines, and the plan is executed before the graph changes.
 type Flow struct {
 	From, To addr.AccountID
 	Currency amount.Currency
 	Value    amount.Value
 	Path     int
+	Line     *trustgraph.Pair
+	FromLo   bool
 }
 
 // PathInfo describes one parallel path for transaction metadata: the
@@ -447,10 +455,11 @@ func (f *Finder) routeTrust(plan *Plan, src, dst addr.AccountID, cur amount.Curr
 			break
 		}
 		for i := 0; i+1 < len(path); i++ {
+			line, fromLo := f.via[path[i+1]].Line()
 			plan.TrustFlows = append(plan.TrustFlows, Flow{
 				From: f.graph.AccountAt(path[i]), To: f.graph.AccountAt(path[i+1]),
 				Currency: cur, Value: bottleneck,
-				Path: len(plan.Paths),
+				Path: len(plan.Paths), Line: line, FromLo: fromLo,
 			})
 			if err := f.ov.addFlow(path[i], path[i+1], cur, bottleneck); err != nil {
 				return amount.Zero, fmt.Errorf("pathfind: overlay: %w", err)

@@ -79,7 +79,7 @@ func (e *Engine) EnableStateTree() {
 	for a := range e.seq {
 		e.markAccount(a)
 	}
-	e.graph.Pairs(func(p *trustgraph.Pair) { e.markPair(p.Lo, p.Hi, p.Currency) })
+	e.graph.Pairs(e.markPair)
 	e.books.Each(e.markOffer)
 }
 
@@ -127,16 +127,13 @@ func (e *Engine) markAccount(a addr.AccountID) {
 	}
 }
 
-func (e *Engine) markPair(a, b addr.AccountID, cur amount.Currency) {
+func (e *Engine) markPair(p *trustgraph.Pair) {
 	if c := e.changes; c != nil {
-		c.Accounts[a] = struct{}{}
-		c.Accounts[b] = struct{}{}
+		c.Accounts[p.Lo] = struct{}{}
+		c.Accounts[p.Hi] = struct{}{}
 	}
 	if e.state != nil {
-		if b.Less(a) {
-			a, b = b, a
-		}
-		e.state.pairs[pairKey{lo: a, hi: b, cur: cur}] = struct{}{}
+		e.state.pairs[pairKey{lo: p.Lo, hi: p.Hi, cur: p.Currency}] = struct{}{}
 	}
 }
 

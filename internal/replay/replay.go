@@ -263,15 +263,15 @@ func BuildStateOpts(src *ledgerstore.Store, snapshotSeq uint64, opts BuildOption
 	return eng, nil
 }
 
-// applyPage applies every transaction of one streamed page. The page's
-// decode arena (when pooled) is recycled exactly once on every exit
-// path; the engine keeps no references into the page — it reads value
-// fields only.
+// applyPage applies every transaction of one streamed page, reading only
+// each result: rebuilding state needs no metadata. The page's decode
+// arena (when pooled) is recycled exactly once on every exit path; the
+// engine keeps no references into the page — it reads value fields only.
 func applyPage(eng *payment.Engine, pe pageOrErr) (seq uint64, err error) {
 	defer pe.release()
 	seq = pe.page.Header.Sequence
 	for _, tx := range pe.page.Txs {
-		if _, err := eng.Apply(tx); err != nil {
+		if _, _, err := eng.ApplyResult(tx); err != nil {
 			return seq, fmt.Errorf("replay: rebuilding state at page %d: %w", seq, err)
 		}
 	}
@@ -388,7 +388,12 @@ func RunOpts(src *ledgerstore.Store, snapshotSeq uint64, opts BuildOptions) (*Re
 			if !ok {
 				continue
 			}
-			if m := replayTx(state, tx); m != nil && m.Result.Succeeded() && row != nil {
+			result, err := replayTx(state, tx)
+			if err != nil {
+				pe.release()
+				return nil, fmt.Errorf("replay: Table II at page %d: %w", pe.page.Header.Sequence, err)
+			}
+			if result.Succeeded() && row != nil {
 				row.Delivered++
 			}
 		}
@@ -441,13 +446,11 @@ func RunParallelOpts(src *ledgerstore.Store, snapshotSeq uint64, _ int, opts Bui
 // replayTx re-submits a historical transaction against the (diverged)
 // replay state: the sequence number is rewritten to the replay engine's
 // expectation. Signatures are not re-checked (they cover the original
-// sequence); the engine does not verify them during Apply.
-func replayTx(eng *payment.Engine, tx *ledger.Tx) *ledger.TxMeta {
+// sequence); the replay engine does not verify them. Table II reads
+// only the result, so no metadata is assembled.
+func replayTx(eng *payment.Engine, tx *ledger.Tx) (ledger.TxResult, error) {
 	clone := *tx
 	clone.Sequence = eng.NextSequence(tx.Account)
-	meta, err := eng.Apply(&clone)
-	if err != nil {
-		return nil
-	}
-	return meta
+	result, _, err := eng.ApplyResult(&clone)
+	return result, err
 }

@@ -77,6 +77,23 @@ func TestBuildStateMatchesGenerator(t *testing.T) {
 		t.Errorf("replayed offers = %d, generator = %d",
 			eng.Books().NumOffers(), res.Engine.Books().NumOffers())
 	}
+	// The digest chains only each tx hash and result byte, so a flow
+	// applied to the wrong pair or in the wrong direction passes it while
+	// the results agree. The sealed roots commit to every balance: the
+	// generator's state snapshotted whole against the replay's journal.
+	want := res.Engine.Clone()
+	want.EnableStateTree()
+	wantRoot, err := want.SealState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotRoot, err := eng.SealState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotRoot != wantRoot {
+		t.Errorf("replayed state root %s, generator's %s", gotRoot.Short(), wantRoot.Short())
+	}
 }
 
 func TestBuildStateStopsAtSnapshot(t *testing.T) {
@@ -163,7 +180,11 @@ func TestReplayWithoutAblationDelivers(t *testing.T) {
 				continue
 			}
 			submitted++
-			if m := replayTx(state, tx); m != nil && m.Result.Succeeded() {
+			result, err := replayTx(state, tx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if result.Succeeded() {
 				delivered++
 			}
 		}
