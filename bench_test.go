@@ -197,10 +197,10 @@ func chainNetwork(width, length int) (*trustgraph.Graph, addr.AccountID, addr.Ac
 		for l := 0; l < length; l++ {
 			seed++
 			mid := addr.KeyPairFromSeed(seed).AccountID()
-			_ = g.SetTrust(mid, prev, amount.USD, lim)
+			_, _ = g.SetTrust(mid, prev, amount.USD, lim)
 			prev = mid
 		}
-		_ = g.SetTrust(dst, prev, amount.USD, lim)
+		_, _ = g.SetTrust(dst, prev, amount.USD, lim)
 	}
 	return g, src, dst
 }
@@ -283,8 +283,8 @@ func BenchmarkAblationAutobridge(b *testing.B) {
 		src := addr.KeyPairFromSeed(1).AccountID()
 		dst := addr.KeyPairFromSeed(2).AccountID()
 		mm := addr.KeyPairFromSeed(3)
-		_ = g.SetTrust(mm.AccountID(), src, amount.EUR, amount.MustParse("1e6"))
-		_ = g.SetTrust(dst, mm.AccountID(), amount.USD, amount.MustParse("1e6"))
+		_, _ = g.SetTrust(mm.AccountID(), src, amount.EUR, amount.MustParse("1e6"))
+		_, _ = g.SetTrust(dst, mm.AccountID(), amount.USD, amount.MustParse("1e6"))
 		if direct {
 			_ = books.Place(&orderbook.Offer{
 				Owner: mm.AccountID(), Seq: 1,

@@ -22,10 +22,10 @@ func figure1(t *testing.T) (*trustgraph.Graph, addr.AccountID, addr.AccountID, a
 	t.Helper()
 	g := trustgraph.New()
 	a, b, c := acct(1), acct(2), acct(3)
-	if err := g.SetTrust(a, b, amount.USD, val("10")); err != nil {
+	if _, err := g.SetTrust(a, b, amount.USD, val("10")); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.SetTrust(b, c, amount.USD, val("20")); err != nil {
+	if _, err := g.SetTrust(b, c, amount.USD, val("20")); err != nil {
 		t.Fatal(err)
 	}
 	return g, a, b, c
@@ -80,7 +80,7 @@ func TestFigure1CapacityLimit(t *testing.T) {
 func TestDirectTrustPayment(t *testing.T) {
 	g := trustgraph.New()
 	a, b := acct(1), acct(2)
-	if err := g.SetTrust(a, b, amount.USD, val("100")); err != nil {
+	if _, err := g.SetTrust(a, b, amount.USD, val("100")); err != nil {
 		t.Fatal(err)
 	}
 	f := New(g, orderbook.New())
@@ -140,12 +140,12 @@ func addChains(t *testing.T, g *trustgraph.Graph, s, d addr.AccountID, width, le
 		prev := s
 		for l := 0; l < length; l++ {
 			seed++
-			if err := g.SetTrust(acct(seed), prev, amount.USD, val(limit)); err != nil {
+			if _, err := g.SetTrust(acct(seed), prev, amount.USD, val(limit)); err != nil {
 				t.Fatal(err)
 			}
 			prev = acct(seed)
 		}
-		if err := g.SetTrust(d, prev, amount.USD, val(limit)); err != nil {
+		if _, err := g.SetTrust(d, prev, amount.USD, val(limit)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,10 +158,10 @@ func TestMaxPathsBound(t *testing.T) {
 	s, d := acct(100), acct(101)
 	for i := uint64(0); i < 8; i++ {
 		m := acct(10 + i)
-		if err := g.SetTrust(m, s, amount.USD, val("1")); err != nil {
+		if _, err := g.SetTrust(m, s, amount.USD, val("1")); err != nil {
 			t.Fatal(err)
 		}
-		if err := g.SetTrust(d, m, amount.USD, val("1")); err != nil {
+		if _, err := g.SetTrust(d, m, amount.USD, val("1")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +184,7 @@ func TestMaxHopsBound(t *testing.T) {
 	nodes := []addr.AccountID{acct(1), acct(2), acct(3), acct(4), acct(5), acct(6)}
 	for i := 0; i+1 < len(nodes); i++ {
 		// value flows nodes[i] → nodes[i+1], so nodes[i+1] trusts nodes[i]
-		if err := g.SetTrust(nodes[i+1], nodes[i], amount.USD, val("10")); err != nil {
+		if _, err := g.SetTrust(nodes[i+1], nodes[i], amount.USD, val("10")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,7 +205,7 @@ func TestMaxHopsBound(t *testing.T) {
 func TestNoPath(t *testing.T) {
 	g := trustgraph.New()
 	a, b := acct(1), acct(2)
-	if err := g.SetTrust(a, b, amount.USD, val("10")); err != nil {
+	if _, err := g.SetTrust(a, b, amount.USD, val("10")); err != nil {
 		t.Fatal(err)
 	}
 	f := New(g, orderbook.New())
@@ -237,11 +237,11 @@ func crossSetup(t *testing.T) (*Finder, addr.AccountID, addr.AccountID, addr.Acc
 	books := orderbook.New()
 	src, mm, dst := acct(1), acct(2), acct(3)
 	// src can move EUR to mm: mm trusts src in EUR.
-	if err := g.SetTrust(mm, src, amount.EUR, val("1000")); err != nil {
+	if _, err := g.SetTrust(mm, src, amount.EUR, val("1000")); err != nil {
 		t.Fatal(err)
 	}
 	// mm can move USD to dst: dst trusts mm in USD.
-	if err := g.SetTrust(dst, mm, amount.USD, val("1000")); err != nil {
+	if _, err := g.SetTrust(dst, mm, amount.USD, val("1000")); err != nil {
 		t.Fatal(err)
 	}
 	// mm's offer: sells 100 USD for 90 EUR (taker pays EUR, gets USD).
@@ -297,7 +297,7 @@ func TestCrossCurrencyNeedsTrustLegs(t *testing.T) {
 	g := trustgraph.New()
 	books := orderbook.New()
 	src, mm, dst := acct(1), acct(2), acct(3)
-	if err := g.SetTrust(dst, mm, amount.USD, val("1000")); err != nil {
+	if _, err := g.SetTrust(dst, mm, amount.USD, val("1000")); err != nil {
 		t.Fatal(err)
 	}
 	err := books.Place(&orderbook.Offer{
@@ -319,10 +319,10 @@ func TestCrossCurrencyNeedsTrustLegs(t *testing.T) {
 // mm1 sells XRP for EUR and mm2 sells USD for XRP.
 func addAutoBridge(t *testing.T, g *trustgraph.Graph, books *orderbook.Books, src, mm1, mm2, dst addr.AccountID) {
 	t.Helper()
-	if err := g.SetTrust(mm1, src, amount.EUR, val("1000")); err != nil {
+	if _, err := g.SetTrust(mm1, src, amount.EUR, val("1000")); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.SetTrust(dst, mm2, amount.USD, val("1000")); err != nil {
+	if _, err := g.SetTrust(dst, mm2, amount.USD, val("1000")); err != nil {
 		t.Fatal(err)
 	}
 	// mm1 sells XRP for EUR: taker pays EUR, gets XRP. 1 EUR = 100 XRP.
@@ -377,10 +377,10 @@ func TestSameCurrencyBridgeFallback(t *testing.T) {
 	g := trustgraph.New()
 	books := orderbook.New()
 	src, mm1, mm2, dst := acct(1), acct(2), acct(3), acct(4)
-	if err := g.SetTrust(mm1, src, amount.USD, val("1000")); err != nil {
+	if _, err := g.SetTrust(mm1, src, amount.USD, val("1000")); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.SetTrust(dst, mm2, amount.USD, val("1000")); err != nil {
+	if _, err := g.SetTrust(dst, mm2, amount.USD, val("1000")); err != nil {
 		t.Fatal(err)
 	}
 	// mm1 sells XRP for USD (entry leg: taker pays USD, gets XRP).

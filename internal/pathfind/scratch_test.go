@@ -21,7 +21,7 @@ func line(t *testing.T, n int) (*trustgraph.Graph, []addr.AccountID) {
 		accts[i] = acct(uint64(100 + i))
 	}
 	for i := 0; i+1 < len(accts); i++ {
-		if err := g.SetTrust(accts[i], accts[i+1], amount.USD, val("1000")); err != nil {
+		if _, err := g.SetTrust(accts[i], accts[i+1], amount.USD, val("1000")); err != nil {
 			t.Fatal(err)
 		}
 	}
